@@ -25,6 +25,12 @@ CHECKPOINT_MAGIC = b"ENTLM-CKPT v1\n"
 
 DEFAULT_STAGE1_TRAINABLE = ("entity_emb", "entity_proj", "entity_type_emb", "mep_head")
 
+# elements per AdamW block.  Each block's slices of p, g, m and v and the two
+# scratch buffers (6 x 512 KiB) stay in cache across the 15 passes the update
+# makes over them.  Smaller blocks pay more per-call overhead; on a 2 MiB-L2
+# Xeon, 16Ki-64Ki elements measured alike and 4Ki was 30% slower.
+ADAMW_BLOCK = 65536
+
 
 @dataclass
 class TrainConfig:
@@ -86,13 +92,18 @@ def init_model(config: EncoderConfig, seed=0):
 
 
 def _head_loss(vectors, labels, w, b):
-    """Mean cross-entropy over labeled positions; (loss tensor, live count)."""
+    """Mean cross-entropy over labeled positions; (loss tensor, live count).
+
+    Only the labeled rows are projected onto the vocabulary, as BERT's
+    `gather_indexes` does: ignored rows add nothing to the loss or its
+    gradient, so their (H, V) products are never formed.
+    """
     labels = np.asarray(labels).reshape(-1)
     H = vectors.shape[-1]
     flat = T.reshape(vectors, (-1, H))
-    logits = T.matmul(flat, w) + b
-    n_live = T.count_live_labels(labels, IGNORE_LABEL)
-    return T.cross_entropy_logits(logits, labels, ignore_index=IGNORE_LABEL), n_live
+    rows = np.flatnonzero(labels != IGNORE_LABEL)
+    logits = T.matmul(T.getitem(flat, rows), w) + b
+    return T.cross_entropy_logits(logits, labels[rows], ignore_index=IGNORE_LABEL), rows.size
 
 
 def mep_loss(entity_vectors, entity_labels, params):
@@ -136,7 +147,9 @@ class AdamW:
     """AdamW with decoupled weight decay over a named parameter dict.
 
     Frozen parameters are neither updated nor have their moment estimates
-    advanced.
+    advanced.  `step` writes each parameter's `data` array and the moment
+    arrays in place, so a caller that wants to keep a snapshot of a
+    parameter must take `p.data.copy()`.
     """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-6, weight_decay=0.01):
@@ -146,6 +159,7 @@ class AdamW:
         self.m = {}
         self.v = {}
         self.t = {}
+        self._scratch = (np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK))
 
     def step(self, lr, trainable=None):
         for name, p in self.params.items():
@@ -153,26 +167,56 @@ class AdamW:
                 continue
             if trainable is not None and name not in trainable:
                 continue
+            if not (p.data.flags.c_contiguous and p.data.flags.writeable):
+                p.data = p.data.copy()  # the flat view below must alias p.data
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             t = self.t.get(name, 0) + 1
             self.t[name] = t
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            v = self.v[name]
-            m = self.beta1 * m + (1 - self.beta1) * g
-            v = self.beta2 * v + (1 - self.beta2) * (g * g)
-            self.m[name], self.v[name] = m, v
-            mhat = m / (1 - self.beta1**t)
-            vhat = v / (1 - self.beta2**t)
-            p.data = p.data - lr * (mhat / (np.sqrt(vhat) + self.eps) + self.weight_decay * p.data)
+            self._update(p.data.reshape(-1), np.ravel(g), self.m[name].reshape(-1),
+                         self.v[name].reshape(-1), lr, t)
+
+    def _update(self, p, g, m, v, lr, t):
+        """p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p), block by block.
+
+        Every operation runs in the order of that formula, so the result is
+        bit-identical to evaluating it with full-size temporaries.
+        """
+        b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1**t, 1 - b2**t
+        for lo in range(0, p.size, ADAMW_BLOCK):
+            hi = min(lo + ADAMW_BLOCK, p.size)
+            pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            s1, s2 = self._scratch[0][: hi - lo], self._scratch[1][: hi - lo]
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(mb, b1, out=mb)
+            np.multiply(gb, 1 - b1, out=s1)
+            np.add(mb, s1, out=mb)
+            # v = b2 * v + (1 - b2) * (g * g)
+            np.multiply(vb, b2, out=vb)
+            np.multiply(gb, gb, out=s1)
+            np.multiply(s1, 1 - b2, out=s1)
+            np.add(vb, s1, out=vb)
+            # mhat / (sqrt(vhat) + eps) + wd * p
+            np.divide(mb, c1, out=s1)
+            np.divide(vb, c2, out=s2)
+            np.sqrt(s2, out=s2)
+            np.add(s2, self.eps, out=s2)
+            np.divide(s1, s2, out=s1)
+            np.multiply(pb, self.weight_decay, out=s2)
+            np.add(s1, s2, out=s1)
+            # p = p - lr * (...)
+            np.multiply(s1, lr, out=s1)
+            np.subtract(pb, s1, out=pb)
 
     def state_dict(self):
+        """Copies of the step counts and moments; later steps leave them unchanged."""
         return {
             "t": dict(self.t),
-            "m": {k: a for k, a in self.m.items()},
-            "v": {k: a for k, a in self.v.items()},
+            "m": {k: a.copy() for k, a in self.m.items()},
+            "v": {k: a.copy() for k, a in self.v.items()},
         }
 
 

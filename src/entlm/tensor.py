@@ -178,7 +178,11 @@ def matmul(a, b):
 
     def backward(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        if b.ndim == 2:
+            # a shared weight: fold every leading axis of a into one 2-D GEMM
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, b.shape[-1])
+        else:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _make(out_data, (a, b), backward, "matmul")
@@ -322,12 +326,37 @@ def transpose(x, axes):
     return _make(np.transpose(x.data, axes), (x,), backward, "transpose")
 
 
+def _index_is_unique(idx):
+    """True when `x[idx]` cannot select one element twice.
+
+    Integers, slices, Ellipsis, None and a boolean mask never repeat; an
+    integer array is accepted when it is the only array in the index, 1-D,
+    non-negative and strictly increasing (as `np.flatnonzero` returns).
+    """
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    arrays = [np.asarray(i) for i in parts
+              if not (i is None or i is Ellipsis or isinstance(i, (slice, int, np.integer)))]
+    if not arrays:
+        return True
+    if len(arrays) > 1:
+        return False
+    a = arrays[0]
+    if a.dtype == bool:
+        return True
+    return (a.ndim == 1 and a.dtype.kind in "iu"
+            and (a.size == 0 or (a[0] >= 0 and bool(np.all(a[1:] > a[:-1])))))
+
+
 def getitem(x, idx):
     out_data = x.data[idx]
+    unique = _index_is_unique(idx)
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        if unique:
+            gx[idx] = g
+        else:
+            np.add.at(gx, idx, g)
         return (gx,)
 
     return _make(np.array(out_data, copy=True), (x,), backward, "getitem")
@@ -339,7 +368,7 @@ def cross_entropy_logits(logits, labels, ignore_index=-100):
     logits: (N, V); labels: (N,) integer.  Rows with the ignore label
     contribute nothing.  With zero live rows the loss is exactly 0 and the
     gradient is zero everywhere; callers that average across batches should
-    check `count_live_labels` first.
+    count the live labels first.
     """
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
@@ -375,10 +404,6 @@ def cross_entropy_logits(logits, labels, ignore_index=-100):
         return (gl * (g / n_live),)
 
     return _make(out_data, (logits,), backward, "cross_entropy")
-
-
-def count_live_labels(labels, ignore_index=-100):
-    return int((np.asarray(labels) != ignore_index).sum())
 
 
 def log_softmax_np(x, axis=-1):

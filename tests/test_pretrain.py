@@ -8,6 +8,7 @@ from entlm.corpus import build_word_vocab, encode_document, split_sequences
 from entlm.encoder import EncoderConfig
 from entlm.errors import ContractError
 from entlm.pretrain import (
+    ADAMW_BLOCK,
     AdamW,
     TrainConfig,
     init_model,
@@ -145,6 +146,86 @@ def test_adamw_skips_non_trainable():
     assert "b" not in opt.m
 
 
+class ReferenceAdamW:
+    """The out-of-place formula AdamW must reproduce bit for bit."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-6, weight_decay=0.01):
+        self.params, self.beta1, self.beta2, self.eps = params, beta1, beta2, eps
+        self.weight_decay = weight_decay
+        self.m, self.v, self.t = {}, {}, {}
+
+    def step(self, lr, trainable=None):
+        for name, p in self.params.items():
+            if trainable is not None and name not in trainable:
+                continue
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            t = self.t[name] = self.t.get(name, 0) + 1
+            m = self.m.get(name, np.zeros_like(p.data))
+            v = self.v.get(name, np.zeros_like(p.data))
+            m = self.beta1 * m + (1 - self.beta1) * g
+            v = self.beta2 * v + (1 - self.beta2) * (g * g)
+            self.m[name], self.v[name] = m, v
+            mhat = m / (1 - self.beta1**t)
+            vhat = v / (1 - self.beta2**t)
+            p.data = p.data - lr * (mhat / (np.sqrt(vhat) + self.eps) + self.weight_decay * p.data)
+
+
+def test_adamw_bit_identical_to_out_of_place_formula():
+    rng = np.random.default_rng(7)
+    shapes = {"big": (ADAMW_BLOCK + 1234,), "mat": (37, 5), "no_grad": (6,), "scalar": ()}
+    init = {n: rng.normal(size=s) for n, s in shapes.items()}
+    ours = {n: T.parameter(a) for n, a in init.items()}
+    ref = {n: T.parameter(a) for n, a in init.items()}
+    opt, oracle = AdamW(ours), ReferenceAdamW(ref)
+    # two stage-1 steps on part of the set, then stage 2, where the
+    # per-parameter step counts differ
+    schedule = [({"big", "no_grad"}, 5e-3), ({"big", "no_grad"}, 4e-3), (None, 1e-3), (None, 2e-4)]
+    for trainable, lr in schedule:
+        for n, s in shapes.items():
+            grad = None if n == "no_grad" else rng.normal(size=s) * 10.0 ** rng.integers(-8, 2)
+            ours[n].grad = ref[n].grad = grad
+        opt.step(lr, trainable=trainable)
+        oracle.step(lr, trainable=trainable)
+        assert opt.t == oracle.t
+        for n in shapes:
+            assert ours[n].data.tobytes() == ref[n].data.tobytes(), n
+            if n in oracle.m:
+                assert opt.m[n].tobytes() == oracle.m[n].tobytes(), n
+                assert opt.v[n].tobytes() == oracle.v[n].tobytes(), n
+    assert opt.t == {"big": 4, "no_grad": 4, "mat": 2, "scalar": 2}
+
+
+def test_adamw_updates_parameter_arrays_in_place():
+    p = T.parameter(np.ones(3))
+    data = p.data
+    # a transposed view and a read-only array cannot be written through a
+    # flat view; they are updated all the same
+    q = T.parameter(np.ones((2, 3)))
+    q.data = q.data.T
+    r = T.parameter(np.ones(2))
+    r.data.flags.writeable = False
+    for t in (p, q, r):
+        t.grad = np.ones_like(t.data)
+    AdamW({"p": p, "q": q, "r": r}).step(lr=0.1)
+    assert p.data is data
+    for t in (p, q, r):
+        assert np.all(t.data < 1.0)
+
+
+def test_adamw_state_dict_is_a_snapshot():
+    p = T.parameter(np.ones(4))
+    p.grad = np.full(4, 0.5)
+    opt = AdamW({"w": p})
+    opt.step(lr=0.1)
+    state = opt.state_dict()
+    saved = {k: state[k]["w"].copy() for k in ("m", "v")}
+    opt.step(lr=0.1)
+    for k in ("m", "v"):
+        assert np.array_equal(state[k]["w"], saved[k])
+    assert state["t"] == {"w": 1}
+    assert not np.array_equal(opt.m["w"], saved["m"])
+
+
 def test_select_trainable_substring_match(toy_encoder_config):
     params = init_model(toy_encoder_config, seed=0)
     picked = select_trainable(params, ("entity_emb", "entity_proj", "entity_type_emb", "mep_head"))
@@ -158,11 +239,14 @@ def test_select_trainable_substring_match(toy_encoder_config):
 
 def test_mlm_loss_skips_without_labels(toy_encoder_config):
     params = init_model(toy_encoder_config, seed=0)
-    vecs = T.constant(np.zeros((1, 4, toy_encoder_config.hidden_size)))
-    loss, skipped = mlm_loss(vecs, np.full((1, 4), -100), params)
-    assert skipped and loss.data == 0.0
-    loss, skipped = mep_loss(vecs, np.full((1, 4), -100), params)
-    assert skipped and loss.data == 0.0
+    for loss_fn, head in ((mlm_loss, "mlm_head"), (mep_loss, "mep_head")):
+        vecs = T.parameter(np.ones((2, 3, toy_encoder_config.hidden_size)))
+        loss, skipped = loss_fn(vecs, np.full((2, 3), -100), params)
+        assert skipped and loss.data == 0.0
+        T.backward(loss)
+        # the head and the encoder vectors get gradients that are exact zeros
+        for grad in (params[head + ".w"].grad, params[head + ".b"].grad, vecs.grad):
+            assert grad is not None and not np.any(grad)
 
 
 def test_mlm_loss_uniform_logits(toy_encoder_config):
@@ -173,6 +257,35 @@ def test_mlm_loss_uniform_logits(toy_encoder_config):
     loss, skipped = mlm_loss(vecs, np.array([[1, -100, 2]]), params)
     assert not skipped
     assert loss.data == pytest.approx(np.log(toy_encoder_config.word_vocab_size), rel=1e-12)
+
+
+def full_projection_loss(vectors, labels, w, b):
+    """Project every row, then let the ignore label mask the loss."""
+    flat = T.reshape(vectors, (-1, vectors.shape[-1]))
+    return T.cross_entropy_logits(T.matmul(flat, w) + b, np.asarray(labels).reshape(-1))
+
+
+@pytest.mark.parametrize("loss_fn,head", [(mlm_loss, "mlm_head"), (mep_loss, "mep_head")])
+def test_gathered_head_loss_matches_full_projection(toy_encoder_config, loss_fn, head):
+    rng = np.random.default_rng(8)
+    params = init_model(toy_encoder_config, seed=0)
+    V = params[head + ".b"].shape[0]
+    labels = rng.integers(0, V, size=(3, 5))
+    labels[rng.random(labels.shape) < 0.7] = -100
+    labels[0, 0] = 1
+    vec_data = rng.normal(size=(3, 5, toy_encoder_config.hidden_size))
+
+    runs = []
+    for fn in (lambda v, p: loss_fn(v, labels, p)[0],
+               lambda v, p: full_projection_loss(v, labels, p[head + ".w"], p[head + ".b"])):
+        vecs = T.parameter(vec_data)
+        T.zero_grads(params)
+        loss = fn(vecs, params)
+        T.backward(loss)
+        runs.append((loss.data, vecs.grad, params[head + ".w"].grad, params[head + ".b"].grad))
+    for got, want in zip(*runs):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
 
 
 # ---------------------------------------------------------------------------

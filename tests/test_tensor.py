@@ -134,6 +134,44 @@ def test_getitem_scatter_accumulates():
     assert np.array_equal(x.grad, expected)
 
 
+@pytest.mark.parametrize("idx", [
+    (slice(None), slice(0, 2), slice(None)),  # encode_batch's word/entity split
+    (slice(None), slice(2, None), slice(None)),
+    (0, slice(None), 1),
+    np.array([0, 2, 3]),  # np.flatnonzero output, as the head gather passes
+    np.array([], dtype=np.int64),
+    np.array([True, False, True, True]),
+    (slice(None), np.array([1, 2])),
+    np.array([2, 0, 2]),  # repeats: accumulates
+    np.array([-1, 3]),  # strictly increasing, yet both name row 3
+])
+def test_getitem_gradient_matches_add_at(idx):
+    rng = np.random.default_rng(4)
+    x = p(rng.normal(size=(4, 3, 2)))
+    out = T.getitem(x, idx)
+    g = rng.normal(size=out.shape)
+    T.backward(T.reduce_sum(T.mul(out, T.constant(g))))
+    expected = np.zeros_like(x.data)
+    np.add.at(expected, idx, g)
+    assert np.array_equal(x.grad, expected)
+
+
+def test_matmul_rank3_weight_gradient_matches_batched():
+    rng = np.random.default_rng(5)
+    a = p(rng.normal(size=(3, 4, 5)))
+    b = p(rng.normal(size=(5, 6)))
+    g = rng.normal(size=(3, 4, 6))
+    T.backward(T.reduce_sum(T.mul(T.matmul(a, b), T.constant(g))))
+    batched = np.matmul(np.swapaxes(a.data, -1, -2), g).sum(axis=0)
+    assert np.max(np.abs(b.grad - batched)) <= 1e-12
+    assert np.max(np.abs(a.grad - np.matmul(g, b.data.T))) <= 1e-12
+
+    weight = T.constant(g)
+    params = {"a": a, "b": b}
+    assert T.grad_check(lambda: T.reduce_sum(T.mul(T.gelu(T.matmul(a, b)), weight)), params,
+                        rng=np.random.default_rng(6)) < 1e-6
+
+
 def test_grad_check_dot_product():
     rng = np.random.default_rng(0)
     params = {"a": p(rng.normal(size=7)), "b": p(rng.normal(size=7))}
