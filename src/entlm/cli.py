@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -104,21 +105,11 @@ def cmd_link_entities(args):
 # pretrain
 
 
-_MODEL_FIELD_TYPES = {
-    "hidden_size": int, "entity_emb_size": int, "layers": int, "heads": int,
-    "ffn_size": int, "max_positions": int, "type_count": int,
-    "dropout": float, "entity_position_mode": str, "layer_norm_eps": float,
-}
+# the vocabulary sizes come from the data, not the config file
+_MODEL_FIELD_TYPES = {k: t for k, t in typing.get_type_hints(EncoderConfig).items()
+                      if k not in ("word_vocab_size", "entity_vocab_size")}
 
-_TRAIN_FIELD_TYPES = {
-    "total_steps": int, "stage1_steps": int, "batch_size": int,
-    "peak_lr": float, "stage1_peak_lr": float, "warmup_steps": int,
-    "weight_decay": float, "beta1": float, "beta2": float, "adam_eps": float,
-    "seed": int, "stage1_trainable_patterns": tuple,
-    "word_mask_p": float, "word_random_p": float, "word_keep_p": float,
-    "entity_mask_p": float, "alpha": float,
-    "checkpoint_interval": int, "log_interval": int,
-}
+_TRAIN_FIELD_TYPES = typing.get_type_hints(pretrain.TrainConfig)
 
 _DATA_FIELD_TYPES = {
     "corpus": str, "entity_vocab": str, "max_words": int,
@@ -234,6 +225,8 @@ def cmd_finetune(args):
 
 def _task_model_from_checkpoint(ckpt, word_vocab, entity_vocab):
     meta = ckpt.meta
+    if "task" not in meta:
+        raise ConfigError("checkpoint holds no task head; finetune it before eval")
     model = heads.TaskModel(
         encoder_config=ckpt.encoder_config, params=ckpt.params,
         word_vocab=word_vocab, entity_vocab=entity_vocab,

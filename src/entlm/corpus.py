@@ -265,15 +265,13 @@ class MaskedBatch:
 
 
 def mask_batch(seq: EncodedSequence, rng, word_vocab: WordVocab, entity_mask_id,
-               word_p=0.15, word_random_p=0.10, word_keep_p=0.10, entity_p=0.15,
-               maskable=None) -> MaskedBatch:
+               word_p=0.15, word_random_p=0.10, word_keep_p=0.10, entity_p=0.15) -> MaskedBatch:
     """Apply MLM and masked-entity-prediction corruption to one sequence.
 
     Each word is independently selected with word_p; of the selected, 10%
     get a uniform random vocab id and 10% stay unchanged, the rest become
     word-[MASK].  Entities are selected with entity_p and always replaced by
-    the entity-[MASK] id.  `maskable` optionally flags word positions
-    eligible for selection (padding is never maskable).
+    the entity-[MASK] id.  Padding words are never selected.
     """
     for p in (word_p, word_random_p, word_keep_p, entity_p):
         if not 0.0 <= p <= 1.0:
@@ -286,8 +284,6 @@ def mask_batch(seq: EncodedSequence, rng, word_vocab: WordVocab, entity_mask_id,
     word_labels = [IGNORE_LABEL] * m
     for i in range(m):
         if seq.word_ids[i] == word_vocab.pad_id:
-            continue
-        if maskable is not None and not maskable[i]:
             continue
         if rng.random() >= word_p:
             continue

@@ -64,8 +64,6 @@ class EncodedSequence:
     word_ids: list
     entity_ids: list = field(default_factory=list)
     entity_positions: list = field(default_factory=list)  # per entity: ordered word positions
-    word_type_ids: list | None = None
-    entity_type_ids: list | None = None
 
     def validate(self, config: EncoderConfig | None = None):
         m = len(self.word_ids)
@@ -135,63 +133,41 @@ def init_params(config: EncoderConfig, rng) -> dict:
     return p
 
 
-def embed_words(params, config, word_ids, positions=None, type_ids=None):
-    """Per-token sum of token, position, and type embedding lookups.
+def embed_words(params, config, word_ids):
+    """Per-token sum of token, position (0..m-1) and word-type embedding lookups.
 
-    word_ids may be (m,) or batched (B, m); positions defaults to 0..m-1.
+    word_ids is the packed (B, m) array of `pack_batch`.
     """
     word_ids = np.asarray(word_ids)
     if word_ids.size and (word_ids.min() < 0 or word_ids.max() >= config.word_vocab_size):
         raise VocabError(f"word id out of range for vocab of {config.word_vocab_size}")
     m = word_ids.shape[-1]
-    if positions is None:
-        positions = np.broadcast_to(np.arange(m), word_ids.shape)
-    positions = np.asarray(positions)
-    if positions.size and positions.max() >= config.max_positions:
-        raise CapacityError(f"position {positions.max()} >= max_positions {config.max_positions}")
-    if type_ids is None:
-        type_ids = np.full(word_ids.shape, WORD_TYPE_ID)
+    if m > config.max_positions:
+        raise CapacityError(f"position {m - 1} >= max_positions {config.max_positions}")
     tok = T.embedding(params["word_emb"], word_ids)
-    pos = T.embedding(params["pos_emb"], positions)
-    typ = T.embedding(params["type_emb"], np.asarray(type_ids))
+    pos = T.embedding(params["pos_emb"], np.broadcast_to(np.arange(m), word_ids.shape))
+    typ = T.embedding(params["type_emb"], np.full(word_ids.shape, WORD_TYPE_ID))
     return tok + pos + typ
 
 
-def embed_entities(params, config, entity_ids, entity_positions, type_ids=None, position_mask=None):
+def embed_entities(params, config, entity_ids, entity_positions, position_mask):
     """Entity token embedding: projected id embedding + type + mention-position term.
 
-    For a plain (unbatched) call, entity_positions is a list of non-empty
-    position lists.  For a batched call, pass entity_ids (B, n), a padded
-    index array entity_positions (B, n, P) and position_mask (B, n, P).
-    The position term is the sum of word-position embeddings over the
-    mention's positions ("mean" mode divides by the position count).
+    Takes the packed form of `pack_batch`: entity_ids (B, n), a padded index
+    array entity_positions (B, n, P) and its position_mask (B, n, P).  The
+    position term is the sum of word-position embeddings over the mention's
+    positions ("mean" mode divides by the position count).
     """
     entity_ids = np.asarray(entity_ids)
     if entity_ids.size and (entity_ids.min() < 0 or entity_ids.max() >= config.entity_vocab_size):
         raise VocabError(f"entity id out of range for vocab of {config.entity_vocab_size}")
-
-    if position_mask is None:
-        # list-of-lists form
-        for pos in entity_positions:
-            if len(pos) == 0:
-                raise ContractError("entity with empty mention position set")
-        P = max((len(pos) for pos in entity_positions), default=1)
-        idx = np.zeros(entity_ids.shape + (P,), dtype=np.int64)
-        position_mask = np.zeros(entity_ids.shape + (P,))
-        for i, pos in enumerate(entity_positions):
-            idx[i, : len(pos)] = pos
-            position_mask[i, : len(pos)] = 1.0
-        entity_positions = idx
-    else:
-        if not np.all(position_mask.sum(axis=-1) > 0):
-            raise ContractError("entity with empty mention position set")
-
-    if type_ids is None:
-        type_ids = np.full(entity_ids.shape, ENTITY_TYPE_ID)
+    position_mask = np.asarray(position_mask, dtype=np.float64)
+    if not np.all(position_mask.sum(axis=-1) > 0):
+        raise ContractError("entity with empty mention position set")
 
     tok = T.embedding(params["entity_emb"], entity_ids)
     proj = T.matmul(tok, params["entity_proj_w"]) + params["entity_proj_b"]
-    typ = T.embedding(params["entity_type_emb"], np.asarray(type_ids))
+    typ = T.embedding(params["entity_type_emb"], np.full(entity_ids.shape, ENTITY_TYPE_ID))
     pos_rows = T.embedding(params["pos_emb"], np.asarray(entity_positions))  # (..., P, H)
     masked = T.mul(pos_rows, T.constant(position_mask[..., None]))
     pos_term = T.reduce_sum(masked, axis=masked.ndim - 2)
@@ -253,7 +229,7 @@ def encode_batch(params, config, batch, rng=None, train=False):
             config,
             batch["entity_ids"],
             batch["entity_pos"],
-            position_mask=np.asarray(batch["entity_pos_mask"], dtype=np.float64),
+            batch["entity_pos_mask"],
         )
         x = T.concat([w, e], axis=1)
         attn_mask = np.concatenate([word_mask, np.asarray(batch["entity_mask"], dtype=np.float64)], axis=1)

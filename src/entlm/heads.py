@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .encoder import NEG_INF, EncodedSequence, EncoderConfig, encode_batch, pack_batch
 from .errors import ContractError
-from .pretrain import AdamW
+from .pretrain import AdamW, warmup_linear_decay
 from .seeding import substream
 
 MAX_ANSWER_LEN = 30
@@ -239,9 +239,6 @@ class TaskModel:
     entity_vocab: object
     labels: list | None = None  # RE/NER label set
     variant: str = "word"  # task-specific variant tag
-
-    def trainable_names(self):
-        return {n for n, p in self.params.items() if p.requires_grad}
 
 
 def _linear_head(rng, in_dim, out_dim, prefix):
@@ -596,12 +593,7 @@ class FinetuneConfig:
 
 def finetune_lr_at(step, total_steps, cfg: FinetuneConfig):
     """Linear warmup over the first 6% of steps, then linear decay to zero."""
-    warmup = math.ceil(cfg.warmup_frac * total_steps)
-    if warmup and step < warmup:
-        return cfg.lr * step / warmup
-    if total_steps == warmup:
-        return cfg.lr
-    return cfg.lr * (total_steps - step) / (total_steps - warmup)
+    return warmup_linear_decay(step, total_steps, math.ceil(cfg.warmup_frac * total_steps), cfg.lr)
 
 
 def _finetune_loop(model, insts, batch_loss_fn, cfg: FinetuneConfig, eval_fn=None):

@@ -9,6 +9,7 @@ name -> (shape, dtype, offset) index over little-endian float64 payloads.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -16,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .corpus import IGNORE_LABEL, mask_batch
+from .corpus import IGNORE_LABEL, SequenceSampler, mask_batch
 from .encoder import EncoderConfig, encode_batch, init_params, pack_batch
-from .errors import ContractError
+from .errors import ContractError, EntlmError
 from .seeding import substream
 
 CHECKPOINT_MAGIC = b"ENTLM-CKPT v1\n"
@@ -134,13 +135,17 @@ def lr_at(step, config: TrainConfig):
         start, length, peak = 0, config.stage1_steps, config.stage1_peak_lr
     else:
         start, length, peak = config.stage1_steps, config.total_steps - config.stage1_steps, config.peak_lr
-    local = step - start
-    warmup = min(config.warmup_steps, length)
-    if warmup > 0 and local < warmup:
-        return peak * local / warmup
+    return warmup_linear_decay(step - start, length, min(config.warmup_steps, length), peak)
+
+
+def warmup_linear_decay(step, length, warmup, peak):
+    """Linear warmup from 0 to `peak` over `warmup` steps, then linear decay
+    to zero at `length`; shared by pretraining and fine-tuning."""
+    if warmup > 0 and step < warmup:
+        return peak * step / warmup
     if length == warmup:
         return peak
-    return peak * (length - local) / (length - warmup)
+    return peak * (length - step) / (length - warmup)
 
 
 class AdamW:
@@ -279,16 +284,30 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a damaged or truncated file raises ContractError."""
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ContractError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        raw_len = f.read(8)
+        if len(raw_len) != 8:
+            raise ContractError(f"{path}: truncated before the header length")
+        (hlen,) = struct.unpack("<Q", raw_len)
+        # checked against the file size first, so a corrupt length allocates nothing
+        if hlen > os.fstat(f.fileno()).st_size - f.tell():
+            raise ContractError(f"{path}: header of {hlen} bytes runs past the end of the file")
+        try:
+            header = json.loads(f.read(hlen).decode("utf-8"))
+        except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+            raise ContractError(f"{path}: header is not JSON ({e})") from None
         blob = f.read()
     arrays = {}
     for name, e in header["index"].items():
-        raw = blob[e["offset"] : e["offset"] + e["nbytes"]]
+        end = e["offset"] + e["nbytes"]
+        if e["offset"] < 0 or end > len(blob) or e["nbytes"] != 8 * math.prod(e["shape"]):
+            raise ContractError(f"{path}: tensor {name} (bytes {e['offset']}..{end}, shape "
+                                f"{e['shape']}) does not fit the {len(blob)}-byte payload")
+        raw = blob[e["offset"] : end]
         arrays[name] = np.frombuffer(raw, dtype=e["dtype"]).reshape(e["shape"]).copy()
     params = {n: T.parameter(arrays[n], name=n) for n in header["param_names"]}
     opt_state = None
@@ -313,7 +332,7 @@ def load_checkpoint(path) -> Checkpoint:
 # training loop
 
 
-class TrainingAborted(RuntimeError):
+class TrainingAborted(EntlmError):
     def __init__(self, message, last_checkpoint=None):
         super().__init__(message)
         self.last_checkpoint = last_checkpoint
@@ -358,11 +377,13 @@ def train(encoder_config: EncoderConfig, config: TrainConfig, sequences_by_langu
           word_vocab, entity_vocab, params=None, out_dir=None, log_file=None):
     """Run the two-stage pretraining loop on already-encoded sequences.
 
-    sequences_by_language: {lang: [EncodedSequence, ...]}.  Deterministic for
-    a fixed (config, corpus): every random draw comes from named sub-streams
-    of config.seed and runs single-threaded.
+    sequences_by_language: {lang: [EncodedSequence, ...]}, drawn through
+    `SequenceSampler` with config.alpha in (0, 1].  Deterministic for a fixed
+    (config, corpus): every random draw comes from named sub-streams of
+    config.seed and runs single-threaded.
     """
     config.validate()
+    sampler = SequenceSampler(sequences_by_language, alpha=config.alpha, seed=config.seed)
     if params is None:
         params = init_model(encoder_config, seed=config.seed)
     optimizer = AdamW(params, beta1=config.beta1, beta2=config.beta2,
@@ -374,12 +395,7 @@ def train(encoder_config: EncoderConfig, config: TrainConfig, sequences_by_langu
         for i, seq in enumerate(sequences_by_language[lang]):
             seq_ids[id(seq)] = len(seq_ids)
 
-    sampler_rng = substream(config.seed, "corpus-sampler")
     dropout_rng = substream(config.seed, "dropout")
-    langs = sorted(l for l, seqs in sequences_by_language.items() if seqs)
-    pools = [sequences_by_language[l] for l in langs]
-    weights = np.array([float(len(p)) ** config.alpha for p in pools])
-    probs = weights / weights.sum()
 
     log = []
     last_ckpt = None
@@ -388,8 +404,7 @@ def train(encoder_config: EncoderConfig, config: TrainConfig, sequences_by_langu
         for step in range(config.total_steps):
             batches = []
             for _ in range(config.batch_size):
-                li = int(sampler_rng.choice(len(langs), p=probs))
-                seq = pools[li][int(sampler_rng.integers(len(pools[li])))]
+                seq = sampler.draw()
                 mrng = substream(config.seed, "masking", seq_ids[id(seq)], step)
                 batches.append(
                     mask_batch(
@@ -416,7 +431,7 @@ def train(encoder_config: EncoderConfig, config: TrainConfig, sequences_by_langu
             if out_dir and config.checkpoint_interval and (step + 1) % config.checkpoint_interval == 0:
                 last_ckpt = os.path.join(out_dir, f"checkpoint-{step + 1}.bin")
                 save_checkpoint(last_ckpt, encoder_config, params, step=step + 1,
-                                rng_state=_rng_states(sampler_rng, dropout_rng),
+                                rng_state=_rng_states(sampler.rng, dropout_rng),
                                 optimizer_state=optimizer.state_dict(),
                                 meta={"train_config": config.to_dict()})
     finally:
@@ -427,7 +442,7 @@ def train(encoder_config: EncoderConfig, config: TrainConfig, sequences_by_langu
     if out_dir:
         final = os.path.join(out_dir, "checkpoint-final.bin")
         save_checkpoint(final, encoder_config, params, step=config.total_steps,
-                        rng_state=_rng_states(sampler_rng, dropout_rng),
+                        rng_state=_rng_states(sampler.rng, dropout_rng),
                         meta={"train_config": config.to_dict()})
     return TrainResult(params=params, step=config.total_steps, log=log, final_checkpoint=final)
 

@@ -173,11 +173,18 @@ def test_eval_reports_metrics(workspace, finetuned):
     assert report["n"] == 12
 
 
-def test_eval_task_mismatch_is_config_error(workspace, finetuned):
+def test_eval_task_mismatch_is_config_error(workspace, pretrained, finetuned):
     rc = main(["eval", "qa",
                "--checkpoint", os.path.join(finetuned["out"], "checkpoint-finetuned.bin"),
                "--data", finetuned["re"], "--out", str(workspace["ws"] / "x.json"),
                "--word-vocab", os.path.join(finetuned["out"], "word_vocab.txt"),
+               "--entity-vocab", workspace["vocab"]])
+    assert rc == EXIT_CONFIG
+    # a pretrain checkpoint carries no task head
+    rc = main(["eval",
+               "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
+               "--data", finetuned["re"], "--out", str(workspace["ws"] / "x.json"),
+               "--word-vocab", os.path.join(pretrained, "word_vocab.txt"),
                "--entity-vocab", workspace["vocab"]])
     assert rc == EXIT_CONFIG
 
@@ -257,9 +264,19 @@ def test_bad_config_key_exits_3(workspace):
     assert rc == EXIT_CONFIG
 
 
-def test_corrupt_checkpoint_exits_1(workspace):
+def test_corrupt_checkpoint_exits_1(workspace, pretrained):
+    from entlm.pretrain import CHECKPOINT_MAGIC
+    good = open(os.path.join(pretrained, "checkpoint-final.bin"), "rb").read()
+    header_start = len(CHECKPOINT_MAGIC) + 8
+    header_len = int.from_bytes(good[len(CHECKPOINT_MAGIC):header_start], "little")
+    payload_start = header_start + header_len
     bad = str(workspace["ws"] / "bad.bin")
-    with open(bad, "wb") as f:
-        f.write(b"junk")
-    rc = main(["inspect-checkpoint", "--checkpoint", bad])
-    assert rc == EXIT_FAILURE
+    for content in (b"junk",
+                    good[: len(CHECKPOINT_MAGIC) + 4],  # inside the header length
+                    good[: header_start + header_len // 2],  # mid-header
+                    good[:header_start] + b"\xff" * header_len + good[payload_start:],  # header not JSON
+                    good[: (payload_start + len(good)) // 2]):  # mid-payload
+        with open(bad, "wb") as f:
+            f.write(content)
+        rc = main(["inspect-checkpoint", "--checkpoint", bad])
+        assert rc == EXIT_FAILURE, len(content)

@@ -43,20 +43,26 @@ def test_sequence_validation(tiny_config):
 
 def test_embed_words_rejects_out_of_vocab(tiny_params, tiny_config):
     with pytest.raises(VocabError):
-        embed_words(tiny_params, tiny_config, np.array([0, 99]))
+        embed_words(tiny_params, tiny_config, np.array([[0, 99]]))
 
 
 def test_embed_words_is_sum_of_lookups(tiny_params, tiny_config):
-    ids = np.array([3, 1, 4])
+    ids = np.array([[3, 1, 4]])
     out = embed_words(tiny_params, tiny_config, ids).data
-    expected = (tiny_params["word_emb"].data[ids]
+    expected = (tiny_params["word_emb"].data[ids[0]]
                 + tiny_params["pos_emb"].data[:3]
                 + tiny_params["type_emb"].data[0])
-    assert np.allclose(out, expected, atol=1e-12)
+    assert np.allclose(out[0], expected, atol=1e-12)
+
+
+# one entity (id 2) over mention positions 1..3, in the packed (B, n, P) form
+ENTITY_IDS = np.array([[2]])
+ENTITY_POS = np.array([[[1, 2, 3]]])
+ENTITY_POS_MASK = np.ones((1, 1, 3))
 
 
 def test_embed_entities_sum_mode(tiny_params, tiny_config):
-    out = embed_entities(tiny_params, tiny_config, np.array([2]), [[1, 2, 3]]).data
+    out = embed_entities(tiny_params, tiny_config, ENTITY_IDS, ENTITY_POS, ENTITY_POS_MASK).data[0]
     proj = (tiny_params["entity_emb"].data[2] @ tiny_params["entity_proj_w"].data
             + tiny_params["entity_proj_b"].data)
     expected = (proj + tiny_params["entity_type_emb"].data[1]
@@ -67,15 +73,16 @@ def test_embed_entities_sum_mode(tiny_params, tiny_config):
 def test_embed_entities_mean_mode(tiny_params, tiny_config):
     from dataclasses import replace
     cfg = replace(tiny_config, entity_position_mode="mean")
-    s = embed_entities(tiny_params, tiny_config, np.array([2]), [[1, 2, 3]]).data
-    m = embed_entities(tiny_params, cfg, np.array([2]), [[1, 2, 3]]).data
+    s = embed_entities(tiny_params, tiny_config, ENTITY_IDS, ENTITY_POS, ENTITY_POS_MASK).data[0]
+    m = embed_entities(tiny_params, cfg, ENTITY_IDS, ENTITY_POS, ENTITY_POS_MASK).data[0]
     pos_sum = tiny_params["pos_emb"].data[1:4].sum(axis=0)
     assert np.allclose(m[0], s[0] - pos_sum + pos_sum / 3.0, atol=1e-12)
 
 
 def test_embed_entities_rejects_empty_mention(tiny_params, tiny_config):
     with pytest.raises(ContractError):
-        embed_entities(tiny_params, tiny_config, np.array([1]), [[]])
+        embed_entities(tiny_params, tiny_config, np.array([[1]]), np.zeros((1, 1, 1), dtype=np.int64),
+                       np.zeros((1, 1, 1)))
 
 
 def test_word_only_matches_reference_forward(tiny_params, tiny_config):

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+import entlm.pretrain as pretrain
 import entlm.tensor as T
-from entlm.corpus import build_word_vocab, encode_document, split_sequences
+from entlm.corpus import SequenceSampler, build_word_vocab, encode_document, split_sequences
 from entlm.encoder import EncoderConfig
-from entlm.errors import ContractError
+from entlm.errors import ContractError, EntlmError
 from entlm.pretrain import (
     ADAMW_BLOCK,
     AdamW,
     TrainConfig,
+    TrainingAborted,
     init_model,
     load_checkpoint,
     lr_at,
@@ -398,3 +400,51 @@ def test_train_writes_log_and_checkpoint(tmp_path, toy_data, toy_encoder_config)
     assert ckpt.step == 4
     for name in result.params:
         assert np.array_equal(ckpt.params[name].data, result.params[name].data)
+
+
+def test_train_samples_through_sequence_sampler(monkeypatch, toy_data, toy_encoder_config):
+    cfg = TrainConfig(total_steps=3, stage1_steps=1, batch_size=4, warmup_steps=1,
+                      alpha=0.5, seed=15)
+    by_lang, wv, ev = toy_data
+    seen = []
+    real_mask_batch = pretrain.mask_batch
+
+    def recording_mask_batch(seq, *args, **kwargs):
+        seen.append(seq)
+        return real_mask_batch(seq, *args, **kwargs)
+
+    monkeypatch.setattr(pretrain, "mask_batch", recording_mask_batch)
+    train(toy_encoder_config, cfg, by_lang, wv, ev)
+    sampler = SequenceSampler(by_lang, alpha=cfg.alpha, seed=cfg.seed)
+    expected = [sampler.draw() for _ in range(cfg.total_steps * cfg.batch_size)]
+    assert len(seen) == len(expected)
+    assert all(a is b for a, b in zip(seen, expected))
+
+
+def test_train_rejects_bad_alpha_and_empty_corpus(toy_data, toy_encoder_config):
+    by_lang, wv, ev = toy_data
+    for alpha in (0.0, 1.5):
+        cfg = TrainConfig(total_steps=1, batch_size=2, warmup_steps=0, alpha=alpha)
+        with pytest.raises(ContractError):
+            train(toy_encoder_config, cfg, by_lang, wv, ev)
+    cfg = TrainConfig(total_steps=1, batch_size=2, warmup_steps=0)
+    with pytest.raises(ContractError):
+        train(toy_encoder_config, cfg, {lang: [] for lang in by_lang}, wv, ev)
+
+
+def test_non_finite_loss_aborts_with_typed_error(monkeypatch, tmp_path, toy_data, toy_encoder_config):
+    cfg = TrainConfig(total_steps=4, batch_size=2, warmup_steps=1, seed=16, checkpoint_interval=1)
+    by_lang, wv, ev = toy_data
+    params = init_model(toy_encoder_config, seed=cfg.seed)
+    real_save = pretrain.save_checkpoint
+
+    def save_then_poison(*args, **kwargs):
+        real_save(*args, **kwargs)
+        params["word_emb"].data[:] = np.nan  # the step after the first checkpoint diverges
+
+    monkeypatch.setattr(pretrain, "save_checkpoint", save_then_poison)
+    with pytest.raises(TrainingAborted) as info:
+        train(toy_encoder_config, cfg, by_lang, wv, ev, params=params, out_dir=str(tmp_path))
+    assert isinstance(info.value, EntlmError)
+    assert info.value.last_checkpoint == str(tmp_path / "checkpoint-1.bin")
+    assert load_checkpoint(info.value.last_checkpoint).step == 1
