@@ -20,7 +20,7 @@ from . import __version__
 from . import align, cloze, corpus, heads, linker, pretrain, vocab as vocab_mod
 from .config import parse_config_file, parse_overrides, resolve, section
 from .encoder import EncoderConfig
-from .errors import ConfigError, EntlmError
+from .errors import ConfigError, ContractError, EntlmError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -133,6 +133,10 @@ def cmd_pretrain(args):
     data = section(values, "data")
     if "corpus" not in data or "entity_vocab" not in data:
         raise ConfigError("config must set data.corpus and data.entity_vocab")
+    try:
+        train_config = pretrain.TrainConfig(**section(values, "train")).validate()
+    except ContractError as e:
+        raise ConfigError(f"train: {e}") from None
 
     docs = corpus.load_corpus(data["corpus"])
     entity_vocab = vocab_mod.EntityVocab.load(data["entity_vocab"])
@@ -151,7 +155,6 @@ def cmd_pretrain(args):
         entity_vocab_size=len(entity_vocab),
         **section(values, "model"),
     ).validate()
-    train_config = pretrain.TrainConfig(**section(values, "train")).validate()
 
     os.makedirs(args.out, exist_ok=True)
     word_vocab.save(os.path.join(args.out, "word_vocab.txt"))

@@ -19,17 +19,19 @@ import numpy as np
 from . import tensor as T
 from .corpus import IGNORE_LABEL, SequenceSampler, mask_batch
 from .encoder import EncoderConfig, encode_batch, init_params, pack_batch
-from .errors import ContractError, EntlmError
+from .errors import ConfigError, ContractError, EntlmError
 from .seeding import substream
 
 CHECKPOINT_MAGIC = b"ENTLM-CKPT v1\n"
 
 DEFAULT_STAGE1_TRAINABLE = ("entity_emb", "entity_proj", "entity_type_emb", "mep_head")
 
-# elements per AdamW block.  Each block's slices of p, g, m and v and the two
-# scratch buffers (6 x 512 KiB) stay in cache across the 15 passes the update
-# makes over them.  Smaller blocks pay more per-call overhead; on a 2 MiB-L2
-# Xeon, 16Ki-64Ki elements measured alike and 4Ki was 30% slower.
+# elements per AdamW block.  Each block's slices of p, g, m and v and the three
+# scratch buffers (two for intermediates, one that gathers a gradient block
+# spanning several parameters; 7 x 512 KiB) stay in cache across the 15
+# passes the update makes over them.  Smaller blocks pay more per-call
+# overhead; on a 2 MiB-L2 Xeon, 16Ki-64Ki elements measured alike and 4Ki was
+# 30% slower.
 ADAMW_BLOCK = 65536
 
 
@@ -61,6 +63,14 @@ class TrainConfig:
             raise ContractError("need 0 <= stage1_steps <= total_steps")
         if self.warmup_steps < 0:
             raise ContractError("warmup_steps must be >= 0")
+        if not 0 < self.alpha <= 1:
+            raise ContractError(f"alpha {self.alpha} outside (0, 1]")
+        # the rules mask_batch applies to its probabilities
+        for key in ("word_mask_p", "word_random_p", "word_keep_p", "entity_mask_p"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ContractError(f"{key} {getattr(self, key)} outside [0, 1]")
+        if self.word_random_p + self.word_keep_p > 1.0:
+            raise ContractError("word_random_p + word_keep_p must be <= 1")
         return self
 
     def to_dict(self):
@@ -151,10 +161,19 @@ def warmup_linear_decay(step, length, warmup, peak):
 class AdamW:
     """AdamW with decoupled weight decay over a named parameter dict.
 
+    The optimizer keeps the parameter values and the two moment estimates
+    in three contiguous float64 stores, laid out in `params` order.
+    Construction copies each `p.data` into the store and rebinds `p.data`
+    to a view of it, so hold the Tensor rather than an array taken before
+    `AdamW(params)`.  `step` writes those views in place: a caller that
+    wants a snapshot of a parameter must take `p.data.copy()`.  A parameter
+    whose `data` was reassigned since (by the caller, or by another AdamW
+    over the same Tensor) is copied back into the store before its update.
+
     Frozen parameters are neither updated nor have their moment estimates
-    advanced.  `step` writes each parameter's `data` array and the moment
-    arrays in place, so a caller that wants to keep a snapshot of a
-    parameter must take `p.data.copy()`.
+    advanced; `m[name]` and `v[name]` are views that exist from a
+    parameter's first step.  Each run of adjacent parameters with equal
+    step counts is updated as one flat array.
     """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-6, weight_decay=0.01):
@@ -164,37 +183,76 @@ class AdamW:
         self.m = {}
         self.v = {}
         self.t = {}
-        self._scratch = (np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK))
+        self._span = {}
+        n = 0
+        for name, p in params.items():
+            self._span[name] = (n, n + p.data.size)
+            n += p.data.size
+        self._p, self._m, self._v = np.empty(n), np.zeros(n), np.zeros(n)
+        self._views = {}
+        for name, p in params.items():
+            self._bind(name, p)
+        self._scratch = (np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK))
+
+    def _bind(self, name, p):
+        """Copy p.data into its slice of the store and rebind p.data to it."""
+        lo, hi = self._span[name]
+        if p.data.size != hi - lo:
+            raise ContractError(f"AdamW: parameter {name} has {p.data.size} elements, "
+                                f"its store slot {hi - lo}")
+        view = self._p[lo:hi].reshape(p.data.shape)
+        view[...] = p.data
+        p.data = self._views[name] = view
 
     def step(self, lr, trainable=None):
+        runs = []  # [lo, hi, t, [(lo, hi, flat grad), ...]] per run of equal t
         for name, p in self.params.items():
             if not p.requires_grad:
                 continue
             if trainable is not None and name not in trainable:
                 continue
-            if not (p.data.flags.c_contiguous and p.data.flags.writeable):
-                p.data = p.data.copy()  # the flat view below must alias p.data
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if p.data is not self._views[name]:
+                self._bind(name, p)
+            lo, hi = self._span[name]
             t = self.t.get(name, 0) + 1
             self.t[name] = t
             if name not in self.m:
-                self.m[name] = np.zeros_like(p.data)
-                self.v[name] = np.zeros_like(p.data)
-            self._update(p.data.reshape(-1), np.ravel(g), self.m[name].reshape(-1),
-                         self.v[name].reshape(-1), lr, t)
+                self.m[name] = self._m[lo:hi].reshape(p.data.shape)
+                self.v[name] = self._v[lo:hi].reshape(p.data.shape)
+            # a parameter without a gradient steps on zeros
+            g = np.ravel(p.grad) if p.grad is not None else np.broadcast_to(0.0, (hi - lo,))
+            if runs and runs[-1][1] == lo and runs[-1][2] == t:
+                runs[-1][1] = hi
+                runs[-1][3].append((lo, hi, g))
+            else:
+                runs.append([lo, hi, t, [(lo, hi, g)]])
+        for lo, hi, t, grads in runs:
+            self._update(lo, hi, grads, lr, t)
 
-    def _update(self, p, g, m, v, lr, t):
-        """p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p), block by block.
+    def _update(self, lo, hi, grads, lr, t):
+        """p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p) on store[lo:hi].
 
-        Every operation runs in the order of that formula, so the result is
-        bit-identical to evaluating it with full-size temporaries.
+        Walks the run block by block.  A block inside one parameter reads
+        its gradient in place; a block across several gathers their pieces
+        into a scratch buffer.  Every operation runs in the order of that
+        formula, so the result is bit-identical to evaluating it per
+        parameter with full-size temporaries.
         """
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1**t, 1 - b2**t
-        for lo in range(0, p.size, ADAMW_BLOCK):
-            hi = min(lo + ADAMW_BLOCK, p.size)
-            pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-            s1, s2 = self._scratch[0][: hi - lo], self._scratch[1][: hi - lo]
+        k = 0  # first parameter of the run not yet fully consumed
+        for blo in range(lo, hi, ADAMW_BLOCK):
+            bhi = min(blo + ADAMW_BLOCK, hi)
+            pieces = []
+            while k < len(grads) and grads[k][0] < bhi:
+                start, end, g = grads[k]
+                pieces.append(g[max(start, blo) - start : min(end, bhi) - start])
+                if end > bhi:
+                    break  # this parameter continues into the next block
+                k += 1
+            s1, s2, gather = (s[: bhi - blo] for s in self._scratch)
+            gb = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, out=gather)
+            pb, mb, vb = self._p[blo:bhi], self._m[blo:bhi], self._v[blo:bhi]
             # m = b1 * m + (1 - b1) * g
             np.multiply(mb, b1, out=mb)
             np.multiply(gb, 1 - b1, out=s1)
@@ -273,6 +331,39 @@ def save_checkpoint(path, encoder_config: EncoderConfig, params, step=0, rng_sta
     os.replace(tmp, path)
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_header_layout(path, header):
+    """Raise ContractError unless the header has the fields `load_checkpoint` reads."""
+
+    def require(ok, field, want):
+        if not ok:
+            raise ContractError(f"{path}: header field {field!r} must be {want}")
+
+    require(isinstance(header, dict), "header", "a JSON object")
+    index = header.get("index")
+    require(isinstance(index, dict), "index", "an object")
+    for name, e in index.items():
+        require(isinstance(e, dict), f"index.{name}", "an object")
+        require(e.get("dtype") == "<f8", f"index.{name}.dtype", '"<f8"')
+        for key in ("offset", "nbytes"):
+            require(_is_int(e.get(key)), f"index.{name}.{key}", "an integer")
+        shape = e.get("shape")
+        require(isinstance(shape, list) and all(_is_int(d) and d >= 0 for d in shape),
+                f"index.{name}.shape", "a list of non-negative integers")
+    names = header.get("param_names")
+    require(isinstance(names, list) and all(isinstance(n, str) and n in index for n in names),
+            "param_names", "a list of names in the index")
+    require(isinstance(header.get("encoder_config"), dict), "encoder_config", "an object")
+    require(_is_int(header.get("step")), "step", "an integer")
+    opt = header.get("optimizer")
+    require(not opt or (isinstance(opt, dict) and isinstance(opt.get("t"), dict)),
+            "optimizer", "null or an object with a 't' map")
+    require(isinstance(header.get("meta", {}), dict), "meta", "an object")
+
+
 @dataclass
 class Checkpoint:
     encoder_config: EncoderConfig
@@ -300,6 +391,7 @@ def load_checkpoint(path) -> Checkpoint:
             header = json.loads(f.read(hlen).decode("utf-8"))
         except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
             raise ContractError(f"{path}: header is not JSON ({e})") from None
+        _check_header_layout(path, header)
         blob = f.read()
     arrays = {}
     for name, e in header["index"].items():
@@ -318,8 +410,12 @@ def load_checkpoint(path) -> Checkpoint:
                 opt_state["m"][name[len("opt.m."):]] = arr
             elif name.startswith("opt.v."):
                 opt_state["v"][name[len("opt.v."):]] = arr
+    try:
+        encoder_config = EncoderConfig.from_dict(header["encoder_config"])
+    except (TypeError, ConfigError) as e:  # a missing, unknown, mistyped or inconsistent field
+        raise ContractError(f"{path}: header field 'encoder_config' is malformed ({e})") from None
     return Checkpoint(
-        encoder_config=EncoderConfig.from_dict(header["encoder_config"]),
+        encoder_config=encoder_config,
         params=params,
         step=header["step"],
         rng_state=header.get("rng_state"),

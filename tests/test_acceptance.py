@@ -5,6 +5,7 @@ a checklist.
 """
 
 import os
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -504,8 +505,8 @@ max_words = 16
     assert main(["pretrain", "--config", cfg_path, "--out", out1]) == EXIT_OK
     out2 = str(tmp_path / "run2")
     assert main(["rerun", os.path.join(out1, "manifest.json"), "--out", out2]) == EXIT_OK
-    ck1 = open(os.path.join(out1, "checkpoint-final.bin"), "rb").read()
-    ck2 = open(os.path.join(out2, "checkpoint-final.bin"), "rb").read()
+    ck1 = Path(out1, "checkpoint-final.bin").read_bytes()
+    ck2 = Path(out2, "checkpoint-final.bin").read_bytes()
     assert ck1 == ck2
 
     re_path = str(tmp_path / "re.tsv")
@@ -523,8 +524,8 @@ max_words = 16
                  "--entity-vocab", vocab_path, "--epochs", "2"]) == EXIT_OK
     ft2 = str(tmp_path / "ft2")
     assert main(["rerun", os.path.join(ft1, "manifest.json"), "--out", ft2]) == EXIT_OK
-    f1 = open(os.path.join(ft1, "checkpoint-finetuned.bin"), "rb").read()
-    f2 = open(os.path.join(ft2, "checkpoint-finetuned.bin"), "rb").read()
+    f1 = Path(ft1, "checkpoint-finetuned.bin").read_bytes()
+    f2 = Path(ft2, "checkpoint-finetuned.bin").read_bytes()
     assert f1 == f2
     ok(12, "pretrain and finetune reruns from their manifests reproduce "
            "checkpoints bit-identically")

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +56,7 @@ def workspace(tmp_path_factory):
 
 
 def test_build_vocab_writes_manifest(workspace):
-    manifest = json.load(open(workspace["vocab"] + ".manifest.json"))
+    manifest = json.loads(Path(workspace["vocab"] + ".manifest.json").read_text())
     assert manifest["command"] == "build-vocab"
     assert workspace["corpus"] in manifest["input_digests"]
     assert len(manifest["input_digests"][workspace["corpus"]]) == 64  # sha256 hex
@@ -68,7 +69,7 @@ def test_link_entities_annotates(workspace):
                "--text", workspace["corpus"], "--vocab", workspace["vocab"],
                "--out", out, "--min-link-prob", "0.0"])
     assert rc == EXIT_OK
-    rows = [json.loads(l) for l in open(out)]
+    rows = [json.loads(l) for l in Path(out).read_text().splitlines()]
     assert rows and any(r["annotations"] for r in rows)
     for r in rows:
         for s, e, eid in r["annotations"]:
@@ -86,9 +87,9 @@ def pretrained(workspace):
 def test_pretrain_outputs(pretrained):
     assert os.path.exists(os.path.join(pretrained, "checkpoint-final.bin"))
     assert os.path.exists(os.path.join(pretrained, "word_vocab.txt"))
-    log = open(os.path.join(pretrained, "train_log.tsv")).read().strip().splitlines()
+    log = Path(pretrained, "train_log.tsv").read_text().strip().splitlines()
     assert len(log) >= 3
-    manifest = json.load(open(os.path.join(pretrained, "manifest.json")))
+    manifest = json.loads(Path(pretrained, "manifest.json").read_text())
     assert manifest["command"] == "pretrain"
     assert manifest["seed"] == 21
 
@@ -97,8 +98,8 @@ def test_pretrain_rerun_is_bit_identical(workspace, pretrained):
     out2 = str(workspace["ws"] / "pretrain-rerun")
     rc = main(["rerun", os.path.join(pretrained, "manifest.json"), "--out", out2])
     assert rc == EXIT_OK
-    a = open(os.path.join(pretrained, "checkpoint-final.bin"), "rb").read()
-    b = open(os.path.join(out2, "checkpoint-final.bin"), "rb").read()
+    a = Path(pretrained, "checkpoint-final.bin").read_bytes()
+    b = Path(out2, "checkpoint-final.bin").read_bytes()
     assert a == b
 
 
@@ -106,8 +107,8 @@ def test_pretrain_seed_flag_changes_result(workspace, pretrained):
     out2 = str(workspace["ws"] / "pretrain-seed")
     rc = main(["pretrain", "--config", workspace["config"], "--out", out2, "--seed", "99"])
     assert rc == EXIT_OK
-    a = open(os.path.join(pretrained, "checkpoint-final.bin"), "rb").read()
-    b = open(os.path.join(out2, "checkpoint-final.bin"), "rb").read()
+    a = Path(pretrained, "checkpoint-final.bin").read_bytes()
+    b = Path(out2, "checkpoint-final.bin").read_bytes()
     assert a != b
 
 
@@ -155,8 +156,8 @@ def test_finetune_rerun_is_bit_identical(workspace, finetuned):
     out2 = str(workspace["ws"] / "finetune-rerun")
     rc = main(["rerun", os.path.join(finetuned["out"], "manifest.json"), "--out", out2])
     assert rc == EXIT_OK
-    a = open(os.path.join(finetuned["out"], "checkpoint-finetuned.bin"), "rb").read()
-    b = open(os.path.join(out2, "checkpoint-finetuned.bin"), "rb").read()
+    a = Path(finetuned["out"], "checkpoint-finetuned.bin").read_bytes()
+    b = Path(out2, "checkpoint-finetuned.bin").read_bytes()
     assert a == b
 
 
@@ -168,7 +169,7 @@ def test_eval_reports_metrics(workspace, finetuned):
                "--word-vocab", os.path.join(finetuned["out"], "word_vocab.txt"),
                "--entity-vocab", workspace["vocab"]])
     assert rc == EXIT_OK
-    report = json.load(open(out))
+    report = json.loads(Path(out).read_text())
     assert 0.0 <= report["macro_f1"] <= 1.0
     assert report["n"] == 12
 
@@ -202,7 +203,7 @@ def test_cloze_eval_runs(workspace, pretrained):
                "--word-vocab", os.path.join(pretrained, "word_vocab.txt"),
                "--entity-vocab", workspace["vocab"]])
     assert rc == EXIT_OK
-    report = json.load(open(out))
+    report = json.loads(Path(out).read_text())
     assert report["mode"] == "entity-y"
     assert report["records"][0]["used_entity"] in (True, False)
 
@@ -225,7 +226,7 @@ def test_dump_features_and_analyze(workspace, pretrained):
     out = str(workspace["ws"] / "mod.json")
     rc = main(["analyze", "modularity", "--embeddings", emb, "--k", "1", "--out", out])
     assert rc == EXIT_OK
-    report = json.load(open(out))
+    report = json.loads(Path(out).read_text())
     assert report["n"] == 4 and -1.0 <= report["modularity"] <= 1.0
 
     gold = str(workspace["ws"] / "gold.json")
@@ -233,13 +234,13 @@ def test_dump_features_and_analyze(workspace, pretrained):
         json.dump({"s0": "s2", "s1": "s3"}, f)
     qf = str(workspace["ws"] / "q.jsonl")
     pf = str(workspace["ws"] / "p.jsonl")
-    lines = open(emb).read().splitlines()
-    open(qf, "w").write("\n".join(lines[:2]) + "\n")
-    open(pf, "w").write("\n".join(lines[2:]) + "\n")
+    lines = Path(emb).read_text().splitlines()
+    Path(qf).write_text("\n".join(lines[:2]) + "\n")
+    Path(pf).write_text("\n".join(lines[2:]) + "\n")
     out = str(workspace["ws"] / "cwr.json")
     rc = main(["analyze", "cwr", "--queries", qf, "--pool", pf, "--gold", gold, "--out", out])
     assert rc == EXIT_OK
-    assert 0.0 < json.load(open(out))["mrr"] <= 1.0
+    assert 0.0 < json.loads(Path(out).read_text())["mrr"] <= 1.0
 
 
 def test_inspect_checkpoint(capsys, pretrained):
@@ -264,9 +265,18 @@ def test_bad_config_key_exits_3(workspace):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("override", ["train.alpha=1.5", "train.alpha=0", "train.word_mask_p=2",
+                                      "train.word_random_p=0.95", "train.entity_mask_p=-0.1"])
+def test_bad_train_value_exits_3_before_writing(workspace, override):
+    out = workspace["ws"] / "bad-train"
+    rc = main(["pretrain", "--config", workspace["config"], "--out", str(out), "--set", override])
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_corrupt_checkpoint_exits_1(workspace, pretrained):
     from entlm.pretrain import CHECKPOINT_MAGIC
-    good = open(os.path.join(pretrained, "checkpoint-final.bin"), "rb").read()
+    good = Path(pretrained, "checkpoint-final.bin").read_bytes()
     header_start = len(CHECKPOINT_MAGIC) + 8
     header_len = int.from_bytes(good[len(CHECKPOINT_MAGIC):header_start], "little")
     payload_start = header_start + header_len
@@ -276,7 +286,36 @@ def test_corrupt_checkpoint_exits_1(workspace, pretrained):
                     good[: header_start + header_len // 2],  # mid-header
                     good[:header_start] + b"\xff" * header_len + good[payload_start:],  # header not JSON
                     good[: (payload_start + len(good)) // 2]):  # mid-payload
-        with open(bad, "wb") as f:
-            f.write(content)
+        Path(bad).write_bytes(content)
         rc = main(["inspect-checkpoint", "--checkpoint", bad])
         assert rc == EXIT_FAILURE, len(content)
+
+    # headers that are valid JSON but lack the layout the loader reads
+    header = json.loads(good[header_start:payload_start])
+    name = header["param_names"][0]
+
+    def edited(edit):
+        h = json.loads(json.dumps(header))
+        edit(h)
+        return h
+
+    for bad_header in ([], {},
+                       edited(lambda h: h.pop("index")),
+                       edited(lambda h: h.pop("param_names")),
+                       edited(lambda h: h.pop("encoder_config")),
+                       edited(lambda h: h.pop("step")),
+                       edited(lambda h: h["index"][name].pop("offset")),
+                       edited(lambda h: h["index"][name].update(offset="0")),
+                       edited(lambda h: h["index"][name].update(offset=1.5)),
+                       edited(lambda h: h["index"][name].update(dtype="<f4")),
+                       edited(lambda h: h["index"][name].update(shape=[-1])),
+                       edited(lambda h: h["index"].update({name: 7})),
+                       edited(lambda h: h["param_names"].append("no.such.tensor")),
+                       edited(lambda h: h["encoder_config"].update(not_a_field=1)),
+                       edited(lambda h: h["encoder_config"].update(heads=3)),
+                       edited(lambda h: h.update(optimizer={"m": {}}))):
+        raw = json.dumps(bad_header).encode("utf-8")
+        Path(bad).write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "little") + raw
+                              + good[payload_start:])
+        rc = main(["inspect-checkpoint", "--checkpoint", bad])
+        assert rc == EXIT_FAILURE, bad_header

@@ -172,46 +172,119 @@ class ReferenceAdamW:
             p.data = p.data - lr * (mhat / (np.sqrt(vhat) + self.eps) + self.weight_decay * p.data)
 
 
+def assert_matches_reference(opt, oracle, ours, ref):
+    assert opt.t == oracle.t
+    for n in ours:
+        assert ours[n].data.tobytes() == ref[n].data.tobytes(), n
+        if n in oracle.m:
+            assert opt.m[n].tobytes() == oracle.m[n].tobytes(), n
+            assert opt.v[n].tobytes() == oracle.v[n].tobytes(), n
+        else:
+            assert n not in opt.m, n
+
+
+def random_grad(rng, shape):
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-8, 2)
+
+
 def test_adamw_bit_identical_to_out_of_place_formula():
     rng = np.random.default_rng(7)
-    shapes = {"big": (ADAMW_BLOCK + 1234,), "mat": (37, 5), "no_grad": (6,), "scalar": ()}
+    # "big" and "huge" put block boundaries inside and between parameters;
+    # "frozen" sits between stage-1 parameters, so after the stage switch
+    # it splits the store into runs with different step counts
+    shapes = {"head": (5,), "big": (ADAMW_BLOCK + 1234,), "mat": (37, 5), "frozen": (9,),
+              "no_grad": (6,), "huge": (2 * ADAMW_BLOCK + 7,), "scalar": ()}
     init = {n: rng.normal(size=s) for n, s in shapes.items()}
     ours = {n: T.parameter(a) for n, a in init.items()}
     ref = {n: T.parameter(a) for n, a in init.items()}
     opt, oracle = AdamW(ours), ReferenceAdamW(ref)
     # two stage-1 steps on part of the set, then stage 2, where the
     # per-parameter step counts differ
-    schedule = [({"big", "no_grad"}, 5e-3), ({"big", "no_grad"}, 4e-3), (None, 1e-3), (None, 2e-4)]
+    stage1 = {"head", "big", "mat", "no_grad", "huge"}
+    schedule = [(stage1, 5e-3), (stage1, 4e-3), (None, 1e-3), (None, 2e-4)]
     for trainable, lr in schedule:
         for n, s in shapes.items():
-            grad = None if n == "no_grad" else rng.normal(size=s) * 10.0 ** rng.integers(-8, 2)
+            grad = None if n == "no_grad" else random_grad(rng, s)
             ours[n].grad = ref[n].grad = grad
         opt.step(lr, trainable=trainable)
         oracle.step(lr, trainable=trainable)
-        assert opt.t == oracle.t
-        for n in shapes:
-            assert ours[n].data.tobytes() == ref[n].data.tobytes(), n
-            if n in oracle.m:
-                assert opt.m[n].tobytes() == oracle.m[n].tobytes(), n
-                assert opt.v[n].tobytes() == oracle.v[n].tobytes(), n
-    assert opt.t == {"big": 4, "no_grad": 4, "mat": 2, "scalar": 2}
+        assert_matches_reference(opt, oracle, ours, ref)
+    assert opt.t == {"head": 4, "big": 4, "mat": 4, "no_grad": 4, "huge": 4,
+                     "frozen": 2, "scalar": 2}
+
+
+def test_adamw_reassigned_parameter_steps_from_its_new_values():
+    rng = np.random.default_rng(3)
+    shapes = {"a": (4, 3), "b": (ADAMW_BLOCK + 5,), "c": (7,)}
+    init = {n: rng.normal(size=s) for n, s in shapes.items()}
+    ours = {n: T.parameter(a) for n, a in init.items()}
+    ref = {n: T.parameter(a) for n, a in init.items()}
+    opt, oracle = AdamW(ours), ReferenceAdamW(ref)
+    for step in range(4):
+        if step == 2:
+            # a restore such as the fine-tuning loop's best-weights copy
+            for n in ("a", "b"):
+                new = rng.normal(size=shapes[n])
+                ours[n].data, ref[n].data = new.copy(), new.copy()
+        for n, s in shapes.items():
+            ours[n].grad = ref[n].grad = random_grad(rng, s)
+        opt.step(1e-2)
+        oracle.step(1e-2)
+        assert_matches_reference(opt, oracle, ours, ref)
+
+
+def test_adamw_instances_sharing_a_tensor_step_in_turn():
+    # task models share the encoder's Tensors with the pretrained dict
+    rng = np.random.default_rng(5)
+    init = {n: rng.normal(size=(6, 2)) for n in ("shared", "h1", "h2")}
+    ours = {n: T.parameter(a) for n, a in init.items()}
+    ref = {n: T.parameter(a) for n, a in init.items()}
+    pairs = []
+    for head in ("h1", "h2"):
+        names = ("shared", head)
+        pairs.append((AdamW({n: ours[n] for n in names}), ReferenceAdamW({n: ref[n] for n in names}),
+                      names))
+    for _ in range(3):
+        for opt, oracle, names in pairs:
+            for n in names:
+                ours[n].grad = ref[n].grad = random_grad(rng, (6, 2))
+            opt.step(1e-2)
+            oracle.step(1e-2)
+            assert_matches_reference(opt, oracle, {n: ours[n] for n in names},
+                                     {n: ref[n] for n in names})
+
+
+def test_adamw_leaves_parameters_without_requires_grad_alone():
+    p = T.parameter(np.arange(4.0))
+    c = T.Tensor(np.arange(3.0) + 0.5)
+    before = c.data.tobytes()
+    for t in (p, c):
+        t.grad = np.ones_like(t.data)
+    opt = AdamW({"p": p, "c": c})
+    opt.step(lr=0.1)
+    opt.step(lr=0.1)
+    assert c.data.tobytes() == before
+    assert "c" not in opt.m and "c" not in opt.t
+    assert np.all(p.data < np.arange(4.0))
 
 
 def test_adamw_updates_parameter_arrays_in_place():
-    p = T.parameter(np.ones(3))
-    data = p.data
-    # a transposed view and a read-only array cannot be written through a
-    # flat view; they are updated all the same
+    # a transposed view and a read-only array are moved into the store all the same
     q = T.parameter(np.ones((2, 3)))
     q.data = q.data.T
     r = T.parameter(np.ones(2))
     r.data.flags.writeable = False
-    for t in (p, q, r):
-        t.grad = np.ones_like(t.data)
-    AdamW({"p": p, "q": q, "r": r}).step(lr=0.1)
-    assert p.data is data
-    for t in (p, q, r):
+    params = {"p": T.parameter(np.ones(3)), "q": q, "r": r}
+    opt = AdamW(params)
+    arrays = {n: t.data for n, t in params.items()}
+    for _ in range(2):
+        for t in params.values():
+            t.grad = np.ones_like(t.data)
+        opt.step(lr=0.1)
+    for n, t in params.items():
+        assert t.data is arrays[n]
         assert np.all(t.data < 1.0)
+    assert q.data.shape == (3, 2)
 
 
 def test_adamw_state_dict_is_a_snapshot():
@@ -312,7 +385,7 @@ def test_checkpoint_round_trip_bit_identical(tmp_path, toy_encoder_config):
     path2 = str(tmp_path / "ckpt2.bin")
     save_checkpoint(path2, ckpt.encoder_config, ckpt.params, step=17,
                     rng_state={"x": 1}, meta={"note": "t"})
-    assert open(path, "rb").read() == open(path2, "rb").read()
+    assert (tmp_path / "ckpt.bin").read_bytes() == (tmp_path / "ckpt2.bin").read_bytes()
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):
