@@ -152,6 +152,9 @@ def load_embeddings(path):
 
 FEATURE_SPECS = ("span-mean", "re-word", "re-entity")
 
+# items encoded per encode_batch call; bounds memory on large dumps
+FEATURE_DUMP_GROUP = 16
+
 
 def feature_dump(model, dataset, feature_spec, out_path=None):
     """Write SpanEmbedding records for downstream metric ops.
@@ -159,34 +162,39 @@ def feature_dump(model, dataset, feature_spec, out_path=None):
     span-mean: dataset items are (uid, lang, EncodedSequence-buildable dict
     with word_ids and a span); re-word / re-entity: items are (uid, lang,
     REInstance) and the feature is the concatenated head+tail vector of the
-    requested RE variant.
+    requested RE variant.  Consecutive items are encoded together, in
+    groups of FEATURE_DUMP_GROUP; records keep the input order.
     """
-    from .encoder import EncodedSequence, encode
+    from .encoder import EncodedSequence, encode_batch, pack_batch
     from .heads import _re_features, make_re_model
 
     if feature_spec not in FEATURE_SPECS:
         raise ContractError(f"unknown feature spec {feature_spec!r}")
 
-    records = []
-    if feature_spec == "span-mean":
-        for uid, lang, item in dataset:
-            seq = EncodedSequence(
-                word_ids=item["word_ids"],
-                entity_ids=item.get("entity_ids", []),
-                entity_positions=item.get("entity_positions", []),
-            )
-            out = encode(model.params, model.encoder_config, seq)
-            vec = span_embed(out.word_vectors, item["span"])
-            records.append(SpanEmbedding(uid=uid, language=lang,
-                                         text=item.get("text", ""), vector=vec).validate())
-    else:
+    if feature_spec != "span-mean":
         variant = "word-markers" if feature_spec == "re-word" else "entity-mask"
         re_model = make_re_model(model.encoder_config, model.params, model.word_vocab,
                                  model.entity_vocab, labels=["_dummy"], variant=variant)
-        for uid, lang, inst in dataset:
-            f = _re_features(re_model, [inst])
-            records.append(SpanEmbedding(uid=uid, language=lang,
-                                         text=" ".join(inst.tokens), vector=f.data[0]).validate())
+    dataset = list(dataset)
+    records = []
+    for lo in range(0, len(dataset), FEATURE_DUMP_GROUP):
+        group = dataset[lo : lo + FEATURE_DUMP_GROUP]
+        if feature_spec == "span-mean":
+            seqs = [EncodedSequence(word_ids=item["word_ids"],
+                                    entity_ids=item.get("entity_ids", []),
+                                    entity_positions=item.get("entity_positions", [])
+                                    ).validate(model.encoder_config)
+                    for _uid, _lang, item in group]
+            out = encode_batch(model.params, model.encoder_config, pack_batch(seqs))
+            for b, ((uid, lang, item), seq) in enumerate(zip(group, seqs)):
+                vec = span_embed(out.word_vectors[b, : seq.num_words], item["span"])
+                records.append(SpanEmbedding(uid=uid, language=lang,
+                                             text=item.get("text", ""), vector=vec).validate())
+        else:
+            f = _re_features(re_model, [inst for _uid, _lang, inst in group])
+            for (uid, lang, inst), vec in zip(group, f.data):
+                records.append(SpanEmbedding(uid=uid, language=lang,
+                                             text=" ".join(inst.tokens), vector=vec).validate())
     if out_path:
         save_embeddings(records, out_path)
     return records

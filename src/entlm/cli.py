@@ -285,7 +285,8 @@ def cmd_cloze_eval(args):
     _write_json(args.out, report)
     write_manifest(_file_manifest_path(args.out), "cloze-eval", vars(args), seed=None,
                    input_paths=[args.checkpoint, args.queries, args.word_vocab, args.entity_vocab])
-    print(f"accuracy[{args.mode}] = {report['accuracy']:.4f}")
+    print(f"accuracy[{args.mode}] = {report['accuracy']:.4f}  "
+          f"word fallbacks {report['word_fallbacks']}/{report['candidates_scored']} candidates")
     return EXIT_OK
 
 

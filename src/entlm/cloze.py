@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import EncodedSequence, encode
+from . import encoder
+from .encoder import EncodedSequence, encode  # noqa: F401  (perfbench's tracer wraps cloze.encode)
 from .errors import ContractError
 from .tensor import log_softmax_np
 
@@ -124,22 +125,73 @@ def _build_cloze_input(model, query: TypedQuery, k, subject_entity_id=None, y_en
     return seq, y_positions, ent_index
 
 
-def _word_logprobs(model, seq):
-    out = encode(model.params, model.encoder_config, seq)
-    logits = out.word_vectors @ model.params["mlm_head.w"].data + model.params["mlm_head.b"].data
-    return log_softmax_np(logits, axis=-1), out
+def _mlm_logprobs(model, vectors):
+    """MLM log-probabilities (rows, V) for contextual word vectors (rows, H)."""
+    logits = vectors @ model.params["mlm_head.w"].data + model.params["mlm_head.b"].data
+    return log_softmax_np(logits, axis=-1)
+
+
+def _candidate_input(model, query, candidate, mode):
+    """(seq, y_positions, ent_index, target) for one candidate.
+
+    Word scoring (word mode, or an entity mode's out-of-vocabulary fallback)
+    has ent_index None and the candidate's word ids as target; entity
+    scoring has the candidate's entity id as target.
+    """
+    surface, explicit = candidate
+    if mode != "word":
+        eid = resolve_candidate_entity(model.entity_vocab, query.language, surface, explicit)
+        if eid is not None:
+            sub_eid = None
+            if mode == "entity-xy":
+                sub_eid = resolve_candidate_entity(
+                    model.entity_vocab, query.language, query.sub_surface, query.sub_entity)
+            k = max(1, len(surface.split()))
+            seq, y_pos, ent_index = _build_cloze_input(
+                model, query, k, subject_entity_id=sub_eid, y_entity_id=model.entity_vocab.mask_id)
+            return seq, y_pos, ent_index, eid
+    cand_tokens = surface.split()
+    if not cand_tokens:
+        raise ContractError("candidate tokenizes to zero tokens")
+    seq, y_pos, _ = _build_cloze_input(model, query, len(cand_tokens))
+    return seq, y_pos, None, model.word_vocab.encode(cand_tokens)
+
+
+def _score_candidates(model, query, candidates, mode):
+    """(scores, used_entity) of the candidates from one batched encoder pass.
+
+    A word-scored candidate gets the mean MLM log-probability of its tokens
+    at its [Y] masks; an entity-scored one the MEP log-probability of its
+    entity at the entity-[MASK] token.
+    """
+    built = [_candidate_input(model, query, c, mode) for c in candidates]
+    seqs = [seq.validate(model.encoder_config) for seq, _, _, _ in built]
+    out = encoder.encode_batch(model.params, model.encoder_config, encoder.pack_batch(seqs))
+
+    scores = [0.0] * len(built)
+    word = [(b, y_pos, ids) for b, (_, y_pos, ent_index, ids) in enumerate(built) if ent_index is None]
+    if word:
+        rows = np.concatenate([np.full(len(y_pos), b) for b, y_pos, _ in word])
+        cols = np.concatenate([y_pos for _, y_pos, _ in word])
+        logprobs = _mlm_logprobs(model, out.word_vectors[rows, cols])
+        lo = 0
+        for b, _, ids in word:
+            scores[b] = float(np.mean(logprobs[np.arange(lo, lo + len(ids)), ids]))
+            lo += len(ids)
+    ent = [(b, ent_index, eid) for b, (_, _, ent_index, eid) in enumerate(built) if ent_index is not None]
+    if ent:
+        vectors = out.entity_vectors[[b for b, _, _ in ent], [i for _, i, _ in ent]]
+        logits = vectors @ model.params["mep_head.w"].data + model.params["mep_head.b"].data
+        logprobs = log_softmax_np(logits, axis=-1)
+        for row, (b, _, eid) in enumerate(ent):
+            scores[b] = float(logprobs[row, eid])
+    return scores, [ent_index is not None for _, _, ent_index, _ in built]
 
 
 def score_candidate_words(model: ClozeModel, query: TypedQuery, candidate_surface):
     """Mean log-probability of the candidate's tokens at the [Y] masks."""
-    cand_tokens = candidate_surface.split()
-    if not cand_tokens:
-        raise ContractError("candidate tokenizes to zero tokens")
-    k = len(cand_tokens)
-    seq, y_positions, _ = _build_cloze_input(model, query, k)
-    logprobs, _ = _word_logprobs(model, seq)
-    cand_ids = model.word_vocab.encode(cand_tokens)
-    return float(np.mean([logprobs[p, cid] for p, cid in zip(y_positions, cand_ids)]))
+    scores, _ = _score_candidates(model, query, [(candidate_surface, None)], "word")
+    return scores[0]
 
 
 def score_candidate_entity(model: ClozeModel, query: TypedQuery, candidate, mode="entity-y"):
@@ -149,44 +201,33 @@ def score_candidate_entity(model: ClozeModel, query: TypedQuery, candidate, mode
     entity-xy mode the subject's entity token is appended over [X] when the
     subject resolves in the vocabulary.
     """
-    surface, explicit = candidate
-    eid = resolve_candidate_entity(model.entity_vocab, query.language, surface, explicit)
-    if eid is None:
-        return score_candidate_words(model, query, surface), False
-    sub_eid = None
-    if mode == "entity-xy":
-        sub_eid = resolve_candidate_entity(
-            model.entity_vocab, query.language, query.sub_surface, query.sub_entity)
-    k = max(1, len(surface.split()))
-    seq, _y_pos, ent_index = _build_cloze_input(
-        model, query, k, subject_entity_id=sub_eid, y_entity_id=model.entity_vocab.mask_id)
-    out = encode(model.params, model.encoder_config, seq)
-    logits = out.entity_vectors[ent_index] @ model.params["mep_head.w"].data + model.params["mep_head.b"].data
-    return float(log_softmax_np(logits)[eid]), True
+    if mode not in ("entity-y", "entity-xy"):
+        raise ContractError(f"unknown entity mode {mode!r}")
+    scores, used = _score_candidates(model, query, [candidate], mode)
+    return scores[0], used[0]
 
 
 def score_query(model, query, mode):
+    """(scores, used_entity) over the query's candidates, in one encoder pass."""
     if mode not in MODES:
         raise ContractError(f"unknown mode {mode!r}")
-    scores = []
-    used_entity = []
-    for cand in query.candidates:
-        if mode == "word":
-            scores.append(score_candidate_words(model, query, cand[0]))
-            used_entity.append(False)
-        else:
-            s, used = score_candidate_entity(model, query, cand, mode=mode)
-            scores.append(s)
-            used_entity.append(used)
-    return scores, used_entity
+    return _score_candidates(model, query, query.candidates, mode)
 
 
 def evaluate(model: ClozeModel, queries, mode="word"):
-    """Top-1 accuracy per language and overall; records every prediction."""
+    """Top-1 accuracy per language and overall; records every prediction.
+
+    Also counts the candidates scored and, in entity modes, those outside
+    the entity vocabulary that fell back to word scoring.
+    """
     per_lang = defaultdict(lambda: [0, 0])
     records = []
+    scored = fallbacks = 0
     for qi, q in enumerate(queries):
         scores, used = score_query(model, q, mode)
+        scored += len(used)
+        if mode != "word":
+            fallbacks += used.count(False)
         pred = int(np.argmax(scores))  # ties: lowest candidate index
         correct = pred == q.gold_index
         per_lang[q.language][0] += int(correct)
@@ -208,6 +249,8 @@ def evaluate(model: ClozeModel, queries, mode="word"):
         "mode": mode,
         "accuracy": total_c / total_n if total_n else 0.0,
         "per_language": {l: c / n for l, (c, n) in sorted(per_lang.items())},
+        "candidates_scored": scored,
+        "word_fallbacks": fallbacks,
         "records": records,
     }
 

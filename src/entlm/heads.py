@@ -290,14 +290,11 @@ def _best_span(start_logits, end_logits, max_len=MAX_ANSWER_LEN):
     """Argmax of start+end over valid spans; first hit wins on ties, and
     candidates are ordered by start then length (earliest, then shortest)."""
     n = len(start_logits)
-    best = None
-    for s in range(n):
-        hi = min(n, s + max_len)
-        for e in range(s, hi):
-            score = start_logits[s] + end_logits[e]
-            if best is None or score > best[0]:
-                best = (score, s, e)
-    return best  # (score, start, end_inclusive)
+    width = min(max_len, n)
+    ends = np.arange(n)[:, None] + np.arange(width)  # (start, end - start) grid
+    scores = np.where(ends < n, start_logits[:, None] + end_logits[np.minimum(ends, n - 1)], -np.inf)
+    s, length = divmod(int(np.argmax(scores)), width)  # row-major: first maximum in (start, end) order
+    return scores[s, length], s, s + length  # (score, start, end_inclusive)
 
 
 def qa_predict(model: TaskModel, inst: QAInstance, use_entities=None):
@@ -672,11 +669,11 @@ def _qa_batch_loss(model, batch):
             continue
         max_pos = model.encoder_config.max_positions
         hi = min(len(inst.context_tokens), max_pos - len(inst.question_tokens))
+        gs, ge = inst.gold_spans[0]
+        if ge > hi:  # answer past the first window: skipped before the forward pass
+            continue
         seq, off = _qa_sequence(model, inst, 0, hi, use_entities)
         logits, _ = _qa_logits(model, seq)
-        gs, ge = inst.gold_spans[0]
-        if ge > hi:
-            continue
         m = len(seq.word_ids)
         valid = np.full((1, m), NEG_INF)
         valid[0, off : off + hi] = 0.0

@@ -378,14 +378,14 @@ def test_criterion_09_cloze_scoring(monkeypatch):
 
     cand_ids = wv.encode(["big", "city"])
 
-    def fixed_logprobs(m, seq):
-        lp = np.full((len(seq.word_ids), len(m.word_vocab)), -7.0)
-        y = [i for i, w in enumerate(seq.word_ids) if w == m.word_vocab.mask_id]
-        lp[y[0], cand_ids[0]] = -1.0
-        lp[y[1], cand_ids[1]] = -3.0
-        return lp, None
+    def fixed_logprobs(m, vectors):
+        assert len(vectors) == 2  # the [Y] mask rows, in order
+        lp = np.full((len(vectors), len(m.word_vocab)), -7.0)
+        lp[0, cand_ids[0]] = -1.0
+        lp[1, cand_ids[1]] = -3.0
+        return lp
 
-    monkeypatch.setattr(cloze_mod, "_word_logprobs", fixed_logprobs)
+    monkeypatch.setattr(cloze_mod, "_mlm_logprobs", fixed_logprobs)
     assert score_candidate_words(model, query, "big city") == -2.0
     monkeypatch.undo()
 

@@ -186,6 +186,49 @@ def test_feature_dump_re_variants(task_model, tmp_path):
         feature_dump(model, [], "nope")
 
 
+def _dump_items(model, spec, n):
+    """n items of varied length; span-mean items alternate with and without entities."""
+    from entlm.heads import REInstance
+
+    rng = substream(7, "dump-items")
+    words = ["a", "b", "c", "d", "e"]
+    items = []
+    for i in range(n):
+        toks = [words[int(j)] for j in rng.integers(0, len(words), size=int(rng.integers(4, 10)))]
+        if spec == "span-mean":
+            item = {"word_ids": model.word_vocab.encode(toks), "span": (1, 3), "text": str(i)}
+            if i % 2:
+                item["entity_ids"] = [model.entity_vocab.mask_id]
+                item["entity_positions"] = [[0, 1]]
+        else:
+            item = REInstance(tokens=toks, head_span=(0, 1), tail_span=(2, 4), label="r")
+        items.append((f"u{i}", "en" if i % 3 else "de", item))
+    return items
+
+
+@pytest.mark.parametrize("spec", ["span-mean", "re-word", "re-entity"])
+def test_feature_dump_groups_equal_one_item_calls(task_model, spec, monkeypatch):
+    import entlm.align as align_mod
+    import entlm.encoder as encoder_mod
+    import entlm.heads as heads_mod
+
+    model, _ = task_model
+    n = 2 * align_mod.FEATURE_DUMP_GROUP + 3
+    items = _dump_items(model, spec, n)
+    calls = []
+    for owner in (encoder_mod, heads_mod):
+        real = owner.encode_batch
+        monkeypatch.setattr(owner, "encode_batch",
+                            lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    records = feature_dump(model, items, spec)
+    assert len(calls) == 3  # two full groups and a remainder
+    assert [(r.uid, r.language) for r in records] == [(uid, lang) for uid, lang, _ in items]
+    for rec, item in zip(records, items):
+        (single,) = feature_dump(model, [item], spec)
+        assert single.text == rec.text
+        assert np.max(np.abs(rec.vector - single.vector)) <= 1e-10
+
+
 @pytest.fixture
 def task_model():
     from entlm.cloze import ClozeModel

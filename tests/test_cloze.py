@@ -21,7 +21,7 @@ from entlm.cloze import (
 )
 from entlm.corpus import WordVocab
 from entlm.encoder import EncoderConfig, encode, init_params
-from entlm.errors import ContractError
+from entlm.errors import CapacityError, ContractError
 from entlm.pretrain import init_head_params
 from entlm.seeding import substream
 from entlm.tensor import log_softmax_np
@@ -88,14 +88,14 @@ def test_multi_token_mean_is_exact_average(monkeypatch, cloze_setup):
     query = q(cands=[("big city", None)])
     cand_ids = m.word_vocab.encode(["big", "city"])
 
-    def fake_logprobs(model, seq):
-        lp = np.full((len(seq.word_ids), len(model.word_vocab)), -9.0)
-        y = [i for i, w in enumerate(seq.word_ids) if w == model.word_vocab.mask_id]
-        lp[y[0], cand_ids[0]] = -1.0
-        lp[y[1], cand_ids[1]] = -3.0
-        return lp, None
+    def fake_logprobs(model, vectors):
+        assert len(vectors) == 2  # only the two [Y] mask rows, in order
+        lp = np.full((len(vectors), len(model.word_vocab)), -9.0)
+        lp[0, cand_ids[0]] = -1.0
+        lp[1, cand_ids[1]] = -3.0
+        return lp
 
-    monkeypatch.setattr(cloze_mod, "_word_logprobs", fake_logprobs)
+    monkeypatch.setattr(cloze_mod, "_mlm_logprobs", fake_logprobs)
     assert score_candidate_words(m, query, "big city") == -2.0
 
 
@@ -136,6 +136,68 @@ def test_entity_xy_differs_when_subject_resolves(cloze_setup):
     assert xy_score != y_score  # the subject's entity token changes the forward
 
 
+MIXED_CANDIDATES = [
+    ("japan", None),  # one word, in the entity vocab
+    ("big city", None),  # two words, out of the entity vocab: word fallback
+    ("kyoto", None),  # one word, out of the entity vocab
+    ("big city", "japan"),  # two words, explicit entity key
+]
+
+
+def _mep_score_per_sequence(m, query, candidate, mode):
+    """Entity score from a batch-1 `encode` of the candidate's own sequence."""
+    eid = resolve_candidate_entity(m.entity_vocab, query.language, *candidate)
+    sub_eid = (resolve_candidate_entity(m.entity_vocab, query.language, query.sub_surface)
+               if mode == "entity-xy" else None)
+    seq, _, ent_index = _build_cloze_input(m, query, len(candidate[0].split()),
+                                           subject_entity_id=sub_eid,
+                                           y_entity_id=m.entity_vocab.mask_id)
+    out = encode(m.params, m.encoder_config, seq)
+    logits = out.entity_vectors[ent_index] @ m.params["mep_head.w"].data + m.params["mep_head.b"].data
+    return log_softmax_np(logits)[eid]
+
+
+@pytest.mark.parametrize("mode", ["word", "entity-y", "entity-xy"])
+def test_score_query_equals_one_candidate_calls(cloze_setup, mode):
+    m = cloze_setup
+    query = q(cands=MIXED_CANDIDATES)
+    scores, used = score_query(m, query, mode)
+    for cand, score, u in zip(MIXED_CANDIDATES, scores, used):
+        if mode == "word":
+            single, single_used = score_candidate_words(m, query, cand[0]), False
+        else:
+            single, single_used = score_candidate_entity(m, query, cand, mode=mode)
+        assert u == single_used
+        assert abs(score - single) <= 1e-10
+        if u:
+            assert abs(single - _mep_score_per_sequence(m, query, cand, mode)) <= 1e-12
+    expected_used = [False] * 4 if mode == "word" else [True, False, False, True]
+    assert used == expected_used
+
+
+def test_score_query_runs_one_encoder_pass(cloze_setup, monkeypatch):
+    import entlm.encoder as encoder_mod
+
+    calls = []
+    real = encoder_mod.encode_batch
+
+    def counting(params, config, batch, **kwargs):
+        calls.append(batch["word_ids"].shape[0])
+        return real(params, config, batch, **kwargs)
+
+    monkeypatch.setattr(encoder_mod, "encode_batch", counting)
+    for mode in ("word", "entity-y", "entity-xy"):
+        score_query(cloze_setup, q(cands=MIXED_CANDIDATES), mode)
+    assert calls == [4, 4, 4]
+
+
+def test_score_query_validates_every_sequence(cloze_setup):
+    # a 30-word candidate exceeds max_positions (24) even though the others fit
+    long = " ".join(["big"] * 30)
+    with pytest.raises(CapacityError):
+        score_query(cloze_setup, q(cands=[("japan", None), (long, None)]), "entity-y")
+
+
 def test_resolve_candidate_entity_explicit_and_fallback(cloze_setup):
     ev = cloze_setup.entity_vocab
     assert resolve_candidate_entity(ev, "en", "anything", explicit="japan") == ev.resolve_key("japan")
@@ -160,6 +222,15 @@ def test_evaluate_reports_per_language(cloze_setup):
     for r in rep["records"]:
         assert r["predicted_surface"] in ("japan", "kyoto")
         assert r["correct"] == (r["predicted_index"] == r["gold_index"])
+
+
+def test_evaluate_counts_word_fallbacks(cloze_setup):
+    # per query: "japan" resolves to an entity, "kyoto" falls back to words
+    queries = [q(lang="en"), q(lang="de"), q(cands=MIXED_CANDIDATES)]
+    for mode, fallbacks in (("word", 0), ("entity-y", 4), ("entity-xy", 4)):
+        rep = evaluate(cloze_setup, queries, mode=mode)
+        assert rep["candidates_scored"] == 8
+        assert rep["word_fallbacks"] == fallbacks
 
 
 def test_top1_fp_ratio_table_oracle():

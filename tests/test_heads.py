@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from entlm.corpus import WordVocab
 from entlm.encoder import EncoderConfig, init_params
 from entlm.errors import ContractError
+import entlm.heads as heads_mod
 from entlm.heads import (
     MAX_ANSWER_LEN,
     NERInstance,
@@ -17,6 +18,7 @@ from entlm.heads import (
     REInstance,
     FinetuneConfig,
     _best_span,
+    _qa_batch_loss,
     bio_to_spans,
     enumerate_spans,
     finetune_lr_at,
@@ -148,6 +150,30 @@ def test_best_span_respects_max_len():
     score, s, e = _best_span(start, end)
     assert (s, e) == (0, MAX_ANSWER_LEN - 1)
     assert e - s + 1 <= MAX_ANSWER_LEN
+
+
+def _best_span_loop(start_logits, end_logits, max_len=MAX_ANSWER_LEN):
+    """Reference: scan spans by start, then end, keeping the first maximum."""
+    n = len(start_logits)
+    best = None
+    for s in range(n):
+        for e in range(s, min(n, s + max_len)):
+            score = start_logits[s] + end_logits[e]
+            if best is None or score > best[0]:
+                best = (score, s, e)
+    return best
+
+
+def test_best_span_matches_reference_loop_with_ties():
+    rng = substream(0, "best-span-ties")
+    for max_len in (1, 4, MAX_ANSWER_LEN):
+        for n in range(1, 2 * MAX_ANSWER_LEN + 1):
+            # small integer logits: many spans share the maximum score
+            start = rng.integers(-2, 3, size=n).astype(np.float64)
+            end = rng.integers(-2, 3, size=n).astype(np.float64)
+            got = _best_span(start, end, max_len)
+            want = _best_span_loop(start, end, max_len)
+            assert (float(got[0]), int(got[1]), int(got[2])) == (float(want[0]), want[1], want[2])
 
 
 def test_qa_predict_shapes(task_setup):
@@ -373,6 +399,31 @@ def test_finetune_qa_runs_and_keeps_best(task_setup):
     model = finetune_qa(model, insts, insts, FinetuneConfig(lr=1e-3, epochs=2, batch_size=2))
     pred = qa_predict(model, insts[0])
     assert isinstance(pred["text"], str)
+
+
+def test_qa_loss_skips_late_answer_before_encoding(task_setup, monkeypatch):
+    cfg, params, wv, ev = task_setup
+    model = make_qa_model(cfg, params, wv, ev)
+    q = ["what", "?"]
+    # 40-token context, 30-token first window: the gold span lies past it
+    late = QAInstance(qid="late", question_tokens=q, context_tokens=("a b c d e " * 8).split(),
+                      answers=["e"], gold_spans=[(39, 40)]).validate()
+    usable = QAInstance(qid="ok", question_tokens=q, context_tokens="the capital is tokyo".split(),
+                        answers=["tokyo"], gold_spans=[(3, 4)]).validate()
+    calls = []
+    real = heads_mod.encode_batch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(heads_mod, "encode_batch", counting)
+    both = _qa_batch_loss(model, [late, usable])
+    assert len(calls) == 1
+    assert both.data == _qa_batch_loss(model, [usable]).data
+    with pytest.raises(ContractError):
+        _qa_batch_loss(model, [late])
+    assert len(calls) == 2
 
 
 def test_finetune_ner_runs(task_setup):
