@@ -180,90 +180,59 @@ def _load_model_parts(args):
 
 
 def cmd_finetune(args):
-    ckpt, word_vocab, entity_vocab = _load_model_parts(args)
-    cfg = heads.FinetuneConfig(
-        lr=args.lr, epochs=args.epochs if args.epochs else (2 if args.task == "qa" else 5),
-        batch_size=args.batch_size, seed=args.seed or 0,
-    )
-    os.makedirs(args.out, exist_ok=True)
-    dev = None
-    if args.task == "qa":
-        train_insts = heads.load_qa_data(args.train)
-        dev = heads.load_qa_data(args.dev) if args.dev else None
-        model = heads.make_qa_model(ckpt.encoder_config, ckpt.params, word_vocab, entity_vocab,
-                                    use_entities=args.variant == "entity", seed=cfg.seed)
-        model = heads.finetune_qa(model, train_insts, dev, cfg)
-        meta = {"task": "qa", "variant": model.variant}
-    elif args.task == "re":
-        train_insts = heads.load_re_data(args.train)
-        dev = heads.load_re_data(args.dev) if args.dev else None
-        labels = sorted({i.label for i in train_insts})
-        variant = "entity-mask" if args.variant == "entity" else "word-markers"
-        model = heads.make_re_model(ckpt.encoder_config, ckpt.params, word_vocab, entity_vocab,
-                                    labels, variant=variant, seed=cfg.seed)
-        model = heads.finetune_re(model, train_insts, dev, cfg)
-        meta = {"task": "re", "variant": model.variant, "labels": model.labels}
-    elif args.task == "ner":
-        train_insts = heads.load_ner_data(args.train)
-        dev = heads.load_ner_data(args.dev) if args.dev else None
-        types = sorted({t for i in train_insts for _, _, t in i.gold_spans})
-        variant = "entity-mask" if args.variant == "entity" else "word-endpoints"
-        model = heads.make_ner_model(ckpt.encoder_config, ckpt.params, word_vocab, entity_vocab,
-                                     types, variant=variant, max_span_len=args.max_span_len, seed=cfg.seed)
-        model = heads.finetune_ner(model, train_insts, dev, cfg)
-        meta = {"task": "ner", "variant": model.variant, "labels": model.labels,
-                "max_span_len": args.max_span_len}
-    else:
+    if args.task not in heads.TASK_LOADERS:
         raise ConfigError(f"unknown task {args.task!r}")
+    ckpt, word_vocab, entity_vocab = _load_model_parts(args)
+    load = heads.TASK_LOADERS[args.task]
+    train_insts = load(args.train)
+    dev = load(args.dev) if args.dev else None
+    cfg = heads.FinetuneConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch_size,
+                               seed=args.seed or 0)
+    parts = (ckpt.encoder_config, ckpt.params, word_vocab, entity_vocab)
+    entity = args.variant == "entity"
+    if args.task == "qa":
+        model = heads.make_qa_model(*parts, use_entities=entity, seed=cfg.seed)
+    elif args.task == "re":
+        model = heads.make_re_model(*parts, sorted({i.label for i in train_insts}),
+                                    variant="entity-mask" if entity else "word-markers", seed=cfg.seed)
+    else:
+        model = heads.make_ner_model(*parts, sorted({t for i in train_insts for _, _, t in i.gold_spans}),
+                                     variant="entity-mask" if entity else "word-endpoints",
+                                     max_span_len=args.max_span_len, seed=cfg.seed)
+    skipped = len(train_insts) - len(heads.usable_examples(model, train_insts))
+    model = heads.finetune(model, train_insts, dev, cfg)
 
+    os.makedirs(args.out, exist_ok=True)
     model.word_vocab.save(os.path.join(args.out, "word_vocab.txt"))
     out_ckpt = os.path.join(args.out, "checkpoint-finetuned.bin")
+    meta = {"task": model.task, "variant": model.variant, "labels": model.labels,
+            "max_span_len": model.max_span_len, "skipped_examples": skipped}
     pretrain.save_checkpoint(out_ckpt, model.encoder_config, model.params, step=0, meta=meta)
     write_manifest(os.path.join(args.out, "manifest.json"), "finetune", vars(args),
                    seed=cfg.seed, input_paths=[args.checkpoint, args.train, args.dev or "",
                                                args.word_vocab, args.entity_vocab])
-    print(f"finetuned {args.task} ({meta['variant']}) -> {out_ckpt}")
+    print(f"finetuned {args.task} ({model.variant}) on {len(train_insts) - skipped} examples, "
+          f"skipped {skipped} unusable -> {out_ckpt}")
     return EXIT_OK
 
 
 def _task_model_from_checkpoint(ckpt, word_vocab, entity_vocab):
     meta = ckpt.meta
-    if "task" not in meta:
+    if meta.get("task") not in heads.TASK_LOADERS:
         raise ConfigError("checkpoint holds no task head; finetune it before eval")
-    model = heads.TaskModel(
-        encoder_config=ckpt.encoder_config, params=ckpt.params,
-        word_vocab=word_vocab, entity_vocab=entity_vocab,
-        labels=meta.get("labels"), variant=meta["variant"],
+    return heads.TaskModel(
+        task=meta["task"], encoder_config=ckpt.encoder_config, params=ckpt.params,
+        word_vocab=word_vocab, entity_vocab=entity_vocab, labels=meta.get("labels"),
+        variant=meta["variant"], max_span_len=meta.get("max_span_len", heads.NER_MAX_SPAN_LEN),
     )
-    if meta["task"] == "ner":
-        model.max_span_len = meta.get("max_span_len", heads.NER_MAX_SPAN_LEN)
-    return model
 
 
 def cmd_eval(args):
     ckpt, word_vocab, entity_vocab = _load_model_parts(args)
     model = _task_model_from_checkpoint(ckpt, word_vocab, entity_vocab)
-    task = ckpt.meta["task"]
-    if args.task and args.task != task:
-        raise ConfigError(f"checkpoint holds a {task} head, not {args.task}")
-    if task == "qa":
-        insts = heads.load_qa_data(args.data)
-        preds = {i.qid: heads.qa_predict(model, i)["text"] for i in insts}
-        golds = {i.qid: (i.q_lang, i.c_lang, i.answers) for i in insts}
-        report = heads.qa_metrics(preds, golds)
-    elif task == "re":
-        insts = heads.load_re_data(args.data)
-        preds = [heads.re_classify(model, i) for i in insts]
-        golds = [i.label for i in insts]
-        report = {
-            "macro_f1": heads.re_macro_f1(golds, preds, model.labels),
-            "accuracy": sum(g == p for g, p in zip(golds, preds)) / len(golds),
-            "n": len(golds),
-        }
-    else:
-        insts = heads.load_ner_data(args.data)
-        preds = [heads.ner_predict(model, i) for i in insts]
-        report = {"span_f1": heads.ner_span_f1([i.gold_spans for i in insts], preds), "n": len(insts)}
+    if args.task and args.task != model.task:
+        raise ConfigError(f"checkpoint holds a {model.task} head, not {args.task}")
+    report = heads.evaluate(model, heads.TASK_LOADERS[model.task](args.data))
     _write_json(args.out, report)
     write_manifest(_file_manifest_path(args.out), "eval", vars(args), seed=None,
                    input_paths=[args.checkpoint, args.data, args.word_vocab, args.entity_vocab])

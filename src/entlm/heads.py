@@ -8,6 +8,7 @@ per candidate span for NER) and classify the contextualized entity vectors.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections import Counter, defaultdict
@@ -28,7 +29,8 @@ NER_NON_ENTITY = "O"
 RE_HEAD_MARKER = "<ent>"
 RE_TAIL_MARKER = "<ent2>"
 
-DEFAULT_NER_CHUNK = 64
+# entity-mask NER: candidate spans per batch row of the sentence's one encoder pass
+NER_SPANS_PER_ROW = 64
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +82,8 @@ class NERInstance:
 
     def validate(self):
         n = len(self.tokens)
+        if not n:
+            raise ContractError("empty sentence")
         for s, e, _t in self.gold_spans:
             if not (0 <= s < e <= n):
                 raise ContractError(f"span ({s}, {e}) outside sentence of {n} tokens")
@@ -233,12 +237,14 @@ def load_ner_data(path):
 class TaskModel:
     """Encoder weights plus one task head."""
 
+    task: str  # "qa", "re" or "ner"
     encoder_config: EncoderConfig
     params: dict  # encoder parameters + task head parameters
     word_vocab: object
     entity_vocab: object
     labels: list | None = None  # RE/NER label set
     variant: str = "word"  # task-specific variant tag
+    max_span_len: int = NER_MAX_SPAN_LEN  # NER candidate span cap
 
 
 def _linear_head(rng, in_dim, out_dim, prefix):
@@ -256,7 +262,7 @@ def make_qa_model(encoder_config, params, word_vocab, entity_vocab, use_entities
     rng = substream(seed, "qa-head")
     p = dict(params)
     p.update(_linear_head(rng, encoder_config.hidden_size, 2, "qa_head"))
-    return TaskModel(encoder_config=encoder_config, params=p, word_vocab=word_vocab,
+    return TaskModel(task="qa", encoder_config=encoder_config, params=p, word_vocab=word_vocab,
                      entity_vocab=entity_vocab, variant="entity" if use_entities else "word")
 
 
@@ -279,11 +285,15 @@ def _qa_sequence(model: TaskModel, inst: QAInstance, ctx_lo, ctx_hi, use_entitie
                            entity_positions=entity_positions), off
 
 
-def _qa_logits(model: TaskModel, seq: EncodedSequence):
-    out = encode_batch(model.params, model.encoder_config, pack_batch([seq]))
-    wv = out.word_tensor
-    logits = T.matmul(wv, model.params["qa_head.w"]) + model.params["qa_head.b"]
-    return logits, out
+def _qa_logits(model: TaskModel, seqs):
+    """(B, M, 2) start/end logits over the word rows of one batched pass."""
+    out = encode_batch(model.params, model.encoder_config, pack_batch(seqs))
+    return T.matmul(out.word_tensor, model.params["qa_head.w"]) + model.params["qa_head.b"]
+
+
+def _first_window_end(model: TaskModel, inst: QAInstance):
+    """End of the first context window, the only one the QA loss reads."""
+    return min(len(inst.context_tokens), model.encoder_config.max_positions - len(inst.question_tokens))
 
 
 def _best_span(start_logits, end_logits, max_len=MAX_ANSWER_LEN):
@@ -315,18 +325,14 @@ def qa_predict(model: TaskModel, inst: QAInstance, use_entities=None):
     if windows[-1] + win < n_ctx:
         windows.append(n_ctx - win)
 
+    bounds = [(lo, min(lo + win, n_ctx)) for lo in windows]
+    logits = _qa_logits(model, [_qa_sequence(model, inst, lo, hi, use_entities)[0]
+                                for lo, hi in bounds]).data  # (windows, M, 2)
     best = None
-    for lo in windows:
-        hi = min(lo + win, n_ctx)
-        seq, off = _qa_sequence(model, inst, lo, hi, use_entities)
-        logits, _ = _qa_logits(model, seq)
-        data = logits.data[0]  # (m, 2)
-        s_log = data[off : off + (hi - lo), 0]
-        e_log = data[off : off + (hi - lo), 1]
-        score, s, e = _best_span(s_log, e_log)
-        cand = (score, lo + s, lo + e)
-        if best is None or cand[0] > best[0]:
-            best = cand
+    for (lo, hi), data in zip(bounds, logits):
+        score, s, e = _best_span(data[q_len : q_len + hi - lo, 0], data[q_len : q_len + hi - lo, 1])
+        if best is None or score > best[0]:
+            best = (score, lo + s, lo + e)
     score, s, e = best
     return {"span": (s, e + 1), "text": " ".join(inst.context_tokens[s : e + 1]), "score": float(score)}
 
@@ -381,9 +387,9 @@ def qa_metrics(predictions, golds):
 def make_re_model(encoder_config, params, word_vocab, entity_vocab, labels, variant="word-markers", seed=0):
     """RE classifier over concatenated head/tail features.
 
-    word-markers: adds <ent>/<ent2> rows to the word embedding (random
-    init).  entity-mask: [HEAD]/[TAIL] entity rows are reset to a bit-exact
-    copy of the entity-[MASK] row.
+    word-markers: adds <ent>/<ent2> to a copy of the word vocab and rows for
+    them to the word embedding (random init).  entity-mask: [HEAD]/[TAIL]
+    entity rows are reset to a bit-exact copy of the entity-[MASK] row.
     """
     if variant not in ("word-markers", "entity-mask"):
         raise ContractError(f"unknown RE variant {variant!r}")
@@ -391,6 +397,7 @@ def make_re_model(encoder_config, params, word_vocab, entity_vocab, labels, vari
     p = dict(params)
     cfg = encoder_config
     if variant == "word-markers":
+        word_vocab = copy.deepcopy(word_vocab)
         for marker in (RE_HEAD_MARKER, RE_TAIL_MARKER):
             mid = word_vocab.add(marker)
             if mid >= p["word_emb"].shape[0]:
@@ -403,7 +410,7 @@ def make_re_model(encoder_config, params, word_vocab, entity_vocab, labels, vari
         emb[entity_vocab.tail_id] = emb[entity_vocab.mask_id]
         p["entity_emb"] = T.parameter(emb, name="entity_emb")
     p.update(_linear_head(rng, 2 * cfg.hidden_size, len(labels), "re_head"))
-    return TaskModel(encoder_config=cfg, params=p, word_vocab=word_vocab,
+    return TaskModel(task="re", encoder_config=cfg, params=p, word_vocab=word_vocab,
                      entity_vocab=entity_vocab, labels=list(labels), variant=variant)
 
 
@@ -500,51 +507,41 @@ def make_ner_model(encoder_config, params, word_vocab, entity_vocab, types,
     in_dim = (2 if variant == "word-endpoints" else 1) * encoder_config.hidden_size
     labels = [NER_NON_ENTITY] + sorted(t for t in types if t != NER_NON_ENTITY)
     p.update(_linear_head(rng, in_dim, len(labels), "ner_head"))
-    model = TaskModel(encoder_config=encoder_config, params=p, word_vocab=word_vocab,
-                      entity_vocab=entity_vocab, labels=labels, variant=variant)
-    model.max_span_len = max_span_len
-    return model
+    return TaskModel(task="ner", encoder_config=encoder_config, params=p, word_vocab=word_vocab,
+                     entity_vocab=entity_vocab, labels=labels, variant=variant, max_span_len=max_span_len)
 
 
-def ner_span_logits(model: TaskModel, inst: NERInstance, chunk_size=DEFAULT_NER_CHUNK):
-    """Logit tensors over all candidate spans, chunked for the entity variant.
+def ner_span_logits(model: TaskModel, inst: NERInstance):
+    """(spans, (len(spans), labels) logits) over all candidate spans, from one encoder pass.
 
-    Returns (spans, list of logits tensors aligned with chunks of spans).
+    word-endpoints reads each span's first and last word vectors.
+    entity-mask gives each span an entity-[MASK] token over its words,
+    NER_SPANS_PER_ROW of them per batch row, and reads their vectors.
     """
     inst.validate()
     spans = enumerate_spans(len(inst.tokens), model.max_span_len)
     word_ids = model.word_vocab.encode(inst.tokens)
-    chunks = []
     if model.variant == "word-endpoints":
         seq = EncodedSequence(word_ids=word_ids)
-        out = encode_batch(model.params, model.encoder_config, pack_batch([seq]))
-        wv = out.word_tensor
+        wv = encode_batch(model.params, model.encoder_config, pack_batch([seq])).word_tensor
+        rows = np.zeros(len(spans), dtype=np.int64)
         starts = np.array([s for s, _ in spans])
         ends = np.array([e - 1 for _, e in spans])
-        zeros = np.zeros(len(spans), dtype=np.int64)
-        f = T.concat([T.getitem(wv, (zeros, starts)), T.getitem(wv, (zeros, ends))], axis=1)
-        chunks.append(T.matmul(f, model.params["ner_head.w"]) + model.params["ner_head.b"])
+        f = T.concat([T.getitem(wv, (rows, starts)), T.getitem(wv, (rows, ends))], axis=1)
     else:
-        mask_id = model.entity_vocab.mask_id
-        for lo in range(0, len(spans), chunk_size):
-            part = spans[lo : lo + chunk_size]
-            seq = EncodedSequence(
-                word_ids=word_ids,
-                entity_ids=[mask_id] * len(part),
-                entity_positions=[list(range(s, e)) for s, e in part],
-            )
-            out = encode_batch(model.params, model.encoder_config, pack_batch([seq]))
-            ev = out.entity_tensor
-            idx = np.arange(len(part))
-            f = T.getitem(ev, (np.zeros(len(part), dtype=np.int64), idx))
-            chunks.append(T.matmul(f, model.params["ner_head.w"]) + model.params["ner_head.b"])
-    return spans, chunks
+        rows = [spans[lo : lo + NER_SPANS_PER_ROW] for lo in range(0, len(spans), NER_SPANS_PER_ROW)]
+        seqs = [EncodedSequence(word_ids=word_ids, entity_ids=[model.entity_vocab.mask_id] * len(part),
+                                entity_positions=[list(range(s, e)) for s, e in part]) for part in rows]
+        out = encode_batch(model.params, model.encoder_config, pack_batch(seqs))
+        idx = np.arange(len(spans))
+        f = T.getitem(out.entity_tensor, (idx // NER_SPANS_PER_ROW, idx % NER_SPANS_PER_ROW))
+    return spans, T.matmul(f, model.params["ner_head.w"]) + model.params["ner_head.b"]
 
 
 def ner_predict(model: TaskModel, inst: NERInstance):
     """Greedy non-overlapping decode of the highest-scoring typed spans."""
-    spans, chunks = ner_span_logits(model, inst)
-    logits = np.concatenate([c.data for c in chunks], axis=0)
+    spans, logits = ner_span_logits(model, inst)
+    logits = logits.data
     preds = np.argmax(logits, axis=1)
     scored = [
         (logits[i, preds[i]], spans[i], model.labels[preds[i]])
@@ -572,13 +569,48 @@ def ner_span_f1(golds, preds):
 
 
 # ---------------------------------------------------------------------------
-# fine-tuning
+# evaluation and fine-tuning
+
+
+TASK_LOADERS = {"qa": load_qa_data, "re": load_re_data, "ner": load_ner_data}
+
+
+def evaluate(model: TaskModel, insts):
+    """The task's report over labelled examples, as `entlm eval` writes it.
+
+    QA: `qa_metrics` of the `qa_predict` answers.  RE: macro F1 and accuracy
+    of `re_classify`.  NER: micro span F1 of `ner_predict`.
+    """
+    if not insts:
+        raise ContractError(f"empty {model.task} eval set")
+    if model.task == "qa":
+        preds = {i.qid: qa_predict(model, i)["text"] for i in insts}
+        return qa_metrics(preds, {i.qid: (i.q_lang, i.c_lang, i.answers) for i in insts})
+    if model.task == "re":
+        preds = [re_classify(model, i) for i in insts]
+        golds = [i.label for i in insts]
+        return {"macro_f1": re_macro_f1(golds, preds, model.labels),
+                "accuracy": sum(g == p for g, p in zip(golds, preds)) / len(golds), "n": len(golds)}
+    preds = [ner_predict(model, i) for i in insts]
+    return {"span_f1": ner_span_f1([i.gold_spans for i in insts], preds), "n": len(insts)}
+
+
+def _dev_score(task, report):
+    """Dev selection score: QA F1 averaged over language pairs, RE macro F1, NER span F1."""
+    if task == "qa":
+        f1s = [v["f1"] for v in report["pairs"].values()]
+        return sum(f1s) / len(f1s)
+    return report["macro_f1" if task == "re" else "span_f1"]
+
+
+# fine-tuning epochs when FinetuneConfig.epochs is unset
+DEFAULT_EPOCHS = {"qa": 2, "re": 5, "ner": 5}
 
 
 @dataclass
 class FinetuneConfig:
     lr: float = 2e-5
-    epochs: int = 5  # QA default is 2; RE/NER 5
+    epochs: int | None = None  # None: the task's DEFAULT_EPOCHS
     batch_size: int = 8
     warmup_frac: float = 0.06
     weight_decay: float = 0.01
@@ -593,107 +625,88 @@ def finetune_lr_at(step, total_steps, cfg: FinetuneConfig):
     return warmup_linear_decay(step, total_steps, math.ceil(cfg.warmup_frac * total_steps), cfg.lr)
 
 
-def _finetune_loop(model, insts, batch_loss_fn, cfg: FinetuneConfig, eval_fn=None):
-    """Shared AdamW + schedule loop; keeps the best dev score's parameters."""
-    rng = substream(cfg.seed, "finetune")
-    optimizer = AdamW(model.params, beta1=cfg.beta1, beta2=cfg.beta2,
-                      eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
-    steps_per_epoch = math.ceil(len(insts) / cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
-    step = 0
-    best = None
-    for _epoch in range(cfg.epochs):
-        order = rng.permutation(len(insts))
-        for lo in range(0, len(insts), cfg.batch_size):
-            batch = [insts[i] for i in order[lo : lo + cfg.batch_size]]
-            loss = batch_loss_fn(model, batch)
-            T.zero_grads(model.params)
-            T.backward(loss)
-            optimizer.step(finetune_lr_at(step, total_steps, cfg))
-            step += 1
-        if eval_fn is not None:
-            score = eval_fn(model)
-            if best is None or score >= best[0]:
-                best = (score, {n: p.data.copy() for n, p in model.params.items()})
-    if best is not None:
-        for n, p in model.params.items():
-            p.data = best[1][n]
-    return model
-
-
 def _re_batch_loss(model, batch):
     logits = re_logits(model, batch)
     labels = np.array([model.labels.index(inst.label) for inst in batch])
     return T.cross_entropy_logits(logits, labels)
 
 
-def finetune_re(model: TaskModel, train_insts, dev_insts=None, cfg: FinetuneConfig | None = None):
-    cfg = cfg or FinetuneConfig(epochs=5)
-    eval_fn = None
-    if dev_insts:
-        def eval_fn(m):
-            preds = [re_classify(m, i) for i in dev_insts]
-            return re_macro_f1([i.label for i in dev_insts], preds, m.labels)
-    return _finetune_loop(model, train_insts, _re_batch_loss, cfg, eval_fn)
-
-
 def _ner_batch_loss(model, batch):
+    """Mean over sentences of each sentence's mean cross-entropy over all its candidate spans."""
     losses = []
     for inst in batch:
-        spans, chunks = ner_span_logits(model, inst)
+        spans, logits = ner_span_logits(model, inst)
         gold = {(s, e): t for s, e, t in inst.gold_spans}
         labels = np.array([model.labels.index(gold.get(sp, NER_NON_ENTITY)) for sp in spans])
-        lo = 0
-        for c in chunks:
-            k = c.shape[0]
-            losses.append(T.cross_entropy_logits(c, labels[lo : lo + k]))
-            lo += k
+        losses.append(T.cross_entropy_logits(logits, labels))
     return T.scale(sum(losses[1:], losses[0]), 1.0 / len(losses))
-
-
-def finetune_ner(model: TaskModel, train_insts, dev_insts=None, cfg: FinetuneConfig | None = None):
-    cfg = cfg or FinetuneConfig(epochs=5)
-    eval_fn = None
-    if dev_insts:
-        def eval_fn(m):
-            preds = [ner_predict(m, i) for i in dev_insts]
-            return ner_span_f1([i.gold_spans for i in dev_insts], preds)
-    return _finetune_loop(model, train_insts, _ner_batch_loss, cfg, eval_fn)
 
 
 def _qa_batch_loss(model, batch):
-    losses = []
-    use_entities = model.variant == "entity"
-    for inst in batch:
-        if not inst.gold_spans:
-            continue
-        max_pos = model.encoder_config.max_positions
-        hi = min(len(inst.context_tokens), max_pos - len(inst.question_tokens))
-        gs, ge = inst.gold_spans[0]
-        if ge > hi:  # answer past the first window: skipped before the forward pass
-            continue
-        seq, off = _qa_sequence(model, inst, 0, hi, use_entities)
-        logits, _ = _qa_logits(model, seq)
-        m = len(seq.word_ids)
-        valid = np.full((1, m), NEG_INF)
-        valid[0, off : off + hi] = 0.0
-        start_row = T.reshape(logits[:, :, 0], (1, m)) + T.constant(valid)
-        end_row = T.reshape(logits[:, :, 1], (1, m)) + T.constant(valid)
-        losses.append(T.cross_entropy_logits(start_row, np.array([off + gs])))
-        losses.append(T.cross_entropy_logits(end_row, np.array([off + ge - 1])))
-    if not losses:
+    """Mean of the start and the end cross-entropy over the first windows of
+    the batch's usable examples, encoded in one pass."""
+    batch = usable_examples(model, batch)
+    if not batch:
         raise ContractError("QA batch without any usable gold span")
-    return T.scale(sum(losses[1:], losses[0]), 1.0 / len(losses))
+    ends = [_first_window_end(model, inst) for inst in batch]
+    built = [_qa_sequence(model, inst, 0, hi, model.variant == "entity") for inst, hi in zip(batch, ends)]
+    logits = _qa_logits(model, [seq for seq, _ in built])
+    valid = np.full(logits.shape[:2], NEG_INF)
+    for b, ((_, off), hi) in enumerate(zip(built, ends)):
+        valid[b, off : off + hi] = 0.0
+    gold = np.array([(off + inst.gold_spans[0][0], off + inst.gold_spans[0][1] - 1)
+                     for inst, (_, off) in zip(batch, built)])
+    start = T.cross_entropy_logits(logits[:, :, 0] + T.constant(valid), gold[:, 0])
+    end = T.cross_entropy_logits(logits[:, :, 1] + T.constant(valid), gold[:, 1])
+    return T.scale(start + end, 0.5)
 
 
-def finetune_qa(model: TaskModel, train_insts, dev_insts=None, cfg: FinetuneConfig | None = None):
-    cfg = cfg or FinetuneConfig(epochs=2)
-    eval_fn = None
-    if dev_insts:
-        def eval_fn(m):
-            preds = {i.qid: qa_predict(m, i)["text"] for i in dev_insts}
-            golds = {i.qid: (i.q_lang, i.c_lang, i.answers) for i in dev_insts}
-            rep = qa_metrics(preds, golds)
-            vals = [v["f1"] for v in rep["pairs"].values()]
-            return sum(vals) / len(vals)
-    return _finetune_loop(model, train_insts, _qa_batch_loss, cfg, eval_fn)
+_BATCH_LOSS = {"qa": _qa_batch_loss, "re": _re_batch_loss, "ner": _ner_batch_loss}
+
+
+def usable_examples(model: TaskModel, insts):
+    """The training examples the task's loss reads.  A QA example needs its
+    first gold span inside the first context window; RE and NER use all."""
+    if model.task != "qa":
+        return list(insts)
+    return [i for i in insts if i.gold_spans and i.gold_spans[0][1] <= _first_window_end(model, i)]
+
+
+def finetune(model: TaskModel, train_insts, dev_insts=None, cfg: FinetuneConfig | None = None):
+    """AdamW over every parameter on the warmup/decay schedule; returns the model.
+
+    The model first gets parameter Tensors of its own, so the ones it was
+    built from keep their values.  Unusable training examples
+    (`usable_examples`) are dropped once, before batching.  With dev
+    examples, the parameters of the epoch with the best `evaluate` score
+    are kept (a later epoch wins a tie).
+    """
+    cfg = cfg or FinetuneConfig()
+    insts = usable_examples(model, train_insts)
+    if not insts:
+        raise ContractError(f"no usable {model.task} training examples")
+    epochs = cfg.epochs or DEFAULT_EPOCHS[model.task]
+    model.params = {n: T.Tensor(p.data, requires_grad=p.requires_grad, name=n)
+                    for n, p in model.params.items()}
+    rng = substream(cfg.seed, "finetune")
+    optimizer = AdamW(model.params, beta1=cfg.beta1, beta2=cfg.beta2,
+                      eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
+    total_steps = epochs * math.ceil(len(insts) / cfg.batch_size)
+    step = 0
+    best = None
+    for _epoch in range(epochs):
+        order = rng.permutation(len(insts))
+        for lo in range(0, len(insts), cfg.batch_size):
+            loss = _BATCH_LOSS[model.task](model, [insts[i] for i in order[lo : lo + cfg.batch_size]])
+            T.zero_grads(model.params)
+            T.backward(loss)
+            optimizer.step(finetune_lr_at(step, total_steps, cfg))
+            step += 1
+        if dev_insts:
+            score = _dev_score(model.task, evaluate(model, dev_insts))
+            if best is None or score >= best[0]:
+                best = (score, {n: p.data.copy() for n, p in model.params.items()})
+    if best is not None:
+        for n, p in model.params.items():
+            p.data = best[1][n]
+    return model

@@ -35,7 +35,7 @@ from entlm.heads import (
     NERInstance,
     REInstance,
     enumerate_spans,
-    finetune_re,
+    finetune,
     make_ner_model,
     make_re_model,
     ner_predict,
@@ -348,7 +348,7 @@ def test_criterion_08_re_entity_variant():
                                 tail_span=(3, 4), label="employer"))
         insts.append(REInstance(tokens="a born in b".split(), head_span=(0, 1),
                                 tail_span=(3, 4), label="birthplace"))
-    model = finetune_re(model, insts, dev_insts=insts,
+    model = finetune(model, insts, dev_insts=insts,
                         cfg=FinetuneConfig(lr=1e-2, epochs=5, batch_size=4, seed=1))
     acc = sum(re_classify(model, i) == i.label for i in insts) / len(insts)
     assert acc == 1.0

@@ -186,6 +186,19 @@ def test_feature_dump_re_variants(task_model, tmp_path):
         feature_dump(model, [], "nope")
 
 
+def test_re_word_dump_leaves_the_model_vocab_alone(task_model):
+    model, seq_item = task_model
+    from entlm.heads import REInstance
+    n_words = len(model.word_vocab)
+    inst = REInstance(tokens=["a", "b", "c", "d"], head_span=(0, 1), tail_span=(2, 3), label="r")
+    feature_dump(model, [("u", "en", inst)], "re-word")
+    assert len(model.word_vocab) == n_words == model.encoder_config.word_vocab_size
+    # "<ent>" now encodes to [UNK], inside the encoder's vocab, instead of raising VocabError
+    item = {"word_ids": model.word_vocab.encode(["a", "<ent>", "b"]), "span": (0, 2)}
+    (record,) = feature_dump(model, [("v", "en", item)], "span-mean")
+    assert np.all(np.isfinite(record.vector))
+
+
 def _dump_items(model, spec, n):
     """n items of varied length; span-mean items alternate with and without entities."""
     from entlm.heads import REInstance

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from entlm.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
-from entlm.corpus import save_corpus
+from entlm.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, _task_model_from_checkpoint, main
+from entlm.corpus import WordVocab, save_corpus
 from entlm.heads import REInstance, save_re_data
+from entlm.pretrain import load_checkpoint
 from entlm.synth import make_bilingual_corpus
+from entlm.vocab import EntityVocab
 
 CONFIG_TEXT = """
 [model]
@@ -319,3 +321,120 @@ def test_corrupt_checkpoint_exits_1(workspace, pretrained):
                               + good[payload_start:])
         rc = main(["inspect-checkpoint", "--checkpoint", bad])
         assert rc == EXIT_FAILURE, bad_header
+
+
+# ---------------------------------------------------------------------------
+# finetune / eval round trips for every task and variant
+
+
+def _sentence(j):
+    k, i = j % 5, j % 6
+    return [f"t{k}a_en", f"ent{i}_en", f"t{k}b_en", f"t{k}c_en", "."], k, i
+
+
+def _qa_record(ev, ids, ask, qid):
+    """A question on sentence ids[ask] of a context joining the sentences ids."""
+    context, ents, answer = [], [], None
+    for n, j in enumerate(ids):
+        toks, k, i = _sentence(j)
+        ents.append([len(context) + 1, len(context) + 2, ev.resolve("en", f"Ent{i}_en")])
+        if n == ask:
+            question = [toks[0], toks[2], "?"]
+            answer = {"text": toks[1], "answer_start": len(" ".join(context + toks[:1])) + 1}
+        context.extend(toks)
+    return {"id": qid, "question": " ".join(question), "context": " ".join(context),
+            "answers": [answer], "lang": "en", "context_entities": ents}
+
+
+@pytest.fixture(scope="module")
+def task_files(workspace):
+    ev = EntityVocab.load(workspace["vocab"])
+    ws = workspace["ws"]
+    ner_train = ws / "ner_train.txt"
+    with open(ner_train, "w") as f:
+        for j in range(12):
+            toks, _k, i = _sentence(j)
+            for t, tok in enumerate(toks):
+                f.write(f"{tok} {('B-PER' if i % 2 else 'B-LOC') if t == 1 else 'O'}\n")
+            f.write("\n")
+    # every train answer lies in the first window (16 positions, 3-word questions)
+    train = [_qa_record(ev, [j, j + 1], j % 2, f"q{j}") for j in range(6)]
+    # two 20-word contexts take two windows each
+    long = [_qa_record(ev, [j, j + 1, j + 2, j + 3], 3 - j, f"long{j}") for j in range(2)]
+    qa_train, qa_eval = ws / "qa_train.json", ws / "qa_eval.json"
+    for path, records in ((qa_train, train), (qa_eval, train + long)):
+        paragraphs = [{"context": r["context"], "qas": [r]} for r in records]
+        path.write_text(json.dumps({"data": [{"paragraphs": paragraphs}]}))
+    return {"ner": (str(ner_train), str(ner_train)), "qa": (str(qa_train), str(qa_eval))}
+
+
+TRAIN_OPTIONS = {"qa": ["--epochs", "3", "--lr", "0.01"], "ner": ["--epochs", "10", "--lr", "0.03"]}
+
+
+def _finetune_then_eval(workspace, pretrained, task, train, data, name, extra=()):
+    out = str(workspace["ws"] / f"ft-{name}")
+    rc = main(["finetune", task,
+               "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
+               "--train", train, "--dev", train, "--out", out,
+               "--word-vocab", os.path.join(pretrained, "word_vocab.txt"),
+               "--entity-vocab", workspace["vocab"], "--batch-size", "2", *TRAIN_OPTIONS[task], *extra])
+    assert rc == EXIT_OK
+    report = str(workspace["ws"] / f"eval-{name}.json")
+    rc = main(["eval", task,
+               "--checkpoint", os.path.join(out, "checkpoint-finetuned.bin"),
+               "--data", data, "--out", report,
+               "--word-vocab", os.path.join(out, "word_vocab.txt"),
+               "--entity-vocab", workspace["vocab"]])
+    assert rc == EXIT_OK
+    return out, json.loads(Path(report).read_text())
+
+
+# reports of this fixture, recorded before fine-tuning and eval shared one code path
+QA_REPORT = {"pairs": {"en|en": {"em": 0.75, "f1": 0.75, "n": 8}}, "xlt_f1": 0.75}
+PINNED_REPORTS = {
+    ("qa", "word"): QA_REPORT,
+    ("qa", "entity"): QA_REPORT,
+    ("ner", "word"): {"n": 12, "span_f1": 1.0},
+    ("ner", "entity"): {"n": 12, "span_f1": 0.5},
+    ("ner", "len2"): {"n": 12, "span_f1": 1.0},
+}
+
+
+@pytest.mark.parametrize("task,variant", [("qa", "word"), ("qa", "entity"),
+                                          ("ner", "word"), ("ner", "entity")])
+def test_finetune_eval_round_trip(workspace, pretrained, task_files, task, variant):
+    train, data = task_files[task]
+    out, report = _finetune_then_eval(workspace, pretrained, task, train, data, f"{task}-{variant}",
+                                      ["--variant", variant])
+    meta = load_checkpoint(os.path.join(out, "checkpoint-finetuned.bin")).meta
+    assert meta["task"] == task
+    assert report == PINNED_REPORTS[task, variant]
+
+
+def test_ner_max_span_len_survives_checkpoint(workspace, pretrained, task_files):
+    train, data = task_files["ner"]
+    out, report = _finetune_then_eval(workspace, pretrained, "ner", train, data, "ner-len2",
+                                      ["--max-span-len", "2"])
+    ckpt = load_checkpoint(os.path.join(out, "checkpoint-finetuned.bin"))
+    assert ckpt.meta["max_span_len"] == 2
+    model = _task_model_from_checkpoint(ckpt, WordVocab.load(os.path.join(out, "word_vocab.txt")),
+                                        EntityVocab.load(workspace["vocab"]))
+    assert model.max_span_len == 2
+    assert report == PINNED_REPORTS["ner", "len2"]
+
+
+def test_finetune_qa_counts_skipped_examples(workspace, pretrained, task_files, capsys):
+    ev = EntityVocab.load(workspace["vocab"])
+    records = [_qa_record(ev, [j, j + 1], 0, f"q{j}") for j in range(3)]
+    records.append(_qa_record(ev, [3, 4, 5, 6], 3, "late"))  # answer at word 16, past the first window
+    train = workspace["ws"] / "qa_late.json"
+    train.write_text(json.dumps({"data": [{"paragraphs": [{"context": r["context"], "qas": [r]}
+                                                          for r in records]}]}))
+    out = str(workspace["ws"] / "ft-qa-late")
+    rc = main(["finetune", "qa", "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
+               "--train", str(train), "--out", out, "--batch-size", "1",
+               "--word-vocab", os.path.join(pretrained, "word_vocab.txt"),
+               "--entity-vocab", workspace["vocab"]])
+    assert rc == EXIT_OK
+    assert "on 3 examples, skipped 1 unusable" in capsys.readouterr().out
+    assert load_checkpoint(os.path.join(out, "checkpoint-finetuned.bin")).meta["skipped_examples"] == 1

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entlm.corpus import WordVocab
-from entlm.encoder import EncoderConfig, init_params
+from entlm.encoder import EncodedSequence, EncoderConfig, encode_batch, init_params, pack_batch
 from entlm.errors import ContractError
 import entlm.heads as heads_mod
 from entlm.heads import (
@@ -19,12 +19,12 @@ from entlm.heads import (
     FinetuneConfig,
     _best_span,
     _qa_batch_loss,
+    _qa_logits,
+    _qa_sequence,
     bio_to_spans,
     enumerate_spans,
+    finetune,
     finetune_lr_at,
-    finetune_ner,
-    finetune_qa,
-    finetune_re,
     load_ner_data,
     load_qa_data,
     load_re_data,
@@ -32,6 +32,7 @@ from entlm.heads import (
     make_qa_model,
     make_re_model,
     ner_predict,
+    ner_span_logits,
     ner_span_f1,
     qa_metrics,
     qa_predict,
@@ -41,6 +42,7 @@ from entlm.heads import (
     span_candidate_count,
     spans_to_bio,
     token_f1,
+    usable_examples,
 )
 from entlm.seeding import substream
 from entlm.vocab import EntityEntry, EntityVocab, SPECIAL_ENTITIES
@@ -209,6 +211,29 @@ def test_qa_predict_entity_variant_runs(task_setup):
     assert "span" in pred
 
 
+@pytest.mark.parametrize("use_entities", [False, True])
+def test_qa_predict_matches_per_window_passes(task_setup, monkeypatch, use_entities):
+    cfg, params, wv, ev = task_setup
+    model = make_qa_model(cfg, params, wv, ev, use_entities=use_entities)
+    ctx = ("the capital of japan is tokyo a b c d " * 17).split()  # 170 tokens: windows at 0, 128, 140
+    japan = ev.resolve("en", "Japan")
+    inst = QAInstance(qid="w", question_tokens=["what", "?"], context_tokens=ctx, answers=["tokyo"],
+                      question_entities=[(0, 1, japan)],
+                      context_entities=[(s, s + 1, japan) for s in range(3, 170, 10)]).validate()
+    calls = _counting_encode(monkeypatch)
+    pred = qa_predict(model, inst)
+    assert len(calls) == 1
+    best = None
+    for lo in (0, 128, 140):
+        seq, off = _qa_sequence(model, inst, lo, lo + 30, use_entities)
+        data = _qa_logits(model, [seq]).data[0, off : off + 30]
+        score, s, e = _best_span(data[:, 0], data[:, 1])
+        if best is None or score > best[0]:
+            best = (score, lo + s, lo + e + 1)
+    assert pred["span"] == best[1:]
+    assert abs(pred["score"] - best[0]) <= 1e-10
+
+
 def test_qa_predict_rejects_empty_context(task_setup):
     cfg, params, wv, ev = task_setup
     model = make_qa_model(cfg, params, wv, ev)
@@ -253,12 +278,14 @@ def test_re_entity_variant_initializes_from_mask_row(task_setup):
 
 def test_re_word_variant_extends_vocab(task_setup):
     cfg, params, wv, ev = task_setup
-    wv2 = WordVocab(list(wv.token_to_id)[3:])  # fresh copy
-    model = make_re_model(cfg, params, wv2, ev, labels=["r"], variant="word-markers")
-    assert "<ent>" in wv2.token_to_id and "<ent2>" in wv2.token_to_id
-    assert model.encoder_config.word_vocab_size == len(wv2)
-    assert model.params["word_emb"].shape[0] == len(wv2)
+    tokens = list(wv.id_to_token)
+    model = make_re_model(cfg, params, wv, ev, labels=["r"], variant="word-markers")
+    assert "<ent>" in model.word_vocab.token_to_id and "<ent2>" in model.word_vocab.token_to_id
+    assert model.encoder_config.word_vocab_size == len(model.word_vocab)
+    assert model.params["word_emb"].shape[0] == len(model.word_vocab)
     assert model.params["word_emb"].shape[0] == params["word_emb"].shape[0] + 2
+    # the caller's vocab is left as it was
+    assert wv.id_to_token == tokens and "<ent>" not in wv.token_to_id
 
 
 @pytest.mark.parametrize("variant", ["word-markers", "entity-mask"])
@@ -296,7 +323,7 @@ def test_re_toy_fixture_trains_to_100(task_setup, variant):
     model = make_re_model(cfg, fresh, wv2, ev, labels=["birthplace", "employer"], variant=variant)
     insts = re_toy_fixture()
     cfg_ft = FinetuneConfig(lr=1e-2, epochs=5, batch_size=4, seed=1)
-    model = finetune_re(model, insts, dev_insts=insts, cfg=cfg_ft)
+    model = finetune(model, insts, dev_insts=insts, cfg=cfg_ft)
     acc = sum(re_classify(model, i) == i.label for i in insts) / len(insts)
     assert acc == 1.0
 
@@ -340,17 +367,52 @@ def test_ner_predict_spans_never_overlap(task_setup, variant):
         assert pred == sorted(pred)
 
 
-def test_ner_entity_variant_chunks_cover_all_spans(task_setup):
+def _counting_encode(monkeypatch):
+    calls = []
+    real = heads_mod.encode_batch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(heads_mod, "encode_batch", counting)
+    return calls
+
+
+def _ner_logits_per_row(model, tokens, spans, per_row):
+    """Entity-mask span logits with one batch-1 encoder pass per row of per_row spans."""
+    out = []
+    for lo in range(0, len(spans), per_row):
+        part = spans[lo : lo + per_row]
+        seq = EncodedSequence(word_ids=model.word_vocab.encode(tokens),
+                              entity_ids=[model.entity_vocab.mask_id] * len(part),
+                              entity_positions=[list(range(s, e)) for s, e in part])
+        ent = encode_batch(model.params, model.encoder_config, pack_batch([seq])).entity_vectors[0]
+        out.append(ent @ model.params["ner_head.w"].data + model.params["ner_head.b"].data)
+    return np.concatenate(out)
+
+
+def test_ner_entity_variant_rows_cover_all_spans(task_setup, monkeypatch):
     cfg, params, wv, ev = task_setup
-    from entlm.heads import ner_span_logits
     model = make_ner_model(cfg, params, wv, ev, ["PER"], variant="entity-mask", max_span_len=3)
-    inst = NERInstance(tokens="a b c d e works for japan".split())
-    spans, chunks = ner_span_logits(model, inst, chunk_size=4)
+    tokens = "a b c d e works for japan".split()
+    monkeypatch.setattr(heads_mod, "NER_SPANS_PER_ROW", 4)
+    calls = _counting_encode(monkeypatch)
+    spans, logits = ner_span_logits(model, NERInstance(tokens=tokens))
+    assert len(calls) == 1
     assert spans == enumerate_spans(8, 3)
-    logits = np.concatenate([c.data for c in chunks])
-    assert logits.shape == (len(spans), len(model.labels))
-    assert all(c.data.shape[0] <= 4 for c in chunks)
-    assert np.all(np.isfinite(logits))
+    assert logits.shape == (len(spans), len(model.labels))  # 21 spans in 6 rows, the last one short
+    assert np.max(np.abs(logits.data - _ner_logits_per_row(model, tokens, spans, 4))) <= 1e-10
+
+
+def test_ner_entity_logits_match_per_row_passes(task_setup):
+    cfg, params, wv, ev = task_setup
+    model = make_ner_model(cfg, params, wv, ev, ["PER", "LOC"], variant="entity-mask")
+    tokens = "the capital of japan is tokyo a b c d e x".split()  # 78 spans: two batch rows
+    spans, logits = ner_span_logits(model, NERInstance(tokens=tokens))
+    assert spans == enumerate_spans(len(tokens))
+    want = _ner_logits_per_row(model, tokens, spans, heads_mod.NER_SPANS_PER_ROW)
+    assert np.max(np.abs(logits.data - want)) <= 1e-10
 
 
 def test_ner_span_f1_oracle():
@@ -396,7 +458,7 @@ def test_finetune_qa_runs_and_keeps_best(task_setup):
                         context_tokens="the capital is tokyo".split(),
                         answers=["tokyo"], gold_spans=[(3, 4)]).validate()
              for i in range(4)]
-    model = finetune_qa(model, insts, insts, FinetuneConfig(lr=1e-3, epochs=2, batch_size=2))
+    model = finetune(model, insts, insts, FinetuneConfig(lr=1e-3, epochs=2, batch_size=2))
     pred = qa_predict(model, insts[0])
     assert isinstance(pred["text"], str)
 
@@ -410,14 +472,7 @@ def test_qa_loss_skips_late_answer_before_encoding(task_setup, monkeypatch):
                       answers=["e"], gold_spans=[(39, 40)]).validate()
     usable = QAInstance(qid="ok", question_tokens=q, context_tokens="the capital is tokyo".split(),
                         answers=["tokyo"], gold_spans=[(3, 4)]).validate()
-    calls = []
-    real = heads_mod.encode_batch
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(heads_mod, "encode_batch", counting)
+    calls = _counting_encode(monkeypatch)
     both = _qa_batch_loss(model, [late, usable])
     assert len(calls) == 1
     assert both.data == _qa_batch_loss(model, [usable]).data
@@ -426,12 +481,70 @@ def test_qa_loss_skips_late_answer_before_encoding(task_setup, monkeypatch):
     assert len(calls) == 2
 
 
+def test_qa_loss_is_the_mean_of_per_example_losses(task_setup):
+    cfg, params, wv, ev = task_setup
+    tokyo = ev.resolve("en", "Tokyo")
+    ctx = "the capital of japan is tokyo".split()
+    insts = [QAInstance(qid=str(i), question_tokens=q.split(), context_tokens=ctx[: 4 + i],
+                        answers=["x"], gold_spans=[(i, i + 2)], context_entities=[(5, 6, tokyo)]).validate()
+             for i, q in enumerate(["what ?", "what is the capital ?", "is it tokyo ?"])]
+    for use_entities in (False, True):
+        model = make_qa_model(cfg, params, wv, ev, use_entities=use_entities)
+        batched = _qa_batch_loss(model, insts).data
+        single = sum(_qa_batch_loss(model, [i]).data for i in insts) / len(insts)
+        assert abs(batched - single) <= 1e-10
+
+
+def _task_fixture(task_setup, task):
+    """A model of each task on the shared params, with a small training set."""
+    cfg, params, wv, ev = task_setup
+    if task == "qa":
+        model = make_qa_model(cfg, params, wv, ev)
+        insts = [QAInstance(qid=str(i), question_tokens="what is ?".split(),
+                            context_tokens="the capital is tokyo".split(),
+                            answers=["tokyo"], gold_spans=[(3, 4)]).validate() for i in range(4)]
+    elif task == "re":
+        model = make_re_model(cfg, params, wv, ev, labels=["birthplace", "employer"], variant="word-markers")
+        insts = re_toy_fixture()[:4]
+    else:
+        model = make_ner_model(cfg, params, wv, ev, ["PER"], variant="entity-mask", max_span_len=3)
+        insts = [NERInstance(tokens="a works for b".split(), gold_spans=[(0, 1, "PER")]).validate()] * 4
+    return model, insts
+
+
+@pytest.mark.parametrize("task", ["qa", "re", "ner"])
+def test_finetune_leaves_callers_params_untouched(task_setup, task):
+    cfg, params, wv, ev = task_setup
+    before = {n: p.data.tobytes() for n, p in params.items()}
+    vocab_before = list(wv.id_to_token)
+    model, insts = _task_fixture(task_setup, task)
+    model = finetune(model, insts, insts, FinetuneConfig(lr=1e-2, epochs=1, batch_size=2))
+    assert {n: p.data.tobytes() for n, p in params.items()} == before
+    assert wv.id_to_token == vocab_before
+    assert model.params["layer0.attn.wq"].data.tobytes() != before["layer0.attn.wq"]
+
+
+def test_finetune_qa_drops_late_answers_once(task_setup, monkeypatch):
+    cfg, params, wv, ev = task_setup
+    model, ok = _task_fixture(task_setup, "qa")
+    late = QAInstance(qid="late", question_tokens=["what", "?"], context_tokens=("a b c d e " * 8).split(),
+                      answers=["e"], gold_spans=[(39, 40)]).validate()
+    train = ok[:3] + [late]
+    assert usable_examples(model, train) == ok[:3]
+    calls = _counting_encode(monkeypatch)
+    # at batch size 1 the late example alone once made a batch without a usable span
+    finetune(model, train, cfg=FinetuneConfig(lr=1e-3, epochs=2, batch_size=1))
+    assert len(calls) == 6  # two epochs of the three usable examples
+    with pytest.raises(ContractError):
+        finetune(model, [late])
+
+
 def test_finetune_ner_runs(task_setup):
     cfg, params, wv, ev = task_setup
     fresh = {n: type(p)(p.data.copy(), requires_grad=True, name=n) for n, p in params.items()}
     model = make_ner_model(cfg, fresh, wv, ev, ["PER"], max_span_len=3)
     insts = [NERInstance(tokens="a works for b".split(), gold_spans=[(0, 1, "PER")]).validate()
              for _ in range(4)]
-    model = finetune_ner(model, insts, insts, FinetuneConfig(lr=1e-3, epochs=1, batch_size=2))
+    model = finetune(model, insts, insts, FinetuneConfig(lr=1e-3, epochs=1, batch_size=2))
     pred = ner_predict(model, insts[0])
     assert all(0 <= s < e <= 4 for s, e, _ in pred)
