@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
+from .files import read_json, read_json_lines
 
 
 @dataclass
@@ -61,6 +62,8 @@ def cwr_mrr(queries, pool, gold):
     for qi, q in enumerate(queries):
         if q.uid not in gold:
             raise ContractError(f"query {q.uid} has no gold mapping")
+        if gold[q.uid] not in pool_index:
+            raise ContractError(f"gold pool id {gold[q.uid]!r} of query {q.uid} is not in the pool")
         gi = pool_index[gold[q.uid]]
         row = sims[qi]
         # rank = 1 + number of strictly better + earlier-index ties
@@ -133,17 +136,25 @@ def save_embeddings(embeddings, path):
             }, ensure_ascii=False) + "\n")
 
 
+def _embedding(d):
+    return SpanEmbedding(uid=d["id"], language=d["lang"], text=d["text"],
+                         vector=np.array(d["vector"], dtype=np.float64)).validate()
+
+
 def load_embeddings(path):
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            out.append(SpanEmbedding(uid=d["id"], language=d["lang"], text=d["text"],
-                                     vector=np.array(d["vector"], dtype=np.float64)).validate())
-    return out
+    return read_json_lines(path, _embedding)
+
+
+def load_gold(path, pool):
+    """A CWR gold file: one JSON object mapping query uids to uids in `pool`."""
+    pool_uids = {p.uid for p in pool}
+
+    def parse(gold):
+        if not isinstance(gold, dict) or not set(gold.values()) <= pool_uids:
+            raise ContractError("gold must be a JSON object mapping query ids to ids in the pool")
+        return gold
+
+    return read_json(path, parse)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +165,19 @@ FEATURE_SPECS = ("span-mean", "re-word", "re-entity")
 
 # items encoded per encode_batch call; bounds memory on large dumps
 FEATURE_DUMP_GROUP = 16
+
+
+def load_span_items(path, word_vocab):
+    """span-mean `feature_dump` items from JSON lines {id, lang, tokens, span}."""
+
+    def item(d):
+        s, e = d["span"]
+        if not 0 <= s < e <= len(d["tokens"]):
+            raise ContractError(f"span ({s}, {e}) out of bounds for {len(d['tokens'])} tokens")
+        return str(d["id"]), d["lang"], {"word_ids": word_vocab.encode(d["tokens"]), "span": (s, e),
+                                         "text": " ".join(d["tokens"][s:e])}
+
+    return read_json_lines(path, item)
 
 
 def feature_dump(model, dataset, feature_spec, out_path=None):

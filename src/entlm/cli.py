@@ -17,7 +17,7 @@ import typing
 import numpy as np
 
 from . import __version__
-from . import align, cloze, corpus, heads, linker, pretrain, vocab as vocab_mod
+from . import align, cloze, corpus, files, heads, linker, pretrain, vocab as vocab_mod
 from .config import parse_config_file, parse_overrides, resolve, section
 from .encoder import EncoderConfig
 from .errors import ConfigError, ContractError, EntlmError
@@ -199,20 +199,21 @@ def cmd_finetune(args):
         model = heads.make_ner_model(*parts, sorted({t for i in train_insts for _, _, t in i.gold_spans}),
                                      variant="entity-mask" if entity else "word-endpoints",
                                      max_span_len=args.max_span_len, seed=cfg.seed)
-    skipped = len(train_insts) - len(heads.usable_examples(model, train_insts))
     model = heads.finetune(model, train_insts, dev, cfg)
+    skipped = model.skipped
 
     os.makedirs(args.out, exist_ok=True)
     model.word_vocab.save(os.path.join(args.out, "word_vocab.txt"))
     out_ckpt = os.path.join(args.out, "checkpoint-finetuned.bin")
     meta = {"task": model.task, "variant": model.variant, "labels": model.labels,
-            "max_span_len": model.max_span_len, "skipped_examples": skipped}
+            "max_span_len": model.max_span_len, **skipped}
     pretrain.save_checkpoint(out_ckpt, model.encoder_config, model.params, step=0, meta=meta)
     write_manifest(os.path.join(args.out, "manifest.json"), "finetune", vars(args),
                    seed=cfg.seed, input_paths=[args.checkpoint, args.train, args.dev or "",
                                                args.word_vocab, args.entity_vocab])
-    print(f"finetuned {args.task} ({model.variant}) on {len(train_insts) - skipped} examples, "
-          f"skipped {skipped} unusable -> {out_ckpt}")
+    print(f"finetuned {args.task} ({model.variant}) on {len(train_insts) - skipped['skipped_examples']} "
+          f"examples, skipped {skipped['skipped_examples']} unusable and "
+          f"{skipped['skipped_gold_spans']} gold spans longer than max_span_len -> {out_ckpt}")
     return EXIT_OK
 
 
@@ -271,17 +272,7 @@ def cmd_dump_features(args):
         insts = heads.load_re_data(args.data)
         dataset = [(f"{args.lang}-{i}", args.lang, inst) for i, inst in enumerate(insts)]
     else:
-        dataset = []
-        with open(args.data, encoding="utf-8") as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                d = json.loads(line)
-                dataset.append((str(d["id"]), d["lang"], {
-                    "word_ids": word_vocab.encode(d["tokens"]),
-                    "span": tuple(d["span"]),
-                    "text": " ".join(d["tokens"][d["span"][0]:d["span"][1]]),
-                }))
+        dataset = align.load_span_items(args.data, word_vocab)
     align.feature_dump(model, dataset, args.feature_spec, out_path=args.out)
     write_manifest(_file_manifest_path(args.out), "dump-features", vars(args), seed=None,
                    input_paths=[args.checkpoint, args.data, args.word_vocab, args.entity_vocab])
@@ -292,8 +283,7 @@ def cmd_analyze(args):
     if args.metric == "cwr":
         queries = align.load_embeddings(args.queries)
         pool = align.load_embeddings(args.pool)
-        with open(args.gold, encoding="utf-8") as f:
-            gold = json.load(f)
+        gold = align.load_gold(args.gold, pool)
         report = {"mrr": align.cwr_mrr(queries, pool, gold),
                   "n_queries": len(queries), "n_pool": len(pool)}
         inputs = [args.queries, args.pool, args.gold]
@@ -324,13 +314,17 @@ def cmd_inspect_checkpoint(args):
     return EXIT_OK
 
 
+def _manifest_run(manifest):
+    """(handler, options) of a run manifest."""
+    if manifest["command"] not in _COMMAND_HANDLERS:
+        raise ContractError(f"unknown command {manifest['command']!r}")
+    return _COMMAND_HANDLERS[manifest["command"]], dict(manifest["options"])
+
+
 def cmd_rerun(args):
-    with open(args.manifest, encoding="utf-8") as f:
-        manifest = json.load(f)
-    options = dict(manifest["options"])
+    handler, options = files.read_json(args.manifest, _manifest_run)
     if args.out:
         options["out"] = args.out
-    handler = _COMMAND_HANDLERS[manifest["command"]]
     return handler(argparse.Namespace(**options))
 
 

@@ -10,7 +10,6 @@ outside the entity vocabulary.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -19,6 +18,7 @@ import numpy as np
 from . import encoder
 from .encoder import EncodedSequence, encode  # noqa: F401  (perfbench's tracer wraps cloze.encode)
 from .errors import ContractError
+from .files import read_json_lines
 from .tensor import log_softmax_np
 
 MODES = ("word", "entity-y", "entity-xy")
@@ -39,30 +39,24 @@ class TypedQuery:
             raise ContractError("template must contain exactly one [X] and one [Y]")
         if not self.candidates:
             raise ContractError("query needs at least one candidate")
-        if not 0 <= self.gold_index < len(self.candidates):
+        if not isinstance(self.gold_index, int) or not 0 <= self.gold_index < len(self.candidates):
             raise ContractError("gold_index out of range")
         return self
 
 
+def _query(d):
+    return TypedQuery(
+        language=d["lang"],
+        template=d["template"],
+        sub_surface=d["sub_surface"],
+        sub_entity=d.get("sub_entity"),
+        candidates=[(c["surface"], c.get("entity")) for c in d["candidates"]],
+        gold_index=d["gold_index"],
+    ).validate()
+
+
 def load_queries(path):
-    queries = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            queries.append(
-                TypedQuery(
-                    language=d["lang"],
-                    template=d["template"],
-                    sub_surface=d["sub_surface"],
-                    sub_entity=d.get("sub_entity"),
-                    candidates=[(c["surface"], c.get("entity")) for c in d["candidates"]],
-                    gold_index=d["gold_index"],
-                ).validate()
-            )
-    return queries
+    return read_json_lines(path, _query)
 
 
 @dataclass

@@ -17,6 +17,7 @@ import numpy as np
 
 from .encoder import EncodedSequence
 from .errors import ContractError
+from .files import read_json_lines, read_lines
 from .seeding import substream
 
 IGNORE_LABEL = -100
@@ -53,24 +54,18 @@ class AnnotatedDocument:
         return self
 
 
+def _document(d):
+    return AnnotatedDocument(
+        language=d["lang"],
+        title=d["title"],
+        tokens=list(d["tokens"]),
+        annotations=[tuple(a) for a in d.get("annotations", [])],
+        sentence_breaks=d.get("sentence_breaks"),
+    ).validate()
+
+
 def load_corpus(path):
-    docs = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            docs.append(
-                AnnotatedDocument(
-                    language=d["lang"],
-                    title=d["title"],
-                    tokens=list(d["tokens"]),
-                    annotations=[tuple(a) for a in d.get("annotations", [])],
-                    sentence_breaks=d.get("sentence_breaks"),
-                ).validate()
-            )
-    return docs
+    return read_json_lines(path, _document)
 
 
 def save_corpus(docs, path):
@@ -129,10 +124,9 @@ class WordVocab:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as f:
-            toks = [line.rstrip("\n") for line in f if line.rstrip("\n")]
+        toks = read_lines(path, str)
         if toks[: len(SPECIAL_WORDS)] != list(SPECIAL_WORDS):
-            raise ContractError("word vocab file does not start with the reserved specials")
+            raise ContractError(f"{path}:1: word vocab file does not start with the reserved specials")
         v = cls([])
         v.id_to_token = toks
         v.token_to_id = {t: i for i, t in enumerate(toks)}

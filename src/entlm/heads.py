@@ -9,8 +9,8 @@ per candidate span for NER) and classify the contextualized entity vectors.
 from __future__ import annotations
 
 import copy
-import json
 import math
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -19,6 +19,7 @@ import numpy as np
 from . import tensor as T
 from .encoder import NEG_INF, EncodedSequence, EncoderConfig, encode_batch, pack_batch
 from .errors import ContractError
+from .files import read_json, read_lines
 from .pretrain import AdamW, warmup_linear_decay
 from .seeding import substream
 
@@ -54,6 +55,11 @@ class QAInstance:
         for s, e in self.gold_spans:
             if not (0 <= s < e <= n):
                 raise ContractError(f"gold span ({s}, {e}) outside context of {n} tokens")
+        for what, entities, size in (("question", self.question_entities, len(self.question_tokens)),
+                                     ("context", self.context_entities, n)):
+            for s, e, _eid in entities:
+                if not (0 <= s < e <= size):
+                    raise ContractError(f"{what} entity ({s}, {e}) outside {what} of {size} tokens")
         return self
 
 
@@ -91,88 +97,64 @@ class NERInstance:
 
 
 def _tokenize_with_offsets(text):
-    tokens, starts = [], []
-    i = 0
-    for tok in text.split():
-        i = text.index(tok, i)
-        tokens.append(tok)
-        starts.append(i)
-        i += len(tok)
-    return tokens, starts
+    """text.split() and the character offset of each token."""
+    words = list(re.finditer(r"\S+", text))
+    return [w.group() for w in words], [w.start() for w in words]
 
 
 def _char_span_to_tokens(starts, tokens, answer_start, answer_text):
+    """(start, end) of the tokens overlapping the answer's characters, or None."""
     end_char = answer_start + len(answer_text)
-    s = e = None
-    for ti, st in enumerate(starts):
-        if st + len(tokens[ti]) > answer_start and s is None:
-            s = ti
-        if st < end_char:
-            e = ti + 1
-    if s is None or e is None or s >= e:
-        return None
-    return (s, e)
+    hits = [ti for ti, st in enumerate(starts) if st + len(tokens[ti]) > answer_start and st < end_char]
+    return (hits[0], hits[-1] + 1) if hits else None
+
+
+def _qa_records(payload):
+    """The questions of one JSON value: a SQuAD-shaped object's, else the value itself."""
+    if "data" not in payload:
+        return [payload]
+    return [{"context": para["context"], **qa}
+            for article in payload["data"] for para in article["paragraphs"] for qa in para["qas"]]
 
 
 def load_qa_data(path):
-    """Read QA instances from SQuAD-shaped JSON or from JSON lines."""
-    with open(path, encoding="utf-8") as f:
-        first = f.read(1)
-        f.seek(0)
-        if first == "{":
-            payload = json.load(f)
-            records = []
-            if "data" in payload:
-                for article in payload["data"]:
-                    for para in article["paragraphs"]:
-                        for qa in para["qas"]:
-                            records.append({"context": para["context"], **qa})
-            else:
-                f.seek(0)
-                records = [json.loads(line) for line in f if line.strip()]
-        else:
-            records = [json.loads(line) for line in f if line.strip()]
-
+    """Read QA instances from SQuAD-shaped JSON (one object whose `data` lists
+    articles of paragraphs of questions) or else from JSON lines."""
     insts = []
-    for r in records:
-        ctx_tokens, starts = _tokenize_with_offsets(r["context"])
-        spans = []
-        answers = []
-        for a in r.get("answers", []):
-            answers.append(a["text"])
-            span = _char_span_to_tokens(starts, ctx_tokens, a["answer_start"], a["text"])
-            if span:
-                spans.append(span)
-        insts.append(
-            QAInstance(
-                qid=str(r.get("id", len(insts))),
-                question_tokens=r["question"].split(),
-                context_tokens=ctx_tokens,
-                answers=answers,
-                gold_spans=spans,
-                question_entities=[tuple(a) for a in r.get("question_entities", [])],
-                context_entities=[tuple(a) for a in r.get("context_entities", [])],
-                q_lang=r.get("q_lang", r.get("lang", "en")),
-                c_lang=r.get("c_lang", r.get("lang", "en")),
-            ).validate()
-        )
+
+    def add(payload):
+        for r in _qa_records(payload):
+            ctx_tokens, starts = _tokenize_with_offsets(r["context"])
+            answers = r.get("answers", [])
+            spans = [_char_span_to_tokens(starts, ctx_tokens, a["answer_start"], a["text"]) for a in answers]
+            insts.append(
+                QAInstance(
+                    qid=str(r.get("id", len(insts))),
+                    question_tokens=r["question"].split(),
+                    context_tokens=ctx_tokens,
+                    answers=[a["text"] for a in answers],
+                    gold_spans=[span for span in spans if span],
+                    question_entities=[tuple(a) for a in r.get("question_entities", [])],
+                    context_entities=[tuple(a) for a in r.get("context_entities", [])],
+                    q_lang=r.get("q_lang", r.get("lang", "en")),
+                    c_lang=r.get("c_lang", r.get("lang", "en")),
+                ).validate()
+            )
+
+    read_json(path, add, lines=True)
     return insts
+
+
+def _re_instance(line):
+    label, toks, head, tail = line.split("\t")
+    hs, he = (int(x) for x in head.split())
+    ts, te = (int(x) for x in tail.split())
+    return REInstance(tokens=toks.split(), head_span=(hs, he), tail_span=(ts, te), label=label).validate()
 
 
 def load_re_data(path):
     """One example per line: label TAB tokens TAB head_start head_end TAB tail_start tail_end."""
-    insts = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            label, toks, head, tail = line.split("\t")
-            hs, he = (int(x) for x in head.split())
-            ts, te = (int(x) for x in tail.split())
-            insts.append(REInstance(tokens=toks.split(), head_span=(hs, he),
-                                    tail_span=(ts, te), label=label).validate())
-    return insts
+    return read_lines(path, _re_instance)
 
 
 def save_re_data(insts, path):
@@ -209,24 +191,17 @@ def spans_to_bio(n, spans):
     return tags
 
 
+def _ner_line(line):
+    token, *_, tag = line.split()
+    if tag != NER_NON_ENTITY and tag[:2] not in ("B-", "I-"):
+        raise ContractError(f"tag {tag!r} is not O, B-<type> or I-<type>")
+    return token, tag
+
+
 def load_ner_data(path):
     """CoNLL-style token-per-line with BIO tags; blank lines separate sentences."""
-    insts = []
-    tokens, tags = [], []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                if tokens:
-                    insts.append(NERInstance(tokens=tokens, gold_spans=bio_to_spans(tags)).validate())
-                    tokens, tags = [], []
-                continue
-            parts = line.split()
-            tokens.append(parts[0])
-            tags.append(parts[-1])
-    if tokens:
-        insts.append(NERInstance(tokens=tokens, gold_spans=bio_to_spans(tags)).validate())
-    return insts
+    return [NERInstance(tokens=[t for t, _ in rows], gold_spans=bio_to_spans([g for _, g in rows])).validate()
+            for rows in read_lines(path, _ner_line, paragraphs=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +220,7 @@ class TaskModel:
     labels: list | None = None  # RE/NER label set
     variant: str = "word"  # task-specific variant tag
     max_span_len: int = NER_MAX_SPAN_LEN  # NER candidate span cap
+    skipped: dict = field(default_factory=dict)  # finetune's drop counts, as checkpoint meta keys
 
 
 def _linear_head(rng, in_dim, out_dim, prefix):
@@ -677,7 +653,9 @@ def finetune(model: TaskModel, train_insts, dev_insts=None, cfg: FinetuneConfig 
 
     The model first gets parameter Tensors of its own, so the ones it was
     built from keep their values.  Unusable training examples
-    (`usable_examples`) are dropped once, before batching.  With dev
+    (`usable_examples`) are dropped once, before batching, and counted in
+    `model.skipped` with the NER gold spans longer than `max_span_len`,
+    which no candidate covers, so the loss trains their words as O.  With dev
     examples, the parameters of the epoch with the best `evaluate` score
     are kept (a later epoch wins a tie).
     """
@@ -685,6 +663,9 @@ def finetune(model: TaskModel, train_insts, dev_insts=None, cfg: FinetuneConfig 
     insts = usable_examples(model, train_insts)
     if not insts:
         raise ContractError(f"no usable {model.task} training examples")
+    long_spans = 0 if model.task != "ner" else sum(e - s > model.max_span_len
+                                                   for i in insts for s, e, _ in i.gold_spans)
+    model.skipped = {"skipped_examples": len(train_insts) - len(insts), "skipped_gold_spans": long_spans}
     epochs = cfg.epochs or DEFAULT_EPOCHS[model.task]
     model.params = {n: T.Tensor(p.data, requires_grad=p.requires_grad, name=n)
                     for n, p in model.params.items()}

@@ -12,6 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import ContractError
+from .files import read_lines
 
 PAD_ENTITY = "[PAD]"
 MASK_ENTITY = "[MASK]"
@@ -46,9 +47,6 @@ class InterLanguageLinks:
         """Canonical key for a page; unaligned pages get a per-language key."""
         return self._map.get((lang, title), f"{lang}:{title}")
 
-    def lookup(self, lang, title):
-        return self._map.get((lang, title))
-
     def titles_for_key(self, key):
         return {(lang, title) for (lang, title), k in self._map.items() if k == key}
 
@@ -58,13 +56,13 @@ class InterLanguageLinks:
     @classmethod
     def load_tsv(cls, path):
         links = cls()
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
+
+        def row(line):
+            if not line.startswith("#"):
                 lang, title, key = line.split("\t")
                 links.add(lang, title, key)
+
+        read_lines(path, row)
         return links
 
     def save_tsv(self, path):
@@ -134,26 +132,29 @@ class EntityVocab:
 
     @classmethod
     def load(cls, path):
-        entries = []
-        with open(path, encoding="utf-8") as f:
-            header = f.readline().rstrip("\n")
-            if header != VOCAB_FILE_HEADER:
-                raise ContractError(f"unrecognized vocab file header: {header!r}")
-            for line in f:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                idx, key, _nlang, count, pairs = line.split("\t")
-                titles = set()
-                if pairs:
-                    for pair in pairs.split(";"):
-                        lang, _, title = pair.partition(":")
-                        titles.add((lang, title))
-                e = EntityEntry(canonical_key=key, link_count=int(count), titles=titles)
-                if int(idx) != len(entries):
-                    raise ContractError("vocab file ids are not dense from 0")
-                entries.append(e)
-        return cls(entries)
+        entries = []  # the header line, then the entries by id
+
+        def row(line):
+            if not entries:
+                if line != VOCAB_FILE_HEADER:
+                    raise ContractError(f"unrecognized vocab file header: {line!r}")
+                entries.append(line)
+                return
+            idx, key, _nlang, count, pairs = line.split("\t")
+            titles = set()
+            if pairs:
+                for pair in pairs.split(";"):
+                    lang, _, title = pair.partition(":")
+                    titles.add((lang, title))
+            e = EntityEntry(canonical_key=key, link_count=int(count), titles=titles)
+            if int(idx) != len(entries) - 1:
+                raise ContractError("vocab file ids are not dense from 0")
+            entries.append(e)
+
+        read_lines(path, row)
+        if not entries:
+            raise ContractError(f"{path}:1: empty vocab file")
+        return cls(entries[1:])
 
 
 def _special_entries():

@@ -81,6 +81,8 @@ def test_mrr_contract_errors():
         cwr_mrr(good, pool, {})  # missing gold
     with pytest.raises(ContractError):
         cwr_mrr([se("q0", "en", [0, 0])], pool, {"q0": "p0"})  # zero norm
+    with pytest.raises(ContractError):
+        cwr_mrr(good, pool, {"q0": "p9"})  # gold names an item missing from the pool
 
 
 # ---------------------------------------------------------------------------

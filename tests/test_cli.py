@@ -4,8 +4,10 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from entlm.align import SpanEmbedding, save_embeddings
 from entlm.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, _task_model_from_checkpoint, main
 from entlm.corpus import WordVocab, save_corpus
 from entlm.heads import REInstance, save_re_data
@@ -438,3 +440,200 @@ def test_finetune_qa_counts_skipped_examples(workspace, pretrained, task_files, 
     assert rc == EXIT_OK
     assert "on 3 examples, skipped 1 unusable" in capsys.readouterr().out
     assert load_checkpoint(os.path.join(out, "checkpoint-finetuned.bin")).meta["skipped_examples"] == 1
+
+
+# ---------------------------------------------------------------------------
+# malformed input files: exit 1 with path:line, never a traceback
+
+
+def _line_edit(lineno, edit):
+    """Damage: apply edit(text) to one line, keeping its line ending."""
+    def damage(raw):
+        lines = raw.decode("utf-8").splitlines(keepends=True)
+        lines[lineno - 1] = edit(lines[lineno - 1].rstrip("\n")) + "\n"
+        return "".join(lines).encode("utf-8")
+    return damage
+
+
+def _record_edit(lineno, edit):
+    """Damage: apply edit(record) to the JSON record on one line."""
+    def edit_line(line):
+        record = json.loads(line)
+        edit(record)
+        return json.dumps(record)
+    return _line_edit(lineno, edit_line)
+
+
+def _cut_in_line(lineno):
+    """Damage: end the file half-way through one line."""
+    def damage(raw):
+        lines = raw.splitlines(keepends=True)
+        return b"".join(lines[: lineno - 1]) + lines[lineno - 1][: len(lines[lineno - 1]) // 2]
+    return damage
+
+
+def _document_edit(edit):
+    """Damage: apply edit(document) to a whole-file JSON document."""
+    def damage(raw):
+        doc = json.loads(raw)
+        edit(doc)
+        return json.dumps(doc).encode("utf-8")
+    return damage
+
+
+def _pretrain_argv(p, bad):
+    cfg = Path(bad).with_suffix(".cfg")
+    cfg.write_text(CONFIG_TEXT.format(corpus=bad, vocab=p["vocab"]))
+    return ["pretrain", "--config", str(cfg), "--out", p["out"]]
+
+
+def _finetune_argv(task, bad_flag="--train"):
+    def argv(p, bad):
+        inputs = {"--train": p["re"], "--word-vocab": p["words"], bad_flag: bad}
+        return ["finetune", task, "--checkpoint", p["ckpt"], "--variant", "entity", "--out", p["out"],
+                "--entity-vocab", p["vocab"], *(x for flag_path in inputs.items() for x in flag_path)]
+    return argv
+
+
+def _model_argv(command, data_flag, *extra):
+    return lambda p, bad: [command, "--checkpoint", p["ckpt"], data_flag, bad, "--out", p["out"],
+                           "--word-vocab", p["words"], "--entity-vocab", p["vocab"], *extra]
+
+
+def _drop(key):
+    return lambda record: record.pop(key)
+
+
+# (case, source file, damage, argv(paths, damaged file), line the error names)
+MALFORMED = [
+    ("build-vocab/corpus-missing-key", "corpus", _record_edit(3, _drop("title")),
+     lambda p, bad: ["build-vocab", "--corpus", bad, "--links", p["links"], "--out", p["out"]], 3),
+    ("build-vocab/corpus-cut-off", "corpus", _cut_in_line(5),
+     lambda p, bad: ["build-vocab", "--corpus", bad, "--links", p["links"], "--out", p["out"]], 5),
+    ("build-vocab/corpus-invalid-utf8", "corpus", lambda raw: raw.replace(b"page_en_1", b"page_\xff_1"),
+     lambda p, bad: ["build-vocab", "--corpus", bad, "--links", p["links"], "--out", p["out"]], 2),
+    ("build-vocab/links-two-columns", "links", _line_edit(2, lambda line: line.rsplit("\t", 1)[0]),
+     lambda p, bad: ["build-vocab", "--corpus", p["corpus"], "--links", bad, "--out", p["out"]], 2),
+    ("link-entities/vocab-ids-not-dense", "vocab", _line_edit(4, lambda line: "9" + line),
+     lambda p, bad: ["link-entities", "--pages", p["corpus"], "--text", p["corpus"], "--vocab", bad,
+                     "--out", p["out"]], 4),
+    ("link-entities/text-annotation-out-of-bounds", "corpus",
+     _record_edit(2, lambda r: r.update(annotations=[[0, 99, "Ent0_en"]])),
+     lambda p, bad: ["link-entities", "--pages", p["corpus"], "--text", bad, "--vocab", p["vocab"],
+                     "--out", p["out"]], 2),
+    ("pretrain/corpus-overlapping-annotations", "corpus",
+     _record_edit(1, lambda r: r.update(annotations=[[0, 2, "Ent0_en"], [1, 3, "Ent1_en"]])), _pretrain_argv, 1),
+    ("pretrain/entity-vocab-header", "vocab", _line_edit(1, lambda line: "entities"),
+     lambda p, bad: _pretrain_argv({**p, "vocab": bad}, p["corpus"]), 1),
+    ("finetune/re-span-not-int", "re", _line_edit(2, lambda line: line.replace("\t3 4", "\t3 x")),
+     _finetune_argv("re"), 2),
+    ("finetune/ner-one-column", "ner", _line_edit(3, lambda line: line.split()[0]), _finetune_argv("ner"), 3),
+    ("finetune/ner-bad-tag", "ner", _line_edit(2, lambda line: line.split()[0] + " X-PER"),
+     _finetune_argv("ner"), 2),
+    ("finetune/qa-jsonl-missing-question", "qa_jsonl", _record_edit(2, _drop("question")),
+     _finetune_argv("qa"), 2),
+    ("finetune/qa-question-entity-outside-question", "qa_jsonl",
+     _record_edit(3, lambda r: r.update(question="who ?", question_entities=[[0, 3, 5]])),
+     _finetune_argv("qa"), 3),
+    ("finetune/qa-squad-missing-paragraphs", "qa_squad", _document_edit(lambda d: d["data"][0].pop("paragraphs")),
+     _finetune_argv("qa"), 1),
+    ("finetune/word-vocab-without-specials", "words", _line_edit(1, lambda line: "[NOPE]"),
+     _finetune_argv("re", bad_flag="--word-vocab"), 1),
+    ("eval/re-three-columns", "re", _line_edit(1, lambda line: line.rsplit("\t", 1)[0]),
+     lambda p, bad: ["eval", "re", "--checkpoint", p["ft_ckpt"], "--data", bad, "--out", p["out"],
+                     "--word-vocab", p["ft_words"], "--entity-vocab", p["vocab"]], 1),
+    ("cloze-eval/gold-index-out-of-range", "queries", _record_edit(2, lambda r: r.update(gold_index=2)),
+     _model_argv("cloze-eval", "--queries"), 2),
+    ("dump-features/span-out-of-bounds", "spans", _record_edit(2, lambda r: r.update(span=[1, 9])),
+     _model_argv("dump-features", "--data", "--feature-spec", "span-mean"), 2),
+    ("dump-features/spans-cut-off", "spans", _cut_in_line(3),
+     _model_argv("dump-features", "--data", "--feature-spec", "span-mean"), 3),
+    ("dump-features/re-span-overlap", "re", _line_edit(3, lambda line: line.replace("\t3 4", "\t1 2")),
+     _model_argv("dump-features", "--data", "--feature-spec", "re-entity"), 3),
+    ("analyze/embeddings-cut-off", "emb", _cut_in_line(4),
+     lambda p, bad: ["analyze", "modularity", "--embeddings", bad, "--out", p["out"]], 4),
+    ("analyze/embeddings-non-finite", "emb", _record_edit(1, lambda r: r["vector"].__setitem__(0, float("nan"))),
+     lambda p, bad: ["analyze", "modularity", "--embeddings", bad, "--out", p["out"]], 1),
+    ("analyze/gold-unknown-pool-id", "gold", _document_edit(lambda d: d.update(s0="s9")),
+     lambda p, bad: ["analyze", "cwr", "--queries", p["emb"], "--pool", p["emb"], "--gold", bad,
+                     "--out", p["out"]], 1),
+    ("analyze/gold-not-an-object", "gold", lambda raw: b'["s0", "s2"]',
+     lambda p, bad: ["analyze", "cwr", "--queries", p["emb"], "--pool", p["emb"], "--gold", bad,
+                     "--out", p["out"]], 1),
+    ("rerun/unknown-command", "manifest", _document_edit(lambda d: d.update(command="pretrian")),
+     lambda p, bad: ["rerun", bad, "--out", p["out"]], 1),
+    ("rerun/missing-options", "manifest", _document_edit(_drop("options")),
+     lambda p, bad: ["rerun", bad, "--out", p["out"]], 1),
+    ("rerun/manifest-cut-off", "manifest", _cut_in_line(6), lambda p, bad: ["rerun", bad, "--out", p["out"]], 6),
+]
+
+
+@pytest.fixture(scope="module")
+def input_files(workspace, pretrained, finetuned, task_files):
+    ws = workspace["ws"]
+    ev = EntityVocab.load(workspace["vocab"])
+    qa_jsonl = ws / "qa_train.jsonl"
+    qa_jsonl.write_text("".join(json.dumps(_qa_record(ev, [j, j + 1], 0, f"q{j}")) + "\n" for j in range(3)))
+    queries = ws / "queries-2.jsonl"
+    queries.write_text("".join(json.dumps({
+        "lang": "en", "template": f"[X] t{k}b_en [Y] .", "sub_surface": f"t{k}a_en",
+        "candidates": [{"surface": "ent0_en"}, {"surface": "ent1_en"}], "gold_index": k % 2}) + "\n"
+        for k in range(2)))
+    spans = ws / "spans-3.jsonl"
+    spans.write_text("".join(json.dumps({"id": f"s{i}", "lang": lang, "tokens": [f"t0a_{lang}", f"ent{i}_{lang}"],
+                                         "span": [1, 2]}) + "\n" for i, lang in enumerate(["en", "en", "de"])))
+    emb = ws / "emb-4.jsonl"
+    save_embeddings([SpanEmbedding(f"s{i}", "en" if i < 2 else "de", "t", np.arange(1.0, 4.0) + i)
+                     for i in range(4)], str(emb))
+    gold = ws / "gold-2.json"
+    gold.write_text(json.dumps({"s0": "s2", "s1": "s3"}))
+    return {
+        "corpus": workspace["corpus"], "links": workspace["links"], "vocab": workspace["vocab"],
+        "ckpt": os.path.join(pretrained, "checkpoint-final.bin"),
+        "words": os.path.join(pretrained, "word_vocab.txt"),
+        "manifest": os.path.join(pretrained, "manifest.json"),
+        "ft_ckpt": os.path.join(finetuned["out"], "checkpoint-finetuned.bin"),
+        "ft_words": os.path.join(finetuned["out"], "word_vocab.txt"),
+        "re": finetuned["re"], "ner": task_files["ner"][0], "qa_squad": task_files["qa"][0],
+        "qa_jsonl": str(qa_jsonl), "queries": str(queries), "spans": str(spans), "emb": str(emb),
+        "gold": str(gold), "out": str(ws / "malformed-out"),
+    }
+
+
+@pytest.mark.parametrize("case,source,damage,argv,line", MALFORMED, ids=[c[0] for c in MALFORMED])
+def test_malformed_input_exits_1_naming_path_and_line(input_files, capsys, case, source, damage, argv, line):
+    src = Path(input_files[source])
+    bad = src.with_name("malformed-" + case.replace("/", "-") + src.suffix)
+    bad.write_bytes(damage(src.read_bytes()))
+    rc = main(argv(input_files, str(bad)))
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAILURE, err
+    assert f"{bad}:{line}: " in err
+    assert "Traceback" not in err
+
+
+def test_installed_entry_point_reports_malformed_input(input_files, tmp_path):
+    import subprocess
+    import sys
+    bad = tmp_path / "corpus.jsonl"
+    bad.write_bytes(_record_edit(2, _drop("lang"))(Path(input_files["corpus"]).read_bytes()))
+    proc = subprocess.run([sys.executable, "-m", "entlm.cli", "build-vocab", "--corpus", str(bad),
+                           "--links", input_files["links"], "--out", str(tmp_path / "v.tsv")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == EXIT_FAILURE
+    assert f"{bad}:2: KeyError: 'lang'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_finetune_reports_gold_spans_longer_than_max_span_len(workspace, pretrained, finetuned, capsys):
+    ner = workspace["ws"] / "ner_long.txt"
+    ner.write_text("a B-PER\nb I-PER\nc I-PER\nd O\n\na B-LOC\nb O\n")
+    out = str(workspace["ws"] / "ft-ner-long")
+    rc = main(["finetune", "ner", "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
+               "--train", str(ner), "--out", out, "--max-span-len", "2", "--epochs", "1",
+               "--word-vocab", os.path.join(pretrained, "word_vocab.txt"), "--entity-vocab", workspace["vocab"]])
+    assert rc == EXIT_OK
+    assert "skipped 0 unusable and 1 gold spans longer than max_span_len" in capsys.readouterr().out
+    assert load_checkpoint(os.path.join(out, "checkpoint-finetuned.bin")).meta["skipped_gold_spans"] == 1
+    meta = load_checkpoint(os.path.join(finetuned["out"], "checkpoint-finetuned.bin")).meta
+    assert (meta["skipped_examples"], meta["skipped_gold_spans"]) == (0, 0)

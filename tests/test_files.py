@@ -1,0 +1,169 @@
+"""Input files: the shared reader's line numbers, and every reader under
+truncated or bit-flipped input."""
+
+import json
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entlm import align, cli, cloze, corpus, files, heads
+from entlm.errors import ContractError, EntlmError
+from entlm.synth import make_bilingual_corpus
+from entlm.vocab import EntityVocab, InterLanguageLinks, build_entity_vocab
+
+# ---------------------------------------------------------------------------
+# the shared reader
+
+
+def test_read_lines_numbers_lines_and_skips_blank_ones(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a\r\n\n  \nb\n")
+    assert files.read_lines(str(path), str.upper) == ["A", "B"]
+    path.write_bytes(b"1\n\n2\nx\n")
+    with pytest.raises(ContractError, match=rf"^{re.escape(str(path))}:4: ValueError"):
+        files.read_lines(str(path), int)
+
+
+def test_read_lines_names_the_line_of_invalid_utf8(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"ok\n\xc3\xa9\nbad \xff byte\n")
+    with pytest.raises(ContractError, match=r":3: UnicodeDecodeError"):
+        files.read_lines(str(path), str)
+
+
+def test_read_lines_paragraphs(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("\na\nb\n\n\nc\n \n")
+    assert files.read_lines(str(path), str, paragraphs=True) == [["a", "b"], ["c"]]
+
+
+def test_read_json_names_the_line_of_a_syntax_or_decode_error(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text('{\n  "a": 1,\n  "b": ]\n}\n')
+    with pytest.raises(ContractError, match=r":3: JSONDecodeError"):
+        files.read_json(str(path), dict)
+    path.write_bytes(b'{\n  "a": "\xff"\n}\n')
+    with pytest.raises(ContractError, match=r":2: UnicodeDecodeError"):
+        files.read_json(str(path), dict)
+    path.write_text("[1, 2]\n")
+    with pytest.raises(ContractError, match=r":1: KeyError"):
+        files.read_json(str(path), lambda d: {}[d[0]])
+
+
+def test_read_json_with_lines_reads_json_lines(tmp_path):
+    path = tmp_path / "f.jsonl"
+    path.write_text('{"a": 1}\n{"a": 2}\n')
+    assert files.read_json(str(path), lambda r: r["a"], lines=True) == [1, 2]
+    path.write_text('{"a": 1}\n{"b": 2}\n')
+    with pytest.raises(ContractError, match=r":2: KeyError"):
+        files.read_json(str(path), lambda r: r["a"], lines=True)
+    path.write_text('{"a": [1,\n 2]}\n')  # one document over two lines
+    assert files.read_json(str(path), lambda r: r["a"], lines=True) == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# every reader, fuzzed: it returns or raises an EntlmError naming path:line
+
+
+def _write_fixtures(d):
+    """One small valid file per reader; returns {kind: (path, reader)}."""
+    docs, links = make_bilingual_corpus(n_entities=3, n_sequences=4, seed=2)
+    corpus.save_corpus(docs, d / "corpus.jsonl")
+    wv = corpus.build_word_vocab(docs)
+    wv.save(d / "words.txt")
+    links.save_tsv(d / "links.tsv")
+    build_entity_vocab(docs, links, min_languages=2).save(d / "entities.tsv")
+    (d / "queries.jsonl").write_text(json.dumps({
+        "lang": "en", "template": "[X] t0b_en [Y] .", "sub_surface": "ent0_en", "sub_entity": "ent0",
+        "candidates": [{"surface": "ent0_en"}, {"surface": "ent1_en", "entity": "ent1"}],
+        "gold_index": 1}) + "\n")
+    pool = [align.SpanEmbedding(f"p{i}", "de", f"t{i}", np.array([0.5, -1.0 + i])) for i in range(2)]
+    align.save_embeddings(pool, d / "emb.jsonl")
+    (d / "gold.json").write_text(json.dumps({"q0": "p0", "q1": "p1"}))
+    record = {"id": "q1", "question": "where is it ?", "context": "the Tokyo Tower stands",
+              "answers": [{"text": "Tokyo Tower", "answer_start": 4}],
+              "question_entities": [[2, 3, 4]], "context_entities": [[1, 3, 4]]}
+    (d / "qa.jsonl").write_text(json.dumps(record) + "\n" + json.dumps({**record, "id": "q2"}) + "\n")
+    (d / "squad.json").write_text(json.dumps({"data": [{"paragraphs": [
+        {"context": record["context"], "qas": [{k: v for k, v in record.items() if k != "context"}]}]}]},
+        indent=1))
+    heads.save_re_data([heads.REInstance(tokens="a works for b".split(), head_span=(0, 1),
+                                         tail_span=(3, 4), label="employer")] * 2, d / "re.tsv")
+    (d / "ner.txt").write_text("a B-PER\nb I-PER\nc O\n\nd B-LOC\n")
+    (d / "spans.jsonl").write_text("".join(json.dumps({
+        "id": i, "lang": "en", "tokens": ["t0a_en", "ent0_en", "t0b_en"], "span": [1, 2 + i]}) + "\n"
+        for i in range(2)))
+    (d / "manifest.json").write_text(json.dumps({"command": "analyze", "options": {"metric": "cwr"}}))
+    return {
+        "corpus": (d / "corpus.jsonl", corpus.load_corpus),
+        "word-vocab": (d / "words.txt", corpus.WordVocab.load),
+        "links": (d / "links.tsv", InterLanguageLinks.load_tsv),
+        "entity-vocab": (d / "entities.tsv", EntityVocab.load),
+        "queries": (d / "queries.jsonl", cloze.load_queries),
+        "embeddings": (d / "emb.jsonl", align.load_embeddings),
+        "gold": (d / "gold.json", lambda p: align.load_gold(p, pool)),
+        "qa-jsonl": (d / "qa.jsonl", heads.load_qa_data),
+        "qa-squad": (d / "squad.json", heads.load_qa_data),
+        "re": (d / "re.tsv", heads.load_re_data),
+        "ner": (d / "ner.txt", heads.load_ner_data),
+        "spans": (d / "spans.jsonl", lambda p: align.load_span_items(p, wv)),
+        "manifest": (d / "manifest.json", lambda p: files.read_json(p, cli._manifest_run)),
+    }
+
+
+@pytest.fixture(scope="module")
+def fixtures(tmp_path_factory):
+    return _write_fixtures(tmp_path_factory.mktemp("files"))
+
+
+KINDS = ["corpus", "word-vocab", "links", "entity-vocab", "queries", "embeddings", "gold",
+         "qa-jsonl", "qa-squad", "re", "ner", "spans", "manifest"]
+
+
+def test_every_fixture_is_valid(fixtures):
+    assert sorted(fixtures) == sorted(KINDS)
+    for path, reader in fixtures.values():
+        assert reader(str(path))
+
+
+@pytest.mark.parametrize("kind", ["word-vocab", "entity-vocab", "gold", "manifest"])
+def test_empty_vocab_gold_or_manifest_file_is_malformed(fixtures, kind, tmp_path):
+    path, reader = fixtures[kind]
+    empty = tmp_path / path.name
+    empty.write_bytes(b"")
+    with pytest.raises(ContractError, match=rf"^{re.escape(str(empty))}:1: "):
+        reader(str(empty))
+
+
+def _load_damaged(fixtures, kind, damage):
+    path, reader = fixtures[kind]
+    bad = path.with_name("damaged-" + path.name)
+    bad.write_bytes(damage(path.read_bytes()))
+    try:
+        reader(str(bad))
+    except EntlmError as e:
+        assert re.match(rf"{re.escape(str(bad))}:\d+: ", str(e)), str(e)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(cut=st.floats(0.0, 1.0))
+def test_truncated_file_loads_or_raises_typed_error(fixtures, kind, cut):
+    _load_damaged(fixtures, kind, lambda raw: raw[: int(cut * len(raw))])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(flips=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255)),
+                      min_size=1, max_size=3))
+def test_flipped_bytes_load_or_raise_typed_error(fixtures, kind, flips):
+    def damage(raw):
+        out = bytearray(raw)
+        for where, mask in flips:  # a mask with the high bit set can make invalid UTF-8
+            out[int(where * len(out))] ^= mask
+        return bytes(out)
+
+    _load_damaged(fixtures, kind, damage)

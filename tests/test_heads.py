@@ -95,6 +95,30 @@ def test_load_qa_char_offsets_multiword(tmp_path):
     assert inst.q_lang == inst.c_lang == "de"
 
 
+def test_load_qa_json_lines_of_three_records(tmp_path):
+    import json
+    recs = [{"id": f"q{i}", "question": "where ?", "context": f"the Tokyo Tower stands {i}",
+             "answers": [{"text": "Tokyo Tower", "answer_start": 4}]} for i in range(3)]
+    path = tmp_path / "qa.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    insts = load_qa_data(str(path))
+    assert [i.qid for i in insts] == ["q0", "q1", "q2"]
+    assert all(i.gold_spans == [(1, 3)] for i in insts)
+
+
+@pytest.mark.parametrize("entities", [
+    {"question_entities": [(0, 3, 5)]},  # past the 2-token question
+    {"context_entities": [(3, 5, 5)]},  # past the 4-token context
+    {"context_entities": [(2, 2, 5)]},  # empty
+    {"context_entities": [(-1, 1, 5)]},
+])
+def test_qa_instance_rejects_entities_outside_their_text(entities):
+    inst = QAInstance(qid="q", question_tokens=["who", "?"], context_tokens="the capital is tokyo".split(),
+                      answers=["tokyo"], gold_spans=[(3, 4)], **entities)
+    with pytest.raises(ContractError):
+        inst.validate()
+
+
 def test_re_data_round_trip(tmp_path):
     insts = [REInstance(tokens="a works for b".split(), head_span=(0, 1),
                         tail_span=(3, 4), label="employer")]
@@ -486,7 +510,8 @@ def test_qa_loss_is_the_mean_of_per_example_losses(task_setup):
     tokyo = ev.resolve("en", "Tokyo")
     ctx = "the capital of japan is tokyo".split()
     insts = [QAInstance(qid=str(i), question_tokens=q.split(), context_tokens=ctx[: 4 + i],
-                        answers=["x"], gold_spans=[(i, i + 2)], context_entities=[(5, 6, tokyo)]).validate()
+                        answers=["x"], gold_spans=[(i, i + 2)],
+                        context_entities=[(5, 6, tokyo)] if i == 2 else []).validate()  # only i=2 reaches "tokyo"
              for i, q in enumerate(["what ?", "what is the capital ?", "is it tokyo ?"])]
     for use_entities in (False, True):
         model = make_qa_model(cfg, params, wv, ev, use_entities=use_entities)
@@ -548,3 +573,16 @@ def test_finetune_ner_runs(task_setup):
     model = finetune(model, insts, insts, FinetuneConfig(lr=1e-3, epochs=1, batch_size=2))
     pred = ner_predict(model, insts[0])
     assert all(0 <= s < e <= 4 for s, e, _ in pred)
+
+
+def test_finetune_counts_gold_spans_longer_than_max_span_len(task_setup):
+    cfg, params, wv, ev = task_setup
+    model = make_ner_model(cfg, params, wv, ev, ["PER"], max_span_len=2)
+    insts = [NERInstance(tokens="a works for b".split(), gold_spans=[(0, 3, "PER"), (3, 4, "PER")]).validate()]
+    assert (0, 3) not in ner_span_logits(model, insts[0])[0]  # no candidate covers it
+    model = finetune(model, insts * 2, cfg=FinetuneConfig(lr=1e-3, epochs=1, batch_size=2))
+    assert model.skipped == {"skipped_examples": 0, "skipped_gold_spans": 2}
+    for task in ("qa", "re"):
+        model, insts = _task_fixture(task_setup, task)
+        model = finetune(model, insts, cfg=FinetuneConfig(lr=1e-3, epochs=1, batch_size=2))
+        assert model.skipped == {"skipped_examples": 0, "skipped_gold_spans": 0}
