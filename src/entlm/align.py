@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ContractError
 from .files import read_json, read_json_lines
+from .tensor import no_grad
 
 
 @dataclass
@@ -180,6 +181,7 @@ def load_span_items(path, word_vocab):
     return read_json_lines(path, item)
 
 
+@no_grad()
 def feature_dump(model, dataset, feature_spec, out_path=None):
     """Write SpanEmbedding records for downstream metric ops.
 

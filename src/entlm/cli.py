@@ -314,11 +314,22 @@ def cmd_inspect_checkpoint(args):
     return EXIT_OK
 
 
+def _command_dests(command):
+    """The option names the parser gives a command's handler."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.default is not argparse.SUPPRESS}
+
+
 def _manifest_run(manifest):
     """(handler, options) of a run manifest."""
-    if manifest["command"] not in _COMMAND_HANDLERS:
-        raise ContractError(f"unknown command {manifest['command']!r}")
-    return _COMMAND_HANDLERS[manifest["command"]], dict(manifest["options"])
+    command = manifest["command"]
+    if command not in _COMMAND_HANDLERS:
+        raise ContractError(f"unknown command {command!r}")
+    options = dict(manifest["options"])
+    missing = sorted(_command_dests(command) - options.keys())
+    if missing:
+        raise ContractError(f"{command} options lack {', '.join(missing)}")
+    return _COMMAND_HANDLERS[command], options
 
 
 def cmd_rerun(args):
@@ -446,7 +457,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except EntlmError as e:
+    except (EntlmError, OSError) as e:  # OSError: a missing, unreadable or misplaced path
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILURE
 

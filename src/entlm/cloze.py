@@ -19,7 +19,7 @@ from . import encoder
 from .encoder import EncodedSequence, encode  # noqa: F401  (perfbench's tracer wraps cloze.encode)
 from .errors import ContractError
 from .files import read_json_lines
-from .tensor import log_softmax_np
+from .tensor import log_softmax_np, no_grad
 
 MODES = ("word", "entity-y", "entity-xy")
 
@@ -151,6 +151,7 @@ def _candidate_input(model, query, candidate, mode):
     return seq, y_pos, None, model.word_vocab.encode(cand_tokens)
 
 
+@no_grad()
 def _score_candidates(model, query, candidates, mode):
     """(scores, used_entity) of the candidates from one batched encoder pass.
 

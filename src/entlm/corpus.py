@@ -119,6 +119,11 @@ class WordVocab:
         return self.token_to_id[token]
 
     def save(self, path):
+        """One token per line; raises ContractError, before writing, on a
+        token that `load` would not read back (blank or holding a line break)."""
+        for i, t in enumerate(self.id_to_token):
+            if not t.strip() or "\n" in t or "\r" in t:
+                raise ContractError(f"word vocab token {i} ({t!r}) would not survive a save and load")
         with open(path, "w", encoding="utf-8") as f:
             f.write("\n".join(self.id_to_token) + "\n")
 

@@ -166,7 +166,7 @@ def embed_entities(params, config, entity_ids, entity_positions, position_mask):
         raise ContractError("entity with empty mention position set")
 
     tok = T.embedding(params["entity_emb"], entity_ids)
-    proj = T.matmul(tok, params["entity_proj_w"]) + params["entity_proj_b"]
+    proj = T.linear(tok, params["entity_proj_w"], params["entity_proj_b"])
     typ = T.embedding(params["entity_type_emb"], np.full(entity_ids.shape, ENTITY_TYPE_ID))
     pos_rows = T.embedding(params["pos_emb"], np.asarray(entity_positions))  # (..., P, H)
     masked = T.mul(pos_rows, T.constant(position_mask[..., None]))
@@ -178,31 +178,20 @@ def embed_entities(params, config, entity_ids, entity_positions, position_mask):
 
 
 def _attention(params, config, x, attn_mask, layer, rng, train):
-    B, S, H = x.shape
-    nh = config.heads
-    dh = H // nh
     pre = f"layer{layer}.attn."
-
-    def heads_split(t):
-        return T.transpose(T.reshape(t, (B, S, nh, dh)), (0, 2, 1, 3))
-
-    q = heads_split(T.matmul(x, params[pre + "wq"]) + params[pre + "qb"])
-    k = heads_split(T.matmul(x, params[pre + "wk"]) + params[pre + "kb"])
-    v = heads_split(T.matmul(x, params[pre + "wv"]) + params[pre + "vb"])
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    q = T.linear(x, params[pre + "wq"], params[pre + "qb"])
+    k = T.linear(x, params[pre + "wk"], params[pre + "kb"])
+    v = T.linear(x, params[pre + "wv"], params[pre + "vb"])
     bias = np.where(attn_mask[:, None, None, :] > 0, 0.0, NEG_INF)
-    probs = T.softmax(scores + T.constant(bias), axis=-1)
-    if train and config.dropout > 0:
-        probs = T.dropout(probs, config.dropout, rng)
-    ctx = T.matmul(probs, v)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (B, S, H))
-    return T.matmul(ctx, params[pre + "wo"]) + params[pre + "ob"]
+    p = config.dropout if train else 0.0
+    ctx = T.attention(q, k, v, bias, config.heads, p=p, rng=rng)
+    return T.linear(ctx, params[pre + "wo"], params[pre + "ob"])
 
 
 def _ffn(params, config, x, layer):
     pre = f"layer{layer}.ffn."
-    h = T.gelu(T.matmul(x, params[pre + "w1"]) + params[pre + "b1"])
-    return T.matmul(h, params[pre + "w2"]) + params[pre + "b2"]
+    h = T.gelu(T.linear(x, params[pre + "w1"], params[pre + "b1"]))
+    return T.linear(h, params[pre + "w2"], params[pre + "b2"])
 
 
 def encode_batch(params, config, batch, rng=None, train=False):

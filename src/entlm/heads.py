@@ -264,7 +264,7 @@ def _qa_sequence(model: TaskModel, inst: QAInstance, ctx_lo, ctx_hi, use_entitie
 def _qa_logits(model: TaskModel, seqs):
     """(B, M, 2) start/end logits over the word rows of one batched pass."""
     out = encode_batch(model.params, model.encoder_config, pack_batch(seqs))
-    return T.matmul(out.word_tensor, model.params["qa_head.w"]) + model.params["qa_head.b"]
+    return T.linear(out.word_tensor, model.params["qa_head.w"], model.params["qa_head.b"])
 
 
 def _first_window_end(model: TaskModel, inst: QAInstance):
@@ -283,6 +283,7 @@ def _best_span(start_logits, end_logits, max_len=MAX_ANSWER_LEN):
     return scores[s, length], s, s + length  # (score, start, end_inclusive)
 
 
+@T.no_grad()
 def qa_predict(model: TaskModel, inst: QAInstance, use_entities=None):
     """Predicted answer span and score, with sliding windows on long contexts."""
     inst.validate()
@@ -440,9 +441,10 @@ def _re_features(model, insts):
 
 def re_logits(model: TaskModel, insts):
     f = _re_features(model, insts)
-    return T.matmul(f, model.params["re_head.w"]) + model.params["re_head.b"]
+    return T.linear(f, model.params["re_head.w"], model.params["re_head.b"])
 
 
+@T.no_grad()
 def re_classify(model: TaskModel, inst: REInstance):
     logits = re_logits(model, [inst]).data[0]
     return model.labels[int(np.argmax(logits))]
@@ -511,9 +513,10 @@ def ner_span_logits(model: TaskModel, inst: NERInstance):
         out = encode_batch(model.params, model.encoder_config, pack_batch(seqs))
         idx = np.arange(len(spans))
         f = T.getitem(out.entity_tensor, (idx // NER_SPANS_PER_ROW, idx % NER_SPANS_PER_ROW))
-    return spans, T.matmul(f, model.params["ner_head.w"]) + model.params["ner_head.b"]
+    return spans, T.linear(f, model.params["ner_head.w"], model.params["ner_head.b"])
 
 
+@T.no_grad()
 def ner_predict(model: TaskModel, inst: NERInstance):
     """Greedy non-overlapping decode of the highest-scoring typed spans."""
     spans, logits = ner_span_logits(model, inst)

@@ -113,7 +113,7 @@ def _head_loss(vectors, labels, w, b):
     H = vectors.shape[-1]
     flat = T.reshape(vectors, (-1, H))
     rows = np.flatnonzero(labels != IGNORE_LABEL)
-    logits = T.matmul(T.getitem(flat, rows), w) + b
+    logits = T.linear(T.getitem(flat, rows), w, b)
     return T.cross_entropy_logits(logits, labels[rows], ignore_index=IGNORE_LABEL), rows.size
 
 

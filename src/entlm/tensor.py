@@ -2,11 +2,16 @@
 
 Plain row-major numpy kernels, float64 by default.  A Tensor records the op
 that produced it and closures that push gradients to its parents; backward()
-walks the implicit graph once in reverse topological order.  No fusion, no
-views with aliasing surprises: every op materializes its output.
+walks the implicit graph once in reverse topological order.  Two fused ops
+cut the encoder's node count: `linear` (x @ w + b) and `attention` (the
+scaled, masked softmax attention core over all heads), each doing the same
+numpy arithmetic, in the same order, as the chain of single ops it replaces.
+Inside `no_grad()` ops record no graph, for forward-only passes.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.special import erf
@@ -102,8 +107,33 @@ def _needs_grad(*tensors):
     return any(t.requires_grad or t._parents for t in tensors)
 
 
+_grad_enabled = True
+
+
+class no_grad:
+    """Context manager, or decorator as `@no_grad()`: ops inside record no
+    parents and no backward closure.  Restores the previous state on exit."""
+
+    def __enter__(self):
+        global _grad_enabled
+        self._prev = _grad_enabled
+        _grad_enabled = False
+
+    def __exit__(self, *exc):
+        global _grad_enabled
+        _grad_enabled = self._prev
+
+    def __call__(self, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            with no_grad():
+                return fn(*args, **kwargs)
+
+        return wrapper
+
+
 def _make(data, parents, backward, op):
-    if _needs_grad(*parents):
+    if _grad_enabled and _needs_grad(*parents):
         return Tensor(data, _parents=parents, _backward=backward, _op=op)
     return Tensor(data, _op=op)
 
@@ -186,6 +216,79 @@ def matmul(a, b):
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _make(out_data, (a, b), backward, "matmul")
+
+
+def linear(x, w, b):
+    """x @ w + b as one node; w is (in, out) and b is (out,)."""
+    if x.ndim < 1 or w.ndim != 2 or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: input {x.shape}, weight {w.shape} and bias {b.shape} do not fit")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: input axis -1 has {x.shape[-1]}, weight axis 0 has {w.shape[0]}")
+    out_data = np.matmul(x.data, w.data) + b.data
+
+    def backward(g):
+        gx = np.matmul(g, w.data.T)
+        # a shared weight: fold every leading axis of x into one 2-D GEMM
+        gw = x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, w.shape[-1])
+        return _unbroadcast(gx, x.shape), gw, _unbroadcast(g, b.shape)
+
+    return _make(out_data, (x, w, b), backward, "linear")
+
+
+def attention(q, k, v, bias, heads, p=0.0, rng=None):
+    """Multi-head scaled dot-product attention core as one node.
+
+    q, k, v are (B, S, H) projections; `bias` is an additive score mask
+    broadcastable to (B, heads, S, S).  Splits the heads, applies
+    softmax(q k^T / sqrt(dh) + bias), inverted dropout at rate p on the
+    probabilities (drawn from `rng`), multiplies by v and merges the heads.
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention: q, k, v must share one (B, S, H) shape, "
+                         f"got {q.shape}, {k.shape} and {v.shape}")
+    B, S, H = q.shape
+    if H % heads:
+        raise ShapeError(f"attention: hidden size {H} not divisible by {heads} heads")
+    if not 0.0 <= p < 1.0:
+        raise ContractError(f"attention: dropout rate {p} outside [0, 1)")
+    if p > 0.0 and rng is None:
+        raise ContractError("attention: dropout needs an rng")
+    dh = H // heads
+    c = float(1.0 / np.sqrt(dh))
+
+    def split(t):
+        return np.transpose(t.reshape((B, S, heads, dh)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    kt = np.transpose(kh, (0, 1, 3, 2))
+    scores = np.matmul(qh, kt) * c + bias
+    m = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - m)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    mask = None
+    dropped = probs
+    if p > 0.0:
+        mask = (rng.random(probs.shape) >= p) / (1.0 - p)
+        dropped = probs * mask
+    ctx = np.matmul(dropped, vh)
+    out_data = np.transpose(ctx, (0, 2, 1, 3)).reshape((B, S, H))
+
+    def merge(gh):
+        return np.transpose(gh, (0, 2, 1, 3)).reshape((B, S, H))
+
+    def backward(g):
+        gctx = np.transpose(g.reshape((B, S, heads, dh)), (0, 2, 1, 3))
+        gprobs = np.matmul(gctx, np.swapaxes(vh, -1, -2))
+        gvh = np.matmul(np.swapaxes(dropped, -1, -2), gctx)
+        if mask is not None:
+            gprobs = gprobs * mask
+        dot = (gprobs * probs).sum(axis=-1, keepdims=True)
+        gs = probs * (gprobs - dot) * c
+        gqh = np.matmul(gs, np.swapaxes(kt, -1, -2))
+        gkt = np.matmul(np.swapaxes(qh, -1, -2), gs)
+        return merge(gqh), merge(np.transpose(gkt, (0, 1, 3, 2))), merge(gvh)
+
+    return _make(out_data, (q, k, v), backward, "attention")
 
 
 def embedding(table, ids):

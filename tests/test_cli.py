@@ -637,3 +637,23 @@ def test_finetune_reports_gold_spans_longer_than_max_span_len(workspace, pretrai
     assert load_checkpoint(os.path.join(out, "checkpoint-finetuned.bin")).meta["skipped_gold_spans"] == 1
     meta = load_checkpoint(os.path.join(finetuned["out"], "checkpoint-finetuned.bin")).meta
     assert (meta["skipped_examples"], meta["skipped_gold_spans"]) == (0, 0)
+
+
+@pytest.mark.parametrize("what", ["missing", "directory"])
+def test_unreadable_input_path_exits_1(tmp_path, capsys, what):
+    path = tmp_path / "nope.jsonl" if what == "missing" else tmp_path
+    rc = main(["analyze", "modularity", "--embeddings", str(path), "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAILURE
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
+def test_rerun_names_options_the_manifest_lacks(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "analyze", "options": {"metric": "modularity"}}))
+    rc = main(["rerun", str(manifest)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAILURE
+    assert f"{manifest}:1: " in err
+    assert "lack embeddings, gold, k, out, pool, queries" in err

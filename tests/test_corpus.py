@@ -58,6 +58,15 @@ def test_word_vocab_rank_and_round_trip(tmp_path):
     assert WordVocab.load(path).token_to_id == wv.token_to_id
 
 
+@pytest.mark.parametrize("token", ["", "  ", "a\nb", "a\r"])
+def test_word_vocab_save_rejects_tokens_load_would_drop(tmp_path, token):
+    wv = WordVocab(["a", token, "b"])
+    path = tmp_path / "words.txt"
+    with pytest.raises(ContractError, match=r"token 4 "):
+        wv.save(str(path))
+    assert not path.exists()
+
+
 def test_split_packs_whole_sentences():
     d = doc("a b c . d e . f g h .".split(), breaks=[4, 7, 11])
     parts = split_sequences(d, max_words=7)

@@ -166,3 +166,78 @@ def test_full_encoder_grad_check(tiny_params, tiny_config):
     err = T.grad_check(loss, tiny_params, eps=1e-5, rng=np.random.default_rng(0),
                        samples_per_param=2)
     assert err < 1e-4
+
+
+def _inner_nodes(root):
+    """Graph nodes (tensors with parents) reachable from `root`."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        count += bool(t._parents)
+        stack.extend(t._parents)
+    return count
+
+
+def test_toy_step_graph_node_count(tiny_config):
+    from entlm.corpus import IGNORE_LABEL, MaskedBatch
+    from entlm.pretrain import init_model, pretrain_step_loss
+
+    params = init_model(tiny_config, seed=0)
+    rng = substream(4, "node-count")
+    batches = []
+    for _ in range(4):
+        seq = random_sequence(rng, tiny_config, n_words=8, n_entities=2)
+        word_labels = [IGNORE_LABEL] * 8
+        word_labels[1] = seq.word_ids[1]
+        batches.append(MaskedBatch(sequence=seq, word_labels=word_labels,
+                                   entity_labels=[seq.entity_ids[0], IGNORE_LABEL]))
+    total, _, _ = pretrain_step_loss(params, tiny_config, batches, entity_pad_id=0)
+    # 15 embedding nodes, 12 per layer (4 linear, attention, 2 residual adds,
+    # 2 layer norms, 2 FFN linears, gelu), 2 output slices, 4 per head loss, the sum
+    assert _inner_nodes(total) <= 51, _inner_nodes(total)
+
+
+def test_eval_entry_points_hold_no_graph(monkeypatch):
+    from entlm import align, cloze, heads
+    from entlm.corpus import WordVocab
+    from entlm.pretrain import init_head_params
+    from entlm.vocab import SPECIAL_ENTITIES, EntityEntry, EntityVocab
+
+    wv = WordVocab(["the", "capital", "of", "japan", "is", "tokyo", "kyoto", "what", "?"])
+    entries = [EntityEntry(canonical_key=k) for k in SPECIAL_ENTITIES]
+    entries.append(EntityEntry(canonical_key="japan", titles={("en", "japan")}))
+    ev = EntityVocab(entries)
+    cfg = EncoderConfig(word_vocab_size=len(wv), entity_vocab_size=len(ev), hidden_size=16,
+                        entity_emb_size=8, layers=1, heads=2, ffn_size=32, max_positions=32,
+                        dropout=0.0).validate()
+    rng = substream(0, "no-graph")
+    params = init_params(cfg, rng)
+    params.update(init_head_params(cfg, rng))
+    toks = "tokyo is the capital of japan".split()
+    re_inst = heads.REInstance(tokens=toks, head_span=(0, 1), tail_span=(5, 6), label="r")
+    ner_inst = heads.NERInstance(tokens=toks)
+    qa_inst = heads.QAInstance(qid="q", question_tokens="what is the capital ?".split(),
+                               context_tokens=toks, answers=["tokyo"])
+    query = cloze.TypedQuery(language="en", template="[X] is the capital of [Y]", sub_surface="tokyo",
+                             candidates=[("japan", None), ("kyoto", None)], gold_index=0).validate()
+    cloze_model = cloze.ClozeModel(encoder_config=cfg, params=params, word_vocab=wv, entity_vocab=ev)
+    calls = [
+        lambda: heads.re_classify(heads.make_re_model(cfg, params, wv, ev, ["r", "s"],
+                                                      variant="entity-mask"), re_inst),
+        lambda: heads.ner_predict(heads.make_ner_model(cfg, params, wv, ev, ["LOC"]), ner_inst),
+        lambda: heads.qa_predict(heads.make_qa_model(cfg, params, wv, ev), qa_inst),
+        lambda: cloze.score_query(cloze_model, query, "entity-y"),
+        lambda: align.feature_dump(cloze_model, [("u", "en", {"word_ids": wv.encode(toks), "span": (0, 1)})],
+                                   "span-mean"),
+        lambda: align.feature_dump(cloze_model, [("v", "en", re_inst)], "re-entity"),
+    ]
+    made = []
+    real_make = T._make
+    monkeypatch.setattr(T, "_make", lambda *args: made.append(real_make(*args)) or made[-1])
+    for call in calls:
+        made.clear()
+        call()
+        assert made and not any(out._parents for out in made)

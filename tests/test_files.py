@@ -96,7 +96,9 @@ def _write_fixtures(d):
     (d / "spans.jsonl").write_text("".join(json.dumps({
         "id": i, "lang": "en", "tokens": ["t0a_en", "ent0_en", "t0b_en"], "span": [1, 2 + i]}) + "\n"
         for i in range(2)))
-    (d / "manifest.json").write_text(json.dumps({"command": "analyze", "options": {"metric": "cwr"}}))
+    (d / "manifest.json").write_text(json.dumps({"command": "analyze", "options": {
+        "command": "analyze", "metric": "cwr", "queries": "q.jsonl", "pool": "p.jsonl",
+        "gold": "gold.json", "embeddings": None, "k": 3, "out": "mrr.json"}}))
     return {
         "corpus": (d / "corpus.jsonl", corpus.load_corpus),
         "word-vocab": (d / "words.txt", corpus.WordVocab.load),

@@ -234,3 +234,164 @@ def test_backward_rejects_nonfinite_gradient():
     a = p([1e308, 1e308])
     with np.errstate(over="ignore"), pytest.raises(ContractError):
         T.backward(T.reduce_sum(T.mul(a, a)))
+
+
+# ---------------------------------------------------------------------------
+# fused ops: linear and the attention core, against the op chains they replace
+
+
+def _linear_chain(x, w, b):
+    return T.matmul(x, w) + b
+
+
+def _attention_chain(q, k, v, bias, heads, p=0.0, rng=None):
+    B, S, H = q.shape
+    dh = H // heads
+
+    def split(t):
+        return T.transpose(T.reshape(t, (B, S, heads, dh)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = T.scale(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    probs = T.softmax(scores + T.constant(bias), axis=-1)
+    if p > 0:
+        probs = T.dropout(probs, p, rng)
+    ctx = T.matmul(probs, vh)
+    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (B, S, H))
+
+
+def _padded_bias(B=2, S=5, pad=2):
+    mask = np.ones((B, S))
+    mask[1, S - pad:] = 0.0
+    return np.where(mask[:, None, None, :] > 0, 0.0, -1e30)
+
+
+def _forward_and_grads(fn, params, weight):
+    T.zero_grads(params)
+    out = fn()
+    T.backward(T.reduce_sum(T.mul(out, T.constant(weight))))
+    return out.data, {n: p.grad for n, p in params.items()}
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (3, 4, 5)])
+def test_linear_matches_matmul_add_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    params = {"x": p(rng.normal(size=shape)), "w": p(rng.normal(size=(5, 6))), "b": p(rng.normal(size=6))}
+    weight = rng.normal(size=shape[:-1] + (6,))
+    fused = _forward_and_grads(lambda: T.linear(params["x"], params["w"], params["b"]), params, weight)
+    chain = _forward_and_grads(lambda: _linear_chain(params["x"], params["w"], params["b"]), params, weight)
+    assert np.array_equal(fused[0], chain[0])
+    for name in params:
+        assert np.array_equal(fused[1][name], chain[1][name]), name
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (3, 4, 5)])
+def test_grad_check_linear(shape):
+    rng = np.random.default_rng(12)
+    params = {"x": p(rng.normal(size=shape)), "w": p(rng.normal(size=(5, 3))), "b": p(rng.normal(size=3))}
+    weight = T.constant(rng.normal(size=shape[:-1] + (3,)))
+
+    def loss():
+        return T.reduce_sum(T.mul(T.gelu(T.linear(params["x"], params["w"], params["b"])), weight))
+
+    assert T.grad_check(loss, params, rng=np.random.default_rng(0)) < 1e-6
+
+
+def test_linear_rejects_bad_shapes():
+    with pytest.raises(ShapeError):
+        T.linear(p(np.ones((2, 3))), p(np.ones((4, 5))), p(np.zeros(5)))
+    with pytest.raises(ShapeError):
+        T.linear(p(np.ones((2, 3))), p(np.ones((3, 5))), p(np.zeros(4)))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+def test_attention_matches_op_chain_bit_for_bit(rate):
+    # head size 3: the 1/sqrt(dh) scale is inexact, so a reordered product shows
+    rng = np.random.default_rng(13)
+    params = {n: p(rng.normal(size=(2, 5, 6))) for n in "qkv"}
+    bias = _padded_bias()
+    weight = rng.normal(size=(2, 5, 6))
+
+    def fused():
+        return T.attention(params["q"], params["k"], params["v"], bias, 2, p=rate,
+                           rng=np.random.default_rng(5))
+
+    def chain():
+        return _attention_chain(params["q"], params["k"], params["v"], bias, 2, p=rate,
+                                rng=np.random.default_rng(5))
+
+    a, b = _forward_and_grads(fused, params, weight), _forward_and_grads(chain, params, weight)
+    assert np.array_equal(a[0], b[0])
+    for name in params:
+        assert np.array_equal(a[1][name], b[1][name]), name
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_grad_check_attention_padded_keys(rate):
+    rng = np.random.default_rng(14)
+    params = {n: p(rng.normal(size=(2, 5, 8))) for n in "qkv"}
+    bias = _padded_bias()
+    weight = T.constant(rng.normal(size=(2, 5, 8)))
+
+    def loss():
+        # a fresh stream per call draws the same dropout mask at every probe
+        out = T.attention(params["q"], params["k"], params["v"], bias, 2, p=rate,
+                          rng=np.random.default_rng(9))
+        return T.reduce_sum(T.mul(out, weight))
+
+    assert T.grad_check(loss, params, rng=np.random.default_rng(0)) < 1e-6
+    # keys under the mask get no gradient
+    assert np.all(params["k"].grad[1, 3:] == 0.0) and np.all(params["v"].grad[1, 3:] == 0.0)
+
+
+def test_attention_rejects_bad_input():
+    x = p(np.ones((1, 3, 4)))
+    with pytest.raises(ShapeError):
+        T.attention(x, x, p(np.ones((1, 2, 4))), np.zeros((1, 1, 1, 3)), 2)
+    with pytest.raises(ShapeError):
+        T.attention(x, x, x, np.zeros((1, 1, 1, 3)), 3)
+    with pytest.raises(ContractError):
+        T.attention(x, x, x, np.zeros((1, 1, 1, 3)), 2, p=1.0, rng=np.random.default_rng(0))
+    with pytest.raises(ContractError):
+        T.attention(x, x, x, np.zeros((1, 1, 1, 3)), 2, p=0.1)
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+
+
+def test_no_grad_records_no_graph():
+    w = p(np.ones((3, 2)))
+    with T.no_grad():
+        out = T.linear(p(np.ones((4, 3))), w, p(np.zeros(2)))
+    assert out._parents == () and out._backward is None and not out.requires_grad
+    assert T.linear(p(np.ones((4, 3))), w, p(np.zeros(2)))._parents
+
+
+def test_no_grad_nests_and_restores_after_an_exception():
+    a = p(np.ones(3))
+
+    @T.no_grad()
+    def failing():
+        raise ValueError("boom")
+
+    with T.no_grad():
+        with T.no_grad():
+            assert T.mul(a, a)._parents == ()
+        assert T.mul(a, a)._parents == ()  # the outer block is still active
+    assert T.mul(a, a)._parents
+    with pytest.raises(ValueError):
+        with T.no_grad():
+            raise ValueError("boom")
+    assert T.mul(a, a)._parents
+    with pytest.raises(ValueError):
+        failing()
+    assert T.mul(a, a)._parents
+
+
+def test_backward_fills_grads_after_no_grad():
+    a = p(np.array([1.0, 2.0]))
+    with T.no_grad():
+        T.reduce_sum(T.mul(a, a))
+    T.backward(T.reduce_sum(T.mul(a, a)))
+    assert np.array_equal(a.grad, [2.0, 4.0])
