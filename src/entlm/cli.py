@@ -145,9 +145,11 @@ def cmd_pretrain(args):
     max_words = data.get("max_words", corpus.DEFAULT_MAX_WORDS)
     entity_cap = data.get("entity_cap", corpus.DEFAULT_ENTITY_CAP)
     sequences_by_language = {}
+    dropped = 0  # annotations with an unresolved title or past entity_cap
     for doc in docs:
         for seq_doc in corpus.split_sequences(doc, max_words=max_words):
             seq = corpus.encode_document(seq_doc, word_vocab, entity_vocab, entity_cap=entity_cap)
+            dropped += len(seq_doc.annotations) - seq.num_entities
             sequences_by_language.setdefault(doc.language, []).append(seq)
 
     encoder_config = EncoderConfig(
@@ -164,7 +166,8 @@ def cmd_pretrain(args):
     )
     write_manifest(os.path.join(args.out, "manifest.json"), "pretrain", vars(args),
                    seed=train_config.seed, input_paths=[args.config, data["corpus"], data["entity_vocab"]])
-    print(f"pretrained {result.step} steps -> {result.final_checkpoint}")
+    print(f"pretrained {result.step} steps, dropped {dropped} annotations "
+          f"(unresolved title or past entity_cap) -> {result.final_checkpoint}")
     return EXIT_OK
 
 

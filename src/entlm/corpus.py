@@ -318,11 +318,15 @@ class SequenceSampler:
         self.pools = {l: sequences_by_language[l] for l in self.langs}
         spec = LanguageSamplingSpec({l: len(self.pools[l]) for l in self.langs}, alpha=alpha)
         dist = language_distribution(spec)
-        self.p = np.array([dist[l] for l in self.langs])
+        p = np.array([dist[l] for l in self.langs])
+        # the CDF `Generator.choice(n, p=p)` builds on every call, built once
+        self._cdf = p.cumsum()
+        self._cdf /= self._cdf[-1]
         self.rng = substream(seed, "corpus-sampler")
 
     def draw(self):
-        li = int(self.rng.choice(len(self.langs), p=self.p))
+        # the draw `choice(n, p=p)` makes: the same index from the same one double
+        li = int(self._cdf.searchsorted(self.rng.random(), side="right"))
         pool = self.pools[self.langs[li]]
         return pool[int(self.rng.integers(len(pool)))]
 

@@ -7,6 +7,12 @@ cut the encoder's node count: `linear` (x @ w + b) and `attention` (the
 scaled, masked softmax attention core over all heads), each doing the same
 numpy arithmetic, in the same order, as the chain of single ops it replaces.
 Inside `no_grad()` ops record no graph, for forward-only passes.
+
+At toy sizes a train step's time goes mostly to per-node bookkeeping, so it
+is kept lean: `_make` fills a node's slots directly instead of going through
+`Tensor.__init__`, and backward() keys its visited set and gradient map by
+the nodes themselves (they hash by identity).  Every node's incoming
+gradient is still checked for finiteness.
 """
 
 from __future__ import annotations
@@ -31,16 +37,14 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_op")
 
-    def __init__(self, data, requires_grad=False, name=None, _parents=(), _backward=None, _op=""):
-        self.data = np.asarray(data, dtype=DEFAULT_DTYPE if np.asarray(data).dtype.kind == "f" else None)
-        if self.data.dtype.kind != "f":
-            self.data = self.data.astype(DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad=False, name=None):
+        self.data = np.asarray(data, dtype=DEFAULT_DTYPE)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.name = name
-        self._parents = tuple(_parents)
-        self._backward = _backward
-        self._op = _op
+        self._parents = ()
+        self._backward = None
+        self._op = ""
 
     @property
     def shape(self):
@@ -92,7 +96,7 @@ class Tensor:
 
 
 def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=DEFAULT_DTYPE))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def parameter(data, name=None):
@@ -100,11 +104,7 @@ def parameter(data, name=None):
 
 
 def constant(data):
-    return Tensor(np.asarray(data, dtype=DEFAULT_DTYPE))
-
-
-def _needs_grad(*tensors):
-    return any(t.requires_grad or t._parents for t in tensors)
+    return Tensor(data)
 
 
 _grad_enabled = True
@@ -132,10 +132,28 @@ class no_grad:
         return wrapper
 
 
+_F64 = np.dtype(DEFAULT_DTYPE)
+
+
 def _make(data, parents, backward, op):
-    if _grad_enabled and _needs_grad(*parents):
-        return Tensor(data, _parents=parents, _backward=backward, _op=op)
-    return Tensor(data, _op=op)
+    """A kernel's output node, built without `Tensor.__init__`: a float64
+    ndarray is taken as is, anything else (a numpy scalar) is converted.
+    It records parents and closure only when some parent needs a gradient."""
+    t = object.__new__(Tensor)
+    t.data = data if type(data) is np.ndarray and data.dtype is _F64 else np.asarray(data, dtype=DEFAULT_DTYPE)
+    t.grad = None
+    t.requires_grad = False
+    t.name = None
+    t._op = op
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad or p._parents:
+                t._parents = parents
+                t._backward = backward
+                return t
+    t._parents = ()
+    t._backward = None
+    return t
 
 
 def _unbroadcast(grad, shape):
@@ -525,27 +543,27 @@ def backward(loss):
     if loss.data.ndim != 0:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
     topo = []
-    seen = set()
+    seen = set()  # nodes hash by identity
     stack = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
 
-    grads = {id(loss): np.ones((), dtype=DEFAULT_DTYPE)}
+    grads = {loss: np.ones((), dtype=DEFAULT_DTYPE)}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
+        g = grads.pop(node, None)
         if g is None:
             continue
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ContractError(f"backward: non-finite gradient at node {node!r}")
         if node.requires_grad:
             node.grad = g if node.grad is None else node.grad + g
@@ -555,10 +573,10 @@ def backward(loss):
         for p, pg in zip(node._parents, parent_grads):
             if pg is None:
                 continue
-            if id(p) in grads:
-                grads[id(p)] = grads[id(p)] + pg
+            if p in grads:
+                grads[p] = grads[p] + pg
             else:
-                grads[id(p)] = pg
+                grads[p] = pg
 
 
 def zero_grads(params):

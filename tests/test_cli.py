@@ -9,11 +9,11 @@ import pytest
 
 from entlm.align import SpanEmbedding, save_embeddings
 from entlm.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, _task_model_from_checkpoint, main
-from entlm.corpus import WordVocab, save_corpus
+from entlm.corpus import AnnotatedDocument, WordVocab, save_corpus
 from entlm.heads import REInstance, save_re_data
 from entlm.pretrain import load_checkpoint
 from entlm.synth import make_bilingual_corpus
-from entlm.vocab import EntityVocab
+from entlm.vocab import SPECIAL_ENTITIES, EntityEntry, EntityVocab
 
 CONFIG_TEXT = """
 [model]
@@ -114,6 +114,28 @@ def test_pretrain_seed_flag_changes_result(workspace, pretrained):
     a = Path(pretrained, "checkpoint-final.bin").read_bytes()
     b = Path(out2, "checkpoint-final.bin").read_bytes()
     assert a != b
+
+
+def test_pretrain_counts_dropped_annotations(workspace, capsys):
+    ws = workspace["ws"]
+    entries = [EntityEntry(canonical_key=k) for k in SPECIAL_ENTITIES]
+    entries += [EntityEntry(canonical_key="tokyo", titles={("en", "Tokyo")}),
+                EntityEntry(canonical_key="japan", titles={("en", "Japan")})]
+    EntityVocab(entries).save(str(ws / "drop-entities.tsv"))
+    docs = [
+        # Japan is past entity_cap = 1
+        AnnotatedDocument("en", "a", "tokyo is in japan .".split(), [(0, 1, "Tokyo"), (3, 4, "Japan")]),
+        # Osaka does not resolve
+        AnnotatedDocument("en", "b", "osaka is big .".split(), [(0, 1, "Osaka")]),
+        AnnotatedDocument("en", "c", "japan is big .".split(), [(0, 1, "Japan")]),
+    ]
+    save_corpus(docs, str(ws / "drop-corpus.jsonl"))
+    cfg = ws / "drop.cfg"
+    cfg.write_text(CONFIG_TEXT.format(corpus=ws / "drop-corpus.jsonl", vocab=ws / "drop-entities.tsv")
+                   + "entity_cap = 1\n")
+    rc = main(["pretrain", "--config", str(cfg), "--out", str(ws / "drop-out")])
+    assert rc == EXIT_OK
+    assert "pretrained 6 steps, dropped 2 annotations" in capsys.readouterr().out
 
 
 def test_pretrain_set_override(workspace):

@@ -209,3 +209,22 @@ def test_sampler_is_deterministic():
     a = SequenceSampler(seqs, seed=5).draw_batch(20)
     b = SequenceSampler(seqs, seed=5).draw_batch(20)
     assert [s.word_ids for s in a] == [s.word_ids for s in b]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+@pytest.mark.parametrize("sizes", [(7,), (40, 3), (25, 1, 60)])
+def test_sampler_draws_match_generator_choice(sizes, alpha):
+    # reference: `Generator.choice(n, p=p)` for the language, then a uniform
+    # index into its pool, on the same substream
+    langs = [f"l{i}" for i in range(len(sizes))]
+    seqs = {l: [EncodedSequence(word_ids=[i, j]) for j in range(n)]
+            for i, (l, n) in enumerate(zip(langs, sizes))}
+    dist = language_distribution(LanguageSamplingSpec(dict(zip(langs, sizes)), alpha=alpha))
+    p = np.array([dist[l] for l in langs])
+    sampler = SequenceSampler(seqs, alpha=alpha, seed=11)
+    ref_rng = substream(11, "corpus-sampler")
+    for _ in range(10_000):
+        li = int(ref_rng.choice(len(langs), p=p))
+        pool = seqs[langs[li]]
+        assert sampler.draw() is pool[int(ref_rng.integers(len(pool)))]
+    assert sampler.rng.bit_generator.state == ref_rng.bit_generator.state

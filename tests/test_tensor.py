@@ -1,6 +1,7 @@
 """Autodiff core: kernel oracles, backward-pass finite-difference checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +235,17 @@ def test_backward_rejects_nonfinite_gradient():
     a = p([1e308, 1e308])
     with np.errstate(over="ignore"), pytest.raises(ContractError):
         T.backward(T.reduce_sum(T.mul(a, a)))
+    # NaN, +inf and -inf reaching an inner node or a leaf parameter: the
+    # error names the first node that receives the bad gradient
+    for bad in (np.nan, np.inf, -np.inf):
+        for at_leaf in (True, False):
+            w = T.parameter(np.array([1.0, 2.0]), name="w")
+            x = w if at_leaf else T.scale(w, 3.0)
+            loss = T.reduce_sum(T.mul(x, T.constant([1.0, bad])))
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(ContractError, match=re.escape(f"at node {x!r}")):
+                T.backward(loss)
+            assert w.grad is None
 
 
 # ---------------------------------------------------------------------------
@@ -395,3 +407,113 @@ def test_backward_fills_grads_after_no_grad():
         T.reduce_sum(T.mul(a, a))
     T.backward(T.reduce_sum(T.mul(a, a)))
     assert np.array_equal(a.grad, [2.0, 4.0])
+
+
+# ---------------------------------------------------------------------------
+# node contract and the backward engine
+
+
+def reference_backward(loss):
+    """The id()-keyed engine `T.backward` replaced, kept as an oracle."""
+    topo = []
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for q in node._parents:
+            if id(q) not in seen:
+                stack.append((q, False))
+    grads = {id(loss): np.ones((), dtype=np.float64)}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if not np.all(np.isfinite(g)):
+            raise ContractError(f"backward: non-finite gradient at node {node!r}")
+        if node.requires_grad:
+            node.grad = g if node.grad is None else node.grad + g
+        if node._backward is None:
+            continue
+        for q, qg in zip(node._parents, node._backward(g)):
+            if qg is None:
+                continue
+            grads[id(q)] = grads[id(q)] + qg if id(q) in grads else qg
+
+
+def test_backward_equals_reference_engine_on_a_pretrain_step(tiny_config):
+    from dataclasses import replace
+
+    from conftest import random_sequence
+    from entlm.corpus import IGNORE_LABEL, MaskedBatch
+    from entlm.pretrain import init_model, pretrain_step_loss
+    from entlm.seeding import substream
+
+    cfg = replace(tiny_config, dropout=0.1).validate()
+    params = init_model(cfg, seed=0)
+    rng = substream(5, "engine")
+    batches = []
+    for _ in range(4):
+        seq = random_sequence(rng, cfg, n_words=10, n_entities=2)
+        word_labels = [IGNORE_LABEL] * 10
+        word_labels[2], word_labels[7] = seq.word_ids[2], seq.word_ids[7]
+        batches.append(MaskedBatch(sequence=seq, word_labels=word_labels,
+                                   entity_labels=[seq.entity_ids[0], IGNORE_LABEL]))
+    total, _, _ = pretrain_step_loss(params, cfg, batches, entity_pad_id=0,
+                                     rng=substream(5, "engine-dropout"))
+
+    # several nodes feed more than one child (q/k/v share x, the residuals reuse it)
+    children = {}
+    stack, seen = [total], set()
+    while stack:
+        t = stack.pop()
+        for q in t._parents:
+            children[id(q)] = children.get(id(q), 0) + 1
+            if id(q) not in seen:
+                seen.add(id(q))
+                stack.append(q)
+    assert sum(n > 1 for n in children.values()) >= 4
+
+    reference_backward(total)
+    expected = {n: t.grad.tobytes() for n, t in params.items() if t.grad is not None}
+    T.zero_grads(params)
+    T.backward(total)
+    assert {n: t.grad.tobytes() for n, t in params.items() if t.grad is not None} == expected
+    assert len(expected) == len(params)
+
+
+def test_node_data_is_a_float64_array():
+    a, b = p(np.arange(6.0).reshape(2, 3)), p(np.ones(3))
+    outs = [
+        T.add(a, b), T.matmul(a, p(np.ones((3, 2)))), T.reduce_sum(a, axis=1),
+        T.reduce_sum(a), T.reduce_mean(a), a[0, 1],
+        T.cross_entropy_logits(a, np.array([0, 2])),
+        T.cross_entropy_logits(a, np.array([-100, -100])),
+    ]
+    for out in outs:
+        assert type(out.data) is np.ndarray and out.data.dtype == np.float64, out
+    assert outs[3].data.shape == () and outs[6].data.shape == () and outs[7].data.shape == ()
+    for data in (3, [1, 2], np.array([True, False]), np.float32(0.5), np.arange(3)):
+        t = T.Tensor(data)
+        assert type(t.data) is np.ndarray and t.data.dtype == np.float64
+        assert np.array_equal(t.data, np.asarray(data, dtype=np.float64))
+
+
+def test_node_records_parents_only_when_one_needs_a_gradient():
+    c, w = T.constant([1.0, 2.0]), p([3.0, 4.0])
+    out = T.mul(c, c)
+    assert out._parents == () and out._backward is None
+    assert T.scale(out, 2.0)._parents == ()
+    mixed = T.mul(c, w)
+    assert mixed._parents == (c, w) and mixed._backward is not None
+    assert T.scale(mixed, 2.0)._parents == (mixed,)  # an inner node passes it on
+    with T.no_grad():
+        assert T.mul(c, w)._parents == () and T.mul(c, w)._backward is None
+    for out in (out, mixed):
+        assert out.grad is None and not out.requires_grad and out.name is None
