@@ -12,7 +12,7 @@ At toy sizes a train step's time goes mostly to per-node bookkeeping, so it
 is kept lean: `_make` fills a node's slots directly instead of going through
 `Tensor.__init__`, and backward() keys its visited set and gradient map by
 the nodes themselves (they hash by identity).  Every node's incoming
-gradient is still checked for finiteness.
+gradient, leaves included, is checked for finiteness.
 """
 
 from __future__ import annotations
