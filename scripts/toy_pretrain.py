@@ -6,21 +6,79 @@ Trains a small entity-aware encoder for a few thousand steps, then reports:
   * cross-lingual mention-retrieval MRR, English queries against a German
     pool of mention span embeddings (vs. the analytic random baseline).
 
-Runs in well under a minute on a laptop CPU.
+Prints one line per result, then the report as one JSON line with the keys
+steps, seed, entities, mep_top1, mep_chance, mention_mrr and mrr_baseline.
+`run()` returns that report.  Runs in well under a minute on a laptop CPU.
 """
 
 import argparse
+import json
 import time
 from dataclasses import replace
 
 import numpy as np
 
-from entlm.align import SpanEmbedding, cwr_mrr, span_embed
-from entlm.corpus import build_word_vocab, encode_document, split_sequences
-from entlm.encoder import EncoderConfig, encode
+from entlm.align import cwr_mrr, feature_dump
+from entlm.cloze import ClozeModel, mep_logprobs
+from entlm.corpus import build_word_vocab, encode_corpus
+from entlm.encoder import EncoderConfig, encode_batch, pack_batch
 from entlm.pretrain import TrainConfig, train
 from entlm.synth import make_bilingual_corpus
+from entlm.tensor import no_grad
 from entlm.vocab import build_entity_vocab
+
+
+def _mention_item(lang, seq):
+    """A span-mean `feature_dump` item over the sequence's first mention,
+    with the sequence's entity tokens in the input."""
+    pos = seq.entity_positions[0]
+    return (f"{lang}{seq.entity_ids[0]}", lang,
+            {"word_ids": seq.word_ids, "entity_ids": seq.entity_ids,
+             "entity_positions": seq.entity_positions, "span": (pos[0], pos[-1] + 1)})
+
+
+def run(entities=30, sequences=500, steps=2000, stage1_steps=0, hidden=32, layers=2,
+        peak_lr=1e-3, seed=7):
+    """Pretrain on the toy corpus and return the report dict."""
+    docs, links = make_bilingual_corpus(n_entities=entities, n_sequences=sequences, seed=3)
+    ev = build_entity_vocab(docs, links, min_languages=2)
+    wv = build_word_vocab(docs)
+    seqs, _ = encode_corpus(docs, wv, ev, max_words=16)
+    train_pool = {lang: v[:-20] for lang, v in seqs.items()}
+    held = [s for v in seqs.values() for s in v[-20:]]
+
+    cfg = EncoderConfig(
+        word_vocab_size=len(wv), entity_vocab_size=len(ev),
+        hidden_size=hidden, entity_emb_size=hidden // 2,
+        layers=layers, heads=2, ffn_size=2 * hidden,
+        max_positions=16, dropout=0.0).validate()
+    tcfg = TrainConfig(
+        total_steps=steps, stage1_steps=stage1_steps, batch_size=8,
+        peak_lr=peak_lr, warmup_steps=100, seed=seed, log_interval=200)
+    params = train(cfg, tcfg, train_pool, wv, ev).params
+    model = ClozeModel(encoder_config=cfg, params=params, word_vocab=wv, entity_vocab=ev)
+
+    # masked-entity prediction of each held-out sequence's first entity
+    masked = [replace(s, entity_ids=[ev.mask_id] * s.num_entities) for s in held]
+    with no_grad():
+        out = encode_batch(params, cfg, pack_batch(masked, pad_entity_id=ev.pad_id))
+    predicted = np.argmax(mep_logprobs(model, out.entity_vectors[:, 0]), axis=1)
+    mep_top1 = float(np.mean(predicted == [s.entity_ids[0] for s in held]))
+
+    # cross-lingual mention retrieval: en queries vs. a de pool, one mention per entity
+    pool_items = {}
+    for s in seqs["de"][:80]:
+        pool_items.setdefault(s.entity_ids[0], _mention_item("de", s))
+    query_items = {}
+    for s in seqs["en"][:100]:
+        if s.entity_ids[0] in pool_items:
+            query_items.setdefault(s.entity_ids[0], _mention_item("en", s))
+    pool = feature_dump(model, pool_items.values(), "span-mean")
+    queries = feature_dump(model, query_items.values(), "span-mean")
+    mrr = cwr_mrr(queries, pool, {f"en{eid}": f"de{eid}" for eid in query_items})
+    baseline = sum(1.0 / r for r in range(1, len(pool) + 1)) / len(pool)
+    return {"steps": steps, "seed": seed, "entities": entities, "mep_top1": mep_top1,
+            "mep_chance": 1.0 / entities, "mention_mrr": mrr, "mrr_baseline": baseline}
 
 
 def main():
@@ -35,66 +93,14 @@ def main():
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    docs, links = make_bilingual_corpus(
-        n_entities=args.entities, n_sequences=args.sequences, seed=3)
-    ev = build_entity_vocab(docs, links, min_languages=2)
-    wv = build_word_vocab(docs)
-    seqs = {}
-    for d in docs:
-        for sd in split_sequences(d, 16):
-            seqs.setdefault(d.language, []).append(encode_document(sd, wv, ev))
-    train_pool = {lang: v[:-20] for lang, v in seqs.items()}
-    held = [(lang, s) for lang, v in seqs.items() for s in v[-20:]]
-
-    cfg = EncoderConfig(
-        word_vocab_size=len(wv), entity_vocab_size=len(ev),
-        hidden_size=args.hidden, entity_emb_size=args.hidden // 2,
-        layers=args.layers, heads=2, ffn_size=2 * args.hidden,
-        max_positions=16, dropout=0.0).validate()
-    tcfg = TrainConfig(
-        total_steps=args.steps, stage1_steps=args.stage1_steps, batch_size=8,
-        peak_lr=args.peak_lr, warmup_steps=100, seed=args.seed, log_interval=200)
-
     t0 = time.time()
-    result = train(cfg, tcfg, train_pool, wv, ev)
-    params = result.params
-    print(f"trained {args.steps} steps in {time.time() - t0:.1f}s")
-
-    # masked-entity prediction on held-out sequences
-    correct = 0
-    for _lang, s in held:
-        masked = replace(s, entity_ids=[ev.mask_id] * len(s.entity_ids))
-        out = encode(params, cfg, masked)
-        logits = out.entity_vectors[0] @ params["mep_head.w"].data + params["mep_head.b"].data
-        correct += int(np.argmax(logits)) == s.entity_ids[0]
-    acc = correct / len(held)
-    print(f"held-out entity-prediction top-1: {acc:.3f} "
-          f"(chance {1.0 / args.entities:.3f})")
-
-    # cross-lingual mention retrieval: en queries vs. de pool
-    def mention_vec(s):
-        out = encode(params, cfg, s)
-        pos = s.entity_positions[0]
-        return span_embed(out.word_vectors, (pos[0], pos[-1] + 1))
-
-    pool_by_ent = {}
-    for s in seqs["de"][:80]:
-        pool_by_ent.setdefault(s.entity_ids[0], SpanEmbedding(
-            uid=f"de{s.entity_ids[0]}", language="de", text="",
-            vector=mention_vec(s)))
-    queries, gold, seen = [], {}, set()
-    for s in seqs["en"][:100]:
-        eid = s.entity_ids[0]
-        if eid in seen or eid not in pool_by_ent:
-            continue
-        seen.add(eid)
-        queries.append(SpanEmbedding(uid=f"en{eid}", language="en", text="",
-                                     vector=mention_vec(s)))
-        gold[f"en{eid}"] = f"de{eid}"
-    pool = list(pool_by_ent.values())
-    mrr = cwr_mrr(queries, pool, gold)
-    baseline = sum(1.0 / r for r in range(1, len(pool) + 1)) / len(pool)
-    print(f"cross-lingual mention MRR: {mrr:.3f} (random baseline {baseline:.3f})")
+    report = run(**vars(args))
+    print(f"trained {args.steps} steps and evaluated in {time.time() - t0:.1f}s")
+    print(f"held-out entity-prediction top-1: {report['mep_top1']:.3f} "
+          f"(chance {report['mep_chance']:.3f})")
+    print(f"cross-lingual mention MRR: {report['mention_mrr']:.3f} "
+          f"(random baseline {report['mrr_baseline']:.3f})")
+    print(json.dumps(report, sort_keys=True))
 
 
 if __name__ == "__main__":

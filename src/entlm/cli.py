@@ -36,7 +36,8 @@ def _digest(path):
     return h.hexdigest()
 
 
-def write_manifest(manifest_path, command, options, seed, input_paths):
+def write_manifest(manifest_path, command, options, seed, input_paths, **counts):
+    """counts (e.g. dropped_annotations) are stored as top-level fields."""
     manifest = {
         "command": command,
         "options": {k: v for k, v in options.items() if k != "func"},
@@ -47,6 +48,7 @@ def write_manifest(manifest_path, command, options, seed, input_paths):
             "numpy": np.__version__,
         },
         "input_digests": {p: _digest(p) for p in input_paths if p and os.path.exists(p)},
+        **counts,
     }
     os.makedirs(os.path.dirname(os.path.abspath(manifest_path)), exist_ok=True)
     with open(manifest_path, "w", encoding="utf-8") as f:
@@ -142,16 +144,9 @@ def cmd_pretrain(args):
     entity_vocab = vocab_mod.EntityVocab.load(data["entity_vocab"])
     word_vocab = corpus.build_word_vocab(docs, min_count=data.get("word_min_count", 1))
 
-    max_words = data.get("max_words", corpus.DEFAULT_MAX_WORDS)
-    entity_cap = data.get("entity_cap", corpus.DEFAULT_ENTITY_CAP)
-    sequences_by_language = {}
-    dropped = 0  # annotations with an unresolved title or past entity_cap
-    for doc in docs:
-        for seq_doc in corpus.split_sequences(doc, max_words=max_words):
-            seq = corpus.encode_document(seq_doc, word_vocab, entity_vocab, entity_cap=entity_cap)
-            dropped += len(seq_doc.annotations) - seq.num_entities
-            sequences_by_language.setdefault(doc.language, []).append(seq)
-
+    sequences_by_language, dropped = corpus.encode_corpus(
+        docs, word_vocab, entity_vocab, max_words=data.get("max_words", corpus.DEFAULT_MAX_WORDS),
+        entity_cap=data.get("entity_cap", corpus.DEFAULT_ENTITY_CAP))
     encoder_config = EncoderConfig(
         word_vocab_size=len(word_vocab),
         entity_vocab_size=len(entity_vocab),
@@ -165,7 +160,8 @@ def cmd_pretrain(args):
         out_dir=args.out, log_file=os.path.join(args.out, "train_log.tsv"),
     )
     write_manifest(os.path.join(args.out, "manifest.json"), "pretrain", vars(args),
-                   seed=train_config.seed, input_paths=[args.config, data["corpus"], data["entity_vocab"]])
+                   seed=train_config.seed, input_paths=[args.config, data["corpus"], data["entity_vocab"]],
+                   dropped_annotations=dropped)
     print(f"pretrained {result.step} steps, dropped {dropped} annotations "
           f"(unresolved title or past entity_cap) -> {result.final_checkpoint}")
     return EXIT_OK
@@ -317,22 +313,20 @@ def cmd_inspect_checkpoint(args):
     return EXIT_OK
 
 
-def _command_dests(command):
-    """The option names the parser gives a command's handler."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in sub.choices[command]._actions if a.default is not argparse.SUPPRESS}
-
-
 def _manifest_run(manifest):
-    """(handler, options) of a run manifest."""
+    """(handler, options) of a run manifest; every command but `rerun` replays."""
     command = manifest["command"]
-    if command not in _COMMAND_HANDLERS:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    if command not in sub.choices or command == "rerun":
         raise ContractError(f"unknown command {command!r}")
+    parser = sub.choices[command]
     options = dict(manifest["options"])
-    missing = sorted(_command_dests(command) - options.keys())
+    # the option names the parser gives the command's handler
+    dests = {a.dest for a in parser._actions if a.default is not argparse.SUPPRESS}
+    missing = sorted(dests - options.keys())
     if missing:
         raise ContractError(f"{command} options lack {', '.join(missing)}")
-    return _COMMAND_HANDLERS[command], options
+    return parser.get_default("func"), options
 
 
 def cmd_rerun(args):
@@ -437,19 +431,6 @@ def build_parser():
     rr.set_defaults(func=cmd_rerun)
 
     return p
-
-
-_COMMAND_HANDLERS = {
-    "build-vocab": cmd_build_vocab,
-    "link-entities": cmd_link_entities,
-    "pretrain": cmd_pretrain,
-    "finetune": cmd_finetune,
-    "eval": cmd_eval,
-    "cloze-eval": cmd_cloze_eval,
-    "dump-features": cmd_dump_features,
-    "analyze": cmd_analyze,
-    "inspect-checkpoint": cmd_inspect_checkpoint,
-}
 
 
 def main(argv=None):

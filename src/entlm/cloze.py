@@ -11,7 +11,7 @@ outside the entity vocabulary.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,6 +125,12 @@ def _mlm_logprobs(model, vectors):
     return log_softmax_np(logits, axis=-1)
 
 
+def mep_logprobs(model, vectors):
+    """MEP log-probabilities (rows, E) for contextual entity vectors (rows, H)."""
+    logits = vectors @ model.params["mep_head.w"].data + model.params["mep_head.b"].data
+    return log_softmax_np(logits, axis=-1)
+
+
 def _candidate_input(model, query, candidate, mode):
     """(seq, y_positions, ent_index, target) for one candidate.
 
@@ -175,31 +181,10 @@ def _score_candidates(model, query, candidates, mode):
             lo += len(ids)
     ent = [(b, ent_index, eid) for b, (_, _, ent_index, eid) in enumerate(built) if ent_index is not None]
     if ent:
-        vectors = out.entity_vectors[[b for b, _, _ in ent], [i for _, i, _ in ent]]
-        logits = vectors @ model.params["mep_head.w"].data + model.params["mep_head.b"].data
-        logprobs = log_softmax_np(logits, axis=-1)
+        logprobs = mep_logprobs(model, out.entity_vectors[[b for b, _, _ in ent], [i for _, i, _ in ent]])
         for row, (b, _, eid) in enumerate(ent):
             scores[b] = float(logprobs[row, eid])
     return scores, [ent_index is not None for _, _, ent_index, _ in built]
-
-
-def score_candidate_words(model: ClozeModel, query: TypedQuery, candidate_surface):
-    """Mean log-probability of the candidate's tokens at the [Y] masks."""
-    scores, _ = _score_candidates(model, query, [(candidate_surface, None)], "word")
-    return scores[0]
-
-
-def score_candidate_entity(model: ClozeModel, query: TypedQuery, candidate, mode="entity-y"):
-    """(score, used_entity).  candidate is (surface, explicit entity or None).
-
-    Out-of-vocabulary candidates fall back to word scoring exactly.  In
-    entity-xy mode the subject's entity token is appended over [X] when the
-    subject resolves in the vocabulary.
-    """
-    if mode not in ("entity-y", "entity-xy"):
-        raise ContractError(f"unknown entity mode {mode!r}")
-    scores, used = _score_candidates(model, query, [candidate], mode)
-    return scores[0], used[0]
 
 
 def score_query(model, query, mode):

@@ -256,6 +256,23 @@ def encode_document(seq_doc: AnnotatedDocument, word_vocab: WordVocab, entity_vo
     return EncodedSequence(word_ids=word_ids, entity_ids=entity_ids, entity_positions=entity_positions)
 
 
+def encode_corpus(docs, word_vocab: WordVocab, entity_vocab, max_words=DEFAULT_MAX_WORDS,
+                  entity_cap=DEFAULT_ENTITY_CAP):
+    """(sequences_by_language, dropped_annotations): every document split by
+    `split_sequences` and encoded by `encode_document`, in corpus order.
+
+    dropped_annotations counts the annotations of the split sequences that
+    `encode_document` left out (an unresolved title or past entity_cap).
+    """
+    sequences_by_language, dropped = {}, 0
+    for doc in docs:
+        for seq_doc in split_sequences(doc, max_words=max_words):
+            seq = encode_document(seq_doc, word_vocab, entity_vocab, entity_cap=entity_cap)
+            dropped += len(seq_doc.annotations) - seq.num_entities
+            sequences_by_language.setdefault(doc.language, []).append(seq)
+    return sequences_by_language, dropped
+
+
 @dataclass
 class MaskedBatch:
     sequence: EncodedSequence  # with masks applied

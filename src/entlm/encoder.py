@@ -47,6 +47,8 @@ class EncoderConfig:
             raise ConfigError("type_count must be >= 2 (word type, entity type)")
         if self.entity_position_mode not in ("sum", "mean"):
             raise ConfigError(f"unknown entity_position_mode {self.entity_position_mode!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
         return self
 
     def to_dict(self):
@@ -177,13 +179,12 @@ def embed_entities(params, config, entity_ids, entity_positions, position_mask):
     return proj + typ + pos_term
 
 
-def _attention(params, config, x, attn_mask, layer, rng, train):
+def _attention(params, config, x, attn_mask, layer, p, rng):
     pre = f"layer{layer}.attn."
     q = T.linear(x, params[pre + "wq"], params[pre + "qb"])
     k = T.linear(x, params[pre + "wk"], params[pre + "kb"])
     v = T.linear(x, params[pre + "wv"], params[pre + "vb"])
     bias = np.where(attn_mask[:, None, None, :] > 0, 0.0, NEG_INF)
-    p = config.dropout if train else 0.0
     ctx = T.attention(q, k, v, bias, config.heads, p=p, rng=rng)
     return T.linear(ctx, params[pre + "wo"], params[pre + "ob"])
 
@@ -202,7 +203,8 @@ def encode_batch(params, config, batch, rng=None, train=False):
     (B, N, P).  N may be 0.  Returns ContextualOutput with graph tensors
     attached for training use.
     """
-    if train and config.dropout > 0 and rng is None:
+    p = config.dropout if train else 0.0
+    if p > 0 and rng is None:
         raise ContractError("training-mode encode with dropout needs an rng")
     word_ids = np.asarray(batch["word_ids"])
     word_mask = np.asarray(batch["word_mask"], dtype=np.float64)
@@ -227,18 +229,13 @@ def encode_batch(params, config, batch, rng=None, train=False):
         attn_mask = word_mask
 
     x = T.layer_norm(x, params["emb_ln_gain"], params["emb_ln_bias"], eps=config.layer_norm_eps)
-    if train and config.dropout > 0:
-        x = T.dropout(x, config.dropout, rng)
+    x = T.dropout(x, p, rng)
 
     for l in range(config.layers):
-        a = _attention(params, config, x, attn_mask, l, rng, train)
-        if train and config.dropout > 0:
-            a = T.dropout(a, config.dropout, rng)
+        a = T.dropout(_attention(params, config, x, attn_mask, l, p, rng), p, rng)
         x = T.layer_norm(x + a, params[f"layer{l}.attn_ln.gain"], params[f"layer{l}.attn_ln.bias"],
                          eps=config.layer_norm_eps)
-        f = _ffn(params, config, x, l)
-        if train and config.dropout > 0:
-            f = T.dropout(f, config.dropout, rng)
+        f = T.dropout(_ffn(params, config, x, l), p, rng)
         x = T.layer_norm(x + f, params[f"layer{l}.ffn_ln.gain"], params[f"layer{l}.ffn_ln.bias"],
                          eps=config.layer_norm_eps)
 

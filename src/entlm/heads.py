@@ -20,7 +20,7 @@ from . import tensor as T
 from .encoder import NEG_INF, EncodedSequence, EncoderConfig, encode_batch, pack_batch
 from .errors import ContractError
 from .files import read_json, read_lines
-from .pretrain import AdamW, warmup_linear_decay
+from .pretrain import AdamW, linear_head, warmup_linear_decay
 from .seeding import substream
 
 MAX_ANSWER_LEN = 30
@@ -223,13 +223,6 @@ class TaskModel:
     skipped: dict = field(default_factory=dict)  # finetune's drop counts, as checkpoint meta keys
 
 
-def _linear_head(rng, in_dim, out_dim, prefix):
-    return {
-        f"{prefix}.w": T.parameter(rng.normal(0.0, 0.02, size=(in_dim, out_dim)), name=f"{prefix}.w"),
-        f"{prefix}.b": T.parameter(np.zeros(out_dim), name=f"{prefix}.b"),
-    }
-
-
 # ---------------------------------------------------------------------------
 # extractive QA
 
@@ -237,7 +230,7 @@ def _linear_head(rng, in_dim, out_dim, prefix):
 def make_qa_model(encoder_config, params, word_vocab, entity_vocab, use_entities=False, seed=0):
     rng = substream(seed, "qa-head")
     p = dict(params)
-    p.update(_linear_head(rng, encoder_config.hidden_size, 2, "qa_head"))
+    p.update(linear_head(rng, encoder_config.hidden_size, 2, "qa_head"))
     return TaskModel(task="qa", encoder_config=encoder_config, params=p, word_vocab=word_vocab,
                      entity_vocab=entity_vocab, variant="entity" if use_entities else "word")
 
@@ -386,7 +379,7 @@ def make_re_model(encoder_config, params, word_vocab, entity_vocab, labels, vari
         emb[entity_vocab.head_id] = emb[entity_vocab.mask_id]
         emb[entity_vocab.tail_id] = emb[entity_vocab.mask_id]
         p["entity_emb"] = T.parameter(emb, name="entity_emb")
-    p.update(_linear_head(rng, 2 * cfg.hidden_size, len(labels), "re_head"))
+    p.update(linear_head(rng, 2 * cfg.hidden_size, len(labels), "re_head"))
     return TaskModel(task="re", encoder_config=cfg, params=p, word_vocab=word_vocab,
                      entity_vocab=entity_vocab, labels=list(labels), variant=variant)
 
@@ -484,7 +477,7 @@ def make_ner_model(encoder_config, params, word_vocab, entity_vocab, types,
     p = dict(params)
     in_dim = (2 if variant == "word-endpoints" else 1) * encoder_config.hidden_size
     labels = [NER_NON_ENTITY] + sorted(t for t in types if t != NER_NON_ENTITY)
-    p.update(_linear_head(rng, in_dim, len(labels), "ner_head"))
+    p.update(linear_head(rng, in_dim, len(labels), "ner_head"))
     return TaskModel(task="ner", encoder_config=encoder_config, params=p, word_vocab=word_vocab,
                      entity_vocab=entity_vocab, labels=labels, variant=variant, max_span_len=max_span_len)
 

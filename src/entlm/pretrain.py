@@ -85,14 +85,18 @@ class TrainConfig:
         return cls(**d).validate()
 
 
+def linear_head(rng, in_dim, out_dim, prefix):
+    """{prefix.w: N(0, 0.02) (in_dim, out_dim), prefix.b: zeros(out_dim)}."""
+    return {
+        f"{prefix}.w": T.parameter(rng.normal(0.0, 0.02, size=(in_dim, out_dim)), name=f"{prefix}.w"),
+        f"{prefix}.b": T.parameter(np.zeros(out_dim), name=f"{prefix}.b"),
+    }
+
+
 def init_head_params(config: EncoderConfig, rng):
     H = config.hidden_size
-    return {
-        "mlm_head.w": T.parameter(rng.normal(0.0, 0.02, size=(H, config.word_vocab_size)), name="mlm_head.w"),
-        "mlm_head.b": T.parameter(np.zeros(config.word_vocab_size), name="mlm_head.b"),
-        "mep_head.w": T.parameter(rng.normal(0.0, 0.02, size=(H, config.entity_vocab_size)), name="mep_head.w"),
-        "mep_head.b": T.parameter(np.zeros(config.entity_vocab_size), name="mep_head.b"),
-    }
+    return {**linear_head(rng, H, config.word_vocab_size, "mlm_head"),
+            **linear_head(rng, H, config.entity_vocab_size, "mep_head")}
 
 
 def init_model(config: EncoderConfig, seed=0):
@@ -452,10 +456,10 @@ def _batch_labels(batches, M, N):
     return wl, el
 
 
-def pretrain_step_loss(params, encoder_config, batches, entity_pad_id, rng=None, train_mode=True):
-    """Forward pass for a list of MaskedBatch; returns (loss, mlm, mep)."""
+def pretrain_step_loss(params, encoder_config, batches, entity_pad_id, rng=None):
+    """Training-mode forward pass for a list of MaskedBatch; returns (loss, mlm, mep)."""
     packed = pack_batch([mb.sequence for mb in batches], pad_entity_id=entity_pad_id)
-    out = encode_batch(params, encoder_config, packed, rng=rng, train=train_mode)
+    out = encode_batch(params, encoder_config, packed, rng=rng, train=True)
     M = packed["word_ids"].shape[1]
     N = packed["entity_ids"].shape[1]
     wl, el = _batch_labels(batches, M, N)

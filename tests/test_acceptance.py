@@ -5,8 +5,9 @@ a checklist.
 """
 
 import os
-from pathlib import Path
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,22 +15,21 @@ import pytest
 import entlm.cloze as cloze_mod
 import entlm.tensor as T
 from conftest import random_sequence, reference_word_forward
-from entlm.align import SpanEmbedding, cwr_mrr, knn_graph, modularity_of_partition, span_embed
+from entlm.align import knn_graph, modularity_of_partition
 from entlm.cli import EXIT_OK, main
-from entlm.cloze import ClozeModel, TypedQuery, score_candidate_entity, score_candidate_words, top1_fp_ratio
+from entlm.cloze import ClozeModel, TypedQuery, score_query, top1_fp_ratio
 from entlm.corpus import (
     IGNORE_LABEL,
     AnnotatedDocument,
     LanguageSamplingSpec,
     WordVocab,
     build_word_vocab,
-    encode_document,
+    encode_corpus,
     language_distribution,
     mask_batch,
     save_corpus,
-    split_sequences,
 )
-from entlm.encoder import EncodedSequence, EncoderConfig, encode, encode_batch, init_params, pack_batch
+from entlm.encoder import EncodedSequence, EncoderConfig, encode_batch, init_params, pack_batch
 from entlm.heads import (
     FinetuneConfig,
     NERInstance,
@@ -140,13 +140,13 @@ def test_criterion_03_equivariance_and_word_only():
             entity_ids=[seq.entity_ids[i] for i in perm],
             entity_positions=[seq.entity_positions[i] for i in perm],
         )
-        a = encode(params, cfg, seq)
-        b = encode(params, cfg, permuted)
-        assert np.max(np.abs(a.word_vectors - b.word_vectors)) < 1e-10
-        assert np.max(np.abs(a.entity_vectors[perm] - b.entity_vectors)) < 1e-10
+        out = encode_batch(params, cfg, pack_batch([seq, permuted]))  # rows are independent
+        a, b = out.word_vectors, out.entity_vectors
+        assert np.max(np.abs(a[0] - a[1])) < 1e-10
+        assert np.max(np.abs(b[0][perm] - b[1])) < 1e-10
 
         bare = EncodedSequence(word_ids=seq.word_ids)
-        got = encode(params, cfg, bare).word_vectors
+        got = encode_batch(params, cfg, pack_batch([bare])).word_vectors[0]
         ref = reference_word_forward(params, cfg, seq.word_ids)
         assert np.max(np.abs(got - ref)) < 1e-10
         checked += 1
@@ -212,10 +212,7 @@ def test_criterion_05_two_stage_schedule():
     docs, links = make_bilingual_corpus(n_entities=6, n_sequences=40, seed=6)
     ev = build_entity_vocab(docs, links, min_languages=2)
     wv = build_word_vocab(docs)
-    by_lang = {}
-    for d in docs:
-        for sd in split_sequences(d, 16):
-            by_lang.setdefault(d.language, []).append(encode_document(sd, wv, ev))
+    by_lang, _ = encode_corpus(docs, wv, ev, max_words=16)
     enc_cfg = EncoderConfig(word_vocab_size=len(wv), entity_vocab_size=len(ev),
                             hidden_size=16, entity_emb_size=8, layers=1, heads=2,
                             ffn_size=32, max_positions=16, dropout=0.0).validate()
@@ -233,65 +230,18 @@ def test_criterion_05_two_stage_schedule():
 # 6. end-to-end toy pretraining
 
 
-@pytest.fixture(scope="module")
-def toy_pretrained():
-    docs, links = make_bilingual_corpus(n_entities=30, n_sequences=500, seed=3)
-    ev = build_entity_vocab(docs, links, min_languages=2)
-    wv = build_word_vocab(docs)
-    seqs = {}
-    for d in docs:
-        for sd in split_sequences(d, 16):
-            seqs.setdefault(d.language, []).append(encode_document(sd, wv, ev))
-    train_pool = {l: v[:-20] for l, v in seqs.items()}
-    held = [(l, s) for l, v in seqs.items() for s in v[-20:]]
-    cfg = EncoderConfig(word_vocab_size=len(wv), entity_vocab_size=len(ev),
-                        hidden_size=32, entity_emb_size=16, layers=2, heads=2,
-                        ffn_size=64, max_positions=16, dropout=0.0).validate()
-    tcfg = TrainConfig(total_steps=2000, stage1_steps=0, batch_size=8,
-                       peak_lr=1e-3, warmup_steps=100, seed=7, log_interval=500)
-    result = train(cfg, tcfg, train_pool, wv, ev)
-    return cfg, result.params, wv, ev, seqs, held
+TOY_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "toy_pretrain.py"
 
 
-def test_criterion_06_toy_pretraining(toy_pretrained):
-    cfg, params, wv, ev, seqs, held = toy_pretrained
-    n_entities = 30
-    correct = 0
-    for _lang, s in held:
-        masked = replace(s, entity_ids=[ev.mask_id] * len(s.entity_ids))
-        out = encode(params, cfg, masked)
-        logits = out.entity_vectors[0] @ params["mep_head.w"].data + params["mep_head.b"].data
-        correct += int(np.argmax(logits)) == s.entity_ids[0]
-    acc = correct / len(held)
-    chance = 1.0 / n_entities
-    assert acc >= 5 * chance, f"held-out MEP accuracy {acc:.3f} < 5x chance {5*chance:.3f}"
-
-    def mention_vec(s):
-        out = encode(params, cfg, s)
-        pos = s.entity_positions[0]
-        return span_embed(out.word_vectors, (pos[0], pos[-1] + 1))
-
-    pool_by_ent = {}
-    for s in seqs["de"][:80]:
-        eid = s.entity_ids[0]
-        if eid not in pool_by_ent:
-            pool_by_ent[eid] = SpanEmbedding(uid=f"de{eid}", language="de", text="",
-                                             vector=mention_vec(s))
-    queries, gold, seen = [], {}, set()
-    for s in seqs["en"][:100]:
-        eid = s.entity_ids[0]
-        if eid in seen or eid not in pool_by_ent:
-            continue
-        seen.add(eid)
-        queries.append(SpanEmbedding(uid=f"en{eid}", language="en", text="",
-                                     vector=mention_vec(s)))
-        gold[f"en{eid}"] = f"de{eid}"
-    pool = list(pool_by_ent.values())
-    mrr = cwr_mrr(queries, pool, gold)
-    baseline = sum(1.0 / r for r in range(1, len(pool) + 1)) / len(pool)
-    assert mrr >= baseline + 0.2, f"MRR {mrr:.3f} vs random baseline {baseline:.3f}"
-    ok(6, f"2-language toy corpus: held-out MEP top-1 {acc:.3f} (chance {chance:.3f}), "
-          f"cross-lingual mention MRR {mrr:.3f} vs random {baseline:.3f}")
+def test_criterion_06_toy_pretraining():
+    r = runpy.run_path(str(TOY_SCRIPT))["run"]()
+    assert r["mep_top1"] >= 5 * r["mep_chance"], \
+        f"held-out MEP accuracy {r['mep_top1']:.3f} < 5x chance {5 * r['mep_chance']:.3f}"
+    assert r["mention_mrr"] >= r["mrr_baseline"] + 0.2, \
+        f"MRR {r['mention_mrr']:.3f} vs random baseline {r['mrr_baseline']:.3f}"
+    ok(6, f"2-language toy corpus (scripts/toy_pretrain.py): held-out MEP top-1 {r['mep_top1']:.3f} "
+          f"(chance {r['mep_chance']:.3f}), cross-lingual mention MRR {r['mention_mrr']:.3f} "
+          f"vs random {r['mrr_baseline']:.3f}")
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +326,7 @@ def test_criterion_09_cloze_scoring(monkeypatch):
                        sub_surface="tokyo", candidates=[("big city", None)],
                        gold_index=0).validate()
 
-    cand_ids = wv.encode(["big", "city"])
+    cand_ids = [wv.token_to_id[t] for t in ("big", "city")]
 
     def fixed_logprobs(m, vectors):
         assert len(vectors) == 2  # the [Y] mask rows, in order
@@ -386,12 +336,13 @@ def test_criterion_09_cloze_scoring(monkeypatch):
         return lp
 
     monkeypatch.setattr(cloze_mod, "_mlm_logprobs", fixed_logprobs)
-    assert score_candidate_words(model, query, "big city") == -2.0
+    assert score_query(model, query, "word")[0] == [-2.0]
     monkeypatch.undo()
 
     # out-of-vocab candidate: entity mode falls back to the word score exactly
-    word = score_candidate_words(model, query, "kyoto")
-    ent, used = score_candidate_entity(model, query, ("kyoto", None))
+    kyoto = replace(query, candidates=[("kyoto", None)])
+    (word,), _ = score_query(model, kyoto, "word")
+    (ent,), (used,) = score_query(model, kyoto, "entity-y")
     assert not used and ent == word
 
     res = top1_fp_ratio(["america"] * 355 + [f"o{i}" for i in range(515)])

@@ -136,6 +136,7 @@ def test_pretrain_counts_dropped_annotations(workspace, capsys):
     rc = main(["pretrain", "--config", str(cfg), "--out", str(ws / "drop-out")])
     assert rc == EXIT_OK
     assert "pretrained 6 steps, dropped 2 annotations" in capsys.readouterr().out
+    assert json.loads((ws / "drop-out" / "manifest.json").read_text())["dropped_annotations"] == 2
 
 
 def test_pretrain_set_override(workspace):
@@ -292,7 +293,8 @@ def test_bad_config_key_exits_3(workspace):
 
 
 @pytest.mark.parametrize("override", ["train.alpha=1.5", "train.alpha=0", "train.word_mask_p=2",
-                                      "train.word_random_p=0.95", "train.entity_mask_p=-0.1"])
+                                      "train.word_random_p=0.95", "train.entity_mask_p=-0.1",
+                                      "model.dropout=-0.1"])
 def test_bad_train_value_exits_3_before_writing(workspace, override):
     out = workspace["ws"] / "bad-train"
     rc = main(["pretrain", "--config", workspace["config"], "--out", str(out), "--set", override])

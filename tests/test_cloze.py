@@ -1,6 +1,7 @@
 """Typed cloze prompts: multi-token scoring, entity fallback, FP analysis."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from entlm.cloze import (
     fp_analysis,
     load_queries,
     resolve_candidate_entity,
-    score_candidate_entity,
-    score_candidate_words,
     score_query,
     top1_fp_ratio,
 )
@@ -50,6 +49,12 @@ def q(template="[X] is the capital of [Y]", sub="tokyo", cands=None, gold=0, lan
     cands = cands or [("japan", None), ("kyoto", None)]
     return TypedQuery(language=lang, template=template, sub_surface=sub,
                       candidates=cands, gold_index=gold, sub_entity=sub_entity).validate()
+
+
+def score_one(m, query, candidate, mode):
+    """(score, used_entity) of `score_query` on a one-candidate copy of the query."""
+    scores, used = score_query(m, replace(query, candidates=[candidate], gold_index=0), mode)
+    return scores[0], used[0]
 
 
 def test_template_must_have_one_x_and_one_y():
@@ -96,13 +101,13 @@ def test_multi_token_mean_is_exact_average(monkeypatch, cloze_setup):
         return lp
 
     monkeypatch.setattr(cloze_mod, "_mlm_logprobs", fake_logprobs)
-    assert score_candidate_words(m, query, "big city") == -2.0
+    assert score_one(m, query, ("big city", None), "word")[0] == -2.0
 
 
 def test_word_score_matches_direct_computation(cloze_setup):
     m = cloze_setup
     query = q(cands=[("big city", None)])
-    got = score_candidate_words(m, query, "big city")
+    got, _ = score_one(m, query, ("big city", None), "word")
     seq, y_pos, _ = _build_cloze_input(m, query, k=2)
     out = encode(m.params, m.encoder_config, seq)
     logits = out.word_vectors @ m.params["mlm_head.w"].data + m.params["mlm_head.b"].data
@@ -115,23 +120,23 @@ def test_word_score_matches_direct_computation(cloze_setup):
 def test_entity_fallback_equals_word_score_exactly(cloze_setup):
     m = cloze_setup
     query = q(cands=[("kyoto", None)])  # not in the entity vocab
-    word_score = score_candidate_words(m, query, "kyoto")
-    ent_score, used = score_candidate_entity(m, query, ("kyoto", None))
+    word_score, _ = score_one(m, query, ("kyoto", None), "word")
+    ent_score, used = score_one(m, query, ("kyoto", None), "entity-y")
     assert not used
     assert ent_score == word_score  # identical floats, not approximately
 
 
 def test_entity_mode_uses_mep_head(cloze_setup):
     m = cloze_setup
-    score, used = score_candidate_entity(m, q(), ("japan", None), mode="entity-y")
+    score, used = score_one(m, q(), ("japan", None), "entity-y")
     assert used
     assert np.isfinite(score)
 
 
 def test_entity_xy_differs_when_subject_resolves(cloze_setup):
     m = cloze_setup
-    y_score, _ = score_candidate_entity(m, q(), ("japan", None), mode="entity-y")
-    xy_score, used = score_candidate_entity(m, q(), ("japan", None), mode="entity-xy")
+    y_score, _ = score_one(m, q(), ("japan", None), "entity-y")
+    xy_score, used = score_one(m, q(), ("japan", None), "entity-xy")
     assert used
     assert xy_score != y_score  # the subject's entity token changes the forward
 
@@ -163,10 +168,7 @@ def test_score_query_equals_one_candidate_calls(cloze_setup, mode):
     query = q(cands=MIXED_CANDIDATES)
     scores, used = score_query(m, query, mode)
     for cand, score, u in zip(MIXED_CANDIDATES, scores, used):
-        if mode == "word":
-            single, single_used = score_candidate_words(m, query, cand[0]), False
-        else:
-            single, single_used = score_candidate_entity(m, query, cand, mode=mode)
+        single, single_used = score_one(m, query, cand, mode)
         assert u == single_used
         assert abs(score - single) <= 1e-10
         if u:

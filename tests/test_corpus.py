@@ -12,6 +12,7 @@ from entlm.corpus import (
     SequenceSampler,
     WordVocab,
     build_word_vocab,
+    encode_corpus,
     encode_document,
     language_distribution,
     load_corpus,
@@ -23,7 +24,6 @@ from entlm.encoder import EncodedSequence
 from entlm.errors import ContractError
 from entlm.seeding import substream
 from entlm.synth import make_bilingual_corpus
-from entlm.vocab import build_entity_vocab
 
 
 def doc(tokens, anns=(), breaks=None, lang="en"):
@@ -130,6 +130,20 @@ def test_encode_document_caps_and_skips():
     seq = encode_document(d, wv, FakeVocab())
     assert seq.entity_ids == [5]
     assert seq.entity_positions == [[0]]
+
+
+def test_encode_corpus_groups_by_language_and_counts_drops():
+    class FakeVocab:
+        def resolve(self, lang, title):
+            return 5 if title == "Known" else None
+
+    docs = [doc("a b . c d .".split(), anns=[(0, 1, "Known"), (1, 2, "Unknown"), (2, 4, "Known")]),
+            doc("e f .".split(), anns=[(0, 1, "Known"), (1, 2, "Known")], lang="de")]
+    by_lang, dropped = encode_corpus(docs, build_word_vocab(docs), FakeVocab(), max_words=3, entity_cap=1)
+    assert [[s.entity_ids for s in by_lang[l]] for l in ("en", "de")] == [[[5], []], [[5]]]
+    # "Unknown" and the second "de" entity past the cap; the span across the
+    # sentence cut never reaches encode_document, so it is not counted
+    assert dropped == 2
 
 
 def test_masking_statistics():

@@ -26,6 +26,9 @@ def test_config_validation():
         EncoderConfig(10, 10, hidden_size=32, heads=2, entity_emb_size=64).validate()
     with pytest.raises(ConfigError):
         EncoderConfig(10, 10, hidden_size=32, heads=2, entity_position_mode="max").validate()
+    for rate in (-0.1, 1.0):  # encode_batch hands the rate to T.dropout whenever it trains
+        with pytest.raises(ConfigError):
+            EncoderConfig(10, 10, hidden_size=32, heads=2, dropout=rate).validate()
 
 
 def test_config_round_trip(tiny_config):

@@ -5,7 +5,7 @@ import pytest
 
 import entlm.pretrain as pretrain
 import entlm.tensor as T
-from entlm.corpus import SequenceSampler, build_word_vocab, encode_document, split_sequences
+from entlm.corpus import SequenceSampler, build_word_vocab, encode_corpus
 from entlm.encoder import EncoderConfig
 from entlm.errors import ContractError, EntlmError
 from entlm.pretrain import (
@@ -32,10 +32,7 @@ def toy_data():
     docs, links = make_bilingual_corpus(n_entities=8, n_sequences=60, seed=2)
     ev = build_entity_vocab(docs, links, min_languages=2)
     wv = build_word_vocab(docs)
-    by_lang = {}
-    for d in docs:
-        for sd in split_sequences(d, 16):
-            by_lang.setdefault(d.language, []).append(encode_document(sd, wv, ev))
+    by_lang, _ = encode_corpus(docs, wv, ev, max_words=16)
     return by_lang, wv, ev
 
 
