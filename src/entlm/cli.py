@@ -163,7 +163,7 @@ def cmd_pretrain(args):
                    seed=train_config.seed, input_paths=[args.config, data["corpus"], data["entity_vocab"]],
                    dropped_annotations=dropped)
     print(f"pretrained {result.step} steps, dropped {dropped} annotations "
-          f"(unresolved title or past entity_cap) -> {result.final_checkpoint}")
+          f"(across a sequence cut, unresolved title or past entity_cap) -> {result.final_checkpoint}")
     return EXIT_OK
 
 

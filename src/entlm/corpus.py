@@ -261,15 +261,18 @@ def encode_corpus(docs, word_vocab: WordVocab, entity_vocab, max_words=DEFAULT_M
     """(sequences_by_language, dropped_annotations): every document split by
     `split_sequences` and encoded by `encode_document`, in corpus order.
 
-    dropped_annotations counts the annotations of the split sequences that
-    `encode_document` left out (an unresolved title or past entity_cap).
+    dropped_annotations counts each document's annotations that none of its
+    sequences carries: a span across a sequence cut, an unresolved title, or
+    one past entity_cap.
     """
     sequences_by_language, dropped = {}, 0
     for doc in docs:
+        kept = 0
         for seq_doc in split_sequences(doc, max_words=max_words):
             seq = encode_document(seq_doc, word_vocab, entity_vocab, entity_cap=entity_cap)
-            dropped += len(seq_doc.annotations) - seq.num_entities
+            kept += seq.num_entities
             sequences_by_language.setdefault(doc.language, []).append(seq)
+        dropped += len(doc.annotations) - kept
     return sequences_by_language, dropped
 
 

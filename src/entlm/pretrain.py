@@ -8,10 +8,12 @@ name -> (shape, dtype, offset) index over little-endian float64 payloads.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,13 +28,40 @@ CHECKPOINT_MAGIC = b"ENTLM-CKPT v1\n"
 
 DEFAULT_STAGE1_TRAINABLE = ("entity_emb", "entity_proj", "entity_type_emb", "mep_head")
 
-# elements per AdamW block.  Each block's slices of p, g, m and v and the three
+# elements per AdamW block.  Each block's slices of p, g, m and v and three
 # scratch buffers (two for intermediates, one that gathers a gradient block
 # spanning several parameters; 7 x 512 KiB) stay in cache across the 15
-# passes the update makes over them.  Smaller blocks pay more per-call
-# overhead; on a 2 MiB-L2 Xeon, 16Ki-64Ki elements measured alike and 4Ki was
-# 30% slower.
+# passes the update makes over them.  An AdamW holds two scratch sets, one
+# for the calling thread and one for the worker (2 x 3 x 512 KiB).  Smaller
+# blocks pay more per-call overhead; on a 2 MiB-L2 Xeon, 16Ki-64Ki elements
+# measured alike and 4Ki was 30% slower.
 ADAMW_BLOCK = 65536
+
+_adamw_pool = None  # the one worker thread every AdamW shares; made on first use
+
+
+def _adamw_worker():
+    global _adamw_pool
+    if _adamw_pool is None:
+        _adamw_pool = ThreadPoolExecutor(1, thread_name_prefix="entlm-adamw")
+    return _adamw_pool
+
+
+def _forget_adamw_worker():
+    # a forked child inherits the pool but not its thread, so work handed to
+    # it would never run; the child makes its own worker on first use
+    global _adamw_pool
+    _adamw_pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_adamw_worker)
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -173,11 +202,18 @@ class AdamW:
     wants a snapshot of a parameter must take `p.data.copy()`.  A parameter
     whose `data` was reassigned since (by the caller, or by another AdamW
     over the same Tensor) is copied back into the store before its update.
+    A gradient whose shape differs from its parameter's raises ContractError.
 
     Frozen parameters are neither updated nor have their moment estimates
     advanced; `m[name]` and `v[name]` are views that exist from a
     parameter's first step.  Each run of adjacent parameters with equal
-    step counts is updated as one flat array.
+    step counts is updated as one flat array, in blocks of ADAMW_BLOCK
+    elements.  When the blocks of a step hold at least two blocks' worth of
+    elements and the process may use two CPUs, the caller updates the first
+    half of them (by element count) while one worker thread, shared by every
+    AdamW, updates the second.  The update is element-wise and each block
+    runs the same operations either way, so the result does not depend on
+    the split; `step` returns only after both halves are done.
     """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-6, weight_decay=0.01):
@@ -196,7 +232,8 @@ class AdamW:
         self._views = {}
         for name, p in params.items():
             self._bind(name, p)
-        self._scratch = (np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK))
+        self._scratch = tuple((np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK))
+                              for _ in range(2))
 
     def _bind(self, name, p):
         """Copy p.data into its slice of the store and rebind p.data to it."""
@@ -209,12 +246,16 @@ class AdamW:
         p.data = self._views[name] = view
 
     def step(self, lr, trainable=None):
-        runs = []  # [lo, hi, t, [(lo, hi, flat grad), ...]] per run of equal t
+        stepping = []  # checked first, so a bad gradient leaves all state as it was
         for name, p in self.params.items():
-            if not p.requires_grad:
+            if not p.requires_grad or (trainable is not None and name not in trainable):
                 continue
-            if trainable is not None and name not in trainable:
-                continue
+            if p.grad is not None and p.grad.shape != p.data.shape:
+                raise ContractError(f"AdamW: parameter {name} has shape {p.data.shape}, "
+                                    f"its gradient {p.grad.shape}")
+            stepping.append((name, p))
+        runs = []  # [lo, hi, t, [(lo, hi, flat grad), ...]] per run of equal t
+        for name, p in stepping:
             if p.data is not self._views[name]:
                 self._bind(name, p)
             lo, hi = self._span[name]
@@ -230,31 +271,49 @@ class AdamW:
                 runs[-1][3].append((lo, hi, g))
             else:
                 runs.append([lo, hi, t, [(lo, hi, g)]])
+        blocks = []  # (blo, bhi, gradient pieces, t)
         for lo, hi, t, grads in runs:
-            self._update(lo, hi, grads, lr, t)
+            k = 0  # first parameter of the run not yet fully consumed
+            for blo in range(lo, hi, ADAMW_BLOCK):
+                bhi = min(blo + ADAMW_BLOCK, hi)
+                pieces = []
+                while k < len(grads) and grads[k][0] < bhi:
+                    start, end, g = grads[k]
+                    pieces.append(g[max(start, blo) - start : min(end, bhi) - start])
+                    if end > bhi:
+                        break  # this parameter continues into the next block
+                    k += 1
+                blocks.append((blo, bhi, pieces, t))
+        total = sum(hi - lo for lo, hi, _, _ in runs)
+        if total < 2 * ADAMW_BLOCK or _usable_cpus() < 2:
+            self._update(blocks, self._scratch[0], lr)
+            return
+        cut, done = 0, 0
+        while 2 * done < total:
+            done += blocks[cut][1] - blocks[cut][0]
+            cut += 1
+        # the worker runs in the caller's context, so np.errstate applies there too
+        half = _adamw_worker().submit(contextvars.copy_context().run, self._update,
+                                      blocks[cut:], self._scratch[1], lr)
+        try:
+            self._update(blocks[:cut], self._scratch[0], lr)
+        finally:
+            half.result()  # never return while the worker still writes the store
 
-    def _update(self, lo, hi, grads, lr, t):
-        """p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p) on store[lo:hi].
+    def _update(self, blocks, scratch, lr):
+        """p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p) on each block.
 
-        Walks the run block by block.  A block inside one parameter reads
-        its gradient in place; a block across several gathers their pieces
-        into a scratch buffer.  Every operation runs in the order of that
-        formula, so the result is bit-identical to evaluating it per
-        parameter with full-size temporaries.
+        A block inside one parameter reads its gradient in place; a block
+        across several gathers their pieces into `scratch`.  Every operation
+        runs in the order of that formula, so the result is bit-identical to
+        evaluating it per parameter with full-size temporaries.  Nothing
+        but numpy runs here, so the worker thread enters no other entlm
+        function.
         """
         b1, b2 = self.beta1, self.beta2
-        c1, c2 = 1 - b1**t, 1 - b2**t
-        k = 0  # first parameter of the run not yet fully consumed
-        for blo in range(lo, hi, ADAMW_BLOCK):
-            bhi = min(blo + ADAMW_BLOCK, hi)
-            pieces = []
-            while k < len(grads) and grads[k][0] < bhi:
-                start, end, g = grads[k]
-                pieces.append(g[max(start, blo) - start : min(end, bhi) - start])
-                if end > bhi:
-                    break  # this parameter continues into the next block
-                k += 1
-            s1, s2, gather = (s[: bhi - blo] for s in self._scratch)
+        for blo, bhi, pieces, t in blocks:
+            c1, c2 = 1 - b1**t, 1 - b2**t
+            s1, s2, gather = (s[: bhi - blo] for s in scratch)
             gb = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, out=gather)
             pb, mb, vb = self._p[blo:bhi], self._m[blo:bhi], self._v[blo:bhi]
             # m = b1 * m + (1 - b1) * g
@@ -480,7 +539,8 @@ def train(encoder_config: EncoderConfig, config: TrainConfig, sequences_by_langu
     sequences_by_language: {lang: [EncodedSequence, ...]}, drawn through
     `SequenceSampler` with config.alpha in (0, 1].  Deterministic for a fixed
     (config, corpus): every random draw comes from named sub-streams of
-    config.seed and runs single-threaded.
+    config.seed and runs on the calling thread.  AdamW's element-wise update
+    may be split over two threads; that changes no bit of the result.
     """
     config.validate()
     sampler = SequenceSampler(sequences_by_language, alpha=config.alpha, seed=config.seed)

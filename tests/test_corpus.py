@@ -141,9 +141,9 @@ def test_encode_corpus_groups_by_language_and_counts_drops():
             doc("e f .".split(), anns=[(0, 1, "Known"), (1, 2, "Known")], lang="de")]
     by_lang, dropped = encode_corpus(docs, build_word_vocab(docs), FakeVocab(), max_words=3, entity_cap=1)
     assert [[s.entity_ids for s in by_lang[l]] for l in ("en", "de")] == [[[5], []], [[5]]]
-    # "Unknown" and the second "de" entity past the cap; the span across the
-    # sentence cut never reaches encode_document, so it is not counted
-    assert dropped == 2
+    # "Unknown", the second "de" entity past the cap, and the span (2, 4)
+    # that split_sequences drops at the sentence cut after token 3
+    assert dropped == 3
 
 
 def test_masking_statistics():

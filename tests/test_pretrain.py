@@ -1,5 +1,11 @@
 """Pretraining: schedule oracles, optimizer behavior, checkpoints, loop."""
 
+import os
+import signal
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -298,6 +304,74 @@ def test_adamw_state_dict_is_a_snapshot():
     assert not np.array_equal(opt.m["w"], saved["m"])
 
 
+def test_adamw_rejects_a_gradient_of_another_shape():
+    for shape, grad_shape in (((3,), (5,)), ((2, 3), (3, 2))):
+        p = T.parameter(np.ones(shape))
+        ok = T.parameter(np.ones(4))
+        opt = AdamW({"ok": ok, "w": p})
+        ok.grad, p.grad = np.ones(4), np.ones(grad_shape)
+        with pytest.raises(ContractError, match="parameter w "):
+            opt.step(lr=0.1)
+        # nothing stepped, not even the parameter before it
+        assert opt.t == {} and np.all(ok.data == 1.0) and np.all(p.data == 1.0)
+
+
+class RaisingWorker:
+    def submit(self, *args):
+        raise RuntimeError("the worker was asked to update")
+
+
+def test_adamw_keeps_a_store_under_two_blocks_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(pretrain, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pretrain, "_adamw_worker", RaisingWorker)
+    rng = np.random.default_rng(9)
+    for sizes, reaches_worker in (((ADAMW_BLOCK, ADAMW_BLOCK - 1), False), ((ADAMW_BLOCK, ADAMW_BLOCK), True)):
+        params = {f"p{i}": T.parameter(rng.normal(size=n)) for i, n in enumerate(sizes)}
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape)
+        opt = AdamW(params)
+        if reaches_worker:
+            with pytest.raises(RuntimeError, match="worker"):
+                opt.step(lr=1e-3)
+        else:
+            opt.step(lr=1e-3)
+
+
+def test_adamw_worker_half_raises_under_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(pretrain, "_usable_cpus", lambda: 2)
+    p = T.parameter(np.zeros(2 * ADAMW_BLOCK))
+    # eps 0 and a zero gradient make 0 / 0 in the second block only, the worker's
+    p.grad = np.concatenate([np.ones(ADAMW_BLOCK), np.zeros(ADAMW_BLOCK)])
+    opt = AdamW({"w": p}, eps=0.0, weight_decay=0.0)
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        opt.step(lr=1e-3)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_adamw_steps_in_a_child_forked_after_a_split_step(monkeypatch):
+    monkeypatch.setattr(pretrain, "_usable_cpus", lambda: 2)
+
+    def split_step():
+        p = T.parameter(np.ones(2 * ADAMW_BLOCK))
+        p.grad = np.ones(2 * ADAMW_BLOCK)
+        AdamW({"w": p}).step(lr=1e-3)
+
+    split_step()  # the worker thread now exists
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a multi-threaded process
+        pid = os.fork()
+    if pid == 0:
+        split_step()
+        os._exit(0)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
 def test_select_trainable_substring_match(toy_encoder_config):
     params = init_model(toy_encoder_config, seed=0)
     picked = select_trainable(params, ("entity_emb", "entity_proj", "entity_type_emb", "mep_head"))
@@ -423,6 +497,38 @@ def test_training_is_deterministic(toy_data, toy_encoder_config):
     assert a.log == b.log
     for name in a.params:
         assert np.array_equal(a.params[name].data, b.params[name].data)
+
+
+def test_training_split_over_two_threads_is_bit_identical(monkeypatch, toy_data, toy_encoder_config):
+    # 256-element blocks cut the toy store into many blocks, some gathered
+    # across parameters, and over the stage switch into runs of unequal t
+    cfg = TrainConfig(total_steps=4, stage1_steps=2, batch_size=4, warmup_steps=1,
+                      seed=17, log_interval=1)
+    store = sum(p.data.size for p in init_model(toy_encoder_config, seed=cfg.seed).values())
+    monkeypatch.setattr(pretrain, "_usable_cpus", lambda: 2)
+    elements = {}  # thread id -> elements it updated
+    real_update = AdamW._update
+
+    def update(self, blocks, scratch, lr):
+        tid = threading.get_ident()
+        elements[tid] = elements.get(tid, 0) + sum(bhi - blo for blo, bhi, _, _ in blocks)
+        real_update(self, blocks, scratch, lr)
+
+    monkeypatch.setattr(AdamW, "_update", update)
+    runs, seen = {}, {}
+    for block in (256, store):
+        monkeypatch.setattr(pretrain, "ADAMW_BLOCK", block)
+        elements.clear()
+        runs[block] = run_toy(toy_data, cfg, toy_encoder_config)
+        seen[block] = dict(elements)
+    # split: the caller and the worker both updated; one block: the caller alone
+    assert len(seen[256]) == 2 and all(seen[256].values())
+    assert list(seen[store]) == [threading.get_ident()]
+    assert sum(seen[256].values()) == sum(seen[store].values())
+    split, inline = runs[256], runs[store]
+    assert split.log == inline.log
+    for name in inline.params:
+        assert split.params[name].data.tobytes() == inline.params[name].data.tobytes(), name
 
 
 def test_stage1_freezes_encoder_parameters(toy_data, toy_encoder_config):
