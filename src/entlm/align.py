@@ -168,14 +168,29 @@ FEATURE_SPECS = ("span-mean", "re-word", "re-entity")
 FEATURE_DUMP_GROUP = 16
 
 
-def load_span_items(path, word_vocab):
-    """span-mean `feature_dump` items from JSON lines {id, lang, tokens, span}."""
+def load_span_items(path, word_vocab, entity_vocab):
+    """span-mean `feature_dump` items from JSON lines {id, lang, tokens, span}
+    with optional `entities` [[key, start, end], ...]: each an entity token
+    over tokens [start, end), its key a canonical key or a title in `lang`."""
 
     def item(d):
+        n = len(d["tokens"])
         s, e = d["span"]
-        if not 0 <= s < e <= len(d["tokens"]):
-            raise ContractError(f"span ({s}, {e}) out of bounds for {len(d['tokens'])} tokens")
+        if not 0 <= s < e <= n:
+            raise ContractError(f"span ({s}, {e}) out of bounds for {n} tokens")
+        entity_ids, entity_positions = [], []
+        for key, es, ee in d.get("entities", []):
+            eid = entity_vocab.resolve_key(key)
+            if eid is None:
+                eid = entity_vocab.resolve(d["lang"], key)
+            if eid is None:
+                raise ContractError(f"entity {key!r} is neither a key nor a {d['lang']} title in the vocab")
+            if not 0 <= es < ee <= n:
+                raise ContractError(f"entity span ({es}, {ee}) out of bounds for {n} tokens")
+            entity_ids.append(eid)
+            entity_positions.append(list(range(es, ee)))
         return str(d["id"]), d["lang"], {"word_ids": word_vocab.encode(d["tokens"]), "span": (s, e),
+                                         "entity_ids": entity_ids, "entity_positions": entity_positions,
                                          "text": " ".join(d["tokens"][s:e])}
 
     return read_json_lines(path, item)

@@ -1,8 +1,9 @@
 """Command-line surface tying the modules into reproducible runs.
 
 Every command writes a manifest (resolved options, seed, versions, input
-digests) next to its output; `entlm rerun <manifest>` replays a run, which
-in deterministic mode reproduces outputs bit-exactly.
+digests) next to its output; `entlm rerun <manifest>` checks that every
+recorded input is unchanged, then replays the run, which in deterministic
+mode reproduces outputs bit-exactly.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ def cmd_dump_features(args):
         insts = heads.load_re_data(args.data)
         dataset = [(f"{args.lang}-{i}", args.lang, inst) for i, inst in enumerate(insts)]
     else:
-        dataset = align.load_span_items(args.data, word_vocab)
+        dataset = align.load_span_items(args.data, word_vocab, entity_vocab)
     align.feature_dump(model, dataset, args.feature_spec, out_path=args.out)
     write_manifest(_file_manifest_path(args.out), "dump-features", vars(args), seed=None,
                    input_paths=[args.checkpoint, args.data, args.word_vocab, args.entity_vocab])
@@ -314,7 +315,11 @@ def cmd_inspect_checkpoint(args):
 
 
 def _manifest_run(manifest):
-    """(handler, options) of a run manifest; every command but `rerun` replays."""
+    """(handler, options) of a run manifest; every command but `rerun` replays.
+
+    Each input in the manifest's `input_digests` must still exist with the
+    recorded sha256, so a replay never runs on changed inputs.
+    """
     command = manifest["command"]
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     if command not in sub.choices or command == "rerun":
@@ -326,6 +331,11 @@ def _manifest_run(manifest):
     missing = sorted(dests - options.keys())
     if missing:
         raise ContractError(f"{command} options lack {', '.join(missing)}")
+    for path, digest in manifest.get("input_digests", {}).items():
+        if not os.path.isfile(path):
+            raise ContractError(f"input {path} is missing")
+        if _digest(path) != digest:
+            raise ContractError(f"input {path} has changed since the run (its sha256 differs)")
     return parser.get_default("func"), options
 
 

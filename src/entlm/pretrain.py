@@ -4,6 +4,9 @@ Stage 1 updates only the newly initialized entity-side parameters; stage 2
 updates everything.  The warmup/linear-decay learning-rate schedule restarts
 at the stage boundary.  Checkpoints are a versioned binary container with a
 name -> (shape, dtype, offset) index over little-endian float64 payloads.
+A checkpoint holds the parameters, the encoder config, the step and a meta
+object: what evaluation and fine-tuning read.  It stores no optimizer or RNG
+state, so training does not resume from one.
 """
 
 from __future__ import annotations
@@ -106,12 +109,6 @@ class TrainConfig:
         d = dict(self.__dict__)
         d["stage1_trainable_patterns"] = list(self.stage1_trainable_patterns)
         return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["stage1_trainable_patterns"] = tuple(d.get("stage1_trainable_patterns", DEFAULT_STAGE1_TRAINABLE))
-        return cls(**d).validate()
 
 
 def linear_head(rng, in_dim, out_dim, prefix):
@@ -337,14 +334,6 @@ class AdamW:
             np.multiply(s1, lr, out=s1)
             np.subtract(pb, s1, out=pb)
 
-    def state_dict(self):
-        """Copies of the step counts and moments; later steps leave them unchanged."""
-        return {
-            "t": dict(self.t),
-            "m": {k: a.copy() for k, a in self.m.items()},
-            "v": {k: a.copy() for k, a in self.v.items()},
-        }
-
 
 def select_trainable(params, patterns):
     """Names of parameters matched by any substring pattern."""
@@ -355,21 +344,13 @@ def select_trainable(params, patterns):
 # checkpoint container
 
 
-def save_checkpoint(path, encoder_config: EncoderConfig, params, step=0, rng_state=None,
-                    optimizer_state=None, meta=None):
-    arrays = {name: np.ascontiguousarray(p.data, dtype="<f8") for name, p in params.items()}
-    opt_arrays = {}
-    opt_meta = None
-    if optimizer_state is not None:
-        opt_meta = {"t": optimizer_state["t"]}
-        for kind in ("m", "v"):
-            for name, arr in optimizer_state[kind].items():
-                opt_arrays[f"opt.{kind}.{name}"] = np.ascontiguousarray(arr, dtype="<f8")
+def save_checkpoint(path, encoder_config: EncoderConfig, params, step=0, meta=None):
+    """Write the parameters, the encoder config, `step` and `meta`; nothing else."""
     index = {}
     offset = 0
     payload = []
-    for name in sorted(list(arrays) + list(opt_arrays)):
-        arr = arrays.get(name, opt_arrays.get(name))
+    for name in sorted(params):
+        arr = np.ascontiguousarray(params[name].data, dtype="<f8")
         index[name] = {"shape": list(arr.shape), "dtype": "<f8", "offset": offset, "nbytes": arr.nbytes}
         payload.append(arr.tobytes())
         offset += arr.nbytes
@@ -377,11 +358,9 @@ def save_checkpoint(path, encoder_config: EncoderConfig, params, step=0, rng_sta
         "version": 1,
         "encoder_config": encoder_config.to_dict(),
         "step": int(step),
-        "rng_state": rng_state,
-        "optimizer": opt_meta,
         "meta": meta or {},
         "index": index,
-        "param_names": sorted(arrays),
+        "param_names": sorted(params),
     }
     header_bytes = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
     tmp = path + ".tmp"
@@ -408,7 +387,11 @@ def _check_header_layout(path, header):
     require(isinstance(header, dict), "header", "a JSON object")
     index = header.get("index")
     require(isinstance(index, dict), "index", "an object")
-    for name, e in index.items():
+    names = header.get("param_names")
+    require(isinstance(names, list) and all(isinstance(n, str) and n in index for n in names),
+            "param_names", "a list of names in the index")
+    for name in names:  # other index entries are never read
+        e = index[name]
         require(isinstance(e, dict), f"index.{name}", "an object")
         require(e.get("dtype") == "<f8", f"index.{name}.dtype", '"<f8"')
         for key in ("offset", "nbytes"):
@@ -416,14 +399,8 @@ def _check_header_layout(path, header):
         shape = e.get("shape")
         require(isinstance(shape, list) and all(_is_int(d) and d >= 0 for d in shape),
                 f"index.{name}.shape", "a list of non-negative integers")
-    names = header.get("param_names")
-    require(isinstance(names, list) and all(isinstance(n, str) and n in index for n in names),
-            "param_names", "a list of names in the index")
     require(isinstance(header.get("encoder_config"), dict), "encoder_config", "an object")
     require(_is_int(header.get("step")), "step", "an integer")
-    opt = header.get("optimizer")
-    require(not opt or (isinstance(opt, dict) and isinstance(opt.get("t"), dict)),
-            "optimizer", "null or an object with a 't' map")
     require(isinstance(header.get("meta", {}), dict), "meta", "an object")
 
 
@@ -432,8 +409,6 @@ class Checkpoint:
     encoder_config: EncoderConfig
     params: dict
     step: int
-    rng_state: object = None
-    optimizer_state: object = None
     meta: dict = field(default_factory=dict)
 
 
@@ -456,23 +431,15 @@ def load_checkpoint(path) -> Checkpoint:
             raise ContractError(f"{path}: header is not JSON ({e})") from None
         _check_header_layout(path, header)
         blob = f.read()
-    arrays = {}
-    for name, e in header["index"].items():
+    params = {}
+    for name in header["param_names"]:
+        e = header["index"][name]
         end = e["offset"] + e["nbytes"]
         if e["offset"] < 0 or end > len(blob) or e["nbytes"] != 8 * math.prod(e["shape"]):
             raise ContractError(f"{path}: tensor {name} (bytes {e['offset']}..{end}, shape "
                                 f"{e['shape']}) does not fit the {len(blob)}-byte payload")
-        raw = blob[e["offset"] : end]
-        arrays[name] = np.frombuffer(raw, dtype=e["dtype"]).reshape(e["shape"]).copy()
-    params = {n: T.parameter(arrays[n], name=n) for n in header["param_names"]}
-    opt_state = None
-    if header.get("optimizer"):
-        opt_state = {"t": header["optimizer"]["t"], "m": {}, "v": {}}
-        for name, arr in arrays.items():
-            if name.startswith("opt.m."):
-                opt_state["m"][name[len("opt.m."):]] = arr
-            elif name.startswith("opt.v."):
-                opt_state["v"][name[len("opt.v."):]] = arr
+        raw = np.frombuffer(blob[e["offset"] : end], dtype=e["dtype"]).reshape(e["shape"])
+        params[name] = T.parameter(raw.copy(), name=name)
     try:
         encoder_config = EncoderConfig.from_dict(header["encoder_config"])
     except (TypeError, ConfigError) as e:  # a missing, unknown, mistyped or inconsistent field
@@ -481,8 +448,6 @@ def load_checkpoint(path) -> Checkpoint:
         encoder_config=encoder_config,
         params=params,
         step=header["step"],
-        rng_state=header.get("rng_state"),
-        optimizer_state=opt_state,
         meta=header.get("meta", {}),
     )
 
@@ -492,6 +457,11 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 class TrainingAborted(EntlmError):
+    """Training stopped on a non-finite loss.  `last_checkpoint` names the
+    last intermediate checkpoint written, or is None: a parameter snapshot
+    that `finetune`, `cloze-eval`, `dump-features` and `inspect-checkpoint`
+    read."""
+
     def __init__(self, message, last_checkpoint=None):
         super().__init__(message)
         self.last_checkpoint = last_checkpoint
@@ -591,8 +561,6 @@ def train(encoder_config: EncoderConfig, config: TrainConfig, sequences_by_langu
             if out_dir and config.checkpoint_interval and (step + 1) % config.checkpoint_interval == 0:
                 last_ckpt = os.path.join(out_dir, f"checkpoint-{step + 1}.bin")
                 save_checkpoint(last_ckpt, encoder_config, params, step=step + 1,
-                                rng_state=_rng_states(sampler.rng, dropout_rng),
-                                optimizer_state=optimizer.state_dict(),
                                 meta={"train_config": config.to_dict()})
     finally:
         if log_fh:
@@ -602,16 +570,6 @@ def train(encoder_config: EncoderConfig, config: TrainConfig, sequences_by_langu
     if out_dir:
         final = os.path.join(out_dir, "checkpoint-final.bin")
         save_checkpoint(final, encoder_config, params, step=config.total_steps,
-                        rng_state=_rng_states(sampler.rng, dropout_rng),
                         meta={"train_config": config.to_dict()})
     return TrainResult(params=params, step=config.total_steps, log=log, final_checkpoint=final)
 
-
-def _rng_states(sampler_rng, dropout_rng):
-    def enc(state):
-        return json.loads(json.dumps(state, default=int))
-
-    return {
-        "sampler": enc(sampler_rng.bit_generator.state),
-        "dropout": enc(dropout_rng.bit_generator.state),
-    }

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entlm.align import SpanEmbedding, save_embeddings
+from entlm.align import SpanEmbedding, feature_dump, load_embeddings, save_embeddings
 from entlm.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, _task_model_from_checkpoint, main
+from entlm.cloze import ClozeModel
 from entlm.corpus import AnnotatedDocument, WordVocab, save_corpus
 from entlm.heads import REInstance, save_re_data
 from entlm.pretrain import load_checkpoint
@@ -105,6 +106,26 @@ def test_pretrain_rerun_is_bit_identical(workspace, pretrained):
     a = Path(pretrained, "checkpoint-final.bin").read_bytes()
     b = Path(out2, "checkpoint-final.bin").read_bytes()
     assert a == b
+
+
+def test_rerun_of_a_changed_or_missing_input_exits_1_and_writes_nothing(workspace, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(Path(workspace["corpus"]).read_bytes())
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEXT.format(corpus=corpus, vocab=workspace["vocab"]))
+    out = tmp_path / "pretrain"
+    assert main(["pretrain", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    with open(corpus, "a") as f:
+        f.write(Path(workspace["corpus"]).read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    for what in ("changed", "missing"):
+        again = tmp_path / f"pretrain-{what}"
+        rc = main(["rerun", str(out / "manifest.json"), "--out", str(again)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_FAILURE
+        assert f"input {corpus} " in err and what in err and "Traceback" not in err
+        assert not again.exists()
+        corpus.unlink(missing_ok=True)
 
 
 def test_pretrain_seed_flag_changes_result(workspace, pretrained):
@@ -340,8 +361,7 @@ def test_corrupt_checkpoint_exits_1(workspace, pretrained):
                        edited(lambda h: h["index"].update({name: 7})),
                        edited(lambda h: h["param_names"].append("no.such.tensor")),
                        edited(lambda h: h["encoder_config"].update(not_a_field=1)),
-                       edited(lambda h: h["encoder_config"].update(heads=3)),
-                       edited(lambda h: h.update(optimizer={"m": {}}))):
+                       edited(lambda h: h["encoder_config"].update(heads=3))):
         raw = json.dumps(bad_header).encode("utf-8")
         Path(bad).write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "little") + raw
                               + good[payload_start:])
@@ -519,6 +539,38 @@ def _finetune_argv(task, bad_flag="--train"):
     return argv
 
 
+def test_dump_features_encodes_span_item_entities(workspace, pretrained):
+    ckpt = load_checkpoint(os.path.join(pretrained, "checkpoint-final.bin"))
+    wv = WordVocab.load(os.path.join(pretrained, "word_vocab.txt"))
+    ev = EntityVocab.load(workspace["vocab"])
+    model = ClozeModel(encoder_config=ckpt.encoder_config, params=ckpt.params, word_vocab=wv, entity_vocab=ev)
+    tokens = {lang: [f"t0a_{lang}", f"ent1_{lang}", f"t0b_{lang}", "."] for lang in ("en", "de")}
+    data = workspace["ws"] / "spans-entities.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in [
+        {"id": "s0", "lang": "en", "tokens": tokens["en"], "span": [1, 2], "entities": [["ent1", 1, 2]]},
+        {"id": "s1", "lang": "de", "tokens": tokens["de"], "span": [0, 2], "entities": [["Ent1_de", 1, 3]]},
+        {"id": "s2", "lang": "en", "tokens": tokens["en"], "span": [1, 2]}]))
+    emb = str(workspace["ws"] / "emb-entities.jsonl")
+    rc = main(["dump-features", "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
+               "--data", str(data), "--feature-spec", "span-mean", "--out", emb,
+               "--word-vocab", os.path.join(pretrained, "word_vocab.txt"), "--entity-vocab", workspace["vocab"]])
+    assert rc == EXIT_OK
+
+    eid = ev.resolve_key("ent1")
+    by_hand = [
+        ("s0", "en", {"word_ids": wv.encode(tokens["en"]), "entity_ids": [eid], "entity_positions": [[1]],
+                      "span": (1, 2), "text": "ent1_en"}),
+        ("s1", "de", {"word_ids": wv.encode(tokens["de"]), "entity_ids": [eid], "entity_positions": [[1, 2]],
+                      "span": (0, 2), "text": "t0a_de ent1_de"}),
+        ("s2", "en", {"word_ids": wv.encode(tokens["en"]), "span": (1, 2), "text": "ent1_en"})]
+    got = load_embeddings(emb)
+    want = feature_dump(model, by_hand, "span-mean")
+    assert [(e.uid, e.language, e.text) for e in got] == [(e.uid, e.language, e.text) for e in want]
+    for g, w in zip(got, want):
+        assert g.vector.tobytes() == w.vector.tobytes()
+    assert not np.array_equal(got[0].vector, got[2].vector)  # the entity token reaches the encoder
+
+
 def _model_argv(command, data_flag, *extra):
     return lambda p, bad: [command, "--checkpoint", p["ckpt"], data_flag, bad, "--out", p["out"],
                            "--word-vocab", p["words"], "--entity-vocab", p["vocab"], *extra]
@@ -570,6 +622,10 @@ MALFORMED = [
      _model_argv("cloze-eval", "--queries"), 2),
     ("dump-features/span-out-of-bounds", "spans", _record_edit(2, lambda r: r.update(span=[1, 9])),
      _model_argv("dump-features", "--data", "--feature-spec", "span-mean"), 2),
+    ("dump-features/span-entity-unknown", "spans", _record_edit(2, lambda r: r.update(entities=[["Ent0_de", 1, 2]])),
+     _model_argv("dump-features", "--data", "--feature-spec", "span-mean"), 2),
+    ("dump-features/span-entity-out-of-bounds", "spans", _record_edit(3, lambda r: r.update(entities=[["ent2", 1, 3]])),
+     _model_argv("dump-features", "--data", "--feature-spec", "span-mean"), 3),
     ("dump-features/spans-cut-off", "spans", _cut_in_line(3),
      _model_argv("dump-features", "--data", "--feature-spec", "span-mean"), 3),
     ("dump-features/re-span-overlap", "re", _line_edit(3, lambda line: line.replace("\t3 4", "\t1 2")),

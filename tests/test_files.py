@@ -75,7 +75,8 @@ def _write_fixtures(d):
     wv = corpus.build_word_vocab(docs)
     wv.save(d / "words.txt")
     links.save_tsv(d / "links.tsv")
-    build_entity_vocab(docs, links, min_languages=2).save(d / "entities.tsv")
+    ev = build_entity_vocab(docs, links, min_languages=2)
+    ev.save(d / "entities.tsv")
     (d / "queries.jsonl").write_text(json.dumps({
         "lang": "en", "template": "[X] t0b_en [Y] .", "sub_surface": "ent0_en", "sub_entity": "ent0",
         "candidates": [{"surface": "ent0_en"}, {"surface": "ent1_en", "entity": "ent1"}],
@@ -94,7 +95,8 @@ def _write_fixtures(d):
                                          tail_span=(3, 4), label="employer")] * 2, d / "re.tsv")
     (d / "ner.txt").write_text("a B-PER\nb I-PER\nc O\n\nd B-LOC\n")
     (d / "spans.jsonl").write_text("".join(json.dumps({
-        "id": i, "lang": "en", "tokens": ["t0a_en", "ent0_en", "t0b_en"], "span": [1, 2 + i]}) + "\n"
+        "id": i, "lang": "en", "tokens": ["t0a_en", "ent0_en", "t0b_en"], "span": [1, 2 + i],
+        "entities": [["ent0", 1, 2], ["Ent0_en", 0, 3]]}) + "\n"
         for i in range(2)))
     (d / "manifest.json").write_text(json.dumps({"command": "analyze", "options": {
         "command": "analyze", "metric": "cwr", "queries": "q.jsonl", "pool": "p.jsonl",
@@ -111,7 +113,7 @@ def _write_fixtures(d):
         "qa-squad": (d / "squad.json", heads.load_qa_data),
         "re": (d / "re.tsv", heads.load_re_data),
         "ner": (d / "ner.txt", heads.load_ner_data),
-        "spans": (d / "spans.jsonl", lambda p: align.load_span_items(p, wv)),
+        "spans": (d / "spans.jsonl", lambda p: align.load_span_items(p, wv, ev)),
         "manifest": (d / "manifest.json", lambda p: files.read_json(p, cli._manifest_run)),
     }
 

@@ -1,5 +1,6 @@
 """Pretraining: schedule oracles, optimizer behavior, checkpoints, loop."""
 
+import json
 import os
 import signal
 import threading
@@ -16,6 +17,7 @@ from entlm.encoder import EncoderConfig
 from entlm.errors import ContractError, EntlmError
 from entlm.pretrain import (
     ADAMW_BLOCK,
+    CHECKPOINT_MAGIC,
     AdamW,
     TrainConfig,
     TrainingAborted,
@@ -290,20 +292,6 @@ def test_adamw_updates_parameter_arrays_in_place():
     assert q.data.shape == (3, 2)
 
 
-def test_adamw_state_dict_is_a_snapshot():
-    p = T.parameter(np.ones(4))
-    p.grad = np.full(4, 0.5)
-    opt = AdamW({"w": p})
-    opt.step(lr=0.1)
-    state = opt.state_dict()
-    saved = {k: state[k]["w"].copy() for k in ("m", "v")}
-    opt.step(lr=0.1)
-    for k in ("m", "v"):
-        assert np.array_equal(state[k]["w"], saved[k])
-    assert state["t"] == {"w": 1}
-    assert not np.array_equal(opt.m["w"], saved["m"])
-
-
 def test_adamw_rejects_a_gradient_of_another_shape():
     for shape, grad_shape in (((3,), (5,)), ((2, 3), (3, 2))):
         p = T.parameter(np.ones(shape))
@@ -441,12 +429,10 @@ def test_gathered_head_loss_matches_full_projection(toy_encoder_config, loss_fn,
 def test_checkpoint_round_trip_bit_identical(tmp_path, toy_encoder_config):
     params = init_model(toy_encoder_config, seed=3)
     path = str(tmp_path / "ckpt.bin")
-    save_checkpoint(path, toy_encoder_config, params, step=17,
-                    rng_state={"x": 1}, meta={"note": "t"})
+    save_checkpoint(path, toy_encoder_config, params, step=17, meta={"note": "t"})
     ckpt = load_checkpoint(path)
     assert ckpt.step == 17
     assert ckpt.encoder_config == toy_encoder_config
-    assert ckpt.rng_state == {"x": 1}
     assert ckpt.meta == {"note": "t"}
     assert set(ckpt.params) == set(params)
     for name, p in params.items():
@@ -454,8 +440,7 @@ def test_checkpoint_round_trip_bit_identical(tmp_path, toy_encoder_config):
 
     # saving the loaded state reproduces the file byte for byte
     path2 = str(tmp_path / "ckpt2.bin")
-    save_checkpoint(path2, ckpt.encoder_config, ckpt.params, step=17,
-                    rng_state={"x": 1}, meta={"note": "t"})
+    save_checkpoint(path2, ckpt.encoder_config, ckpt.params, step=17, meta={"note": "t"})
     assert (tmp_path / "ckpt.bin").read_bytes() == (tmp_path / "ckpt2.bin").read_bytes()
 
 
@@ -466,18 +451,47 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
         load_checkpoint(str(path))
 
 
-def test_checkpoint_keeps_optimizer_state(tmp_path, toy_encoder_config):
+def _header_and_payload(raw):
+    start = len(CHECKPOINT_MAGIC) + 8
+    end = start + int.from_bytes(raw[len(CHECKPOINT_MAGIC):start], "little")
+    return json.loads(raw[start:end]), raw[end:]
+
+
+def test_checkpoint_with_optimizer_and_rng_fields_still_loads(tmp_path, toy_encoder_config):
+    """Checkpoints that also stored AdamW moments and RNG states load their
+    parameters; the other index entries are never read."""
     params = init_model(toy_encoder_config, seed=3)
-    opt = AdamW(params)
-    for p in params.values():
-        p.grad = np.ones_like(p.data)
-    opt.step(lr=1e-3)
-    path = str(tmp_path / "ckpt.bin")
-    save_checkpoint(path, toy_encoder_config, params, optimizer_state=opt.state_dict())
-    ckpt = load_checkpoint(path)
-    assert ckpt.optimizer_state["t"] == opt.state_dict()["t"]
-    for name, arr in opt.m.items():
-        assert np.array_equal(ckpt.optimizer_state["m"][name], arr)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(str(path), toy_encoder_config, params, step=4)
+    header, payload = _header_and_payload(path.read_bytes())
+    name = header["param_names"][0]
+    moment = np.full(params[name].data.shape, 0.25)
+    header["index"][f"opt.m.{name}"] = {**header["index"][name], "offset": len(payload)}
+    header["optimizer"] = {"t": {name: 4}}
+    header["rng_state"] = {"sampler": {"state": 1}, "dropout": {"state": 2}}
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "little") + raw
+                     + payload + moment.astype("<f8").tobytes())
+    ckpt = load_checkpoint(str(path))
+    assert ckpt.step == 4
+    assert sorted(ckpt.params) == sorted(params)
+    for n, p in params.items():
+        assert ckpt.params[n].data.tobytes() == p.data.tobytes()
+
+
+def test_intermediate_checkpoints_hold_parameters_only(tmp_path, toy_data, toy_encoder_config):
+    cfg = TrainConfig(total_steps=4, batch_size=2, warmup_steps=1, seed=5, checkpoint_interval=2)
+    by_lang, wv, ev = toy_data
+    result = train(toy_encoder_config, cfg, by_lang, wv, ev, out_dir=str(tmp_path))
+    for step in (2, 4):
+        header, payload = _header_and_payload((tmp_path / f"checkpoint-{step}.bin").read_bytes())
+        assert sorted(header["index"]) == header["param_names"] == sorted(result.params)
+        assert header["step"] == step
+        assert "optimizer" not in header and "rng_state" not in header
+        assert len(payload) == 8 * sum(p.data.size for p in result.params.values())
+    last = load_checkpoint(str(tmp_path / "checkpoint-4.bin"))
+    for n, p in result.params.items():
+        assert last.params[n].data.tobytes() == p.data.tobytes()
 
 
 # ---------------------------------------------------------------------------
