@@ -182,12 +182,15 @@ def _load_model_parts(args):
 def cmd_finetune(args):
     if args.task not in heads.TASK_LOADERS:
         raise ConfigError(f"unknown task {args.task!r}")
+    try:
+        cfg = heads.FinetuneConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch_size,
+                                   seed=args.seed or 0).validate()
+    except ContractError as e:
+        raise ConfigError(f"finetune: {e}") from None
     ckpt, word_vocab, entity_vocab = _load_model_parts(args)
     load = heads.TASK_LOADERS[args.task]
     train_insts = load(args.train)
     dev = load(args.dev) if args.dev else None
-    cfg = heads.FinetuneConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch_size,
-                               seed=args.seed or 0)
     parts = (ckpt.encoder_config, ckpt.params, word_vocab, entity_vocab)
     entity = args.variant == "entity"
     if args.task == "qa":

@@ -170,9 +170,7 @@ def embed_entities(params, config, entity_ids, entity_positions, position_mask):
     tok = T.embedding(params["entity_emb"], entity_ids)
     proj = T.linear(tok, params["entity_proj_w"], params["entity_proj_b"])
     typ = T.embedding(params["entity_type_emb"], np.full(entity_ids.shape, ENTITY_TYPE_ID))
-    pos_rows = T.embedding(params["pos_emb"], np.asarray(entity_positions))  # (..., P, H)
-    masked = T.mul(pos_rows, T.constant(position_mask[..., None]))
-    pos_term = T.reduce_sum(masked, axis=masked.ndim - 2)
+    pos_term = T.span_sum(params["pos_emb"], np.asarray(entity_positions), position_mask)
     if config.entity_position_mode == "mean":
         counts = position_mask.sum(axis=-1, keepdims=True)
         pos_term = T.mul(pos_term, T.constant(1.0 / counts))

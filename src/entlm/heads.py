@@ -20,7 +20,7 @@ from . import tensor as T
 from .encoder import NEG_INF, EncodedSequence, EncoderConfig, encode_batch, pack_batch
 from .errors import ContractError
 from .files import read_json, read_lines
-from .pretrain import AdamW, linear_head, warmup_linear_decay
+from .pretrain import AdamW, check_optimizer_settings, linear_head, warmup_linear_decay
 from .seeding import substream
 
 MAX_ANSWER_LEN = 30
@@ -591,6 +591,16 @@ class FinetuneConfig:
     adam_eps: float = 1e-6
     seed: int = 0
 
+    def validate(self):
+        if self.epochs is not None and self.epochs < 1:
+            raise ContractError(f"epochs {self.epochs} must be >= 1")
+        if self.batch_size < 1:
+            raise ContractError(f"batch_size {self.batch_size} must be >= 1")
+        if not 0.0 <= self.warmup_frac <= 1.0:
+            raise ContractError(f"warmup_frac {self.warmup_frac} outside [0, 1]")
+        check_optimizer_settings(self, ("lr",))
+        return self
+
 
 def finetune_lr_at(step, total_steps, cfg: FinetuneConfig):
     """Linear warmup over the first 6% of steps, then linear decay to zero."""
@@ -655,7 +665,7 @@ def finetune(model: TaskModel, train_insts, dev_insts=None, cfg: FinetuneConfig 
     examples, the parameters of the epoch with the best `evaluate` score
     are kept (a later epoch wins a tie).
     """
-    cfg = cfg or FinetuneConfig()
+    cfg = (cfg or FinetuneConfig()).validate()
     insts = usable_examples(model, train_insts)
     if not insts:
         raise ContractError(f"no usable {model.task} training examples")

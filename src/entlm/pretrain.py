@@ -67,6 +67,20 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+def check_optimizer_settings(config, lr_keys):
+    """The AdamW settings a config shares: learning rates and weight decay
+    >= 0, betas in [0, 1) and a positive eps (a zero eps divides by zero
+    where a second moment is 0)."""
+    for key in (*lr_keys, "weight_decay"):
+        if getattr(config, key) < 0:
+            raise ContractError(f"{key} {getattr(config, key)} must be >= 0")
+    for key in ("beta1", "beta2"):
+        if not 0.0 <= getattr(config, key) < 1.0:
+            raise ContractError(f"{key} {getattr(config, key)} outside [0, 1)")
+    if not config.adam_eps > 0:
+        raise ContractError(f"adam_eps {config.adam_eps} must be > 0")
+
+
 @dataclass
 class TrainConfig:
     total_steps: int
@@ -95,6 +109,12 @@ class TrainConfig:
             raise ContractError("need 0 <= stage1_steps <= total_steps")
         if self.warmup_steps < 0:
             raise ContractError("warmup_steps must be >= 0")
+        if self.batch_size < 1:
+            raise ContractError(f"batch_size {self.batch_size} must be >= 1")
+        for key in ("log_interval", "checkpoint_interval"):
+            if getattr(self, key) < 0:
+                raise ContractError(f"{key} {getattr(self, key)} must be >= 0")
+        check_optimizer_settings(self, ("peak_lr", "stage1_peak_lr"))
         if not 0 < self.alpha <= 1:
             raise ContractError(f"alpha {self.alpha} outside (0, 1]")
         # the rules mask_batch applies to its probabilities

@@ -2,10 +2,13 @@
 
 Plain row-major numpy kernels, float64 by default.  A Tensor records the op
 that produced it and closures that push gradients to its parents; backward()
-walks the implicit graph once in reverse topological order.  Two fused ops
-cut the encoder's node count: `linear` (x @ w + b) and `attention` (the
-scaled, masked softmax attention core over all heads), each doing the same
-numpy arithmetic, in the same order, as the chain of single ops it replaces.
+walks the implicit graph once in reverse topological order.  Three fused ops
+cut the encoder's node count: `linear` (x @ w + b), `attention` (the scaled,
+masked softmax attention core over all heads) and `span_sum` (weighted sums
+of gathered rows, for entity mention positions), each doing the same numpy
+arithmetic, in the same order, as the chain of single ops it replaces.
+Kernels compute their intermediates in place in buffers they allocated
+themselves, so an eval forward pass does not fault in fresh temporaries.
 Inside `no_grad()` ops record no graph, for forward-only passes.
 
 At toy sizes a train step's time goes mostly to per-node bookkeeping, so it
@@ -31,8 +34,10 @@ LAYER_NORM_EPS = 1e-5
 class Tensor:
     """A dense array plus the bookkeeping needed for reverse-mode autodiff.
 
-    Treat instances as immutable after construction; kernels never write
-    into their inputs.
+    Treat instances as immutable after construction.  A kernel never writes
+    into its inputs; it may overwrite only arrays it allocated itself that no
+    backward closure reads afterwards, so a forward pass builds no throwaway
+    full-size temporaries.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_op")
@@ -242,7 +247,8 @@ def linear(x, w, b):
         raise ShapeError(f"linear: input {x.shape}, weight {w.shape} and bias {b.shape} do not fit")
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: input axis -1 has {x.shape[-1]}, weight axis 0 has {w.shape[0]}")
-    out_data = np.matmul(x.data, w.data) + b.data
+    out_data = np.matmul(x.data, w.data)
+    out_data += b.data
 
     def backward(g):
         gx = np.matmul(g, w.data.T)
@@ -279,10 +285,13 @@ def attention(q, k, v, bias, heads, p=0.0, rng=None):
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     kt = np.transpose(kh, (0, 1, 3, 2))
-    scores = np.matmul(qh, kt) * c + bias
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    # scores, their shifted exponentials and the probabilities share one buffer
+    probs = np.matmul(qh, kt)
+    probs *= c
+    probs += bias
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     mask = None
     dropped = probs
     if p > 0.0:
@@ -326,6 +335,34 @@ def embedding(table, ids):
     return _make(out_data, (table,), backward, "embedding")
 
 
+def span_sum(table, ids, weights):
+    """Weighted row sums: out[..., :] = sum_p weights[..., p] * table[ids[..., p]].
+
+    table is (V, H); ids and weights share one shape whose last axis is
+    summed away, so the output is ids.shape[:-1] + (H,).  The same gather,
+    multiply and axis-sum as `embedding` -> `mul` by a constant -> `reduce_sum`,
+    as one node with no gradient for the weights.
+    """
+    ids = np.asarray(ids)
+    weights = np.asarray(weights, dtype=DEFAULT_DTYPE)
+    if table.ndim != 2 or ids.ndim < 1 or weights.shape != ids.shape:
+        raise ShapeError(f"span_sum: table {table.shape}, ids {ids.shape} and weights {weights.shape} "
+                         f"need a rank-2 table and ids and weights of one shape of rank >= 1")
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise ShapeError(f"span_sum: id out of range for table with {table.shape[0]} rows")
+    rows = table.data[ids]  # an integer array index copies
+    rows *= weights[..., None]
+    out_data = rows.sum(axis=-2)
+
+    def backward(g):
+        grows = np.expand_dims(g, -2) * weights[..., None]
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, ids.reshape(-1), grows.reshape(-1, table.shape[1]))
+        return (gt,)
+
+    return _make(out_data, (table,), backward, "span_sum")
+
+
 def layer_norm(x, gain, bias, eps=LAYER_NORM_EPS):
     """Normalize over the last axis, then scale and shift."""
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
@@ -333,11 +370,12 @@ def layer_norm(x, gain, bias, eps=LAYER_NORM_EPS):
             f"layer_norm: gain/bias must match last axis {x.shape[-1]}, got {gain.shape} and {bias.shape}"
         )
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu  # scaled in place below, once the variance is read
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def backward(g):
         n = x.shape[-1]
@@ -357,7 +395,10 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def gelu(x):
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))  # an array even for rank 0
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out_data = x.data * cdf
 
     def backward(g):
@@ -532,7 +573,8 @@ def log_softmax_np(x, axis=-1):
     x = np.asarray(x, dtype=DEFAULT_DTYPE)
     m = x.max(axis=axis, keepdims=True)
     z = x - m
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    z -= np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    return z
 
 
 def backward(loss):

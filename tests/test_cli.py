@@ -315,10 +315,24 @@ def test_bad_config_key_exits_3(workspace):
 
 @pytest.mark.parametrize("override", ["train.alpha=1.5", "train.alpha=0", "train.word_mask_p=2",
                                       "train.word_random_p=0.95", "train.entity_mask_p=-0.1",
-                                      "model.dropout=-0.1"])
+                                      "model.dropout=-0.1", "train.batch_size=0", "train.batch_size=-2",
+                                      "train.peak_lr=-1.0", "train.beta1=1.5", "train.adam_eps=0.0",
+                                      "train.log_interval=-1", "train.checkpoint_interval=-1"])
 def test_bad_train_value_exits_3_before_writing(workspace, override):
     out = workspace["ws"] / "bad-train"
     rc = main(["pretrain", "--config", workspace["config"], "--out", str(out), "--set", override])
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--batch-size", "0"], ["--lr", "-1.0"], ["--epochs", "0"]])
+def test_bad_finetune_value_exits_3_before_writing(workspace, pretrained, finetuned, flag):
+    out = workspace["ws"] / "bad-finetune"
+    rc = main(["finetune", "re",
+               "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
+               "--train", finetuned["re"], "--out", str(out),
+               "--word-vocab", os.path.join(pretrained, "word_vocab.txt"),
+               "--entity-vocab", workspace["vocab"], *flag])
     assert rc == EXIT_CONFIG
     assert not out.exists()
 

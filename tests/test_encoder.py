@@ -153,22 +153,34 @@ def test_dropout_is_deterministic_given_stream(tiny_config):
     assert np.array_equal(a.word_vectors, b.word_vectors)
 
 
-def test_full_encoder_grad_check(tiny_params, tiny_config):
-    rng = substream(15, "gradcheck")
-    seq = random_sequence(rng, tiny_config, n_words=6, n_entities=2)
+def _encoder_grad_check_error(params, config, seq):
     packed = pack_batch([seq])
     labels = np.array([1, -100, 3, -100, 2, -100])
 
     def loss():
-        out = encode_batch(tiny_params, tiny_config, packed)
-        flat = T.reshape(out.word_tensor, (-1, tiny_config.hidden_size))
-        logits = T.matmul(flat, T.transpose(tiny_params["word_emb"], (1, 0)))
+        out = encode_batch(params, config, packed)
+        flat = T.reshape(out.word_tensor, (-1, config.hidden_size))
+        logits = T.matmul(flat, T.transpose(params["word_emb"], (1, 0)))
         ent = T.reduce_sum(T.mul(out.entity_tensor, out.entity_tensor))
         return T.cross_entropy_logits(logits, labels) + T.scale(ent, 0.01)
 
-    err = T.grad_check(loss, tiny_params, eps=1e-5, rng=np.random.default_rng(0),
-                       samples_per_param=2)
-    assert err < 1e-4
+    return T.grad_check(loss, params, eps=1e-5, rng=np.random.default_rng(0), samples_per_param=2)
+
+
+def test_full_encoder_grad_check(tiny_params, tiny_config):
+    seq = random_sequence(substream(15, "gradcheck"), tiny_config, n_words=6, n_entities=2)
+    assert _encoder_grad_check_error(tiny_params, tiny_config, seq) < 1e-4
+
+
+def test_full_encoder_grad_check_mean_positions(tiny_config):
+    from dataclasses import replace
+
+    cfg = replace(tiny_config, entity_position_mode="mean").validate()
+    params = init_params(cfg, substream(0, "test-params"))
+    # mentions of one, two and three words, so the mean divides by each count
+    seq = EncodedSequence(word_ids=[3, 7, 1, 9, 4, 2], entity_ids=[1, 5, 2],
+                          entity_positions=[[0], [2, 3], [3, 4, 5]])
+    assert _encoder_grad_check_error(params, cfg, seq) < 1e-4
 
 
 def _inner_nodes(root):
@@ -198,9 +210,9 @@ def test_toy_step_graph_node_count(tiny_config):
         batches.append(MaskedBatch(sequence=seq, word_labels=word_labels,
                                    entity_labels=[seq.entity_ids[0], IGNORE_LABEL]))
     total, _, _ = pretrain_step_loss(params, tiny_config, batches, entity_pad_id=0)
-    # 15 embedding nodes, 12 per layer (4 linear, attention, 2 residual adds,
+    # 13 embedding nodes, 12 per layer (4 linear, attention, 2 residual adds,
     # 2 layer norms, 2 FFN linears, gelu), 2 output slices, 4 per head loss, the sum
-    assert _inner_nodes(total) <= 51, _inner_nodes(total)
+    assert _inner_nodes(total) <= 48, _inner_nodes(total)
 
 
 def test_eval_entry_points_hold_no_graph(monkeypatch):

@@ -467,6 +467,27 @@ def test_finetune_warmup_is_six_percent_ceil():
     assert finetune_lr_at(0, total, cfg) == 0.0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr", -1e-3), ("epochs", 0), ("epochs", -1), ("batch_size", 0), ("warmup_frac", -0.1),
+    ("warmup_frac", 1.5), ("weight_decay", -0.01), ("beta1", 1.0), ("beta2", 2.0),
+    ("adam_eps", 0.0),
+])
+def test_finetune_config_rejects_invalid_settings(field, value):
+    with pytest.raises(ContractError, match=field):
+        FinetuneConfig(**{field: value}).validate()
+
+
+def test_finetune_validates_its_config(task_setup):
+    cfg, params, wv, ev = task_setup
+    model = make_re_model(cfg, params, wv, ev, labels=["birthplace", "employer"], variant="entity-mask")
+    before = model.params
+    with pytest.raises(ContractError, match="batch_size"):
+        finetune(model, re_toy_fixture(), cfg=FinetuneConfig(batch_size=0))
+    assert model.params is before
+    FinetuneConfig(lr=0.0, epochs=1, warmup_frac=0.0, weight_decay=0.0, beta1=0.0, beta2=0.0).validate()
+    FinetuneConfig(warmup_frac=1.0).validate()
+
+
 def test_finetune_defaults_match_recipe():
     cfg = FinetuneConfig()
     assert cfg.lr == pytest.approx(2e-5)

@@ -622,6 +622,25 @@ def test_train_rejects_bad_alpha_and_empty_corpus(toy_data, toy_encoder_config):
         train(toy_encoder_config, cfg, {lang: [] for lang in by_lang}, wv, ev)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("batch_size", -2), ("log_interval", -1), ("checkpoint_interval", -1),
+    ("peak_lr", -1.0), ("stage1_peak_lr", -1e-3), ("weight_decay", -0.01),
+    ("beta1", 1.5), ("beta1", 1.0), ("beta2", -0.1), ("adam_eps", 0.0), ("adam_eps", -1e-8),
+])
+def test_train_config_rejects_invalid_settings(toy_data, toy_encoder_config, field, value):
+    by_lang, wv, ev = toy_data
+    cfg = TrainConfig(**{"total_steps": 1, "batch_size": 2, "warmup_steps": 0, field: value})
+    with pytest.raises(ContractError, match=field):
+        cfg.validate()
+    with pytest.raises(ContractError, match=field):
+        train(toy_encoder_config, cfg, by_lang, wv, ev)
+
+
+def test_train_config_accepts_boundary_settings():
+    TrainConfig(total_steps=1, batch_size=1, log_interval=0, checkpoint_interval=0, peak_lr=0.0,
+                stage1_peak_lr=0.0, weight_decay=0.0, beta1=0.0, beta2=0.0, adam_eps=1e-12).validate()
+
+
 def test_non_finite_loss_aborts_with_typed_error(monkeypatch, tmp_path, toy_data, toy_encoder_config):
     cfg = TrainConfig(total_steps=4, batch_size=2, warmup_steps=1, seed=16, checkpoint_interval=1)
     by_lang, wv, ev = toy_data

@@ -195,7 +195,7 @@ def test_grad_check_softmax_cross_entropy():
 
 
 @pytest.mark.parametrize("kernel", ["layer_norm", "gelu", "softmax", "matmul",
-                                    "concat", "transpose", "embedding", "mean"])
+                                    "concat", "transpose", "embedding", "mean", "span_sum"])
 def test_grad_check_per_kernel(kernel):
     rng = np.random.default_rng(hash(kernel) % 2**32)
     a = p(rng.normal(size=(3, 4)))
@@ -218,6 +218,9 @@ def test_grad_check_per_kernel(kernel):
             return T.reduce_sum(T.mul(T.transpose(a, (1, 0)), b))
         if kernel == "embedding":
             return T.reduce_sum(T.embedding(a, np.array([0, 2, 2])))
+        if kernel == "span_sum":
+            out = T.span_sum(a, np.array([[0, 2, 2], [1, 0, 2]]), np.array([[1.0, 0.5, 1.0], [2.0, 0.0, 1.0]]))
+            return T.reduce_sum(T.mul(out, T.constant(weight.data[:2])))
         return T.reduce_mean(T.mul(a, a))
 
     assert T.grad_check(loss, params, rng=np.random.default_rng(0)) < 1e-6
@@ -517,3 +520,232 @@ def test_node_records_parents_only_when_one_needs_a_gradient():
         assert T.mul(c, w)._parents == () and T.mul(c, w)._backward is None
     for out in (out, mixed):
         assert out.grad is None and not out.requires_grad and out.name is None
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels: the expression chains they replaced, kept as numpy oracles
+
+
+def reference_linear(x, w, b, g):
+    out = np.matmul(x, w) + b
+    gx = np.matmul(g, w.T)
+    gw = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, w.shape[-1])
+    gb = g if g.ndim == 1 else g.sum(axis=tuple(range(g.ndim - 1)))
+    return out, (gx, gw, gb)
+
+
+def reference_attention(q, k, v, bias, heads, g, p=0.0, rng=None):
+    B, S, H = q.shape
+    dh = H // heads
+    c = float(1.0 / np.sqrt(dh))
+
+    def split(t):
+        return np.transpose(t.reshape((B, S, heads, dh)), (0, 2, 1, 3))
+
+    def merge(gh):
+        return np.transpose(gh, (0, 2, 1, 3)).reshape((B, S, H))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    kt = np.transpose(kh, (0, 1, 3, 2))
+    scores = np.matmul(qh, kt) * c + bias
+    m = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - m)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    mask = None
+    dropped = probs
+    if p > 0.0:
+        mask = (rng.random(probs.shape) >= p) / (1.0 - p)
+        dropped = probs * mask
+    out = merge(np.matmul(dropped, vh))
+    gctx = np.transpose(g.reshape((B, S, heads, dh)), (0, 2, 1, 3))
+    gprobs = np.matmul(gctx, np.swapaxes(vh, -1, -2))
+    gvh = np.matmul(np.swapaxes(dropped, -1, -2), gctx)
+    if mask is not None:
+        gprobs = gprobs * mask
+    dot = (gprobs * probs).sum(axis=-1, keepdims=True)
+    gs = probs * (gprobs - dot) * c
+    gqh = np.matmul(gs, np.swapaxes(kt, -1, -2))
+    gkt = np.matmul(np.swapaxes(qh, -1, -2), gs)
+    return out, (merge(gqh), merge(np.transpose(gkt, (0, 1, 3, 2))), merge(gvh))
+
+
+def reference_layer_norm(x, gain, bias, g, eps=T.LAYER_NORM_EPS):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = xhat * gain + bias
+    n = x.shape[-1]
+    gy = g * gain
+    gxhat_sum = gy.sum(axis=-1, keepdims=True)
+    gxhat_dot = (gy * xhat).sum(axis=-1, keepdims=True)
+    gx = inv * (gy - gxhat_sum / n - xhat * gxhat_dot / n)
+    return out, (gx, (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0))
+
+
+def reference_gelu(x, g):
+    from scipy.special import erf
+
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    return x * cdf, (g * (cdf + x * pdf),)
+
+
+def reference_log_softmax(x, axis=-1):
+    m = x.max(axis=axis, keepdims=True)
+    z = x - m
+    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+
+
+def _node_and_grads(out, rng):
+    """Forward data of `out` and its backward closure's gradients for a random g."""
+    g = rng.normal(size=out.shape)
+    return out.data, out._backward(g), g
+
+
+def _assert_same(fused, reference):
+    np.testing.assert_array_equal(fused[0], reference[0])
+    assert len(fused[1]) == len(reference[1])
+    for a, b in zip(fused[1], reference[1]):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.25])
+def test_attention_in_place_equals_reference_bit_for_bit(rate):
+    rng = np.random.default_rng(21)
+    q, k, v = (p(rng.normal(size=(2, 5, 6))) for _ in range(3))
+    bias = _padded_bias()
+    out = T.attention(q, k, v, bias, 2, p=rate, rng=np.random.default_rng(8))
+    data, grads, g = _node_and_grads(out, rng)
+    ref = reference_attention(q.data, k.data, v.data, bias, 2, g, p=rate, rng=np.random.default_rng(8))
+    _assert_same((data, grads), ref)
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 7), (2, 3, 7)])
+def test_linear_in_place_equals_reference_bit_for_bit(shape):
+    rng = np.random.default_rng(22)
+    x, w, b = p(rng.normal(size=shape)), p(rng.normal(size=(7, 5))), p(rng.normal(size=5))
+    data, grads, g = _node_and_grads(T.linear(x, w, b), rng)
+    _assert_same((data, grads), reference_linear(x.data, w.data, b.data, g))
+
+
+def test_layer_norm_in_place_equals_reference_bit_for_bit():
+    rng = np.random.default_rng(23)
+    x, gain, bias = p(rng.normal(size=(2, 3, 7)) * 3.0 + 1.0), p(rng.normal(size=7)), p(rng.normal(size=7))
+    data, grads, g = _node_and_grads(T.layer_norm(x, gain, bias), rng)
+    _assert_same((data, grads), reference_layer_norm(x.data, gain.data, bias.data, g))
+
+
+@pytest.mark.parametrize("shape", [(), (3, 4, 5)])
+def test_gelu_in_place_equals_reference_bit_for_bit(shape):
+    rng = np.random.default_rng(24)
+    x = p(rng.normal(size=shape) * 3.0)
+    data, grads, g = _node_and_grads(T.gelu(x), rng)
+    _assert_same((data, grads), reference_gelu(x.data, g))
+
+
+@pytest.mark.parametrize("axis", [-1, 0])
+def test_log_softmax_np_in_place_equals_reference_bit_for_bit(axis):
+    x = np.random.default_rng(25).normal(size=(4, 9)) * 10.0
+    np.testing.assert_array_equal(T.log_softmax_np(x, axis=axis), reference_log_softmax(x, axis=axis))
+
+
+def _span_chain(table, ids, weights):
+    rows = T.embedding(table, ids)
+    masked = T.mul(rows, T.constant(weights[..., None]))
+    return T.reduce_sum(masked, axis=masked.ndim - 2)
+
+
+def test_span_sum_equals_embedding_mul_sum_chain_bit_for_bit():
+    rng = np.random.default_rng(26)
+    table = p(rng.normal(size=(6, 4)))
+    # repeated ids within and across spans, and zero weights on padded slots
+    ids = np.array([[[2, 2, 0], [5, 1, 2]], [[3, 0, 0], [1, 4, 1]]])
+    weights = np.array([[[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]], [[1.0, 0.0, 0.0], [0.5, 0.0, 2.0]]])
+    g = rng.normal(size=(2, 2, 4))
+    fused = T.span_sum(table, ids, weights)
+    chain = _span_chain(table, ids, weights)
+    np.testing.assert_array_equal(fused.data, chain.data)
+    T.backward(T.reduce_sum(T.mul(fused, T.constant(g))))
+    fused_grad, table.grad = table.grad, None
+    T.backward(T.reduce_sum(T.mul(chain, T.constant(g))))
+    np.testing.assert_array_equal(fused_grad, table.grad)
+    assert fused._op == "span_sum" and fused._parents == (table,)
+
+
+def test_span_sum_rejects_bad_input():
+    table = p(np.ones((4, 3)))
+    with pytest.raises(ShapeError):
+        T.span_sum(table, np.array([[0, 1]]), np.ones((1, 3)))
+    with pytest.raises(ShapeError):
+        T.span_sum(table, np.array([[0, 4]]), np.ones((1, 2)))
+    with pytest.raises(ShapeError):
+        T.span_sum(table, np.array(1), np.array(1.0))  # no axis to sum over
+
+
+# ---------------------------------------------------------------------------
+# kernels never write into their inputs
+
+
+def _op_cases(rng):
+    """(name, build(inputs) -> node, input Tensors, raw arrays the op reads)."""
+    def t(*shape):
+        return p(rng.normal(size=shape))
+
+    ids = np.array([[0, 2, 2], [3, 1, 0]])
+    weights = np.array([[1.0, 1.0, 0.0], [1.0, 0.5, 1.0]])
+    bias = _padded_bias(B=2, S=4, pad=1)
+    labels = np.array([1, -100, 3])
+    rows = np.array([2, 0, 2])
+    return [
+        ("add", T.add, [t(3, 4), t(4)], []),
+        ("sub", T.sub, [t(3, 4), t(3, 1)], []),
+        ("mul", T.mul, [t(3, 4), t(3, 4)], []),
+        ("scale", lambda a: T.scale(a, 1.5), [t(3, 4)], []),
+        ("matmul", T.matmul, [t(2, 3, 4), t(4, 5)], []),
+        ("linear", T.linear, [t(2, 3, 4), t(4, 5), t(5)], []),
+        ("attention", lambda q, k, v: T.attention(q, k, v, bias, 2, p=0.2, rng=np.random.default_rng(1)),
+         [t(2, 4, 6), t(2, 4, 6), t(2, 4, 6)], [bias]),
+        ("embedding", lambda a: T.embedding(a, ids), [t(4, 3)], [ids]),
+        ("span_sum", lambda a: T.span_sum(a, ids, weights), [t(4, 3)], [ids, weights]),
+        ("layer_norm", T.layer_norm, [t(3, 4), t(4), t(4)], []),
+        ("gelu", T.gelu, [t(3, 4)], []),
+        ("softmax", T.softmax, [t(3, 4)], []),
+        ("dropout", lambda a: T.dropout(a, 0.3, np.random.default_rng(2)), [t(3, 4)], []),
+        ("concat", lambda a, b: T.concat([a, b], axis=1), [t(3, 4), t(3, 2)], []),
+        ("reduce_sum", lambda a: T.reduce_sum(a, axis=0), [t(3, 4)], []),
+        ("reduce_mean", T.reduce_mean, [t(3, 4)], []),
+        ("reshape", lambda a: T.reshape(a, (4, 3)), [t(3, 4)], []),
+        ("transpose", lambda a: T.transpose(a, (1, 0)), [t(3, 4)], []),
+        ("getitem", lambda a: T.getitem(a, rows), [t(3, 4)], [rows]),
+        ("cross_entropy_logits", lambda a: T.cross_entropy_logits(a, labels), [t(3, 5)], [labels]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_kernel_never_writes_into_its_inputs(case):
+    rng = np.random.default_rng(27)
+    name, build, inputs, raw = _op_cases(rng)[case]
+    before = [a.data.copy() for a in inputs] + [r.copy() for r in raw]
+    out = build(*inputs)
+    T.backward(out if out.ndim == 0 else T.reduce_sum(T.mul(out, T.constant(rng.normal(size=out.shape)))))
+    after = [a.data for a in inputs] + raw
+    for i, (b, a) in enumerate(zip(before, after)):
+        np.testing.assert_array_equal(a, b, err_msg=f"{name} wrote into input {i}")
+    assert all(a.grad is not None for a in inputs), name
+
+
+def test_every_kernel_is_covered_by_the_no_write_test():
+    names = {name for name, *_ in _op_cases(np.random.default_rng(0))}
+    kernels = {n for n, f in vars(T).items() if callable(f) and getattr(f, "__module__", None) == T.__name__
+               and not n.startswith("_") and not isinstance(f, type)}
+    kernels -= {"parameter", "constant", "backward", "zero_grads", "grad_check", "log_softmax_np"}
+    assert kernels == names
+
+
+def test_log_softmax_np_never_writes_into_its_input():
+    x = np.random.default_rng(28).normal(size=(3, 5))
+    before = x.copy()
+    T.log_softmax_np(x)
+    np.testing.assert_array_equal(x, before)
