@@ -118,12 +118,16 @@ def translate_mention_map(source_map: MentionMap, vocab: EntityVocab,
         if titles:
             target_titles[eid] = titles
 
+    title_to_ids = defaultdict(list)  # ids in target_titles order, as pairs keeps them
+    for eid, titles in target_titles.items():
+        for title in titles:
+            title_to_ids[title].append(eid)
+
     pairs = []
     for doc in target_docs:
         if doc.language != target_language:
             continue
         for start, end, target_title in doc.annotations:
-            for eid, titles in target_titles.items():
-                if target_title in titles:
-                    pairs.append((tuple(doc.tokens[start:end]), eid))
+            for eid in title_to_ids.get(target_title, ()):
+                pairs.append((tuple(doc.tokens[start:end]), eid))
     return MentionMap(_dedupe_ambiguous(pairs))

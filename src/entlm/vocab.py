@@ -4,6 +4,11 @@ Wikipedia-style articles in different languages that share an entry in the
 inter-language link table are one entity.  The vocabulary keeps the most
 frequent entities (by hyperlink count) seen in at least `min_languages`
 languages, with reserved special entries at the lowest ids.
+
+Both preprocessing steps are linear in their input: the link table keeps an
+inverted key -> titles index, so building the vocabulary costs one pass over
+the annotations plus one over the links, and mention statistics slide once
+over each page per distinct surface length.
 """
 
 from __future__ import annotations
@@ -27,13 +32,30 @@ TAIL_ENTITY_ID = 3
 
 VOCAB_FILE_HEADER = "entlm-entity-vocab\tv1"
 LINKS_FILE_COLUMNS = ("language", "title", "canonical_key")
+_LINE_CHARS = "\t\r\n"  # no field of a vocab or links file may hold these
+
+
+def _check_field(text, forbidden, what):
+    """ContractError unless `text` holds none of `forbidden` and encodes as UTF-8."""
+    bad = next((c for c in forbidden if c in text), None)
+    if bad is not None:
+        raise ContractError(f"{what} holds {bad!r}, which its file format cannot store")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ContractError(f"{what} does not encode as UTF-8") from None
 
 
 class InterLanguageLinks:
-    """(language, title) -> canonical entity key; each pair maps to one key."""
+    """(language, title) -> canonical entity key; each pair maps to one key.
+
+    An inverted index key -> {(language, title)} answers `titles_for_key`
+    without scanning the table.
+    """
 
     def __init__(self, entries=()):
         self._map = {}
+        self._titles = defaultdict(set)  # key -> {(lang, title)}
         for lang, title, key in entries:
             self.add(lang, title, key)
 
@@ -42,13 +64,15 @@ class InterLanguageLinks:
         if existing is not None and existing != key:
             raise ContractError(f"({lang}, {title}) already mapped to {existing}, cannot remap to {key}")
         self._map[(lang, title)] = key
+        self._titles[key].add((lang, title))
 
     def canonical_key(self, lang, title):
         """Canonical key for a page; unaligned pages get a per-language key."""
         return self._map.get((lang, title), f"{lang}:{title}")
 
     def titles_for_key(self, key):
-        return {(lang, title) for (lang, title), k in self._map.items() if k == key}
+        """A new set of the (language, title) pairs mapped to `key`."""
+        return set(self._titles.get(key, ()))
 
     def __len__(self):
         return len(self._map)
@@ -66,6 +90,16 @@ class InterLanguageLinks:
         return links
 
     def save_tsv(self, path):
+        """Write the table; a row that would not read back raises ContractError
+        before the file is opened."""
+        for (lang, title), key in self._map.items():
+            what = f"link ({lang!r}, {title!r}) -> {key!r}"
+            for text in (lang, title, key):
+                _check_field(text, _LINE_CHARS, what)
+            if lang.startswith("#"):
+                raise ContractError(f"{what}: a language starting with '#' reads as a comment")
+            if not (lang + title + key).strip():
+                raise ContractError(f"{what}: a row of whitespace only reads as a blank line")
         with open(path, "w", encoding="utf-8") as f:
             f.write("#" + "\t".join(LINKS_FILE_COLUMNS) + "\n")
             for (lang, title), key in sorted(self._map.items()):
@@ -124,6 +158,14 @@ class EntityVocab:
         return sorted(t for lang, t in self.entries[entity_id].titles if lang == language)
 
     def save(self, path):
+        """Write the vocab file; a key or title that would not read back
+        raises ContractError before the file is opened."""
+        for e in self.entries:
+            key = e.canonical_key
+            _check_field(key, _LINE_CHARS, f"entity key {key!r}")
+            for lang, title in e.titles:
+                _check_field(lang, _LINE_CHARS + ":;", f"entity {key!r}: language {lang!r} of title {title!r}")
+                _check_field(title, _LINE_CHARS + ";", f"entity {key!r}: title {title!r}")
         with open(path, "w", encoding="utf-8") as f:
             f.write(VOCAB_FILE_HEADER + "\n")
             for i, e in enumerate(self.entries):
@@ -166,7 +208,8 @@ def build_entity_vocab(docs, links: InterLanguageLinks, min_languages=3, top_k=1
 
     Ranking happens after the >= min_languages filter; ties on hyperlink
     count break lexicographically on the canonical key so builds are
-    deterministic regardless of corpus order.
+    deterministic regardless of corpus order.  The links' inverted index
+    makes this linear in annotations plus links.
     """
     if min_languages < 1:
         raise ContractError("min_languages must be >= 1")
@@ -215,16 +258,13 @@ class MentionStats:
         return c[0] / c[1]
 
 
-def _count_surface_occurrences(tokens, surface_tokens):
-    n, k = len(tokens), len(surface_tokens)
-    return sum(1 for i in range(n - k + 1) if tokens[i : i + k] == surface_tokens)
-
-
 def collect_mention_stats(docs):
     """Count hyperlink vs total occurrences of every anchor surface, per language.
 
     Surfaces are exact token sequences; total counts are over matches on
-    token boundaries in the same language's documents.
+    token boundaries in the same language's documents, overlapping matches
+    included.  Each page is scanned once per distinct surface length in its
+    language, so the cost is linear in tokens times lengths.
     """
     surfaces = defaultdict(set)  # lang -> set of surface token tuples
     hyperlink_counts = defaultdict(int)
@@ -234,11 +274,20 @@ def collect_mention_stats(docs):
             surfaces[doc.language].add(surf)
             hyperlink_counts[(doc.language, surf)] += 1
 
-    stats = MentionStats()
+    lengths = {lang: {len(s) for s in surfs} for lang, surfs in surfaces.items()}
     totals = defaultdict(int)
     for doc in docs:
-        for surf in surfaces[doc.language]:
-            totals[(doc.language, surf)] += _count_surface_occurrences(doc.tokens, list(surf))
-    for (lang, surf), total in totals.items():
-        stats.add(lang, " ".join(surf), hyperlink=hyperlink_counts[(lang, surf)], total=total)
+        surfs, tokens = surfaces.get(doc.language), doc.tokens
+        for k in lengths.get(doc.language, ()):
+            for i in range(len(tokens) - k + 1):
+                window = tuple(tokens[i : i + k])
+                if window in surfs:
+                    totals[(doc.language, window)] += 1
+
+    # one add per (language, surface tuple), languages in order of their
+    # first document: surfaces whose joined strings collide add up
+    stats = MentionStats()
+    for lang in dict.fromkeys(doc.language for doc in docs):
+        for surf in surfaces.get(lang, ()):
+            stats.add(lang, " ".join(surf), hyperlink=hyperlink_counts[(lang, surf)], total=totals[(lang, surf)])
     return stats

@@ -1,7 +1,10 @@
 """Command-line surface: manifests, reruns, exit codes."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +82,40 @@ def test_link_entities_annotates(workspace):
     for r in rows:
         for s, e, eid in r["annotations"]:
             assert 0 <= s < e and eid >= 4  # real entities, not specials
+
+
+# the README walkthrough's build-vocab and link-entities steps on the default
+# toy corpus write these files, byte for byte
+PINNED_OUTPUT_DIGESTS = {
+    "entities.tsv": "2792e4e969c87c70fdc330f97990aec636f6e3556e5676d3bb8797a68febc61d",
+    "linked.jsonl": "1d2ba35868786a5851b7bd98958d2df81e01063ab0a8a434fe2157b86b96078a",
+}
+
+
+def test_walkthrough_vocab_and_links_are_pinned(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_toy_corpus.py"
+    subprocess.run([sys.executable, str(script), "--out-dir", str(tmp_path)], check=True, capture_output=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    corpus_path, vocab_path = str(tmp_path / "corpus.jsonl"), str(tmp_path / "entities.tsv")
+    assert main(["build-vocab", "--corpus", corpus_path, "--links", str(tmp_path / "links.tsv"),
+                 "--out", vocab_path, "--min-languages", "2"]) == EXIT_OK
+    assert main(["link-entities", "--pages", corpus_path, "--text", corpus_path, "--vocab", vocab_path,
+                 "--out", str(tmp_path / "linked.jsonl"), "--min-link-prob", "0.01"]) == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_OUTPUT_DIGESTS}
+    assert digests == PINNED_OUTPUT_DIGESTS
+
+
+def test_build_vocab_refuses_a_title_it_cannot_store(tmp_path, capsys):
+    corpus_path, links_path = tmp_path / "corpus.jsonl", tmp_path / "links.tsv"
+    save_corpus([AnnotatedDocument(language="en", title="p", tokens=["New", "York"],
+                                   annotations=[(0, 2, "New York; City")], sentence_breaks=None)], str(corpus_path))
+    links_path.write_text("")
+    out = tmp_path / "entities.tsv"
+    rc = main(["build-vocab", "--corpus", str(corpus_path), "--links", str(links_path), "--out", str(out),
+               "--min-languages", "1"])
+    assert rc == EXIT_FAILURE
+    assert "'en:New York; City'" in capsys.readouterr().err
+    assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -707,8 +744,6 @@ def test_malformed_input_exits_1_naming_path_and_line(input_files, capsys, case,
 
 
 def test_installed_entry_point_reports_malformed_input(input_files, tmp_path):
-    import subprocess
-    import sys
     bad = tmp_path / "corpus.jsonl"
     bad.write_bytes(_record_edit(2, _drop("lang"))(Path(input_files["corpus"]).read_bytes()))
     proc = subprocess.run([sys.executable, "-m", "entlm.cli", "build-vocab", "--corpus", str(bad),

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from entlm.corpus import AnnotatedDocument
 from entlm.linker import (
     MentionMap,
+    _dedupe_ambiguous,
     build_mention_map,
     detect_entities,
     translate_mention_map,
 )
+from entlm.synth import make_bilingual_corpus
 from entlm.vocab import InterLanguageLinks, MentionStats, build_entity_vocab
 
 
@@ -120,3 +122,49 @@ def test_translate_omits_entities_without_target_article():
     assert len(mm_en) == 1
     mm_ja = translate_mention_map(mm_en, ev, links, "ja", [])
     assert len(mm_ja) == 0
+
+
+def _translate_by_scan(source_map, vocab, links, target_language, target_docs):
+    """Every target-language annotation tested against every entity's titles."""
+    target_titles = {}
+    for eid in set(source_map.entries.values()):
+        titles = set(vocab.titles_in_language(eid, target_language))
+        key = vocab.entries[eid].canonical_key
+        titles |= {t for lang, t in links.titles_for_key(key) if lang == target_language}
+        if titles:
+            target_titles[eid] = titles
+    pairs = []
+    for d in target_docs:
+        if d.language != target_language:
+            continue
+        for start, end, target_title in d.annotations:
+            for eid, titles in target_titles.items():
+                if target_title in titles:
+                    pairs.append((tuple(d.tokens[start:end]), eid))
+    return MentionMap(_dedupe_ambiguous(pairs))
+
+
+def _assert_translation_matches_scan(mm, ev, links, lang, docs):
+    got = translate_mention_map(mm, ev, links, lang, docs)
+    want = _translate_by_scan(mm, ev, links, lang, docs)
+    assert list(got.items()) == list(want.items())
+    return got
+
+
+def test_translate_matches_the_scan_on_the_ja_fixture(bilingual):
+    links, ev, en_docs, ja_docs = bilingual
+    got = _assert_translation_matches_scan(build_mention_map(en_docs, ev), ev, links, "ja", ja_docs + en_docs)
+    assert len(got) == 2
+
+
+def test_translate_matches_the_scan_on_a_synthetic_corpus():
+    docs, links = make_bilingual_corpus(n_entities=40, n_sequences=400, seed=1)
+    ev = build_entity_vocab(docs, links, min_languages=2)
+    en_map = build_mention_map([d for d in docs if d.language == "en"], ev)
+    got = _assert_translation_matches_scan(en_map, ev, links, "de", docs)
+    assert got.get(["ent0_de"]) == ev.resolve("de", "Ent0_de")
+    # a table where Ent0_de also names ent1: two entities claim its surface, which drops
+    other = InterLanguageLinks([("de", "Ent0_de", "ent1")])
+    got = _assert_translation_matches_scan(en_map, ev, other, "de", docs)
+    assert got.get(["ent0_de"]) is None
+    assert got.get(["ent1_de"]) == ev.resolve("de", "Ent1_de")

@@ -1,6 +1,12 @@
 """Entity vocabulary: merging, ranking, specials, file round trips."""
 
+import hashlib
+import re
+from collections import defaultdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entlm.corpus import AnnotatedDocument
 from entlm.errors import ContractError
@@ -14,8 +20,10 @@ from entlm.vocab import (
     InterLanguageLinks,
     MentionStats,
     build_entity_vocab,
+    EntityEntry,
     collect_mention_stats,
 )
+from entlm.synth import make_bilingual_corpus
 
 
 def doc(lang, tokens, anns, title="page"):
@@ -132,3 +140,219 @@ def test_collect_mention_stats_counts_unlinked_occurrences():
     stats = collect_mention_stats([d])
     # surface "Tokyo" occurs twice, hyperlinked once
     assert stats.link_probability("en", "Tokyo") == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# the link index answers as a scan of the table does
+
+
+def _scan_titles(links, key):
+    return {(lang, title) for (lang, title), k in links._map.items() if k == key}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["en", "de", "ja"]), st.sampled_from(["A", "B", "C", "D"]),
+                          st.sampled_from(["k1", "k2", "k3"])), max_size=30))
+def test_titles_for_key_matches_a_scan_after_rejected_remaps(adds):
+    links = InterLanguageLinks()
+    for lang, title, key in adds:
+        try:
+            links.add(lang, title, key)
+        except ContractError:
+            assert links.canonical_key(lang, title) != key  # a remap, rejected
+    for key in ("k1", "k2", "k3", "absent"):
+        assert links.titles_for_key(key) == _scan_titles(links, key)
+    got = links.titles_for_key("k1")
+    got.add(("xx", "not in the table"))
+    assert ("xx", "not in the table") not in links.titles_for_key("k1")  # a new set per call
+
+
+# ---------------------------------------------------------------------------
+# mention statistics equal a brute-force rescan of every page per surface
+
+
+def _count_surface_occurrences(tokens, surface_tokens):
+    n, k = len(tokens), len(surface_tokens)
+    return sum(1 for i in range(n - k + 1) if tokens[i : i + k] == surface_tokens)
+
+
+def _reference_mention_stats(docs):
+    """Every page rescanned once per anchor surface of its language."""
+    surfaces = defaultdict(set)
+    hyperlink_counts = defaultdict(int)
+    for d in docs:
+        for start, end, _target in d.annotations:
+            surf = tuple(d.tokens[start:end])
+            surfaces[d.language].add(surf)
+            hyperlink_counts[(d.language, surf)] += 1
+    stats = MentionStats()
+    totals = defaultdict(int)
+    for d in docs:
+        for surf in surfaces[d.language]:
+            totals[(d.language, surf)] += _count_surface_occurrences(d.tokens, list(surf))
+    for (lang, surf), total in totals.items():
+        stats.add(lang, " ".join(surf), hyperlink=hyperlink_counts[(lang, surf)], total=total)
+    return stats
+
+
+def _assert_same_stats(docs):
+    got, want = collect_mention_stats(docs), _reference_mention_stats(docs)
+    assert list(got.counts.items()) == list(want.counts.items())  # insertion order too
+    return got
+
+
+def test_mention_stats_count_overlapping_matches():
+    stats = _assert_same_stats([doc("en", ["a", "a", "a"], [(0, 2, "A")])])
+    assert stats.counts[("en", "a a")] == [1, 2]
+
+
+def test_mention_stats_surfaces_of_several_lengths():
+    docs = [
+        doc("en", ["New", "York", "is", "in", "New", "York", "State"], [(0, 2, "NYC"), (4, 7, "NYS")]),
+        doc("en", ["York", "New", "York", "York"], [(0, 1, "York")]),
+    ]
+    stats = _assert_same_stats(docs)
+    assert stats.counts[("en", "New York")] == [1, 3]
+    assert stats.counts[("en", "New York State")] == [1, 1]
+    assert stats.counts[("en", "York")] == [1, 5]
+
+
+def test_mention_stats_pages_in_a_language_without_surfaces():
+    docs = [
+        doc("fr", ["Tokyo", "Tokyo"], []),
+        doc("en", ["Tokyo", "x"], []),
+        doc("de", ["Tokio"], [(0, 1, "Tokio")]),
+        doc("en", ["Tokyo", "x"], [(0, 1, "Tokyo")]),
+        doc("fr", ["Paris"], []),
+    ]
+    stats = _assert_same_stats(docs)
+    # languages come in the order of their first page, not of their first link
+    assert list(stats.counts.items()) == [(("en", "Tokyo"), [1, 2]), (("de", "Tokio"), [1, 1])]
+
+
+def test_mention_stats_tuples_that_join_to_one_string_add_up():
+    docs = [doc("en", ["a b", "c", "a", "b c"], [(0, 2, "X"), (2, 4, "Y")])]
+    stats = _assert_same_stats(docs)
+    assert stats.counts == {("en", "a b c"): [2, 2]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["en", "de"]),
+                          st.lists(st.sampled_from(["a", "b", "a b"]), min_size=1, max_size=8),
+                          st.lists(st.tuples(st.integers(0, 7), st.integers(1, 3)), max_size=3)),
+                min_size=1, max_size=5))
+def test_mention_stats_match_the_rescan(pages):
+    docs = []
+    for lang, tokens, spans in pages:
+        anns, taken = [], set()
+        for start, length in spans:
+            cover = set(range(start, min(start + length, len(tokens))))
+            if start < len(tokens) and not cover & taken:
+                taken |= cover
+                anns.append((start, max(cover) + 1, "T"))
+        docs.append(doc(lang, tokens, anns))
+    _assert_same_stats(docs)
+
+
+def _wide_link_pages():
+    """The pretrain-wide benchmark corpus and its first 150 pages per language."""
+    docs, links = make_bilingual_corpus(n_entities=2000, n_sequences=4000, seed=3)
+    pages = []
+    for lang in sorted({d.language for d in docs}):
+        pages.extend([d for d in docs if d.language == lang][:150])
+    return docs, links, pages
+
+
+def test_wide_mention_stats_and_vocab_are_unchanged(tmp_path):
+    docs, links, pages = _wide_link_pages()
+    _assert_same_stats(pages)
+    path = str(tmp_path / "entities.tsv")
+    build_entity_vocab(docs, links, min_languages=2).save(path)
+    with open(path, "rb") as f:  # the file the full-scan build wrote
+        assert hashlib.sha256(f.read()).hexdigest() == (
+            "3c54540b6dc383f0cdd2dbac85bf34351032be2151abd4fc60efc630fadc0d0a")
+
+
+# ---------------------------------------------------------------------------
+# a vocab or link table that saves loads back equal; one that would not read
+# back raises before a file is written
+
+_FIELD_TEXT = st.one_of(st.text(alphabet="aB #東", max_size=4),
+                        st.text(alphabet="aB #:;\t\r\n東\x85", max_size=4))
+
+
+def _vocab_fits(entries):
+    def clean(text, forbidden):
+        return not any(c in text for c in "\t\r\n" + forbidden)
+
+    return all(clean(e.canonical_key, "") and all(clean(lang, ":;") and clean(title, ";") for lang, title in e.titles)
+               for e in entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_FIELD_TEXT, st.integers(0, 99), st.sets(st.tuples(_FIELD_TEXT, _FIELD_TEXT), max_size=3)),
+                max_size=5))
+def test_vocab_save_load_round_trip(tmp_path_factory, raw):
+    entries = [EntityEntry(canonical_key=key, link_count=count, titles=titles) for key, count, titles in raw]
+    ev = EntityVocab(entries)
+    path = tmp_path_factory.mktemp("vocab") / "entities.tsv"
+    if not _vocab_fits(entries):
+        with pytest.raises(ContractError, match="entity"):
+            ev.save(str(path))
+        assert not path.exists()
+        return
+    ev.save(str(path))
+    loaded = EntityVocab.load(str(path))
+    assert [(e.canonical_key, e.link_count, e.titles) for e in loaded.entries] == \
+        [(e.canonical_key, e.link_count, e.titles) for e in ev.entries]
+    for e in entries:
+        assert loaded.resolve_key(e.canonical_key) == ev.resolve_key(e.canonical_key)
+        for lang, title in e.titles:
+            assert loaded.resolve(lang, title) == ev.resolve(lang, title)
+
+
+def _links_fit(links):
+    return all(not any(c in text for c in "\t\r\n" for text in (lang, title, key))
+               and not lang.startswith("#") and (lang + title + key).strip()
+               for (lang, title), key in links._map.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_FIELD_TEXT, _FIELD_TEXT, _FIELD_TEXT), max_size=6))
+def test_links_save_load_round_trip(tmp_path_factory, adds):
+    links = InterLanguageLinks()
+    for lang, title, key in adds:
+        try:
+            links.add(lang, title, key)
+        except ContractError:
+            pass
+    path = tmp_path_factory.mktemp("links") / "links.tsv"
+    if not _links_fit(links):
+        with pytest.raises(ContractError, match="link"):
+            links.save_tsv(str(path))
+        assert not path.exists()
+        return
+    links.save_tsv(str(path))
+    loaded = InterLanguageLinks.load_tsv(str(path))
+    assert loaded._map == links._map
+    for key in set(links._map.values()):
+        assert loaded.titles_for_key(key) == links.titles_for_key(key)
+
+
+@pytest.mark.parametrize("lang,title", [("en", "New York; City"), ("en", "New\tYork"), ("en", "New York\n"),
+                                        ("en:us", "New York"), ("en;us", "New York")])
+def test_title_with_a_separator_is_refused_before_writing(tmp_path, lang, title):
+    ev = EntityVocab([*(EntityEntry(canonical_key=name) for name in SPECIAL_ENTITIES),
+                      EntityEntry(canonical_key="nyc", titles={(lang, title)})])
+    path = tmp_path / "entities.tsv"
+    with pytest.raises(ContractError, match=f"'nyc'.*{re.escape(repr(title))}"):
+        ev.save(str(path))
+    assert not path.exists()
+
+
+def test_title_that_does_not_encode_is_refused_before_writing(tmp_path):
+    links = InterLanguageLinks([("en", "half \ud800 pair", "k")])
+    path = tmp_path / "links.tsv"
+    with pytest.raises(ContractError, match="UTF-8"):
+        links.save_tsv(str(path))
+    assert not path.exists()
