@@ -61,7 +61,7 @@ def run(entities=30, sequences=500, steps=2000, stage1_steps=0, hidden=32, layer
     # masked-entity prediction of each held-out sequence's first entity
     masked = [replace(s, entity_ids=[ev.mask_id] * s.num_entities) for s in held]
     with no_grad():
-        out = encode_batch(params, cfg, pack_batch(masked, pad_entity_id=ev.pad_id))
+        out = encode_batch(params, cfg, pack_batch(masked))
     predicted = np.argmax(mep_logprobs(model, out.entity_vectors[:, 0]), axis=1)
     mep_top1 = float(np.mean(predicted == [s.entity_ids[0] for s in held]))
 

@@ -14,28 +14,37 @@ experiment records stay diffable and typo-proof.
 
 from __future__ import annotations
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
+from .files import read_lines
 
 
 def parse_config_file(path):
+    """{"section.key": "value"} of a UTF-8 config file; any fault, undecodable
+    bytes among them, raises ConfigError("<path>:<line>: ...")."""
     values = {}
     section = ""
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip()
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.rstrip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            full = f"{section}.{key}" if section else key
-            if full in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {full}")
-            values[full] = value.strip()
+
+    def parse(raw):
+        nonlocal section
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            return
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            return
+        if "=" not in line:
+            raise ConfigError(f"expected key = value, got {raw.rstrip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        full = f"{section}.{key}" if section else key
+        if full in values:
+            raise ConfigError(f"duplicate key {full}")
+        values[full] = value.strip()
+
+    try:
+        read_lines(path, parse)
+    except ContractError as e:  # read_lines names the path and line
+        raise ConfigError(str(e)) from None
     return values
 
 
@@ -59,8 +68,6 @@ def _coerce_one(key, value, typ):
             if str(value).lower() in ("0", "false", "no"):
                 return False
             raise ValueError(value)
-        if typ is tuple:
-            return tuple(s.strip() for s in str(value).split(",") if s.strip())
         return typ(value)
     except (TypeError, ValueError):
         raise ConfigError(f"config key {key}: cannot parse {value!r} as {typ.__name__}") from None

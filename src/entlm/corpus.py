@@ -212,26 +212,17 @@ def split_sequences(doc: AnnotatedDocument, max_words=DEFAULT_MAX_WORDS):
     return out
 
 
-@dataclass
-class LanguageSamplingSpec:
-    counts: dict  # language -> n_i > 0
-    alpha: float = 0.7
-
-    def validate(self):
-        if not self.counts:
-            raise ContractError("no languages in sampling spec")
-        if any(n <= 0 for n in self.counts.values()):
-            raise ContractError("all per-language counts must be positive")
-        if not 0 < self.alpha <= 1:
-            raise ContractError(f"alpha {self.alpha} outside (0, 1]")
-        return self
-
-
-def language_distribution(spec: LanguageSamplingSpec):
-    """Smoothed multinomial p_i = n_i^alpha / sum_k n_k^alpha."""
-    spec.validate()
-    langs = sorted(spec.counts)
-    w = np.array([float(spec.counts[l]) ** spec.alpha for l in langs])
+def language_distribution(counts, alpha):
+    """Smoothed multinomial p_i = n_i^alpha / sum_k n_k^alpha over
+    {language: n_i > 0}, with alpha in (0, 1]."""
+    if not counts:
+        raise ContractError("no languages to sample from")
+    if any(n <= 0 for n in counts.values()):
+        raise ContractError("all per-language counts must be positive")
+    if not 0 < alpha <= 1:
+        raise ContractError(f"alpha {alpha} outside (0, 1]")
+    langs = sorted(counts)
+    w = np.array([float(counts[l]) ** alpha for l in langs])
     p = w / w.sum()
     return dict(zip(langs, p))
 
@@ -287,10 +278,12 @@ def mask_batch(seq: EncodedSequence, rng, word_vocab: WordVocab, entity_mask_id,
                word_p=0.15, word_random_p=0.10, word_keep_p=0.10, entity_p=0.15) -> MaskedBatch:
     """Apply MLM and masked-entity-prediction corruption to one sequence.
 
-    Each word is independently selected with word_p; of the selected, 10%
-    get a uniform random vocab id and 10% stay unchanged, the rest become
-    word-[MASK].  Entities are selected with entity_p and always replaced by
-    the entity-[MASK] id.  Padding words are never selected.
+    Each word is independently selected with word_p; of the selected,
+    word_random_p get a uniform random vocab id and word_keep_p stay
+    unchanged, the rest become word-[MASK].  Entities are selected with
+    entity_p and always replaced by the entity-[MASK] id.  Padding words are
+    never selected.  The defaults are the paper's rates (15% of words and of
+    entities, split 80/10/10), which pretraining uses.
     """
     for p in (word_p, word_random_p, word_keep_p, entity_p):
         if not 0.0 <= p <= 1.0:
@@ -329,15 +322,15 @@ def mask_batch(seq: EncodedSequence, rng, word_vocab: WordVocab, entity_mask_id,
 
 class SequenceSampler:
     """Language-balanced sequence sampling: draw a language by p_i, then a
-    sequence uniformly within it.  One language draw per sequence."""
+    sequence uniformly within it.  One language draw per sequence.  The
+    default alpha is the paper's 0.7, which pretraining uses."""
 
     def __init__(self, sequences_by_language, alpha=0.7, seed=0):
         self.langs = sorted(l for l, seqs in sequences_by_language.items() if seqs)
         if not self.langs:
             raise ContractError("no non-empty languages to sample from")
         self.pools = {l: sequences_by_language[l] for l in self.langs}
-        spec = LanguageSamplingSpec({l: len(self.pools[l]) for l in self.langs}, alpha=alpha)
-        dist = language_distribution(spec)
+        dist = language_distribution({l: len(self.pools[l]) for l in self.langs}, alpha)
         p = np.array([dist[l] for l in self.langs])
         # the CDF `Generator.choice(n, p=p)` builds on every call, built once
         self._cdf = p.cumsum()
@@ -349,6 +342,3 @@ class SequenceSampler:
         li = int(self._cdf.searchsorted(self.rng.random(), side="right"))
         pool = self.pools[self.langs[li]]
         return pool[int(self.rng.integers(len(pool)))]
-
-    def draw_batch(self, size):
-        return [self.draw() for _ in range(size)]

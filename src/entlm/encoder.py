@@ -242,15 +242,17 @@ def encode_batch(params, config, batch, rng=None, train=False):
     return ContextualOutput(word_vectors=wt.data, entity_vectors=et.data, word_tensor=wt, entity_tensor=et)
 
 
-def pack_batch(seqs, pad_word_id=0, pad_entity_id=0):
-    """Pad a list of EncodedSequence into the array dict encode_batch expects."""
+def pack_batch(seqs):
+    """Pad a list of EncodedSequence into the array dict encode_batch expects.
+
+    Padding slots hold id 0, the [PAD] word and the [PAD] entity."""
     B = len(seqs)
     M = max((s.num_words for s in seqs), default=1)
     N = max((s.num_entities for s in seqs), default=0)
     P = max((max((len(p) for p in s.entity_positions), default=1) for s in seqs), default=1)
-    word_ids = np.full((B, M), pad_word_id, dtype=np.int64)
+    word_ids = np.zeros((B, M), dtype=np.int64)
     word_mask = np.zeros((B, M))
-    entity_ids = np.full((B, N), pad_entity_id, dtype=np.int64)
+    entity_ids = np.zeros((B, N), dtype=np.int64)
     entity_mask = np.zeros((B, N))
     entity_pos = np.zeros((B, N, P), dtype=np.int64)
     entity_pos_mask = np.zeros((B, N, P))

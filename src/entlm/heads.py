@@ -20,7 +20,7 @@ from . import tensor as T
 from .encoder import NEG_INF, EncodedSequence, EncoderConfig, encode_batch, pack_batch
 from .errors import ContractError
 from .files import read_json, read_lines
-from .pretrain import AdamW, check_optimizer_settings, linear_head, warmup_linear_decay
+from .pretrain import AdamW, linear_head, warmup_linear_decay
 from .seeding import substream
 
 MAX_ANSWER_LEN = 30
@@ -180,15 +180,6 @@ def bio_to_spans(tags):
         elif tag.startswith("I-") and start is None:
             start, typ = i, tag[2:]  # tolerate I- openings
     return spans
-
-
-def spans_to_bio(n, spans):
-    tags = ["O"] * n
-    for s, e, typ in spans:
-        tags[s] = f"B-{typ}"
-        for i in range(s + 1, e):
-            tags[i] = f"I-{typ}"
-    return tags
 
 
 def _ner_line(line):
@@ -465,10 +456,6 @@ def enumerate_spans(n, max_span_len=NER_MAX_SPAN_LEN):
     return [(s, e) for s in range(n) for e in range(s + 1, min(s + max_span_len, n) + 1)]
 
 
-def span_candidate_count(n, max_span_len=NER_MAX_SPAN_LEN):
-    return sum(n - l + 1 for l in range(1, min(max_span_len, n) + 1))
-
-
 def make_ner_model(encoder_config, params, word_vocab, entity_vocab, types,
                    variant="word-endpoints", max_span_len=NER_MAX_SPAN_LEN, seed=0):
     if variant not in ("word-endpoints", "entity-mask"):
@@ -578,17 +565,18 @@ def _dev_score(task, report):
 # fine-tuning epochs when FinetuneConfig.epochs is unset
 DEFAULT_EPOCHS = {"qa": 2, "re": 5, "ner": 5}
 
+# share of fine-tuning steps spent in linear warmup
+FINETUNE_WARMUP_FRAC = 0.06
+
 
 @dataclass
 class FinetuneConfig:
+    """The settings of the `finetune` command's flags; AdamW runs on its
+    defaults and the warmup on FINETUNE_WARMUP_FRAC."""
+
     lr: float = 2e-5
     epochs: int | None = None  # None: the task's DEFAULT_EPOCHS
     batch_size: int = 8
-    warmup_frac: float = 0.06
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-6
     seed: int = 0
 
     def validate(self):
@@ -596,15 +584,14 @@ class FinetuneConfig:
             raise ContractError(f"epochs {self.epochs} must be >= 1")
         if self.batch_size < 1:
             raise ContractError(f"batch_size {self.batch_size} must be >= 1")
-        if not 0.0 <= self.warmup_frac <= 1.0:
-            raise ContractError(f"warmup_frac {self.warmup_frac} outside [0, 1]")
-        check_optimizer_settings(self, ("lr",))
+        if self.lr < 0:
+            raise ContractError(f"lr {self.lr} must be >= 0")
         return self
 
 
 def finetune_lr_at(step, total_steps, cfg: FinetuneConfig):
     """Linear warmup over the first 6% of steps, then linear decay to zero."""
-    return warmup_linear_decay(step, total_steps, math.ceil(cfg.warmup_frac * total_steps), cfg.lr)
+    return warmup_linear_decay(step, total_steps, math.ceil(FINETUNE_WARMUP_FRAC * total_steps), cfg.lr)
 
 
 def _re_batch_loss(model, batch):
@@ -676,8 +663,7 @@ def finetune(model: TaskModel, train_insts, dev_insts=None, cfg: FinetuneConfig 
     model.params = {n: T.Tensor(p.data, requires_grad=p.requires_grad, name=n)
                     for n, p in model.params.items()}
     rng = substream(cfg.seed, "finetune")
-    optimizer = AdamW(model.params, beta1=cfg.beta1, beta2=cfg.beta2,
-                      eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
+    optimizer = AdamW(model.params)
     total_steps = epochs * math.ceil(len(insts) / cfg.batch_size)
     step = 0
     best = None

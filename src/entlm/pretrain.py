@@ -29,7 +29,8 @@ from .seeding import substream
 
 CHECKPOINT_MAGIC = b"ENTLM-CKPT v1\n"
 
-DEFAULT_STAGE1_TRAINABLE = ("entity_emb", "entity_proj", "entity_type_emb", "mep_head")
+# name patterns of the parameters stage 1 updates; everything else is frozen
+STAGE1_TRAINABLE = ("entity_emb", "entity_proj", "entity_type_emb", "mep_head")
 
 # elements per AdamW block.  Each block's slices of p, g, m and v and three
 # scratch buffers (two for intermediates, one that gathers a gradient block
@@ -67,68 +68,35 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def check_optimizer_settings(config, lr_keys):
-    """The AdamW settings a config shares: learning rates and weight decay
-    >= 0, betas in [0, 1) and a positive eps (a zero eps divides by zero
-    where a second moment is 0)."""
-    for key in (*lr_keys, "weight_decay"):
-        if getattr(config, key) < 0:
-            raise ContractError(f"{key} {getattr(config, key)} must be >= 0")
-    for key in ("beta1", "beta2"):
-        if not 0.0 <= getattr(config, key) < 1.0:
-            raise ContractError(f"{key} {getattr(config, key)} outside [0, 1)")
-    if not config.adam_eps > 0:
-        raise ContractError(f"adam_eps {config.adam_eps} must be > 0")
-
-
 @dataclass
 class TrainConfig:
+    """The settings a pretraining run chooses.  The paper's fixed values are
+    constants where they are used: AdamW's betas, eps and weight decay
+    (`AdamW`), the masking rates (`mask_batch`), the language smoothing
+    alpha (`SequenceSampler`) and the stage-1 parameters (STAGE1_TRAINABLE)."""
+
     total_steps: int
     stage1_steps: int = 0
     batch_size: int = 8
     peak_lr: float = 1e-4
     stage1_peak_lr: float = 5e-4
     warmup_steps: int = 2500
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-6
     seed: int = 0
-    # name patterns of parameters that stage 1 updates; everything else is frozen
-    stage1_trainable_patterns: tuple = DEFAULT_STAGE1_TRAINABLE
-    word_mask_p: float = 0.15
-    word_random_p: float = 0.10
-    word_keep_p: float = 0.10
-    entity_mask_p: float = 0.15
-    alpha: float = 0.7
     checkpoint_interval: int = 0  # 0: final checkpoint only
     log_interval: int = 50
 
     def validate(self):
         if not 0 <= self.stage1_steps <= self.total_steps:
             raise ContractError("need 0 <= stage1_steps <= total_steps")
-        if self.warmup_steps < 0:
-            raise ContractError("warmup_steps must be >= 0")
         if self.batch_size < 1:
             raise ContractError(f"batch_size {self.batch_size} must be >= 1")
-        for key in ("log_interval", "checkpoint_interval"):
+        for key in ("warmup_steps", "log_interval", "checkpoint_interval", "peak_lr", "stage1_peak_lr"):
             if getattr(self, key) < 0:
                 raise ContractError(f"{key} {getattr(self, key)} must be >= 0")
-        check_optimizer_settings(self, ("peak_lr", "stage1_peak_lr"))
-        if not 0 < self.alpha <= 1:
-            raise ContractError(f"alpha {self.alpha} outside (0, 1]")
-        # the rules mask_batch applies to its probabilities
-        for key in ("word_mask_p", "word_random_p", "word_keep_p", "entity_mask_p"):
-            if not 0.0 <= getattr(self, key) <= 1.0:
-                raise ContractError(f"{key} {getattr(self, key)} outside [0, 1]")
-        if self.word_random_p + self.word_keep_p > 1.0:
-            raise ContractError("word_random_p + word_keep_p must be <= 1")
         return self
 
     def to_dict(self):
-        d = dict(self.__dict__)
-        d["stage1_trainable_patterns"] = list(self.stage1_trainable_patterns)
-        return d
+        return dict(self.__dict__)
 
 
 def linear_head(rng, in_dim, out_dim, prefix):
@@ -505,9 +473,9 @@ def _batch_labels(batches, M, N):
     return wl, el
 
 
-def pretrain_step_loss(params, encoder_config, batches, entity_pad_id, rng=None):
+def pretrain_step_loss(params, encoder_config, batches, rng=None):
     """Training-mode forward pass for a list of MaskedBatch; returns (loss, mlm, mep)."""
-    packed = pack_batch([mb.sequence for mb in batches], pad_entity_id=entity_pad_id)
+    packed = pack_batch([mb.sequence for mb in batches])
     out = encode_batch(params, encoder_config, packed, rng=rng, train=True)
     M = packed["word_ids"].shape[1]
     N = packed["entity_ids"].shape[1]
@@ -527,18 +495,17 @@ def train(encoder_config: EncoderConfig, config: TrainConfig, sequences_by_langu
     """Run the two-stage pretraining loop on already-encoded sequences.
 
     sequences_by_language: {lang: [EncodedSequence, ...]}, drawn through
-    `SequenceSampler` with config.alpha in (0, 1].  Deterministic for a fixed
+    `SequenceSampler` and masked by `mask_batch`.  Deterministic for a fixed
     (config, corpus): every random draw comes from named sub-streams of
     config.seed and runs on the calling thread.  AdamW's element-wise update
     may be split over two threads; that changes no bit of the result.
     """
     config.validate()
-    sampler = SequenceSampler(sequences_by_language, alpha=config.alpha, seed=config.seed)
+    sampler = SequenceSampler(sequences_by_language, seed=config.seed)
     if params is None:
         params = init_model(encoder_config, seed=config.seed)
-    optimizer = AdamW(params, beta1=config.beta1, beta2=config.beta2,
-                      eps=config.adam_eps, weight_decay=config.weight_decay)
-    stage1_trainable = select_trainable(params, config.stage1_trainable_patterns)
+    optimizer = AdamW(params)
+    stage1_trainable = select_trainable(params, STAGE1_TRAINABLE)
 
     seq_ids = {}
     for lang in sorted(sequences_by_language):
@@ -556,15 +523,8 @@ def train(encoder_config: EncoderConfig, config: TrainConfig, sequences_by_langu
             for _ in range(config.batch_size):
                 seq = sampler.draw()
                 mrng = substream(config.seed, "masking", seq_ids[id(seq)], step)
-                batches.append(
-                    mask_batch(
-                        seq, mrng, word_vocab, entity_vocab.mask_id,
-                        word_p=config.word_mask_p, word_random_p=config.word_random_p,
-                        word_keep_p=config.word_keep_p, entity_p=config.entity_mask_p,
-                    )
-                )
-            total, l_mlm, l_mep = pretrain_step_loss(
-                params, encoder_config, batches, entity_vocab.pad_id, rng=dropout_rng)
+                batches.append(mask_batch(seq, mrng, word_vocab, entity_vocab.mask_id))
+            total, l_mlm, l_mep = pretrain_step_loss(params, encoder_config, batches, rng=dropout_rng)
             if not np.isfinite(total.data):
                 raise TrainingAborted(f"non-finite loss at step {step}", last_checkpoint=last_ckpt)
             T.zero_grads(params)

@@ -118,15 +118,31 @@ class EntityEntry:
 
 
 class EntityVocab:
-    """Dense-id entity vocabulary with specials at the lowest ids."""
+    """Dense-id entity vocabulary with specials at the lowest ids.  No two
+    entries share a canonical key or a (language, title) pair."""
 
     def __init__(self, entries):
-        self.entries = list(entries)  # index == id; specials included
-        self.key_to_id = {e.canonical_key: i for i, e in enumerate(self.entries)}
+        self.entries = []  # index == id; specials included
+        self.key_to_id = {}
         self.title_to_id = {}
-        for i, e in enumerate(self.entries):
-            for lang, title in e.titles:
-                self.title_to_id[(lang, title)] = i
+        for e in entries:
+            self._append(e)
+
+    def _append(self, e):
+        """Give `e` the next id; a key or title another entry holds raises ContractError."""
+        i = len(self.entries)
+        if e.canonical_key in self.key_to_id:
+            raise ContractError(f"entity {i}: key {e.canonical_key!r} is entity "
+                                f"{self.key_to_id[e.canonical_key]}'s")
+        taken = e.titles & self.title_to_id.keys()
+        if taken:
+            lang, title = min(taken)
+            raise ContractError(f"entity {i}: title {lang}:{title} is entity "
+                                f"{self.title_to_id[(lang, title)]}'s")
+        self.key_to_id[e.canonical_key] = i
+        for pair in e.titles:
+            self.title_to_id[pair] = i
+        self.entries.append(e)
 
     def __len__(self):
         return len(self.entries)
@@ -174,29 +190,34 @@ class EntityVocab:
 
     @classmethod
     def load(cls, path):
-        entries = []  # the header line, then the entries by id
+        """Read a vocab file.  A bad header, ids not dense from 0, a key or
+        title an earlier row holds (or a title repeated within its row) and a
+        language count other than the titles' raise ContractError naming the
+        line."""
+        vocab, header = cls([]), []
 
         def row(line):
-            if not entries:
+            if not header:
                 if line != VOCAB_FILE_HEADER:
                     raise ContractError(f"unrecognized vocab file header: {line!r}")
-                entries.append(line)
+                header.append(line)
                 return
-            idx, key, _nlang, count, pairs = line.split("\t")
-            titles = set()
-            if pairs:
-                for pair in pairs.split(";"):
-                    lang, _, title = pair.partition(":")
-                    titles.add((lang, title))
-            e = EntityEntry(canonical_key=key, link_count=int(count), titles=titles)
-            if int(idx) != len(entries) - 1:
+            idx, key, nlang, count, pairs = line.split("\t")
+            if int(idx) != len(vocab):
                 raise ContractError("vocab file ids are not dense from 0")
-            entries.append(e)
+            titles = [pair.partition(":")[::2] for pair in pairs.split(";")] if pairs else []
+            if len(set(titles)) != len(titles):
+                raise ContractError(f"entity {idx} lists a title twice")
+            e = EntityEntry(canonical_key=key, link_count=int(count), titles=set(titles))
+            if int(nlang) != len(e.languages):
+                raise ContractError(f"entity {idx} has a language count of {nlang}, "
+                                    f"but its titles are in {len(e.languages)} languages")
+            vocab._append(e)
 
         read_lines(path, row)
-        if not entries:
+        if not header:
             raise ContractError(f"{path}:1: empty vocab file")
-        return cls(entries[1:])
+        return vocab
 
 
 def _special_entries():

@@ -21,7 +21,6 @@ from entlm.cloze import ClozeModel, TypedQuery, score_query, top1_fp_ratio
 from entlm.corpus import (
     IGNORE_LABEL,
     AnnotatedDocument,
-    LanguageSamplingSpec,
     WordVocab,
     build_word_vocab,
     encode_corpus,
@@ -41,10 +40,9 @@ from entlm.heads import (
     ner_predict,
     re_classify,
     save_re_data,
-    span_candidate_count,
 )
 from entlm.linker import build_mention_map, detect_entities, translate_mention_map
-from entlm.pretrain import TrainConfig, init_head_params, init_model, lr_at, stage_of, train
+from entlm.pretrain import STAGE1_TRAINABLE, TrainConfig, init_head_params, init_model, lr_at, stage_of, train
 from entlm.seeding import substream
 from entlm.synth import make_bilingual_corpus
 from entlm.vocab import (
@@ -71,13 +69,12 @@ def test_criterion_01_language_sampling():
         k = int(rng.integers(1, 8))
         counts = rng.integers(1, 10**7, size=k).astype(float)
         alpha = float(rng.uniform(0.05, 1.0))
-        spec = LanguageSamplingSpec({f"l{i}": int(c) for i, c in enumerate(counts)}, alpha=alpha)
-        dist = language_distribution(spec)
+        dist = language_distribution({f"l{i}": int(c) for i, c in enumerate(counts)}, alpha)
         w = counts**alpha
         direct = w / w.sum()
         got = np.array([dist[f"l{i}"] for i in range(k)])
         assert np.max(np.abs(got - direct)) < 1e-12
-    dist = language_distribution(LanguageSamplingSpec({"hi": 1000, "lo": 100}, alpha=0.7))
+    dist = language_distribution({"hi": 1000, "lo": 100}, 0.7)
     assert dist["hi"] == pytest.approx(0.8337, abs=5e-5)
     assert dist["lo"] == pytest.approx(0.1663, abs=5e-5)
     ok(1, "exponent-smoothed sampling matches direct evaluation within 1e-12 "
@@ -220,7 +217,7 @@ def test_criterion_05_two_stage_schedule():
     before = {n: p.data.copy() for n, p in init_model(enc_cfg, seed=tcfg.seed).items()}
     result = train(enc_cfg, tcfg, by_lang, wv, ev)
     for name, arr in before.items():
-        if not any(pat in name for pat in tcfg.stage1_trainable_patterns):
+        if not any(pat in name for pat in STAGE1_TRAINABLE):
             assert result.params[name].data.tobytes() == arr.tobytes(), name
     ok(5, "lr matches the per-stage closed form at 20 probe steps exactly, resets "
           "at the stage boundary, and stage-1 frozen parameters stay bit-identical")
@@ -250,8 +247,8 @@ def test_criterion_06_toy_pretraining():
 
 def test_criterion_07_ner_enumeration_and_decode():
     for n in range(1, 65):
-        assert span_candidate_count(n) == len(enumerate_spans(n))
-    assert span_candidate_count(20) == 200
+        assert len(enumerate_spans(n)) == sum(n - length + 1 for length in range(1, min(16, n) + 1))
+    assert len(enumerate_spans(20)) == 200
 
     wv = WordVocab([f"w{i}" for i in range(30)])
     ev = EntityVocab([EntityEntry(canonical_key=k) for k in SPECIAL_ENTITIES])

@@ -206,6 +206,34 @@ def test_pretrain_set_override(workspace):
     assert load_checkpoint(os.path.join(out, "checkpoint-final.bin")).step == 3
 
 
+def test_rerun_setting_a_fixed_optimizer_value_exits_3_and_writes_nothing(workspace, pretrained, tmp_path, capsys):
+    # AdamW's betas are constants, not train.* keys, so a manifest that sets one does not replay
+    manifest = json.loads(Path(pretrained, "manifest.json").read_text())
+    manifest["options"]["set"] = ["train.beta1=0.9"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "again"
+    capsys.readouterr()
+    rc = main(["rerun", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "unknown config keys: train.beta1" in err
+    assert not out.exists()
+
+
+def test_config_file_that_is_not_utf8_exits_3_naming_the_line(workspace, tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(Path(workspace["config"]).read_bytes() + b"# caf\xe9 au lait\n")
+    line = cfg.read_bytes().count(b"\n")
+    out = tmp_path / "out"
+    rc = main(["pretrain", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith(f"config error: {cfg}:{line}: UnicodeDecodeError")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def finetuned(workspace, pretrained):
     re_path = str(workspace["ws"] / "re_train.tsv")
@@ -350,6 +378,8 @@ def test_bad_config_key_exits_3(workspace):
     assert rc == EXIT_CONFIG
 
 
+# alpha, the masking rates, beta1 and adam_eps are constants now, not train.*
+# keys: setting one is refused as an unknown key, before anything is written
 @pytest.mark.parametrize("override", ["train.alpha=1.5", "train.alpha=0", "train.word_mask_p=2",
                                       "train.word_random_p=0.95", "train.entity_mask_p=-0.1",
                                       "model.dropout=-0.1", "train.batch_size=0", "train.batch_size=-2",

@@ -43,15 +43,12 @@ def test_malformed_line_rejected(tmp_path):
 
 
 def test_resolve_types_and_unknown_keys():
-    schema = {"train.steps": int, "train.lr": float, "train.on": bool,
-              "train.tags": tuple, "data.name": str}
-    values = resolve(schema, {"train.steps": "50", "train.lr": "1e-3",
-                              "train.on": "true", "train.tags": "a,b"},
+    schema = {"train.steps": int, "train.lr": float, "train.on": bool, "data.name": str}
+    values = resolve(schema, {"train.steps": "50", "train.lr": "1e-3", "train.on": "true"},
                      parse_overrides(["data.name=run1"]))
     assert values["train.steps"] == 50
     assert values["train.lr"] == pytest.approx(1e-3)
     assert values["train.on"] is True
-    assert values["train.tags"] == ("a", "b")
     assert values["data.name"] == "run1"
 
     with pytest.raises(ConfigError):

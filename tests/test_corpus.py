@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from entlm.corpus import (
     IGNORE_LABEL,
     AnnotatedDocument,
-    LanguageSamplingSpec,
     SequenceSampler,
     WordVocab,
     build_word_vocab,
@@ -94,7 +93,7 @@ def test_split_punctuation_fallback():
 
 
 def test_eq1_language_distribution_oracle():
-    dist = language_distribution(LanguageSamplingSpec({"hi": 1000, "lo": 100}, alpha=0.7))
+    dist = language_distribution({"hi": 1000, "lo": 100}, 0.7)
     assert dist["hi"] == pytest.approx(0.8337, abs=5e-5)
     assert dist["lo"] == pytest.approx(0.1663, abs=5e-5)
     assert dist["hi"] + dist["lo"] == pytest.approx(1.0, abs=1e-15)
@@ -106,8 +105,7 @@ def test_eq1_language_distribution_oracle():
     st.floats(0.01, 1.0),
 )
 def test_eq1_matches_direct_evaluation(counts, alpha):
-    spec = LanguageSamplingSpec({f"l{i}": n for i, n in enumerate(counts)}, alpha=alpha)
-    dist = language_distribution(spec)
+    dist = language_distribution({f"l{i}": n for i, n in enumerate(counts)}, alpha)
     w = np.array([float(n) ** alpha for n in counts])
     direct = w / w.sum()
     got = np.array([dist[f"l{i}"] for i in range(len(counts))])
@@ -115,8 +113,20 @@ def test_eq1_matches_direct_evaluation(counts, alpha):
 
 
 def test_alpha_one_is_proportional():
-    dist = language_distribution(LanguageSamplingSpec({"a": 300, "b": 100}, alpha=1.0))
+    dist = language_distribution({"a": 300, "b": 100}, 1.0)
     assert dist["a"] == pytest.approx(0.75, abs=1e-12)
+
+
+@pytest.mark.parametrize("counts, alpha", [({"a": 3}, 0.0), ({"a": 3}, 1.5), ({}, 0.7), ({"a": 3, "b": 0}, 0.7)])
+def test_language_distribution_rejects_bad_input(counts, alpha):
+    with pytest.raises(ContractError):
+        language_distribution(counts, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_sampler_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ContractError, match="alpha"):
+        SequenceSampler({"en": [EncodedSequence(word_ids=[1])]}, alpha=alpha)
 
 
 def test_encode_document_caps_and_skips():
@@ -211,7 +221,7 @@ def test_sampler_respects_distribution():
         "small": [EncodedSequence(word_ids=[2]) for _ in range(100)],
     }
     sampler = SequenceSampler(seqs, alpha=0.7, seed=9)
-    draws = sampler.draw_batch(5000)
+    draws = [sampler.draw() for _ in range(5000)]
     frac_big = sum(1 for s in draws if s.word_ids == [1]) / len(draws)
     # expected 0.8337; 3 sigma ~ 0.016
     assert abs(frac_big - 0.8337) < 0.02
@@ -220,9 +230,8 @@ def test_sampler_respects_distribution():
 
 def test_sampler_is_deterministic():
     seqs = {"en": [EncodedSequence(word_ids=[i]) for i in range(50)]}
-    a = SequenceSampler(seqs, seed=5).draw_batch(20)
-    b = SequenceSampler(seqs, seed=5).draw_batch(20)
-    assert [s.word_ids for s in a] == [s.word_ids for s in b]
+    a, b = SequenceSampler(seqs, seed=5), SequenceSampler(seqs, seed=5)
+    assert [a.draw().word_ids for _ in range(20)] == [b.draw().word_ids for _ in range(20)]
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
@@ -233,7 +242,7 @@ def test_sampler_draws_match_generator_choice(sizes, alpha):
     langs = [f"l{i}" for i in range(len(sizes))]
     seqs = {l: [EncodedSequence(word_ids=[i, j]) for j in range(n)]
             for i, (l, n) in enumerate(zip(langs, sizes))}
-    dist = language_distribution(LanguageSamplingSpec(dict(zip(langs, sizes)), alpha=alpha))
+    dist = language_distribution(dict(zip(langs, sizes)), alpha)
     p = np.array([dist[l] for l in langs])
     sampler = SequenceSampler(seqs, alpha=alpha, seed=11)
     ref_rng = substream(11, "corpus-sampler")

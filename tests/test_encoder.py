@@ -209,7 +209,7 @@ def test_toy_step_graph_node_count(tiny_config):
         word_labels[1] = seq.word_ids[1]
         batches.append(MaskedBatch(sequence=seq, word_labels=word_labels,
                                    entity_labels=[seq.entity_ids[0], IGNORE_LABEL]))
-    total, _, _ = pretrain_step_loss(params, tiny_config, batches, entity_pad_id=0)
+    total, _, _ = pretrain_step_loss(params, tiny_config, batches)
     # 13 embedding nodes, 12 per layer (4 linear, attention, 2 residual adds,
     # 2 layer norms, 2 FFN linears, gelu), 2 output slices, 4 per head loss, the sum
     assert _inner_nodes(total) <= 48, _inner_nodes(total)

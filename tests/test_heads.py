@@ -12,7 +12,9 @@ from entlm.encoder import EncodedSequence, EncoderConfig, encode_batch, init_par
 from entlm.errors import ContractError
 import entlm.heads as heads_mod
 from entlm.heads import (
+    FINETUNE_WARMUP_FRAC,
     MAX_ANSWER_LEN,
+    NER_MAX_SPAN_LEN,
     NERInstance,
     QAInstance,
     REInstance,
@@ -39,8 +41,6 @@ from entlm.heads import (
     re_classify,
     re_macro_f1,
     save_re_data,
-    span_candidate_count,
-    spans_to_bio,
     token_f1,
     usable_examples,
 )
@@ -136,7 +136,6 @@ def test_bio_round_trip():
     tags = ["B-PER", "I-PER", "O", "B-LOC", "B-LOC", "O"]
     spans = bio_to_spans(tags)
     assert spans == [(0, 2, "PER"), (3, 4, "LOC"), (4, 5, "LOC")]
-    assert spans_to_bio(6, spans) == tags
 
 
 def test_load_ner_conll(tmp_path):
@@ -357,12 +356,12 @@ def test_re_toy_fixture_trains_to_100(task_setup, variant):
 
 
 def test_span_count_oracle():
-    assert span_candidate_count(20) == 200
+    assert len(enumerate_spans(20)) == 200
 
 
 def test_span_count_matches_enumeration():
     for n in range(1, 65):
-        assert span_candidate_count(n) == len(enumerate_spans(n))
+        assert len(enumerate_spans(n)) == sum(n - length + 1 for length in range(1, min(NER_MAX_SPAN_LEN, n) + 1))
 
 
 def test_enumerate_spans_ordering_and_bounds():
@@ -468,9 +467,7 @@ def test_finetune_warmup_is_six_percent_ceil():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("lr", -1e-3), ("epochs", 0), ("epochs", -1), ("batch_size", 0), ("warmup_frac", -0.1),
-    ("warmup_frac", 1.5), ("weight_decay", -0.01), ("beta1", 1.0), ("beta2", 2.0),
-    ("adam_eps", 0.0),
+    ("lr", -1e-3), ("epochs", 0), ("epochs", -1), ("batch_size", 0),
 ])
 def test_finetune_config_rejects_invalid_settings(field, value):
     with pytest.raises(ContractError, match=field):
@@ -484,15 +481,13 @@ def test_finetune_validates_its_config(task_setup):
     with pytest.raises(ContractError, match="batch_size"):
         finetune(model, re_toy_fixture(), cfg=FinetuneConfig(batch_size=0))
     assert model.params is before
-    FinetuneConfig(lr=0.0, epochs=1, warmup_frac=0.0, weight_decay=0.0, beta1=0.0, beta2=0.0).validate()
-    FinetuneConfig(warmup_frac=1.0).validate()
+    FinetuneConfig(lr=0.0, epochs=1, batch_size=1).validate()
 
 
 def test_finetune_defaults_match_recipe():
     cfg = FinetuneConfig()
-    assert cfg.lr == pytest.approx(2e-5)
-    assert cfg.warmup_frac == pytest.approx(0.06)
-    assert cfg.weight_decay == pytest.approx(0.01)
+    assert (cfg.lr, cfg.epochs, cfg.batch_size, cfg.seed) == (2e-5, None, 8, 0)
+    assert FINETUNE_WARMUP_FRAC == 0.06
 
 
 def test_finetune_qa_runs_and_keeps_best(task_setup):

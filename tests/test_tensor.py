@@ -468,8 +468,7 @@ def test_backward_equals_reference_engine_on_a_pretrain_step(tiny_config):
         word_labels[2], word_labels[7] = seq.word_ids[2], seq.word_ids[7]
         batches.append(MaskedBatch(sequence=seq, word_labels=word_labels,
                                    entity_labels=[seq.entity_ids[0], IGNORE_LABEL]))
-    total, _, _ = pretrain_step_loss(params, cfg, batches, entity_pad_id=0,
-                                     rng=substream(5, "engine-dropout"))
+    total, _, _ = pretrain_step_loss(params, cfg, batches, rng=substream(5, "engine-dropout"))
 
     # several nodes feed more than one child (q/k/v share x, the residuals reuse it)
     children = {}

@@ -120,6 +120,33 @@ def test_vocab_load_rejects_garbage(tmp_path):
         EntityVocab.load(str(path))
 
 
+# the specials' rows fill lines 2-5, so entity 4 is on line 6 and entity 5 on line 7
+_SPECIAL_ROWS = [f"{i}\t{key}\t0\t0\t" for i, key in enumerate(SPECIAL_ENTITIES)]
+
+
+@pytest.mark.parametrize("rows, line, what", [
+    (["4\tk\t1\t3\ten:A", "5\tk\t1\t2\tde:B"], 7, "entity 5: key 'k' is entity 4's"),
+    (["4\tk\t1\t3\ten:A", "5\tj\t2\t2\tde:B;en:A"], 7, "entity 5: title en:A is entity 4's"),
+    (["4\tk\t1\t3\ten:A;en:A"], 6, "entity 4 lists a title twice"),
+    (["4\tk\t7\t0\t"], 6, "entity 4 has a language count of 7, but its titles are in 0 languages"),
+    (["4\tk\t1\t3\ten:A;de:A"], 6, "entity 4 has a language count of 1, but its titles are in 2 languages"),
+], ids=["repeated-key", "repeated-title", "title-twice-in-a-row", "count-without-titles", "count-below-titles"])
+def test_vocab_load_rejects_a_row_that_contradicts_the_file(tmp_path, rows, line, what):
+    path = tmp_path / "entities.tsv"
+    path.write_text("\n".join(["entlm-entity-vocab\tv1", *_SPECIAL_ROWS, *rows]) + "\n", encoding="utf-8")
+    with pytest.raises(ContractError) as info:
+        EntityVocab.load(str(path))
+    assert str(info.value) == f"{path}:{line}: {what}"
+
+
+def test_vocab_refuses_entries_that_share_a_key_or_title():
+    with pytest.raises(ContractError, match="key 'k'"):
+        EntityVocab([EntityEntry(canonical_key="k"), EntityEntry(canonical_key="k")])
+    with pytest.raises(ContractError, match="title en:A"):
+        EntityVocab([EntityEntry(canonical_key="k", titles={("en", "A")}),
+                     EntityEntry(canonical_key="j", titles={("en", "A")})])
+
+
 def test_links_tsv_round_trip(tmp_path, links):
     path = str(tmp_path / "links.tsv")
     links.save_tsv(path)
@@ -294,6 +321,11 @@ def _vocab_fits(entries):
                 max_size=5))
 def test_vocab_save_load_round_trip(tmp_path_factory, raw):
     entries = [EntityEntry(canonical_key=key, link_count=count, titles=titles) for key, count, titles in raw]
+    titles = [pair for e in entries for pair in e.titles]
+    if len({e.canonical_key for e in entries}) < len(entries) or len(set(titles)) < len(titles):
+        with pytest.raises(ContractError, match="entity"):
+            EntityVocab(entries)
+        return
     ev = EntityVocab(entries)
     path = tmp_path_factory.mktemp("vocab") / "entities.tsv"
     if not _vocab_fits(entries):
