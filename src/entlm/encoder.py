@@ -37,6 +37,9 @@ class EncoderConfig:
     layer_norm_eps: float = 1e-5
 
     def validate(self):
+        for key in ("hidden_size", "entity_emb_size", "layers", "heads", "ffn_size"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} {getattr(self, key)} must be >= 1")
         if self.hidden_size % self.heads != 0:
             raise ConfigError(f"hidden_size {self.hidden_size} not divisible by heads {self.heads}")
         if self.entity_emb_size > self.hidden_size:

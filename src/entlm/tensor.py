@@ -8,8 +8,14 @@ masked softmax attention core over all heads) and `span_sum` (weighted sums
 of gathered rows, for entity mention positions), each doing the same numpy
 arithmetic, in the same order, as the chain of single ops it replaces.
 Kernels compute their intermediates in place in buffers they allocated
-themselves, so an eval forward pass does not fault in fresh temporaries.
-Inside `no_grad()` ops record no graph, for forward-only passes.
+themselves.  Inside `no_grad()` ops record no graph, for forward-only
+passes, and no backward closure will read a kernel's buffers: there
+`attention` writes its scores into one module-level workspace, grown to the
+largest score size seen but never past ATTENTION_WORKSPACE_CAP elements,
+and `gelu` and `layer_norm` write their output over their own
+intermediates.  So an eval forward pass does not fault in a fresh score
+buffer per call.  Recording calls (training) allocate every buffer as
+before and never touch the workspace.
 
 At toy sizes a train step's time goes mostly to per-node bookkeeping, so it
 is kept lean: `_make` fills a node's slots directly instead of going through
@@ -37,7 +43,8 @@ class Tensor:
     Treat instances as immutable after construction.  A kernel never writes
     into its inputs; it may overwrite only arrays it allocated itself that no
     backward closure reads afterwards, so a forward pass builds no throwaway
-    full-size temporaries.
+    full-size temporaries.  Under `no_grad()` `attention` may also write its
+    scores into the shared workspace; no output ever aliases it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_op")
@@ -259,6 +266,29 @@ def linear(x, w, b):
     return _make(out_data, (x, w, b), backward, "linear")
 
 
+# Under no_grad, attention's (B, heads, S, S) scores go into one flat float64
+# workspace that grows to the largest such size seen, up to this many
+# elements (8 MiB); a larger call allocates its own buffer, as a recording
+# call always does.  A fresh score buffer of a QA item's size (0.5-0.74 MB)
+# goes back to the system when freed, so each call faults its pages in
+# again; the workspace is faulted in once.  Like `_grad_enabled` it is shared
+# by the whole process, so forward passes must not run in parallel threads.
+ATTENTION_WORKSPACE_CAP = 1 << 20
+
+_attention_workspace = np.empty(0, dtype=DEFAULT_DTYPE)
+
+
+def _score_buffer(shape):
+    """A view of the workspace shaped `shape`, grown to fit; None above the cap."""
+    global _attention_workspace
+    n = shape[0] * shape[1] * shape[2] * shape[3]
+    if n > ATTENTION_WORKSPACE_CAP:
+        return None
+    if _attention_workspace.size < n:
+        _attention_workspace = np.empty(n, dtype=DEFAULT_DTYPE)
+    return _attention_workspace[:n].reshape(shape)
+
+
 def attention(q, k, v, bias, heads, p=0.0, rng=None):
     """Multi-head scaled dot-product attention core as one node.
 
@@ -271,8 +301,17 @@ def attention(q, k, v, bias, heads, p=0.0, rng=None):
         raise ShapeError(f"attention: q, k, v must share one (B, S, H) shape, "
                          f"got {q.shape}, {k.shape} and {v.shape}")
     B, S, H = q.shape
+    if heads < 1:
+        raise ShapeError(f"attention: heads must be >= 1, got {heads}")
     if H % heads:
         raise ShapeError(f"attention: hidden size {H} not divisible by {heads} heads")
+    score_shape = (B, heads, S, S)
+    try:
+        fits = np.broadcast_shapes(np.shape(bias), score_shape) == score_shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ShapeError(f"attention: bias shape {np.shape(bias)} does not broadcast to scores {score_shape}")
     if not 0.0 <= p < 1.0:
         raise ContractError(f"attention: dropout rate {p} outside [0, 1)")
     if p > 0.0 and rng is None:
@@ -286,7 +325,7 @@ def attention(q, k, v, bias, heads, p=0.0, rng=None):
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     kt = np.transpose(kh, (0, 1, 3, 2))
     # scores, their shifted exponentials and the probabilities share one buffer
-    probs = np.matmul(qh, kt)
+    probs = np.matmul(qh, kt, out=None if _grad_enabled else _score_buffer(score_shape))
     probs *= c
     probs += bias
     probs -= probs.max(axis=-1, keepdims=True)
@@ -374,7 +413,8 @@ def layer_norm(x, gain, bias, eps=LAYER_NORM_EPS):
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    out_data = xhat * gain.data
+    # without a backward closure to read xhat, the output overwrites it
+    out_data = np.multiply(xhat, gain.data, out=None if _grad_enabled else xhat)
     out_data += bias.data
 
     def backward(g):
@@ -399,7 +439,8 @@ def gelu(x):
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    out_data = x.data * cdf
+    # without a backward closure to read cdf, the output overwrites it
+    out_data = np.multiply(x.data, cdf, out=None if _grad_enabled else cdf)
 
     def backward(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)

@@ -384,7 +384,9 @@ def test_bad_config_key_exits_3(workspace):
                                       "train.word_random_p=0.95", "train.entity_mask_p=-0.1",
                                       "model.dropout=-0.1", "train.batch_size=0", "train.batch_size=-2",
                                       "train.peak_lr=-1.0", "train.beta1=1.5", "train.adam_eps=0.0",
-                                      "train.log_interval=-1", "train.checkpoint_interval=-1"])
+                                      "train.log_interval=-1", "train.checkpoint_interval=-1",
+                                      "model.heads=0", "model.heads=-2", "model.layers=-1",
+                                      "model.ffn_size=0", "model.hidden_size=0", "model.entity_emb_size=0"])
 def test_bad_train_value_exits_3_before_writing(workspace, override):
     out = workspace["ws"] / "bad-train"
     rc = main(["pretrain", "--config", workspace["config"], "--out", str(out), "--set", override])
@@ -448,6 +450,25 @@ def test_corrupt_checkpoint_exits_1(workspace, pretrained):
                               + good[payload_start:])
         rc = main(["inspect-checkpoint", "--checkpoint", bad])
         assert rc == EXIT_FAILURE, bad_header
+
+
+@pytest.mark.parametrize("key, size", [("heads", 0), ("layers", -1)])
+def test_checkpoint_with_a_size_below_1_exits_1_naming_the_field(workspace, pretrained, capsys, key, size):
+    from entlm.pretrain import CHECKPOINT_MAGIC
+    good = Path(pretrained, "checkpoint-final.bin").read_bytes()
+    header_start = len(CHECKPOINT_MAGIC) + 8
+    payload_start = header_start + int.from_bytes(good[len(CHECKPOINT_MAGIC):header_start], "little")
+    header = json.loads(good[header_start:payload_start])
+    header["encoder_config"][key] = size
+    raw = json.dumps(header).encode("utf-8")
+    bad = workspace["ws"] / f"bad-{key}.bin"
+    bad.write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "little") + raw + good[payload_start:])
+    capsys.readouterr()
+    rc = main(["inspect-checkpoint", "--checkpoint", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAILURE
+    assert err.startswith("error: ") and f"{key} {size} must be >= 1" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Encoder: embedding composition, equivariances, reference-forward oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,11 @@ def test_config_validation():
     for rate in (-0.1, 1.0):  # encode_batch hands the rate to T.dropout whenever it trains
         with pytest.raises(ConfigError):
             EncoderConfig(10, 10, hidden_size=32, heads=2, dropout=rate).validate()
+    # heads=0 would divide by zero, and layers=-1 would build a model with no layers
+    for key, size in (("hidden_size", 0), ("entity_emb_size", 0), ("layers", -1), ("layers", 0),
+                      ("heads", 0), ("heads", -2), ("ffn_size", 0)):
+        with pytest.raises(ConfigError, match=key):
+            replace(EncoderConfig(10, 10, hidden_size=32, heads=2), **{key: size}).validate()
 
 
 def test_config_round_trip(tiny_config):

@@ -257,6 +257,26 @@ def test_qa_predict_matches_per_window_passes(task_setup, monkeypatch, use_entit
     assert abs(pred["score"] - best[0]) <= 1e-10
 
 
+def test_qa_predict_is_unchanged_by_interleaved_calls_of_another_shape(task_setup):
+    # eval attention shares one score workspace across calls and models
+    cfg, params, wv, ev = task_setup
+    model = make_qa_model(cfg, params, wv, ev, use_entities=True)
+    ctx = ("the capital of japan is tokyo a b c d " * 5).split()[:45]  # windows at 0 and 15
+    japan = ev.resolve("en", "Japan")
+    inst = QAInstance(qid="i", question_tokens=["what", "?"], context_tokens=ctx, answers=["tokyo"],
+                      question_entities=[(0, 1, japan)],
+                      context_entities=[(s, s + 1, japan) for s in range(3, 45, 10)]).validate()
+    alone = qa_predict(model, inst)
+    other_cfg = EncoderConfig(word_vocab_size=len(wv), entity_vocab_size=len(ev), hidden_size=24,
+                              entity_emb_size=8, layers=2, heads=3, ffn_size=32, max_positions=64,
+                              dropout=0.0).validate()
+    other = make_qa_model(other_cfg, init_params(other_cfg, substream(1, "task-params")), wv, ev)
+    for _ in range(2):
+        qa_predict(other, inst)
+        again = qa_predict(model, inst)
+        assert again["span"] == alone["span"] and again["score"] == alone["score"]
+
+
 def test_qa_predict_rejects_empty_context(task_setup):
     cfg, params, wv, ev = task_setup
     model = make_qa_model(cfg, params, wv, ev)

@@ -369,6 +369,15 @@ def test_attention_rejects_bad_input():
         T.attention(x, x, x, np.zeros((1, 1, 1, 3)), 2, p=1.0, rng=np.random.default_rng(0))
     with pytest.raises(ContractError):
         T.attention(x, x, x, np.zeros((1, 1, 1, 3)), 2, p=0.1)
+    for heads in (0, -2):
+        with pytest.raises(ShapeError, match="heads"):
+            T.attention(x, x, x, np.zeros((1, 1, 1, 3)), heads)
+    # a bias must broadcast to exactly (B, heads, S, S): not wider, not clashing
+    for shape in ((1, 1, 1, 4), (2, 1, 1, 3), (1, 2, 3, 3, 3)):
+        with pytest.raises(ShapeError, match=re.escape(f"{shape} does not broadcast to scores (1, 2, 3, 3)")):
+            T.attention(x, x, x, np.zeros(shape), 2)
+        with T.no_grad(), pytest.raises(ShapeError):
+            T.attention(x, x, x, np.zeros(shape), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +690,91 @@ def test_span_sum_rejects_bad_input():
         T.span_sum(table, np.array([[0, 4]]), np.ones((1, 2)))
     with pytest.raises(ShapeError):
         T.span_sum(table, np.array(1), np.array(1.0))  # no axis to sum over
+
+
+# ---------------------------------------------------------------------------
+# no-grad calls: attention's score workspace, gelu and layer_norm in place
+
+
+@pytest.fixture
+def empty_workspace(monkeypatch):
+    monkeypatch.setattr(T, "_attention_workspace", np.empty(0))
+
+
+def _attention_inputs(rng, B, S, H=6):
+    mask = np.ones((B, S))
+    mask[-1, S // 2:] = 0.0
+    bias = np.where(mask[:, None, None, :] > 0, 0.0, -1e30)
+    return [p(rng.normal(size=(B, S, H))) for _ in range(3)] + [bias]
+
+
+def test_recording_attention_leaves_the_workspace_untouched(empty_workspace):
+    rng = np.random.default_rng(30)
+    with T.no_grad():
+        T.attention(*_attention_inputs(rng, 2, 4), 2)
+    workspace = T._attention_workspace
+    before = workspace.copy()
+    for B, S in ((2, 4), (3, 9)):  # one shape that fits the workspace, one larger
+        out = T.attention(*_attention_inputs(rng, B, S), 2)
+        assert out._backward is not None
+        assert not np.shares_memory(out.data, workspace)
+    assert T._attention_workspace is workspace
+    np.testing.assert_array_equal(workspace, before)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.25])
+def test_no_grad_attention_outputs_are_independent(empty_workspace, rate):
+    rng = np.random.default_rng(31)
+    with T.no_grad():
+        first = T.attention(*_attention_inputs(rng, 2, 5), 2, p=rate, rng=np.random.default_rng(1))
+        kept = first.data.copy()
+        second = T.attention(*_attention_inputs(rng, 2, 5), 2, p=rate, rng=np.random.default_rng(1))
+    np.testing.assert_array_equal(first.data, kept)
+    assert not np.array_equal(first.data, second.data)
+    for out in (first, second):
+        assert not np.shares_memory(out.data, T._attention_workspace)
+
+
+def test_no_grad_attention_equals_recording_across_shapes(empty_workspace):
+    rng = np.random.default_rng(32)
+    calls = [_attention_inputs(rng, B, S) for B, S in ((2, 4), (3, 9), (2, 3))]  # small, large, small
+    want = [T.attention(*inputs, 2).data for inputs in calls]
+    with T.no_grad():
+        got = [T.attention(*inputs, 2).data for inputs in calls]
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    assert T._attention_workspace.size == 3 * 2 * 9 * 9  # the largest score size seen
+
+
+def test_no_grad_attention_above_the_cap_allocates_its_own_scores(empty_workspace):
+    rng = np.random.default_rng(33)
+    with T.no_grad():
+        T.attention(*_attention_inputs(rng, 2, 4), 2)
+    workspace = T._attention_workspace
+    # one head over S keys: S * S scores, just above the cap
+    S = math.isqrt(T.ATTENTION_WORKSPACE_CAP) + 1
+    inputs = _attention_inputs(rng, 1, S, H=2)
+    want = T.attention(*inputs, 1).data
+    with T.no_grad():
+        got = T.attention(*inputs, 1).data
+    np.testing.assert_array_equal(got, want)
+    assert T._attention_workspace is workspace and workspace.size == 2 * 2 * 4 * 4
+    assert T.ATTENTION_WORKSPACE_CAP * workspace.itemsize <= 8 << 20
+
+
+@pytest.mark.parametrize("shape", [(), (3, 4, 5)])
+def test_no_grad_gelu_and_layer_norm_equal_recording_and_leave_inputs_alone(shape):
+    rng = np.random.default_rng(34)
+    x = p(rng.normal(size=shape) * 3.0 + 1.0)
+    gain, bias = p(rng.normal(size=shape[-1:])), p(rng.normal(size=shape[-1:]))
+    before = x.data.copy()
+    recorded = [T.gelu(x).data] + ([T.layer_norm(x, gain, bias).data] if shape else [])
+    with T.no_grad():
+        outs = [T.gelu(x).data] + ([T.layer_norm(x, gain, bias).data] if shape else [])
+    for got, want in zip(outs, recorded):
+        np.testing.assert_array_equal(got, want)
+        assert not np.shares_memory(got, x.data)
+    np.testing.assert_array_equal(x.data, before)
 
 
 # ---------------------------------------------------------------------------
