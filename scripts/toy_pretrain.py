@@ -43,15 +43,14 @@ def run(entities=30, sequences=500, steps=2000, stage1_steps=0, hidden=32, layer
     docs, links = make_bilingual_corpus(n_entities=entities, n_sequences=sequences, seed=3)
     ev = build_entity_vocab(docs, links, min_languages=2)
     wv = build_word_vocab(docs)
-    seqs, _ = encode_corpus(docs, wv, ev, max_words=16)
-    train_pool = {lang: v[:-20] for lang, v in seqs.items()}
-    held = [s for v in seqs.values() for s in v[-20:]]
-
     cfg = EncoderConfig(
         word_vocab_size=len(wv), entity_vocab_size=len(ev),
         hidden_size=hidden, entity_emb_size=hidden // 2,
         layers=layers, heads=2, ffn_size=2 * hidden,
         max_positions=16, dropout=0.0).validate()
+    seqs, _ = encode_corpus(docs, wv, ev, max_words=cfg.max_positions)
+    train_pool = {lang: v[:-20] for lang, v in seqs.items()}
+    held = [s for v in seqs.values() for s in v[-20:]]
     tcfg = TrainConfig(
         total_steps=steps, stage1_steps=stage1_steps, batch_size=8,
         peak_lr=peak_lr, warmup_steps=100, seed=seed, log_interval=200)

@@ -114,10 +114,7 @@ _MODEL_FIELD_TYPES = {k: t for k, t in typing.get_type_hints(EncoderConfig).item
 
 _TRAIN_FIELD_TYPES = typing.get_type_hints(pretrain.TrainConfig)
 
-_DATA_FIELD_TYPES = {
-    "corpus": str, "entity_vocab": str, "max_words": int,
-    "entity_cap": int, "word_min_count": int,
-}
+_DATA_FIELD_TYPES = {"corpus": str, "entity_vocab": str, "entity_cap": int, "word_min_count": int}
 
 
 def _pretrain_config(args):
@@ -144,15 +141,16 @@ def cmd_pretrain(args):
     docs = corpus.load_corpus(data["corpus"])
     entity_vocab = vocab_mod.EntityVocab.load(data["entity_vocab"])
     word_vocab = corpus.build_word_vocab(docs, min_count=data.get("word_min_count", 1))
-
-    sequences_by_language, dropped = corpus.encode_corpus(
-        docs, word_vocab, entity_vocab, max_words=data.get("max_words", corpus.DEFAULT_MAX_WORDS),
-        entity_cap=data.get("entity_cap", corpus.DEFAULT_ENTITY_CAP))
     encoder_config = EncoderConfig(
         word_vocab_size=len(word_vocab),
         entity_vocab_size=len(entity_vocab),
         **section(values, "model"),
     ).validate()
+
+    # sequences are cut to the length the position table covers
+    sequences_by_language, dropped = corpus.encode_corpus(
+        docs, word_vocab, entity_vocab, max_words=encoder_config.max_positions,
+        entity_cap=data.get("entity_cap", corpus.DEFAULT_ENTITY_CAP))
 
     os.makedirs(args.out, exist_ok=True)
     word_vocab.save(os.path.join(args.out, "word_vocab.txt"))

@@ -158,14 +158,16 @@ def _candidate_input(model, query, candidate, mode):
 
 
 @no_grad()
-def _score_candidates(model, query, candidates, mode):
-    """(scores, used_entity) of the candidates from one batched encoder pass.
+def score_query(model, query, mode):
+    """(scores, used_entity) over the query's candidates, in one encoder pass.
 
     A word-scored candidate gets the mean MLM log-probability of its tokens
     at its [Y] masks; an entity-scored one the MEP log-probability of its
     entity at the entity-[MASK] token.
     """
-    built = [_candidate_input(model, query, c, mode) for c in candidates]
+    if mode not in MODES:
+        raise ContractError(f"unknown mode {mode!r}")
+    built = [_candidate_input(model, query, c, mode) for c in query.candidates]
     seqs = [seq.validate(model.encoder_config) for seq, _, _, _ in built]
     out = encoder.encode_batch(model.params, model.encoder_config, encoder.pack_batch(seqs))
 
@@ -185,13 +187,6 @@ def _score_candidates(model, query, candidates, mode):
         for row, (b, _, eid) in enumerate(ent):
             scores[b] = float(logprobs[row, eid])
     return scores, [ent_index is not None for _, _, ent_index, _ in built]
-
-
-def score_query(model, query, mode):
-    """(scores, used_entity) over the query's candidates, in one encoder pass."""
-    if mode not in MODES:
-        raise ContractError(f"unknown mode {mode!r}")
-    return _score_candidates(model, query, query.candidates, mode)
 
 
 def evaluate(model: ClozeModel, queries, mode="word"):

@@ -30,7 +30,6 @@ SPECIAL_WORDS = (PAD_WORD, UNK_WORD, MASK_WORD)
 
 SENTENCE_END_PUNCT = (".", "!", "?", "。", "！", "？")
 
-DEFAULT_MAX_WORDS = 512
 DEFAULT_ENTITY_CAP = 32
 
 
@@ -138,12 +137,9 @@ class WordVocab:
         return v
 
 
-def build_word_vocab(docs, min_count=1, max_size=None):
+def build_word_vocab(docs, min_count=1):
     counts = Counter(t for doc in docs for t in doc.tokens)
-    ranked = sorted((t for t, c in counts.items() if c >= min_count), key=lambda t: (-counts[t], t))
-    if max_size is not None:
-        ranked = ranked[: max(0, max_size - len(SPECIAL_WORDS))]
-    return WordVocab(ranked)
+    return WordVocab(sorted((t for t, c in counts.items() if c >= min_count), key=lambda t: (-counts[t], t)))
 
 
 def _sentence_bounds(doc: AnnotatedDocument):
@@ -164,7 +160,7 @@ def _sentence_bounds(doc: AnnotatedDocument):
     return bounds
 
 
-def split_sequences(doc: AnnotatedDocument, max_words=DEFAULT_MAX_WORDS):
+def split_sequences(doc: AnnotatedDocument, max_words):
     """Greedy packing of whole sentences into sequences of <= max_words tokens.
 
     A single sentence longer than max_words is hard-split.  Annotations are
@@ -247,8 +243,7 @@ def encode_document(seq_doc: AnnotatedDocument, word_vocab: WordVocab, entity_vo
     return EncodedSequence(word_ids=word_ids, entity_ids=entity_ids, entity_positions=entity_positions)
 
 
-def encode_corpus(docs, word_vocab: WordVocab, entity_vocab, max_words=DEFAULT_MAX_WORDS,
-                  entity_cap=DEFAULT_ENTITY_CAP):
+def encode_corpus(docs, word_vocab: WordVocab, entity_vocab, max_words, entity_cap=DEFAULT_ENTITY_CAP):
     """(sequences_by_language, dropped_annotations): every document split by
     `split_sequences` and encoded by `encode_document`, in corpus order.
 

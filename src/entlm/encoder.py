@@ -17,6 +17,7 @@ from .errors import CapacityError, ConfigError, ContractError, VocabError
 
 WORD_TYPE_ID = 0
 ENTITY_TYPE_ID = 1
+TYPE_ROWS = 2  # rows of type_emb and entity_type_emb, one per token type
 
 NEG_INF = -1e30
 
@@ -31,10 +32,8 @@ class EncoderConfig:
     heads: int = 12
     ffn_size: int = 3072
     max_positions: int = 512
-    type_count: int = 2
     dropout: float = 0.1
     entity_position_mode: str = "sum"  # "sum" or "mean"
-    layer_norm_eps: float = 1e-5
 
     def validate(self):
         for key in ("hidden_size", "entity_emb_size", "layers", "heads", "ffn_size"):
@@ -46,8 +45,6 @@ class EncoderConfig:
             raise ConfigError("entity_emb_size must be <= hidden_size")
         if self.max_positions < 1:
             raise ConfigError("max_positions must be >= 1")
-        if self.type_count < 2:
-            raise ConfigError("type_count must be >= 2 (word type, entity type)")
         if self.entity_position_mode not in ("sum", "mean"):
             raise ConfigError(f"unknown entity_position_mode {self.entity_position_mode!r}")
         if not 0.0 <= self.dropout < 1.0:
@@ -100,42 +97,47 @@ class ContextualOutput:
     entity_tensor: "T.Tensor | None" = None
 
 
-def _init_matrix(rng, shape, std=0.02):
-    return rng.normal(0.0, std, size=shape)
+def param_specs(config: EncoderConfig) -> list:
+    """(name, shape, init) of every encoder parameter, in `init_params`' draw order.
+
+    init is "normal" (N(0, 0.02) draws from the rng), "zeros" or "ones".
+    """
+    H, E, F = config.hidden_size, config.entity_emb_size, config.ffn_size
+    specs = [
+        ("word_emb", (config.word_vocab_size, H), "normal"),
+        ("pos_emb", (config.max_positions, H), "normal"),
+        ("type_emb", (TYPE_ROWS, H), "normal"),
+        ("entity_emb", (config.entity_vocab_size, E), "normal"),
+        ("entity_proj_w", (E, H), "normal"),
+        ("entity_proj_b", (H,), "zeros"),
+        ("entity_type_emb", (TYPE_ROWS, H), "normal"),
+        ("emb_ln_gain", (H,), "ones"),
+        ("emb_ln_bias", (H,), "zeros"),
+    ]
+    for l in range(config.layers):
+        pre = f"layer{l}."
+        for nm in ("wq", "wk", "wv", "wo"):
+            specs.append((pre + "attn." + nm, (H, H), "normal"))
+            specs.append((pre + "attn." + nm[1] + "b", (H,), "zeros"))
+        specs += [
+            (pre + "attn_ln.gain", (H,), "ones"),
+            (pre + "attn_ln.bias", (H,), "zeros"),
+            (pre + "ffn.w1", (H, F), "normal"),
+            (pre + "ffn.b1", (F,), "zeros"),
+            (pre + "ffn.w2", (F, H), "normal"),
+            (pre + "ffn.b2", (H,), "zeros"),
+            (pre + "ffn_ln.gain", (H,), "ones"),
+            (pre + "ffn_ln.bias", (H,), "zeros"),
+        ]
+    return specs
 
 
 def init_params(config: EncoderConfig, rng) -> dict:
     """Fresh parameter dict keyed by stable names."""
     config.validate()
-    H, E = config.hidden_size, config.entity_emb_size
-    p = {}
-
-    def par(name, arr):
-        p[name] = T.parameter(arr, name=name)
-
-    par("word_emb", _init_matrix(rng, (config.word_vocab_size, H)))
-    par("pos_emb", _init_matrix(rng, (config.max_positions, H)))
-    par("type_emb", _init_matrix(rng, (config.type_count, H)))
-    par("entity_emb", _init_matrix(rng, (config.entity_vocab_size, E)))
-    par("entity_proj_w", _init_matrix(rng, (E, H)))
-    par("entity_proj_b", np.zeros(H))
-    par("entity_type_emb", _init_matrix(rng, (config.type_count, H)))
-    par("emb_ln_gain", np.ones(H))
-    par("emb_ln_bias", np.zeros(H))
-    for l in range(config.layers):
-        pre = f"layer{l}."
-        for nm in ("wq", "wk", "wv", "wo"):
-            par(pre + "attn." + nm, _init_matrix(rng, (H, H)))
-            par(pre + "attn." + nm[1] + "b", np.zeros(H))
-        par(pre + "attn_ln.gain", np.ones(H))
-        par(pre + "attn_ln.bias", np.zeros(H))
-        par(pre + "ffn.w1", _init_matrix(rng, (H, config.ffn_size)))
-        par(pre + "ffn.b1", np.zeros(config.ffn_size))
-        par(pre + "ffn.w2", _init_matrix(rng, (config.ffn_size, H)))
-        par(pre + "ffn.b2", np.zeros(H))
-        par(pre + "ffn_ln.gain", np.ones(H))
-        par(pre + "ffn_ln.bias", np.zeros(H))
-    return p
+    draw = {"normal": lambda shape: rng.normal(0.0, 0.02, size=shape), "zeros": np.zeros, "ones": np.ones}
+    return {name: T.parameter(draw[init](shape), name=name)
+            for name, shape, init in param_specs(config)}
 
 
 def embed_words(params, config, word_ids):
@@ -229,16 +231,14 @@ def encode_batch(params, config, batch, rng=None, train=False):
         x = w
         attn_mask = word_mask
 
-    x = T.layer_norm(x, params["emb_ln_gain"], params["emb_ln_bias"], eps=config.layer_norm_eps)
+    x = T.layer_norm(x, params["emb_ln_gain"], params["emb_ln_bias"])
     x = T.dropout(x, p, rng)
 
     for l in range(config.layers):
         a = T.dropout(_attention(params, config, x, attn_mask, l, p, rng), p, rng)
-        x = T.layer_norm(x + a, params[f"layer{l}.attn_ln.gain"], params[f"layer{l}.attn_ln.bias"],
-                         eps=config.layer_norm_eps)
+        x = T.layer_norm(x + a, params[f"layer{l}.attn_ln.gain"], params[f"layer{l}.attn_ln.bias"])
         f = T.dropout(_ffn(params, config, x, l), p, rng)
-        x = T.layer_norm(x + f, params[f"layer{l}.ffn_ln.gain"], params[f"layer{l}.ffn_ln.bias"],
-                         eps=config.layer_norm_eps)
+        x = T.layer_norm(x + f, params[f"layer{l}.ffn_ln.gain"], params[f"layer{l}.ffn_ln.bias"])
 
     wt = x[:, :M, :]
     et = x[:, M:, :] if n_ent else T.constant(np.zeros((B, 0, config.hidden_size)))

@@ -226,14 +226,16 @@ def make_qa_model(encoder_config, params, word_vocab, entity_vocab, use_entities
                      entity_vocab=entity_vocab, variant="entity" if use_entities else "word")
 
 
-def _qa_sequence(model: TaskModel, inst: QAInstance, ctx_lo, ctx_hi, use_entities):
-    """Build the joint sequence for one context window; returns (seq, ctx_offset)."""
+def _qa_sequence(model: TaskModel, inst: QAInstance, ctx_lo, ctx_hi):
+    """Build the joint sequence for one context window; returns (seq, ctx_offset).
+
+    The entity variant adds the question's and the window's entities."""
     q = inst.question_tokens
     ctx = inst.context_tokens[ctx_lo:ctx_hi]
     word_ids = model.word_vocab.encode(q) + model.word_vocab.encode(ctx)
     off = len(q)
     entity_ids, entity_positions = [], []
-    if use_entities:
+    if model.variant == "entity":
         for s, e, eid in inst.question_entities:
             entity_ids.append(eid)
             entity_positions.append(list(range(s, e)))
@@ -268,13 +270,11 @@ def _best_span(start_logits, end_logits, max_len=MAX_ANSWER_LEN):
 
 
 @T.no_grad()
-def qa_predict(model: TaskModel, inst: QAInstance, use_entities=None):
+def qa_predict(model: TaskModel, inst: QAInstance):
     """Predicted answer span and score, with sliding windows on long contexts."""
     inst.validate()
     if not inst.context_tokens:
         raise ContractError("empty context")
-    if use_entities is None:
-        use_entities = model.variant == "entity"
     max_pos = model.encoder_config.max_positions
     q_len = len(inst.question_tokens)
     win = max_pos - q_len
@@ -287,7 +287,7 @@ def qa_predict(model: TaskModel, inst: QAInstance, use_entities=None):
         windows.append(n_ctx - win)
 
     bounds = [(lo, min(lo + win, n_ctx)) for lo in windows]
-    logits = _qa_logits(model, [_qa_sequence(model, inst, lo, hi, use_entities)[0]
+    logits = _qa_logits(model, [_qa_sequence(model, inst, lo, hi)[0]
                                 for lo, hi in bounds]).data  # (windows, M, 2)
     best = None
     for (lo, hi), data in zip(bounds, logits):
@@ -618,7 +618,7 @@ def _qa_batch_loss(model, batch):
     if not batch:
         raise ContractError("QA batch without any usable gold span")
     ends = [_first_window_end(model, inst) for inst in batch]
-    built = [_qa_sequence(model, inst, 0, hi, model.variant == "entity") for inst, hi in zip(batch, ends)]
+    built = [_qa_sequence(model, inst, 0, hi) for inst, hi in zip(batch, ends)]
     logits = _qa_logits(model, [seq for seq, _ in built])
     valid = np.full(logits.shape[:2], NEG_INF)
     for b, ((_, off), hi) in enumerate(zip(built, ends)):

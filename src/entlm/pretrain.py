@@ -23,11 +23,13 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import IGNORE_LABEL, SequenceSampler, mask_batch
-from .encoder import EncoderConfig, encode_batch, init_params, pack_batch
+from .encoder import EncoderConfig, encode_batch, init_params, pack_batch, param_specs
 from .errors import ConfigError, ContractError, EntlmError
 from .seeding import substream
 
 CHECKPOINT_MAGIC = b"ENTLM-CKPT v1\n"
+# layout of the header and its encoder_config; bump it when either changes
+CHECKPOINT_VERSION = 2
 
 # name patterns of the parameters stage 1 updates; everything else is frozen
 STAGE1_TRAINABLE = ("entity_emb", "entity_proj", "entity_type_emb", "mep_head")
@@ -343,7 +345,7 @@ def save_checkpoint(path, encoder_config: EncoderConfig, params, step=0, meta=No
         payload.append(arr.tobytes())
         offset += arr.nbytes
     header = {
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "encoder_config": encoder_config.to_dict(),
         "step": int(step),
         "meta": meta or {},
@@ -373,6 +375,9 @@ def _check_header_layout(path, header):
             raise ContractError(f"{path}: header field {field!r} must be {want}")
 
     require(isinstance(header, dict), "header", "a JSON object")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ContractError(f"{path}: checkpoint version {header.get('version')!r}, "
+                            f"but this entlm reads only version {CHECKPOINT_VERSION}")
     index = header.get("index")
     require(isinstance(index, dict), "index", "an object")
     names = header.get("param_names")
@@ -432,6 +437,13 @@ def load_checkpoint(path) -> Checkpoint:
         encoder_config = EncoderConfig.from_dict(header["encoder_config"])
     except (TypeError, ConfigError) as e:  # a missing, unknown, mistyped or inconsistent field
         raise ContractError(f"{path}: header field 'encoder_config' is malformed ({e})") from None
+    # only what init_params makes: a task head's shape is its task's, not the config's
+    for name, shape, _ in param_specs(encoder_config):
+        if name not in params:
+            raise ContractError(f"{path}: encoder parameter {name} is missing")
+        if params[name].shape != shape:
+            raise ContractError(f"{path}: encoder parameter {name} has shape {list(params[name].shape)}, "
+                                f"but its encoder_config gives {list(shape)}")
     return Checkpoint(
         encoder_config=encoder_config,
         params=params,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import entlm.tensor as T
 from entlm.encoder import EncoderConfig, EncodedSequence, init_params
 from entlm.seeding import substream
 
@@ -73,7 +74,7 @@ def reference_word_forward(params, config, word_ids):
     H, nh = config.hidden_size, config.heads
     dh = H // nh
     x = P["word_emb"][ids] + P["pos_emb"][:m] + P["type_emb"][0]
-    x = _ref_ln(x, P["emb_ln_gain"], P["emb_ln_bias"], config.layer_norm_eps)
+    x = _ref_ln(x, P["emb_ln_gain"], P["emb_ln_bias"], T.LAYER_NORM_EPS)
     for l in range(config.layers):
         pre = f"layer{l}."
         q = (x @ P[pre + "attn.wq"] + P[pre + "attn.qb"]).reshape(m, nh, dh).transpose(1, 0, 2)
@@ -82,7 +83,7 @@ def reference_word_forward(params, config, word_ids):
         probs = _ref_softmax(q @ k.transpose(0, 2, 1) / math.sqrt(dh))
         ctx = (probs @ v).transpose(1, 0, 2).reshape(m, H)
         a = ctx @ P[pre + "attn.wo"] + P[pre + "attn.ob"]
-        x = _ref_ln(x + a, P[pre + "attn_ln.gain"], P[pre + "attn_ln.bias"], config.layer_norm_eps)
+        x = _ref_ln(x + a, P[pre + "attn_ln.gain"], P[pre + "attn_ln.bias"], T.LAYER_NORM_EPS)
         f = _ref_gelu(x @ P[pre + "ffn.w1"] + P[pre + "ffn.b1"]) @ P[pre + "ffn.w2"] + P[pre + "ffn.b2"]
-        x = _ref_ln(x + f, P[pre + "ffn_ln.gain"], P[pre + "ffn_ln.bias"], config.layer_norm_eps)
+        x = _ref_ln(x + f, P[pre + "ffn_ln.gain"], P[pre + "ffn_ln.bias"], T.LAYER_NORM_EPS)
     return x

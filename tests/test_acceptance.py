@@ -209,10 +209,10 @@ def test_criterion_05_two_stage_schedule():
     docs, links = make_bilingual_corpus(n_entities=6, n_sequences=40, seed=6)
     ev = build_entity_vocab(docs, links, min_languages=2)
     wv = build_word_vocab(docs)
-    by_lang, _ = encode_corpus(docs, wv, ev, max_words=16)
     enc_cfg = EncoderConfig(word_vocab_size=len(wv), entity_vocab_size=len(ev),
                             hidden_size=16, entity_emb_size=8, layers=1, heads=2,
                             ffn_size=32, max_positions=16, dropout=0.0).validate()
+    by_lang, _ = encode_corpus(docs, wv, ev, max_words=enc_cfg.max_positions)
     tcfg = TrainConfig(total_steps=4, stage1_steps=4, batch_size=4, warmup_steps=2, seed=7)
     before = {n: p.data.copy() for n, p in init_model(enc_cfg, seed=tcfg.seed).items()}
     result = train(enc_cfg, tcfg, by_lang, wv, ev)
@@ -447,7 +447,6 @@ seed = 31
 [data]
 corpus = {corpus_path}
 entity_vocab = {vocab_path}
-max_words = 16
 """)
     out1 = str(tmp_path / "run1")
     assert main(["pretrain", "--config", cfg_path, "--out", out1]) == EXIT_OK

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import entlm.pretrain as pretrain_mod
 from entlm.align import SpanEmbedding, feature_dump, load_embeddings, save_embeddings
 from entlm.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, _task_model_from_checkpoint, main
 from entlm.cloze import ClozeModel
@@ -40,7 +41,6 @@ log_interval = 2
 [data]
 corpus = {corpus}
 entity_vocab = {vocab}
-max_words = 16
 """
 
 
@@ -195,6 +195,34 @@ def test_pretrain_counts_dropped_annotations(workspace, capsys):
     assert rc == EXIT_OK
     assert "pretrained 6 steps, dropped 2 annotations" in capsys.readouterr().out
     assert json.loads((ws / "drop-out" / "manifest.json").read_text())["dropped_annotations"] == 2
+
+
+def test_pretrain_splits_documents_at_max_positions(workspace, monkeypatch):
+    # 30-word documents of six 5-word sentences, for a 16-row position table
+    docs = []
+    for d in range(4):
+        tokens, annotations = [], []
+        for j in range(6 * d, 6 * d + 6):
+            toks, _k, i = _sentence(j)
+            annotations.append((len(tokens) + 1, len(tokens) + 2, f"Ent{i}_en"))
+            tokens += toks
+        docs.append(AnnotatedDocument("en", f"long{d}", tokens, annotations))
+    ws = workspace["ws"]
+    save_corpus(docs, str(ws / "long-corpus.jsonl"))
+    cfg = ws / "long.cfg"
+    cfg.write_text(CONFIG_TEXT.format(corpus=ws / "long-corpus.jsonl", vocab=workspace["vocab"]))
+    trained = []
+    train = pretrain_mod.train
+
+    def recording_train(encoder_config, train_config, sequences_by_language, *args, **kwargs):
+        trained.extend(s for seqs in sequences_by_language.values() for s in seqs)
+        return train(encoder_config, train_config, sequences_by_language, *args, **kwargs)
+
+    monkeypatch.setattr(pretrain_mod, "train", recording_train)
+    assert main(["pretrain", "--config", str(cfg), "--out", str(ws / "long-out")]) == EXIT_OK
+    # three whole sentences per sequence, and no word lost
+    assert [s.num_words for s in trained] == [15] * 8
+    assert sum(s.num_entities for s in trained) == 24
 
 
 def test_pretrain_set_override(workspace):
@@ -379,14 +407,17 @@ def test_bad_config_key_exits_3(workspace):
 
 
 # alpha, the masking rates, beta1 and adam_eps are constants now, not train.*
-# keys: setting one is refused as an unknown key, before anything is written
+# keys, and pretraining cuts sequences at model.max_positions, the type tables
+# have a fixed two rows and LayerNorm one epsilon: setting one of these is
+# refused as an unknown key, before anything is written
 @pytest.mark.parametrize("override", ["train.alpha=1.5", "train.alpha=0", "train.word_mask_p=2",
                                       "train.word_random_p=0.95", "train.entity_mask_p=-0.1",
                                       "model.dropout=-0.1", "train.batch_size=0", "train.batch_size=-2",
                                       "train.peak_lr=-1.0", "train.beta1=1.5", "train.adam_eps=0.0",
                                       "train.log_interval=-1", "train.checkpoint_interval=-1",
                                       "model.heads=0", "model.heads=-2", "model.layers=-1",
-                                      "model.ffn_size=0", "model.hidden_size=0", "model.entity_emb_size=0"])
+                                      "model.ffn_size=0", "model.hidden_size=0", "model.entity_emb_size=0",
+                                      "data.max_words=16", "model.type_count=2", "model.layer_norm_eps=1e-5"])
 def test_bad_train_value_exits_3_before_writing(workspace, override):
     out = workspace["ws"] / "bad-train"
     rc = main(["pretrain", "--config", workspace["config"], "--out", str(out), "--set", override])
@@ -452,23 +483,65 @@ def test_corrupt_checkpoint_exits_1(workspace, pretrained):
         assert rc == EXIT_FAILURE, bad_header
 
 
-@pytest.mark.parametrize("key, size", [("heads", 0), ("layers", -1)])
-def test_checkpoint_with_a_size_below_1_exits_1_naming_the_field(workspace, pretrained, capsys, key, size):
+def _checkpoint_with_header(pretrained, dest, edit):
+    """Write the final checkpoint to dest with edit(header) applied; the payload is kept."""
     from entlm.pretrain import CHECKPOINT_MAGIC
     good = Path(pretrained, "checkpoint-final.bin").read_bytes()
     header_start = len(CHECKPOINT_MAGIC) + 8
     payload_start = header_start + int.from_bytes(good[len(CHECKPOINT_MAGIC):header_start], "little")
     header = json.loads(good[header_start:payload_start])
-    header["encoder_config"][key] = size
+    edit(header)
     raw = json.dumps(header).encode("utf-8")
-    bad = workspace["ws"] / f"bad-{key}.bin"
-    bad.write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "little") + raw + good[payload_start:])
+    dest.write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "little") + raw + good[payload_start:])
+    return dest
+
+
+@pytest.mark.parametrize("key, size", [("heads", 0), ("layers", -1)])
+def test_checkpoint_with_a_size_below_1_exits_1_naming_the_field(workspace, pretrained, capsys, key, size):
+    bad = _checkpoint_with_header(pretrained, workspace["ws"] / f"bad-{key}.bin",
+                                  lambda h: h["encoder_config"].update({key: size}))
     capsys.readouterr()
     rc = main(["inspect-checkpoint", "--checkpoint", str(bad)])
     err = capsys.readouterr().err
     assert rc == EXIT_FAILURE
     assert err.startswith("error: ") and f"{key} {size} must be >= 1" in err
     assert "Traceback" not in err
+
+
+def _drop_parameter(header, name):
+    header["param_names"].remove(name)
+    del header["index"][name]
+
+
+def _transpose_parameter(header, name):
+    header["index"][name]["shape"].reverse()  # same byte count, so only the shape check sees it
+
+
+# a checkpoint of an older header layout, or whose encoder parameters do not
+# match its encoder_config, is refused at load time by every command
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.update(version=1), ("checkpoint version 1", "reads only version 2")),
+    (lambda h: _drop_parameter(h, "layer0.ffn.w1"), ("encoder parameter layer0.ffn.w1 is missing",)),
+    (lambda h: _transpose_parameter(h, "layer0.ffn.w1"),
+     ("encoder parameter layer0.ffn.w1 has shape [32, 16]", "encoder_config gives [16, 32]")),
+], ids=["version-1", "missing-parameter", "wrong-shape"])
+def test_checkpoint_that_does_not_match_its_layout_exits_1(workspace, pretrained, tmp_path, capsys,
+                                                           edit, message):
+    bad = str(_checkpoint_with_header(pretrained, tmp_path / "bad.bin", edit))
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(json.dumps({"lang": "en", "template": "[X] t0b_en [Y] .", "sub_surface": "t0a_en",
+                                   "candidates": [{"surface": "ent0_en"}], "gold_index": 0}) + "\n")
+    for argv in (["inspect-checkpoint", "--checkpoint", bad],
+                 ["cloze-eval", "--checkpoint", bad, "--queries", str(queries), "--mode", "entity-y",
+                  "--out", str(tmp_path / "cloze.json"), "--entity-vocab", workspace["vocab"],
+                  "--word-vocab", os.path.join(pretrained, "word_vocab.txt")]):
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_FAILURE, argv[0]
+        assert err.startswith(f"error: {bad}: ") and all(m in err for m in message), err
+        assert "Traceback" not in err
+    assert not (tmp_path / "cloze.json").exists()
 
 
 # ---------------------------------------------------------------------------

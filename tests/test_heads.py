@@ -248,7 +248,7 @@ def test_qa_predict_matches_per_window_passes(task_setup, monkeypatch, use_entit
     assert len(calls) == 1
     best = None
     for lo in (0, 128, 140):
-        seq, off = _qa_sequence(model, inst, lo, lo + 30, use_entities)
+        seq, off = _qa_sequence(model, inst, lo, lo + 30)
         data = _qa_logits(model, [seq]).data[0, off : off + 30]
         score, s, e = _best_span(data[:, 0], data[:, 1])
         if best is None or score > best[0]:

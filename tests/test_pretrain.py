@@ -38,21 +38,25 @@ from entlm.synth import make_bilingual_corpus
 from entlm.vocab import build_entity_vocab
 
 
+def _toy_config(wv, ev):
+    return EncoderConfig(word_vocab_size=len(wv), entity_vocab_size=len(ev),
+                         hidden_size=16, entity_emb_size=8, layers=1, heads=2,
+                         ffn_size=32, max_positions=16, dropout=0.0).validate()
+
+
 @pytest.fixture(scope="module")
 def toy_data():
     docs, links = make_bilingual_corpus(n_entities=8, n_sequences=60, seed=2)
     ev = build_entity_vocab(docs, links, min_languages=2)
     wv = build_word_vocab(docs)
-    by_lang, _ = encode_corpus(docs, wv, ev, max_words=16)
+    by_lang, _ = encode_corpus(docs, wv, ev, max_words=_toy_config(wv, ev).max_positions)
     return by_lang, wv, ev
 
 
 @pytest.fixture
 def toy_encoder_config(toy_data):
-    by_lang, wv, ev = toy_data
-    return EncoderConfig(word_vocab_size=len(wv), entity_vocab_size=len(ev),
-                         hidden_size=16, entity_emb_size=8, layers=1, heads=2,
-                         ffn_size=32, max_positions=16, dropout=0.0).validate()
+    _, wv, ev = toy_data
+    return _toy_config(wv, ev)
 
 
 # ---------------------------------------------------------------------------
