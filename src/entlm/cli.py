@@ -152,8 +152,6 @@ def cmd_pretrain(args):
         docs, word_vocab, entity_vocab, max_words=encoder_config.max_positions,
         entity_cap=data.get("entity_cap", corpus.DEFAULT_ENTITY_CAP))
 
-    os.makedirs(args.out, exist_ok=True)
-    word_vocab.save(os.path.join(args.out, "word_vocab.txt"))
     result = pretrain.train(
         encoder_config, train_config, sequences_by_language, word_vocab, entity_vocab,
         out_dir=args.out, log_file=os.path.join(args.out, "train_log.tsv"),
@@ -170,11 +168,12 @@ def cmd_pretrain(args):
 # finetune / eval
 
 
-def _load_model_parts(args):
-    ckpt = pretrain.load_checkpoint(args.checkpoint)
-    word_vocab = corpus.WordVocab.load(args.word_vocab)
-    entity_vocab = vocab_mod.EntityVocab.load(args.entity_vocab)
-    return ckpt, word_vocab, entity_vocab
+def _model_checkpoint(path):
+    """The checkpoint at `path`, which must hold the vocabularies its ids mean."""
+    ckpt = pretrain.load_checkpoint(path)
+    if ckpt.word_vocab is None:
+        raise ContractError(f"{path}: checkpoint holds no vocabularies (its header field 'vocab' is null)")
+    return ckpt
 
 
 def cmd_finetune(args):
@@ -185,11 +184,11 @@ def cmd_finetune(args):
                                    seed=args.seed or 0).validate()
     except ContractError as e:
         raise ConfigError(f"finetune: {e}") from None
-    ckpt, word_vocab, entity_vocab = _load_model_parts(args)
+    ckpt = _model_checkpoint(args.checkpoint)
     load = heads.TASK_LOADERS[args.task]
     train_insts = load(args.train)
     dev = load(args.dev) if args.dev else None
-    parts = (ckpt.encoder_config, ckpt.params, word_vocab, entity_vocab)
+    parts = (ckpt.encoder_config, ckpt.params, ckpt.word_vocab, ckpt.entity_vocab)
     entity = args.variant == "entity"
     if args.task == "qa":
         model = heads.make_qa_model(*parts, use_entities=entity, seed=cfg.seed)
@@ -204,40 +203,56 @@ def cmd_finetune(args):
     skipped = model.skipped
 
     os.makedirs(args.out, exist_ok=True)
-    model.word_vocab.save(os.path.join(args.out, "word_vocab.txt"))
     out_ckpt = os.path.join(args.out, "checkpoint-finetuned.bin")
     meta = {"task": model.task, "variant": model.variant, "labels": model.labels,
             "max_span_len": model.max_span_len, **skipped}
-    pretrain.save_checkpoint(out_ckpt, model.encoder_config, model.params, step=0, meta=meta)
+    # the word vocab with the RE markers, if the variant added them
+    pretrain.save_checkpoint(out_ckpt, model.encoder_config, model.params, step=0, meta=meta,
+                             word_vocab=model.word_vocab, entity_vocab=model.entity_vocab)
     write_manifest(os.path.join(args.out, "manifest.json"), "finetune", vars(args),
-                   seed=cfg.seed, input_paths=[args.checkpoint, args.train, args.dev or "",
-                                               args.word_vocab, args.entity_vocab])
+                   seed=cfg.seed, input_paths=[args.checkpoint, args.train, args.dev or ""])
     print(f"finetuned {args.task} ({model.variant}) on {len(train_insts) - skipped['skipped_examples']} "
           f"examples, skipped {skipped['skipped_examples']} unusable and "
           f"{skipped['skipped_gold_spans']} gold spans longer than max_span_len -> {out_ckpt}")
     return EXIT_OK
 
 
-def _task_model_from_checkpoint(ckpt, word_vocab, entity_vocab):
+def _task_model_from_checkpoint(ckpt):
+    """The task model of a finetuned checkpoint.  Its meta `variant` and
+    `labels` (RE and NER) and its head parameters must agree, else
+    ContractError names the field or parameter."""
     meta = ckpt.meta
-    if meta.get("task") not in heads.TASK_LOADERS:
+    task = meta.get("task")
+    if task not in heads.TASK_LOADERS:
         raise ConfigError("checkpoint holds no task head; finetune it before eval")
+    variant, labels = meta.get("variant"), meta.get("labels")
+    if variant not in heads.VARIANTS[task]:
+        raise ContractError(f"checkpoint meta field 'variant' is {variant!r}, "
+                            f"not one of the {task} variants {list(heads.VARIANTS[task])}")
+    if task != "qa" and not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)):
+        raise ContractError(f"checkpoint meta field 'labels' is {labels!r}, not a list of label names")
+    w_shape = heads.head_shape(task, variant, ckpt.encoder_config.hidden_size, labels)
+    for name, shape in ((f"{task}_head.w", w_shape), (f"{task}_head.b", w_shape[1:])):
+        if name not in ckpt.params:
+            raise ContractError(f"checkpoint parameter {name} is missing")
+        if ckpt.params[name].shape != shape:
+            raise ContractError(f"checkpoint parameter {name} has shape {list(ckpt.params[name].shape)}, "
+                                f"but its {variant} head gives {list(shape)}")
     return heads.TaskModel(
-        task=meta["task"], encoder_config=ckpt.encoder_config, params=ckpt.params,
-        word_vocab=word_vocab, entity_vocab=entity_vocab, labels=meta.get("labels"),
-        variant=meta["variant"], max_span_len=meta.get("max_span_len", heads.NER_MAX_SPAN_LEN),
+        task=task, encoder_config=ckpt.encoder_config, params=ckpt.params,
+        word_vocab=ckpt.word_vocab, entity_vocab=ckpt.entity_vocab, labels=labels,
+        variant=variant, max_span_len=meta.get("max_span_len", heads.NER_MAX_SPAN_LEN),
     )
 
 
 def cmd_eval(args):
-    ckpt, word_vocab, entity_vocab = _load_model_parts(args)
-    model = _task_model_from_checkpoint(ckpt, word_vocab, entity_vocab)
+    model = _task_model_from_checkpoint(_model_checkpoint(args.checkpoint))
     if args.task and args.task != model.task:
         raise ConfigError(f"checkpoint holds a {model.task} head, not {args.task}")
     report = heads.evaluate(model, heads.TASK_LOADERS[model.task](args.data))
     _write_json(args.out, report)
     write_manifest(_file_manifest_path(args.out), "eval", vars(args), seed=None,
-                   input_paths=[args.checkpoint, args.data, args.word_vocab, args.entity_vocab])
+                   input_paths=[args.checkpoint, args.data])
     print(json.dumps(report, sort_keys=True)[:2000])
     return EXIT_OK
 
@@ -246,16 +261,20 @@ def cmd_eval(args):
 # cloze-eval
 
 
+def _cloze_model(path):
+    ckpt = _model_checkpoint(path)
+    return cloze.ClozeModel(encoder_config=ckpt.encoder_config, params=ckpt.params,
+                            word_vocab=ckpt.word_vocab, entity_vocab=ckpt.entity_vocab)
+
+
 def cmd_cloze_eval(args):
-    ckpt, word_vocab, entity_vocab = _load_model_parts(args)
-    model = cloze.ClozeModel(encoder_config=ckpt.encoder_config, params=ckpt.params,
-                             word_vocab=word_vocab, entity_vocab=entity_vocab)
+    model = _cloze_model(args.checkpoint)
     queries = cloze.load_queries(args.queries)
     report = cloze.evaluate(model, queries, mode=args.mode)
     report["fp_analysis"] = cloze.fp_analysis(report["records"])
     _write_json(args.out, report)
     write_manifest(_file_manifest_path(args.out), "cloze-eval", vars(args), seed=None,
-                   input_paths=[args.checkpoint, args.queries, args.word_vocab, args.entity_vocab])
+                   input_paths=[args.checkpoint, args.queries])
     print(f"accuracy[{args.mode}] = {report['accuracy']:.4f}  "
           f"word fallbacks {report['word_fallbacks']}/{report['candidates_scored']} candidates")
     return EXIT_OK
@@ -266,17 +285,15 @@ def cmd_cloze_eval(args):
 
 
 def cmd_dump_features(args):
-    ckpt, word_vocab, entity_vocab = _load_model_parts(args)
-    model = cloze.ClozeModel(encoder_config=ckpt.encoder_config, params=ckpt.params,
-                             word_vocab=word_vocab, entity_vocab=entity_vocab)
+    model = _cloze_model(args.checkpoint)
     if args.feature_spec in ("re-word", "re-entity"):
         insts = heads.load_re_data(args.data)
         dataset = [(f"{args.lang}-{i}", args.lang, inst) for i, inst in enumerate(insts)]
     else:
-        dataset = align.load_span_items(args.data, word_vocab, entity_vocab)
+        dataset = align.load_span_items(args.data, model.word_vocab, model.entity_vocab)
     align.feature_dump(model, dataset, args.feature_spec, out_path=args.out)
     write_manifest(_file_manifest_path(args.out), "dump-features", vars(args), seed=None,
-                   input_paths=[args.checkpoint, args.data, args.word_vocab, args.entity_vocab])
+                   input_paths=[args.checkpoint, args.data])
     return EXIT_OK
 
 
@@ -304,10 +321,13 @@ def cmd_analyze(args):
 
 def cmd_inspect_checkpoint(args):
     ckpt = pretrain.load_checkpoint(args.checkpoint)
+    vocab_sizes = None if ckpt.word_vocab is None else {"words": len(ckpt.word_vocab),
+                                                        "entities": len(ckpt.entity_vocab)}
     summary = {
         "step": ckpt.step,
         "encoder_config": ckpt.encoder_config.to_dict(),
         "meta": ckpt.meta,
+        "vocab_sizes": vocab_sizes,
         "tensors": {n: list(p.shape) for n, p in sorted(ckpt.params.items())},
         "n_parameters": int(sum(p.data.size for p in ckpt.params.values())),
     }
@@ -384,8 +404,6 @@ def build_parser():
     ft.add_argument("--train", required=True)
     ft.add_argument("--dev", default=None)
     ft.add_argument("--out", required=True)
-    ft.add_argument("--word-vocab", required=True)
-    ft.add_argument("--entity-vocab", required=True)
     ft.add_argument("--variant", choices=["word", "entity"], default="word")
     ft.add_argument("--epochs", type=int, default=None)
     ft.add_argument("--batch-size", type=int, default=8)
@@ -399,8 +417,6 @@ def build_parser():
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--out", required=True)
-    ev.add_argument("--word-vocab", required=True)
-    ev.add_argument("--entity-vocab", required=True)
     ev.set_defaults(func=cmd_eval)
 
     cz = sub.add_parser("cloze-eval", help="typed cloze-prompt evaluation")
@@ -408,8 +424,6 @@ def build_parser():
     cz.add_argument("--queries", required=True)
     cz.add_argument("--mode", choices=list(cloze.MODES), default="word")
     cz.add_argument("--out", required=True)
-    cz.add_argument("--word-vocab", required=True)
-    cz.add_argument("--entity-vocab", required=True)
     cz.set_defaults(func=cmd_cloze_eval)
 
     df = sub.add_parser("dump-features", help="write span/RE feature embeddings")
@@ -418,8 +432,6 @@ def build_parser():
     df.add_argument("--feature-spec", choices=list(align.FEATURE_SPECS), required=True)
     df.add_argument("--lang", default="en")
     df.add_argument("--out", required=True)
-    df.add_argument("--word-vocab", required=True)
-    df.add_argument("--entity-vocab", required=True)
     df.set_defaults(func=cmd_dump_features)
 
     an = sub.add_parser("analyze", help="alignment diagnostics on embedding files")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .encoder import EncodedSequence
 from .errors import ContractError
-from .files import read_json_lines, read_lines
+from .files import read_json_lines
 from .seeding import substream
 
 IGNORE_LABEL = -100
@@ -116,25 +116,6 @@ class WordVocab:
             self.token_to_id[token] = len(self.id_to_token)
             self.id_to_token.append(token)
         return self.token_to_id[token]
-
-    def save(self, path):
-        """One token per line; raises ContractError, before writing, on a
-        token that `load` would not read back (blank or holding a line break)."""
-        for i, t in enumerate(self.id_to_token):
-            if not t.strip() or "\n" in t or "\r" in t:
-                raise ContractError(f"word vocab token {i} ({t!r}) would not survive a save and load")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(self.id_to_token) + "\n")
-
-    @classmethod
-    def load(cls, path):
-        toks = read_lines(path, str)
-        if toks[: len(SPECIAL_WORDS)] != list(SPECIAL_WORDS):
-            raise ContractError(f"{path}:1: word vocab file does not start with the reserved specials")
-        v = cls([])
-        v.id_to_token = toks
-        v.token_to_id = {t: i for i, t in enumerate(toks)}
-        return v
 
 
 def build_word_vocab(docs, min_count=1):

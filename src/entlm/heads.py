@@ -33,6 +33,20 @@ RE_TAIL_MARKER = "<ent2>"
 # entity-mask NER: candidate spans per batch row of the sentence's one encoder pass
 NER_SPANS_PER_ROW = 64
 
+# each task's head variants, the word baseline first
+VARIANTS = {"qa": ("word", "entity"), "re": ("word-markers", "entity-mask"),
+            "ner": ("word-endpoints", "entity-mask")}
+
+
+def head_shape(task, variant, hidden_size, labels=None):
+    """(in, out) of a task head's weight for one of VARIANTS[task]: QA (H, 2),
+    RE (2H, labels), NER (2H, labels) over word endpoints and (H, labels)
+    over an entity-[MASK]."""
+    if task == "qa":
+        return hidden_size, 2
+    pair = task == "re" or variant == "word-endpoints"
+    return (2 if pair else 1) * hidden_size, len(labels)
+
 
 # ---------------------------------------------------------------------------
 # instances and file formats
@@ -221,7 +235,7 @@ class TaskModel:
 def make_qa_model(encoder_config, params, word_vocab, entity_vocab, use_entities=False, seed=0):
     rng = substream(seed, "qa-head")
     p = dict(params)
-    p.update(linear_head(rng, encoder_config.hidden_size, 2, "qa_head"))
+    p.update(linear_head(rng, *head_shape("qa", None, encoder_config.hidden_size), "qa_head"))
     return TaskModel(task="qa", encoder_config=encoder_config, params=p, word_vocab=word_vocab,
                      entity_vocab=entity_vocab, variant="entity" if use_entities else "word")
 
@@ -352,7 +366,7 @@ def make_re_model(encoder_config, params, word_vocab, entity_vocab, labels, vari
     them to the word embedding (random init).  entity-mask: [HEAD]/[TAIL]
     entity rows are reset to a bit-exact copy of the entity-[MASK] row.
     """
-    if variant not in ("word-markers", "entity-mask"):
+    if variant not in VARIANTS["re"]:
         raise ContractError(f"unknown RE variant {variant!r}")
     rng = substream(seed, "re-head")
     p = dict(params)
@@ -370,7 +384,7 @@ def make_re_model(encoder_config, params, word_vocab, entity_vocab, labels, vari
         emb[entity_vocab.head_id] = emb[entity_vocab.mask_id]
         emb[entity_vocab.tail_id] = emb[entity_vocab.mask_id]
         p["entity_emb"] = T.parameter(emb, name="entity_emb")
-    p.update(linear_head(rng, 2 * cfg.hidden_size, len(labels), "re_head"))
+    p.update(linear_head(rng, *head_shape("re", variant, cfg.hidden_size, labels), "re_head"))
     return TaskModel(task="re", encoder_config=cfg, params=p, word_vocab=word_vocab,
                      entity_vocab=entity_vocab, labels=list(labels), variant=variant)
 
@@ -458,13 +472,12 @@ def enumerate_spans(n, max_span_len=NER_MAX_SPAN_LEN):
 
 def make_ner_model(encoder_config, params, word_vocab, entity_vocab, types,
                    variant="word-endpoints", max_span_len=NER_MAX_SPAN_LEN, seed=0):
-    if variant not in ("word-endpoints", "entity-mask"):
+    if variant not in VARIANTS["ner"]:
         raise ContractError(f"unknown NER variant {variant!r}")
     rng = substream(seed, "ner-head")
     p = dict(params)
-    in_dim = (2 if variant == "word-endpoints" else 1) * encoder_config.hidden_size
     labels = [NER_NON_ENTITY] + sorted(t for t in types if t != NER_NON_ENTITY)
-    p.update(linear_head(rng, in_dim, len(labels), "ner_head"))
+    p.update(linear_head(rng, *head_shape("ner", variant, encoder_config.hidden_size, labels), "ner_head"))
     return TaskModel(task="ner", encoder_config=encoder_config, params=p, word_vocab=word_vocab,
                      entity_vocab=entity_vocab, labels=labels, variant=variant, max_span_len=max_span_len)
 

@@ -4,9 +4,10 @@ Stage 1 updates only the newly initialized entity-side parameters; stage 2
 updates everything.  The warmup/linear-decay learning-rate schedule restarts
 at the stage boundary.  Checkpoints are a versioned binary container with a
 name -> (shape, dtype, offset) index over little-endian float64 payloads.
-A checkpoint holds the parameters, the encoder config, the step and a meta
-object: what evaluation and fine-tuning read.  It stores no optimizer or RNG
-state, so training does not resume from one.
+A checkpoint holds the parameters, the encoder config, the step, a meta
+object and the word and entity vocabularies: what evaluation and fine-tuning
+read.  It stores no optimizer or RNG state, so training does not resume from
+one.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .corpus import IGNORE_LABEL, SequenceSampler, mask_batch
+from .corpus import IGNORE_LABEL, SPECIAL_WORDS, SequenceSampler, WordVocab, mask_batch
 from .encoder import EncoderConfig, encode_batch, init_params, pack_batch, param_specs
 from .errors import ConfigError, ContractError, EntlmError
 from .seeding import substream
+from .vocab import EntityEntry, EntityVocab
 
 CHECKPOINT_MAGIC = b"ENTLM-CKPT v1\n"
 # layout of the header and its encoder_config; bump it when either changes
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # name patterns of the parameters stage 1 updates; everything else is frozen
 STAGE1_TRAINABLE = ("entity_emb", "entity_proj", "entity_type_emb", "mep_head")
@@ -334,8 +336,22 @@ def select_trainable(params, patterns):
 # checkpoint container
 
 
-def save_checkpoint(path, encoder_config: EncoderConfig, params, step=0, meta=None):
-    """Write the parameters, the encoder config, `step` and `meta`; nothing else."""
+def _vocab_header(word_vocab, entity_vocab):
+    """The header's `vocab` field: null, or the word tokens in id order and one
+    [key, link_count, sorted [lang, title] pairs] row per entity id."""
+    if (word_vocab is None) != (entity_vocab is None):
+        raise ContractError("save_checkpoint takes both vocabularies or neither")
+    if word_vocab is None:
+        return None
+    return {"words": list(word_vocab.id_to_token),
+            "entities": [[e.canonical_key, e.link_count, sorted(e.titles)] for e in entity_vocab.entries]}
+
+
+def save_checkpoint(path, encoder_config: EncoderConfig, params, step=0, meta=None, *,
+                    word_vocab=None, entity_vocab=None):
+    """Write the parameters, the encoder config, `step`, `meta` and, when
+    given, the two vocabularies the ids mean; nothing else."""
+    vocab = _vocab_header(word_vocab, entity_vocab)
     index = {}
     offset = 0
     payload = []
@@ -351,6 +367,7 @@ def save_checkpoint(path, encoder_config: EncoderConfig, params, step=0, meta=No
         "meta": meta or {},
         "index": index,
         "param_names": sorted(params),
+        "vocab": vocab,
     }
     header_bytes = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
     tmp = path + ".tmp"
@@ -395,6 +412,47 @@ def _check_header_layout(path, header):
     require(isinstance(header.get("encoder_config"), dict), "encoder_config", "an object")
     require(_is_int(header.get("step")), "step", "an integer")
     require(isinstance(header.get("meta", {}), dict), "meta", "an object")
+    vocab = header.get("vocab", ())  # null means saved without vocabularies; missing is malformed
+    require(vocab is None or isinstance(vocab, dict), "vocab", "null or an object")
+
+
+def _vocabs_from_header(path, vocab, config: EncoderConfig):
+    """(WordVocab, EntityVocab) of the header's `vocab` field with ids in their
+    stored order, or (None, None) when it is null.  Raises ContractError,
+    naming the field, unless it matches the encoder config's sizes."""
+    if vocab is None:
+        return None, None
+
+    def require(ok, field, problem):
+        if not ok:
+            raise ContractError(f"{path}: header field {field!r} {problem}")
+
+    words, rows = vocab.get("words"), vocab.get("entities")
+    require(isinstance(words, list) and all(isinstance(w, str) for w in words), "vocab.words",
+            "must be a list of strings")
+    require(words[: len(SPECIAL_WORDS)] == list(SPECIAL_WORDS), "vocab.words",
+            f"must start with {' '.join(SPECIAL_WORDS)}")
+    require(len(set(words)) == len(words), "vocab.words", "repeats a token")
+    require(len(words) == config.word_vocab_size, "vocab.words",
+            f"holds {len(words)} tokens, but encoder_config gives word_vocab_size {config.word_vocab_size}")
+    require(isinstance(rows, list), "vocab.entities", "must be a list")
+    require(len(rows) == config.entity_vocab_size, "vocab.entities",
+            f"holds {len(rows)} entities, but encoder_config gives entity_vocab_size {config.entity_vocab_size}")
+    entries = []
+    for i, row in enumerate(rows):
+        ok = (isinstance(row, list) and len(row) == 3 and isinstance(row[0], str) and _is_int(row[1])
+              and isinstance(row[2], list)
+              and all(isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) and isinstance(t[1], str)
+                      for t in row[2]))
+        require(ok, f"vocab.entities[{i}]", "must be [key, link_count, [[lang, title], ...]]")
+        titles = {tuple(t) for t in row[2]}
+        require(len(titles) == len(row[2]), f"vocab.entities[{i}]", "lists a title twice")
+        entries.append(EntityEntry(canonical_key=row[0], link_count=row[1], titles=titles))
+    try:
+        entity_vocab = EntityVocab(entries)  # refuses a repeated key or title
+    except ContractError as e:
+        raise ContractError(f"{path}: header field 'vocab.entities' is malformed ({e})") from None
+    return WordVocab(words[len(SPECIAL_WORDS) :]), entity_vocab
 
 
 @dataclass
@@ -403,6 +461,8 @@ class Checkpoint:
     params: dict
     step: int
     meta: dict = field(default_factory=dict)
+    word_vocab: WordVocab | None = None  # None when the checkpoint was saved without vocabularies
+    entity_vocab: EntityVocab | None = None
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -444,11 +504,14 @@ def load_checkpoint(path) -> Checkpoint:
         if params[name].shape != shape:
             raise ContractError(f"{path}: encoder parameter {name} has shape {list(params[name].shape)}, "
                                 f"but its encoder_config gives {list(shape)}")
+    word_vocab, entity_vocab = _vocabs_from_header(path, header["vocab"], encoder_config)
     return Checkpoint(
         encoder_config=encoder_config,
         params=params,
         step=header["step"],
         meta=header.get("meta", {}),
+        word_vocab=word_vocab,
+        entity_vocab=entity_vocab,
     )
 
 
@@ -511,9 +574,12 @@ def train(encoder_config: EncoderConfig, config: TrainConfig, sequences_by_langu
     (config, corpus): every random draw comes from named sub-streams of
     config.seed and runs on the calling thread.  AdamW's element-wise update
     may be split over two threads; that changes no bit of the result.
+    With `out_dir`, every checkpoint also holds `word_vocab` and `entity_vocab`.
     """
     config.validate()
     sampler = SequenceSampler(sequences_by_language, seed=config.seed)
+    if out_dir:  # only once the corpus gives sequences, so a refused run writes nothing
+        os.makedirs(out_dir, exist_ok=True)
     if params is None:
         params = init_model(encoder_config, seed=config.seed)
     optimizer = AdamW(params)
@@ -553,7 +619,8 @@ def train(encoder_config: EncoderConfig, config: TrainConfig, sequences_by_langu
             if out_dir and config.checkpoint_interval and (step + 1) % config.checkpoint_interval == 0:
                 last_ckpt = os.path.join(out_dir, f"checkpoint-{step + 1}.bin")
                 save_checkpoint(last_ckpt, encoder_config, params, step=step + 1,
-                                meta={"train_config": config.to_dict()})
+                                meta={"train_config": config.to_dict()},
+                                word_vocab=word_vocab, entity_vocab=entity_vocab)
     finally:
         if log_fh:
             log_fh.close()
@@ -562,6 +629,7 @@ def train(encoder_config: EncoderConfig, config: TrainConfig, sequences_by_langu
     if out_dir:
         final = os.path.join(out_dir, "checkpoint-final.bin")
         save_checkpoint(final, encoder_config, params, step=config.total_steps,
-                        meta={"train_config": config.to_dict()})
+                        meta={"train_config": config.to_dict()},
+                        word_vocab=word_vocab, entity_vocab=entity_vocab)
     return TrainResult(params=params, step=config.total_steps, log=log, final_checkpoint=final)
 

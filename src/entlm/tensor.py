@@ -80,12 +80,6 @@ class Tensor:
     def __radd__(self, other):
         return add(_wrap(other), self)
 
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
@@ -99,9 +93,6 @@ class Tensor:
 
     def __neg__(self):
         return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -504,11 +495,6 @@ def reduce_sum(x, axis=None):
         return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
 
     return _make(out_data, (x,), backward, "sum")
-
-
-def reduce_mean(x, axis=None):
-    n = x.data.size if axis is None else x.shape[axis]
-    return scale(reduce_sum(x, axis=axis), 1.0 / n)
 
 
 def reshape(x, shape):

@@ -466,9 +466,7 @@ entity_vocab = {vocab_path}
     save_re_data(insts, re_path)
     ft1 = str(tmp_path / "ft1")
     assert main(["finetune", "re", "--checkpoint", os.path.join(out1, "checkpoint-final.bin"),
-                 "--train", re_path, "--out", ft1,
-                 "--word-vocab", os.path.join(out1, "word_vocab.txt"),
-                 "--entity-vocab", vocab_path, "--epochs", "2"]) == EXIT_OK
+                 "--train", re_path, "--out", ft1, "--epochs", "2"]) == EXIT_OK
     ft2 = str(tmp_path / "ft2")
     assert main(["rerun", os.path.join(ft1, "manifest.json"), "--out", ft2]) == EXIT_OK
     f1 = Path(ft1, "checkpoint-finetuned.bin").read_bytes()

@@ -14,7 +14,7 @@ import entlm.pretrain as pretrain_mod
 from entlm.align import SpanEmbedding, feature_dump, load_embeddings, save_embeddings
 from entlm.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, _task_model_from_checkpoint, main
 from entlm.cloze import ClozeModel
-from entlm.corpus import AnnotatedDocument, WordVocab, save_corpus
+from entlm.corpus import AnnotatedDocument, save_corpus
 from entlm.heads import REInstance, save_re_data
 from entlm.pretrain import load_checkpoint
 from entlm.synth import make_bilingual_corpus
@@ -128,7 +128,7 @@ def pretrained(workspace):
 
 def test_pretrain_outputs(pretrained):
     assert os.path.exists(os.path.join(pretrained, "checkpoint-final.bin"))
-    assert os.path.exists(os.path.join(pretrained, "word_vocab.txt"))
+    assert not os.path.exists(os.path.join(pretrained, "word_vocab.txt"))  # the checkpoint holds the vocabularies
     log = Path(pretrained, "train_log.tsv").read_text().strip().splitlines()
     assert len(log) >= 3
     manifest = json.loads(Path(pretrained, "manifest.json").read_text())
@@ -249,6 +249,19 @@ def test_rerun_setting_a_fixed_optimizer_value_exits_3_and_writes_nothing(worksp
     assert not out.exists()
 
 
+def test_pretrain_on_an_empty_corpus_exits_1_and_writes_nothing(workspace, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(CONFIG_TEXT.format(corpus=empty, vocab=workspace["vocab"]))
+    out = tmp_path / "out"
+    rc = main(["pretrain", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAILURE
+    assert err == "error: no non-empty languages to sample from\n"
+    assert not out.exists()
+
+
 def test_config_file_that_is_not_utf8_exits_3_naming_the_line(workspace, tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes(Path(workspace["config"]).read_bytes() + b"# caf\xe9 au lait\n")
@@ -276,8 +289,6 @@ def finetuned(workspace, pretrained):
     rc = main(["finetune", "re",
                "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
                "--train", re_path, "--dev", re_path, "--out", out,
-               "--word-vocab", os.path.join(pretrained, "word_vocab.txt"),
-               "--entity-vocab", workspace["vocab"],
                "--variant", "entity", "--epochs", "2", "--lr", "0.005"])
     assert rc == EXIT_OK
     return {"out": out, "re": re_path}
@@ -306,9 +317,7 @@ def test_eval_reports_metrics(workspace, finetuned):
     out = str(workspace["ws"] / "re_eval.json")
     rc = main(["eval", "re",
                "--checkpoint", os.path.join(finetuned["out"], "checkpoint-finetuned.bin"),
-               "--data", finetuned["re"], "--out", out,
-               "--word-vocab", os.path.join(finetuned["out"], "word_vocab.txt"),
-               "--entity-vocab", workspace["vocab"]])
+               "--data", finetuned["re"], "--out", out])
     assert rc == EXIT_OK
     report = json.loads(Path(out).read_text())
     assert 0.0 <= report["macro_f1"] <= 1.0
@@ -318,16 +327,12 @@ def test_eval_reports_metrics(workspace, finetuned):
 def test_eval_task_mismatch_is_config_error(workspace, pretrained, finetuned):
     rc = main(["eval", "qa",
                "--checkpoint", os.path.join(finetuned["out"], "checkpoint-finetuned.bin"),
-               "--data", finetuned["re"], "--out", str(workspace["ws"] / "x.json"),
-               "--word-vocab", os.path.join(finetuned["out"], "word_vocab.txt"),
-               "--entity-vocab", workspace["vocab"]])
+               "--data", finetuned["re"], "--out", str(workspace["ws"] / "x.json")])
     assert rc == EXIT_CONFIG
     # a pretrain checkpoint carries no task head
     rc = main(["eval",
                "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
-               "--data", finetuned["re"], "--out", str(workspace["ws"] / "x.json"),
-               "--word-vocab", os.path.join(pretrained, "word_vocab.txt"),
-               "--entity-vocab", workspace["vocab"]])
+               "--data", finetuned["re"], "--out", str(workspace["ws"] / "x.json")])
     assert rc == EXIT_CONFIG
 
 
@@ -340,9 +345,7 @@ def test_cloze_eval_runs(workspace, pretrained):
             "gold_index": 0}) + "\n")
     out = str(workspace["ws"] / "cloze.json")
     rc = main(["cloze-eval", "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
-               "--queries", queries, "--mode", "entity-y", "--out", out,
-               "--word-vocab", os.path.join(pretrained, "word_vocab.txt"),
-               "--entity-vocab", workspace["vocab"]])
+               "--queries", queries, "--mode", "entity-y", "--out", out])
     assert rc == EXIT_OK
     report = json.loads(Path(out).read_text())
     assert report["mode"] == "entity-y"
@@ -359,9 +362,7 @@ def test_dump_features_and_analyze(workspace, pretrained):
                 "span": [1, 2]}) + "\n")
     emb = str(workspace["ws"] / "emb.jsonl")
     rc = main(["dump-features", "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
-               "--data", data, "--feature-spec", "span-mean", "--out", emb,
-               "--word-vocab", os.path.join(pretrained, "word_vocab.txt"),
-               "--entity-vocab", workspace["vocab"]])
+               "--data", data, "--feature-spec", "span-mean", "--out", emb])
     assert rc == EXIT_OK
 
     out = str(workspace["ws"] / "mod.json")
@@ -391,6 +392,8 @@ def test_inspect_checkpoint(capsys, pretrained):
     summary = json.loads(capsys.readouterr().out)
     assert summary["step"] == 6
     assert "word_emb" in summary["tensors"]
+    config = summary["encoder_config"]
+    assert summary["vocab_sizes"] == {"words": config["word_vocab_size"], "entities": config["entity_vocab_size"]}
 
 
 def test_usage_error_exits_2():
@@ -430,14 +433,12 @@ def test_bad_finetune_value_exits_3_before_writing(workspace, pretrained, finetu
     out = workspace["ws"] / "bad-finetune"
     rc = main(["finetune", "re",
                "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
-               "--train", finetuned["re"], "--out", str(out),
-               "--word-vocab", os.path.join(pretrained, "word_vocab.txt"),
-               "--entity-vocab", workspace["vocab"], *flag])
+               "--train", finetuned["re"], "--out", str(out), *flag])
     assert rc == EXIT_CONFIG
     assert not out.exists()
 
 
-def test_corrupt_checkpoint_exits_1(workspace, pretrained):
+def test_corrupt_checkpoint_exits_1(workspace, pretrained, capsys):
     from entlm.pretrain import CHECKPOINT_MAGIC
     good = Path(pretrained, "checkpoint-final.bin").read_bytes()
     header_start = len(CHECKPOINT_MAGIC) + 8
@@ -482,11 +483,39 @@ def test_corrupt_checkpoint_exits_1(workspace, pretrained):
         rc = main(["inspect-checkpoint", "--checkpoint", bad])
         assert rc == EXIT_FAILURE, bad_header
 
+    # a vocab field that is not the vocabularies its encoder_config sizes; the error names the field
+    words, rows = header["vocab"]["words"], header["vocab"]["entities"]
+    for field, bad_header in (
+            ("vocab", edited(lambda h: h.update(vocab=[]))),
+            ("vocab", edited(lambda h: h.pop("vocab"))),
+            ("vocab.words", edited(lambda h: h["vocab"].update(words=" ".join(words)))),  # not a list
+            ("vocab.words", edited(lambda h: h["vocab"]["words"].__setitem__(5, 5))),  # not a string
+            ("vocab.words", edited(lambda h: h["vocab"]["words"].__setitem__(5, words[4]))),  # repeated
+            ("vocab.words", edited(lambda h: h["vocab"].update(words=[words[1], words[0], *words[2:]]))),
+            ("vocab.words", edited(lambda h: h["vocab"]["words"].append("new-token"))),  # one too many
+            ("vocab.entities", edited(lambda h: h["vocab"]["entities"].pop())),  # one too few
+            ("vocab.entities", edited(lambda h: h["vocab"].update(entities={}))),
+            ("vocab.entities[4]", edited(lambda h: h["vocab"]["entities"][4].pop())),
+            ("vocab.entities[4]", edited(lambda h: h["vocab"]["entities"][4].__setitem__(1, "7"))),
+            ("vocab.entities[4]", edited(lambda h: h["vocab"]["entities"][4][2].append(["en"]))),
+            ("vocab.entities[4]", edited(lambda h: h["vocab"]["entities"][4][2].append(rows[4][2][0]))),
+            ("vocab.entities", edited(lambda h: h["vocab"]["entities"][5].__setitem__(0, rows[4][0]))),
+            ("vocab.entities", edited(lambda h: h["vocab"]["entities"][5].__setitem__(2, rows[4][2])))):
+        raw = json.dumps(bad_header).encode("utf-8")
+        Path(bad).write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "little") + raw
+                              + good[payload_start:])
+        capsys.readouterr()
+        rc = main(["inspect-checkpoint", "--checkpoint", bad])
+        err = capsys.readouterr().err
+        assert rc == EXIT_FAILURE, bad_header
+        assert err.startswith(f"error: {bad}: header field '{field}' "), err
+        assert "Traceback" not in err
 
-def _checkpoint_with_header(pretrained, dest, edit):
-    """Write the final checkpoint to dest with edit(header) applied; the payload is kept."""
+
+def _checkpoint_with_header(run_dir, dest, edit, name="checkpoint-final.bin"):
+    """Write run_dir's checkpoint `name` to dest with edit(header) applied; the payload is kept."""
     from entlm.pretrain import CHECKPOINT_MAGIC
-    good = Path(pretrained, "checkpoint-final.bin").read_bytes()
+    good = Path(run_dir, name).read_bytes()
     header_start = len(CHECKPOINT_MAGIC) + 8
     payload_start = header_start + int.from_bytes(good[len(CHECKPOINT_MAGIC):header_start], "little")
     header = json.loads(good[header_start:payload_start])
@@ -520,11 +549,13 @@ def _transpose_parameter(header, name):
 # a checkpoint of an older header layout, or whose encoder parameters do not
 # match its encoder_config, is refused at load time by every command
 @pytest.mark.parametrize("edit, message", [
-    (lambda h: h.update(version=1), ("checkpoint version 1", "reads only version 2")),
+    (lambda h: h.update(version=1), ("checkpoint version 1", "reads only version 3")),
+    # version 2 had no vocab field
+    (lambda h: (h.update(version=2), h.pop("vocab")), ("checkpoint version 2", "reads only version 3")),
     (lambda h: _drop_parameter(h, "layer0.ffn.w1"), ("encoder parameter layer0.ffn.w1 is missing",)),
     (lambda h: _transpose_parameter(h, "layer0.ffn.w1"),
      ("encoder parameter layer0.ffn.w1 has shape [32, 16]", "encoder_config gives [16, 32]")),
-], ids=["version-1", "missing-parameter", "wrong-shape"])
+], ids=["version-1", "version-2", "missing-parameter", "wrong-shape"])
 def test_checkpoint_that_does_not_match_its_layout_exits_1(workspace, pretrained, tmp_path, capsys,
                                                            edit, message):
     bad = str(_checkpoint_with_header(pretrained, tmp_path / "bad.bin", edit))
@@ -533,8 +564,7 @@ def test_checkpoint_that_does_not_match_its_layout_exits_1(workspace, pretrained
                                    "candidates": [{"surface": "ent0_en"}], "gold_index": 0}) + "\n")
     for argv in (["inspect-checkpoint", "--checkpoint", bad],
                  ["cloze-eval", "--checkpoint", bad, "--queries", str(queries), "--mode", "entity-y",
-                  "--out", str(tmp_path / "cloze.json"), "--entity-vocab", workspace["vocab"],
-                  "--word-vocab", os.path.join(pretrained, "word_vocab.txt")]):
+                  "--out", str(tmp_path / "cloze.json")]):
         capsys.readouterr()
         rc = main(argv)
         err = capsys.readouterr().err
@@ -542,6 +572,56 @@ def test_checkpoint_that_does_not_match_its_layout_exits_1(workspace, pretrained
         assert err.startswith(f"error: {bad}: ") and all(m in err for m in message), err
         assert "Traceback" not in err
     assert not (tmp_path / "cloze.json").exists()
+
+
+def test_model_commands_refuse_a_checkpoint_without_vocabularies(workspace, pretrained, finetuned, tmp_path,
+                                                                 capsys):
+    # save_checkpoint without vocabularies writes vocab: null; it loads, but no command reads ids through it
+    bare = str(_checkpoint_with_header(pretrained, tmp_path / "bare.bin", lambda h: h.update(vocab=None)))
+    bare_ft = str(_checkpoint_with_header(finetuned["out"], tmp_path / "bare-ft.bin", lambda h: h.update(vocab=None),
+                                          "checkpoint-finetuned.bin"))
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(json.dumps({"lang": "en", "template": "[X] t0b_en [Y] .", "sub_surface": "t0a_en",
+                                   "candidates": [{"surface": "ent0_en"}], "gold_index": 0}) + "\n")
+    spans = tmp_path / "spans.jsonl"
+    spans.write_text(json.dumps({"id": "s0", "lang": "en", "tokens": ["t0a_en", "ent0_en"], "span": [1, 2]}) + "\n")
+    out = tmp_path / "out"
+    for ckpt, argv in ((bare, ["finetune", "re", "--train", finetuned["re"], "--out", str(out)]),
+                       (bare_ft, ["eval", "re", "--data", finetuned["re"], "--out", str(out)]),
+                       (bare, ["cloze-eval", "--queries", str(queries), "--out", str(out)]),
+                       (bare, ["dump-features", "--data", str(spans), "--feature-spec", "span-mean",
+                               "--out", str(out)])):
+        capsys.readouterr()
+        rc = main([*argv, "--checkpoint", ckpt])
+        err = capsys.readouterr().err
+        assert rc == EXIT_FAILURE, argv[0]
+        assert err.startswith(f"error: {ckpt}: checkpoint holds no vocabularies"), err
+        assert "Traceback" not in err
+        assert not out.exists()
+    assert main(["inspect-checkpoint", "--checkpoint", bare]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["vocab_sizes"] is None
+
+
+# a finetuned checkpoint whose head parameters do not fit its meta is refused
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: _drop_parameter(h, "re_head.w"), "checkpoint parameter re_head.w is missing"),
+    (lambda h: _drop_parameter(h, "re_head.b"), "checkpoint parameter re_head.b is missing"),
+    (lambda h: h["meta"].pop("variant"), "checkpoint meta field 'variant' is None"),
+    (lambda h: h["meta"].update(variant="word-endpoints"), "checkpoint meta field 'variant' is 'word-endpoints'"),
+    (lambda h: h["meta"].pop("labels"), "checkpoint meta field 'labels' is None"),
+    (lambda h: h["meta"].update(labels=["r1"]),
+     "checkpoint parameter re_head.w has shape [32, 2], but its entity-mask head gives [32, 1]"),
+], ids=["dropped-head", "dropped-head-bias", "dropped-variant", "other-task-variant", "dropped-labels",
+        "labels-do-not-fit"])
+def test_finetuned_checkpoint_whose_head_does_not_fit_its_meta_exits_1(finetuned, tmp_path, capsys, edit, message):
+    bad = _checkpoint_with_header(finetuned["out"], tmp_path / "bad.bin", edit, "checkpoint-finetuned.bin")
+    out = tmp_path / "report.json"
+    rc = main(["eval", "re", "--checkpoint", str(bad), "--data", finetuned["re"], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAILURE
+    assert err.startswith(f"error: {message}"), err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -589,23 +669,20 @@ def task_files(workspace):
     return {"ner": (str(ner_train), str(ner_train)), "qa": (str(qa_train), str(qa_eval))}
 
 
-TRAIN_OPTIONS = {"qa": ["--epochs", "3", "--lr", "0.01"], "ner": ["--epochs", "10", "--lr", "0.03"]}
+TRAIN_OPTIONS = {"qa": ["--epochs", "3", "--lr", "0.01"], "ner": ["--epochs", "10", "--lr", "0.03"],
+                 "re": ["--epochs", "5", "--lr", "0.01"]}
 
 
 def _finetune_then_eval(workspace, pretrained, task, train, data, name, extra=()):
     out = str(workspace["ws"] / f"ft-{name}")
     rc = main(["finetune", task,
                "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
-               "--train", train, "--dev", train, "--out", out,
-               "--word-vocab", os.path.join(pretrained, "word_vocab.txt"),
-               "--entity-vocab", workspace["vocab"], "--batch-size", "2", *TRAIN_OPTIONS[task], *extra])
+               "--train", train, "--dev", train, "--out", out, "--batch-size", "2", *TRAIN_OPTIONS[task], *extra])
     assert rc == EXIT_OK
     report = str(workspace["ws"] / f"eval-{name}.json")
     rc = main(["eval", task,
                "--checkpoint", os.path.join(out, "checkpoint-finetuned.bin"),
-               "--data", data, "--out", report,
-               "--word-vocab", os.path.join(out, "word_vocab.txt"),
-               "--entity-vocab", workspace["vocab"]])
+               "--data", data, "--out", report])
     assert rc == EXIT_OK
     return out, json.loads(Path(report).read_text())
 
@@ -621,6 +698,11 @@ PINNED_REPORTS = {
 }
 
 
+# eval of a word-markers RE fine-tune of this fixture; recorded when eval still read
+# the finetune's word-vocab file
+RE_WORD_MARKERS_REPORT = {"accuracy": 1.0, "macro_f1": 1.0, "n": 12}
+
+
 @pytest.mark.parametrize("task,variant", [("qa", "word"), ("qa", "entity"),
                                           ("ner", "word"), ("ner", "entity")])
 def test_finetune_eval_round_trip(workspace, pretrained, task_files, task, variant):
@@ -632,14 +714,23 @@ def test_finetune_eval_round_trip(workspace, pretrained, task_files, task, varia
     assert report == PINNED_REPORTS[task, variant]
 
 
+def test_word_markers_re_checkpoint_carries_its_markers(workspace, pretrained, finetuned):
+    out, report = _finetune_then_eval(workspace, pretrained, "re", finetuned["re"], finetuned["re"], "re-word",
+                                      ["--variant", "word"])
+    base = load_checkpoint(os.path.join(pretrained, "checkpoint-final.bin"))
+    ckpt = load_checkpoint(os.path.join(out, "checkpoint-finetuned.bin"))
+    assert ckpt.word_vocab.id_to_token == base.word_vocab.id_to_token + ["<ent>", "<ent2>"]
+    assert len(ckpt.word_vocab) == ckpt.encoder_config.word_vocab_size == ckpt.params["word_emb"].shape[0]
+    assert report == RE_WORD_MARKERS_REPORT
+
+
 def test_ner_max_span_len_survives_checkpoint(workspace, pretrained, task_files):
     train, data = task_files["ner"]
     out, report = _finetune_then_eval(workspace, pretrained, "ner", train, data, "ner-len2",
                                       ["--max-span-len", "2"])
     ckpt = load_checkpoint(os.path.join(out, "checkpoint-finetuned.bin"))
     assert ckpt.meta["max_span_len"] == 2
-    model = _task_model_from_checkpoint(ckpt, WordVocab.load(os.path.join(out, "word_vocab.txt")),
-                                        EntityVocab.load(workspace["vocab"]))
+    model = _task_model_from_checkpoint(ckpt)
     assert model.max_span_len == 2
     assert report == PINNED_REPORTS["ner", "len2"]
 
@@ -653,9 +744,7 @@ def test_finetune_qa_counts_skipped_examples(workspace, pretrained, task_files, 
                                                           for r in records]}]}))
     out = str(workspace["ws"] / "ft-qa-late")
     rc = main(["finetune", "qa", "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
-               "--train", str(train), "--out", out, "--batch-size", "1",
-               "--word-vocab", os.path.join(pretrained, "word_vocab.txt"),
-               "--entity-vocab", workspace["vocab"]])
+               "--train", str(train), "--out", out, "--batch-size", "1"])
     assert rc == EXIT_OK
     assert "on 3 examples, skipped 1 unusable" in capsys.readouterr().out
     assert load_checkpoint(os.path.join(out, "checkpoint-finetuned.bin")).meta["skipped_examples"] == 1
@@ -708,16 +797,15 @@ def _pretrain_argv(p, bad):
 
 def _finetune_argv(task, bad_flag="--train"):
     def argv(p, bad):
-        inputs = {"--train": p["re"], "--word-vocab": p["words"], bad_flag: bad}
+        inputs = {"--train": p["re"], bad_flag: bad}
         return ["finetune", task, "--checkpoint", p["ckpt"], "--variant", "entity", "--out", p["out"],
-                "--entity-vocab", p["vocab"], *(x for flag_path in inputs.items() for x in flag_path)]
+                *(x for flag_path in inputs.items() for x in flag_path)]
     return argv
 
 
 def test_dump_features_encodes_span_item_entities(workspace, pretrained):
     ckpt = load_checkpoint(os.path.join(pretrained, "checkpoint-final.bin"))
-    wv = WordVocab.load(os.path.join(pretrained, "word_vocab.txt"))
-    ev = EntityVocab.load(workspace["vocab"])
+    wv, ev = ckpt.word_vocab, ckpt.entity_vocab
     model = ClozeModel(encoder_config=ckpt.encoder_config, params=ckpt.params, word_vocab=wv, entity_vocab=ev)
     tokens = {lang: [f"t0a_{lang}", f"ent1_{lang}", f"t0b_{lang}", "."] for lang in ("en", "de")}
     data = workspace["ws"] / "spans-entities.jsonl"
@@ -727,8 +815,7 @@ def test_dump_features_encodes_span_item_entities(workspace, pretrained):
         {"id": "s2", "lang": "en", "tokens": tokens["en"], "span": [1, 2]}]))
     emb = str(workspace["ws"] / "emb-entities.jsonl")
     rc = main(["dump-features", "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
-               "--data", str(data), "--feature-spec", "span-mean", "--out", emb,
-               "--word-vocab", os.path.join(pretrained, "word_vocab.txt"), "--entity-vocab", workspace["vocab"]])
+               "--data", str(data), "--feature-spec", "span-mean", "--out", emb])
     assert rc == EXIT_OK
 
     eid = ev.resolve_key("ent1")
@@ -747,8 +834,7 @@ def test_dump_features_encodes_span_item_entities(workspace, pretrained):
 
 
 def _model_argv(command, data_flag, *extra):
-    return lambda p, bad: [command, "--checkpoint", p["ckpt"], data_flag, bad, "--out", p["out"],
-                           "--word-vocab", p["words"], "--entity-vocab", p["vocab"], *extra]
+    return lambda p, bad: [command, "--checkpoint", p["ckpt"], data_flag, bad, "--out", p["out"], *extra]
 
 
 def _drop(key):
@@ -788,11 +874,8 @@ MALFORMED = [
      _finetune_argv("qa"), 3),
     ("finetune/qa-squad-missing-paragraphs", "qa_squad", _document_edit(lambda d: d["data"][0].pop("paragraphs")),
      _finetune_argv("qa"), 1),
-    ("finetune/word-vocab-without-specials", "words", _line_edit(1, lambda line: "[NOPE]"),
-     _finetune_argv("re", bad_flag="--word-vocab"), 1),
     ("eval/re-three-columns", "re", _line_edit(1, lambda line: line.rsplit("\t", 1)[0]),
-     lambda p, bad: ["eval", "re", "--checkpoint", p["ft_ckpt"], "--data", bad, "--out", p["out"],
-                     "--word-vocab", p["ft_words"], "--entity-vocab", p["vocab"]], 1),
+     lambda p, bad: ["eval", "re", "--checkpoint", p["ft_ckpt"], "--data", bad, "--out", p["out"]], 1),
     ("cloze-eval/gold-index-out-of-range", "queries", _record_edit(2, lambda r: r.update(gold_index=2)),
      _model_argv("cloze-eval", "--queries"), 2),
     ("dump-features/span-out-of-bounds", "spans", _record_edit(2, lambda r: r.update(span=[1, 9])),
@@ -845,10 +928,8 @@ def input_files(workspace, pretrained, finetuned, task_files):
     return {
         "corpus": workspace["corpus"], "links": workspace["links"], "vocab": workspace["vocab"],
         "ckpt": os.path.join(pretrained, "checkpoint-final.bin"),
-        "words": os.path.join(pretrained, "word_vocab.txt"),
         "manifest": os.path.join(pretrained, "manifest.json"),
         "ft_ckpt": os.path.join(finetuned["out"], "checkpoint-finetuned.bin"),
-        "ft_words": os.path.join(finetuned["out"], "word_vocab.txt"),
         "re": finetuned["re"], "ner": task_files["ner"][0], "qa_squad": task_files["qa"][0],
         "qa_jsonl": str(qa_jsonl), "queries": str(queries), "spans": str(spans), "emb": str(emb),
         "gold": str(gold), "out": str(ws / "malformed-out"),
@@ -883,8 +964,7 @@ def test_finetune_reports_gold_spans_longer_than_max_span_len(workspace, pretrai
     ner.write_text("a B-PER\nb I-PER\nc I-PER\nd O\n\na B-LOC\nb O\n")
     out = str(workspace["ws"] / "ft-ner-long")
     rc = main(["finetune", "ner", "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
-               "--train", str(ner), "--out", out, "--max-span-len", "2", "--epochs", "1",
-               "--word-vocab", os.path.join(pretrained, "word_vocab.txt"), "--entity-vocab", workspace["vocab"]])
+               "--train", str(ner), "--out", out, "--max-span-len", "2", "--epochs", "1"])
     assert rc == EXIT_OK
     assert "skipped 0 unusable and 1 gold spans longer than max_span_len" in capsys.readouterr().out
     assert load_checkpoint(os.path.join(out, "checkpoint-finetuned.bin")).meta["skipped_gold_spans"] == 1

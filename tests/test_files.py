@@ -73,7 +73,6 @@ def _write_fixtures(d):
     docs, links = make_bilingual_corpus(n_entities=3, n_sequences=4, seed=2)
     corpus.save_corpus(docs, d / "corpus.jsonl")
     wv = corpus.build_word_vocab(docs)
-    wv.save(d / "words.txt")
     links.save_tsv(d / "links.tsv")
     ev = build_entity_vocab(docs, links, min_languages=2)
     ev.save(d / "entities.tsv")
@@ -103,7 +102,6 @@ def _write_fixtures(d):
         "gold": "gold.json", "embeddings": None, "k": 3, "out": "mrr.json"}}))
     return {
         "corpus": (d / "corpus.jsonl", corpus.load_corpus),
-        "word-vocab": (d / "words.txt", corpus.WordVocab.load),
         "links": (d / "links.tsv", InterLanguageLinks.load_tsv),
         "entity-vocab": (d / "entities.tsv", EntityVocab.load),
         "queries": (d / "queries.jsonl", cloze.load_queries),
@@ -123,7 +121,7 @@ def fixtures(tmp_path_factory):
     return _write_fixtures(tmp_path_factory.mktemp("files"))
 
 
-KINDS = ["corpus", "word-vocab", "links", "entity-vocab", "queries", "embeddings", "gold",
+KINDS = ["corpus", "links", "entity-vocab", "queries", "embeddings", "gold",
          "qa-jsonl", "qa-squad", "re", "ner", "spans", "manifest"]
 
 
@@ -133,7 +131,7 @@ def test_every_fixture_is_valid(fixtures):
         assert reader(str(path))
 
 
-@pytest.mark.parametrize("kind", ["word-vocab", "entity-vocab", "gold", "manifest"])
+@pytest.mark.parametrize("kind", ["entity-vocab", "gold", "manifest"])
 def test_empty_vocab_gold_or_manifest_file_is_malformed(fixtures, kind, tmp_path):
     path, reader = fixtures[kind]
     empty = tmp_path / path.name

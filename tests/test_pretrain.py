@@ -13,7 +13,7 @@ import pytest
 
 import entlm.pretrain as pretrain
 import entlm.tensor as T
-from entlm.corpus import SequenceSampler, build_word_vocab, encode_corpus, mask_batch
+from entlm.corpus import SequenceSampler, WordVocab, build_word_vocab, encode_corpus, mask_batch
 from entlm.encoder import EncoderConfig
 from entlm.errors import ContractError, EntlmError
 from entlm.heads import FINETUNE_WARMUP_FRAC
@@ -35,7 +35,7 @@ from entlm.pretrain import (
     train,
 )
 from entlm.synth import make_bilingual_corpus
-from entlm.vocab import build_entity_vocab
+from entlm.vocab import SPECIAL_ENTITIES, EntityEntry, EntityVocab, build_entity_vocab
 
 
 def _toy_config(wv, ev):
@@ -458,6 +458,48 @@ def test_checkpoint_round_trip_bit_identical(tmp_path, toy_encoder_config):
     assert (tmp_path / "ckpt.bin").read_bytes() == (tmp_path / "ckpt2.bin").read_bytes()
 
 
+def _entries(vocab):
+    return [(e.canonical_key, e.link_count, e.titles) for e in vocab.entries]
+
+
+def test_checkpoint_round_trip_gives_back_its_vocabularies(tmp_path):
+    wv = WordVocab(["zeta", "alpha", "東京", "mid"])  # ids in first-seen order, not sorted
+    ev = EntityVocab([EntityEntry(canonical_key=k) for k in SPECIAL_ENTITIES] + [
+        EntityEntry("tokyo", 7, {("ja", "東京"), ("en", "Tokyo"), ("de", "Tokio")}),
+        EntityEntry("kyoto", 0, {("en", "Kyoto")}),
+        EntityEntry("nara", 3, set())])
+    cfg = _toy_config(wv, ev)
+    params = init_model(cfg, seed=3)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(str(path), cfg, params, word_vocab=wv, entity_vocab=ev)
+    ckpt = load_checkpoint(str(path))
+    assert ckpt.word_vocab.id_to_token == ["[PAD]", "[UNK]", "[MASK]", "zeta", "alpha", "東京", "mid"]
+    assert ckpt.word_vocab.token_to_id == wv.token_to_id
+    assert _entries(ckpt.entity_vocab) == _entries(ev)
+    assert ckpt.entity_vocab.resolve("ja", "東京") == ckpt.entity_vocab.resolve_key("tokyo") == 4
+    # titles are stored sorted, so the header does not depend on set order
+    header, _ = _header_and_payload(path.read_bytes())
+    assert header["vocab"]["entities"][4] == ["tokyo", 7, [["de", "Tokio"], ["en", "Tokyo"], ["ja", "東京"]]]
+    again = tmp_path / "again.bin"
+    save_checkpoint(str(again), ckpt.encoder_config, ckpt.params,
+                    word_vocab=ckpt.word_vocab, entity_vocab=ckpt.entity_vocab)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_takes_both_vocabularies_or_neither(tmp_path, toy_data, toy_encoder_config):
+    _, wv, ev = toy_data
+    params = init_model(toy_encoder_config, seed=3)
+    path = tmp_path / "ckpt.bin"
+    for vocabs in ({"word_vocab": wv}, {"entity_vocab": ev}):
+        with pytest.raises(ContractError, match="both vocabularies or neither"):
+            save_checkpoint(str(path), toy_encoder_config, params, **vocabs)
+        assert not path.exists()
+    save_checkpoint(str(path), toy_encoder_config, params)
+    assert _header_and_payload(path.read_bytes())[0]["vocab"] is None
+    ckpt = load_checkpoint(str(path))
+    assert ckpt.word_vocab is None and ckpt.entity_vocab is None
+
+
 def test_checkpoint_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"something else entirely")
@@ -506,6 +548,7 @@ def test_intermediate_checkpoints_hold_parameters_only(tmp_path, toy_data, toy_e
     last = load_checkpoint(str(tmp_path / "checkpoint-4.bin"))
     for n, p in result.params.items():
         assert last.params[n].data.tobytes() == p.data.tobytes()
+    assert last.word_vocab.id_to_token == wv.id_to_token and _entries(last.entity_vocab) == _entries(ev)
 
 
 # ---------------------------------------------------------------------------

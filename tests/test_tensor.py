@@ -221,7 +221,7 @@ def test_grad_check_per_kernel(kernel):
         if kernel == "span_sum":
             out = T.span_sum(a, np.array([[0, 2, 2], [1, 0, 2]]), np.array([[1.0, 0.5, 1.0], [2.0, 0.0, 1.0]]))
             return T.reduce_sum(T.mul(out, T.constant(weight.data[:2])))
-        return T.reduce_mean(T.mul(a, a))
+        return T.scale(T.reduce_sum(T.mul(a, a)), 1 / a.data.size)
 
     assert T.grad_check(loss, params, rng=np.random.default_rng(0)) < 1e-6
 
@@ -503,7 +503,7 @@ def test_node_data_is_a_float64_array():
     a, b = p(np.arange(6.0).reshape(2, 3)), p(np.ones(3))
     outs = [
         T.add(a, b), T.matmul(a, p(np.ones((3, 2)))), T.reduce_sum(a, axis=1),
-        T.reduce_sum(a), T.reduce_mean(a), a[0, 1],
+        T.reduce_sum(a), T.scale(T.reduce_sum(a), 1 / a.data.size), a[0, 1],
         T.cross_entropy_logits(a, np.array([0, 2])),
         T.cross_entropy_logits(a, np.array([-100, -100])),
     ]
@@ -808,7 +808,6 @@ def _op_cases(rng):
         ("dropout", lambda a: T.dropout(a, 0.3, np.random.default_rng(2)), [t(3, 4)], []),
         ("concat", lambda a, b: T.concat([a, b], axis=1), [t(3, 4), t(3, 2)], []),
         ("reduce_sum", lambda a: T.reduce_sum(a, axis=0), [t(3, 4)], []),
-        ("reduce_mean", T.reduce_mean, [t(3, 4)], []),
         ("reshape", lambda a: T.reshape(a, (4, 3)), [t(3, 4)], []),
         ("transpose", lambda a: T.transpose(a, (1, 0)), [t(3, 4)], []),
         ("getitem", lambda a: T.getitem(a, rows), [t(3, 4)], [rows]),
@@ -816,7 +815,7 @@ def _op_cases(rng):
     ]
 
 
-@pytest.mark.parametrize("case", range(20))
+@pytest.mark.parametrize("case", range(19))
 def test_kernel_never_writes_into_its_inputs(case):
     rng = np.random.default_rng(27)
     name, build, inputs, raw = _op_cases(rng)[case]
