@@ -12,12 +12,13 @@ one.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import json
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ from .corpus import IGNORE_LABEL, SPECIAL_WORDS, SequenceSampler, WordVocab, mas
 from .encoder import EncoderConfig, encode_batch, init_params, pack_batch, param_specs
 from .errors import ConfigError, ContractError, EntlmError
 from .seeding import substream
-from .vocab import EntityEntry, EntityVocab
+from .vocab import SPECIAL_ENTITIES, EntityEntry, EntityVocab
 
 CHECKPOINT_MAGIC = b"ENTLM-CKPT v1\n"
 # layout of the header and its encoder_config; bump it when either changes
@@ -42,7 +43,11 @@ STAGE1_TRAINABLE = ("entity_emb", "entity_proj", "entity_type_emb", "mep_head")
 # passes the update makes over them.  An AdamW holds two scratch sets, one
 # for the calling thread and one for the worker (2 x 3 x 512 KiB).  Smaller
 # blocks pay more per-call overhead; on a 2 MiB-L2 Xeon, 16Ki-64Ki elements
-# measured alike and 4Ki was 30% slower.
+# measured alike and 4Ki was 30% slower.  It is also the smallest parameter
+# `AdamW.overlap` steps during backward.  The worker's numpy calls then trade
+# the interpreter lock with backward's Python: on the wide benchmark (2-vCPU
+# Xeon) backward took ~1.4 ms a step longer and `AdamW.step` ~2 ms less, and
+# a step ~1.3 ms less end to end.
 ADAMW_BLOCK = 65536
 
 _adamw_pool = None  # the one worker thread every AdamW shares; made on first use
@@ -51,7 +56,7 @@ _adamw_pool = None  # the one worker thread every AdamW shares; made on first us
 def _adamw_worker():
     global _adamw_pool
     if _adamw_pool is None:
-        _adamw_pool = ThreadPoolExecutor(1, thread_name_prefix="entlm-adamw")
+        _adamw_pool = futures.ThreadPoolExecutor(1, thread_name_prefix="entlm-adamw")
     return _adamw_pool
 
 
@@ -203,6 +208,12 @@ class AdamW:
     AdamW, updates the second.  The update is element-wise and each block
     runs the same operations either way, so the result does not depend on
     the split; `step` returns only after both halves are done.
+
+    Inside `overlap(lr, trainable)`, wrapped around `T.backward`, a
+    parameter of at least ADAMW_BLOCK elements starts its step on the worker
+    as soon as backward has finished its gradient, while backward goes on;
+    the following `step` updates the rest and waits for it.  The update per
+    element is the same, so this changes no bit of the result either.
     """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-6, weight_decay=0.01):
@@ -223,6 +234,7 @@ class AdamW:
             self._bind(name, p)
         self._scratch = tuple((np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK))
                               for _ in range(2))
+        self._handoffs = []  # (name, future, blocks) given to the worker by `overlap`, for `step`
 
     def _bind(self, name, p):
         """Copy p.data into its slice of the store and rebind p.data to it."""
@@ -234,33 +246,96 @@ class AdamW:
         view[...] = p.data
         p.data = self._views[name] = view
 
+    def _advance(self, name, p):
+        """Advance `name`'s step count and return its run [lo, hi, t, [(lo, hi, flat grad)]]."""
+        if p.data is not self._views[name]:
+            self._bind(name, p)
+        lo, hi = self._span[name]
+        t = self.t.get(name, 0) + 1
+        self.t[name] = t
+        if name not in self.m:
+            self.m[name] = self._m[lo:hi].reshape(p.data.shape)
+            self.v[name] = self._v[lo:hi].reshape(p.data.shape)
+        # a parameter without a gradient steps on zeros
+        g = np.ravel(p.grad) if p.grad is not None else np.broadcast_to(0.0, (hi - lo,))
+        return [lo, hi, t, [(lo, hi, g)]]
+
+    @contextlib.contextmanager
+    def overlap(self, lr, trainable=None):
+        """Around `T.backward`: step the large parameters as their gradients
+        become final, on the worker thread, while backward goes on.
+
+        A parameter qualifies when it would step in `step(lr, trainable)`
+        and holds at least ADAMW_BLOCK elements.  Once backward has finished
+        its gradient (and the gradient's shape matches), it is handed to the
+        worker, which updates it in ADAMW_BLOCK blocks with the worker's
+        scratch set.  The following `step`, with the same `lr` and
+        `trainable`, completes the step: it takes back each hand-off the
+        worker has not started and steps it itself, steps every other
+        parameter, and returns once every hand-off is done.  With no
+        qualifying parameter, or one usable CPU, nothing is armed.  If the
+        body raises, the hook is removed and the worker drained before the
+        exception propagates: the parameters handed off by then have
+        stepped, and nothing else has.  So `step`'s check of every gradient
+        shape before any update covers only what was not handed off.  One
+        `T.backward` per `overlap`.
+        """
+        ready = {p: name for name, p in self.params.items()
+                 if p.data.size >= ADAMW_BLOCK and p.requires_grad and (trainable is None or name in trainable)}
+        if not ready or _usable_cpus() < 2:
+            yield
+            return
+
+        def hand_off(p):
+            name = ready.pop(p, None)
+            if name is None or p.grad.shape != p.data.shape:  # a wrong shape raises in `step`
+                return
+            blocks = self._blocks([self._advance(name, p)])
+            future = _adamw_worker().submit(contextvars.copy_context().run, self._update,
+                                            blocks, self._scratch[1], lr)
+            self._handoffs.append((name, future, blocks))
+
+        try:
+            with T.on_grad_ready(hand_off):
+                yield
+        except BaseException:
+            handoffs, self._handoffs = self._handoffs, []
+            # the body's exception is the one to report; a hand-off's own error is dropped
+            futures.wait([future for _, future, _ in handoffs])
+            raise
+
     def step(self, lr, trainable=None):
-        stepping = []  # checked first, so a bad gradient leaves all state as it was
-        for name, p in self.params.items():
-            if not p.requires_grad or (trainable is not None and name not in trainable):
-                continue
-            if p.grad is not None and p.grad.shape != p.data.shape:
-                raise ContractError(f"AdamW: parameter {name} has shape {p.data.shape}, "
-                                    f"its gradient {p.grad.shape}")
-            stepping.append((name, p))
-        runs = []  # [lo, hi, t, [(lo, hi, flat grad), ...]] per run of equal t
-        for name, p in stepping:
-            if p.data is not self._views[name]:
-                self._bind(name, p)
-            lo, hi = self._span[name]
-            t = self.t.get(name, 0) + 1
-            self.t[name] = t
-            if name not in self.m:
-                self.m[name] = self._m[lo:hi].reshape(p.data.shape)
-                self.v[name] = self._v[lo:hi].reshape(p.data.shape)
-            # a parameter without a gradient steps on zeros
-            g = np.ravel(p.grad) if p.grad is not None else np.broadcast_to(0.0, (hi - lo,))
-            if runs and runs[-1][1] == lo and runs[-1][2] == t:
-                runs[-1][1] = hi
-                runs[-1][3].append((lo, hi, g))
-            else:
-                runs.append([lo, hi, t, [(lo, hi, g)]])
-        blocks = []  # (blo, bhi, gradient pieces, t)
+        handoffs, self._handoffs = self._handoffs, []
+        handed = {name for name, _, _ in handoffs}
+        try:
+            stepping = []  # checked first, so a bad gradient leaves all state as it was
+            for name, p in self.params.items():
+                if name in handed or not p.requires_grad or (trainable is not None and name not in trainable):
+                    continue
+                if p.grad is not None and p.grad.shape != p.data.shape:
+                    raise ContractError(f"AdamW: parameter {name} has shape {p.data.shape}, "
+                                        f"its gradient {p.grad.shape}")
+                stepping.append((name, p))
+            runs = []  # [lo, hi, t, [(lo, hi, flat grad), ...]] per run of equal t
+            for name, p in stepping:
+                run = self._advance(name, p)
+                if runs and runs[-1][1] == run[0] and runs[-1][2] == run[2]:
+                    runs[-1][1] = run[1]
+                    runs[-1][3] += run[3]
+                else:
+                    runs.append(run)
+            # hand-offs the worker has not started are stepped here instead
+            blocks = [b for _, future, bl in handoffs if future.cancel() for b in bl] + self._blocks(runs)
+            self._split_update(blocks, lr)
+        finally:
+            for _, future, _ in handoffs:  # never return while the worker still writes the store
+                if not future.cancelled():
+                    future.result()
+
+    @staticmethod
+    def _blocks(runs):
+        """Cut runs into ADAMW_BLOCK blocks (blo, bhi, gradient pieces, t)."""
+        blocks = []
         for lo, hi, t, grads in runs:
             k = 0  # first parameter of the run not yet fully consumed
             for blo in range(lo, hi, ADAMW_BLOCK):
@@ -273,7 +348,12 @@ class AdamW:
                         break  # this parameter continues into the next block
                     k += 1
                 blocks.append((blo, bhi, pieces, t))
-        total = sum(hi - lo for lo, hi, _, _ in runs)
+        return blocks
+
+    def _split_update(self, blocks, lr):
+        """Update `blocks`, the second half (by element count) on the worker
+        when they hold at least two blocks' worth and two CPUs are usable."""
+        total = sum(bhi - blo for blo, bhi, _, _ in blocks)
         if total < 2 * ADAMW_BLOCK or _usable_cpus() < 2:
             self._update(blocks, self._scratch[0], lr)
             return
@@ -448,6 +528,8 @@ def _vocabs_from_header(path, vocab, config: EncoderConfig):
         titles = {tuple(t) for t in row[2]}
         require(len(titles) == len(row[2]), f"vocab.entities[{i}]", "lists a title twice")
         entries.append(EntityEntry(canonical_key=row[0], link_count=row[1], titles=titles))
+    require([e.canonical_key for e in entries[: len(SPECIAL_ENTITIES)]] == list(SPECIAL_ENTITIES),
+            "vocab.entities", f"must start with {' '.join(SPECIAL_ENTITIES)}")
     try:
         entity_vocab = EntityVocab(entries)  # refuses a repeated key or title
     except ContractError as e:
@@ -573,7 +655,13 @@ def train(encoder_config: EncoderConfig, config: TrainConfig, sequences_by_langu
     `SequenceSampler` and masked by `mask_batch`.  Deterministic for a fixed
     (config, corpus): every random draw comes from named sub-streams of
     config.seed and runs on the calling thread.  AdamW's element-wise update
-    may be split over two threads; that changes no bit of the result.
+    may be split over two threads, and with two usable CPUs each parameter
+    of at least ADAMW_BLOCK elements starts its update on AdamW's worker as
+    soon as backward has finished its gradient (`AdamW.overlap`); neither
+    changes a bit of the result.  If backward raises (a non-finite
+    gradient), the run aborts, and the parameters handed off by then have
+    already stepped in the caller's `params` when the error reaches it; no
+    other parameter has.
     With `out_dir`, every checkpoint also holds `word_vocab` and `entity_vocab`.
     """
     config.validate()
@@ -605,11 +693,13 @@ def train(encoder_config: EncoderConfig, config: TrainConfig, sequences_by_langu
             total, l_mlm, l_mep = pretrain_step_loss(params, encoder_config, batches, rng=dropout_rng)
             if not np.isfinite(total.data):
                 raise TrainingAborted(f"non-finite loss at step {step}", last_checkpoint=last_ckpt)
-            T.zero_grads(params)
-            T.backward(total)
             lr = lr_at(step, config)
             stage = stage_of(step, config)
-            optimizer.step(lr, trainable=stage1_trainable if stage == 1 else None)
+            trainable = stage1_trainable if stage == 1 else None
+            T.zero_grads(params)
+            with optimizer.overlap(lr, trainable):
+                T.backward(total)
+            optimizer.step(lr, trainable=trainable)
 
             if config.log_interval and (step % config.log_interval == 0 or step == config.total_steps - 1):
                 row = (step, stage, lr, float(l_mlm.data), float(l_mep.data))

@@ -135,6 +135,30 @@ class no_grad:
         return wrapper
 
 
+_grad_ready_hook = None
+
+
+class on_grad_ready:
+    """Context manager: inside it, `backward` calls `hook(leaf)` once per
+    requires-grad leaf, as soon as that leaf's gradient is final and stored
+    in `leaf.grad`.  Restores the previous hook on exit, also when backward
+    raises.  Like `no_grad` it is module state shared by the whole process,
+    so only one thread may run backward while a hook is installed."""
+
+    def __init__(self, hook):
+        self.hook = hook
+
+    def __enter__(self):
+        global _grad_ready_hook
+        self._prev = _grad_ready_hook
+        _grad_ready_hook = self.hook
+        return self
+
+    def __exit__(self, *exc):
+        global _grad_ready_hook
+        _grad_ready_hook = self._prev
+
+
 _F64 = np.dtype(DEFAULT_DTYPE)
 
 
@@ -608,6 +632,16 @@ def backward(loss):
     """Populate .grad on every requires_grad tensor reachable from `loss`.
 
     Visits each graph node exactly once in reverse topological order.
+    Inside `on_grad_ready(hook)`, each requires-grad leaf's gradient is
+    finished (checked, stored in `.grad` and passed to `hook(leaf)`) as soon
+    as the last node that reads the leaf has delivered its part, rather
+    than at the leaf's own place in the order: a decoder weight read only
+    by the loss head is done within the first nodes of the walk, while the
+    rest of backward is still to run.  The parts are summed in the same
+    order either way, so every gradient is bitwise the same.  No backward
+    closure writes into a gradient it received, so a hook may hand `.grad`
+    to another thread while the walk goes on.  A leaf that gets no gradient
+    fires nothing.
     """
     if loss.data.ndim != 0:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -627,6 +661,14 @@ def backward(loss):
             if p not in seen:
                 stack.append((p, False))
 
+    hook = _grad_ready_hook
+    waiting = {}  # with a hook: requires-grad leaf -> edges still to deliver into it
+    if hook is not None:
+        for node in topo:
+            for p in node._parents:
+                if p.requires_grad:
+                    waiting[p] = waiting.get(p, 0) + 1
+
     grads = {loss: np.ones((), dtype=DEFAULT_DTYPE)}
     for node in reversed(topo):
         g = grads.pop(node, None)
@@ -636,6 +678,8 @@ def backward(loss):
             raise ContractError(f"backward: non-finite gradient at node {node!r}")
         if node.requires_grad:
             node.grad = g if node.grad is None else node.grad + g
+            if hook is not None:
+                hook(node)
         if node._backward is None:
             continue
         parent_grads = node._backward(g)
@@ -646,6 +690,20 @@ def backward(loss):
                 grads[p] = grads[p] + pg
             else:
                 grads[p] = pg
+        if waiting:
+            for p in node._parents:
+                if p in waiting:
+                    waiting[p] -= 1
+                    if waiting[p] == 0:
+                        del waiting[p]
+                        # the leaf's turn in the walk then finds nothing to do
+                        pg = grads.pop(p, None)
+                        if pg is None:
+                            continue
+                        if not np.isfinite(pg).all():
+                            raise ContractError(f"backward: non-finite gradient at node {p!r}")
+                        p.grad = pg if p.grad is None else p.grad + pg
+                        hook(p)
 
 
 def zero_grads(params):

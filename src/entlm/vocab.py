@@ -174,8 +174,11 @@ class EntityVocab:
         return sorted(t for lang, t in self.entries[entity_id].titles if lang == language)
 
     def save(self, path):
-        """Write the vocab file; a key or title that would not read back
-        raises ContractError before the file is opened."""
+        """Write the vocab file; a vocabulary that does not start with the
+        specials, or a key or title that would not read back, raises
+        ContractError before the file is opened."""
+        if [e.canonical_key for e in self.entries[: len(SPECIAL_ENTITIES)]] != list(SPECIAL_ENTITIES):
+            raise ContractError(f"entity vocabulary must start with the specials {' '.join(SPECIAL_ENTITIES)}")
         for e in self.entries:
             key = e.canonical_key
             _check_field(key, _LINE_CHARS, f"entity key {key!r}")
@@ -190,10 +193,10 @@ class EntityVocab:
 
     @classmethod
     def load(cls, path):
-        """Read a vocab file.  A bad header, ids not dense from 0, a key or
-        title an earlier row holds (or a title repeated within its row) and a
-        language count other than the titles' raise ContractError naming the
-        line."""
+        """Read a vocab file.  A bad header, ids not dense from 0, ids 0-3
+        other than the specials [PAD] [MASK] [HEAD] [TAIL], a key or title an
+        earlier row holds (or a title repeated within its row) and a language
+        count other than the titles' raise ContractError naming the line."""
         vocab, header = cls([]), []
 
         def row(line):
@@ -205,6 +208,9 @@ class EntityVocab:
             idx, key, nlang, count, pairs = line.split("\t")
             if int(idx) != len(vocab):
                 raise ContractError("vocab file ids are not dense from 0")
+            if int(idx) < len(SPECIAL_ENTITIES) and key != SPECIAL_ENTITIES[int(idx)]:
+                raise ContractError(f"entity {idx} must be the special {SPECIAL_ENTITIES[int(idx)]}, "
+                                    f"not {key!r}")
             titles = [pair.partition(":")[::2] for pair in pairs.split(";")] if pairs else []
             if len(set(titles)) != len(titles):
                 raise ContractError(f"entity {idx} lists a title twice")
@@ -217,6 +223,9 @@ class EntityVocab:
         read_lines(path, row)
         if not header:
             raise ContractError(f"{path}:1: empty vocab file")
+        if len(vocab) < len(SPECIAL_ENTITIES):
+            raise ContractError(f"{path}:1: {len(vocab)} entities, but ids 0-{len(SPECIAL_ENTITIES) - 1} "
+                                f"must be the specials {' '.join(SPECIAL_ENTITIES)}")
         return vocab
 
 

@@ -500,7 +500,9 @@ def test_corrupt_checkpoint_exits_1(workspace, pretrained, capsys):
             ("vocab.entities[4]", edited(lambda h: h["vocab"]["entities"][4][2].append(["en"]))),
             ("vocab.entities[4]", edited(lambda h: h["vocab"]["entities"][4][2].append(rows[4][2][0]))),
             ("vocab.entities", edited(lambda h: h["vocab"]["entities"][5].__setitem__(0, rows[4][0]))),
-            ("vocab.entities", edited(lambda h: h["vocab"]["entities"][5].__setitem__(2, rows[4][2])))):
+            ("vocab.entities", edited(lambda h: h["vocab"]["entities"][5].__setitem__(2, rows[4][2]))),
+            # the specials reordered: mask_id 1 would name [PAD]
+            ("vocab.entities", edited(lambda h: h["vocab"].update(entities=[rows[1], rows[0], *rows[2:]])))):
         raw = json.dumps(bad_header).encode("utf-8")
         Path(bad).write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "little") + raw
                               + good[payload_start:])

@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import signal
+import sys
 import threading
 import time
 import warnings
@@ -572,34 +573,146 @@ def test_training_is_deterministic(toy_data, toy_encoder_config):
 
 def test_training_split_over_two_threads_is_bit_identical(monkeypatch, toy_data, toy_encoder_config):
     # 256-element blocks cut the toy store into many blocks, some gathered
-    # across parameters, and over the stage switch into runs of unequal t
+    # across parameters, and over the stage switch into runs of unequal t;
+    # the parameters of 256 elements or more are handed to the worker
+    # during backward from stage 2 on (stage 1 trains none that large)
     cfg = TrainConfig(total_steps=4, stage1_steps=2, batch_size=4, warmup_steps=1,
                       seed=17, log_interval=1)
     store = sum(p.data.size for p in init_model(toy_encoder_config, seed=cfg.seed).values())
-    monkeypatch.setattr(pretrain, "_usable_cpus", lambda: 2)
+    cpus = 2
+    monkeypatch.setattr(pretrain, "_usable_cpus", lambda: cpus)
     elements = {}  # thread id -> elements it updated
-    real_update = AdamW._update
+    early = []  # elements the worker updated before `step` was entered
+    handed = []  # (trainable, names handed off) per step
+    in_step = threading.Event()
+    caller = threading.get_ident()
+    real_update, real_step = AdamW._update, AdamW.step
 
     def update(self, blocks, scratch, lr):
         tid = threading.get_ident()
-        elements[tid] = elements.get(tid, 0) + sum(bhi - blo for blo, bhi, _, _ in blocks)
+        n = sum(bhi - blo for blo, bhi, _, _ in blocks)
+        elements[tid] = elements.get(tid, 0) + n
+        if tid != caller and not in_step.is_set():
+            early.append(n)
         real_update(self, blocks, scratch, lr)
 
+    def step(self, lr, trainable=None):
+        handed.append((trainable, [name for name, _, _ in self._handoffs]))
+        in_step.set()
+        try:
+            real_step(self, lr, trainable=trainable)
+        finally:
+            in_step.clear()
+
     monkeypatch.setattr(AdamW, "_update", update)
+    monkeypatch.setattr(AdamW, "step", step)
     runs, seen = {}, {}
-    for block in (256, store):
+    switch = sys.getswitchinterval()
+    for block, cpus in ((256, 2), (256, 1), (store, 2)):
         monkeypatch.setattr(pretrain, "ADAMW_BLOCK", block)
         elements.clear()
-        runs[block] = run_toy(toy_data, cfg, toy_encoder_config)
-        seen[block] = dict(elements)
-    # split: the caller and the worker both updated; one block: the caller alone
-    assert len(seen[256]) == 2 and all(seen[256].values())
-    assert list(seen[store]) == [threading.get_ident()]
-    assert sum(seen[256].values()) == sum(seen[store].values())
-    split, inline = runs[256], runs[store]
-    assert split.log == inline.log
-    for name in inline.params:
-        assert split.params[name].data.tobytes() == inline.params[name].data.tobytes(), name
+        early.clear()
+        handed.clear()
+        sys.setswitchinterval(1e-6)  # hand the GIL back and forth as often as possible
+        try:
+            runs[block, cpus] = run_toy(toy_data, cfg, toy_encoder_config)
+        finally:
+            sys.setswitchinterval(switch)
+        seen[block, cpus] = dict(elements)
+        if (block, cpus) == (256, 2):
+            overlapped = list(early)
+            handed_at_256 = list(handed)
+        else:
+            assert not early and all(not names for _, names in handed)
+    # split and overlapped: the caller and the worker both updated, the worker
+    # partly during backward; one CPU or one block: the caller alone
+    assert len(seen[256, 2]) == 2 and all(seen[256, 2].values())
+    assert sum(overlapped) > 0
+    assert list(seen[256, 1]) == list(seen[store, 2]) == [caller]
+    assert sum(seen[256, 2].values()) == sum(seen[256, 1].values()) == sum(seen[store, 2].values())
+    # the frozen stage-1 parameters are never handed off; stage 2 hands off
+    # every trained parameter of at least one block
+    big = {n for n, p in init_model(toy_encoder_config, seed=cfg.seed).items() if p.data.size >= 256}
+    assert [bool(names) for _, names in handed_at_256] == [False, False, True, True]
+    for trainable, names in handed_at_256:
+        assert set(names) <= (trainable if trainable is not None else big)
+        if trainable is None:
+            assert set(names) == big
+    inline = runs[store, 2]
+    for key in ((256, 2), (256, 1)):
+        assert runs[key].log == inline.log, key
+        for name in inline.params:
+            assert runs[key].params[name].data.tobytes() == inline.params[name].data.tobytes(), (key, name)
+
+
+class SlowWorker:
+    """The shared worker, each task delayed so that it is still running when
+    the caller goes on; keeps every future it hands out."""
+
+    def __init__(self, worker):
+        self.worker, self.futures = worker, []
+
+    def submit(self, fn, *args):
+        def slow():
+            time.sleep(0.05)
+            return fn(*args)
+
+        self.futures.append(self.worker.submit(slow))
+        return self.futures[-1]
+
+
+def test_overlapped_step_whose_backward_raises_drains_the_worker(monkeypatch):
+    monkeypatch.setattr(pretrain, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pretrain, "ADAMW_BLOCK", 8)
+    worker = SlowWorker(pretrain._adamw_worker())
+    monkeypatch.setattr(pretrain, "_adamw_worker", lambda: worker)
+    rng = np.random.default_rng(4)
+    init = {"w": rng.normal(size=(4, 8)), "u": rng.normal(size=16)}
+    g1, g2 = {n: rng.normal(size=a.shape) for n, a in init.items()}, {n: rng.normal(size=a.shape)
+                                                                       for n, a in init.items()}
+
+    def run(overlapped):
+        params = {n: T.parameter(a) for n, a in init.items()}
+        opt = AdamW(params)
+        w, u = params["w"], params["u"]
+        if overlapped:
+            # w's gradient is final before u's branch meets the NaN
+            bad = T.constant(np.where(np.arange(16) == 3, np.nan, 1.0))
+            loss = T.add(T.reduce_sum(T.mul(w, T.constant(g1["w"]))),
+                         T.reduce_sum(T.mul(T.scale(u, 1.0), bad)))
+            with np.errstate(invalid="ignore"), pytest.raises(ContractError, match="non-finite"):
+                with opt.overlap(1e-2):
+                    T.backward(loss)
+            # w was handed off, and its update is done before the error arrives
+            assert len(worker.futures) == 1 and worker.futures[0].done()
+            assert T._grad_ready_hook is None and opt._handoffs == []
+        else:
+            w.grad, u.grad = g1["w"], None
+            opt.step(1e-2, trainable={"w"})
+        after_first = {n: p.data.copy() for n, p in params.items()}
+        for n, p in params.items():
+            p.grad = g2[n]
+        opt.step(1e-3)
+        return after_first, {n: p.data.tobytes() for n, p in params.items()}, dict(opt.t)
+
+    (first, final, t), (ref_first, ref_final, ref_t) = run(True), run(False)
+    # w, handed off before backward raised, has stepped; u has not
+    assert np.array_equal(first["w"], ref_first["w"]) and not np.array_equal(first["w"], init["w"])
+    assert np.array_equal(first["u"], init["u"])
+    # the following plain step steps both, from there, as it would have
+    assert final == ref_final and t == ref_t == {"w": 2, "u": 1}
+
+
+def test_overlap_arms_nothing_on_one_cpu_or_without_a_block_sized_parameter(monkeypatch):
+    monkeypatch.setattr(pretrain, "_adamw_worker", RaisingWorker)
+    for cpus, size in ((1, 2 * ADAMW_BLOCK), (2, ADAMW_BLOCK - 1)):
+        monkeypatch.setattr(pretrain, "_usable_cpus", lambda: cpus)
+        w = T.parameter(np.ones(size))
+        opt = AdamW({"w": w})
+        with opt.overlap(1e-3):
+            assert T._grad_ready_hook is None
+            T.backward(T.reduce_sum(T.mul(w, w)))
+        assert opt._handoffs == [] and opt.t == {}
 
 
 def test_stage1_freezes_encoder_parameters(toy_data, toy_encoder_config):

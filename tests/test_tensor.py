@@ -499,6 +499,87 @@ def test_backward_equals_reference_engine_on_a_pretrain_step(tiny_config):
     assert len(expected) == len(params)
 
 
+def test_grad_ready_hook_fires_each_leaf_once_with_its_final_gradient(tiny_config):
+    from conftest import random_sequence
+    from entlm.corpus import IGNORE_LABEL, MaskedBatch
+    from entlm.pretrain import init_model, pretrain_step_loss
+    from entlm.seeding import substream
+
+    params = init_model(tiny_config, seed=0)
+    rng = substream(6, "hook")
+    batches = []
+    for _ in range(3):
+        seq = random_sequence(rng, tiny_config, n_words=8, n_entities=2)
+        word_labels = [IGNORE_LABEL] * 8
+        word_labels[1] = seq.word_ids[1]
+        batches.append(MaskedBatch(sequence=seq, word_labels=word_labels,
+                                   entity_labels=[seq.entity_ids[1], IGNORE_LABEL]))
+    total, _, _ = pretrain_step_loss(params, tiny_config, batches)
+    reference_backward(total)
+    expected = {n: t.grad.tobytes() for n, t in params.items()}
+    names = {t: n for n, t in params.items()}
+    fired = []
+
+    def hook(leaf):
+        fired.append((names[leaf], leaf.grad.tobytes()))
+
+    T.zero_grads(params)
+    with T.on_grad_ready(hook):
+        T.backward(total)
+    assert T._grad_ready_hook is None
+    # once per parameter, each with the gradient backward leaves in .grad
+    assert sorted(n for n, _ in fired) == sorted(params)
+    assert dict(fired) == expected == {n: t.grad.tobytes() for n, t in params.items()}
+    # the decoder weights, read only by the loss heads, come before the
+    # embedding tables the encoder reads first
+    order = [n for n, _ in fired]
+    assert max(order.index("mlm_head.w"), order.index("mep_head.w")) < min(
+        order.index("word_emb"), order.index("entity_emb"), order.index("pos_emb"))
+
+
+def test_grad_ready_hook_waits_for_every_consumer_of_a_leaf():
+    # pos is read by an embedding and a span_sum, as pos_emb is
+    pos, other = p(np.arange(12.0).reshape(4, 3)), p(np.ones(3))
+    a = T.embedding(pos, np.array([[0, 1, 2]]))
+    b = T.span_sum(pos, np.array([[1, 3]]), np.array([[1.0, 0.5]]))
+    events = []
+    for name, node in (("embedding", a), ("span_sum", b)):
+        run = node._backward
+        node._backward = lambda g, run=run, name=name: events.append(name) or run(g)
+    loss = T.reduce_sum(T.mul(T.add(T.reduce_sum(a, axis=1), b), other))
+    reference_backward(loss)
+    want = pos.grad.tobytes()
+    T.zero_grads([pos, other])
+    with T.on_grad_ready(lambda leaf: events.append(("pos" if leaf is pos else "other", leaf.grad.tobytes()))):
+        T.backward(loss)
+    fired = [e for e in events if isinstance(e, tuple)]
+    assert sorted(n for n, _ in fired) == ["other", "pos"]
+    assert events.index(("pos", want)) > max(events.index("embedding"), events.index("span_sum"))
+    assert pos.grad.tobytes() == want
+
+
+def test_grad_ready_hook_skips_a_leaf_without_a_gradient():
+    a, b, unused = p([1.0, 2.0]), p([3.0, 4.0]), p([5.0])
+    # a node whose closure gives b nothing, as a constant input would get
+    node = T._make(a.data + b.data, (a, b), lambda g: (g, None), "custom")
+    fired = []
+    with T.on_grad_ready(fired.append):
+        T.backward(T.reduce_sum(node))
+    assert fired == [a] and b.grad is None and unused.grad is None
+
+
+def test_grad_ready_hook_is_removed_when_backward_raises():
+    w = T.parameter(np.array([1.0, 2.0]), name="w")
+    loss = T.reduce_sum(T.mul(w, T.constant([1.0, np.nan])))
+    fired = []
+    with np.errstate(invalid="ignore"), pytest.raises(ContractError, match=re.escape(f"at node {w!r}")):
+        with T.on_grad_ready(fired.append):
+            T.backward(loss)
+    assert T._grad_ready_hook is None and fired == [] and w.grad is None
+    T.backward(T.reduce_sum(T.mul(w, w)))
+    assert fired == [] and np.array_equal(w.grad, [2.0, 4.0])
+
+
 def test_node_data_is_a_float64_array():
     a, b = p(np.arange(6.0).reshape(2, 3)), p(np.ones(3))
     outs = [
@@ -821,6 +902,12 @@ def test_kernel_never_writes_into_its_inputs(case):
     name, build, inputs, raw = _op_cases(rng)[case]
     before = [a.data.copy() for a in inputs] + [r.copy() for r in raw]
     out = build(*inputs)
+    # nor into the gradient its backward closure receives: backward may hand a
+    # leaf's .grad, which can be that very array, to another thread meanwhile
+    g = rng.normal(size=out.shape)
+    g_before = g.copy()
+    out._backward(g)
+    np.testing.assert_array_equal(g, g_before, err_msg=f"{name} wrote into its incoming gradient")
     T.backward(out if out.ndim == 0 else T.reduce_sum(T.mul(out, T.constant(rng.normal(size=out.shape)))))
     after = [a.data for a in inputs] + raw
     for i, (b, a) in enumerate(zip(before, after)):

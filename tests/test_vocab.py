@@ -139,6 +139,29 @@ def test_vocab_load_rejects_a_row_that_contradicts_the_file(tmp_path, rows, line
     assert str(info.value) == f"{path}:{line}: {what}"
 
 
+@pytest.mark.parametrize("rows, line, what", [
+    (["0\ttokyo\t1\t3\ten:Tokyo", "1\tkyoto\t1\t2\ten:Kyoto"], 2, "entity 0 must be the special [PAD], not 'tokyo'"),
+    ([_SPECIAL_ROWS[0], "1\t[HEAD]\t0\t0\t"], 3, "entity 1 must be the special [MASK], not '[HEAD]'"),
+    (_SPECIAL_ROWS[:3], 1, "3 entities, but ids 0-3 must be the specials [PAD] [MASK] [HEAD] [TAIL]"),
+    ([], 1, "0 entities, but ids 0-3 must be the specials [PAD] [MASK] [HEAD] [TAIL]"),
+], ids=["no-specials", "specials-reordered", "three-specials", "header-only"])
+def test_vocab_load_rejects_a_file_without_the_specials_at_ids_0_to_3(tmp_path, rows, line, what):
+    # with no specials, mask_id 1 would name a real entity, which mask_batch would use as [MASK]
+    path = tmp_path / "entities.tsv"
+    path.write_text("\n".join(["entlm-entity-vocab\tv1", *rows]) + "\n", encoding="utf-8")
+    with pytest.raises(ContractError) as info:
+        EntityVocab.load(str(path))
+    assert str(info.value) == f"{path}:{line}: {what}"
+
+
+def test_vocab_without_the_specials_is_refused_before_writing(tmp_path):
+    path = tmp_path / "entities.tsv"
+    for keys in (["tokyo", "kyoto"], list(SPECIAL_ENTITIES[:3]), [*SPECIAL_ENTITIES[1:], SPECIAL_ENTITIES[0]]):
+        with pytest.raises(ContractError, match=re.escape("must start with the specials [PAD] [MASK]")):
+            EntityVocab([EntityEntry(canonical_key=k) for k in keys]).save(str(path))
+        assert not path.exists()
+
+
 def test_vocab_refuses_entries_that_share_a_key_or_title():
     with pytest.raises(ContractError, match="key 'k'"):
         EntityVocab([EntityEntry(canonical_key="k"), EntityEntry(canonical_key="k")])
@@ -320,7 +343,9 @@ def _vocab_fits(entries):
 @given(st.lists(st.tuples(_FIELD_TEXT, st.integers(0, 99), st.sets(st.tuples(_FIELD_TEXT, _FIELD_TEXT), max_size=3)),
                 max_size=5))
 def test_vocab_save_load_round_trip(tmp_path_factory, raw):
-    entries = [EntityEntry(canonical_key=key, link_count=count, titles=titles) for key, count, titles in raw]
+    # a vocab file holds the specials at ids 0-3; no generated key has a '['
+    entries = [*(EntityEntry(canonical_key=name) for name in SPECIAL_ENTITIES),
+               *(EntityEntry(canonical_key=key, link_count=count, titles=titles) for key, count, titles in raw)]
     titles = [pair for e in entries for pair in e.titles]
     if len({e.canonical_key for e in entries}) < len(entries) or len(set(titles)) < len(titles):
         with pytest.raises(ContractError, match="entity"):
