@@ -130,11 +130,11 @@ def _pretrain_config(args):
 
 def cmd_pretrain(args):
     values = _pretrain_config(args)
-    data = section(values, "data")
-    if "corpus" not in data or "entity_vocab" not in data:
-        raise ConfigError("config must set data.corpus and data.entity_vocab")
+    data, train = section(values, "data"), section(values, "train")
+    if "corpus" not in data or "entity_vocab" not in data or "total_steps" not in train:
+        raise ConfigError("config must set data.corpus, data.entity_vocab and train.total_steps")
     try:
-        train_config = pretrain.TrainConfig(**section(values, "train")).validate()
+        train_config = pretrain.TrainConfig(**train).validate()
     except ContractError as e:
         raise ConfigError(f"train: {e}") from None
 
@@ -297,20 +297,26 @@ def cmd_dump_features(args):
     return EXIT_OK
 
 
+_ANALYZE_INPUTS = {"cwr": ("queries", "pool", "gold"), "modularity": ("embeddings",)}
+
+
 def cmd_analyze(args):
+    names = _ANALYZE_INPUTS[args.metric]
+    missing = [f"--{n}" for n in names if getattr(args, n) is None]
+    if missing:
+        raise ConfigError(f"analyze {args.metric} needs {', '.join(missing)}")
     if args.metric == "cwr":
         queries = align.load_embeddings(args.queries)
         pool = align.load_embeddings(args.pool)
         gold = align.load_gold(args.gold, pool)
         report = {"mrr": align.cwr_mrr(queries, pool, gold),
                   "n_queries": len(queries), "n_pool": len(pool)}
-        inputs = [args.queries, args.pool, args.gold]
     else:
         emb = align.load_embeddings(args.embeddings)
         report = {"modularity": align.modularity(emb, k=args.k), "k": args.k, "n": len(emb)}
-        inputs = [args.embeddings]
     _write_json(args.out, report)
-    write_manifest(_file_manifest_path(args.out), "analyze", vars(args), seed=None, input_paths=inputs)
+    write_manifest(_file_manifest_path(args.out), "analyze", vars(args), seed=None,
+                   input_paths=[getattr(args, n) for n in names])
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 

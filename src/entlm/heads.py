@@ -296,7 +296,8 @@ def qa_predict(model: TaskModel, inst: QAInstance):
         raise ContractError("question alone exceeds max_positions")
 
     n_ctx = len(inst.context_tokens)
-    windows = [0] if n_ctx <= win else list(range(0, max(n_ctx - win, 0) + 1, QA_WINDOW_STRIDE))
+    # a window shorter than the stride steps by its own length, so no token goes unread
+    windows = list(range(0, max(n_ctx - win, 0) + 1, min(QA_WINDOW_STRIDE, win)))
     if windows[-1] + win < n_ctx:
         windows.append(n_ctx - win)
 

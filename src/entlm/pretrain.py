@@ -28,7 +28,7 @@ from .corpus import IGNORE_LABEL, SPECIAL_WORDS, SequenceSampler, WordVocab, mas
 from .encoder import EncoderConfig, encode_batch, init_params, pack_batch, param_specs
 from .errors import ConfigError, ContractError, EntlmError
 from .seeding import substream
-from .vocab import SPECIAL_ENTITIES, EntityEntry, EntityVocab
+from .vocab import EntityEntry, EntityVocab
 
 CHECKPOINT_MAGIC = b"ENTLM-CKPT v1\n"
 # layout of the header and its encoder_config; bump it when either changes
@@ -417,14 +417,13 @@ def select_trainable(params, patterns):
 
 
 def _vocab_header(word_vocab, entity_vocab):
-    """The header's `vocab` field: null, or the word tokens in id order and one
-    [key, link_count, sorted [lang, title] pairs] row per entity id."""
+    """The header's `vocab` field: null, or the word tokens in id order and the
+    entity vocabulary's `rows()`, as its vocab file holds them."""
     if (word_vocab is None) != (entity_vocab is None):
         raise ContractError("save_checkpoint takes both vocabularies or neither")
     if word_vocab is None:
         return None
-    return {"words": list(word_vocab.id_to_token),
-            "entities": [[e.canonical_key, e.link_count, sorted(e.titles)] for e in entity_vocab.entries]}
+    return {"words": list(word_vocab.id_to_token), "entities": entity_vocab.rows()}
 
 
 def save_checkpoint(path, encoder_config: EncoderConfig, params, step=0, meta=None, *,
@@ -520,18 +519,13 @@ def _vocabs_from_header(path, vocab, config: EncoderConfig):
             f"holds {len(rows)} entities, but encoder_config gives entity_vocab_size {config.entity_vocab_size}")
     entries = []
     for i, row in enumerate(rows):
-        ok = (isinstance(row, list) and len(row) == 3 and isinstance(row[0], str) and _is_int(row[1])
-              and isinstance(row[2], list)
-              and all(isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) and isinstance(t[1], str)
-                      for t in row[2]))
-        require(ok, f"vocab.entities[{i}]", "must be [key, link_count, [[lang, title], ...]]")
-        titles = {tuple(t) for t in row[2]}
-        require(len(titles) == len(row[2]), f"vocab.entities[{i}]", "lists a title twice")
-        entries.append(EntityEntry(canonical_key=row[0], link_count=row[1], titles=titles))
-    require([e.canonical_key for e in entries[: len(SPECIAL_ENTITIES)]] == list(SPECIAL_ENTITIES),
-            "vocab.entities", f"must start with {' '.join(SPECIAL_ENTITIES)}")
-    try:
-        entity_vocab = EntityVocab(entries)  # refuses a repeated key or title
+        try:
+            entries.append(EntityEntry.from_row(row))
+        except ContractError as e:
+            raise ContractError(f"{path}: header field 'vocab.entities[{i}]' is malformed ({e})") from None
+    try:  # a special missing or out of place, or a key or title two entities hold
+        entity_vocab = EntityVocab(entries)
+        entity_vocab.require_specials()
     except ContractError as e:
         raise ContractError(f"{path}: header field 'vocab.entities' is malformed ({e})") from None
     return WordVocab(words[len(SPECIAL_WORDS) :]), entity_vocab

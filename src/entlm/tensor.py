@@ -20,8 +20,8 @@ before and never touch the workspace.
 At toy sizes a train step's time goes mostly to per-node bookkeeping, so it
 is kept lean: `_make` fills a node's slots directly instead of going through
 `Tensor.__init__`, and backward() keys its visited set and gradient map by
-the nodes themselves (they hash by identity).  Every node's incoming
-gradient, leaves included, is checked for finiteness.
+the nodes themselves (they hash by identity).  Every gradient backward
+keeps, a requires-grad leaf's included, is checked for finiteness.
 """
 
 from __future__ import annotations
@@ -628,24 +628,40 @@ def log_softmax_np(x, axis=-1):
     return z
 
 
+def _finish_leaf(leaf, g, hook):
+    """Check and store a leaf's final gradient `g` (None: it got none); call `hook`."""
+    if g is None:
+        return
+    if not np.isfinite(g).all():
+        raise ContractError(f"backward: non-finite gradient at node {leaf!r}")
+    leaf.grad = g if leaf.grad is None else leaf.grad + g
+    if hook is not None:
+        hook(leaf)
+
+
 def backward(loss):
     """Populate .grad on every requires_grad tensor reachable from `loss`.
 
-    Visits each graph node exactly once in reverse topological order.
-    Inside `on_grad_ready(hook)`, each requires-grad leaf's gradient is
-    finished (checked, stored in `.grad` and passed to `hook(leaf)`) as soon
-    as the last node that reads the leaf has delivered its part, rather
-    than at the leaf's own place in the order: a decoder weight read only
-    by the loss head is done within the first nodes of the walk, while the
-    rest of backward is still to run.  The parts are summed in the same
-    order either way, so every gradient is bitwise the same.  No backward
+    Visits each interior node exactly once in reverse topological order.
+    Leaves are not in that order: the walk that orders the nodes counts the
+    edges into each requires-grad leaf, and the leaf is finished as soon as
+    the last of them has delivered (a node that gets no gradient delivers
+    nothing, but its edges count).  So inside `on_grad_ready(hook)` a
+    decoder weight read only by the loss head is handed to `hook` within the
+    first nodes of the walk.  Parts are summed in delivery order, and no
     closure writes into a gradient it received, so a hook may hand `.grad`
-    to another thread while the walk goes on.  A leaf that gets no gradient
-    fires nothing.
+    to another thread while the walk goes on.  Constants' gradients are dropped.
     """
     if loss.data.ndim != 0:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
-    topo = []
+    hook = _grad_ready_hook
+    seed = np.ones((), dtype=DEFAULT_DTYPE)
+    if not loss._parents:
+        if loss.requires_grad:
+            _finish_leaf(loss, seed, hook)
+        return
+    topo = []  # interior nodes only
+    waiting = {}  # requires-grad leaf -> edges still to deliver into it
     seen = set()  # nodes hash by identity
     stack = [(loss, False)]
     while stack:
@@ -658,52 +674,31 @@ def backward(loss):
         seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if p not in seen:
-                stack.append((p, False))
+            if p._parents:
+                if p not in seen:
+                    stack.append((p, False))
+            elif p.requires_grad:
+                waiting[p] = waiting.get(p, 0) + 1
 
-    hook = _grad_ready_hook
-    waiting = {}  # with a hook: requires-grad leaf -> edges still to deliver into it
-    if hook is not None:
-        for node in topo:
-            for p in node._parents:
-                if p.requires_grad:
-                    waiting[p] = waiting.get(p, 0) + 1
-
-    grads = {loss: np.ones((), dtype=DEFAULT_DTYPE)}
+    grads = {loss: seed}
     for node in reversed(topo):
         g = grads.pop(node, None)
         if g is None:
-            continue
-        if not np.isfinite(g).all():
+            parent_grads = (None,) * len(node._parents)
+        elif not np.isfinite(g).all():
             raise ContractError(f"backward: non-finite gradient at node {node!r}")
-        if node.requires_grad:
-            node.grad = g if node.grad is None else node.grad + g
-            if hook is not None:
-                hook(node)
-        if node._backward is None:
-            continue
-        parent_grads = node._backward(g)
+        else:
+            parent_grads = node._backward(g)
         for p, pg in zip(node._parents, parent_grads):
-            if pg is None:
-                continue
-            if p in grads:
-                grads[p] = grads[p] + pg
-            else:
-                grads[p] = pg
-        if waiting:
-            for p in node._parents:
-                if p in waiting:
-                    waiting[p] -= 1
-                    if waiting[p] == 0:
-                        del waiting[p]
-                        # the leaf's turn in the walk then finds nothing to do
-                        pg = grads.pop(p, None)
-                        if pg is None:
-                            continue
-                        if not np.isfinite(pg).all():
-                            raise ContractError(f"backward: non-finite gradient at node {p!r}")
-                        p.grad = pg if p.grad is None else p.grad + pg
-                        hook(p)
+            if p._parents:
+                if pg is not None:
+                    grads[p] = grads[p] + pg if p in grads else pg
+            elif p.requires_grad:
+                if pg is not None:
+                    grads[p] = grads[p] + pg if p in grads else pg
+                waiting[p] -= 1
+                if not waiting[p]:
+                    _finish_leaf(p, grads.pop(p, None), hook)
 
 
 def zero_grads(params):

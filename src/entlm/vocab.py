@@ -13,11 +13,12 @@ over each page per distinct surface length.
 
 from __future__ import annotations
 
+import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import ContractError
-from .files import read_lines
+from .files import read_json_lines, read_lines
 
 PAD_ENTITY = "[PAD]"
 MASK_ENTITY = "[MASK]"
@@ -30,14 +31,13 @@ MASK_ENTITY_ID = 1
 HEAD_ENTITY_ID = 2
 TAIL_ENTITY_ID = 3
 
-VOCAB_FILE_HEADER = "entlm-entity-vocab\tv1"
 LINKS_FILE_COLUMNS = ("language", "title", "canonical_key")
-_LINE_CHARS = "\t\r\n"  # no field of a vocab or links file may hold these
+_LINE_CHARS = "\t\r\n"  # no field of a links file may hold these
 
 
-def _check_field(text, forbidden, what):
-    """ContractError unless `text` holds none of `forbidden` and encodes as UTF-8."""
-    bad = next((c for c in forbidden if c in text), None)
+def _check_field(text, what):
+    """ContractError unless `text` holds none of `_LINE_CHARS` and encodes as UTF-8."""
+    bad = next((c for c in _LINE_CHARS if c in text), None)
     if bad is not None:
         raise ContractError(f"{what} holds {bad!r}, which its file format cannot store")
     try:
@@ -95,7 +95,7 @@ class InterLanguageLinks:
         for (lang, title), key in self._map.items():
             what = f"link ({lang!r}, {title!r}) -> {key!r}"
             for text in (lang, title, key):
-                _check_field(text, _LINE_CHARS, what)
+                _check_field(text, what)
             if lang.startswith("#"):
                 raise ContractError(f"{what}: a language starting with '#' reads as a comment")
             if not (lang + title + key).strip():
@@ -112,14 +112,31 @@ class EntityEntry:
     link_count: int = 0
     titles: set = field(default_factory=set)  # set of (lang, title)
 
-    @property
-    def languages(self):
-        return {lang for lang, _ in self.titles}
+    def row(self):
+        """[key, link_count, [[lang, title], ...]] with the titles sorted: one
+        line of a vocab file, and one item of a checkpoint's `vocab.entities`."""
+        return [self.canonical_key, self.link_count, sorted(self.titles)]
+
+    @classmethod
+    def from_row(cls, row):
+        """The entry a JSON `row()` holds; ContractError unless it has that
+        shape (strings and an int) and lists each title once.  Both the vocab
+        file reader and the checkpoint header reader check rows here."""
+        if not (isinstance(row, list) and len(row) == 3 and isinstance(row[0], str) and type(row[1]) is int
+                and isinstance(row[2], list)
+                and all(isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) and isinstance(t[1], str)
+                        for t in row[2])):
+            raise ContractError("an entity row must be [key, link_count, [[lang, title], ...]]")
+        titles = {tuple(t) for t in row[2]}
+        if len(titles) != len(row[2]):
+            raise ContractError("an entity row lists a title twice")
+        return cls(canonical_key=row[0], link_count=row[1], titles=titles)
 
 
 class EntityVocab:
-    """Dense-id entity vocabulary with specials at the lowest ids.  No two
-    entries share a canonical key or a (language, title) pair."""
+    """Dense-id entity vocabulary.  Ids 0-3 are the specials [PAD] [MASK]
+    [HEAD] [TAIL], and no two entries share a canonical key or a
+    (language, title) pair."""
 
     def __init__(self, entries):
         self.entries = []  # index == id; specials included
@@ -129,8 +146,11 @@ class EntityVocab:
             self._append(e)
 
     def _append(self, e):
-        """Give `e` the next id; a key or title another entry holds raises ContractError."""
+        """Give `e` the next id.  A special out of place, or a key or title
+        another entry holds, raises ContractError naming the id."""
         i = len(self.entries)
+        if i < len(SPECIAL_ENTITIES) and e.canonical_key != SPECIAL_ENTITIES[i]:
+            raise ContractError(f"entity {i} must be the special {SPECIAL_ENTITIES[i]}, not {e.canonical_key!r}")
         if e.canonical_key in self.key_to_id:
             raise ContractError(f"entity {i}: key {e.canonical_key!r} is entity "
                                 f"{self.key_to_id[e.canonical_key]}'s")
@@ -143,6 +163,16 @@ class EntityVocab:
         for pair in e.titles:
             self.title_to_id[pair] = i
         self.entries.append(e)
+
+    def rows(self):
+        """One `EntityEntry.row()` per id."""
+        return [e.row() for e in self.entries]
+
+    def require_specials(self):
+        """ContractError unless the vocabulary holds all four specials."""
+        if len(self.entries) < len(SPECIAL_ENTITIES):
+            raise ContractError(f"{len(self.entries)} entities, but ids 0-{len(SPECIAL_ENTITIES) - 1} "
+                                f"must be the specials {' '.join(SPECIAL_ENTITIES)}")
 
     def __len__(self):
         return len(self.entries)
@@ -174,58 +204,31 @@ class EntityVocab:
         return sorted(t for lang, t in self.entries[entity_id].titles if lang == language)
 
     def save(self, path):
-        """Write the vocab file; a vocabulary that does not start with the
-        specials, or a key or title that would not read back, raises
-        ContractError before the file is opened."""
-        if [e.canonical_key for e in self.entries[: len(SPECIAL_ENTITIES)]] != list(SPECIAL_ENTITIES):
-            raise ContractError(f"entity vocabulary must start with the specials {' '.join(SPECIAL_ENTITIES)}")
-        for e in self.entries:
-            key = e.canonical_key
-            _check_field(key, _LINE_CHARS, f"entity key {key!r}")
-            for lang, title in e.titles:
-                _check_field(lang, _LINE_CHARS + ":;", f"entity {key!r}: language {lang!r} of title {title!r}")
-                _check_field(title, _LINE_CHARS + ";", f"entity {key!r}: title {title!r}")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(VOCAB_FILE_HEADER + "\n")
-            for i, e in enumerate(self.entries):
-                pairs = ";".join(f"{lang}:{title}" for lang, title in sorted(e.titles))
-                f.write(f"{i}\t{e.canonical_key}\t{len(e.languages)}\t{e.link_count}\t{pairs}\n")
+        """Write the vocab file: JSON lines of `rows()`, one entity per line in
+        id order.  A vocabulary without all four specials, or a key or title
+        that does not encode as UTF-8, raises ContractError before the file
+        is opened."""
+        self.require_specials()
+        lines = []
+        for row in self.rows():
+            try:
+                lines.append((json.dumps(row, ensure_ascii=False) + "\n").encode("utf-8"))
+            except UnicodeEncodeError:
+                raise ContractError(f"entity {row[0]!r}: its key or a title does not encode as UTF-8") from None
+        with open(path, "wb") as f:
+            f.writelines(lines)
 
     @classmethod
     def load(cls, path):
-        """Read a vocab file.  A bad header, ids not dense from 0, ids 0-3
-        other than the specials [PAD] [MASK] [HEAD] [TAIL], a key or title an
-        earlier row holds (or a title repeated within its row) and a language
-        count other than the titles' raise ContractError naming the line."""
-        vocab, header = cls([]), []
-
-        def row(line):
-            if not header:
-                if line != VOCAB_FILE_HEADER:
-                    raise ContractError(f"unrecognized vocab file header: {line!r}")
-                header.append(line)
-                return
-            idx, key, nlang, count, pairs = line.split("\t")
-            if int(idx) != len(vocab):
-                raise ContractError("vocab file ids are not dense from 0")
-            if int(idx) < len(SPECIAL_ENTITIES) and key != SPECIAL_ENTITIES[int(idx)]:
-                raise ContractError(f"entity {idx} must be the special {SPECIAL_ENTITIES[int(idx)]}, "
-                                    f"not {key!r}")
-            titles = [pair.partition(":")[::2] for pair in pairs.split(";")] if pairs else []
-            if len(set(titles)) != len(titles):
-                raise ContractError(f"entity {idx} lists a title twice")
-            e = EntityEntry(canonical_key=key, link_count=int(count), titles=set(titles))
-            if int(nlang) != len(e.languages):
-                raise ContractError(f"entity {idx} has a language count of {nlang}, "
-                                    f"but its titles are in {len(e.languages)} languages")
-            vocab._append(e)
-
-        read_lines(path, row)
-        if not header:
-            raise ContractError(f"{path}:1: empty vocab file")
-        if len(vocab) < len(SPECIAL_ENTITIES):
-            raise ContractError(f"{path}:1: {len(vocab)} entities, but ids 0-{len(SPECIAL_ENTITIES) - 1} "
-                                f"must be the specials {' '.join(SPECIAL_ENTITIES)}")
+        """Read a vocab file.  A row that `EntityEntry.from_row` or `_append`
+        refuses raises ContractError naming its line; a file of fewer than
+        the four specials names line 1."""
+        vocab = cls([])
+        read_json_lines(path, lambda row: vocab._append(EntityEntry.from_row(row)))
+        try:
+            vocab.require_specials()
+        except ContractError as e:
+            raise ContractError(f"{path}:1: {e}") from None
         return vocab
 
 

@@ -52,7 +52,7 @@ def workspace(tmp_path_factory):
     links_path = str(ws / "links.tsv")
     save_corpus(docs, corpus_path)
     links.save_tsv(links_path)
-    vocab_path = str(ws / "entities.tsv")
+    vocab_path = str(ws / "entities.jsonl")
     rc = main(["build-vocab", "--corpus", corpus_path, "--links", links_path,
                "--out", vocab_path, "--min-languages", "2"])
     assert rc == EXIT_OK
@@ -87,7 +87,7 @@ def test_link_entities_annotates(workspace):
 # the README walkthrough's build-vocab and link-entities steps on the default
 # toy corpus write these files, byte for byte
 PINNED_OUTPUT_DIGESTS = {
-    "entities.tsv": "2792e4e969c87c70fdc330f97990aec636f6e3556e5676d3bb8797a68febc61d",
+    "entities.jsonl": "9edbe2fed2a583d35b3e24d7c89a9d08a24b95db8b4bd97566eadc294c3e949f",
     "linked.jsonl": "1d2ba35868786a5851b7bd98958d2df81e01063ab0a8a434fe2157b86b96078a",
 }
 
@@ -96,7 +96,7 @@ def test_walkthrough_vocab_and_links_are_pinned(tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "make_toy_corpus.py"
     subprocess.run([sys.executable, str(script), "--out-dir", str(tmp_path)], check=True, capture_output=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    corpus_path, vocab_path = str(tmp_path / "corpus.jsonl"), str(tmp_path / "entities.tsv")
+    corpus_path, vocab_path = str(tmp_path / "corpus.jsonl"), str(tmp_path / "entities.jsonl")
     assert main(["build-vocab", "--corpus", corpus_path, "--links", str(tmp_path / "links.tsv"),
                  "--out", vocab_path, "--min-languages", "2"]) == EXIT_OK
     assert main(["link-entities", "--pages", corpus_path, "--text", corpus_path, "--vocab", vocab_path,
@@ -107,15 +107,49 @@ def test_walkthrough_vocab_and_links_are_pinned(tmp_path):
 
 def test_build_vocab_refuses_a_title_it_cannot_store(tmp_path, capsys):
     corpus_path, links_path = tmp_path / "corpus.jsonl", tmp_path / "links.tsv"
-    save_corpus([AnnotatedDocument(language="en", title="p", tokens=["New", "York"],
-                                   annotations=[(0, 2, "New York; City")], sentence_breaks=None)], str(corpus_path))
+    # a lone surrogate, which JSON can escape but UTF-8 cannot encode
+    corpus_path.write_text(json.dumps({"lang": "en", "title": "p", "tokens": ["New", "York"],
+                                       "annotations": [[0, 2, "New York \ud800"]]}) + "\n")
     links_path.write_text("")
-    out = tmp_path / "entities.tsv"
+    out = tmp_path / "entities.jsonl"
     rc = main(["build-vocab", "--corpus", str(corpus_path), "--links", str(links_path), "--out", str(out),
                "--min-languages", "1"])
+    err = capsys.readouterr().err
     assert rc == EXIT_FAILURE
-    assert "'en:New York; City'" in capsys.readouterr().err
+    assert "entity 'en:New York \\ud800': its key or a title does not encode as UTF-8" in err
+    assert "Traceback" not in err
     assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+
+# every title a vocab file holds reads back as it was built, separators and all
+SEPARATOR_TITLES = [("en", "New York; City"), ("en", "Tab\tTitle"), ("en", "Two\nLines"),
+                    ("en:us", "Color: Red"), ("ja", "東京")]
+
+
+def test_titles_with_separators_survive_build_vocab_link_entities_and_pretrain(tmp_path):
+    docs = [AnnotatedDocument(language=lang, title=f"page{i}", tokens=["w", f"m{i}", "x", "."],
+                              annotations=[(1, 2, title)])
+            for _ in range(3) for i, (lang, title) in enumerate(SEPARATOR_TITLES)]
+    corpus_path, links_path, vocab_path = tmp_path / "corpus.jsonl", tmp_path / "links.tsv", tmp_path / "e.jsonl"
+    save_corpus(docs, str(corpus_path))
+    links_path.write_text("")
+    assert main(["build-vocab", "--corpus", str(corpus_path), "--links", str(links_path), "--out", str(vocab_path),
+                 "--min-languages", "1"]) == EXIT_OK
+    ev = EntityVocab.load(str(vocab_path))
+    assert sorted(pair for e in ev.entries for pair in e.titles) == sorted(SEPARATOR_TITLES)
+    for lang, title in SEPARATOR_TITLES:
+        assert ev.entries[ev.resolve(lang, title)].canonical_key == f"{lang}:{title}"
+
+    linked = tmp_path / "linked.jsonl"
+    assert main(["link-entities", "--pages", str(corpus_path), "--text", str(corpus_path), "--vocab", str(vocab_path),
+                 "--out", str(linked), "--min-link-prob", "0.0"]) == EXIT_OK
+    rows = [json.loads(line) for line in linked.read_text(encoding="utf-8").splitlines()]
+    assert [r["annotations"] for r in rows] == [[[1, 2, ev.resolve(d.language, d.annotations[0][2])]] for d in docs]
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG_TEXT.format(corpus=corpus_path, vocab=vocab_path), encoding="utf-8")
+    assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert load_checkpoint(str(tmp_path / "run" / "checkpoint-final.bin")).entity_vocab.rows() == ev.rows()
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +213,7 @@ def test_pretrain_counts_dropped_annotations(workspace, capsys):
     entries = [EntityEntry(canonical_key=k) for k in SPECIAL_ENTITIES]
     entries += [EntityEntry(canonical_key="tokyo", titles={("en", "Tokyo")}),
                 EntityEntry(canonical_key="japan", titles={("en", "Japan")})]
-    EntityVocab(entries).save(str(ws / "drop-entities.tsv"))
+    EntityVocab(entries).save(str(ws / "drop-entities.jsonl"))
     docs = [
         # Japan is past entity_cap = 1
         AnnotatedDocument("en", "a", "tokyo is in japan .".split(), [(0, 1, "Tokyo"), (3, 4, "Japan")]),
@@ -189,7 +223,7 @@ def test_pretrain_counts_dropped_annotations(workspace, capsys):
     ]
     save_corpus(docs, str(ws / "drop-corpus.jsonl"))
     cfg = ws / "drop.cfg"
-    cfg.write_text(CONFIG_TEXT.format(corpus=ws / "drop-corpus.jsonl", vocab=ws / "drop-entities.tsv")
+    cfg.write_text(CONFIG_TEXT.format(corpus=ws / "drop-corpus.jsonl", vocab=ws / "drop-entities.jsonl")
                    + "entity_cap = 1\n")
     rc = main(["pretrain", "--config", str(cfg), "--out", str(ws / "drop-out")])
     assert rc == EXIT_OK
@@ -260,6 +294,39 @@ def test_pretrain_on_an_empty_corpus_exits_1_and_writes_nothing(workspace, tmp_p
     assert rc == EXIT_FAILURE
     assert err == "error: no non-empty languages to sample from\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("drop", ["train.total_steps", "data.corpus", "data.entity_vocab"])
+def test_config_without_a_required_key_exits_3_and_writes_nothing(workspace, tmp_path, capsys, drop):
+    section, key = drop.split(".")
+    lines, current = [], None
+    for line in Path(workspace["config"]).read_text().splitlines():
+        current = line.strip("[]") if line.startswith("[") else current
+        if not (current == section and line.startswith(f"{key} =")):
+            lines.append(line)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    rc = main(["pretrain", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err == "config error: config must set data.corpus, data.entity_vocab and train.total_steps\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["cwr", "--pool", "p.jsonl", "--gold", "g.json"], "--queries"),
+    (["cwr", "--queries", "q.jsonl"], "--pool, --gold"),
+    (["cwr"], "--queries, --pool, --gold"),
+    (["modularity", "--queries", "q.jsonl"], "--embeddings"),
+])
+def test_analyze_without_its_inputs_exits_3_and_writes_nothing(tmp_path, capsys, argv, missing):
+    out = tmp_path / "out.json"
+    rc = main(["analyze", *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err == f"config error: analyze {argv[0]} needs {missing}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_that_is_not_utf8_exits_3_naming_the_line(workspace, tmp_path, capsys):
@@ -782,6 +849,23 @@ def _cut_in_line(lineno):
     return damage
 
 
+def _drop_line(lineno):
+    """Damage: delete one line."""
+    def damage(raw):
+        lines = raw.splitlines(keepends=True)
+        return b"".join(lines[: lineno - 1] + lines[lineno:])
+    return damage
+
+
+def _as_v1_tsv(raw):
+    """Damage: the same vocabulary in the tab-separated layout entity-vocab
+    files had before they held JSON rows."""
+    rows = [json.loads(line) for line in raw.decode("utf-8").splitlines()]
+    lines = [f"{i}\t{key}\t{len({lang for lang, _ in titles})}\t{count}\t"
+             + ";".join(f"{lang}:{title}" for lang, title in titles) for i, (key, count, titles) in enumerate(rows)]
+    return "".join(line + "\n" for line in ["entlm-entity-vocab\tv1", *lines]).encode("utf-8")
+
+
 def _document_edit(edit):
     """Damage: apply edit(document) to a whole-file JSON document."""
     def damage(raw):
@@ -853,9 +937,13 @@ MALFORMED = [
      lambda p, bad: ["build-vocab", "--corpus", bad, "--links", p["links"], "--out", p["out"]], 2),
     ("build-vocab/links-two-columns", "links", _line_edit(2, lambda line: line.rsplit("\t", 1)[0]),
      lambda p, bad: ["build-vocab", "--corpus", p["corpus"], "--links", bad, "--out", p["out"]], 2),
-    ("link-entities/vocab-ids-not-dense", "vocab", _line_edit(4, lambda line: "9" + line),
+    # without the row of id 3, [TAIL], the next row takes its id
+    ("link-entities/vocab-ids-not-dense", "vocab", _drop_line(4),
      lambda p, bad: ["link-entities", "--pages", p["corpus"], "--text", p["corpus"], "--vocab", bad,
                      "--out", p["out"]], 4),
+    ("link-entities/vocab-v1-tsv", "vocab", _as_v1_tsv,
+     lambda p, bad: ["link-entities", "--pages", p["corpus"], "--text", p["corpus"], "--vocab", bad,
+                     "--out", p["out"]], 1),
     ("link-entities/text-annotation-out-of-bounds", "corpus",
      _record_edit(2, lambda r: r.update(annotations=[[0, 99, "Ent0_en"]])),
      lambda p, bad: ["link-entities", "--pages", p["corpus"], "--text", bad, "--vocab", p["vocab"],

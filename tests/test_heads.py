@@ -238,7 +238,7 @@ def test_qa_predict_entity_variant_runs(task_setup):
 def test_qa_predict_matches_per_window_passes(task_setup, monkeypatch, use_entities):
     cfg, params, wv, ev = task_setup
     model = make_qa_model(cfg, params, wv, ev, use_entities=use_entities)
-    ctx = ("the capital of japan is tokyo a b c d " * 17).split()  # 170 tokens: windows at 0, 128, 140
+    ctx = ("the capital of japan is tokyo a b c d " * 17).split()  # 170 tokens in windows of 30
     japan = ev.resolve("en", "Japan")
     inst = QAInstance(qid="w", question_tokens=["what", "?"], context_tokens=ctx, answers=["tokyo"],
                       question_entities=[(0, 1, japan)],
@@ -247,7 +247,7 @@ def test_qa_predict_matches_per_window_passes(task_setup, monkeypatch, use_entit
     pred = qa_predict(model, inst)
     assert len(calls) == 1
     best = None
-    for lo in (0, 128, 140):
+    for lo in (0, 30, 60, 90, 120, 140):
         seq, off = _qa_sequence(model, inst, lo, lo + 30)
         data = _qa_logits(model, [seq]).data[0, off : off + 30]
         score, s, e = _best_span(data[:, 0], data[:, 1])
@@ -255,6 +255,23 @@ def test_qa_predict_matches_per_window_passes(task_setup, monkeypatch, use_entit
             best = (score, lo + s, lo + e + 1)
     assert pred["span"] == best[1:]
     assert abs(pred["score"] - best[0]) <= 1e-10
+
+
+@pytest.mark.parametrize("q_len, n_ctx", [(4, 100), (4, 28), (4, 29), (2, 170), (30, 7), (1, 400)])
+def test_qa_predict_windows_cover_every_context_token(task_setup, monkeypatch, q_len, n_ctx):
+    # max_positions 32: a window holds 32 - q_len context tokens, fewer than QA_WINDOW_STRIDE
+    cfg, params, wv, ev = task_setup
+    model = make_qa_model(cfg, params, wv, ev)
+    inst = QAInstance(qid="c", question_tokens=["what"] * q_len, context_tokens=["a"] * n_ctx,
+                      answers=["a"]).validate()
+    bounds = []
+    monkeypatch.setattr(heads_mod, "_qa_sequence",
+                        lambda model, inst, lo, hi, real=heads_mod._qa_sequence: bounds.append((lo, hi))
+                        or real(model, inst, lo, hi))
+    qa_predict(model, inst)
+    win = cfg.max_positions - q_len
+    assert all(hi - lo == min(win, n_ctx) for lo, hi in bounds)
+    assert set().union(*(range(lo, hi) for lo, hi in bounds)) == set(range(n_ctx))
 
 
 def test_qa_predict_is_unchanged_by_interleaved_calls_of_another_shape(task_setup):

@@ -568,6 +568,27 @@ def test_grad_ready_hook_skips_a_leaf_without_a_gradient():
     assert fired == [a] and b.grad is None and unused.grad is None
 
 
+@pytest.mark.parametrize("with_hook", [False, True])
+def test_leaf_read_by_a_node_without_a_gradient_is_still_finished(with_hook):
+    w = p([1.0, 2.0])
+    live = T.mul(w, w)
+    dead = T.scale(w, 3.0)  # reached from the loss, but its consumer gives it no gradient
+    # the walk reaches `dead` after `live`, so its edge into w is the last one counted
+    node = T._make(live.data + dead.data, (live, dead), lambda g: (g, None), "custom")
+    loss = T.reduce_sum(node)
+    reference_backward(loss)
+    want = w.grad.tobytes()
+    w.grad = None
+    fired = []
+    if with_hook:
+        with T.on_grad_ready(fired.append):
+            T.backward(loss)
+        assert fired == [w]
+    else:
+        T.backward(loss)
+    assert w.grad.tobytes() == want and np.array_equal(w.grad, [2.0, 4.0])
+
+
 def test_grad_ready_hook_is_removed_when_backward_raises():
     w = T.parameter(np.array([1.0, 2.0]), name="w")
     loss = T.reduce_sum(T.mul(w, T.constant([1.0, np.nan])))

@@ -1,6 +1,7 @@
 """Entity vocabulary: merging, ranking, specials, file round trips."""
 
 import hashlib
+import json
 import re
 from collections import defaultdict
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlm.corpus import AnnotatedDocument
+from entlm.corpus import SPECIAL_WORDS, AnnotatedDocument
+from entlm.encoder import EncoderConfig
 from entlm.errors import ContractError
+from entlm.pretrain import _vocabs_from_header
 from entlm.vocab import (
     HEAD_ENTITY_ID,
     MASK_ENTITY_ID,
@@ -103,7 +106,7 @@ def test_unaligned_title_gets_language_scoped_key(links):
 
 def test_vocab_file_round_trip(tmp_path, corpus_docs, links):
     ev = build_entity_vocab(corpus_docs, links, min_languages=2)
-    path = str(tmp_path / "entities.tsv")
+    path = str(tmp_path / "entities.jsonl")
     ev.save(path)
     loaded = EntityVocab.load(path)
     assert len(loaded) == len(ev)
@@ -111,62 +114,112 @@ def test_vocab_file_round_trip(tmp_path, corpus_docs, links):
         assert loaded.entries[i].canonical_key == e.canonical_key
         assert loaded.entries[i].link_count == e.link_count
         assert loaded.entries[i].titles == e.titles
+    # one JSON row per line, the rows a checkpoint's vocab.entities holds
+    with open(path, encoding="utf-8") as f:
+        assert [json.loads(line) for line in f] == json.loads(json.dumps(ev.rows()))
 
 
 def test_vocab_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.tsv"
+    path = tmp_path / "bad.jsonl"
     path.write_text("not a vocab file\n")
     with pytest.raises(ContractError):
         EntityVocab.load(str(path))
 
 
-# the specials' rows fill lines 2-5, so entity 4 is on line 6 and entity 5 on line 7
-_SPECIAL_ROWS = [f"{i}\t{key}\t0\t0\t" for i, key in enumerate(SPECIAL_ENTITIES)]
+# Bad entity rows, each refused by the vocab file reader (`EntityVocab.load`)
+# and by the checkpoint header reader (`pretrain._vocabs_from_header`):
+# (rows, the line the file reader names, the header field the checkpoint
+# reader names, the words both refusals hold).  The specials' rows fill
+# lines 1-4, so entity 4 is on line 5 and entity 5 on line 6.
+_SPECIAL_ROWS = [[key, 0, []] for key in SPECIAL_ENTITIES]
+_SHAPE = "an entity row must be [key, link_count, [[lang, title], ...]]"
+
+_CONTRADICTING_ROWS = [
+    pytest.param([*_SPECIAL_ROWS, ["k", 3, [["en", "A"]]], ["k", 2, [["de", "B"]]]], 6, "vocab.entities",
+                 "entity 5: key 'k' is entity 4's", id="repeated-key"),
+    pytest.param([*_SPECIAL_ROWS, ["k", 3, [["en", "A"]]], ["j", 2, [["de", "B"], ["en", "A"]]]], 6,
+                 "vocab.entities", "entity 5: title en:A is entity 4's", id="repeated-title"),
+    pytest.param([*_SPECIAL_ROWS, ["k", 3, [["en", "A"], ["en", "A"]]]], 5, "vocab.entities[4]",
+                 "an entity row lists a title twice", id="title-twice-in-a-row"),
+    pytest.param([*_SPECIAL_ROWS, ["k", 3]], 5, "vocab.entities[4]", _SHAPE, id="count-without-titles"),
+    pytest.param([*_SPECIAL_ROWS, {"key": "k"}], 5, "vocab.entities[4]", _SHAPE, id="not-a-list"),
+    pytest.param([*_SPECIAL_ROWS, [7, 3, []]], 5, "vocab.entities[4]", _SHAPE, id="key-not-a-string"),
+    pytest.param([*_SPECIAL_ROWS, ["k", "3", []]], 5, "vocab.entities[4]", _SHAPE, id="count-a-string"),
+    pytest.param([*_SPECIAL_ROWS, ["k", 3.0, []]], 5, "vocab.entities[4]", _SHAPE, id="count-a-float"),
+    pytest.param([*_SPECIAL_ROWS, ["k", True, []]], 5, "vocab.entities[4]", _SHAPE, id="count-a-bool"),
+    pytest.param([*_SPECIAL_ROWS, ["k", 3, "en:A"]], 5, "vocab.entities[4]", _SHAPE, id="titles-a-string"),
+    pytest.param([*_SPECIAL_ROWS, ["k", 3, [["en"]]]], 5, "vocab.entities[4]", _SHAPE, id="title-one-field"),
+    pytest.param([*_SPECIAL_ROWS, ["k", 3, [["en", 1]]]], 5, "vocab.entities[4]", _SHAPE, id="title-not-a-string"),
+]
+
+# with no specials, mask_id 1 would name a real entity, which mask_batch would use as [MASK]
+_MISPLACED_SPECIALS = [
+    pytest.param([["tokyo", 3, [["en", "Tokyo"]]], ["kyoto", 2, [["en", "Kyoto"]]]], 1, "vocab.entities",
+                 "entity 0 must be the special [PAD], not 'tokyo'", id="no-specials"),
+    pytest.param([_SPECIAL_ROWS[0], ["[HEAD]", 0, []], *_SPECIAL_ROWS[2:]], 2, "vocab.entities",
+                 "entity 1 must be the special [MASK], not '[HEAD]'", id="specials-reordered"),
+    pytest.param(_SPECIAL_ROWS[:3], 1, "vocab.entities",
+                 "3 entities, but ids 0-3 must be the specials [PAD] [MASK] [HEAD] [TAIL]", id="three-specials"),
+]
 
 
-@pytest.mark.parametrize("rows, line, what", [
-    (["4\tk\t1\t3\ten:A", "5\tk\t1\t2\tde:B"], 7, "entity 5: key 'k' is entity 4's"),
-    (["4\tk\t1\t3\ten:A", "5\tj\t2\t2\tde:B;en:A"], 7, "entity 5: title en:A is entity 4's"),
-    (["4\tk\t1\t3\ten:A;en:A"], 6, "entity 4 lists a title twice"),
-    (["4\tk\t7\t0\t"], 6, "entity 4 has a language count of 7, but its titles are in 0 languages"),
-    (["4\tk\t1\t3\ten:A;de:A"], 6, "entity 4 has a language count of 1, but its titles are in 2 languages"),
-], ids=["repeated-key", "repeated-title", "title-twice-in-a-row", "count-without-titles", "count-below-titles"])
-def test_vocab_load_rejects_a_row_that_contradicts_the_file(tmp_path, rows, line, what):
-    path = tmp_path / "entities.tsv"
-    path.write_text("\n".join(["entlm-entity-vocab\tv1", *_SPECIAL_ROWS, *rows]) + "\n", encoding="utf-8")
+def _write_rows(path, rows):
+    path.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8")
+
+
+def _refusal(load, path):
     with pytest.raises(ContractError) as info:
-        EntityVocab.load(str(path))
-    assert str(info.value) == f"{path}:{line}: {what}"
+        load(str(path))
+    return str(info.value)
 
 
-@pytest.mark.parametrize("rows, line, what", [
-    (["0\ttokyo\t1\t3\ten:Tokyo", "1\tkyoto\t1\t2\ten:Kyoto"], 2, "entity 0 must be the special [PAD], not 'tokyo'"),
-    ([_SPECIAL_ROWS[0], "1\t[HEAD]\t0\t0\t"], 3, "entity 1 must be the special [MASK], not '[HEAD]'"),
-    (_SPECIAL_ROWS[:3], 1, "3 entities, but ids 0-3 must be the specials [PAD] [MASK] [HEAD] [TAIL]"),
-    ([], 1, "0 entities, but ids 0-3 must be the specials [PAD] [MASK] [HEAD] [TAIL]"),
-], ids=["no-specials", "specials-reordered", "three-specials", "header-only"])
-def test_vocab_load_rejects_a_file_without_the_specials_at_ids_0_to_3(tmp_path, rows, line, what):
-    # with no specials, mask_id 1 would name a real entity, which mask_batch would use as [MASK]
-    path = tmp_path / "entities.tsv"
-    path.write_text("\n".join(["entlm-entity-vocab\tv1", *rows]) + "\n", encoding="utf-8")
-    with pytest.raises(ContractError) as info:
-        EntityVocab.load(str(path))
-    assert str(info.value) == f"{path}:{line}: {what}"
+@pytest.mark.parametrize("rows, line, field, what", _CONTRADICTING_ROWS)
+def test_vocab_load_rejects_a_row_that_contradicts_the_file(tmp_path, rows, line, field, what):
+    path = tmp_path / "entities.jsonl"
+    _write_rows(path, rows)
+    err = _refusal(EntityVocab.load, path)
+    assert err == f"{path}:{line}: {what}"
+
+
+@pytest.mark.parametrize("rows, line, field, what", [
+    *_MISPLACED_SPECIALS,
+    # a file in the tab-separated layout vocab files had before they held JSON rows
+    pytest.param("entlm-entity-vocab\tv1\n", 1, None, "JSONDecodeError: Expecting value at column 1",
+                 id="header-only"),
+])
+def test_vocab_load_rejects_a_file_without_the_specials_at_ids_0_to_3(tmp_path, rows, line, field, what):
+    path = tmp_path / "entities.jsonl"
+    if isinstance(rows, str):
+        path.write_text(rows, encoding="utf-8")
+    else:
+        _write_rows(path, rows)
+    assert _refusal(EntityVocab.load, path) == f"{path}:{line}: {what}"
+
+
+@pytest.mark.parametrize("rows, line, field, what", _CONTRADICTING_ROWS + _MISPLACED_SPECIALS)
+def test_checkpoint_vocab_rejects_the_rows_a_vocab_file_may_not_hold(rows, line, field, what):
+    config = EncoderConfig(word_vocab_size=len(SPECIAL_WORDS), entity_vocab_size=len(rows))
+    vocab = {"words": list(SPECIAL_WORDS), "entities": rows}
+    err = _refusal(lambda path: _vocabs_from_header(path, vocab, config), "ckpt.bin")
+    assert err.startswith(f"ckpt.bin: header field '{field}' ") and what in err, err
 
 
 def test_vocab_without_the_specials_is_refused_before_writing(tmp_path):
-    path = tmp_path / "entities.tsv"
-    for keys in (["tokyo", "kyoto"], list(SPECIAL_ENTITIES[:3]), [*SPECIAL_ENTITIES[1:], SPECIAL_ENTITIES[0]]):
-        with pytest.raises(ContractError, match=re.escape("must start with the specials [PAD] [MASK]")):
-            EntityVocab([EntityEntry(canonical_key=k) for k in keys]).save(str(path))
-        assert not path.exists()
+    path = tmp_path / "entities.jsonl"
+    for keys in (["tokyo", "kyoto"], [*SPECIAL_ENTITIES[1:], SPECIAL_ENTITIES[0]]):
+        with pytest.raises(ContractError, match=re.escape("entity 0 must be the special [PAD]")):
+            EntityVocab([EntityEntry(canonical_key=k) for k in keys])
+    with pytest.raises(ContractError, match=re.escape("3 entities, but ids 0-3 must be the specials [PAD] [MASK]")):
+        EntityVocab([EntityEntry(canonical_key=k) for k in SPECIAL_ENTITIES[:3]]).save(str(path))
+    assert not path.exists()
 
 
 def test_vocab_refuses_entries_that_share_a_key_or_title():
+    specials = [EntityEntry(canonical_key=k) for k in SPECIAL_ENTITIES]
     with pytest.raises(ContractError, match="key 'k'"):
-        EntityVocab([EntityEntry(canonical_key="k"), EntityEntry(canonical_key="k")])
+        EntityVocab([*specials, EntityEntry(canonical_key="k"), EntityEntry(canonical_key="k")])
     with pytest.raises(ContractError, match="title en:A"):
-        EntityVocab([EntityEntry(canonical_key="k", titles={("en", "A")}),
+        EntityVocab([*specials, EntityEntry(canonical_key="k", titles={("en", "A")}),
                      EntityEntry(canonical_key="j", titles={("en", "A")})])
 
 
@@ -316,11 +369,11 @@ def _wide_link_pages():
 def test_wide_mention_stats_and_vocab_are_unchanged(tmp_path):
     docs, links, pages = _wide_link_pages()
     _assert_same_stats(pages)
-    path = str(tmp_path / "entities.tsv")
+    path = str(tmp_path / "entities.jsonl")
     build_entity_vocab(docs, links, min_languages=2).save(path)
-    with open(path, "rb") as f:  # the file the full-scan build wrote
+    with open(path, "rb") as f:  # the rows of the vocabulary the full-scan build wrote
         assert hashlib.sha256(f.read()).hexdigest() == (
-            "3c54540b6dc383f0cdd2dbac85bf34351032be2151abd4fc60efc630fadc0d0a")
+            "8db10ebc680f25a4a433d4e5b1047301210379fd00f1f47fc8c50ef5691c7a33")
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +382,21 @@ def test_wide_mention_stats_and_vocab_are_unchanged(tmp_path):
 
 _FIELD_TEXT = st.one_of(st.text(alphabet="aB #東", max_size=4),
                         st.text(alphabet="aB #:;\t\r\n東\x85", max_size=4))
+# a lone surrogate does not encode as UTF-8
+_VOCAB_TEXT = st.one_of(_FIELD_TEXT, st.text(alphabet="a:;\n\ud800", max_size=3))
 
 
-def _vocab_fits(entries):
-    def clean(text, forbidden):
-        return not any(c in text for c in "\t\r\n" + forbidden)
-
-    return all(clean(e.canonical_key, "") and all(clean(lang, ":;") and clean(title, ";") for lang, title in e.titles)
-               for e in entries)
+def _encodes(entries):
+    texts = [text for e in entries for text in (e.canonical_key, *(x for pair in e.titles for x in pair))]
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(_FIELD_TEXT, st.integers(0, 99), st.sets(st.tuples(_FIELD_TEXT, _FIELD_TEXT), max_size=3)),
+@given(st.lists(st.tuples(_VOCAB_TEXT, st.integers(0, 99), st.sets(st.tuples(_VOCAB_TEXT, _VOCAB_TEXT), max_size=3)),
                 max_size=5))
 def test_vocab_save_load_round_trip(tmp_path_factory, raw):
     # a vocab file holds the specials at ids 0-3; no generated key has a '['
@@ -352,16 +408,15 @@ def test_vocab_save_load_round_trip(tmp_path_factory, raw):
             EntityVocab(entries)
         return
     ev = EntityVocab(entries)
-    path = tmp_path_factory.mktemp("vocab") / "entities.tsv"
-    if not _vocab_fits(entries):
-        with pytest.raises(ContractError, match="entity"):
+    path = tmp_path_factory.mktemp("vocab") / "entities.jsonl"
+    if not _encodes(entries):
+        with pytest.raises(ContractError, match="UTF-8"):
             ev.save(str(path))
         assert not path.exists()
         return
     ev.save(str(path))
     loaded = EntityVocab.load(str(path))
-    assert [(e.canonical_key, e.link_count, e.titles) for e in loaded.entries] == \
-        [(e.canonical_key, e.link_count, e.titles) for e in ev.entries]
+    assert loaded.rows() == ev.rows()
     for e in entries:
         assert loaded.resolve_key(e.canonical_key) == ev.resolve_key(e.canonical_key)
         for lang, title in e.titles:
@@ -398,13 +453,13 @@ def test_links_save_load_round_trip(tmp_path_factory, adds):
 
 @pytest.mark.parametrize("lang,title", [("en", "New York; City"), ("en", "New\tYork"), ("en", "New York\n"),
                                         ("en:us", "New York"), ("en;us", "New York")])
-def test_title_with_a_separator_is_refused_before_writing(tmp_path, lang, title):
+def test_title_with_a_separator_round_trips(tmp_path, lang, title):
     ev = EntityVocab([*(EntityEntry(canonical_key=name) for name in SPECIAL_ENTITIES),
                       EntityEntry(canonical_key="nyc", titles={(lang, title)})])
-    path = tmp_path / "entities.tsv"
-    with pytest.raises(ContractError, match=f"'nyc'.*{re.escape(repr(title))}"):
-        ev.save(str(path))
-    assert not path.exists()
+    path = tmp_path / "entities.jsonl"
+    ev.save(str(path))
+    loaded = EntityVocab.load(str(path))
+    assert loaded.entries[4].titles == {(lang, title)} and loaded.resolve(lang, title) == 4
 
 
 def test_title_that_does_not_encode_is_refused_before_writing(tmp_path):
@@ -412,4 +467,10 @@ def test_title_that_does_not_encode_is_refused_before_writing(tmp_path):
     path = tmp_path / "links.tsv"
     with pytest.raises(ContractError, match="UTF-8"):
         links.save_tsv(str(path))
+    assert not path.exists()
+    ev = EntityVocab([*(EntityEntry(canonical_key=name) for name in SPECIAL_ENTITIES),
+                      EntityEntry(canonical_key="k", titles={("en", "half \ud800 pair")})])
+    path = tmp_path / "entities.jsonl"
+    with pytest.raises(ContractError, match=re.escape("entity 'k': its key or a title does not encode as UTF-8")):
+        ev.save(str(path))
     assert not path.exists()
