@@ -27,8 +27,8 @@ class SpanEmbedding:
 
     def validate(self):
         v = np.asarray(self.vector, dtype=np.float64)
-        if not np.all(np.isfinite(v)):
-            raise ContractError(f"non-finite embedding for {self.uid}")
+        if v.ndim != 1 or not np.all(np.isfinite(v)):
+            raise ContractError(f"embedding for {self.uid} is not a flat list of finite numbers")
         return self
 
 
@@ -58,6 +58,8 @@ def cwr_mrr(queries, pool, gold):
     pool_index = {p.uid: i for i, p in enumerate(pool)}
     q_mat = _unit_rows(np.stack([np.asarray(q.vector, dtype=np.float64) for q in queries]), "queries")
     p_mat = _unit_rows(np.stack([np.asarray(p.vector, dtype=np.float64) for p in pool]), "pool")
+    if q_mat.shape[1] != p_mat.shape[1]:
+        raise ContractError(f"query vectors have {q_mat.shape[1]} dimensions, but pool vectors {p_mat.shape[1]}")
     sims = q_mat @ p_mat.T
     rr = []
     for qi, q in enumerate(queries):
@@ -137,13 +139,20 @@ def save_embeddings(embeddings, path):
             }, ensure_ascii=False) + "\n")
 
 
-def _embedding(d):
-    return SpanEmbedding(uid=d["id"], language=d["lang"], text=d["text"],
-                         vector=np.array(d["vector"], dtype=np.float64)).validate()
+def load_embeddings(path, dim=None):
+    """The SpanEmbeddings of a JSON-lines file.  Every vector has `dim`
+    elements when it is given, else as many as the first."""
 
+    def parse(d):
+        nonlocal dim
+        e = SpanEmbedding(uid=d["id"], language=d["lang"], text=d["text"],
+                          vector=np.array(d["vector"], dtype=np.float64)).validate()
+        dim = e.vector.size if dim is None else dim
+        if e.vector.size != dim:
+            raise ContractError(f"vector has {e.vector.size} elements, but {dim} are expected")
+        return e
 
-def load_embeddings(path):
-    return read_json_lines(path, _embedding)
+    return read_json_lines(path, parse)
 
 
 def load_gold(path, pool):

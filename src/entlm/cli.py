@@ -307,7 +307,7 @@ def cmd_analyze(args):
         raise ConfigError(f"analyze {args.metric} needs {', '.join(missing)}")
     if args.metric == "cwr":
         queries = align.load_embeddings(args.queries)
-        pool = align.load_embeddings(args.pool)
+        pool = align.load_embeddings(args.pool, dim=queries[0].vector.size if queries else None)
         gold = align.load_gold(args.gold, pool)
         report = {"mrr": align.cwr_mrr(queries, pool, gold),
                   "n_queries": len(queries), "n_pool": len(pool)}

@@ -195,6 +195,8 @@ def evaluate(model: ClozeModel, queries, mode="word"):
     Also counts the candidates scored and, in entity modes, those outside
     the entity vocabulary that fell back to word scoring.
     """
+    if not queries:
+        raise ContractError("empty cloze query set")
     per_lang = defaultdict(lambda: [0, 0])
     records = []
     scored = fallbacks = 0
@@ -218,11 +220,9 @@ def evaluate(model: ClozeModel, queries, mode="word"):
             "correct": correct,
             "used_entity": used[pred],
         })
-    total_c = sum(c for c, _ in per_lang.values())
-    total_n = sum(n for _, n in per_lang.values())
     return {
         "mode": mode,
-        "accuracy": total_c / total_n if total_n else 0.0,
+        "accuracy": sum(c for c, _ in per_lang.values()) / len(queries),
         "per_language": {l: c / n for l, (c, n) in sorted(per_lang.items())},
         "candidates_scored": scored,
         "word_fallbacks": fallbacks,

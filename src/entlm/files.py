@@ -2,14 +2,29 @@
 `read_lines`, `read_json_lines` or `read_json`.  A KeyError, IndexError,
 TypeError, AttributeError or ValueError (JSONDecodeError, UnicodeDecodeError
 and the `validate()` errors among them) raised while a file is decoded or
-parsed becomes ContractError("<path>:<line>: ...").
+parsed becomes ContractError("<path>:<line>: ...").  JSON is read by `loads`,
+which also refuses a string that no UTF-8 file can hold.
 """
 
 import json
+import re
 
 from .errors import ContractError, EntlmError
 
 PARSE_ERRORS = (KeyError, IndexError, TypeError, AttributeError, ValueError)
+# a JSON escape of a UTF-16 surrogate, which is a character only as half of a pair
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def loads(text):
+    """json.loads(text), refusing a lone surrogate escape, which UTF-8 cannot encode."""
+    value = json.loads(text)
+    if _SURROGATE_ESCAPE.search(text):
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ContractError("a string holds a lone surrogate escape (\\ud800-\\udfff outside a pair)") from None
+    return value
 
 
 def _located(path, lineno, e):
@@ -38,21 +53,21 @@ def read_lines(path, parse, paragraphs=False):
 
 def read_json_lines(path, parse):
     """[parse(record) for each non-blank line], each line one JSON value."""
-    return read_lines(path, lambda line: parse(json.loads(line.strip())))
+    return read_lines(path, lambda line: parse(loads(line.strip())))
 
 
 def read_json(path, parse, lines=False):
     """parse(document) for a UTF-8 file of one JSON document; an error that
-    `parse` raises names line 1.  With `lines`, a file that is not one JSON
-    document goes to `read_json_lines` instead."""
+    `parse` raises names line 1.  With `lines`, a file that does not parse as
+    one JSON document goes to `read_json_lines` instead."""
     with open(path, "rb") as f:
         raw = f.read()
     try:
-        document = json.loads(raw.decode("utf-8"))
+        document = loads(raw.decode("utf-8"))
     except ValueError as e:
-        if lines:
+        if lines and isinstance(e, json.JSONDecodeError):
             return read_json_lines(path, parse)
-        # a JSONDecodeError knows its line, a UnicodeDecodeError its byte offset
+        # a JSONDecodeError knows its line, a UnicodeDecodeError its byte offset; a lone surrogate names line 1
         lineno = getattr(e, "lineno", None) or raw.count(b"\n", 0, getattr(e, "start", 0)) + 1
         raise _located(path, lineno, e) from None
     try:

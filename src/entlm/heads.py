@@ -133,17 +133,23 @@ def _qa_records(payload):
 
 def load_qa_data(path):
     """Read QA instances from SQuAD-shaped JSON (one object whose `data` lists
-    articles of paragraphs of questions) or else from JSON lines."""
+    articles of paragraphs of questions) or else from JSON lines.  A question
+    without an `id` takes its index; no two questions may share an id."""
     insts = []
+    qids = set()
 
     def add(payload):
         for r in _qa_records(payload):
+            qid = str(r.get("id", len(insts)))
+            if qid in qids:
+                raise ContractError(f"question id {qid!r} is used by an earlier question")
+            qids.add(qid)
             ctx_tokens, starts = _tokenize_with_offsets(r["context"])
             answers = r.get("answers", [])
             spans = [_char_span_to_tokens(starts, ctx_tokens, a["answer_start"], a["text"]) for a in answers]
             insts.append(
                 QAInstance(
-                    qid=str(r.get("id", len(insts))),
+                    qid=qid,
                     question_tokens=r["question"].split(),
                     context_tokens=ctx_tokens,
                     answers=[a["text"] for a in answers],
@@ -169,16 +175,6 @@ def _re_instance(line):
 def load_re_data(path):
     """One example per line: label TAB tokens TAB head_start head_end TAB tail_start tail_end."""
     return read_lines(path, _re_instance)
-
-
-def save_re_data(insts, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for inst in insts:
-            f.write("\t".join([
-                inst.label, " ".join(inst.tokens),
-                f"{inst.head_span[0]} {inst.head_span[1]}",
-                f"{inst.tail_span[0]} {inst.tail_span[1]}",
-            ]) + "\n")
 
 
 def bio_to_spans(tags):

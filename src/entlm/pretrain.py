@@ -2,12 +2,12 @@
 
 Stage 1 updates only the newly initialized entity-side parameters; stage 2
 updates everything.  The warmup/linear-decay learning-rate schedule restarts
-at the stage boundary.  Checkpoints are a versioned binary container with a
-name -> (shape, dtype, offset) index over little-endian float64 payloads.
-A checkpoint holds the parameters, the encoder config, the step, a meta
-object and the word and entity vocabularies: what evaluation and fine-tuning
-read.  It stores no optimizer or RNG state, so training does not resume from
-one.
+at the stage boundary.  A checkpoint is a versioned binary container: a JSON
+header whose `shapes` maps each parameter name to its shape, then each
+parameter's little-endian float64 bytes in sorted-name order.  It holds the
+parameters, the encoder config, the step, a meta object and the word and
+entity vocabularies: what evaluation and fine-tuning read.  It stores no
+optimizer or RNG state, so training does not resume from one.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ from . import tensor as T
 from .corpus import IGNORE_LABEL, SPECIAL_WORDS, SequenceSampler, WordVocab, mask_batch
 from .encoder import EncoderConfig, encode_batch, init_params, pack_batch, param_specs
 from .errors import ConfigError, ContractError, EntlmError
+from .files import loads
 from .seeding import substream
 from .vocab import EntityEntry, EntityVocab
 
 CHECKPOINT_MAGIC = b"ENTLM-CKPT v1\n"
 # layout of the header and its encoder_config; bump it when either changes
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # name patterns of the parameters stage 1 updates; everything else is frozen
 STAGE1_TRAINABLE = ("entity_emb", "entity_proj", "entity_type_emb", "mep_head")
@@ -416,37 +417,22 @@ def select_trainable(params, patterns):
 # checkpoint container
 
 
-def _vocab_header(word_vocab, entity_vocab):
-    """The header's `vocab` field: null, or the word tokens in id order and the
-    entity vocabulary's `rows()`, as its vocab file holds them."""
-    if (word_vocab is None) != (entity_vocab is None):
-        raise ContractError("save_checkpoint takes both vocabularies or neither")
-    if word_vocab is None:
-        return None
-    return {"words": list(word_vocab.id_to_token), "entities": entity_vocab.rows()}
-
-
 def save_checkpoint(path, encoder_config: EncoderConfig, params, step=0, meta=None, *,
                     word_vocab=None, entity_vocab=None):
     """Write the parameters, the encoder config, `step`, `meta` and, when
-    given, the two vocabularies the ids mean; nothing else."""
-    vocab = _vocab_header(word_vocab, entity_vocab)
-    index = {}
-    offset = 0
-    payload = []
-    for name in sorted(params):
-        arr = np.ascontiguousarray(params[name].data, dtype="<f8")
-        index[name] = {"shape": list(arr.shape), "dtype": "<f8", "offset": offset, "nbytes": arr.nbytes}
-        payload.append(arr.tobytes())
-        offset += arr.nbytes
+    given, the two vocabularies the ids mean: the word tokens in id order and
+    the entity vocabulary's `rows()`, as its vocab file holds them."""
+    if (word_vocab is None) != (entity_vocab is None):
+        raise ContractError("save_checkpoint takes both vocabularies or neither")
+    arrays = {name: np.ascontiguousarray(params[name].data, dtype="<f8") for name in sorted(params)}
     header = {
         "version": CHECKPOINT_VERSION,
         "encoder_config": encoder_config.to_dict(),
         "step": int(step),
         "meta": meta or {},
-        "index": index,
-        "param_names": sorted(params),
-        "vocab": vocab,
+        "shapes": {name: list(arr.shape) for name, arr in arrays.items()},
+        "vocab": None if word_vocab is None else {"words": list(word_vocab.id_to_token),
+                                                   "entities": entity_vocab.rows()},
     }
     header_bytes = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
     tmp = path + ".tmp"
@@ -454,8 +440,8 @@ def save_checkpoint(path, encoder_config: EncoderConfig, params, step=0, meta=No
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)
-        for chunk in payload:
-            f.write(chunk)
+        for arr in arrays.values():
+            f.write(arr)
     os.replace(tmp, path)
 
 
@@ -474,21 +460,11 @@ def _check_header_layout(path, header):
     if header.get("version") != CHECKPOINT_VERSION:
         raise ContractError(f"{path}: checkpoint version {header.get('version')!r}, "
                             f"but this entlm reads only version {CHECKPOINT_VERSION}")
-    index = header.get("index")
-    require(isinstance(index, dict), "index", "an object")
-    names = header.get("param_names")
-    require(isinstance(names, list) and all(isinstance(n, str) and n in index for n in names),
-            "param_names", "a list of names in the index")
-    for name in names:  # other index entries are never read
-        e = index[name]
-        require(isinstance(e, dict), f"index.{name}", "an object")
-        require(e.get("dtype") == "<f8", f"index.{name}.dtype", '"<f8"')
-        for key in ("offset", "nbytes"):
-            require(_is_int(e.get(key)), f"index.{name}.{key}", "an integer")
-        shape = e.get("shape")
+    shapes = header.get("shapes")
+    require(isinstance(shapes, dict), "shapes", "an object")
+    for name, shape in shapes.items():
         require(isinstance(shape, list) and all(_is_int(d) and d >= 0 for d in shape),
-                f"index.{name}.shape", "a list of non-negative integers")
-    require(isinstance(header.get("encoder_config"), dict), "encoder_config", "an object")
+                f"shapes.{name}", "a list of non-negative integers")
     require(_is_int(header.get("step")), "step", "an integer")
     require(isinstance(header.get("meta", {}), dict), "meta", "an object")
     vocab = header.get("vocab", ())  # null means saved without vocabularies; missing is malformed
@@ -555,23 +531,26 @@ def load_checkpoint(path) -> Checkpoint:
         if hlen > os.fstat(f.fileno()).st_size - f.tell():
             raise ContractError(f"{path}: header of {hlen} bytes runs past the end of the file")
         try:
-            header = json.loads(f.read(hlen).decode("utf-8"))
-        except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+            header = loads(f.read(hlen).decode("utf-8"))
+        except ValueError as e:  # UnicodeDecodeError, JSONDecodeError and a lone surrogate
             raise ContractError(f"{path}: header is not JSON ({e})") from None
         _check_header_layout(path, header)
-        blob = f.read()
-    params = {}
-    for name in header["param_names"]:
-        e = header["index"][name]
-        end = e["offset"] + e["nbytes"]
-        if e["offset"] < 0 or end > len(blob) or e["nbytes"] != 8 * math.prod(e["shape"]):
-            raise ContractError(f"{path}: tensor {name} (bytes {e['offset']}..{end}, shape "
-                                f"{e['shape']}) does not fit the {len(blob)}-byte payload")
-        raw = np.frombuffer(blob[e["offset"] : end], dtype=e["dtype"]).reshape(e["shape"])
-        params[name] = T.parameter(raw.copy(), name=name)
+        shapes = header["shapes"]
+        # checked before anything is read: the payload is exactly the tensors the shapes give
+        size, want = os.fstat(f.fileno()).st_size - f.tell(), 8 * sum(map(math.prod, shapes.values()))
+        if size != want:
+            raise ContractError(f"{path}: payload holds {size} bytes, but the header's shapes give {want}")
+        params = {}
+        for name in sorted(shapes):
+            try:  # a zero-size shape passes the size check with any other dimension
+                arr = np.empty(shapes[name], dtype="<f8")
+            except ValueError:
+                raise ContractError(f"{path}: header field 'shapes.{name}' must be a shape numpy can hold") from None
+            f.readinto(arr)
+            params[name] = T.parameter(arr, name=name)
     try:
-        encoder_config = EncoderConfig.from_dict(header["encoder_config"])
-    except (TypeError, ConfigError) as e:  # a missing, unknown, mistyped or inconsistent field
+        encoder_config = EncoderConfig.from_dict(header.get("encoder_config"))
+    except (TypeError, ConfigError) as e:  # not an object, or a missing, unknown, mistyped or inconsistent field
         raise ContractError(f"{path}: header field 'encoder_config' is malformed ({e})") from None
     # only what init_params makes: a task head's shape is its task's, not the config's
     for name, shape, _ in param_specs(encoder_config):

@@ -1,5 +1,6 @@
-"""Shared fixtures: a tiny encoder, random sequences, and an independent
-plain-numpy reference forward used as an oracle for the word-only path."""
+"""Shared fixtures: a tiny encoder, random sequences, an independent
+plain-numpy reference forward used as an oracle for the word-only path, and
+a writer of RE data files."""
 
 import math
 
@@ -87,3 +88,14 @@ def reference_word_forward(params, config, word_ids):
         f = _ref_gelu(x @ P[pre + "ffn.w1"] + P[pre + "ffn.b1"]) @ P[pre + "ffn.w2"] + P[pre + "ffn.b2"]
         x = _ref_ln(x + f, P[pre + "ffn_ln.gain"], P[pre + "ffn_ln.bias"], T.LAYER_NORM_EPS)
     return x
+
+
+def save_re_data(insts, path):
+    """Write REInstances in the TSV layout `heads.load_re_data` reads."""
+    with open(path, "w", encoding="utf-8") as f:
+        for inst in insts:
+            f.write("\t".join([
+                inst.label, " ".join(inst.tokens),
+                f"{inst.head_span[0]} {inst.head_span[1]}",
+                f"{inst.tail_span[0]} {inst.tail_span[1]}",
+            ]) + "\n")

@@ -14,7 +14,7 @@ import pytest
 
 import entlm.cloze as cloze_mod
 import entlm.tensor as T
-from conftest import random_sequence, reference_word_forward
+from conftest import random_sequence, reference_word_forward, save_re_data
 from entlm.align import knn_graph, modularity_of_partition
 from entlm.cli import EXIT_OK, main
 from entlm.cloze import ClozeModel, TypedQuery, score_query, top1_fp_ratio
@@ -39,7 +39,6 @@ from entlm.heads import (
     make_re_model,
     ner_predict,
     re_classify,
-    save_re_data,
 )
 from entlm.linker import build_mention_map, detect_entities, translate_mention_map
 from entlm.pretrain import STAGE1_TRAINABLE, TrainConfig, init_head_params, init_model, lr_at, stage_of, train

@@ -83,6 +83,8 @@ def test_mrr_contract_errors():
         cwr_mrr([se("q0", "en", [0, 0])], pool, {"q0": "p0"})  # zero norm
     with pytest.raises(ContractError):
         cwr_mrr(good, pool, {"q0": "p9"})  # gold names an item missing from the pool
+    with pytest.raises(ContractError, match="query vectors have 2 dimensions, but pool vectors 3"):
+        cwr_mrr(good, [se("p0", "de", [0, 1, 0])], {"q0": "p0"})
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +164,19 @@ def test_embedding_file_round_trip(tmp_path):
     loaded = load_embeddings(path)
     assert [(e.uid, e.language, e.text) for e in loaded] == [("a", "en", "a"), ("b", "ja", "b")]
     assert np.array_equal(loaded[0].vector, embs[0].vector)
+
+
+def test_embedding_file_of_unequal_vectors_is_refused(tmp_path):
+    path = str(tmp_path / "emb.jsonl")
+    save_embeddings([se("a", "en", [1.0, 2.0]), se("b", "de", [1.0, 2.0]), se("c", "de", [1.0, 2.0, 3.0])], path)
+    with pytest.raises(ContractError, match=r"emb.jsonl:3: vector has 3 elements, but 2 are expected"):
+        load_embeddings(path)
+    with pytest.raises(ContractError, match=r"emb.jsonl:1: vector has 2 elements, but 3 are expected"):
+        load_embeddings(path, dim=3)
+    with open(path, "w") as f:
+        f.write('{"id": "a", "lang": "en", "text": "a", "vector": [[1.0, 2.0]]}\n')
+    with pytest.raises(ContractError, match=r"emb.jsonl:1: embedding for a is not a flat list of finite numbers"):
+        load_embeddings(path)
 
 
 def test_feature_dump_span_mean(task_model):

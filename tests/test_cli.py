@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,11 +12,12 @@ import numpy as np
 import pytest
 
 import entlm.pretrain as pretrain_mod
+from conftest import save_re_data
 from entlm.align import SpanEmbedding, feature_dump, load_embeddings, save_embeddings
 from entlm.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, _task_model_from_checkpoint, main
 from entlm.cloze import ClozeModel
 from entlm.corpus import AnnotatedDocument, save_corpus
-from entlm.heads import REInstance, save_re_data
+from entlm.heads import REInstance
 from entlm.pretrain import load_checkpoint
 from entlm.synth import make_bilingual_corpus
 from entlm.vocab import SPECIAL_ENTITIES, EntityEntry, EntityVocab
@@ -107,7 +109,7 @@ def test_walkthrough_vocab_and_links_are_pinned(tmp_path):
 
 def test_build_vocab_refuses_a_title_it_cannot_store(tmp_path, capsys):
     corpus_path, links_path = tmp_path / "corpus.jsonl", tmp_path / "links.tsv"
-    # a lone surrogate, which JSON can escape but UTF-8 cannot encode
+    # a lone surrogate, which JSON can escape but UTF-8 cannot encode: the corpus reader refuses it
     corpus_path.write_text(json.dumps({"lang": "en", "title": "p", "tokens": ["New", "York"],
                                        "annotations": [[0, 2, "New York \ud800"]]}) + "\n")
     links_path.write_text("")
@@ -116,7 +118,7 @@ def test_build_vocab_refuses_a_title_it_cannot_store(tmp_path, capsys):
                "--min-languages", "1"])
     err = capsys.readouterr().err
     assert rc == EXIT_FAILURE
-    assert "entity 'en:New York \\ud800': its key or a title does not encode as UTF-8" in err
+    assert err.startswith(f"error: {corpus_path}:1: a string holds a lone surrogate"), err
     assert "Traceback" not in err
     assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
 
@@ -296,6 +298,26 @@ def test_pretrain_on_an_empty_corpus_exits_1_and_writes_nothing(workspace, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source, line, edit", [
+    ("corpus", 3, lambda doc: doc["tokens"].__setitem__(0, "x\ud800")),
+    ("vocab", 6, lambda row: row[2][0].__setitem__(1, "M\ud800")),
+], ids=["corpus-token", "vocab-title"])
+def test_pretrain_refuses_a_lone_surrogate_before_writing(workspace, tmp_path, capsys, source, line, edit):
+    # json.dumps writes the lone surrogate as the escape \ud800, which a UTF-8 checkpoint cannot hold
+    bad = tmp_path / f"bad-{source}.jsonl"
+    bad.write_bytes(_record_edit(line, edit)(Path(workspace[source]).read_bytes()))
+    paths = {"corpus": workspace["corpus"], "vocab": workspace["vocab"], source: bad}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG_TEXT.format(corpus=paths["corpus"], vocab=paths["vocab"]))
+    out = tmp_path / "out"
+    rc = main(["pretrain", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAILURE
+    assert err.startswith(f"error: {bad}:{line}: a string holds a lone surrogate"), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("drop", ["train.total_steps", "data.corpus", "data.entity_vocab"])
 def test_config_without_a_required_key_exits_3_and_writes_nothing(workspace, tmp_path, capsys, drop):
     section, key = drop.split(".")
@@ -419,6 +441,22 @@ def test_cloze_eval_runs(workspace, pretrained):
     assert report["records"][0]["used_entity"] in (True, False)
 
 
+def test_cloze_eval_and_eval_on_an_empty_file_exit_1_and_write_nothing(workspace, pretrained, finetuned, tmp_path,
+                                                                      capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    out = tmp_path / "report.json"
+    for argv, message in (
+            (["cloze-eval", "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"), "--queries"],
+             "empty cloze query set"),
+            (["eval", "re", "--checkpoint", os.path.join(finetuned["out"], "checkpoint-finetuned.bin"), "--data"],
+             "empty re eval set")):
+        rc = main([*argv, str(empty), "--out", str(out)])
+        assert rc == EXIT_FAILURE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def test_dump_features_and_analyze(workspace, pretrained):
     data = str(workspace["ws"] / "spans.jsonl")
     with open(data, "w") as f:
@@ -523,7 +561,6 @@ def test_corrupt_checkpoint_exits_1(workspace, pretrained, capsys):
 
     # headers that are valid JSON but lack the layout the loader reads
     header = json.loads(good[header_start:payload_start])
-    name = header["param_names"][0]
 
     def edited(edit):
         h = json.loads(json.dumps(header))
@@ -531,17 +568,8 @@ def test_corrupt_checkpoint_exits_1(workspace, pretrained, capsys):
         return h
 
     for bad_header in ([], {},
-                       edited(lambda h: h.pop("index")),
-                       edited(lambda h: h.pop("param_names")),
                        edited(lambda h: h.pop("encoder_config")),
                        edited(lambda h: h.pop("step")),
-                       edited(lambda h: h["index"][name].pop("offset")),
-                       edited(lambda h: h["index"][name].update(offset="0")),
-                       edited(lambda h: h["index"][name].update(offset=1.5)),
-                       edited(lambda h: h["index"][name].update(dtype="<f4")),
-                       edited(lambda h: h["index"][name].update(shape=[-1])),
-                       edited(lambda h: h["index"].update({name: 7})),
-                       edited(lambda h: h["param_names"].append("no.such.tensor")),
                        edited(lambda h: h["encoder_config"].update(not_a_field=1)),
                        edited(lambda h: h["encoder_config"].update(heads=3))):
         raw = json.dumps(bad_header).encode("utf-8")
@@ -582,15 +610,22 @@ def test_corrupt_checkpoint_exits_1(workspace, pretrained, capsys):
 
 
 def _checkpoint_with_header(run_dir, dest, edit, name="checkpoint-final.bin"):
-    """Write run_dir's checkpoint `name` to dest with edit(header) applied; the payload is kept."""
+    """Write run_dir's checkpoint `name` to dest with edit(header) applied.  The
+    payload keeps the bytes of each tensor that the edited `shapes` still names,
+    or of every tensor when the edit removes `shapes`."""
     from entlm.pretrain import CHECKPOINT_MAGIC
     good = Path(run_dir, name).read_bytes()
     header_start = len(CHECKPOINT_MAGIC) + 8
-    payload_start = header_start + int.from_bytes(good[len(CHECKPOINT_MAGIC):header_start], "little")
-    header = json.loads(good[header_start:payload_start])
+    offset = header_start + int.from_bytes(good[len(CHECKPOINT_MAGIC):header_start], "little")
+    header = json.loads(good[header_start:offset])
+    tensors = {}
+    for tensor, shape in sorted(header["shapes"].items()):
+        end = offset + 8 * math.prod(shape)
+        tensors[tensor], offset = good[offset:end], end
     edit(header)
     raw = json.dumps(header).encode("utf-8")
-    dest.write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "little") + raw + good[payload_start:])
+    payload = b"".join(tensors[tensor] for tensor in sorted(header.get("shapes", tensors)))
+    dest.write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "little") + raw + payload)
     return dest
 
 
@@ -607,24 +642,33 @@ def test_checkpoint_with_a_size_below_1_exits_1_naming_the_field(workspace, pret
 
 
 def _drop_parameter(header, name):
-    header["param_names"].remove(name)
-    del header["index"][name]
+    del header["shapes"][name]
 
 
 def _transpose_parameter(header, name):
-    header["index"][name]["shape"].reverse()  # same byte count, so only the shape check sees it
+    header["shapes"][name].reverse()  # same byte count, so only the shape check sees it
+
+
+def _as_v3(header):
+    """The version 3 layout: a per-tensor index and a list of its names."""
+    offset, index = 0, {}
+    for name, shape in sorted(header.pop("shapes").items()):
+        index[name] = {"shape": shape, "dtype": "<f8", "offset": offset, "nbytes": 8 * math.prod(shape)}
+        offset += index[name]["nbytes"]
+    header.update(version=3, index=index, param_names=sorted(index))
 
 
 # a checkpoint of an older header layout, or whose encoder parameters do not
 # match its encoder_config, is refused at load time by every command
 @pytest.mark.parametrize("edit, message", [
-    (lambda h: h.update(version=1), ("checkpoint version 1", "reads only version 3")),
+    (lambda h: h.update(version=1), ("checkpoint version 1", "reads only version 4")),
     # version 2 had no vocab field
-    (lambda h: (h.update(version=2), h.pop("vocab")), ("checkpoint version 2", "reads only version 3")),
+    (lambda h: (h.update(version=2), h.pop("vocab")), ("checkpoint version 2", "reads only version 4")),
+    (_as_v3, ("checkpoint version 3", "reads only version 4")),
     (lambda h: _drop_parameter(h, "layer0.ffn.w1"), ("encoder parameter layer0.ffn.w1 is missing",)),
     (lambda h: _transpose_parameter(h, "layer0.ffn.w1"),
      ("encoder parameter layer0.ffn.w1 has shape [32, 16]", "encoder_config gives [16, 32]")),
-], ids=["version-1", "version-2", "missing-parameter", "wrong-shape"])
+], ids=["version-1", "version-2", "version-3", "missing-parameter", "wrong-shape"])
 def test_checkpoint_that_does_not_match_its_layout_exits_1(workspace, pretrained, tmp_path, capsys,
                                                            edit, message):
     bad = str(_checkpoint_with_header(pretrained, tmp_path / "bad.bin", edit))
@@ -641,6 +685,52 @@ def test_checkpoint_that_does_not_match_its_layout_exits_1(workspace, pretrained
         assert err.startswith(f"error: {bad}: ") and all(m in err for m in message), err
         assert "Traceback" not in err
     assert not (tmp_path / "cloze.json").exists()
+
+
+# a shapes table that is malformed, or does not give the payload's size, is refused before any tensor is read
+@pytest.mark.parametrize("edit_header, edit_payload, message", [
+    (lambda h: h.pop("shapes"), None, "header field 'shapes' must be an object"),
+    (lambda h: h.update(shapes=[]), None, "header field 'shapes' must be an object"),
+    (lambda h: h["shapes"].update(pos_emb=7), None,
+     "header field 'shapes.pos_emb' must be a list of non-negative integers"),
+    (lambda h: h["shapes"].update(pos_emb=[16, -32]), None,
+     "header field 'shapes.pos_emb' must be a list of non-negative integers"),
+    (lambda h: h["shapes"].update(pos_emb=[16, "32"]), None,
+     "header field 'shapes.pos_emb' must be a list of non-negative integers"),
+    (lambda h: h["shapes"].update(pos_emb=[16, 32.0]), None,
+     "header field 'shapes.pos_emb' must be a list of non-negative integers"),
+    (lambda h: h["shapes"].update(zero=[0, 2**62]), None,
+     "header field 'shapes.zero' must be a shape numpy can hold"),
+    (None, lambda payload, last: payload[:-last], "payload holds {n} bytes, but the header's shapes give {want}"),
+    (None, lambda payload, last: payload + b"\0", "payload holds {n} bytes, but the header's shapes give {want}"),
+    (None, lambda payload, last: payload[:-1], "payload holds {n} bytes, but the header's shapes give {want}"),
+    # a tensor the header does not name, such as an optimizer moment, is not skipped
+    (lambda h: h.update(optimizer={"t": 4}), lambda payload, last: payload + payload[-last:],
+     "payload holds {n} bytes, but the header's shapes give {want}"),
+], ids=["missing", "not-an-object", "entry-not-a-list", "negative-size", "string-size", "float-size",
+        "zero-size-too-big", "one-tensor-short", "one-byte-too-long", "one-byte-short", "extra-tensor"])
+def test_checkpoint_whose_shapes_do_not_give_its_payload_exits_1(pretrained, tmp_path, capsys, edit_header,
+                                                                edit_payload, message):
+    from entlm.pretrain import CHECKPOINT_MAGIC
+    good = Path(pretrained, "checkpoint-final.bin").read_bytes()
+    header_start = len(CHECKPOINT_MAGIC) + 8
+    payload_start = header_start + int.from_bytes(good[len(CHECKPOINT_MAGIC):header_start], "little")
+    header, payload = json.loads(good[header_start:payload_start]), good[payload_start:]
+    want = 8 * sum(math.prod(shape) for shape in header["shapes"].values())
+    assert len(payload) == want
+    last = 8 * math.prod(header["shapes"][max(header["shapes"])])  # the payload's last tensor
+    if edit_header:
+        edit_header(header)
+    if edit_payload:
+        payload = edit_payload(payload, last)
+    raw = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "little") + raw + payload)
+    capsys.readouterr()
+    rc = main(["inspect-checkpoint", "--checkpoint", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAILURE
+    assert err == f"error: {bad}: {message.format(n=len(payload), want=want)}\n", err
 
 
 def test_model_commands_refuse_a_checkpoint_without_vocabularies(workspace, pretrained, finetuned, tmp_path,
@@ -962,6 +1052,10 @@ MALFORMED = [
     ("finetune/qa-question-entity-outside-question", "qa_jsonl",
      _record_edit(3, lambda r: r.update(question="who ?", question_entities=[[0, 3, 5]])),
      _finetune_argv("qa"), 3),
+    # with no id the second record takes its index, 1, which the third gives too
+    ("finetune/qa-jsonl-repeated-id", "qa_jsonl",
+     lambda raw: _record_edit(3, lambda r: r.update(id="1"))(_record_edit(2, _drop("id"))(raw)),
+     _finetune_argv("qa"), 3),
     ("finetune/qa-squad-missing-paragraphs", "qa_squad", _document_edit(lambda d: d["data"][0].pop("paragraphs")),
      _finetune_argv("qa"), 1),
     ("eval/re-three-columns", "re", _line_edit(1, lambda line: line.rsplit("\t", 1)[0]),
@@ -982,6 +1076,12 @@ MALFORMED = [
      lambda p, bad: ["analyze", "modularity", "--embeddings", bad, "--out", p["out"]], 4),
     ("analyze/embeddings-non-finite", "emb", _record_edit(1, lambda r: r["vector"].__setitem__(0, float("nan"))),
      lambda p, bad: ["analyze", "modularity", "--embeddings", bad, "--out", p["out"]], 1),
+    ("analyze/embeddings-ragged", "emb", _record_edit(3, lambda r: r["vector"].append(1.0)),
+     lambda p, bad: ["analyze", "modularity", "--embeddings", bad, "--out", p["out"]], 3),
+    # the queries have 3 dimensions
+    ("analyze/cwr-pool-dimension", "emb", _record_edit(1, lambda r: r["vector"].append(1.0)),
+     lambda p, bad: ["analyze", "cwr", "--queries", p["emb"], "--pool", bad, "--gold", p["gold"],
+                     "--out", p["out"]], 1),
     ("analyze/gold-unknown-pool-id", "gold", _document_edit(lambda d: d.update(s0="s9")),
      lambda p, bad: ["analyze", "cwr", "--queries", p["emb"], "--pool", p["emb"], "--gold", bad,
                      "--out", p["out"]], 1),

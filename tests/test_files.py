@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import save_re_data
 from entlm import align, cli, cloze, corpus, files, heads
 from entlm.errors import ContractError, EntlmError
 from entlm.synth import make_bilingual_corpus
@@ -64,6 +65,31 @@ def test_read_json_with_lines_reads_json_lines(tmp_path):
     assert files.read_json(str(path), lambda r: r["a"], lines=True) == [1, 2]
 
 
+# a high or low surrogate alone, a pair in the wrong order, one in an object key, an upper-case escape
+@pytest.mark.parametrize("text", ['"x\\ud800"', '"\\udc00y"', '"\\ude00\\ud83d"', '{"\\udbff": 1}',
+                                  '["ok", "\\uD800"]'])
+def test_json_readers_refuse_a_lone_surrogate(tmp_path, text):
+    path = tmp_path / "f.json"
+    path.write_text('"fine"\n' + text + "\n")
+    with pytest.raises(ContractError, match=r":2: a string holds a lone surrogate"):
+        files.read_json_lines(str(path), str)
+    path.write_text(text + "\n")
+    with pytest.raises(ContractError, match=r":1: a string holds a lone surrogate"):
+        files.read_json(str(path), str)
+    path.write_text("[\n" + text + "\n]\n")  # one document over three lines is not read as JSON lines
+    with pytest.raises(ContractError, match=r":1: a string holds a lone surrogate"):
+        files.read_json(str(path), str, lines=True)
+
+
+def test_json_readers_keep_escaped_pairs_and_bmp_text(tmp_path):
+    path = tmp_path / "f.json"
+    # an escaped pair, escaped BMP text, a literal backslash before "ud800", and raw UTF-8
+    path.write_text('["\\ud83d\\ude00", "\\u00fc", "\\\\ud800", "東京"]\n', encoding="utf-8")
+    want = ["\U0001f600", "\u00fc", "\\ud800", "東京"]
+    assert files.read_json(str(path), list) == want
+    assert files.read_json_lines(str(path), list) == [want]
+
+
 # ---------------------------------------------------------------------------
 # every reader, fuzzed: it returns or raises an EntlmError naming path:line
 
@@ -90,8 +116,8 @@ def _write_fixtures(d):
     (d / "squad.json").write_text(json.dumps({"data": [{"paragraphs": [
         {"context": record["context"], "qas": [{k: v for k, v in record.items() if k != "context"}]}]}]},
         indent=1))
-    heads.save_re_data([heads.REInstance(tokens="a works for b".split(), head_span=(0, 1),
-                                         tail_span=(3, 4), label="employer")] * 2, d / "re.tsv")
+    save_re_data([heads.REInstance(tokens="a works for b".split(), head_span=(0, 1),
+                                   tail_span=(3, 4), label="employer")] * 2, d / "re.tsv")
     (d / "ner.txt").write_text("a B-PER\nb I-PER\nc O\n\nd B-LOC\n")
     (d / "spans.jsonl").write_text("".join(json.dumps({
         "id": i, "lang": "en", "tokens": ["t0a_en", "ent0_en", "t0b_en"], "span": [1, 2 + i],

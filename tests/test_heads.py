@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import save_re_data
 from entlm.corpus import WordVocab
 from entlm.encoder import EncodedSequence, EncoderConfig, encode_batch, init_params, pack_batch
 from entlm.errors import ContractError
@@ -40,7 +41,6 @@ from entlm.heads import (
     qa_predict,
     re_classify,
     re_macro_f1,
-    save_re_data,
     token_f1,
     usable_examples,
 )
@@ -104,6 +104,20 @@ def test_load_qa_json_lines_of_three_records(tmp_path):
     insts = load_qa_data(str(path))
     assert [i.qid for i in insts] == ["q0", "q1", "q2"]
     assert all(i.gold_spans == [(1, 3)] for i in insts)
+
+
+def test_load_qa_refuses_a_repeated_question_id(tmp_path):
+    import json
+    rec = {"question": "where ?", "context": "the Tokyo Tower stands",
+           "answers": [{"text": "Tokyo Tower", "answer_start": 4}]}
+    path = tmp_path / "qa.jsonl"
+    # a record without an id takes its index as its id
+    for ids, line in ((["1", None, "1"], 2), ([None, "1", "1"], 3), (["q", "1", "1"], 3)):
+        path.write_text("".join(json.dumps(rec if qid is None else {**rec, "id": qid}) + "\n" for qid in ids))
+        with pytest.raises(ContractError, match=rf"qa.jsonl:{line}: question id '1' is used by an earlier question"):
+            load_qa_data(str(path))
+    path.write_text("".join(json.dumps(r) + "\n" for r in (rec, {**rec, "id": "q"}, rec)))
+    assert [i.qid for i in load_qa_data(str(path))] == ["0", "q", "2"]
 
 
 @pytest.mark.parametrize("entities", [

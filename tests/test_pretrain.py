@@ -508,6 +508,22 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_checkpoint_header_with_a_lone_surrogate_is_refused(tmp_path, toy_encoder_config):
+    params = init_model(toy_encoder_config, seed=3)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(str(path), toy_encoder_config, params, meta={"note": "\u00fc \U0001f600"})
+    header, payload = _header_and_payload(path.read_bytes())
+    for note, valid in (("\u00fc \U0001f600", True), ("x\ud800", False)):
+        header["meta"]["note"] = note
+        raw = json.dumps(header).encode("ascii")  # escapes the note as \u00fc \ud83d\ude00, or \ud800
+        path.write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "little") + raw + payload)
+        if valid:
+            assert load_checkpoint(str(path)).meta["note"] == note
+        else:
+            with pytest.raises(ContractError, match="header is not JSON .a string holds a lone surrogate"):
+                load_checkpoint(str(path))
+
+
 def _header_and_payload(raw):
     start = len(CHECKPOINT_MAGIC) + 8
     end = start + int.from_bytes(raw[len(CHECKPOINT_MAGIC):start], "little")
@@ -515,25 +531,29 @@ def _header_and_payload(raw):
 
 
 def test_checkpoint_with_optimizer_and_rng_fields_still_loads(tmp_path, toy_encoder_config):
-    """Checkpoints that also stored AdamW moments and RNG states load their
-    parameters; the other index entries are never read."""
+    """Header keys the loader does not read are ignored, but a payload tensor
+    that `shapes` does not name, such as an AdamW moment, is refused."""
     params = init_model(toy_encoder_config, seed=3)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(str(path), toy_encoder_config, params, step=4)
     header, payload = _header_and_payload(path.read_bytes())
-    name = header["param_names"][0]
-    moment = np.full(params[name].data.shape, 0.25)
-    header["index"][f"opt.m.{name}"] = {**header["index"][name], "offset": len(payload)}
+    name = min(header["shapes"])
     header["optimizer"] = {"t": {name: 4}}
     header["rng_state"] = {"sampler": {"state": 1}, "dropout": {"state": 2}}
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "little") + raw
-                     + payload + moment.astype("<f8").tobytes())
+    path.write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "little") + raw + payload)
     ckpt = load_checkpoint(str(path))
     assert ckpt.step == 4
     assert sorted(ckpt.params) == sorted(params)
     for n, p in params.items():
         assert ckpt.params[n].data.tobytes() == p.data.tobytes()
+
+    moment = np.full(params[name].data.shape, 0.25)
+    path.write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "little") + raw
+                     + payload + moment.astype("<f8").tobytes())
+    with pytest.raises(ContractError, match=f"payload holds {len(payload) + moment.nbytes} bytes, "
+                                            f"but the header's shapes give {len(payload)}"):
+        load_checkpoint(str(path))
 
 
 def test_intermediate_checkpoints_hold_parameters_only(tmp_path, toy_data, toy_encoder_config):
@@ -542,10 +562,12 @@ def test_intermediate_checkpoints_hold_parameters_only(tmp_path, toy_data, toy_e
     result = train(toy_encoder_config, cfg, by_lang, wv, ev, out_dir=str(tmp_path))
     for step in (2, 4):
         header, payload = _header_and_payload((tmp_path / f"checkpoint-{step}.bin").read_bytes())
-        assert sorted(header["index"]) == header["param_names"] == sorted(result.params)
         assert header["step"] == step
         assert "optimizer" not in header and "rng_state" not in header
+        assert header["shapes"] == {n: list(p.shape) for n, p in result.params.items()}
         assert len(payload) == 8 * sum(p.data.size for p in result.params.values())
+        if step == 4:  # the payload is each tensor's float64 bytes in name order, and nothing else
+            assert payload == b"".join(result.params[n].data.astype("<f8").tobytes() for n in sorted(header["shapes"]))
     last = load_checkpoint(str(tmp_path / "checkpoint-4.bin"))
     for n, p in result.params.items():
         assert last.params[n].data.tobytes() == p.data.tobytes()
