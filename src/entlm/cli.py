@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from . import align, cloze, corpus, files, heads, linker, pretrain, vocab as vocab_mod
 from .config import parse_config_file, parse_overrides, resolve, section
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, check_params
 from .errors import ConfigError, ContractError, EntlmError
 
 EXIT_OK = 0
@@ -217,10 +217,11 @@ def cmd_finetune(args):
     return EXIT_OK
 
 
-def _task_model_from_checkpoint(ckpt):
-    """The task model of a finetuned checkpoint.  Its meta `variant` and
-    `labels` (RE and NER) and its head parameters must agree, else
-    ContractError names the field or parameter."""
+def _task_model_from_checkpoint(path):
+    """The task model of the finetuned checkpoint at `path`.  Its meta
+    `variant` and `labels` (RE and NER) and its head parameters must agree,
+    else ContractError names the field or parameter."""
+    ckpt = _model_checkpoint(path)
     meta = ckpt.meta
     task = meta.get("task")
     if task not in heads.TASK_LOADERS:
@@ -231,13 +232,7 @@ def _task_model_from_checkpoint(ckpt):
                             f"not one of the {task} variants {list(heads.VARIANTS[task])}")
     if task != "qa" and not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)):
         raise ContractError(f"checkpoint meta field 'labels' is {labels!r}, not a list of label names")
-    w_shape = heads.head_shape(task, variant, ckpt.encoder_config.hidden_size, labels)
-    for name, shape in ((f"{task}_head.w", w_shape), (f"{task}_head.b", w_shape[1:])):
-        if name not in ckpt.params:
-            raise ContractError(f"checkpoint parameter {name} is missing")
-        if ckpt.params[name].shape != shape:
-            raise ContractError(f"checkpoint parameter {name} has shape {list(ckpt.params[name].shape)}, "
-                                f"but its {variant} head gives {list(shape)}")
+    check_params(ckpt.params, heads.head_specs(task, variant, ckpt.encoder_config.hidden_size, labels), path)
     return heads.TaskModel(
         task=task, encoder_config=ckpt.encoder_config, params=ckpt.params,
         word_vocab=ckpt.word_vocab, entity_vocab=ckpt.entity_vocab, labels=labels,
@@ -246,7 +241,7 @@ def _task_model_from_checkpoint(ckpt):
 
 
 def cmd_eval(args):
-    model = _task_model_from_checkpoint(_model_checkpoint(args.checkpoint))
+    model = _task_model_from_checkpoint(args.checkpoint)
     if args.task and args.task != model.task:
         raise ConfigError(f"checkpoint holds a {model.task} head, not {args.task}")
     report = heads.evaluate(model, heads.TASK_LOADERS[model.task](args.data))
@@ -269,6 +264,8 @@ def _cloze_model(path):
 
 def cmd_cloze_eval(args):
     model = _cloze_model(args.checkpoint)
+    # a finetuned checkpoint holds no MLM or MEP head; dump-features reads none, so it takes one
+    check_params(model.params, pretrain.head_specs(model.encoder_config), args.checkpoint)
     queries = cloze.load_queries(args.queries)
     report = cloze.evaluate(model, queries, mode=args.mode)
     report["fp_analysis"] = cloze.fp_analysis(report["records"])

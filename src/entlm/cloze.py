@@ -62,7 +62,7 @@ def load_queries(path):
 @dataclass
 class ClozeModel:
     encoder_config: object
-    params: dict  # encoder + mlm_head + mep_head parameters
+    params: dict  # encoder parameters, and the heads of `pretrain.head_specs` for scoring
     word_vocab: object
     entity_vocab: object
 
@@ -103,8 +103,6 @@ def _build_cloze_input(model, query: TypedQuery, k, subject_entity_id=None, y_en
         else:
             words.append(t)
     word_ids = model.word_vocab.encode(words)
-    for p in y_positions:
-        word_ids[p] = model.word_vocab.mask_id
 
     entity_ids, entity_positions = [], []
     if subject_entity_id is not None and x_positions:

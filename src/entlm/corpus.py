@@ -32,6 +32,13 @@ SENTENCE_END_PUNCT = (".", "!", "?", "。", "！", "？")
 
 DEFAULT_ENTITY_CAP = 32
 
+# the paper's masking rates (`mask_batch`) and language smoothing exponent (`SequenceSampler`)
+WORD_MASK_P = 0.15
+WORD_RANDOM_P = 0.10
+WORD_KEEP_P = 0.10
+ENTITY_MASK_P = 0.15
+LANGUAGE_ALPHA = 0.7
+
 
 @dataclass
 class AnnotatedDocument:
@@ -250,36 +257,28 @@ class MaskedBatch:
     entity_labels: list
 
 
-def mask_batch(seq: EncodedSequence, rng, word_vocab: WordVocab, entity_mask_id,
-               word_p=0.15, word_random_p=0.10, word_keep_p=0.10, entity_p=0.15) -> MaskedBatch:
+def mask_batch(seq: EncodedSequence, rng, word_vocab: WordVocab, entity_mask_id) -> MaskedBatch:
     """Apply MLM and masked-entity-prediction corruption to one sequence.
 
-    Each word is independently selected with word_p; of the selected,
-    word_random_p get a uniform random vocab id and word_keep_p stay
+    Each word is independently selected with WORD_MASK_P; of the selected,
+    WORD_RANDOM_P get a uniform random vocab id and WORD_KEEP_P stay
     unchanged, the rest become word-[MASK].  Entities are selected with
-    entity_p and always replaced by the entity-[MASK] id.  Padding words are
-    never selected.  The defaults are the paper's rates (15% of words and of
-    entities, split 80/10/10), which pretraining uses.
+    ENTITY_MASK_P and always replaced by the entity-[MASK] id.  Padding
+    words are never selected.
     """
-    for p in (word_p, word_random_p, word_keep_p, entity_p):
-        if not 0.0 <= p <= 1.0:
-            raise ContractError(f"probability {p} outside [0, 1]")
-    if word_random_p + word_keep_p > 1.0:
-        raise ContractError("word_random_p + word_keep_p must be <= 1")
-
     m = seq.num_words
     new_word_ids = list(seq.word_ids)
     word_labels = [IGNORE_LABEL] * m
     for i in range(m):
         if seq.word_ids[i] == word_vocab.pad_id:
             continue
-        if rng.random() >= word_p:
+        if rng.random() >= WORD_MASK_P:
             continue
         word_labels[i] = seq.word_ids[i]
         r = rng.random()
-        if r < word_random_p:
+        if r < WORD_RANDOM_P:
             new_word_ids[i] = int(rng.integers(len(SPECIAL_WORDS), len(word_vocab)))
-        elif r < word_random_p + word_keep_p:
+        elif r < WORD_RANDOM_P + WORD_KEEP_P:
             pass  # keep the original token
         else:
             new_word_ids[i] = word_vocab.mask_id
@@ -288,7 +287,7 @@ def mask_batch(seq: EncodedSequence, rng, word_vocab: WordVocab, entity_mask_id,
     new_entity_ids = list(seq.entity_ids)
     entity_labels = [IGNORE_LABEL] * n
     for j in range(n):
-        if rng.random() < entity_p:
+        if rng.random() < ENTITY_MASK_P:
             entity_labels[j] = seq.entity_ids[j]
             new_entity_ids[j] = entity_mask_id
 
@@ -298,15 +297,15 @@ def mask_batch(seq: EncodedSequence, rng, word_vocab: WordVocab, entity_mask_id,
 
 class SequenceSampler:
     """Language-balanced sequence sampling: draw a language by p_i, then a
-    sequence uniformly within it.  One language draw per sequence.  The
-    default alpha is the paper's 0.7, which pretraining uses."""
+    sequence uniformly within it.  One language draw per sequence, with
+    alpha LANGUAGE_ALPHA."""
 
-    def __init__(self, sequences_by_language, alpha=0.7, seed=0):
+    def __init__(self, sequences_by_language, seed=0):
         self.langs = sorted(l for l, seqs in sequences_by_language.items() if seqs)
         if not self.langs:
             raise ContractError("no non-empty languages to sample from")
         self.pools = {l: sequences_by_language[l] for l in self.langs}
-        dist = language_distribution({l: len(self.pools[l]) for l in self.langs}, alpha)
+        dist = language_distribution({l: len(self.pools[l]) for l in self.langs}, LANGUAGE_ALPHA)
         p = np.array([dist[l] for l in self.langs])
         # the CDF `Generator.choice(n, p=p)` builds on every call, built once
         self._cdf = p.cumsum()

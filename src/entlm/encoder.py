@@ -98,10 +98,7 @@ class ContextualOutput:
 
 
 def param_specs(config: EncoderConfig) -> list:
-    """(name, shape, init) of every encoder parameter, in `init_params`' draw order.
-
-    init is "normal" (N(0, 0.02) draws from the rng), "zeros" or "ones".
-    """
+    """(name, shape, init) of every encoder parameter, in `init_params`' draw order."""
     H, E, F = config.hidden_size, config.entity_emb_size, config.ffn_size
     specs = [
         ("word_emb", (config.word_vocab_size, H), "normal"),
@@ -132,12 +129,27 @@ def param_specs(config: EncoderConfig) -> list:
     return specs
 
 
-def init_params(config: EncoderConfig, rng) -> dict:
-    """Fresh parameter dict keyed by stable names."""
-    config.validate()
+def draw_params(rows, rng) -> dict:
+    """A parameter per (name, shape, init) row, drawn in row order.  init is
+    "normal" (N(0, 0.02) draws from rng), "zeros" or "ones"."""
     draw = {"normal": lambda shape: rng.normal(0.0, 0.02, size=shape), "zeros": np.zeros, "ones": np.ones}
-    return {name: T.parameter(draw[init](shape), name=name)
-            for name, shape, init in param_specs(config)}
+    return {name: T.parameter(draw[init](shape), name=name) for name, shape, init in rows}
+
+
+def check_params(params, rows, where):
+    """Raise ContractError, naming `where` and the parameter, unless `params`
+    holds each (name, shape, init) row's name with the row's shape."""
+    for name, shape, _ in rows:
+        if name not in params:
+            raise ContractError(f"{where}: parameter {name} is missing")
+        if params[name].shape != shape:
+            raise ContractError(f"{where}: parameter {name} has shape {list(params[name].shape)}, "
+                                f"but {list(shape)} is expected")
+
+
+def init_params(config: EncoderConfig, rng) -> dict:
+    """Fresh encoder parameter dict keyed by stable names."""
+    return draw_params(param_specs(config.validate()), rng)
 
 
 def embed_words(params, config, word_ids):

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .encoder import NEG_INF, EncodedSequence, EncoderConfig, encode_batch, pack_batch
+from .encoder import NEG_INF, EncodedSequence, EncoderConfig, draw_params, encode_batch, pack_batch, param_specs
 from .errors import ContractError
 from .files import read_json, read_lines
-from .pretrain import AdamW, linear_head, warmup_linear_decay
+from .pretrain import AdamW, warmup_linear_decay
 from .seeding import substream
 
 MAX_ANSWER_LEN = 30
@@ -38,14 +38,16 @@ VARIANTS = {"qa": ("word", "entity"), "re": ("word-markers", "entity-mask"),
             "ner": ("word-endpoints", "entity-mask")}
 
 
-def head_shape(task, variant, hidden_size, labels=None):
-    """(in, out) of a task head's weight for one of VARIANTS[task]: QA (H, 2),
-    RE (2H, labels), NER (2H, labels) over word endpoints and (H, labels)
-    over an entity-[MASK]."""
+def head_specs(task, variant, hidden_size, labels=None):
+    """(name, shape, init) of a task head for one of VARIANTS[task], weight
+    then bias.  The weight is QA (H, 2), RE (2H, labels), NER (2H, labels)
+    over word endpoints and (H, labels) over an entity-[MASK]."""
     if task == "qa":
-        return hidden_size, 2
-    pair = task == "re" or variant == "word-endpoints"
-    return (2 if pair else 1) * hidden_size, len(labels)
+        n_in, n_out = hidden_size, 2
+    else:
+        pair = task == "re" or variant == "word-endpoints"
+        n_in, n_out = (2 if pair else 1) * hidden_size, len(labels)
+    return [(f"{task}_head.w", (n_in, n_out), "normal"), (f"{task}_head.b", (n_out,), "zeros")]
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +217,7 @@ class TaskModel:
 
     task: str  # "qa", "re" or "ner"
     encoder_config: EncoderConfig
-    params: dict  # encoder parameters + task head parameters
+    params: dict  # encoder parameters + task head parameters, nothing else
     word_vocab: object
     entity_vocab: object
     labels: list | None = None  # RE/NER label set
@@ -224,14 +226,18 @@ class TaskModel:
     skipped: dict = field(default_factory=dict)  # finetune's drop counts, as checkpoint meta keys
 
 
+def _encoder_params(config, params):
+    """The encoder's entries of `params`: a task model holds them and its own head only."""
+    return {name: params[name] for name, _, _ in param_specs(config)}
+
+
 # ---------------------------------------------------------------------------
 # extractive QA
 
 
 def make_qa_model(encoder_config, params, word_vocab, entity_vocab, use_entities=False, seed=0):
-    rng = substream(seed, "qa-head")
-    p = dict(params)
-    p.update(linear_head(rng, *head_shape("qa", None, encoder_config.hidden_size), "qa_head"))
+    p = _encoder_params(encoder_config, params)
+    p.update(draw_params(head_specs("qa", None, encoder_config.hidden_size), substream(seed, "qa-head")))
     return TaskModel(task="qa", encoder_config=encoder_config, params=p, word_vocab=word_vocab,
                      entity_vocab=entity_vocab, variant="entity" if use_entities else "word")
 
@@ -366,7 +372,7 @@ def make_re_model(encoder_config, params, word_vocab, entity_vocab, labels, vari
     if variant not in VARIANTS["re"]:
         raise ContractError(f"unknown RE variant {variant!r}")
     rng = substream(seed, "re-head")
-    p = dict(params)
+    p = _encoder_params(encoder_config, params)
     cfg = encoder_config
     if variant == "word-markers":
         word_vocab = copy.deepcopy(word_vocab)
@@ -381,14 +387,14 @@ def make_re_model(encoder_config, params, word_vocab, entity_vocab, labels, vari
         emb[entity_vocab.head_id] = emb[entity_vocab.mask_id]
         emb[entity_vocab.tail_id] = emb[entity_vocab.mask_id]
         p["entity_emb"] = T.parameter(emb, name="entity_emb")
-    p.update(linear_head(rng, *head_shape("re", variant, cfg.hidden_size, labels), "re_head"))
+    p.update(draw_params(head_specs("re", variant, cfg.hidden_size, labels), rng))
     return TaskModel(task="re", encoder_config=cfg, params=p, word_vocab=word_vocab,
                      entity_vocab=entity_vocab, labels=list(labels), variant=variant)
 
 
 def _re_sequence(model: TaskModel, inst: REInstance):
-    """Build the input sequence; returns (seq, head_feature_loc, tail_feature_loc)
-    where a feature loc is ("word", pos) or ("entity", index)."""
+    """Build the input sequence; returns (seq, head position, tail position):
+    word positions of the markers for word-markers, else entity indices."""
     inst.validate()
     if model.variant == "word-markers":
         hm = model.word_vocab.token_to_id[RE_HEAD_MARKER]
@@ -411,27 +417,22 @@ def _re_sequence(model: TaskModel, inst: REInstance):
             prev = pos
         out.extend(ids[prev:])
         seq = EncodedSequence(word_ids=out)
-        return seq, ("word", locs["head_open"]), ("word", locs["tail_open"])
+        return seq, locs["head_open"], locs["tail_open"]
     seq = EncodedSequence(
         word_ids=model.word_vocab.encode(inst.tokens),
         entity_ids=[model.entity_vocab.head_id, model.entity_vocab.tail_id],
         entity_positions=[list(range(*inst.head_span)), list(range(*inst.tail_span))],
     )
-    return seq, ("entity", 0), ("entity", 1)
+    return seq, 0, 1
 
 
 def _re_features(model, insts):
     """Batched forward; returns the (B, 2*hidden) concatenated feature tensor."""
     built = [_re_sequence(model, inst) for inst in insts]
     out = encode_batch(model.params, model.encoder_config, pack_batch([b[0] for b in built]))
-    feats = []
+    src = out.word_tensor if model.variant == "word-markers" else out.entity_tensor
     rows = np.arange(len(insts))
-    for which in (1, 2):
-        kinds = {built[i][which][0] for i in range(len(insts))}
-        pos = np.array([built[i][which][1] for i in range(len(insts))])
-        src = out.word_tensor if kinds == {"word"} else out.entity_tensor
-        feats.append(T.getitem(src, (rows, pos)))
-    return T.concat(feats, axis=1)
+    return T.concat([T.getitem(src, (rows, np.array([b[which] for b in built]))) for which in (1, 2)], axis=1)
 
 
 def re_logits(model: TaskModel, insts):
@@ -471,10 +472,10 @@ def make_ner_model(encoder_config, params, word_vocab, entity_vocab, types,
                    variant="word-endpoints", max_span_len=NER_MAX_SPAN_LEN, seed=0):
     if variant not in VARIANTS["ner"]:
         raise ContractError(f"unknown NER variant {variant!r}")
-    rng = substream(seed, "ner-head")
-    p = dict(params)
+    p = _encoder_params(encoder_config, params)
     labels = [NER_NON_ENTITY] + sorted(t for t in types if t != NER_NON_ENTITY)
-    p.update(linear_head(rng, *head_shape("ner", variant, encoder_config.hidden_size, labels), "ner_head"))
+    p.update(draw_params(head_specs("ner", variant, encoder_config.hidden_size, labels),
+                         substream(seed, "ner-head")))
     return TaskModel(task="ner", encoder_config=encoder_config, params=p, word_vocab=word_vocab,
                      entity_vocab=entity_vocab, labels=labels, variant=variant, max_span_len=max_span_len)
 
@@ -581,8 +582,8 @@ FINETUNE_WARMUP_FRAC = 0.06
 
 @dataclass
 class FinetuneConfig:
-    """The settings of the `finetune` command's flags; AdamW runs on its
-    defaults and the warmup on FINETUNE_WARMUP_FRAC."""
+    """The settings of the `finetune` command's flags; AdamW runs on the
+    paper's `pretrain.ADAMW_*` constants and the warmup on FINETUNE_WARMUP_FRAC."""
 
     lr: float = 2e-5
     epochs: int | None = None  # None: the task's DEFAULT_EPOCHS

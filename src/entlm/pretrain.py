@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import IGNORE_LABEL, SPECIAL_WORDS, SequenceSampler, WordVocab, mask_batch
-from .encoder import EncoderConfig, encode_batch, init_params, pack_batch, param_specs
+from .encoder import EncoderConfig, check_params, draw_params, encode_batch, pack_batch, param_specs
 from .errors import ConfigError, ContractError, EntlmError
 from .files import loads
 from .seeding import substream
@@ -50,6 +50,12 @@ STAGE1_TRAINABLE = ("entity_emb", "entity_proj", "entity_type_emb", "mep_head")
 # Xeon) backward took ~1.4 ms a step longer and `AdamW.step` ~2 ms less, and
 # a step ~1.3 ms less end to end.
 ADAMW_BLOCK = 65536
+
+# the paper's AdamW settings, which pretraining and fine-tuning both use
+ADAMW_BETA1 = 0.9
+ADAMW_BETA2 = 0.999
+ADAMW_EPS = 1e-6
+ADAMW_WEIGHT_DECAY = 0.01
 
 _adamw_pool = None  # the one worker thread every AdamW shares; made on first use
 
@@ -81,9 +87,8 @@ def _usable_cpus():
 @dataclass
 class TrainConfig:
     """The settings a pretraining run chooses.  The paper's fixed values are
-    constants where they are used: AdamW's betas, eps and weight decay
-    (`AdamW`), the masking rates (`mask_batch`), the language smoothing
-    alpha (`SequenceSampler`) and the stage-1 parameters (STAGE1_TRAINABLE)."""
+    constants where they are used: AdamW's (ADAMW_*), the masking rates and
+    language alpha in `corpus`, and the stage-1 parameters (STAGE1_TRAINABLE)."""
 
     total_steps: int
     stage1_steps: int = 0
@@ -109,25 +114,16 @@ class TrainConfig:
         return dict(self.__dict__)
 
 
-def linear_head(rng, in_dim, out_dim, prefix):
-    """{prefix.w: N(0, 0.02) (in_dim, out_dim), prefix.b: zeros(out_dim)}."""
-    return {
-        f"{prefix}.w": T.parameter(rng.normal(0.0, 0.02, size=(in_dim, out_dim)), name=f"{prefix}.w"),
-        f"{prefix}.b": T.parameter(np.zeros(out_dim), name=f"{prefix}.b"),
-    }
-
-
-def init_head_params(config: EncoderConfig, rng):
-    H = config.hidden_size
-    return {**linear_head(rng, H, config.word_vocab_size, "mlm_head"),
-            **linear_head(rng, H, config.entity_vocab_size, "mep_head")}
+def head_specs(config: EncoderConfig) -> list:
+    """(name, shape, init) of the MLM and MEP heads, in `init_model`'s draw order."""
+    H, V, E = config.hidden_size, config.word_vocab_size, config.entity_vocab_size
+    return [("mlm_head.w", (H, V), "normal"), ("mlm_head.b", (V,), "zeros"),
+            ("mep_head.w", (H, E), "normal"), ("mep_head.b", (E,), "zeros")]
 
 
 def init_model(config: EncoderConfig, seed=0):
-    rng = substream(seed, "init")
-    params = init_params(config, rng)
-    params.update(init_head_params(config, rng))
-    return params
+    """The encoder's parameters and then the MLM and MEP heads, drawn from one stream."""
+    return draw_params(param_specs(config.validate()) + head_specs(config), substream(seed, "init"))
 
 
 def _head_loss(vectors, labels, w, b):
@@ -187,7 +183,7 @@ def warmup_linear_decay(step, length, warmup, peak):
 
 
 class AdamW:
-    """AdamW with decoupled weight decay over a named parameter dict.
+    """AdamW with decoupled weight decay and the paper's ADAMW_* settings, over a named parameter dict.
 
     The optimizer keeps the parameter values and the two moment estimates
     in three contiguous float64 stores, laid out in `params` order.
@@ -217,10 +213,8 @@ class AdamW:
     element is the same, so this changes no bit of the result either.
     """
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-6, weight_decay=0.01):
+    def __init__(self, params):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
         self.m = {}
         self.v = {}
         self.t = {}
@@ -380,7 +374,7 @@ class AdamW:
         but numpy runs here, so the worker thread enters no other entlm
         function.
         """
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAMW_BETA1, ADAMW_BETA2
         for blo, bhi, pieces, t in blocks:
             c1, c2 = 1 - b1**t, 1 - b2**t
             s1, s2, gather = (s[: bhi - blo] for s in scratch)
@@ -399,9 +393,9 @@ class AdamW:
             np.divide(mb, c1, out=s1)
             np.divide(vb, c2, out=s2)
             np.sqrt(s2, out=s2)
-            np.add(s2, self.eps, out=s2)
+            np.add(s2, ADAMW_EPS, out=s2)
             np.divide(s1, s2, out=s1)
-            np.multiply(pb, self.weight_decay, out=s2)
+            np.multiply(pb, ADAMW_WEIGHT_DECAY, out=s2)
             np.add(s1, s2, out=s1)
             # p = p - lr * (...)
             np.multiply(s1, lr, out=s1)
@@ -552,13 +546,8 @@ def load_checkpoint(path) -> Checkpoint:
         encoder_config = EncoderConfig.from_dict(header.get("encoder_config"))
     except (TypeError, ConfigError) as e:  # not an object, or a missing, unknown, mistyped or inconsistent field
         raise ContractError(f"{path}: header field 'encoder_config' is malformed ({e})") from None
-    # only what init_params makes: a task head's shape is its task's, not the config's
-    for name, shape, _ in param_specs(encoder_config):
-        if name not in params:
-            raise ContractError(f"{path}: encoder parameter {name} is missing")
-        if params[name].shape != shape:
-            raise ContractError(f"{path}: encoder parameter {name} has shape {list(params[name].shape)}, "
-                                f"but its encoder_config gives {list(shape)}")
+    # the encoder only: the heads a checkpoint holds depend on who wrote it, so their readers check them
+    check_params(params, param_specs(encoder_config), path)
     word_vocab, entity_vocab = _vocabs_from_header(path, header["vocab"], encoder_config)
     return Checkpoint(
         encoder_config=encoder_config,

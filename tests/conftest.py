@@ -1,7 +1,8 @@
 """Shared fixtures: a tiny encoder, random sequences, an independent
-plain-numpy reference forward used as an oracle for the word-only path, and
-a writer of RE data files."""
+plain-numpy reference forward used as an oracle for the word-only path, a
+writer of RE data files and a digest of parameter tensors."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -99,3 +100,12 @@ def save_re_data(insts, path):
                 f"{inst.head_span[0]} {inst.head_span[1]}",
                 f"{inst.tail_span[0]} {inst.tail_span[1]}",
             ]) + "\n")
+
+
+def tensor_digest(params):
+    """sha256 over each tensor's name and little-endian float64 bytes, in sorted-name order."""
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(params[name].data, dtype="<f8").tobytes())
+    return h.hexdigest()

@@ -28,7 +28,7 @@ from entlm.corpus import (
     mask_batch,
     save_corpus,
 )
-from entlm.encoder import EncodedSequence, EncoderConfig, encode_batch, init_params, pack_batch
+from entlm.encoder import EncodedSequence, EncoderConfig, draw_params, encode_batch, init_params, pack_batch
 from entlm.heads import (
     FinetuneConfig,
     NERInstance,
@@ -41,7 +41,7 @@ from entlm.heads import (
     re_classify,
 )
 from entlm.linker import build_mention_map, detect_entities, translate_mention_map
-from entlm.pretrain import STAGE1_TRAINABLE, TrainConfig, init_head_params, init_model, lr_at, stage_of, train
+from entlm.pretrain import STAGE1_TRAINABLE, TrainConfig, head_specs, init_model, lr_at, stage_of, train
 from entlm.seeding import substream
 from entlm.synth import make_bilingual_corpus
 from entlm.vocab import (
@@ -90,7 +90,7 @@ def test_criterion_02_full_encoder_gradients(tiny_config, tiny_params):
     packed = pack_batch([seq])
     word_labels = np.where(rng.random(7) < 0.5, rng.integers(0, 50, size=7), -100)
     entity_labels = np.array([4, -100])
-    heads = init_head_params(tiny_config, substream(2, "acceptance-heads"))
+    heads = draw_params(head_specs(tiny_config), substream(2, "acceptance-heads"))
     params = dict(tiny_params, **heads)
 
     def loss():
@@ -316,7 +316,7 @@ def test_criterion_09_cloze_scoring(monkeypatch):
                         ffn_size=32, max_positions=24, dropout=0.0).validate()
     rng = substream(11, "acceptance-cloze")
     params = init_params(cfg, rng)
-    params.update(init_head_params(cfg, rng))
+    params.update(draw_params(head_specs(cfg), rng))
     model = ClozeModel(encoder_config=cfg, params=params, word_vocab=wv, entity_vocab=ev)
     query = TypedQuery(language="en", template="[X] is the capital of [Y]",
                        sub_surface="tokyo", candidates=[("big city", None)],

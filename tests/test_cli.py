@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import entlm.pretrain as pretrain_mod
-from conftest import save_re_data
+from conftest import save_re_data, tensor_digest
 from entlm.align import SpanEmbedding, feature_dump, load_embeddings, save_embeddings
 from entlm.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, _task_model_from_checkpoint, main
 from entlm.cloze import ClozeModel
 from entlm.corpus import AnnotatedDocument, save_corpus
+from entlm.encoder import param_specs
 from entlm.heads import REInstance
 from entlm.pretrain import load_checkpoint
 from entlm.synth import make_bilingual_corpus
@@ -665,9 +666,9 @@ def _as_v3(header):
     # version 2 had no vocab field
     (lambda h: (h.update(version=2), h.pop("vocab")), ("checkpoint version 2", "reads only version 4")),
     (_as_v3, ("checkpoint version 3", "reads only version 4")),
-    (lambda h: _drop_parameter(h, "layer0.ffn.w1"), ("encoder parameter layer0.ffn.w1 is missing",)),
+    (lambda h: _drop_parameter(h, "layer0.ffn.w1"), ("parameter layer0.ffn.w1 is missing",)),
     (lambda h: _transpose_parameter(h, "layer0.ffn.w1"),
-     ("encoder parameter layer0.ffn.w1 has shape [32, 16]", "encoder_config gives [16, 32]")),
+     ("parameter layer0.ffn.w1 has shape [32, 16], but [16, 32] is expected",)),
 ], ids=["version-1", "version-2", "version-3", "missing-parameter", "wrong-shape"])
 def test_checkpoint_that_does_not_match_its_layout_exits_1(workspace, pretrained, tmp_path, capsys,
                                                            edit, message):
@@ -763,13 +764,13 @@ def test_model_commands_refuse_a_checkpoint_without_vocabularies(workspace, pret
 
 # a finetuned checkpoint whose head parameters do not fit its meta is refused
 @pytest.mark.parametrize("edit, message", [
-    (lambda h: _drop_parameter(h, "re_head.w"), "checkpoint parameter re_head.w is missing"),
-    (lambda h: _drop_parameter(h, "re_head.b"), "checkpoint parameter re_head.b is missing"),
+    (lambda h: _drop_parameter(h, "re_head.w"), "{bad}: parameter re_head.w is missing"),
+    (lambda h: _drop_parameter(h, "re_head.b"), "{bad}: parameter re_head.b is missing"),
     (lambda h: h["meta"].pop("variant"), "checkpoint meta field 'variant' is None"),
     (lambda h: h["meta"].update(variant="word-endpoints"), "checkpoint meta field 'variant' is 'word-endpoints'"),
     (lambda h: h["meta"].pop("labels"), "checkpoint meta field 'labels' is None"),
     (lambda h: h["meta"].update(labels=["r1"]),
-     "checkpoint parameter re_head.w has shape [32, 2], but its entity-mask head gives [32, 1]"),
+     "{bad}: parameter re_head.w has shape [32, 2], but [32, 1] is expected"),
 ], ids=["dropped-head", "dropped-head-bias", "dropped-variant", "other-task-variant", "dropped-labels",
         "labels-do-not-fit"])
 def test_finetuned_checkpoint_whose_head_does_not_fit_its_meta_exits_1(finetuned, tmp_path, capsys, edit, message):
@@ -778,9 +779,40 @@ def test_finetuned_checkpoint_whose_head_does_not_fit_its_meta_exits_1(finetuned
     rc = main(["eval", "re", "--checkpoint", str(bad), "--data", finetuned["re"], "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == EXIT_FAILURE
-    assert err.startswith(f"error: {message}"), err
+    assert err.startswith(f"error: {message.format(bad=bad)}"), err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# cloze-eval reads the MLM and MEP heads, so it refuses a checkpoint whose heads do not fit its
+# encoder config, and a finetuned one, which holds none; dump-features reads no head and takes both
+@pytest.mark.parametrize("source, edit, message", [
+    ("pretrained", lambda h: _transpose_parameter(h, "mlm_head.w"),
+     "parameter mlm_head.w has shape [46, 16], but [16, 46] is expected"),
+    ("pretrained", lambda h: _drop_parameter(h, "mep_head.w"), "parameter mep_head.w is missing"),
+    ("finetuned", None, "parameter mlm_head.w is missing"),
+], ids=["transposed-mlm-head", "missing-mep-head", "finetuned"])
+def test_cloze_eval_refuses_a_checkpoint_without_fitting_mlm_and_mep_heads(workspace, pretrained, finetuned,
+                                                                          tmp_path, capsys, source, edit, message):
+    if source == "pretrained":
+        ckpt = str(_checkpoint_with_header(pretrained, tmp_path / "bad.bin", edit))
+    else:
+        ckpt = os.path.join(finetuned["out"], "checkpoint-finetuned.bin")
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(json.dumps({"lang": "en", "template": "[X] t0b_en [Y] .", "sub_surface": "t0a_en",
+                                   "candidates": [{"surface": "ent0_en"}], "gold_index": 0}) + "\n")
+    out = tmp_path / "cloze.json"
+    capsys.readouterr()
+    rc = main(["cloze-eval", "--checkpoint", ckpt, "--queries", str(queries), "--mode", "entity-y",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAILURE
+    assert err == f"error: {ckpt}: {message}\n", err
+    assert not out.exists()
+    spans = tmp_path / "spans.jsonl"
+    spans.write_text(json.dumps({"id": "s0", "lang": "en", "tokens": ["t0a_en", "ent0_en"], "span": [1, 2]}) + "\n")
+    assert main(["dump-features", "--checkpoint", ckpt, "--data", str(spans), "--feature-spec", "span-mean",
+                 "--out", str(tmp_path / "emb.jsonl")]) == EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -832,18 +864,31 @@ TRAIN_OPTIONS = {"qa": ["--epochs", "3", "--lr", "0.01"], "ner": ["--epochs", "1
                  "re": ["--epochs", "5", "--lr", "0.01"]}
 
 
-def _finetune_then_eval(workspace, pretrained, task, train, data, name, extra=()):
-    out = str(workspace["ws"] / f"ft-{name}")
-    rc = main(["finetune", task,
-               "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
-               "--train", train, "--dev", train, "--out", out, "--batch-size", "2", *TRAIN_OPTIONS[task], *extra])
-    assert rc == EXIT_OK
-    report = str(workspace["ws"] / f"eval-{name}.json")
-    rc = main(["eval", task,
-               "--checkpoint", os.path.join(out, "checkpoint-finetuned.bin"),
-               "--data", data, "--out", report])
-    assert rc == EXIT_OK
-    return out, json.loads(Path(report).read_text())
+@pytest.fixture(scope="module")
+def round_trip(workspace, pretrained, task_files, finetuned):
+    """round_trip(task, variant, *flags): finetune the pretrained checkpoint on the task's
+    training file (also its dev file), eval the result on the task's eval file, and return
+    (finetune output dir, eval report).  Each run is made once, by the first test that asks."""
+    files = {**task_files, "re": (finetuned["re"], finetuned["re"])}
+    runs = {}
+
+    def run(task, variant, *flags):
+        key = (task, variant, *flags)
+        if key not in runs:
+            train, data = files[task]
+            out = str(workspace["ws"] / "-".join(("ft",) + key).replace("--", ""))
+            rc = main(["finetune", task, "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
+                       "--train", train, "--dev", train, "--out", out, "--batch-size", "2",
+                       *TRAIN_OPTIONS[task], "--variant", variant, *flags])
+            assert rc == EXIT_OK
+            report = out + "-eval.json"
+            rc = main(["eval", task, "--checkpoint", os.path.join(out, "checkpoint-finetuned.bin"),
+                       "--data", data, "--out", report])
+            assert rc == EXIT_OK
+            runs[key] = out, json.loads(Path(report).read_text())
+        return runs[key]
+
+    return run
 
 
 # reports of this fixture, recorded before fine-tuning and eval shared one code path
@@ -864,18 +909,15 @@ RE_WORD_MARKERS_REPORT = {"accuracy": 1.0, "macro_f1": 1.0, "n": 12}
 
 @pytest.mark.parametrize("task,variant", [("qa", "word"), ("qa", "entity"),
                                           ("ner", "word"), ("ner", "entity")])
-def test_finetune_eval_round_trip(workspace, pretrained, task_files, task, variant):
-    train, data = task_files[task]
-    out, report = _finetune_then_eval(workspace, pretrained, task, train, data, f"{task}-{variant}",
-                                      ["--variant", variant])
+def test_finetune_eval_round_trip(round_trip, task, variant):
+    out, report = round_trip(task, variant)
     meta = load_checkpoint(os.path.join(out, "checkpoint-finetuned.bin")).meta
     assert meta["task"] == task
     assert report == PINNED_REPORTS[task, variant]
 
 
-def test_word_markers_re_checkpoint_carries_its_markers(workspace, pretrained, finetuned):
-    out, report = _finetune_then_eval(workspace, pretrained, "re", finetuned["re"], finetuned["re"], "re-word",
-                                      ["--variant", "word"])
+def test_word_markers_re_checkpoint_carries_its_markers(pretrained, round_trip):
+    out, report = round_trip("re", "word")
     base = load_checkpoint(os.path.join(pretrained, "checkpoint-final.bin"))
     ckpt = load_checkpoint(os.path.join(out, "checkpoint-finetuned.bin"))
     assert ckpt.word_vocab.id_to_token == base.word_vocab.id_to_token + ["<ent>", "<ent2>"]
@@ -883,15 +925,35 @@ def test_word_markers_re_checkpoint_carries_its_markers(workspace, pretrained, f
     assert report == RE_WORD_MARKERS_REPORT
 
 
-def test_ner_max_span_len_survives_checkpoint(workspace, pretrained, task_files):
-    train, data = task_files["ner"]
-    out, report = _finetune_then_eval(workspace, pretrained, "ner", train, data, "ner-len2",
-                                      ["--max-span-len", "2"])
-    ckpt = load_checkpoint(os.path.join(out, "checkpoint-finetuned.bin"))
-    assert ckpt.meta["max_span_len"] == 2
-    model = _task_model_from_checkpoint(ckpt)
+def test_ner_max_span_len_survives_checkpoint(round_trip):
+    out, report = round_trip("ner", "word", "--max-span-len", "2")
+    path = os.path.join(out, "checkpoint-finetuned.bin")
+    assert load_checkpoint(path).meta["max_span_len"] == 2
+    model = _task_model_from_checkpoint(path)
     assert model.max_span_len == 2
     assert report == PINNED_REPORTS["ner", "len2"]
+
+
+# each finetuned checkpoint's tensor_digest, recorded when task models still carried the MLM and MEP
+# heads (over the tensors named below, the heads left out): dropping the heads changed no other bit.
+# float64 on x86-64 OpenBLAS; a BLAS that sums in another order changes these digests
+PINNED_FINETUNED_DIGESTS = {
+    ("qa", "word"): "c103818b730d4fb76bca48e81995abe19b5bf776478b38c0e6b592402b86dfff",
+    ("qa", "entity"): "d2afb61d8e5d802c62a0cb3407ab7fa413fa2c4ae84dd9de94d2810f31e0b52d",
+    ("re", "word"): "085257d8ff797e6c0f0cd5d49dc3db93cc4a741647c539a24dae1f7c571e7b07",
+    ("re", "entity"): "b7e41dba36f15c6ac92f58df6b0532abf06b2a2cb14a70720b91977d1c00386a",
+    ("ner", "word"): "b2ce02e36b9211ab1cd7d269c307d9989f1c8622a34ac063fe84a9181383c514",
+    ("ner", "entity"): "ba480e39203cc459ab2ac7351176adee1bc99b0688c7ed6c12bba86cd9610632",
+}
+
+
+@pytest.mark.parametrize("task, variant", list(PINNED_FINETUNED_DIGESTS))
+def test_finetuned_checkpoint_holds_the_encoder_and_its_head(round_trip, task, variant):
+    out, _ = round_trip(task, variant)
+    ckpt = load_checkpoint(os.path.join(out, "checkpoint-finetuned.bin"))
+    assert set(ckpt.params) == {name for name, _, _ in param_specs(ckpt.encoder_config)} | {
+        f"{task}_head.w", f"{task}_head.b"}
+    assert tensor_digest(ckpt.params) == PINNED_FINETUNED_DIGESTS[task, variant]
 
 
 def test_finetune_qa_counts_skipped_examples(workspace, pretrained, task_files, capsys):

@@ -19,9 +19,9 @@ from entlm.cloze import (
     top1_fp_ratio,
 )
 from entlm.corpus import WordVocab
-from entlm.encoder import EncoderConfig, encode, init_params
+from entlm.encoder import EncoderConfig, draw_params, encode, init_params
 from entlm.errors import CapacityError, ContractError
-from entlm.pretrain import init_head_params
+from entlm.pretrain import head_specs
 from entlm.seeding import substream
 from entlm.tensor import log_softmax_np
 from entlm.vocab import EntityEntry, EntityVocab, SPECIAL_ENTITIES
@@ -41,7 +41,7 @@ def cloze_setup():
                         ffn_size=32, max_positions=24, dropout=0.0).validate()
     rng = substream(0, "cloze-params")
     params = init_params(cfg, rng)
-    params.update(init_head_params(cfg, rng))
+    params.update(draw_params(head_specs(cfg), rng))
     return ClozeModel(encoder_config=cfg, params=params, word_vocab=wv, entity_vocab=ev)
 
 

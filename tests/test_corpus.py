@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entlm.corpus as corpus
 from entlm.corpus import (
     IGNORE_LABEL,
     AnnotatedDocument,
@@ -112,9 +113,10 @@ def test_language_distribution_rejects_bad_input(counts, alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
-def test_sampler_rejects_alpha_outside_unit_interval(alpha):
+def test_sampler_rejects_alpha_outside_unit_interval(alpha, monkeypatch):
+    monkeypatch.setattr(corpus, "LANGUAGE_ALPHA", alpha)
     with pytest.raises(ContractError, match="alpha"):
-        SequenceSampler({"en": [EncodedSequence(word_ids=[1])]}, alpha=alpha)
+        SequenceSampler({"en": [EncodedSequence(word_ids=[1])]})
 
 
 def test_encode_document_caps_and_skips():
@@ -176,29 +178,32 @@ def test_masking_statistics():
             break
 
 
-def test_masking_never_touches_padding():
+def test_masking_never_touches_padding(monkeypatch):
+    monkeypatch.setattr(corpus, "WORD_MASK_P", 1.0)
     wv = WordVocab(["a", "b"])
     seq = EncodedSequence(word_ids=[wv.pad_id] * 200)
-    mb = mask_batch(seq, substream(1, "pad"), wv, entity_mask_id=1, word_p=1.0)
+    mb = mask_batch(seq, substream(1, "pad"), wv, entity_mask_id=1)
     assert mb.sequence.word_ids == seq.word_ids
     assert all(l == IGNORE_LABEL for l in mb.word_labels)
 
 
-def test_masking_labels_hold_original_ids():
+def test_masking_labels_hold_original_ids(monkeypatch):
+    for name, p in (("WORD_MASK_P", 1.0), ("WORD_RANDOM_P", 0.0), ("WORD_KEEP_P", 0.0)):
+        monkeypatch.setattr(corpus, name, p)
     wv = WordVocab([f"w{i}" for i in range(20)])
     ids = list(range(3, 23))
     seq = EncodedSequence(word_ids=ids)
-    mb = mask_batch(seq, substream(2, "lab"), wv, entity_mask_id=1, word_p=1.0,
-                    word_random_p=0.0, word_keep_p=0.0)
+    mb = mask_batch(seq, substream(2, "lab"), wv, entity_mask_id=1)
     assert mb.word_labels == ids
     assert all(w == wv.mask_id for w in mb.sequence.word_ids)
 
 
-def test_masking_random_ids_avoid_specials():
+def test_masking_random_ids_avoid_specials(monkeypatch):
+    for name, p in (("WORD_MASK_P", 1.0), ("WORD_RANDOM_P", 1.0), ("WORD_KEEP_P", 0.0)):
+        monkeypatch.setattr(corpus, name, p)
     wv = WordVocab([f"w{i}" for i in range(50)])
     seq = EncodedSequence(word_ids=list(range(3, 53)) * 40)
-    mb = mask_batch(seq, substream(3, "rand"), wv, entity_mask_id=1,
-                    word_p=1.0, word_random_p=1.0, word_keep_p=0.0)
+    mb = mask_batch(seq, substream(3, "rand"), wv, entity_mask_id=1)
     assert min(mb.sequence.word_ids) >= 3
 
 
@@ -208,7 +213,7 @@ def test_sampler_respects_distribution():
         "big": [EncodedSequence(word_ids=[1]) for _ in range(1000)],
         "small": [EncodedSequence(word_ids=[2]) for _ in range(100)],
     }
-    sampler = SequenceSampler(seqs, alpha=0.7, seed=9)
+    sampler = SequenceSampler(seqs, seed=9)
     draws = [sampler.draw() for _ in range(5000)]
     frac_big = sum(1 for s in draws if s.word_ids == [1]) / len(draws)
     # expected 0.8337; 3 sigma ~ 0.016
@@ -224,7 +229,7 @@ def test_sampler_is_deterministic():
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
 @pytest.mark.parametrize("sizes", [(7,), (40, 3), (25, 1, 60)])
-def test_sampler_draws_match_generator_choice(sizes, alpha):
+def test_sampler_draws_match_generator_choice(sizes, alpha, monkeypatch):
     # reference: `Generator.choice(n, p=p)` for the language, then a uniform
     # index into its pool, on the same substream
     langs = [f"l{i}" for i in range(len(sizes))]
@@ -232,7 +237,8 @@ def test_sampler_draws_match_generator_choice(sizes, alpha):
             for i, (l, n) in enumerate(zip(langs, sizes))}
     dist = language_distribution(dict(zip(langs, sizes)), alpha)
     p = np.array([dist[l] for l in langs])
-    sampler = SequenceSampler(seqs, alpha=alpha, seed=11)
+    monkeypatch.setattr(corpus, "LANGUAGE_ALPHA", alpha)
+    sampler = SequenceSampler(seqs, seed=11)
     ref_rng = substream(11, "corpus-sampler")
     for _ in range(10_000):
         li = int(ref_rng.choice(len(langs), p=p))

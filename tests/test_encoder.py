@@ -10,6 +10,7 @@ from conftest import random_sequence, reference_word_forward
 from entlm.encoder import (
     EncodedSequence,
     EncoderConfig,
+    draw_params,
     embed_entities,
     embed_words,
     encode,
@@ -225,7 +226,7 @@ def test_toy_step_graph_node_count(tiny_config):
 def test_eval_entry_points_hold_no_graph(monkeypatch):
     from entlm import align, cloze, heads
     from entlm.corpus import WordVocab
-    from entlm.pretrain import init_head_params
+    from entlm.pretrain import head_specs
     from entlm.vocab import SPECIAL_ENTITIES, EntityEntry, EntityVocab
 
     wv = WordVocab(["the", "capital", "of", "japan", "is", "tokyo", "kyoto", "what", "?"])
@@ -237,7 +238,7 @@ def test_eval_entry_points_hold_no_graph(monkeypatch):
                         dropout=0.0).validate()
     rng = substream(0, "no-graph")
     params = init_params(cfg, rng)
-    params.update(init_head_params(cfg, rng))
+    params.update(draw_params(head_specs(cfg), rng))
     toks = "tokyo is the capital of japan".split()
     re_inst = heads.REInstance(tokens=toks, head_span=(0, 1), tail_span=(5, 6), label="r")
     ner_inst = heads.NERInstance(tokens=toks)

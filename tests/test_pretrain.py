@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import entlm.corpus as corpus
 import entlm.pretrain as pretrain
 import entlm.tensor as T
 from entlm.corpus import SequenceSampler, WordVocab, build_word_vocab, encode_corpus, mask_batch
@@ -35,6 +36,7 @@ from entlm.pretrain import (
     stage_of,
     train,
 )
+from conftest import tensor_digest
 from entlm.synth import make_bilingual_corpus
 from entlm.vocab import SPECIAL_ENTITIES, EntityEntry, EntityVocab, build_entity_vocab
 
@@ -115,9 +117,15 @@ def test_lr_single_stage():
     assert lr_at(55, cfg) == pytest.approx(1e-3 * 45 / 90)
 
 
-def _defaults(fn):
-    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
-            if p.default is not inspect.Parameter.empty}
+# init_model's draw at the tiny config, recorded before the encoder and the heads were drawn
+# through one spec table; NumPy's generators give these bits on every platform
+INIT_MODEL_DIGEST = "07d5f86057b102eed9df67988552820150a3f37d5848989ff1985ee3c1f24955"
+
+
+def test_init_model_draw_is_pinned(tiny_config):
+    params = init_model(tiny_config, seed=0)
+    assert list(params)[-4:] == [name for name, _, _ in pretrain.head_specs(tiny_config)]
+    assert tensor_digest(params) == INIT_MODEL_DIGEST
 
 
 def test_paper_defaults():
@@ -125,11 +133,15 @@ def test_paper_defaults():
     assert cfg.warmup_steps == 2500
     assert cfg.stage1_peak_lr == pytest.approx(5e-4)
     assert cfg.peak_lr == pytest.approx(1e-4)
-    # the fixed settings live where they are used: train() and finetune() pass none of them
-    opt = AdamW({})
-    assert (opt.beta1, opt.beta2, opt.eps, opt.weight_decay) == (0.9, 0.999, 1e-6, 0.01)
-    assert _defaults(mask_batch) == {"word_p": 0.15, "word_random_p": 0.10, "word_keep_p": 0.10, "entity_p": 0.15}
-    assert _defaults(SequenceSampler)["alpha"] == 0.7
+    # the fixed settings are constants where they are used: no caller can set them
+    assert (pretrain.ADAMW_BETA1, pretrain.ADAMW_BETA2, pretrain.ADAMW_EPS,
+            pretrain.ADAMW_WEIGHT_DECAY) == (0.9, 0.999, 1e-6, 0.01)
+    assert (corpus.WORD_MASK_P, corpus.WORD_RANDOM_P, corpus.WORD_KEEP_P,
+            corpus.ENTITY_MASK_P) == (0.15, 0.10, 0.10, 0.15)
+    assert corpus.LANGUAGE_ALPHA == 0.7
+    for fn in (AdamW, mask_batch, SequenceSampler):
+        assert not {"beta1", "beta2", "eps", "weight_decay", "word_p", "word_random_p", "word_keep_p", "entity_p",
+                    "alpha"} & inspect.signature(fn).parameters.keys(), fn
     assert STAGE1_TRAINABLE == ("entity_emb", "entity_proj", "entity_type_emb", "mep_head")
     assert FINETUNE_WARMUP_FRAC == 0.06
 
@@ -141,16 +153,18 @@ def test_paper_defaults():
 def test_adamw_decoupled_weight_decay():
     p = T.parameter(np.array([2.0]))
     p.grad = np.array([0.0])
-    opt = AdamW({"w": p}, weight_decay=0.01)
+    opt = AdamW({"w": p})
     opt.step(lr=0.1)
     # zero gradient: the update is pure decay, value shrinks by (1 - lr*wd)
     assert p.data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.01), abs=1e-15)
 
 
-def test_adamw_first_step_is_signed_lr():
+def test_adamw_first_step_is_signed_lr(monkeypatch):
+    monkeypatch.setattr(pretrain, "ADAMW_EPS", 0.0)
+    monkeypatch.setattr(pretrain, "ADAMW_WEIGHT_DECAY", 0.0)
     p = T.parameter(np.array([0.0]))
     p.grad = np.array([3.0])
-    opt = AdamW({"w": p}, weight_decay=0.0, eps=0.0)
+    opt = AdamW({"w": p})
     opt.step(lr=0.01)
     # bias-corrected first step: mhat/sqrt(vhat) = g/|g|
     assert p.data[0] == pytest.approx(-0.01, rel=1e-12)
@@ -342,10 +356,12 @@ def test_adamw_keeps_a_store_under_two_blocks_on_the_calling_thread(monkeypatch)
 
 def test_adamw_worker_half_raises_under_the_callers_errstate(monkeypatch):
     monkeypatch.setattr(pretrain, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pretrain, "ADAMW_EPS", 0.0)
+    monkeypatch.setattr(pretrain, "ADAMW_WEIGHT_DECAY", 0.0)
     p = T.parameter(np.zeros(2 * ADAMW_BLOCK))
     # eps 0 and a zero gradient make 0 / 0 in the second block only, the worker's
     p.grad = np.concatenate([np.ones(ADAMW_BLOCK), np.zeros(ADAMW_BLOCK)])
-    opt = AdamW({"w": p}, eps=0.0, weight_decay=0.0)
+    opt = AdamW({"w": p})
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
         opt.step(lr=1e-3)
 
