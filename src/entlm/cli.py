@@ -52,9 +52,7 @@ def write_manifest(manifest_path, command, options, seed, input_paths, **counts)
         **counts,
     }
     os.makedirs(os.path.dirname(os.path.abspath(manifest_path)), exist_ok=True)
-    with open(manifest_path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True, ensure_ascii=False)
-        f.write("\n")
+    _write_json(manifest_path, manifest)
     return manifest_path
 
 
@@ -182,6 +180,7 @@ def cmd_finetune(args):
     try:
         cfg = heads.FinetuneConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch_size,
                                    seed=args.seed or 0).validate()
+        heads.check_max_span_len(args.max_span_len)
     except ContractError as e:
         raise ConfigError(f"finetune: {e}") from None
     ckpt = _model_checkpoint(args.checkpoint)
@@ -189,59 +188,31 @@ def cmd_finetune(args):
     train_insts = load(args.train)
     dev = load(args.dev) if args.dev else None
     parts = (ckpt.encoder_config, ckpt.params, ckpt.word_vocab, ckpt.entity_vocab)
-    entity = args.variant == "entity"
+    variant = heads.VARIANTS[args.task][args.variant == "entity"]
     if args.task == "qa":
-        model = heads.make_qa_model(*parts, use_entities=entity, seed=cfg.seed)
+        model = heads.make_qa_model(*parts, use_entities=variant == "entity", seed=cfg.seed)
     elif args.task == "re":
-        model = heads.make_re_model(*parts, sorted({i.label for i in train_insts}),
-                                    variant="entity-mask" if entity else "word-markers", seed=cfg.seed)
+        model = heads.make_re_model(*parts, sorted({i.label for i in train_insts}), variant=variant, seed=cfg.seed)
     else:
         model = heads.make_ner_model(*parts, sorted({t for i in train_insts for _, _, t in i.gold_spans}),
-                                     variant="entity-mask" if entity else "word-endpoints",
-                                     max_span_len=args.max_span_len, seed=cfg.seed)
+                                     variant=variant, max_span_len=args.max_span_len, seed=cfg.seed)
     model = heads.finetune(model, train_insts, dev, cfg)
-    skipped = model.skipped
+    unusable, long_spans = model.skipped.values()  # in the order `heads.finetune` counts them
 
     os.makedirs(args.out, exist_ok=True)
     out_ckpt = os.path.join(args.out, "checkpoint-finetuned.bin")
-    meta = {"task": model.task, "variant": model.variant, "labels": model.labels,
-            "max_span_len": model.max_span_len, **skipped}
     # the word vocab with the RE markers, if the variant added them
-    pretrain.save_checkpoint(out_ckpt, model.encoder_config, model.params, step=0, meta=meta,
+    pretrain.save_checkpoint(out_ckpt, model.encoder_config, model.params, step=0, meta=heads.checkpoint_meta(model),
                              word_vocab=model.word_vocab, entity_vocab=model.entity_vocab)
     write_manifest(os.path.join(args.out, "manifest.json"), "finetune", vars(args),
                    seed=cfg.seed, input_paths=[args.checkpoint, args.train, args.dev or ""])
-    print(f"finetuned {args.task} ({model.variant}) on {len(train_insts) - skipped['skipped_examples']} "
-          f"examples, skipped {skipped['skipped_examples']} unusable and "
-          f"{skipped['skipped_gold_spans']} gold spans longer than max_span_len -> {out_ckpt}")
+    print(f"finetuned {args.task} ({model.variant}) on {len(train_insts) - unusable} examples, skipped "
+          f"{unusable} unusable and {long_spans} gold spans longer than max_span_len -> {out_ckpt}")
     return EXIT_OK
 
 
-def _task_model_from_checkpoint(path):
-    """The task model of the finetuned checkpoint at `path`.  Its meta
-    `variant` and `labels` (RE and NER) and its head parameters must agree,
-    else ContractError names the field or parameter."""
-    ckpt = _model_checkpoint(path)
-    meta = ckpt.meta
-    task = meta.get("task")
-    if task not in heads.TASK_LOADERS:
-        raise ConfigError("checkpoint holds no task head; finetune it before eval")
-    variant, labels = meta.get("variant"), meta.get("labels")
-    if variant not in heads.VARIANTS[task]:
-        raise ContractError(f"checkpoint meta field 'variant' is {variant!r}, "
-                            f"not one of the {task} variants {list(heads.VARIANTS[task])}")
-    if task != "qa" and not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)):
-        raise ContractError(f"checkpoint meta field 'labels' is {labels!r}, not a list of label names")
-    check_params(ckpt.params, heads.head_specs(task, variant, ckpt.encoder_config.hidden_size, labels), path)
-    return heads.TaskModel(
-        task=task, encoder_config=ckpt.encoder_config, params=ckpt.params,
-        word_vocab=ckpt.word_vocab, entity_vocab=ckpt.entity_vocab, labels=labels,
-        variant=variant, max_span_len=meta.get("max_span_len", heads.NER_MAX_SPAN_LEN),
-    )
-
-
 def cmd_eval(args):
-    model = _task_model_from_checkpoint(args.checkpoint)
+    model = heads.task_model_from_checkpoint(_model_checkpoint(args.checkpoint), args.checkpoint)
     if args.task and args.task != model.task:
         raise ConfigError(f"checkpoint holds a {model.task} head, not {args.task}")
     report = heads.evaluate(model, heads.TASK_LOADERS[model.task](args.data))

@@ -39,8 +39,8 @@ class TypedQuery:
             raise ContractError("template must contain exactly one [X] and one [Y]")
         if not self.candidates:
             raise ContractError("query needs at least one candidate")
-        if not isinstance(self.gold_index, int) or not 0 <= self.gold_index < len(self.candidates):
-            raise ContractError("gold_index out of range")
+        if type(self.gold_index) is not int or not 0 <= self.gold_index < len(self.candidates):
+            raise ContractError(f"gold_index {self.gold_index!r} is not an int in [0, {len(self.candidates)})")
         return self
 
 

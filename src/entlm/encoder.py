@@ -155,14 +155,13 @@ def init_params(config: EncoderConfig, rng) -> dict:
 def embed_words(params, config, word_ids):
     """Per-token sum of token, position (0..m-1) and word-type embedding lookups.
 
-    word_ids is the packed (B, m) array of `pack_batch`.
+    word_ids is the packed (B, m) array of `pack_batch`; `encode_batch` checks
+    that m is at most max_positions.
     """
     word_ids = np.asarray(word_ids)
     if word_ids.size and (word_ids.min() < 0 or word_ids.max() >= config.word_vocab_size):
         raise VocabError(f"word id out of range for vocab of {config.word_vocab_size}")
     m = word_ids.shape[-1]
-    if m > config.max_positions:
-        raise CapacityError(f"position {m - 1} >= max_positions {config.max_positions}")
     tok = T.embedding(params["word_emb"], word_ids)
     pos = T.embedding(params["pos_emb"], np.broadcast_to(np.arange(m), word_ids.shape))
     typ = T.embedding(params["type_emb"], np.full(word_ids.shape, WORD_TYPE_ID))

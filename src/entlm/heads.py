@@ -9,16 +9,18 @@ per candidate span for NER) and classify the contextualized entity vectors.
 from __future__ import annotations
 
 import copy
+import json
 import math
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import tensor as T
-from .encoder import NEG_INF, EncodedSequence, EncoderConfig, draw_params, encode_batch, pack_batch, param_specs
-from .errors import ContractError
+from .encoder import (NEG_INF, EncodedSequence, EncoderConfig, check_params, draw_params, encode_batch, pack_batch,
+                      param_specs)
+from .errors import ConfigError, ContractError
 from .files import read_json, read_lines
 from .pretrain import AdamW, warmup_linear_decay
 from .seeding import substream
@@ -229,6 +231,71 @@ class TaskModel:
 def _encoder_params(config, params):
     """The encoder's entries of `params`: a task model holds them and its own head only."""
     return {name: params[name] for name, _, _ in param_specs(config)}
+
+
+def _one_of(choices):
+    return (lambda x: x in list(choices)), f"one of {json.dumps(list(choices))}"
+
+
+def _int_from(low):
+    return (lambda x: type(x) is int and x >= low), f"an int of at least {low}"
+
+
+def _labels(task):
+    if task == "qa":
+        return (lambda x: x is None), "null"
+    start = [NER_NON_ENTITY] if task == "ner" else []  # NER's first label is the non-entity one
+    must = "a non-empty list of distinct strings" + (f' starting with "{NER_NON_ENTITY}"' if start else "")
+    return (lambda x: isinstance(x, list) and x != [] and all(isinstance(y, str) for y in x)
+            and len(set(x)) == len(x) and x[: len(start)] == start), must
+
+
+# the meta `finetune` saves with a task head, as (field, rule) rows in the order they are
+# checked: rule(task) gives a test of the field's value and what the value must be
+META_FIELDS = (
+    ("task", lambda task: _one_of(TASK_LOADERS)),
+    ("variant", lambda task: _one_of(VARIANTS[task])),
+    ("labels", _labels),
+    ("max_span_len", lambda task: _int_from(1)),
+    ("skipped_examples", lambda task: _int_from(0)),
+    ("skipped_gold_spans", lambda task: _int_from(0)),
+)
+_MODEL_FIELDS = {f.name for f in fields(TaskModel)}
+
+
+def check_max_span_len(n):
+    """ContractError unless `n` passes the max_span_len row of META_FIELDS."""
+    test, rule = dict(META_FIELDS)["max_span_len"](None)
+    if not test(n):
+        raise ContractError(f"max_span_len {n!r} must be {rule}")
+
+
+def checkpoint_meta(model: TaskModel):
+    """The meta `finetune` saves: each META_FIELDS row's attribute of `model`, or its `skipped` count."""
+    values = {**vars(model), **model.skipped}
+    return {name: values[name] for name, _ in META_FIELDS}
+
+
+def task_model_from_checkpoint(ckpt, path):
+    """The TaskModel of a finetuned checkpoint loaded from `path`.  ConfigError
+    if its meta has no `task` (a pretrained checkpoint's); else ContractError
+    naming `path` unless the meta passes each META_FIELDS rule and the head
+    parameters fit `head_specs`."""
+    meta = ckpt.meta
+    if "task" not in meta:
+        raise ConfigError(f"{path}: checkpoint holds no task head; finetune it before eval")
+    for name, rule in META_FIELDS:
+        test, must = rule(meta["task"])
+        if name not in meta or not test(meta[name]):
+            value = json.dumps(meta[name], ensure_ascii=False) if name in meta else "missing"
+            raise ContractError(f"{path}: meta field {name} is {value}, but must be {must}")
+    values = {name: meta[name] for name, _ in META_FIELDS}
+    model = TaskModel(encoder_config=ckpt.encoder_config, params=ckpt.params, word_vocab=ckpt.word_vocab,
+                      entity_vocab=ckpt.entity_vocab, **{n: v for n, v in values.items() if n in _MODEL_FIELDS},
+                      skipped={n: v for n, v in values.items() if n not in _MODEL_FIELDS})
+    check_params(ckpt.params, head_specs(model.task, model.variant, model.encoder_config.hidden_size, model.labels),
+                 path)
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,23 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entlm.pretrain as pretrain_mod
 from conftest import save_re_data, tensor_digest
 from entlm.align import SpanEmbedding, feature_dump, load_embeddings, save_embeddings
-from entlm.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, _task_model_from_checkpoint, main
+from entlm.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
 from entlm.cloze import ClozeModel
 from entlm.corpus import AnnotatedDocument, save_corpus
 from entlm.encoder import param_specs
-from entlm.heads import REInstance
+from entlm.heads import META_FIELDS, REInstance, task_model_from_checkpoint
 from entlm.pretrain import load_checkpoint
 from entlm.synth import make_bilingual_corpus
 from entlm.vocab import SPECIAL_ENTITIES, EntityEntry, EntityVocab
@@ -414,16 +418,18 @@ def test_eval_reports_metrics(workspace, finetuned):
     assert report["n"] == 12
 
 
-def test_eval_task_mismatch_is_config_error(workspace, pretrained, finetuned):
+def test_eval_task_mismatch_is_config_error(workspace, pretrained, finetuned, capsys):
     rc = main(["eval", "qa",
                "--checkpoint", os.path.join(finetuned["out"], "checkpoint-finetuned.bin"),
                "--data", finetuned["re"], "--out", str(workspace["ws"] / "x.json")])
     assert rc == EXIT_CONFIG
     # a pretrain checkpoint carries no task head
-    rc = main(["eval",
-               "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
-               "--data", finetuned["re"], "--out", str(workspace["ws"] / "x.json")])
+    ckpt = os.path.join(pretrained, "checkpoint-final.bin")
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", ckpt, "--data", finetuned["re"], "--out", str(workspace["ws"] / "x.json")])
     assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {ckpt}: checkpoint holds no task head; finetune it before eval\n"
+    assert not (workspace["ws"] / "x.json").exists()
 
 
 def test_cloze_eval_runs(workspace, pretrained):
@@ -766,9 +772,11 @@ def test_model_commands_refuse_a_checkpoint_without_vocabularies(workspace, pret
 @pytest.mark.parametrize("edit, message", [
     (lambda h: _drop_parameter(h, "re_head.w"), "{bad}: parameter re_head.w is missing"),
     (lambda h: _drop_parameter(h, "re_head.b"), "{bad}: parameter re_head.b is missing"),
-    (lambda h: h["meta"].pop("variant"), "checkpoint meta field 'variant' is None"),
-    (lambda h: h["meta"].update(variant="word-endpoints"), "checkpoint meta field 'variant' is 'word-endpoints'"),
-    (lambda h: h["meta"].pop("labels"), "checkpoint meta field 'labels' is None"),
+    (lambda h: h["meta"].pop("variant"),
+     '{bad}: meta field variant is missing, but must be one of ["word-markers", "entity-mask"]'),
+    (lambda h: h["meta"].update(variant="word-endpoints"),
+     '{bad}: meta field variant is "word-endpoints", but must be one of ["word-markers", "entity-mask"]'),
+    (lambda h: h["meta"].pop("labels"), "{bad}: meta field labels is missing, but must be a non-empty list"),
     (lambda h: h["meta"].update(labels=["r1"]),
      "{bad}: parameter re_head.w has shape [32, 2], but [32, 1] is expected"),
 ], ids=["dropped-head", "dropped-head-bias", "dropped-variant", "other-task-variant", "dropped-labels",
@@ -929,9 +937,82 @@ def test_ner_max_span_len_survives_checkpoint(round_trip):
     out, report = round_trip("ner", "word", "--max-span-len", "2")
     path = os.path.join(out, "checkpoint-finetuned.bin")
     assert load_checkpoint(path).meta["max_span_len"] == 2
-    model = _task_model_from_checkpoint(path)
+    model = task_model_from_checkpoint(load_checkpoint(path), path)
     assert model.max_span_len == 2
     assert report == PINNED_REPORTS["ner", "len2"]
+
+
+# each meta field of a finetuned NER checkpoint is refused, naming the file, unless it passes its rule
+NER_LABELS_RULE = 'a non-empty list of distinct strings starting with "O"'
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("max_span_len", "x", '"x", but must be an int of at least 1'),
+    ("max_span_len", None, "null, but must be an int of at least 1"),
+    ("max_span_len", 1.5, "1.5, but must be an int of at least 1"),
+    ("max_span_len", 0, "0, but must be an int of at least 1"),
+    ("max_span_len", -1, "-1, but must be an int of at least 1"),
+    ("max_span_len", True, "true, but must be an int of at least 1"),
+    ("task", ["ner"], '["ner"], but must be one of ["qa", "re", "ner"]'),
+    ("labels", ["O", "PER", "PER"], f'["O", "PER", "PER"], but must be {NER_LABELS_RULE}'),
+    ("labels", ["LOC", "MISC", "PER"], f'["LOC", "MISC", "PER"], but must be {NER_LABELS_RULE}'),
+    ("skipped_gold_spans", -1, "-1, but must be an int of at least 0"),
+], ids=["span-string", "span-null", "span-float", "span-zero", "span-negative", "span-bool", "task-list",
+        "labels-repeated", "labels-without-O", "skipped-negative"])
+def test_finetuned_meta_field_that_breaks_its_rule_exits_1(round_trip, task_files, tmp_path, capsys, field, value,
+                                                           message):
+    out, _ = round_trip("ner", "word")
+    bad = _checkpoint_with_header(out, tmp_path / "bad.bin", lambda h: h["meta"].update({field: value}),
+                                  "checkpoint-finetuned.bin")
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(bad), "--data", task_files["ner"][1], "--out", str(report)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAILURE
+    assert err == f"error: {bad}: meta field {field} is {message}\n", err
+    assert not report.exists() and not Path(str(report) + ".manifest.json").exists()
+
+
+# what each kind of damage makes of a meta field's value; "drop" removes the field instead
+META_DAMAGE = {"null": lambda v: None, "string": lambda v: "x", "float": lambda v: 1.5, "zero": lambda v: 0,
+               "negative": lambda v: -1, "huge": lambda v: 2**70, "list": lambda v: [v],
+               "repeat": lambda v: v + v[:1] if isinstance(v, list) else [v, v]}
+
+
+# 6 fields x 9 kinds: 60 derandomized examples reach all 54 pairs
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(field=st.sampled_from([name for name, _ in META_FIELDS]), kind=st.sampled_from(["drop", *META_DAMAGE]))
+def test_eval_of_a_damaged_meta_exits_cleanly_and_names_the_file(round_trip, task_files, field, kind):
+    out, _ = round_trip("ner", "word")
+    dest = Path(out + "-damaged")
+    dest.mkdir(exist_ok=True)
+
+    def damage(header):
+        value = header["meta"].pop(field)
+        if kind != "drop":
+            header["meta"][field] = META_DAMAGE[kind](value)
+
+    bad = _checkpoint_with_header(out, dest / "bad.bin", damage, "checkpoint-finetuned.bin")
+    report = dest / "report.json"
+    for stale in (report, Path(str(report) + ".manifest.json")):
+        stale.unlink(missing_ok=True)
+    with redirect_stderr(StringIO()) as err:
+        rc = main(["eval", "--checkpoint", str(bad), "--data", task_files["ner"][1], "--out", str(report)])
+    assert rc in (EXIT_OK, EXIT_FAILURE, EXIT_CONFIG)
+    if rc != EXIT_OK:
+        assert err.getvalue().split(": ", 1)[1].startswith(f"{bad}: "), err.getvalue()
+        assert not report.exists() and not Path(str(report) + ".manifest.json").exists()
+
+
+@pytest.mark.parametrize("span", ["0", "-2"])
+def test_finetune_max_span_len_below_1_exits_3_before_reading_a_file(tmp_path, capsys, span):
+    out = tmp_path / "out"
+    rc = main(["finetune", "ner", "--checkpoint", str(tmp_path / "missing.bin"), "--train",
+               str(tmp_path / "missing.txt"), "--out", str(out), "--max-span-len", span])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err == f"config error: finetune: max_span_len {span} must be an int of at least 1\n", err
+    assert not out.exists()
 
 
 # each finetuned checkpoint's tensor_digest, recorded when task models still carried the MLM and MEP
@@ -1123,6 +1204,9 @@ MALFORMED = [
     ("eval/re-three-columns", "re", _line_edit(1, lambda line: line.rsplit("\t", 1)[0]),
      lambda p, bad: ["eval", "re", "--checkpoint", p["ft_ckpt"], "--data", bad, "--out", p["out"]], 1),
     ("cloze-eval/gold-index-out-of-range", "queries", _record_edit(2, lambda r: r.update(gold_index=2)),
+     _model_argv("cloze-eval", "--queries"), 2),
+    # a bool is an int to Python, so `true` would read as index 1
+    ("cloze-eval/gold-index-bool", "queries", _record_edit(2, lambda r: r.update(gold_index=True)),
      _model_argv("cloze-eval", "--queries"), 2),
     ("dump-features/span-out-of-bounds", "spans", _record_edit(2, lambda r: r.update(span=[1, 9])),
      _model_argv("dump-features", "--data", "--feature-spec", "span-mean"), 2),

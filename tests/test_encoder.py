@@ -18,7 +18,7 @@ from entlm.encoder import (
     init_params,
     pack_batch,
 )
-from entlm.errors import CapacityError, ConfigError, ContractError, VocabError
+from entlm.errors import CapacityError, ConfigError, ContractError, ShapeError, VocabError
 from entlm.seeding import substream
 
 
@@ -55,6 +55,15 @@ def test_sequence_validation(tiny_config):
 def test_embed_words_rejects_out_of_vocab(tiny_params, tiny_config):
     with pytest.raises(VocabError):
         embed_words(tiny_params, tiny_config, np.array([[0, 99]]))
+
+
+def test_embed_words_rejects_more_words_than_positions(tiny_params, tiny_config):
+    # encode_batch refuses this length with CapacityError; a direct call meets the pos_emb lookup's range check
+    too_long = [0] * (tiny_config.max_positions + 1)
+    with pytest.raises(ShapeError, match="id out of range"):
+        embed_words(tiny_params, tiny_config, np.array([too_long]))
+    with pytest.raises(CapacityError):
+        encode_batch(tiny_params, tiny_config, pack_batch([EncodedSequence(word_ids=too_long)]))
 
 
 def test_embed_words_is_sum_of_lookups(tiny_params, tiny_config):
