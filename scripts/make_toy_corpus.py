@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Emit a synthetic bilingual toy corpus (JSONL) plus inter-language links (TSV).
+"""Emit a synthetic bilingual toy corpus (JSONL) plus inter-language links (JSONL).
 
 The corpus pairs English and German documents built from shared templates so
 that every entity has aligned mentions in both languages. Useful as input for
@@ -25,9 +25,9 @@ def main():
         n_entities=args.entities, n_sequences=args.sequences, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     corpus_path = os.path.join(args.out_dir, "corpus.jsonl")
-    links_path = os.path.join(args.out_dir, "links.tsv")
+    links_path = os.path.join(args.out_dir, "links.jsonl")
     save_corpus(docs, corpus_path)
-    links.save_tsv(links_path)
+    links.save(links_path)
     print(f"wrote {len(docs)} documents to {corpus_path}")
     print(f"wrote inter-language links to {links_path}")
 

@@ -8,13 +8,12 @@ by language: communities are the language labels themselves.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
-from .files import read_json, read_json_lines
+from .files import read_json, read_json_lines, write_json_lines
 from .tensor import no_grad
 
 
@@ -129,14 +128,9 @@ def modularity_of_partition(edges, labels):
 
 
 def save_embeddings(embeddings, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for e in embeddings:
-            f.write(json.dumps({
-                "id": e.uid,
-                "lang": e.language,
-                "text": e.text,
-                "vector": [float(x) for x in np.asarray(e.vector, dtype=np.float64)],
-            }, ensure_ascii=False) + "\n")
+    write_json_lines(path, [{"id": e.uid, "lang": e.language, "text": e.text,
+                             "vector": [float(x) for x in np.asarray(e.vector, dtype=np.float64)]}
+                            for e in embeddings])
 
 
 def load_embeddings(path, dim=None):

@@ -9,6 +9,7 @@ mode reproduces outputs bit-exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -66,13 +67,25 @@ def _write_json(path, payload):
         f.write("\n")
 
 
+@contextlib.contextmanager
+def _flag_errors(command):
+    """A ContractError raised inside becomes ConfigError("<command>: ..."):
+    a bad flag or setting exits 3, checked before any input file is read."""
+    try:
+        yield
+    except ContractError as e:
+        raise ConfigError(f"{command}: {e}") from None
+
+
 # ---------------------------------------------------------------------------
 # build-vocab
 
 
 def cmd_build_vocab(args):
+    with _flag_errors("build-vocab"):
+        vocab_mod.check_build_limits(args.min_languages, args.top_k)
     docs = corpus.load_corpus(args.corpus)
-    links = vocab_mod.InterLanguageLinks.load_tsv(args.links)
+    links = vocab_mod.InterLanguageLinks.load(args.links)
     ev = vocab_mod.build_entity_vocab(docs, links, min_languages=args.min_languages, top_k=args.top_k)
     ev.save(args.out)
     write_manifest(_file_manifest_path(args.out), "build-vocab", vars(args),
@@ -86,17 +99,19 @@ def cmd_build_vocab(args):
 
 
 def cmd_link_entities(args):
+    if not 0 <= args.min_link_prob <= 1:  # NaN fails too
+        raise ConfigError(f"link-entities: min_link_prob {args.min_link_prob} must be in [0, 1]")
     page_docs = corpus.load_corpus(args.pages)
     ev = vocab_mod.EntityVocab.load(args.vocab)
     stats = vocab_mod.collect_mention_stats(page_docs)
     mention_map = linker.build_mention_map(page_docs, ev)
     text_docs = corpus.load_corpus(args.text)
-    with open(args.out, "w", encoding="utf-8") as f:
-        for doc in text_docs:
-            anns = linker.detect_entities(doc.tokens, mention_map, stats=stats,
-                                          language=doc.language, min_link_prob=args.min_link_prob)
-            f.write(json.dumps({"lang": doc.language, "title": doc.title,
-                                "annotations": [list(a) for a in anns]}, ensure_ascii=False) + "\n")
+    rows = []
+    for doc in text_docs:
+        anns = linker.detect_entities(doc.tokens, mention_map, stats=stats,
+                                      language=doc.language, min_link_prob=args.min_link_prob)
+        rows.append({"lang": doc.language, "title": doc.title, "annotations": [list(a) for a in anns]})
+    files.write_json_lines(args.out, rows)
     write_manifest(_file_manifest_path(args.out), "link-entities", vars(args),
                    seed=None, input_paths=[args.pages, args.vocab, args.text])
     return EXIT_OK
@@ -131,10 +146,8 @@ def cmd_pretrain(args):
     data, train = section(values, "data"), section(values, "train")
     if "corpus" not in data or "entity_vocab" not in data or "total_steps" not in train:
         raise ConfigError("config must set data.corpus, data.entity_vocab and train.total_steps")
-    try:
+    with _flag_errors("train"):
         train_config = pretrain.TrainConfig(**train).validate()
-    except ContractError as e:
-        raise ConfigError(f"train: {e}") from None
 
     docs = corpus.load_corpus(data["corpus"])
     entity_vocab = vocab_mod.EntityVocab.load(data["entity_vocab"])
@@ -177,12 +190,10 @@ def _model_checkpoint(path):
 def cmd_finetune(args):
     if args.task not in heads.TASK_LOADERS:
         raise ConfigError(f"unknown task {args.task!r}")
-    try:
+    with _flag_errors("finetune"):
         cfg = heads.FinetuneConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch_size,
                                    seed=args.seed or 0).validate()
         heads.check_max_span_len(args.max_span_len)
-    except ContractError as e:
-        raise ConfigError(f"finetune: {e}") from None
     ckpt = _model_checkpoint(args.checkpoint)
     load = heads.TASK_LOADERS[args.task]
     train_insts = load(args.train)

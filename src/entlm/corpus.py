@@ -9,7 +9,6 @@ file, everything here works on token lists.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .encoder import EncodedSequence
 from .errors import ContractError
-from .files import read_json_lines
+from .files import read_json_lines, write_json_lines
 from .seeding import substream
 
 IGNORE_LABEL = -100
@@ -75,21 +74,9 @@ def load_corpus(path):
 
 
 def save_corpus(docs, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for doc in docs:
-            f.write(
-                json.dumps(
-                    {
-                        "lang": doc.language,
-                        "title": doc.title,
-                        "tokens": doc.tokens,
-                        "sentence_breaks": doc.sentence_breaks,
-                        "annotations": [list(a) for a in doc.annotations],
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_json_lines(path, [{"lang": doc.language, "title": doc.title, "tokens": doc.tokens,
+                             "sentence_breaks": doc.sentence_breaks,
+                             "annotations": [list(a) for a in doc.annotations]} for doc in docs])
 
 
 class WordVocab:

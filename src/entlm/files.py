@@ -1,9 +1,11 @@
-"""Reading input files: every reader hands its own parse function to
-`read_lines`, `read_json_lines` or `read_json`.  A KeyError, IndexError,
+"""Reading and writing data files.  Every reader hands its own parse function
+to `read_lines`, `read_json_lines` or `read_json`.  A KeyError, IndexError,
 TypeError, AttributeError or ValueError (JSONDecodeError, UnicodeDecodeError
 and the `validate()` errors among them) raised while a file is decoded or
 parsed becomes ContractError("<path>:<line>: ...").  JSON is read by `loads`,
-which also refuses a string that no UTF-8 file can hold.
+which also refuses a string that no UTF-8 file can hold.  Every JSON-lines
+file is written by `write_json_lines`, which refuses such a string before it
+opens the file.
 """
 
 import json
@@ -54,6 +56,22 @@ def read_lines(path, parse, paragraphs=False):
 def read_json_lines(path, parse):
     """[parse(record) for each non-blank line], each line one JSON value."""
     return read_lines(path, lambda line: parse(loads(line.strip())))
+
+
+def write_json_lines(path, rows):
+    """One line of `json.dumps(row, ensure_ascii=False)` per row, UTF-8.  Every
+    row is encoded before the file is opened, so a string UTF-8 cannot encode
+    (a surrogate) raises ContractError("<path>:<line>: ...") and writes nothing."""
+    lines = []
+    for lineno, row in enumerate(rows, 1):
+        text = json.dumps(row, ensure_ascii=False) + "\n"
+        try:
+            lines.append(text.encode("utf-8"))
+        except UnicodeEncodeError as e:
+            raise ContractError(f"{path}:{lineno}: a string holds the surrogate {text[e.start]!r}, "
+                                "which UTF-8 cannot encode") from None
+    with open(path, "wb") as f:
+        f.writelines(lines)
 
 
 def read_json(path, parse, lines=False):

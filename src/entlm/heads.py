@@ -70,6 +70,8 @@ class QAInstance:
 
     def validate(self):
         n = len(self.context_tokens)
+        if not n:
+            raise ContractError("empty context")
         for s, e in self.gold_spans:
             if not (0 <= s < e <= n):
                 raise ContractError(f"gold span ({s}, {e}) outside context of {n} tokens")
@@ -356,8 +358,6 @@ def _best_span(start_logits, end_logits, max_len=MAX_ANSWER_LEN):
 def qa_predict(model: TaskModel, inst: QAInstance):
     """Predicted answer span and score, with sliding windows on long contexts."""
     inst.validate()
-    if not inst.context_tokens:
-        raise ContractError("empty context")
     max_pos = model.encoder_config.max_positions
     q_len = len(inst.question_tokens)
     win = max_pos - q_len
@@ -539,6 +539,7 @@ def make_ner_model(encoder_config, params, word_vocab, entity_vocab, types,
                    variant="word-endpoints", max_span_len=NER_MAX_SPAN_LEN, seed=0):
     if variant not in VARIANTS["ner"]:
         raise ContractError(f"unknown NER variant {variant!r}")
+    check_max_span_len(max_span_len)
     p = _encoder_params(encoder_config, params)
     labels = [NER_NON_ENTITY] + sorted(t for t in types if t != NER_NON_ENTITY)
     p.update(draw_params(head_specs("ner", variant, encoder_config.hidden_size, labels),
@@ -662,8 +663,8 @@ class FinetuneConfig:
             raise ContractError(f"epochs {self.epochs} must be >= 1")
         if self.batch_size < 1:
             raise ContractError(f"batch_size {self.batch_size} must be >= 1")
-        if self.lr < 0:
-            raise ContractError(f"lr {self.lr} must be >= 0")
+        if not 0 <= self.lr < math.inf:  # NaN fails too
+            raise ContractError(f"lr {self.lr} must be finite and >= 0")
         return self
 
 

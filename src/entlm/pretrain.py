@@ -106,8 +106,8 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ContractError(f"batch_size {self.batch_size} must be >= 1")
         for key in ("warmup_steps", "log_interval", "checkpoint_interval", "peak_lr", "stage1_peak_lr"):
-            if getattr(self, key) < 0:
-                raise ContractError(f"{key} {getattr(self, key)} must be >= 0")
+            if not 0 <= getattr(self, key) < math.inf:  # NaN fails too
+                raise ContractError(f"{key} {getattr(self, key)} must be finite and >= 0")
         return self
 
     def to_dict(self):

@@ -13,12 +13,11 @@ over each page per distinct surface length.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import ContractError
-from .files import read_json_lines, read_lines
+from .files import read_json_lines, write_json_lines
 
 PAD_ENTITY = "[PAD]"
 MASK_ENTITY = "[MASK]"
@@ -30,20 +29,6 @@ PAD_ENTITY_ID = 0
 MASK_ENTITY_ID = 1
 HEAD_ENTITY_ID = 2
 TAIL_ENTITY_ID = 3
-
-LINKS_FILE_COLUMNS = ("language", "title", "canonical_key")
-_LINE_CHARS = "\t\r\n"  # no field of a links file may hold these
-
-
-def _check_field(text, what):
-    """ContractError unless `text` holds none of `_LINE_CHARS` and encodes as UTF-8."""
-    bad = next((c for c in _LINE_CHARS if c in text), None)
-    if bad is not None:
-        raise ContractError(f"{what} holds {bad!r}, which its file format cannot store")
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ContractError(f"{what} does not encode as UTF-8") from None
 
 
 class InterLanguageLinks:
@@ -62,7 +47,7 @@ class InterLanguageLinks:
     def add(self, lang, title, key):
         existing = self._map.get((lang, title))
         if existing is not None and existing != key:
-            raise ContractError(f"({lang}, {title}) already mapped to {existing}, cannot remap to {key}")
+            raise ContractError(f"({lang!r}, {title!r}) already mapped to {existing!r}, cannot remap to {key!r}")
         self._map[(lang, title)] = key
         self._titles[key].add((lang, title))
 
@@ -77,33 +62,24 @@ class InterLanguageLinks:
     def __len__(self):
         return len(self._map)
 
+    def save(self, path):
+        """Write the table: sorted JSON lines of [language, title, canonical_key]."""
+        write_json_lines(path, [[lang, title, key] for (lang, title), key in sorted(self._map.items())])
+
     @classmethod
-    def load_tsv(cls, path):
+    def load(cls, path):
+        """Read a links file.  A row that is not three strings, or that remaps
+        a (language, title) an earlier row maps, raises ContractError naming
+        its line."""
         links = cls()
 
-        def row(line):
-            if not line.startswith("#"):
-                lang, title, key = line.split("\t")
-                links.add(lang, title, key)
+        def row(r):
+            if not (isinstance(r, list) and len(r) == 3 and all(isinstance(x, str) for x in r)):
+                raise ContractError("a link row must be [language, title, canonical_key]")
+            links.add(*r)
 
-        read_lines(path, row)
+        read_json_lines(path, row)
         return links
-
-    def save_tsv(self, path):
-        """Write the table; a row that would not read back raises ContractError
-        before the file is opened."""
-        for (lang, title), key in self._map.items():
-            what = f"link ({lang!r}, {title!r}) -> {key!r}"
-            for text in (lang, title, key):
-                _check_field(text, what)
-            if lang.startswith("#"):
-                raise ContractError(f"{what}: a language starting with '#' reads as a comment")
-            if not (lang + title + key).strip():
-                raise ContractError(f"{what}: a row of whitespace only reads as a blank line")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("#" + "\t".join(LINKS_FILE_COLUMNS) + "\n")
-            for (lang, title), key in sorted(self._map.items()):
-                f.write(f"{lang}\t{title}\t{key}\n")
 
 
 @dataclass
@@ -205,18 +181,10 @@ class EntityVocab:
 
     def save(self, path):
         """Write the vocab file: JSON lines of `rows()`, one entity per line in
-        id order.  A vocabulary without all four specials, or a key or title
-        that does not encode as UTF-8, raises ContractError before the file
-        is opened."""
+        id order.  A vocabulary without all four specials raises ContractError
+        before the file is opened."""
         self.require_specials()
-        lines = []
-        for row in self.rows():
-            try:
-                lines.append((json.dumps(row, ensure_ascii=False) + "\n").encode("utf-8"))
-            except UnicodeEncodeError:
-                raise ContractError(f"entity {row[0]!r}: its key or a title does not encode as UTF-8") from None
-        with open(path, "wb") as f:
-            f.writelines(lines)
+        write_json_lines(path, self.rows())
 
     @classmethod
     def load(cls, path):
@@ -236,6 +204,13 @@ def _special_entries():
     return [EntityEntry(canonical_key=name) for name in SPECIAL_ENTITIES]
 
 
+def check_build_limits(min_languages, top_k):
+    """ContractError unless both limits of `build_entity_vocab` are at least 1."""
+    for name, value in (("min_languages", min_languages), ("top_k", top_k)):
+        if value < 1:
+            raise ContractError(f"{name} {value} must be >= 1")
+
+
 def build_entity_vocab(docs, links: InterLanguageLinks, min_languages=3, top_k=1_200_000):
     """Merge hyperlink counts across languages and keep the frequent entities.
 
@@ -244,10 +219,7 @@ def build_entity_vocab(docs, links: InterLanguageLinks, min_languages=3, top_k=1
     deterministic regardless of corpus order.  The links' inverted index
     makes this linear in annotations plus links.
     """
-    if min_languages < 1:
-        raise ContractError("min_languages must be >= 1")
-    if top_k < 1:
-        raise ContractError("top_k must be >= 1")
+    check_build_limits(min_languages, top_k)
     counts = defaultdict(int)
     titles = defaultdict(set)
     for doc in docs:

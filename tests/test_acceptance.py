@@ -419,9 +419,9 @@ def test_criterion_12_cli_rerun_determinism(tmp_path):
     docs, links = make_bilingual_corpus(n_entities=6, n_sequences=40, seed=13)
     corpus_path = str(tmp_path / "corpus.jsonl")
     save_corpus(docs, corpus_path)
-    links.save_tsv(str(tmp_path / "links.tsv"))
+    links.save(str(tmp_path / "links.jsonl"))
     vocab_path = str(tmp_path / "entities.tsv")
-    assert main(["build-vocab", "--corpus", corpus_path, "--links", str(tmp_path / "links.tsv"),
+    assert main(["build-vocab", "--corpus", corpus_path, "--links", str(tmp_path / "links.jsonl"),
                  "--out", vocab_path, "--min-languages", "2"]) == EXIT_OK
 
     cfg_path = str(tmp_path / "run.cfg")

@@ -56,9 +56,9 @@ def workspace(tmp_path_factory):
     ws = tmp_path_factory.mktemp("cli")
     docs, links = make_bilingual_corpus(n_entities=6, n_sequences=40, seed=5)
     corpus_path = str(ws / "corpus.jsonl")
-    links_path = str(ws / "links.tsv")
+    links_path = str(ws / "links.jsonl")
     save_corpus(docs, corpus_path)
-    links.save_tsv(links_path)
+    links.save(links_path)
     vocab_path = str(ws / "entities.jsonl")
     rc = main(["build-vocab", "--corpus", corpus_path, "--links", links_path,
                "--out", vocab_path, "--min-languages", "2"])
@@ -104,7 +104,7 @@ def test_walkthrough_vocab_and_links_are_pinned(tmp_path):
     subprocess.run([sys.executable, str(script), "--out-dir", str(tmp_path)], check=True, capture_output=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     corpus_path, vocab_path = str(tmp_path / "corpus.jsonl"), str(tmp_path / "entities.jsonl")
-    assert main(["build-vocab", "--corpus", corpus_path, "--links", str(tmp_path / "links.tsv"),
+    assert main(["build-vocab", "--corpus", corpus_path, "--links", str(tmp_path / "links.jsonl"),
                  "--out", vocab_path, "--min-languages", "2"]) == EXIT_OK
     assert main(["link-entities", "--pages", corpus_path, "--text", corpus_path, "--vocab", vocab_path,
                  "--out", str(tmp_path / "linked.jsonl"), "--min-link-prob", "0.01"]) == EXIT_OK
@@ -113,7 +113,7 @@ def test_walkthrough_vocab_and_links_are_pinned(tmp_path):
 
 
 def test_build_vocab_refuses_a_title_it_cannot_store(tmp_path, capsys):
-    corpus_path, links_path = tmp_path / "corpus.jsonl", tmp_path / "links.tsv"
+    corpus_path, links_path = tmp_path / "corpus.jsonl", tmp_path / "links.jsonl"
     # a lone surrogate, which JSON can escape but UTF-8 cannot encode: the corpus reader refuses it
     corpus_path.write_text(json.dumps({"lang": "en", "title": "p", "tokens": ["New", "York"],
                                        "annotations": [[0, 2, "New York \ud800"]]}) + "\n")
@@ -137,7 +137,7 @@ def test_titles_with_separators_survive_build_vocab_link_entities_and_pretrain(t
     docs = [AnnotatedDocument(language=lang, title=f"page{i}", tokens=["w", f"m{i}", "x", "."],
                               annotations=[(1, 2, title)])
             for _ in range(3) for i, (lang, title) in enumerate(SEPARATOR_TITLES)]
-    corpus_path, links_path, vocab_path = tmp_path / "corpus.jsonl", tmp_path / "links.tsv", tmp_path / "e.jsonl"
+    corpus_path, links_path, vocab_path = tmp_path / "corpus.jsonl", tmp_path / "links.jsonl", tmp_path / "e.jsonl"
     save_corpus(docs, str(corpus_path))
     links_path.write_text("")
     assert main(["build-vocab", "--corpus", str(corpus_path), "--links", str(links_path), "--out", str(vocab_path),
@@ -1015,6 +1015,45 @@ def test_finetune_max_span_len_below_1_exits_3_before_reading_a_file(tmp_path, c
     assert not out.exists()
 
 
+def _missing_inputs_argv(command, tmp_path):
+    """`command` with every input a missing file, so a run that reads one fails with exit 1."""
+    missing = {name: str(tmp_path / f"missing-{name}") for name in ("ckpt", "data", "corpus", "links", "vocab")}
+    if command == "pretrain":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEXT.format(corpus=missing["corpus"], vocab=missing["vocab"]))
+        return ["pretrain", "--config", str(cfg)]
+    return {"finetune": ["finetune", "re", "--checkpoint", missing["ckpt"], "--train", missing["data"]],
+            "build-vocab": ["build-vocab", "--corpus", missing["corpus"], "--links", missing["links"]],
+            "link-entities": ["link-entities", "--pages", missing["corpus"], "--text", missing["corpus"],
+                              "--vocab", missing["vocab"]]}[command]
+
+
+# a flag or setting that breaks its rule exits 3 before its command reads an input file
+BAD_FLAGS = [
+    ("finetune", ["--lr", "nan"], "finetune: lr nan must be finite and >= 0"),
+    ("finetune", ["--lr", "inf"], "finetune: lr inf must be finite and >= 0"),
+    ("pretrain", ["--set", "train.peak_lr=nan"], "train: peak_lr nan must be finite and >= 0"),
+    ("pretrain", ["--set", "train.peak_lr=inf"], "train: peak_lr inf must be finite and >= 0"),
+    ("pretrain", ["--set", "train.stage1_peak_lr=nan"], "train: stage1_peak_lr nan must be finite and >= 0"),
+    ("pretrain", ["--set", "train.stage1_peak_lr=-inf"], "train: stage1_peak_lr -inf must be finite and >= 0"),
+    ("build-vocab", ["--top-k", "0"], "build-vocab: top_k 0 must be >= 1"),
+    ("build-vocab", ["--min-languages", "0"], "build-vocab: min_languages 0 must be >= 1"),
+    ("link-entities", ["--min-link-prob", "nan"], "link-entities: min_link_prob nan must be in [0, 1]"),
+    ("link-entities", ["--min-link-prob", "-0.1"], "link-entities: min_link_prob -0.1 must be in [0, 1]"),
+    ("link-entities", ["--min-link-prob", "1.5"], "link-entities: min_link_prob 1.5 must be in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("command, flag, message", BAD_FLAGS, ids=[f"{c} {' '.join(f)}" for c, f, _ in BAD_FLAGS])
+def test_bad_flag_exits_3_before_reading_a_file(tmp_path, capsys, command, flag, message):
+    out = tmp_path / "out"
+    rc = main([*_missing_inputs_argv(command, tmp_path), "--out", str(out), *flag])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG, err
+    assert err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 # each finetuned checkpoint's tensor_digest, recorded when task models still carried the MLM and MEP
 # heads (over the tensors named below, the heads left out): dropping the heads changed no other bit.
 # float64 on x86-64 OpenBLAS; a BLAS that sums in another order changes these digests
@@ -1168,7 +1207,7 @@ MALFORMED = [
      lambda p, bad: ["build-vocab", "--corpus", bad, "--links", p["links"], "--out", p["out"]], 5),
     ("build-vocab/corpus-invalid-utf8", "corpus", lambda raw: raw.replace(b"page_en_1", b"page_\xff_1"),
      lambda p, bad: ["build-vocab", "--corpus", bad, "--links", p["links"], "--out", p["out"]], 2),
-    ("build-vocab/links-two-columns", "links", _line_edit(2, lambda line: line.rsplit("\t", 1)[0]),
+    ("build-vocab/links-two-columns", "links", _record_edit(2, lambda row: row.pop()),
      lambda p, bad: ["build-vocab", "--corpus", p["corpus"], "--links", bad, "--out", p["out"]], 2),
     # without the row of id 3, [TAIL], the next row takes its id
     ("link-entities/vocab-ids-not-dense", "vocab", _drop_line(4),
@@ -1195,6 +1234,8 @@ MALFORMED = [
     ("finetune/qa-question-entity-outside-question", "qa_jsonl",
      _record_edit(3, lambda r: r.update(question="who ?", question_entities=[[0, 3, 5]])),
      _finetune_argv("qa"), 3),
+    ("finetune/qa-jsonl-empty-context", "qa_jsonl",
+     _record_edit(2, lambda r: r.update(context="", answers=[], context_entities=[])), _finetune_argv("qa"), 2),
     # with no id the second record takes its index, 1, which the third gives too
     ("finetune/qa-jsonl-repeated-id", "qa_jsonl",
      lambda raw: _record_edit(3, lambda r: r.update(id="1"))(_record_edit(2, _drop("id"))(raw)),

@@ -1,6 +1,8 @@
-"""Input files: the shared reader's line numbers, and every reader under
-truncated or bit-flipped input."""
+"""Data files: the shared reader's line numbers, every reader under truncated
+or bit-flipped input, and every writer under text UTF-8 cannot encode."""
 
+import argparse
+import dataclasses
 import json
 import re
 
@@ -13,7 +15,7 @@ from conftest import save_re_data
 from entlm import align, cli, cloze, corpus, files, heads
 from entlm.errors import ContractError, EntlmError
 from entlm.synth import make_bilingual_corpus
-from entlm.vocab import EntityVocab, InterLanguageLinks, build_entity_vocab
+from entlm.vocab import SPECIAL_ENTITIES, EntityEntry, EntityVocab, InterLanguageLinks, build_entity_vocab
 
 # ---------------------------------------------------------------------------
 # the shared reader
@@ -91,6 +93,47 @@ def test_json_readers_keep_escaped_pairs_and_bmp_text(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# every writer encodes its rows before it opens the file
+
+HALF_PAIR = "half \ud800 pair"  # a lone surrogate, which UTF-8 cannot encode
+
+
+def _link_entities(path, monkeypatch):
+    """link-entities on documents whose second title holds HALF_PAIR."""
+    docs, links = make_bilingual_corpus(n_entities=3, n_sequences=4, seed=2)
+    docs[1] = dataclasses.replace(docs[1], title=HALF_PAIR)
+    vocab = path.with_name("entities.jsonl")
+    build_entity_vocab(docs, links, min_languages=2).save(vocab)
+    monkeypatch.setattr(corpus, "load_corpus", lambda _path: docs)
+    cli.cmd_link_entities(argparse.Namespace(pages="pages.jsonl", text="text.jsonl", vocab=str(vocab),
+                                             out=str(path), min_link_prob=0.0))
+
+
+# (writer, line of the row holding HALF_PAIR)
+WRITERS = {
+    "corpus": (lambda path, _: corpus.save_corpus(
+        [corpus.AnnotatedDocument("en", title, ["a"], []) for title in ("ok", HALF_PAIR)], path), 2),
+    "embeddings": (lambda path, _: align.save_embeddings(
+        [align.SpanEmbedding(f"s{i}", "en", text, np.ones(2)) for i, text in enumerate(("ok", HALF_PAIR))], path), 2),
+    "entity-vocab": (lambda path, _: EntityVocab(
+        [*(EntityEntry(canonical_key=k) for k in SPECIAL_ENTITIES),
+         EntityEntry(canonical_key="k", titles={("en", HALF_PAIR)})]).save(path), 5),
+    "links": (lambda path, _: InterLanguageLinks([("en", HALF_PAIR, "k"), ("en", "a", "k")]).save(path), 2),
+    "link-entities": (_link_entities, 2),
+}
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_every_writer_refuses_a_surrogate_and_writes_no_file(tmp_path, monkeypatch, kind):
+    write, line = WRITERS[kind]
+    path = tmp_path / "out.jsonl"
+    with pytest.raises(ContractError, match="^" + re.escape(
+            f"{path}:{line}: a string holds the surrogate '\\ud800', which UTF-8 cannot encode") + "$"):
+        write(path, monkeypatch)
+    assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
 # every reader, fuzzed: it returns or raises an EntlmError naming path:line
 
 
@@ -99,9 +142,9 @@ def _write_fixtures(d):
     docs, links = make_bilingual_corpus(n_entities=3, n_sequences=4, seed=2)
     corpus.save_corpus(docs, d / "corpus.jsonl")
     wv = corpus.build_word_vocab(docs)
-    links.save_tsv(d / "links.tsv")
+    links.save(d / "links.jsonl")
     ev = build_entity_vocab(docs, links, min_languages=2)
-    ev.save(d / "entities.tsv")
+    ev.save(d / "entities.jsonl")
     (d / "queries.jsonl").write_text(json.dumps({
         "lang": "en", "template": "[X] t0b_en [Y] .", "sub_surface": "ent0_en", "sub_entity": "ent0",
         "candidates": [{"surface": "ent0_en"}, {"surface": "ent1_en", "entity": "ent1"}],
@@ -128,8 +171,8 @@ def _write_fixtures(d):
         "gold": "gold.json", "embeddings": None, "k": 3, "out": "mrr.json"}}))
     return {
         "corpus": (d / "corpus.jsonl", corpus.load_corpus),
-        "links": (d / "links.tsv", InterLanguageLinks.load_tsv),
-        "entity-vocab": (d / "entities.tsv", EntityVocab.load),
+        "links": (d / "links.jsonl", InterLanguageLinks.load),
+        "entity-vocab": (d / "entities.jsonl", EntityVocab.load),
         "queries": (d / "queries.jsonl", cloze.load_queries),
         "embeddings": (d / "emb.jsonl", align.load_embeddings),
         "gold": (d / "gold.json", lambda p: align.load_gold(p, pool)),

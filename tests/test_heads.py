@@ -1,6 +1,7 @@
 """Task heads: QA spans and metrics, RE variants, span NER, finetuning."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,17 @@ def test_load_qa_refuses_a_repeated_question_id(tmp_path):
             load_qa_data(str(path))
     path.write_text("".join(json.dumps(r) + "\n" for r in (rec, {**rec, "id": "q"}, rec)))
     assert [i.qid for i in load_qa_data(str(path))] == ["0", "q", "2"]
+
+
+@pytest.mark.parametrize("context", ["", "  \t "])
+def test_load_qa_refuses_an_empty_context_naming_its_line(tmp_path, context):
+    import json
+    rec = {"question": "where ?", "context": "the Tokyo Tower stands",
+           "answers": [{"text": "Tokyo Tower", "answer_start": 4}]}
+    path = tmp_path / "qa.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in (rec, {**rec, "context": context, "answers": []}, rec)))
+    with pytest.raises(ContractError, match="^" + re.escape(f"{path}:2: empty context") + "$"):
+        load_qa_data(str(path))
 
 
 @pytest.mark.parametrize("entities", [
@@ -497,6 +509,13 @@ def test_ner_span_f1_oracle():
     assert ner_span_f1([[]], [[]]) == 0.0
 
 
+@pytest.mark.parametrize("span", [0, -1])
+def test_make_ner_model_refuses_max_span_len_below_1(task_setup, span):
+    cfg, params, wv, ev = task_setup
+    with pytest.raises(ContractError, match=f"^max_span_len {span} must be an int of at least 1$"):
+        make_ner_model(cfg, params, wv, ev, ["PER"], max_span_len=span)
+
+
 def test_ner_labels_are_o_plus_sorted_types(task_setup):
     cfg, params, wv, ev = task_setup
     model = make_ner_model(cfg, params, wv, ev, ["PER", "LOC", "O"])
@@ -518,7 +537,7 @@ def test_finetune_warmup_is_six_percent_ceil():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("lr", -1e-3), ("epochs", 0), ("epochs", -1), ("batch_size", 0),
+    ("lr", -1e-3), ("lr", math.nan), ("lr", math.inf), ("epochs", 0), ("epochs", -1), ("batch_size", 0),
 ])
 def test_finetune_config_rejects_invalid_settings(field, value):
     with pytest.raises(ContractError, match=field):

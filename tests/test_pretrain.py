@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import os
 import signal
 import sys
@@ -827,6 +828,7 @@ def test_train_rejects_an_empty_corpus(toy_data, toy_encoder_config):
 @pytest.mark.parametrize("field, value", [
     ("batch_size", 0), ("batch_size", -2), ("log_interval", -1), ("checkpoint_interval", -1),
     ("peak_lr", -1.0), ("stage1_peak_lr", -1e-3), ("warmup_steps", -1),
+    ("peak_lr", math.nan), ("peak_lr", math.inf), ("stage1_peak_lr", math.nan), ("stage1_peak_lr", math.inf),
 ])
 def test_train_config_rejects_invalid_settings(toy_data, toy_encoder_config, field, value):
     by_lang, wv, ev = toy_data

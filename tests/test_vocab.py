@@ -6,7 +6,7 @@ import re
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entlm.corpus import SPECIAL_WORDS, AnnotatedDocument
@@ -224,9 +224,10 @@ def test_vocab_refuses_entries_that_share_a_key_or_title():
 
 
 def test_links_tsv_round_trip(tmp_path, links):
-    path = str(tmp_path / "links.tsv")
-    links.save_tsv(path)
-    loaded = InterLanguageLinks.load_tsv(path)
+    # the links file is JSON lines now; the name is kept from its tab-separated days
+    path = str(tmp_path / "links.jsonl")
+    links.save(path)
+    loaded = InterLanguageLinks.load(path)
     assert loaded.canonical_key("ja", "東京") == "tokyo"
     assert loaded.titles_for_key("tokyo") == links.titles_for_key("tokyo")
 
@@ -377,8 +378,8 @@ def test_wide_mention_stats_and_vocab_are_unchanged(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# a vocab or link table that saves loads back equal; one that would not read
-# back raises before a file is written
+# a vocab or link table that saves loads back equal; a vocab whose text UTF-8
+# cannot encode raises before a file is written
 
 _FIELD_TEXT = st.one_of(st.text(alphabet="aB #東", max_size=4),
                         st.text(alphabet="aB #:;\t\r\n東\x85", max_size=4))
@@ -423,14 +424,14 @@ def test_vocab_save_load_round_trip(tmp_path_factory, raw):
             assert loaded.resolve(lang, title) == ev.resolve(lang, title)
 
 
-def _links_fit(links):
-    return all(not any(c in text for c in "\t\r\n" for text in (lang, title, key))
-               and not lang.startswith("#") and (lang + title + key).strip()
-               for (lang, title), key in links._map.items())
+# any text UTF-8 can encode, tabs, line breaks and a leading '#' among it
+_LINK_TEXT = st.one_of(st.text(alphabet="aB #:\t\r\n東\x85\u2028", max_size=4),
+                       st.text(st.characters(codec="utf-8"), max_size=6))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(_FIELD_TEXT, _FIELD_TEXT, _FIELD_TEXT), max_size=6))
+@given(st.lists(st.tuples(_LINK_TEXT, _LINK_TEXT, _LINK_TEXT), max_size=6))
+@example([("#en", "New\tYork\n", "nyc"), ("en", "#comment", "k"), (" ", "\r\n", "\t"), ("", "", "")])
 def test_links_save_load_round_trip(tmp_path_factory, adds):
     links = InterLanguageLinks()
     for lang, title, key in adds:
@@ -438,17 +439,25 @@ def test_links_save_load_round_trip(tmp_path_factory, adds):
             links.add(lang, title, key)
         except ContractError:
             pass
-    path = tmp_path_factory.mktemp("links") / "links.tsv"
-    if not _links_fit(links):
-        with pytest.raises(ContractError, match="link"):
-            links.save_tsv(str(path))
-        assert not path.exists()
-        return
-    links.save_tsv(str(path))
-    loaded = InterLanguageLinks.load_tsv(str(path))
+    path = tmp_path_factory.mktemp("links") / "links.jsonl"
+    links.save(str(path))
+    loaded = InterLanguageLinks.load(str(path))
     assert loaded._map == links._map
     for key in set(links._map.values()):
         assert loaded.titles_for_key(key) == links.titles_for_key(key)
+
+
+@pytest.mark.parametrize("text, line, what", [
+    ('["en", "A", "k"]\n["en", "B"]\n', 2, "a link row must be [language, title, canonical_key]"),
+    ('["en", "A", 3]\n', 1, "a link row must be [language, title, canonical_key]"),
+    ('{"en": "A"}\n', 1, "a link row must be [language, title, canonical_key]"),
+    ('["en", "A", "k"]\n\n["en", "A", "j"]\n', 3, "('en', 'A') already mapped to 'k', cannot remap to 'j'"),
+], ids=["two-fields", "key-not-a-string", "not-a-list", "remap"])
+def test_links_load_refuses_a_row_naming_its_line(tmp_path, text, line, what):
+    path = tmp_path / "links.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ContractError, match="^" + re.escape(f"{path}:{line}: {what}") + "$"):
+        InterLanguageLinks.load(str(path))
 
 
 @pytest.mark.parametrize("lang,title", [("en", "New York; City"), ("en", "New\tYork"), ("en", "New York\n"),
@@ -460,17 +469,3 @@ def test_title_with_a_separator_round_trips(tmp_path, lang, title):
     ev.save(str(path))
     loaded = EntityVocab.load(str(path))
     assert loaded.entries[4].titles == {(lang, title)} and loaded.resolve(lang, title) == 4
-
-
-def test_title_that_does_not_encode_is_refused_before_writing(tmp_path):
-    links = InterLanguageLinks([("en", "half \ud800 pair", "k")])
-    path = tmp_path / "links.tsv"
-    with pytest.raises(ContractError, match="UTF-8"):
-        links.save_tsv(str(path))
-    assert not path.exists()
-    ev = EntityVocab([*(EntityEntry(canonical_key=name) for name in SPECIAL_ENTITIES),
-                      EntityEntry(canonical_key="k", titles={("en", "half \ud800 pair")})])
-    path = tmp_path / "entities.jsonl"
-    with pytest.raises(ContractError, match=re.escape("entity 'k': its key or a title does not encode as UTF-8")):
-        ev.save(str(path))
-    assert not path.exists()
