@@ -1,9 +1,9 @@
 """Command-line surface tying the modules into reproducible runs.
 
-Every command writes a manifest (resolved options, seed, versions, input
+Every command writes a manifest (its command line, seed, versions, input
 digests) next to its output; `entlm rerun <manifest>` checks that every
-recorded input is unchanged, then replays the run, which in deterministic
-mode reproduces outputs bit-exactly.
+recorded input is unchanged, then replays the command line, which in
+deterministic mode reproduces outputs bit-exactly.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -38,33 +39,19 @@ def _digest(path):
     return h.hexdigest()
 
 
-def write_manifest(manifest_path, command, options, seed, input_paths, **counts):
-    """counts (e.g. dropped_annotations) are stored as top-level fields."""
+def write_manifest(args, input_paths, seed=None, **counts):
+    """The manifest of the run `args` describes, next to its output: <out>/manifest.json
+    for a directory, else <out>.manifest.json.  counts (e.g. dropped_annotations)
+    are stored as top-level fields."""
     manifest = {
-        "command": command,
-        "options": {k: v for k, v in options.items() if k != "func"},
+        "argv": args.argv,
         "seed": seed,
-        "versions": {
-            "entlm": __version__,
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
+        "versions": {"entlm": __version__, "python": sys.version.split()[0], "numpy": np.__version__},
         "input_digests": {p: _digest(p) for p in input_paths if p and os.path.exists(p)},
         **counts,
     }
-    os.makedirs(os.path.dirname(os.path.abspath(manifest_path)), exist_ok=True)
-    _write_json(manifest_path, manifest)
-    return manifest_path
-
-
-def _file_manifest_path(out_file):
-    return out_file + ".manifest.json"
-
-
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, ensure_ascii=False)
-        f.write("\n")
+    is_dir = os.path.isdir(args.out)
+    files.write_json(os.path.join(args.out, "manifest.json") if is_dir else args.out + ".manifest.json", manifest)
 
 
 @contextlib.contextmanager
@@ -88,8 +75,7 @@ def cmd_build_vocab(args):
     links = vocab_mod.InterLanguageLinks.load(args.links)
     ev = vocab_mod.build_entity_vocab(docs, links, min_languages=args.min_languages, top_k=args.top_k)
     ev.save(args.out)
-    write_manifest(_file_manifest_path(args.out), "build-vocab", vars(args),
-                   seed=None, input_paths=[args.corpus, args.links])
+    write_manifest(args, [args.corpus, args.links])
     print(f"wrote {len(ev)} entities ({len(vocab_mod.SPECIAL_ENTITIES)} specials) to {args.out}")
     return EXIT_OK
 
@@ -112,8 +98,7 @@ def cmd_link_entities(args):
                                       language=doc.language, min_link_prob=args.min_link_prob)
         rows.append({"lang": doc.language, "title": doc.title, "annotations": [list(a) for a in anns]})
     files.write_json_lines(args.out, rows)
-    write_manifest(_file_manifest_path(args.out), "link-entities", vars(args),
-                   seed=None, input_paths=[args.pages, args.vocab, args.text])
+    write_manifest(args, [args.pages, args.vocab, args.text])
     return EXIT_OK
 
 
@@ -167,8 +152,7 @@ def cmd_pretrain(args):
         encoder_config, train_config, sequences_by_language, word_vocab, entity_vocab,
         out_dir=args.out, log_file=os.path.join(args.out, "train_log.tsv"),
     )
-    write_manifest(os.path.join(args.out, "manifest.json"), "pretrain", vars(args),
-                   seed=train_config.seed, input_paths=[args.config, data["corpus"], data["entity_vocab"]],
+    write_manifest(args, [args.config, data["corpus"], data["entity_vocab"]], seed=train_config.seed,
                    dropped_annotations=dropped)
     print(f"pretrained {result.step} steps, dropped {dropped} annotations "
           f"(across a sequence cut, unresolved title or past entity_cap) -> {result.final_checkpoint}")
@@ -208,17 +192,16 @@ def cmd_finetune(args):
         model = heads.make_ner_model(*parts, sorted({t for i in train_insts for _, _, t in i.gold_spans}),
                                      variant=variant, max_span_len=args.max_span_len, seed=cfg.seed)
     model = heads.finetune(model, train_insts, dev, cfg)
-    unusable, long_spans = model.skipped.values()  # in the order `heads.finetune` counts them
 
     os.makedirs(args.out, exist_ok=True)
     out_ckpt = os.path.join(args.out, "checkpoint-finetuned.bin")
     # the word vocab with the RE markers, if the variant added them
     pretrain.save_checkpoint(out_ckpt, model.encoder_config, model.params, step=0, meta=heads.checkpoint_meta(model),
                              word_vocab=model.word_vocab, entity_vocab=model.entity_vocab)
-    write_manifest(os.path.join(args.out, "manifest.json"), "finetune", vars(args),
-                   seed=cfg.seed, input_paths=[args.checkpoint, args.train, args.dev or ""])
-    print(f"finetuned {args.task} ({model.variant}) on {len(train_insts) - unusable} examples, skipped "
-          f"{unusable} unusable and {long_spans} gold spans longer than max_span_len -> {out_ckpt}")
+    write_manifest(args, [args.checkpoint, args.train, args.dev], seed=cfg.seed)
+    print(f"finetuned {args.task} ({model.variant}) on {len(train_insts) - model.skipped_examples} examples, "
+          f"skipped {model.skipped_examples} unusable and {model.skipped_gold_spans} gold spans longer than "
+          f"max_span_len -> {out_ckpt}")
     return EXIT_OK
 
 
@@ -227,9 +210,8 @@ def cmd_eval(args):
     if args.task and args.task != model.task:
         raise ConfigError(f"checkpoint holds a {model.task} head, not {args.task}")
     report = heads.evaluate(model, heads.TASK_LOADERS[model.task](args.data))
-    _write_json(args.out, report)
-    write_manifest(_file_manifest_path(args.out), "eval", vars(args), seed=None,
-                   input_paths=[args.checkpoint, args.data])
+    files.write_json(args.out, report)
+    write_manifest(args, [args.checkpoint, args.data])
     print(json.dumps(report, sort_keys=True)[:2000])
     return EXIT_OK
 
@@ -251,9 +233,8 @@ def cmd_cloze_eval(args):
     queries = cloze.load_queries(args.queries)
     report = cloze.evaluate(model, queries, mode=args.mode)
     report["fp_analysis"] = cloze.fp_analysis(report["records"])
-    _write_json(args.out, report)
-    write_manifest(_file_manifest_path(args.out), "cloze-eval", vars(args), seed=None,
-                   input_paths=[args.checkpoint, args.queries])
+    files.write_json(args.out, report)
+    write_manifest(args, [args.checkpoint, args.queries])
     print(f"accuracy[{args.mode}] = {report['accuracy']:.4f}  "
           f"word fallbacks {report['word_fallbacks']}/{report['candidates_scored']} candidates")
     return EXIT_OK
@@ -271,8 +252,7 @@ def cmd_dump_features(args):
     else:
         dataset = align.load_span_items(args.data, model.word_vocab, model.entity_vocab)
     align.feature_dump(model, dataset, args.feature_spec, out_path=args.out)
-    write_manifest(_file_manifest_path(args.out), "dump-features", vars(args), seed=None,
-                   input_paths=[args.checkpoint, args.data])
+    write_manifest(args, [args.checkpoint, args.data])
     return EXIT_OK
 
 
@@ -293,9 +273,8 @@ def cmd_analyze(args):
     else:
         emb = align.load_embeddings(args.embeddings)
         report = {"modularity": align.modularity(emb, k=args.k), "k": args.k, "n": len(emb)}
-    _write_json(args.out, report)
-    write_manifest(_file_manifest_path(args.out), "analyze", vars(args), seed=None,
-                   input_paths=[getattr(args, n) for n in names])
+    files.write_json(args.out, report)
+    write_manifest(args, [getattr(args, n) for n in names])
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 
@@ -320,36 +299,41 @@ def cmd_inspect_checkpoint(args):
     return EXIT_OK
 
 
-def _manifest_run(manifest):
-    """(handler, options) of a run manifest; every command but `rerun` replays.
+def _parse(argv):
+    """build_parser().parse_args(argv), with `argv` kept on the result; a command line that
+    does not parse raises ContractError (argparse exits on a missing required argument even
+    with exit_on_error=False, so its exit is caught)."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(printed), contextlib.redirect_stdout(printed):
+            args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        why = printed.getvalue().strip().splitlines()[-1] if e.code else "it asks for help"
+        raise ContractError(f"argv does not parse: {why}") from None
+    args.argv = argv
+    return args
 
-    Each input in the manifest's `input_digests` must still exist with the
-    recorded sha256, so a replay never runs on changed inputs.
-    """
-    command = manifest["command"]
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    if command not in sub.choices or command == "rerun":
-        raise ContractError(f"unknown command {command!r}")
-    parser = sub.choices[command]
-    options = dict(manifest["options"])
-    # the option names the parser gives the command's handler
-    dests = {a.dest for a in parser._actions if a.default is not argparse.SUPPRESS}
-    missing = sorted(dests - options.keys())
-    if missing:
-        raise ContractError(f"{command} options lack {', '.join(missing)}")
+
+def _replay_args(manifest, out=None):
+    """The parsed `argv` of a run manifest, with `--out out` appended if given; every
+    command but `rerun` replays.  Each input in the manifest's `input_digests` must
+    still exist with the recorded sha256, so a replay never runs on changed inputs."""
+    argv = manifest["argv"]
+    if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)) or argv[0] == "rerun":
+        raise ContractError(f"argv {json.dumps(argv, ensure_ascii=False)} must be a non-empty list of strings "
+                            "whose first is not rerun")
+    args = _parse(argv + ["--out", out] if out else argv)
     for path, digest in manifest.get("input_digests", {}).items():
         if not os.path.isfile(path):
             raise ContractError(f"input {path} is missing")
         if _digest(path) != digest:
             raise ContractError(f"input {path} has changed since the run (its sha256 differs)")
-    return parser.get_default("func"), options
+    return args
 
 
 def cmd_rerun(args):
-    handler, options = files.read_json(args.manifest, _manifest_run)
-    if args.out:
-        options["out"] = args.out
-    return handler(argparse.Namespace(**options))
+    replayed = files.read_json(args.manifest, lambda manifest: _replay_args(manifest, args.out))
+    return replayed.func(replayed)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +426,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
+        for arg in argv:  # the manifest records the command line in UTF-8
+            try:
+                arg.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ConfigError(f"argument {arg!r} does not encode as UTF-8") from None
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

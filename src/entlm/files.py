@@ -4,8 +4,8 @@ TypeError, AttributeError or ValueError (JSONDecodeError, UnicodeDecodeError
 and the `validate()` errors among them) raised while a file is decoded or
 parsed becomes ContractError("<path>:<line>: ...").  JSON is read by `loads`,
 which also refuses a string that no UTF-8 file can hold.  Every JSON-lines
-file is written by `write_json_lines`, which refuses such a string before it
-opens the file.
+file is written by `write_json_lines` and every JSON document (a report, a
+manifest) by `write_json`; each refuses such a string before it opens the file.
 """
 
 import json
@@ -58,20 +58,27 @@ def read_json_lines(path, parse):
     return read_lines(path, lambda line: parse(loads(line.strip())))
 
 
-def write_json_lines(path, rows):
-    """One line of `json.dumps(row, ensure_ascii=False)` per row, UTF-8.  Every
-    row is encoded before the file is opened, so a string UTF-8 cannot encode
-    (a surrogate) raises ContractError("<path>:<line>: ...") and writes nothing."""
-    lines = []
-    for lineno, row in enumerate(rows, 1):
-        text = json.dumps(row, ensure_ascii=False) + "\n"
-        try:
-            lines.append(text.encode("utf-8"))
-        except UnicodeEncodeError as e:
-            raise ContractError(f"{path}:{lineno}: a string holds the surrogate {text[e.start]!r}, "
-                                "which UTF-8 cannot encode") from None
+def _write_text(path, text):
+    """Write `text` as UTF-8, encoded before the file is opened, so a string UTF-8
+    cannot encode (a surrogate) raises ContractError("<path>:<line>: ...") and writes nothing."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        lineno = text.count("\n", 0, e.start) + 1
+        raise ContractError(f"{path}:{lineno}: a string holds the surrogate {text[e.start]!r}, "
+                            "which UTF-8 cannot encode") from None
     with open(path, "wb") as f:
-        f.writelines(lines)
+        f.write(data)
+
+
+def write_json_lines(path, rows):
+    """One line of `json.dumps(row, ensure_ascii=False)` per row, through `_write_text`."""
+    _write_text(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+
+
+def write_json(path, payload):
+    """One JSON document, indented with sorted keys, through `_write_text`: the file `read_json` reads."""
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def read_json(path, parse, lines=False):

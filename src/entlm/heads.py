@@ -13,7 +13,7 @@ import json
 import math
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -227,7 +227,8 @@ class TaskModel:
     labels: list | None = None  # RE/NER label set
     variant: str = "word"  # task-specific variant tag
     max_span_len: int = NER_MAX_SPAN_LEN  # NER candidate span cap
-    skipped: dict = field(default_factory=dict)  # finetune's drop counts, as checkpoint meta keys
+    skipped_examples: int = 0  # finetune's count of unusable training examples
+    skipped_gold_spans: int = 0  # finetune's count of NER gold spans longer than max_span_len
 
 
 def _encoder_params(config, params):
@@ -262,7 +263,6 @@ META_FIELDS = (
     ("skipped_examples", lambda task: _int_from(0)),
     ("skipped_gold_spans", lambda task: _int_from(0)),
 )
-_MODEL_FIELDS = {f.name for f in fields(TaskModel)}
 
 
 def check_max_span_len(n):
@@ -273,9 +273,8 @@ def check_max_span_len(n):
 
 
 def checkpoint_meta(model: TaskModel):
-    """The meta `finetune` saves: each META_FIELDS row's attribute of `model`, or its `skipped` count."""
-    values = {**vars(model), **model.skipped}
-    return {name: values[name] for name, _ in META_FIELDS}
+    """The meta `finetune` saves: each META_FIELDS row's attribute of `model`."""
+    return {name: getattr(model, name) for name, _ in META_FIELDS}
 
 
 def task_model_from_checkpoint(ckpt, path):
@@ -291,10 +290,8 @@ def task_model_from_checkpoint(ckpt, path):
         if name not in meta or not test(meta[name]):
             value = json.dumps(meta[name], ensure_ascii=False) if name in meta else "missing"
             raise ContractError(f"{path}: meta field {name} is {value}, but must be {must}")
-    values = {name: meta[name] for name, _ in META_FIELDS}
     model = TaskModel(encoder_config=ckpt.encoder_config, params=ckpt.params, word_vocab=ckpt.word_vocab,
-                      entity_vocab=ckpt.entity_vocab, **{n: v for n, v in values.items() if n in _MODEL_FIELDS},
-                      skipped={n: v for n, v in values.items() if n not in _MODEL_FIELDS})
+                      entity_vocab=ckpt.entity_vocab, **{name: meta[name] for name, _ in META_FIELDS})
     check_params(ckpt.params, head_specs(model.task, model.variant, model.encoder_config.hidden_size, model.labels),
                  path)
     return model
@@ -726,8 +723,9 @@ def finetune(model: TaskModel, train_insts, dev_insts=None, cfg: FinetuneConfig 
     The model first gets parameter Tensors of its own, so the ones it was
     built from keep their values.  Unusable training examples
     (`usable_examples`) are dropped once, before batching, and counted in
-    `model.skipped` with the NER gold spans longer than `max_span_len`,
-    which no candidate covers, so the loss trains their words as O.  With dev
+    `model.skipped_examples`.  The NER gold spans longer than `max_span_len`,
+    which no candidate covers, so the loss trains their words as O, are
+    counted in `model.skipped_gold_spans`.  With dev
     examples, the parameters of the epoch with the best `evaluate` score
     are kept (a later epoch wins a tie).
     """
@@ -737,7 +735,7 @@ def finetune(model: TaskModel, train_insts, dev_insts=None, cfg: FinetuneConfig 
         raise ContractError(f"no usable {model.task} training examples")
     long_spans = 0 if model.task != "ner" else sum(e - s > model.max_span_len
                                                    for i in insts for s, e, _ in i.gold_spans)
-    model.skipped = {"skipped_examples": len(train_insts) - len(insts), "skipped_gold_spans": long_spans}
+    model.skipped_examples, model.skipped_gold_spans = len(train_insts) - len(insts), long_spans
     epochs = cfg.epochs or DEFAULT_EPOCHS[model.task]
     model.params = {n: T.Tensor(p.data, requires_grad=p.requires_grad, name=n)
                     for n, p in model.params.items()}

@@ -72,7 +72,9 @@ def workspace(tmp_path_factory):
 
 def test_build_vocab_writes_manifest(workspace):
     manifest = json.loads(Path(workspace["vocab"] + ".manifest.json").read_text())
-    assert manifest["command"] == "build-vocab"
+    assert manifest["argv"] == ["build-vocab", "--corpus", workspace["corpus"], "--links", workspace["links"],
+                                "--out", workspace["vocab"], "--min-languages", "2"]
+    assert not {"command", "options"} & manifest.keys()
     assert workspace["corpus"] in manifest["input_digests"]
     assert len(manifest["input_digests"][workspace["corpus"]]) == 64  # sha256 hex
     assert "entlm" in manifest["versions"]
@@ -173,7 +175,7 @@ def test_pretrain_outputs(pretrained):
     log = Path(pretrained, "train_log.tsv").read_text().strip().splitlines()
     assert len(log) >= 3
     manifest = json.loads(Path(pretrained, "manifest.json").read_text())
-    assert manifest["command"] == "pretrain"
+    assert manifest["argv"][0] == "pretrain"
     assert manifest["seed"] == 21
 
 
@@ -278,7 +280,7 @@ def test_pretrain_set_override(workspace):
 def test_rerun_setting_a_fixed_optimizer_value_exits_3_and_writes_nothing(workspace, pretrained, tmp_path, capsys):
     # AdamW's betas are constants, not train.* keys, so a manifest that sets one does not replay
     manifest = json.loads(Path(pretrained, "manifest.json").read_text())
-    manifest["options"]["set"] = ["train.beta1=0.9"]
+    manifest["argv"] += ["--set", "train.beta1=0.9"]
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     out = tmp_path / "again"
@@ -1275,9 +1277,9 @@ MALFORMED = [
     ("analyze/gold-not-an-object", "gold", lambda raw: b'["s0", "s2"]',
      lambda p, bad: ["analyze", "cwr", "--queries", p["emb"], "--pool", p["emb"], "--gold", bad,
                      "--out", p["out"]], 1),
-    ("rerun/unknown-command", "manifest", _document_edit(lambda d: d.update(command="pretrian")),
+    ("rerun/unknown-command", "manifest", _document_edit(lambda d: d["argv"].__setitem__(0, "pretrian")),
      lambda p, bad: ["rerun", bad, "--out", p["out"]], 1),
-    ("rerun/missing-options", "manifest", _document_edit(_drop("options")),
+    ("rerun/missing-argv", "manifest", _document_edit(_drop("argv")),
      lambda p, bad: ["rerun", bad, "--out", p["out"]], 1),
     ("rerun/manifest-cut-off", "manifest", _cut_in_line(6), lambda p, bad: ["rerun", bad, "--out", p["out"]], 6),
 ]
@@ -1361,9 +1363,78 @@ def test_unreadable_input_path_exits_1(tmp_path, capsys, what):
 
 def test_rerun_names_options_the_manifest_lacks(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"command": "analyze", "options": {"metric": "modularity"}}))
+    manifest.write_text(json.dumps({"argv": ["analyze", "modularity"]}))
     rc = main(["rerun", str(manifest)])
     err = capsys.readouterr().err
     assert rc == EXIT_FAILURE
-    assert f"{manifest}:1: " in err
-    assert "lack embeddings, gold, k, out, pool, queries" in err
+    assert f"{manifest}:1: argv does not parse: " in err
+    assert "the following arguments are required: --out" in err
+
+
+@pytest.fixture
+def modularity_run(tmp_path):
+    """An `analyze modularity` run: its embeddings, report and manifest paths."""
+    emb = tmp_path / "emb.jsonl"
+    save_embeddings([SpanEmbedding(f"s{i}", "en" if i < 2 else "de", "t", np.arange(1.0, 4.0) + i)
+                     for i in range(4)], str(emb))
+    report = tmp_path / "mod.json"
+    assert main(["analyze", "modularity", "--embeddings", str(emb), "--k", "2", "--out", str(report)]) == EXIT_OK
+    return emb, report, Path(str(report) + ".manifest.json")
+
+
+def _argv_edit(edit):
+    return lambda manifest: manifest.update(argv=edit(manifest["argv"]))
+
+
+# (case, edit of the manifest's JSON object)
+DAMAGED_MANIFESTS = [
+    ("k-not-an-int", _argv_edit(lambda argv: [*argv, "--k", "x"])),
+    ("k-a-float", _argv_edit(lambda argv: [*argv, "--k", "1.5"])),
+    ("metric-bogus", _argv_edit(lambda argv: [argv[0], "bogus", *argv[2:]])),
+    ("required-out-dropped", _argv_edit(lambda argv: argv[:-2])),  # argv ends with --out <report>
+    ("argv-empty", _argv_edit(lambda argv: [])),
+    ("argv-a-string", _argv_edit(" ".join)),
+    ("argv-holds-an-int", _argv_edit(lambda argv: [*argv, "--k", 2])),
+    ("argv-starts-with-rerun", _argv_edit(lambda argv: ["rerun", "manifest.json"])),
+    ("argv-asks-for-help", _argv_edit(lambda argv: [argv[0], "--help"])),
+    ("no-argv", lambda manifest: manifest.pop("argv")),
+]
+
+
+@pytest.mark.parametrize("case,damage", DAMAGED_MANIFESTS, ids=[c[0] for c in DAMAGED_MANIFESTS])
+def test_rerun_of_a_damaged_manifest_exits_1_and_writes_nothing(modularity_run, tmp_path, capsys, case, damage):
+    _emb, report, manifest_path = modularity_run
+    manifest = json.loads(manifest_path.read_text())
+    damage(manifest)
+    bad = tmp_path / "damaged.json"
+    bad.write_text(json.dumps(manifest))
+    report.unlink()
+    manifest_path.unlink()
+    capsys.readouterr()
+    rc = main(["rerun", str(bad)])  # without --out, a replay would write the report and its manifest again
+    out, err = capsys.readouterr()
+    assert rc == EXIT_FAILURE, err
+    assert err.startswith(f"error: {bad}:1: "), err
+    assert "Traceback" not in err and out == ""
+    assert not report.exists() and not manifest_path.exists()
+
+
+def test_rerun_of_a_rerun_reproduces_the_report(modularity_run, tmp_path):
+    _emb, report, manifest_path = modularity_run
+    again, third = tmp_path / "again.json", tmp_path / "third.json"
+    assert main(["rerun", str(manifest_path), "--out", str(again)]) == EXIT_OK
+    replayed = json.loads(Path(str(again) + ".manifest.json").read_text())
+    assert replayed["argv"] == json.loads(manifest_path.read_text())["argv"] + ["--out", str(again)]
+    assert main(["rerun", str(again) + ".manifest.json", "--out", str(third)]) == EXIT_OK
+    assert report.read_bytes() == again.read_bytes() == third.read_bytes()
+
+
+def test_an_argument_utf8_cannot_encode_exits_3_before_reading_a_file(tmp_path, capsys):
+    # Linux decodes an argv byte that is not UTF-8 to a lone surrogate, as here \xff to \udcff
+    out = tmp_path / "mod\udcff.json"
+    rc = main(["analyze", "modularity", "--embeddings", str(tmp_path / "missing.jsonl"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith(f"config error: argument {str(out)!r} does not encode as UTF-8"), err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

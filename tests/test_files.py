@@ -120,6 +120,8 @@ WRITERS = {
          EntityEntry(canonical_key="k", titles={("en", HALF_PAIR)})]).save(path), 5),
     "links": (lambda path, _: InterLanguageLinks([("en", HALF_PAIR, "k"), ("en", "a", "k")]).save(path), 2),
     "link-entities": (_link_entities, 2),
+    # indented, one key a line: "b" is on line 3
+    "json-document": (lambda path, _: files.write_json(path, {"a": "ok", "b": HALF_PAIR}), 3),
 }
 
 
@@ -166,9 +168,8 @@ def _write_fixtures(d):
         "id": i, "lang": "en", "tokens": ["t0a_en", "ent0_en", "t0b_en"], "span": [1, 2 + i],
         "entities": [["ent0", 1, 2], ["Ent0_en", 0, 3]]}) + "\n"
         for i in range(2)))
-    (d / "manifest.json").write_text(json.dumps({"command": "analyze", "options": {
-        "command": "analyze", "metric": "cwr", "queries": "q.jsonl", "pool": "p.jsonl",
-        "gold": "gold.json", "embeddings": None, "k": 3, "out": "mrr.json"}}))
+    (d / "manifest.json").write_text(json.dumps({"argv": [
+        "analyze", "cwr", "--queries", "q.jsonl", "--pool", "p.jsonl", "--gold", "gold.json", "--out", "mrr.json"]}))
     return {
         "corpus": (d / "corpus.jsonl", corpus.load_corpus),
         "links": (d / "links.jsonl", InterLanguageLinks.load),
@@ -181,7 +182,7 @@ def _write_fixtures(d):
         "re": (d / "re.tsv", heads.load_re_data),
         "ner": (d / "ner.txt", heads.load_ner_data),
         "spans": (d / "spans.jsonl", lambda p: align.load_span_items(p, wv, ev)),
-        "manifest": (d / "manifest.json", lambda p: files.read_json(p, cli._manifest_run)),
+        "manifest": (d / "manifest.json", lambda p: files.read_json(p, cli._replay_args)),
     }
 
 

@@ -667,8 +667,8 @@ def test_finetune_counts_gold_spans_longer_than_max_span_len(task_setup):
     insts = [NERInstance(tokens="a works for b".split(), gold_spans=[(0, 3, "PER"), (3, 4, "PER")]).validate()]
     assert (0, 3) not in ner_span_logits(model, insts[0])[0]  # no candidate covers it
     model = finetune(model, insts * 2, cfg=FinetuneConfig(lr=1e-3, epochs=1, batch_size=2))
-    assert model.skipped == {"skipped_examples": 0, "skipped_gold_spans": 2}
+    assert (model.skipped_examples, model.skipped_gold_spans) == (0, 2)
     for task in ("qa", "re"):
         model, insts = _task_fixture(task_setup, task)
         model = finetune(model, insts, cfg=FinetuneConfig(lr=1e-3, epochs=1, batch_size=2))
-        assert model.skipped == {"skipped_examples": 0, "skipped_gold_spans": 0}
+        assert (model.skipped_examples, model.skipped_gold_spans) == (0, 0)
