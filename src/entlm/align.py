@@ -77,18 +77,17 @@ def cwr_mrr(queries, pool, gold):
 
 def knn_graph(vectors, k):
     """Undirected edge set: (u, v) iff u in kNN(v) or v in kNN(u), cosine
-    metric, no self-loops."""
-    if k < 1:
-        raise ContractError("k must be >= 1")
+    metric, no self-loops.  Each vector has n - 1 others, so k must be in [1, n - 1]."""
     n = vectors.shape[0]
+    if not 1 <= k < n:
+        raise ContractError(f"k {k} must be in [1, {n - 1}] for n = {n} vectors")
     unit = _unit_rows(np.asarray(vectors, dtype=np.float64), "knn input")
     sims = unit @ unit.T
     np.fill_diagonal(sims, -np.inf)
     edges = set()
-    kk = min(k, n - 1)
     for i in range(n):
         # stable tie-break: sort by (-sim, index)
-        order = np.lexsort((np.arange(n), -sims[i]))[:kk]
+        order = np.lexsort((np.arange(n), -sims[i]))[:k]
         for j in order:
             edges.add((min(i, int(j)), max(i, int(j))))
     return edges

@@ -264,6 +264,9 @@ def cmd_analyze(args):
     missing = [f"--{n}" for n in names if getattr(args, n) is None]
     if missing:
         raise ConfigError(f"analyze {args.metric} needs {', '.join(missing)}")
+    with _flag_errors("analyze"):
+        if args.k < 1:
+            raise ContractError(f"k {args.k} must be >= 1")
     if args.metric == "cwr":
         queries = align.load_embeddings(args.queries)
         pool = align.load_embeddings(args.pool, dim=queries[0].vector.size if queries else None)

@@ -12,6 +12,7 @@ optimizer or RNG state, so training does not resume from one.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
 import json
@@ -44,11 +45,12 @@ STAGE1_TRAINABLE = ("entity_emb", "entity_proj", "entity_type_emb", "mep_head")
 # passes the update makes over them.  An AdamW holds two scratch sets, one
 # for the calling thread and one for the worker (2 x 3 x 512 KiB).  Smaller
 # blocks pay more per-call overhead; on a 2 MiB-L2 Xeon, 16Ki-64Ki elements
-# measured alike and 4Ki was 30% slower.  It is also the smallest parameter
-# `AdamW.overlap` steps during backward.  The worker's numpy calls then trade
-# the interpreter lock with backward's Python: on the wide benchmark (2-vCPU
-# Xeon) backward took ~1.4 ms a step longer and `AdamW.step` ~2 ms less, and
-# a step ~1.3 ms less end to end.
+# measured alike and 4Ki was 30% slower.  A block is what either thread takes
+# from AdamW's queue at a time, and ADAMW_BLOCK is also the smallest
+# parameter `AdamW.overlap` queues during backward.  The worker's numpy calls
+# then trade the interpreter lock with backward's Python: on the wide
+# benchmark (2-vCPU Xeon) backward took ~1.4 ms a step longer and
+# `AdamW.step` ~2 ms less, and a step ~1.3 ms less end to end.
 ADAMW_BLOCK = 65536
 
 # the paper's AdamW settings, which pretraining and fine-tuning both use
@@ -198,19 +200,14 @@ class AdamW:
     Frozen parameters are neither updated nor have their moment estimates
     advanced; `m[name]` and `v[name]` are views that exist from a
     parameter's first step.  Each run of adjacent parameters with equal
-    step counts is updated as one flat array, in blocks of ADAMW_BLOCK
-    elements.  When the blocks of a step hold at least two blocks' worth of
-    elements and the process may use two CPUs, the caller updates the first
-    half of them (by element count) while one worker thread, shared by every
-    AdamW, updates the second.  The update is element-wise and each block
-    runs the same operations either way, so the result does not depend on
-    the split; `step` returns only after both halves are done.
-
-    Inside `overlap(lr, trainable)`, wrapped around `T.backward`, a
-    parameter of at least ADAMW_BLOCK elements starts its step on the worker
-    as soon as backward has finished its gradient, while backward goes on;
-    the following `step` updates the rest and waits for it.  The update per
-    element is the same, so this changes no bit of the result either.
+    step counts is cut into blocks of ADAMW_BLOCK elements, which go into
+    one queue that `step` drains on the calling thread.  When a step queues
+    at least two blocks' worth and the process may use two CPUs, one worker
+    thread, shared by every AdamW, drains the queue too, and `step` returns
+    once the worker's last block is done.  Each block runs the same
+    element-wise operations on either thread, so no bit of the result
+    depends on which thread took it.  `overlap` queues the large parameters
+    during backward.
     """
 
     def __init__(self, params):
@@ -229,7 +226,9 @@ class AdamW:
             self._bind(name, p)
         self._scratch = tuple((np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK))
                               for _ in range(2))
-        self._handoffs = []  # (name, future, blocks) given to the worker by `overlap`, for `step`
+        self._queue = collections.deque()  # (block, lr) items the caller and the worker both pop
+        self._tasks = []  # the worker's drains of the queue since the last `step`
+        self._handed = set()  # names `overlap` queued, which the following `step` skips
 
     def _bind(self, name, p):
         """Copy p.data into its slice of the store and rebind p.data to it."""
@@ -257,23 +256,24 @@ class AdamW:
 
     @contextlib.contextmanager
     def overlap(self, lr, trainable=None):
-        """Around `T.backward`: step the large parameters as their gradients
-        become final, on the worker thread, while backward goes on.
+        """Around `T.backward`: queue each large parameter as soon as its
+        gradient is final, and start the worker on the queue while backward
+        goes on.
 
         A parameter qualifies when it would step in `step(lr, trainable)`
-        and holds at least ADAMW_BLOCK elements.  Once backward has finished
-        its gradient (and the gradient's shape matches), it is handed to the
-        worker, which updates it in ADAMW_BLOCK blocks with the worker's
-        scratch set.  The following `step`, with the same `lr` and
-        `trainable`, completes the step: it takes back each hand-off the
-        worker has not started and steps it itself, steps every other
-        parameter, and returns once every hand-off is done.  With no
-        qualifying parameter, or one usable CPU, nothing is armed.  If the
-        body raises, the hook is removed and the worker drained before the
-        exception propagates: the parameters handed off by then have
-        stepped, and nothing else has.  So `step`'s check of every gradient
-        shape before any update covers only what was not handed off.  One
-        `T.backward` per `overlap`.
+        and holds at least ADAMW_BLOCK elements; once backward has finished
+        its gradient (of its shape), its step count advances and its blocks
+        join the queue.  The following `step`, with the same `lr` and
+        `trainable`, queues every other parameter and drains the queue
+        beside the worker, so it never waits on a whole parameter.  A worker
+        that finds the queue empty just as a block arrives leaves it to
+        `step`.  With no qualifying parameter, or one usable CPU, nothing is
+        armed.  If the body raises, the hook is removed, and the caller
+        drains the queue and waits for the worker before the exception
+        propagates: the parameters handed off by then have stepped, and
+        nothing else has.  So `step`'s check of every gradient shape before
+        any update covers only what was not handed off.  One `T.backward`
+        per `overlap`.
         """
         ready = {p: name for name, p in self.params.items()
                  if p.data.size >= ADAMW_BLOCK and p.requires_grad and (trainable is None or name in trainable)}
@@ -285,27 +285,23 @@ class AdamW:
             name = ready.pop(p, None)
             if name is None or p.grad.shape != p.data.shape:  # a wrong shape raises in `step`
                 return
-            blocks = self._blocks([self._advance(name, p)])
-            future = _adamw_worker().submit(contextvars.copy_context().run, self._update,
-                                            blocks, self._scratch[1], lr)
-            self._handoffs.append((name, future, blocks))
+            self._queue.extend((block, lr) for block in self._blocks([self._advance(name, p)]))
+            self._handed.add(name)
+            self._wake_worker()
 
         try:
             with T.on_grad_ready(hand_off):
                 yield
         except BaseException:
-            handoffs, self._handoffs = self._handoffs, []
-            # the body's exception is the one to report; a hand-off's own error is dropped
-            futures.wait([future for _, future, _ in handoffs])
+            with contextlib.suppress(Exception):  # the body's exception is the one to report
+                self._finish()
             raise
 
     def step(self, lr, trainable=None):
-        handoffs, self._handoffs = self._handoffs, []
-        handed = {name for name, _, _ in handoffs}
         try:
             stepping = []  # checked first, so a bad gradient leaves all state as it was
             for name, p in self.params.items():
-                if name in handed or not p.requires_grad or (trainable is not None and name not in trainable):
+                if name in self._handed or not p.requires_grad or (trainable is not None and name not in trainable):
                     continue
                 if p.grad is not None and p.grad.shape != p.data.shape:
                     raise ContractError(f"AdamW: parameter {name} has shape {p.data.shape}, "
@@ -319,13 +315,14 @@ class AdamW:
                     runs[-1][3] += run[3]
                 else:
                     runs.append(run)
-            # hand-offs the worker has not started are stepped here instead
-            blocks = [b for _, future, bl in handoffs if future.cancel() for b in bl] + self._blocks(runs)
-            self._split_update(blocks, lr)
+            blocks = self._blocks(runs)
+            self._queue.extend((block, lr) for block in blocks)
+            # without hand-offs the queue held nothing before these blocks
+            if self._handed or (sum(bhi - blo for blo, bhi, _, _ in blocks) >= 2 * ADAMW_BLOCK
+                                and _usable_cpus() >= 2):
+                self._wake_worker()
         finally:
-            for _, future, _ in handoffs:  # never return while the worker still writes the store
-                if not future.cancelled():
-                    future.result()
+            self._finish()
 
     @staticmethod
     def _blocks(runs):
@@ -345,27 +342,36 @@ class AdamW:
                 blocks.append((blo, bhi, pieces, t))
         return blocks
 
-    def _split_update(self, blocks, lr):
-        """Update `blocks`, the second half (by element count) on the worker
-        when they hold at least two blocks' worth and two CPUs are usable."""
-        total = sum(bhi - blo for blo, bhi, _, _ in blocks)
-        if total < 2 * ADAMW_BLOCK or _usable_cpus() < 2:
-            self._update(blocks, self._scratch[0], lr)
-            return
-        cut, done = 0, 0
-        while 2 * done < total:
-            done += blocks[cut][1] - blocks[cut][0]
-            cut += 1
-        # the worker runs in the caller's context, so np.errstate applies there too
-        half = _adamw_worker().submit(contextvars.copy_context().run, self._update,
-                                      blocks[cut:], self._scratch[1], lr)
-        try:
-            self._update(blocks[:cut], self._scratch[0], lr)
-        finally:
-            half.result()  # never return while the worker still writes the store
+    def _wake_worker(self):
+        """Start the worker on the queue unless it is draining it already."""
+        if not self._tasks or self._tasks[-1].done():
+            # the worker runs in the caller's context, so np.errstate applies there too
+            self._tasks.append(_adamw_worker().submit(contextvars.copy_context().run, self._drain,
+                                                      self._scratch[1]))
 
-    def _update(self, blocks, scratch, lr):
-        """p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p) on each block.
+    def _drain(self, scratch):
+        """Pop and update blocks until the queue is empty."""
+        while True:
+            try:
+                block, lr = self._queue.popleft()
+            except IndexError:
+                return
+            self._update(block, scratch, lr)
+
+    def _finish(self):
+        """Drain the queue on the calling thread, then wait for the worker's
+        last block; an error either thread met propagates."""
+        tasks, self._tasks, self._handed = self._tasks, [], set()
+        try:
+            self._drain(self._scratch[0])
+        finally:
+            futures.wait(tasks)  # never return while the worker still writes the store
+            self._queue.clear()  # the blocks an error left behind
+            for task in tasks:
+                task.result()
+
+    def _update(self, block, scratch, lr):
+        """p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p) on one block.
 
         A block inside one parameter reads its gradient in place; a block
         across several gathers their pieces into `scratch`.  Every operation
@@ -375,31 +381,31 @@ class AdamW:
         function.
         """
         b1, b2 = ADAMW_BETA1, ADAMW_BETA2
-        for blo, bhi, pieces, t in blocks:
-            c1, c2 = 1 - b1**t, 1 - b2**t
-            s1, s2, gather = (s[: bhi - blo] for s in scratch)
-            gb = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, out=gather)
-            pb, mb, vb = self._p[blo:bhi], self._m[blo:bhi], self._v[blo:bhi]
-            # m = b1 * m + (1 - b1) * g
-            np.multiply(mb, b1, out=mb)
-            np.multiply(gb, 1 - b1, out=s1)
-            np.add(mb, s1, out=mb)
-            # v = b2 * v + (1 - b2) * (g * g)
-            np.multiply(vb, b2, out=vb)
-            np.multiply(gb, gb, out=s1)
-            np.multiply(s1, 1 - b2, out=s1)
-            np.add(vb, s1, out=vb)
-            # mhat / (sqrt(vhat) + eps) + wd * p
-            np.divide(mb, c1, out=s1)
-            np.divide(vb, c2, out=s2)
-            np.sqrt(s2, out=s2)
-            np.add(s2, ADAMW_EPS, out=s2)
-            np.divide(s1, s2, out=s1)
-            np.multiply(pb, ADAMW_WEIGHT_DECAY, out=s2)
-            np.add(s1, s2, out=s1)
-            # p = p - lr * (...)
-            np.multiply(s1, lr, out=s1)
-            np.subtract(pb, s1, out=pb)
+        blo, bhi, pieces, t = block
+        c1, c2 = 1 - b1**t, 1 - b2**t
+        s1, s2, gather = (s[: bhi - blo] for s in scratch)
+        gb = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, out=gather)
+        pb, mb, vb = self._p[blo:bhi], self._m[blo:bhi], self._v[blo:bhi]
+        # m = b1 * m + (1 - b1) * g
+        np.multiply(mb, b1, out=mb)
+        np.multiply(gb, 1 - b1, out=s1)
+        np.add(mb, s1, out=mb)
+        # v = b2 * v + (1 - b2) * (g * g)
+        np.multiply(vb, b2, out=vb)
+        np.multiply(gb, gb, out=s1)
+        np.multiply(s1, 1 - b2, out=s1)
+        np.add(vb, s1, out=vb)
+        # mhat / (sqrt(vhat) + eps) + wd * p
+        np.divide(mb, c1, out=s1)
+        np.divide(vb, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        np.add(s2, ADAMW_EPS, out=s2)
+        np.divide(s1, s2, out=s1)
+        np.multiply(pb, ADAMW_WEIGHT_DECAY, out=s2)
+        np.add(s1, s2, out=s1)
+        # p = p - lr * (...)
+        np.multiply(s1, lr, out=s1)
+        np.subtract(pb, s1, out=pb)
 
 
 def select_trainable(params, patterns):
@@ -616,14 +622,14 @@ def train(encoder_config: EncoderConfig, config: TrainConfig, sequences_by_langu
     sequences_by_language: {lang: [EncodedSequence, ...]}, drawn through
     `SequenceSampler` and masked by `mask_batch`.  Deterministic for a fixed
     (config, corpus): every random draw comes from named sub-streams of
-    config.seed and runs on the calling thread.  AdamW's element-wise update
-    may be split over two threads, and with two usable CPUs each parameter
-    of at least ADAMW_BLOCK elements starts its update on AdamW's worker as
-    soon as backward has finished its gradient (`AdamW.overlap`); neither
-    changes a bit of the result.  If backward raises (a non-finite
-    gradient), the run aborts, and the parameters handed off by then have
-    already stepped in the caller's `params` when the error reaches it; no
-    other parameter has.
+    config.seed and runs on the calling thread.  AdamW's blocks may be
+    updated by the calling thread and AdamW's worker draining one queue, and
+    with two usable CPUs each parameter of at least ADAMW_BLOCK elements is
+    queued, and the worker starts on it, as soon as backward has finished its
+    gradient (`AdamW.overlap`); neither changes a bit of the result.  If
+    backward raises (a non-finite gradient), the run aborts, and the
+    parameters queued by then have already stepped in the caller's `params`
+    when the error reaches it; no other parameter has.
     With `out_dir`, every checkpoint also holds `word_vocab` and `entity_vocab`.
     """
     config.validate()

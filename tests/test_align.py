@@ -99,6 +99,10 @@ def test_knn_graph_symmetrized_union():
     assert all(u < v for u, v in edges)
     with pytest.raises(ContractError):
         knn_graph(vecs, k=0)
+    # each of the 3 vectors has 2 others, so k 3 has no graph to name
+    assert len(knn_graph(vecs, k=2)) == 3
+    with pytest.raises(ContractError, match=r"k 3 must be in \[1, 2\] for n = 3 vectors"):
+        knn_graph(vecs, k=3)
 
 
 def test_modularity_separated_oracle():

@@ -358,6 +358,31 @@ def test_analyze_without_its_inputs_exits_3_and_writes_nothing(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_analyze_k_below_1_exits_3_before_reading_a_file(tmp_path, capsys, k):
+    out = tmp_path / "mod.json"
+    rc = main(["analyze", "modularity", "--embeddings", str(tmp_path / "missing.jsonl"), "--k", k,
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err == f"config error: analyze: k {k} must be >= 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_analyze_k_of_at_least_the_embedding_count_exits_1_and_writes_nothing(tmp_path, capsys):
+    # 40 embeddings, as in the README walkthrough: each has 39 neighbours at most
+    emb = tmp_path / "emb.jsonl"
+    rng = np.random.default_rng(0)
+    save_embeddings([SpanEmbedding(f"s{i}", "en" if i < 20 else "de", "t", rng.normal(size=4))
+                     for i in range(40)], str(emb))
+    out = tmp_path / "mod.json"
+    rc = main(["analyze", "modularity", "--embeddings", str(emb), "--k", "100", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAILURE
+    assert err == "error: k 100 must be in [1, 39] for n = 40 vectors\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.jsonl"]
+
+
 def test_config_file_that_is_not_utf8_exits_3_naming_the_line(workspace, tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes(Path(workspace["config"]).read_bytes() + b"# caf\xe9 au lait\n")

@@ -613,35 +613,35 @@ def test_training_is_deterministic(toy_data, toy_encoder_config):
 def test_training_split_over_two_threads_is_bit_identical(monkeypatch, toy_data, toy_encoder_config):
     # 256-element blocks cut the toy store into many blocks, some gathered
     # across parameters, and over the stage switch into runs of unequal t;
-    # the parameters of 256 elements or more are handed to the worker
-    # during backward from stage 2 on (stage 1 trains none that large)
+    # the parameters of 256 elements or more are queued during backward
+    # from stage 2 on (stage 1 trains none that large)
     cfg = TrainConfig(total_steps=4, stage1_steps=2, batch_size=4, warmup_steps=1,
                       seed=17, log_interval=1)
     store = sum(p.data.size for p in init_model(toy_encoder_config, seed=cfg.seed).values())
     cpus = 2
     monkeypatch.setattr(pretrain, "_usable_cpus", lambda: cpus)
     elements = {}  # thread id -> elements it updated
-    early = []  # elements the worker updated before `step` was entered
-    handed = []  # (trainable, names handed off) per step
+    early = []  # (step index, elements) the worker updated before that step's `step` was entered
+    steps = [0]  # `step` calls so far
     in_step = threading.Event()
     caller = threading.get_ident()
     real_update, real_step = AdamW._update, AdamW.step
 
-    def update(self, blocks, scratch, lr):
+    def update(self, block, scratch, lr):
         tid = threading.get_ident()
-        n = sum(bhi - blo for blo, bhi, _, _ in blocks)
+        n = block[1] - block[0]
         elements[tid] = elements.get(tid, 0) + n
         if tid != caller and not in_step.is_set():
-            early.append(n)
-        real_update(self, blocks, scratch, lr)
+            early.append((steps[0], n))
+        real_update(self, block, scratch, lr)
 
     def step(self, lr, trainable=None):
-        handed.append((trainable, [name for name, _, _ in self._handoffs]))
         in_step.set()
         try:
             real_step(self, lr, trainable=trainable)
         finally:
             in_step.clear()
+            steps[0] += 1
 
     monkeypatch.setattr(AdamW, "_update", update)
     monkeypatch.setattr(AdamW, "step", step)
@@ -651,7 +651,7 @@ def test_training_split_over_two_threads_is_bit_identical(monkeypatch, toy_data,
         monkeypatch.setattr(pretrain, "ADAMW_BLOCK", block)
         elements.clear()
         early.clear()
-        handed.clear()
+        steps[0] = 0
         sys.setswitchinterval(1e-6)  # hand the GIL back and forth as often as possible
         try:
             runs[block, cpus] = run_toy(toy_data, cfg, toy_encoder_config)
@@ -660,23 +660,17 @@ def test_training_split_over_two_threads_is_bit_identical(monkeypatch, toy_data,
         seen[block, cpus] = dict(elements)
         if (block, cpus) == (256, 2):
             overlapped = list(early)
-            handed_at_256 = list(handed)
         else:
-            assert not early and all(not names for _, names in handed)
+            assert not early
     # split and overlapped: the caller and the worker both updated, the worker
     # partly during backward; one CPU or one block: the caller alone
     assert len(seen[256, 2]) == 2 and all(seen[256, 2].values())
-    assert sum(overlapped) > 0
+    assert overlapped
     assert list(seen[256, 1]) == list(seen[store, 2]) == [caller]
     assert sum(seen[256, 2].values()) == sum(seen[256, 1].values()) == sum(seen[store, 2].values())
-    # the frozen stage-1 parameters are never handed off; stage 2 hands off
-    # every trained parameter of at least one block
-    big = {n for n, p in init_model(toy_encoder_config, seed=cfg.seed).items() if p.data.size >= 256}
-    assert [bool(names) for _, names in handed_at_256] == [False, False, True, True]
-    for trainable, names in handed_at_256:
-        assert set(names) <= (trainable if trainable is not None else big)
-        if trainable is None:
-            assert set(names) == big
+    # the frozen stage-1 parameters are never queued during backward: the
+    # worker starts early only in the backward of a stage-2 step (index 2 or 3)
+    assert {i for i, _ in overlapped} <= {2, 3}
     inline = runs[store, 2]
     for key in ((256, 2), (256, 1)):
         assert runs[key].log == inline.log, key
@@ -686,13 +680,15 @@ def test_training_split_over_two_threads_is_bit_identical(monkeypatch, toy_data,
 
 class SlowWorker:
     """The shared worker, each task delayed so that it is still running when
-    the caller goes on; keeps every future it hands out."""
+    the caller goes on; keeps every future it hands out and sets `started`
+    once a task has begun."""
 
     def __init__(self, worker):
-        self.worker, self.futures = worker, []
+        self.worker, self.futures, self.started = worker, [], threading.Event()
 
     def submit(self, fn, *args):
         def slow():
+            self.started.set()
             time.sleep(0.05)
             return fn(*args)
 
@@ -722,9 +718,9 @@ def test_overlapped_step_whose_backward_raises_drains_the_worker(monkeypatch):
             with np.errstate(invalid="ignore"), pytest.raises(ContractError, match="non-finite"):
                 with opt.overlap(1e-2):
                     T.backward(loss)
-            # w was handed off, and its update is done before the error arrives
-            assert len(worker.futures) == 1 and worker.futures[0].done()
-            assert T._grad_ready_hook is None and opt._handoffs == []
+            # w was handed off, and the worker is done before the error arrives
+            assert worker.futures and all(f.done() for f in worker.futures)
+            assert T._grad_ready_hook is None
         else:
             w.grad, u.grad = g1["w"], None
             opt.step(1e-2, trainable={"w"})
@@ -742,7 +738,50 @@ def test_overlapped_step_whose_backward_raises_drains_the_worker(monkeypatch):
     assert final == ref_final and t == ref_t == {"w": 2, "u": 1}
 
 
+def test_step_takes_blocks_of_a_parameter_the_worker_has_started(monkeypatch):
+    # w (4 blocks of 8) is handed off during backward; the worker's task has
+    # begun but is still asleep when `step` starts, so the caller does not
+    # wait on the whole parameter: it takes w's blocks from the queue itself
+    monkeypatch.setattr(pretrain, "ADAMW_BLOCK", 8)
+    worker = SlowWorker(pretrain._adamw_worker())
+    monkeypatch.setattr(pretrain, "_adamw_worker", lambda: worker)
+    rng = np.random.default_rng(6)
+    init = {"w": rng.normal(size=(4, 8)), "u": rng.normal(size=5)}
+    gw, gu = rng.normal(size=(4, 8)), rng.normal(size=5)
+    caller = threading.get_ident()
+    on_caller = []  # (blo, bhi) of the blocks the calling thread updated
+    real_update = AdamW._update
+
+    def update(self, block, scratch, lr):
+        if threading.get_ident() == caller:
+            on_caller.append(block[:2])
+        real_update(self, block, scratch, lr)
+
+    monkeypatch.setattr(AdamW, "_update", update)
+
+    def run(cpus):
+        monkeypatch.setattr(pretrain, "_usable_cpus", lambda: cpus)
+        params = {n: T.parameter(a) for n, a in init.items()}
+        w, u = params["w"], params["u"]
+        opt = AdamW(params)
+        loss = T.add(T.reduce_sum(T.mul(w, T.constant(gw))), T.reduce_sum(T.mul(u, T.constant(gu))))
+        on_caller.clear()
+        worker.started.clear()
+        with opt.overlap(1e-2):
+            T.backward(loss)
+        if cpus == 2:
+            assert worker.started.wait(5) and not worker.futures[-1].done()
+        opt.step(1e-2)
+        return {n: p.data.tobytes() for n, p in params.items()}, dict(opt.t), list(on_caller)
+
+    (two, t2, caller_two), (one, t1, caller_one) = run(2), run(1)
+    assert any(blo < 32 for blo, _ in caller_two)  # w spans store elements [0, 32)
+    assert len(caller_one) == 5  # one CPU: w's 4 blocks and u's 1, all on the caller
+    assert two == one and t2 == t1 == {"w": 1, "u": 1}
+
+
 def test_overlap_arms_nothing_on_one_cpu_or_without_a_block_sized_parameter(monkeypatch):
+    # the RaisingWorker would raise out of backward if a parameter were handed to it
     monkeypatch.setattr(pretrain, "_adamw_worker", RaisingWorker)
     for cpus, size in ((1, 2 * ADAMW_BLOCK), (2, ADAMW_BLOCK - 1)):
         monkeypatch.setattr(pretrain, "_usable_cpus", lambda: cpus)
@@ -751,7 +790,7 @@ def test_overlap_arms_nothing_on_one_cpu_or_without_a_block_sized_parameter(monk
         with opt.overlap(1e-3):
             assert T._grad_ready_hook is None
             T.backward(T.reduce_sum(T.mul(w, w)))
-        assert opt._handoffs == [] and opt.t == {}
+        assert opt.t == {} and np.all(w.data == 1.0)
 
 
 def test_stage1_freezes_encoder_parameters(toy_data, toy_encoder_config):
