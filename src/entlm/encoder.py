@@ -4,6 +4,13 @@ Entity tokens carry no sequence position of their own: each one is tied to
 its mention span through position embeddings summed (or averaged, behind a
 config flag) over the mention's word positions.  Words and entities then go
 through ordinary full self-attention together.
+
+Small batches spend their time on per-node bookkeeping, so the graph is kept
+short: the whole input layer (word, position and type lookups, the entity
+lookup, projection, type row and mention-position term, and the join of
+the two token kinds) is one `T.input_embedding` node, each residual add
+lives inside the `T.residual_layer_norm` after it, and the attention score
+mask is built once per `encode_batch` and read by every layer.
 """
 
 from __future__ import annotations
@@ -152,53 +159,41 @@ def init_params(config: EncoderConfig, rng) -> dict:
     return draw_params(param_specs(config.validate()), rng)
 
 
-def embed_words(params, config, word_ids):
-    """Per-token sum of token, position (0..m-1) and word-type embedding lookups.
+def embed_input(params, config, batch):
+    """The input layer, as one `T.input_embedding` node: per word, the sum of
+    its token, position (0..m-1) and word-type embeddings; per entity, its
+    projected id embedding plus the entity-type row plus the sum of the
+    word-position embeddings over its mention ("mean" mode divides that sum
+    by the position count).  Entity tokens follow the words along axis 1.
 
-    word_ids is the packed (B, m) array of `pack_batch`; `encode_batch` checks
-    that m is at most max_positions.
+    `batch` is `pack_batch`'s dict: word_ids (B, m) and, when entity_ids
+    (B, n) has n > 0 columns, the padded index array entity_pos (B, n, P)
+    and its entity_pos_mask (B, n, P).  `encode_batch` checks that m is at
+    most max_positions.
     """
-    word_ids = np.asarray(word_ids)
+    word_ids = np.asarray(batch["word_ids"])
     if word_ids.size and (word_ids.min() < 0 or word_ids.max() >= config.word_vocab_size):
         raise VocabError(f"word id out of range for vocab of {config.word_vocab_size}")
-    m = word_ids.shape[-1]
-    tok = T.embedding(params["word_emb"], word_ids)
-    pos = T.embedding(params["pos_emb"], np.broadcast_to(np.arange(m), word_ids.shape))
-    typ = T.embedding(params["type_emb"], np.full(word_ids.shape, WORD_TYPE_ID))
-    return tok + pos + typ
-
-
-def embed_entities(params, config, entity_ids, entity_positions, position_mask):
-    """Entity token embedding: projected id embedding + type + mention-position term.
-
-    Takes the packed form of `pack_batch`: entity_ids (B, n), a padded index
-    array entity_positions (B, n, P) and its position_mask (B, n, P).  The
-    position term is the sum of word-position embeddings over the mention's
-    positions ("mean" mode divides by the position count).
-    """
-    entity_ids = np.asarray(entity_ids)
-    if entity_ids.size and (entity_ids.min() < 0 or entity_ids.max() >= config.entity_vocab_size):
+    tables = [params["word_emb"], params["pos_emb"], params["type_emb"]]
+    types = (WORD_TYPE_ID, ENTITY_TYPE_ID)
+    entity_ids = np.asarray(batch.get("entity_ids", np.zeros((len(word_ids), 0), dtype=np.int64)))
+    if not entity_ids.shape[1]:
+        return T.input_embedding(tables, word_ids, types)
+    if entity_ids.min() < 0 or entity_ids.max() >= config.entity_vocab_size:
         raise VocabError(f"entity id out of range for vocab of {config.entity_vocab_size}")
-    position_mask = np.asarray(position_mask, dtype=np.float64)
+    position_mask = np.asarray(batch["entity_pos_mask"], dtype=np.float64)
     if not np.all(position_mask.sum(axis=-1) > 0):
         raise ContractError("entity with empty mention position set")
-
-    tok = T.embedding(params["entity_emb"], entity_ids)
-    proj = T.linear(tok, params["entity_proj_w"], params["entity_proj_b"])
-    typ = T.embedding(params["entity_type_emb"], np.full(entity_ids.shape, ENTITY_TYPE_ID))
-    pos_term = T.span_sum(params["pos_emb"], np.asarray(entity_positions), position_mask)
-    if config.entity_position_mode == "mean":
-        counts = position_mask.sum(axis=-1, keepdims=True)
-        pos_term = T.mul(pos_term, T.constant(1.0 / counts))
-    return proj + typ + pos_term
+    tables += [params["entity_emb"], params["entity_proj_w"], params["entity_proj_b"], params["entity_type_emb"]]
+    return T.input_embedding(tables, word_ids, types, entity_ids, batch["entity_pos"], position_mask,
+                             mean=config.entity_position_mode == "mean")
 
 
-def _attention(params, config, x, attn_mask, layer, p, rng):
+def _attention(params, config, x, bias, layer, p, rng):
     pre = f"layer{layer}.attn."
     q = T.linear(x, params[pre + "wq"], params[pre + "qb"])
     k = T.linear(x, params[pre + "wk"], params[pre + "kb"])
     v = T.linear(x, params[pre + "wv"], params[pre + "vb"])
-    bias = np.where(attn_mask[:, None, None, :] > 0, 0.0, NEG_INF)
     ctx = T.attention(q, k, v, bias, config.heads, p=p, rng=rng)
     return T.linear(ctx, params[pre + "wo"], params[pre + "ob"])
 
@@ -226,30 +221,23 @@ def encode_batch(params, config, batch, rng=None, train=False):
     if M > config.max_positions:
         raise CapacityError(f"{M} words exceed max_positions {config.max_positions}")
 
-    w = embed_words(params, config, word_ids)
-    n_ent = np.asarray(batch.get("entity_ids", np.zeros((B, 0), dtype=np.int64))).shape[1]
+    x = embed_input(params, config, batch)
+    n_ent = x.shape[1] - M
     if n_ent:
-        e = embed_entities(
-            params,
-            config,
-            batch["entity_ids"],
-            batch["entity_pos"],
-            batch["entity_pos_mask"],
-        )
-        x = T.concat([w, e], axis=1)
         attn_mask = np.concatenate([word_mask, np.asarray(batch["entity_mask"], dtype=np.float64)], axis=1)
     else:
-        x = w
         attn_mask = word_mask
+    # one additive score mask, read by every layer
+    bias = np.where(attn_mask[:, None, None, :] > 0, 0.0, NEG_INF)
 
     x = T.layer_norm(x, params["emb_ln_gain"], params["emb_ln_bias"])
     x = T.dropout(x, p, rng)
 
     for l in range(config.layers):
-        a = T.dropout(_attention(params, config, x, attn_mask, l, p, rng), p, rng)
-        x = T.layer_norm(x + a, params[f"layer{l}.attn_ln.gain"], params[f"layer{l}.attn_ln.bias"])
+        a = T.dropout(_attention(params, config, x, bias, l, p, rng), p, rng)
+        x = T.residual_layer_norm(x, a, params[f"layer{l}.attn_ln.gain"], params[f"layer{l}.attn_ln.bias"])
         f = T.dropout(_ffn(params, config, x, l), p, rng)
-        x = T.layer_norm(x + f, params[f"layer{l}.ffn_ln.gain"], params[f"layer{l}.ffn_ln.bias"])
+        x = T.residual_layer_norm(x, f, params[f"layer{l}.ffn_ln.gain"], params[f"layer{l}.ffn_ln.bias"])
 
     wt = x[:, :M, :]
     et = x[:, M:, :] if n_ent else T.constant(np.zeros((B, 0, config.hidden_size)))

@@ -2,11 +2,14 @@
 
 Plain row-major numpy kernels, float64 by default.  A Tensor records the op
 that produced it and closures that push gradients to its parents; backward()
-walks the implicit graph once in reverse topological order.  Three fused ops
+walks the implicit graph once in reverse topological order.  Four fused ops
 cut the encoder's node count: `linear` (x @ w + b), `attention` (the scaled,
-masked softmax attention core over all heads) and `span_sum` (weighted sums
-of gathered rows, for entity mention positions), each doing the same numpy
-arithmetic, in the same order, as the chain of single ops it replaces.
+masked softmax attention core over all heads), `input_embedding` (the
+encoder's whole input layer: word, position and type lookups, then entity
+lookups with their projection, type row and mention-position sums, joined
+along the sequence axis) and `residual_layer_norm` (layer_norm(x + a)),
+each doing the same numpy arithmetic, in the same order, as the chain of
+single ops it replaces.
 Kernels compute their intermediates in place in buffers they allocated
 themselves.  Inside `no_grad()` ops record no graph, for forward-only
 passes, and no backward closure will read a kernel's buffers: there
@@ -197,6 +200,8 @@ def _unbroadcast(grad, shape):
 
 
 def _check_broadcast(a, b, kernel):
+    if a.shape == b.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -372,60 +377,145 @@ def attention(q, k, v, bias, heads, p=0.0, rng=None):
     return _make(out_data, (q, k, v), backward, "attention")
 
 
+def _scatter_rows(table, ids, g):
+    """A row gather's table gradient: g's rows added, in order, at `ids` into zeros."""
+    gt = np.zeros_like(table.data)
+    np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+    return gt
+
+
+def _check_ids(ids, table, what):
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise ShapeError(f"{what} id out of range for table with {table.shape[0]} rows")
+
+
 def embedding(table, ids):
     """Row gather: table is (V, H), ids any integer shape; output ids.shape + (H,)."""
     ids = np.asarray(ids)
     if table.ndim != 2:
         raise ShapeError(f"embedding: table must be rank 2, got shape {table.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ShapeError(f"embedding: id out of range for table with {table.shape[0]} rows")
+    _check_ids(ids, table, "embedding:")
     out_data = table.data[ids]
 
     def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
-        return (gt,)
+        return (_scatter_rows(table, ids, g),)
 
     return _make(out_data, (table,), backward, "embedding")
 
 
-def span_sum(table, ids, weights):
-    """Weighted row sums: out[..., :] = sum_p weights[..., p] * table[ids[..., p]].
+def input_embedding(tables, word_ids, types, entity_ids=None, positions=None, weights=None, mean=False):
+    """The encoder's input layer as one node.
 
-    table is (V, H); ids and weights share one shape whose last axis is
-    summed away, so the output is ids.shape[:-1] + (H,).  The same gather,
-    multiply and axis-sum as `embedding` -> `mul` by a constant -> `reduce_sum`,
-    as one node with no gradient for the weights.
+    `tables` is (word_emb, pos_emb, type_emb), followed by (entity_emb,
+    proj_w, proj_b, entity_type_emb) when `entity_ids` is given; `types` is
+    the (word, entity) row of the two type tables.  Word j of the (B, M)
+    `word_ids` embeds as word_emb[id] + pos_emb[j] + type_emb[types[0]].
+    The (B, N) entity tokens follow along axis 1, each as entity_emb[id] @
+    proj_w + proj_b + entity_type_emb[types[1]] + its position term: the sum
+    over p of weights[..., p] * pos_emb[positions[..., p]], times one over
+    the weight sum when `mean`; positions and weights are (B, N, P).  The
+    output is (B, M + N, H).  Forward and backward repeat the numpy calls
+    of the `embedding`, `add`, `linear`, `mul` and `concat` chain this node
+    replaces, in order, so results are bit-identical to it.  With entities,
+    pos_emb is a parent twice, last for its mention-position part: so
+    `backward` adds the word part and then that part into what pos_emb has
+    collected from other nodes, as it added the chain's two lookups.
     """
-    ids = np.asarray(ids)
-    weights = np.asarray(weights, dtype=DEFAULT_DTYPE)
-    if table.ndim != 2 or ids.ndim < 1 or weights.shape != ids.shape:
-        raise ShapeError(f"span_sum: table {table.shape}, ids {ids.shape} and weights {weights.shape} "
-                         f"need a rank-2 table and ids and weights of one shape of rank >= 1")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ShapeError(f"span_sum: id out of range for table with {table.shape[0]} rows")
-    rows = table.data[ids]  # an integer array index copies
-    rows *= weights[..., None]
-    out_data = rows.sum(axis=-2)
+    word_ids = np.asarray(word_ids)
+    word_emb, pos_emb, type_emb = tables[:3]
+    H = word_emb.shape[-1]
+    if word_ids.ndim != 2 or any(t.ndim != 2 or t.shape[1] != H for t in tables[:3]):
+        raise ShapeError(f"input_embedding: word ids {word_ids.shape} need rank 2 and the word, position "
+                         f"and type tables {[t.shape for t in tables[:3]]} rank 2 with one width")
+    B, M = word_ids.shape
+    _check_ids(word_ids, word_emb, "input_embedding: word")
+    _check_ids(np.arange(M), pos_emb, "input_embedding: position")
+    _check_ids(np.asarray(types), type_emb, "input_embedding: type")
+    words = word_emb.data[word_ids]
+    words += pos_emb.data[:M]
+    words += type_emb.data[types[0]]
+    parents = tuple(tables)
+    if entity_ids is None:
+        if len(tables) != 3:
+            raise ShapeError("input_embedding: entity tables given without entity ids")
+        out_data = words
+    else:
+        entity_ids, positions = np.asarray(entity_ids), np.asarray(positions)
+        weights = np.asarray(weights, dtype=DEFAULT_DTYPE)
+        if len(tables) != 7:
+            raise ShapeError("input_embedding: entity ids need the four entity tables")
+        entity_emb, proj_w, proj_b, entity_type_emb = tables[3:]
+        E = entity_emb.shape[-1]
+        if (entity_ids.ndim != 2 or entity_ids.shape[0] != B or positions.ndim != 3
+                or positions.shape[:2] != entity_ids.shape or weights.shape != positions.shape
+                or entity_emb.ndim != 2 or proj_w.shape != (E, H) or proj_b.shape != (H,)
+                or entity_type_emb.ndim != 2 or entity_type_emb.shape[1] != H):
+            raise ShapeError(f"input_embedding: entity ids {entity_ids.shape}, positions {positions.shape}, "
+                             f"weights {weights.shape} and entity tables {[t.shape for t in tables[3:]]} "
+                             f"do not fit {B} sequences of width {H}")
+        _check_ids(entity_ids, entity_emb, "input_embedding: entity")
+        _check_ids(positions, pos_emb, "input_embedding: mention position")
+        _check_ids(np.asarray(types), entity_type_emb, "input_embedding: type")
+        tok = entity_emb.data[entity_ids]
+        ents = np.matmul(tok, proj_w.data)
+        ents += proj_b.data
+        ents += entity_type_emb.data[types[1]]
+        rows = pos_emb.data[positions]  # an integer array index copies
+        rows *= weights[..., None]
+        span = rows.sum(axis=-2)
+        if mean:
+            inv_counts = 1.0 / weights.sum(axis=-1, keepdims=True)
+            span *= inv_counts
+        ents += span
+        out_data = np.concatenate([words, ents], axis=1)
+        parents += (pos_emb,)
 
     def backward(g):
-        grows = np.expand_dims(g, -2) * weights[..., None]
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), grows.reshape(-1, table.shape[1]))
-        return (gt,)
+        gw = g
+        if entity_ids is not None:
+            gw, ge = (np.ascontiguousarray(part) for part in np.split(g, [M], axis=1))
+        grads = [_scatter_rows(word_emb, word_ids, gw),
+                 _scatter_rows(pos_emb, np.broadcast_to(np.arange(M), word_ids.shape), gw),
+                 _scatter_rows(type_emb, np.full(word_ids.shape, types[0]), gw)]
+        if entity_ids is None:
+            return tuple(grads)
+        gx = np.matmul(ge, proj_w.data.T)
+        gproj_w = tok.reshape(-1, E).T @ ge.reshape(-1, H)
+        gspan = ge * inv_counts if mean else ge
+        grows = np.expand_dims(gspan, -2) * weights[..., None]
+        return (*grads, _scatter_rows(entity_emb, entity_ids, gx), gproj_w, _unbroadcast(ge, proj_b.shape),
+                _scatter_rows(entity_type_emb, np.full(entity_ids.shape, types[1]), ge),
+                _scatter_rows(pos_emb, positions, grows))
 
-    return _make(out_data, (table,), backward, "span_sum")
+    return _make(out_data, parents, backward, "input_embedding")
 
 
 def layer_norm(x, gain, bias, eps=LAYER_NORM_EPS):
     """Normalize over the last axis, then scale and shift."""
-    if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
-        raise ShapeError(
-            f"layer_norm: gain/bias must match last axis {x.shape[-1]}, got {gain.shape} and {bias.shape}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu  # scaled in place below, once the variance is read
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    return _layer_norm_node(x, None, gain, bias, eps, "layer_norm")
+
+
+def residual_layer_norm(x, a, gain, bias, eps=LAYER_NORM_EPS):
+    """layer_norm(add(x, a)) as one node, for a residual branch `a` shaped like x."""
+    if a.shape != x.shape:
+        raise ShapeError(f"residual_layer_norm: residual {a.shape} does not match input {x.shape}")
+    return _layer_norm_node(x, a, gain, bias, eps, "residual_layer_norm")
+
+
+def _layer_norm_node(x, a, gain, bias, eps, op):
+    """layer_norm of x, or of x + a when a residual `a` is given.  The means
+    are np.mean's own arithmetic (an add-reduce, divided in place by the
+    width) without its Python wrapper."""
+    n = x.shape[-1]
+    if gain.shape != (n,) or bias.shape != (n,):
+        raise ShapeError(f"{op}: gain/bias must match last axis {n}, got {gain.shape} and {bias.shape}")
+    s = x.data if a is None else x.data + a.data
+    mu = np.add.reduce(s, axis=-1, keepdims=True)
+    mu /= n
+    # scaled in place below, once the variance is read; a residual sum is the node's own
+    xhat = np.subtract(s, mu, out=None if a is None else s)
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    var /= n
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     # without a backward closure to read xhat, the output overwrites it
@@ -433,16 +523,15 @@ def layer_norm(x, gain, bias, eps=LAYER_NORM_EPS):
     out_data += bias.data
 
     def backward(g):
-        n = x.shape[-1]
         gy = g * gain.data
         gxhat_sum = gy.sum(axis=-1, keepdims=True)
         gxhat_dot = (gy * xhat).sum(axis=-1, keepdims=True)
         gx = inv * (gy - gxhat_sum / n - xhat * gxhat_dot / n)
         ggain = (g * xhat).reshape(-1, n).sum(axis=0)
         gbias = g.reshape(-1, n).sum(axis=0)
-        return gx, ggain, gbias
+        return (gx, ggain, gbias) if a is None else (gx, gx, ggain, gbias)
 
-    return _make(out_data, (x, gain, bias), backward, "layer_norm")
+    return _make(out_data, (x, gain, bias) if a is None else (x, a, gain, bias), backward, op)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -651,6 +740,12 @@ def backward(loss):
     first nodes of the walk.  Parts are summed in delivery order, and no
     closure writes into a gradient it received, so a hook may hand `.grad`
     to another thread while the walk goes on.  Constants' gradients are dropped.
+
+    A non-finite gradient raises ContractError naming the node it reached:
+    an inner node, or the requires-grad leaf whose summed gradient it is.
+    A fused node's inner steps are not nodes, so an overflow inside
+    `input_embedding` names the table parameter (entity_emb, say) whose
+    gradient overflowed, where the unfused chain named an inner lookup.
     """
     if loss.data.ndim != 0:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")

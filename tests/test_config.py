@@ -94,3 +94,25 @@ def test_substream_extra_args_distinguish():
     a = substream(7, "masking", 0, 0).random(3)
     b = substream(7, "masking", 0, 1).random(3)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+def test_uint32_key_seeds_as_the_list_form_does(length):
+    # substream hands SeedSequence its key as a uint32 array; numpy makes the
+    # same entropy words of a list of 32-bit ints, so every stream is unchanged
+    rng = np.random.default_rng(length)
+    for edge in (0, 2**32 - 1):
+        key = [int(k) for k in rng.integers(0, 2**32, size=length)]
+        key[rng.integers(length)] = edge
+        want = np.random.default_rng(np.random.SeedSequence(key)).random(4)
+        got = np.random.default_rng(np.random.SeedSequence(np.array(key, dtype=np.uint32))).random(4)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_substream_draws_match_the_list_key():
+    import zlib
+
+    for seed, extra in ((0, ()), (2**32 - 1, (0,)), (-1, (2**32 - 1, 5)), (2**40 + 3, (0, 2**32 - 1, 7))):
+        key = [seed & 0xFFFFFFFF, zlib.crc32(b"masking")] + [x & 0xFFFFFFFF for x in extra]
+        want = np.random.default_rng(np.random.SeedSequence(key)).random(4)
+        np.testing.assert_array_equal(substream(seed, "masking", *extra).random(4), want)

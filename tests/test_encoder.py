@@ -11,8 +11,7 @@ from entlm.encoder import (
     EncodedSequence,
     EncoderConfig,
     draw_params,
-    embed_entities,
-    embed_words,
+    embed_input,
     encode,
     encode_batch,
     init_params,
@@ -50,6 +49,19 @@ def test_sequence_validation(tiny_config):
         EncodedSequence(word_ids=[1, 2], entity_ids=[3], entity_positions=[[5]]).validate()
     with pytest.raises(CapacityError):
         EncodedSequence(word_ids=[0] * 100).validate(tiny_config)
+
+
+def embed_words(params, config, word_ids):
+    """The input layer of a word-only batch."""
+    return embed_input(params, config, {"word_ids": word_ids})
+
+
+def embed_entities(params, config, entity_ids, entity_positions, position_mask):
+    """The entity tokens' rows of the input layer, after a batch of 4-word sequences."""
+    word_ids = np.zeros((len(entity_ids), 4), dtype=np.int64)
+    batch = {"word_ids": word_ids, "entity_ids": entity_ids, "entity_pos": entity_positions,
+             "entity_pos_mask": position_mask}
+    return embed_input(params, config, batch)[:, 4:]
 
 
 def test_embed_words_rejects_out_of_vocab(tiny_params, tiny_config):
@@ -227,9 +239,10 @@ def test_toy_step_graph_node_count(tiny_config):
         batches.append(MaskedBatch(sequence=seq, word_labels=word_labels,
                                    entity_labels=[seq.entity_ids[0], IGNORE_LABEL]))
     total, _, _ = pretrain_step_loss(params, tiny_config, batches)
-    # 13 embedding nodes, 12 per layer (4 linear, attention, 2 residual adds,
-    # 2 layer norms, 2 FFN linears, gelu), 2 output slices, 4 per head loss, the sum
-    assert _inner_nodes(total) <= 48, _inner_nodes(total)
+    # the input node and its layer norm, 10 per layer (4 attention linears,
+    # attention, 2 residual layer norms, 2 FFN linears, gelu), 2 output
+    # slices, 4 per head loss, the sum
+    assert _inner_nodes(total) <= 33, _inner_nodes(total)
 
 
 def test_eval_entry_points_hold_no_graph(monkeypatch):

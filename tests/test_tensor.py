@@ -194,8 +194,8 @@ def test_grad_check_softmax_cross_entropy():
     assert T.grad_check(loss, params, rng=np.random.default_rng(3)) < 1e-6
 
 
-@pytest.mark.parametrize("kernel", ["layer_norm", "gelu", "softmax", "matmul",
-                                    "concat", "transpose", "embedding", "mean", "span_sum"])
+@pytest.mark.parametrize("kernel", ["layer_norm", "gelu", "softmax", "matmul", "concat", "transpose",
+                                    "embedding", "mean", "input_embedding", "residual_layer_norm"])
 def test_grad_check_per_kernel(kernel):
     rng = np.random.default_rng(hash(kernel) % 2**32)
     a = p(rng.normal(size=(3, 4)))
@@ -218,9 +218,15 @@ def test_grad_check_per_kernel(kernel):
             return T.reduce_sum(T.mul(T.transpose(a, (1, 0)), b))
         if kernel == "embedding":
             return T.reduce_sum(T.embedding(a, np.array([0, 2, 2])))
-        if kernel == "span_sum":
-            out = T.span_sum(a, np.array([[0, 2, 2], [1, 0, 2]]), np.array([[1.0, 0.5, 1.0], [2.0, 0.0, 1.0]]))
-            return T.reduce_sum(T.mul(out, T.constant(weight.data[:2])))
+        if kernel == "input_embedding":
+            # b is the entity table, a every other table; two words, one entity over positions 0, 2, 2
+            out = T.input_embedding((a, a, a, b, a, p(np.ones(4)), a), np.array([[1, 0]]), (2, 1),
+                                    np.array([[3]]), np.array([[[0, 2, 2]]]), np.array([[[1.0, 0.5, 1.0]]]),
+                                    mean=True)
+            return T.reduce_sum(T.mul(out, T.constant(weight.data)))
+        if kernel == "residual_layer_norm":
+            x = T.transpose(b, (1, 0))
+            return T.reduce_sum(T.mul(T.residual_layer_norm(x, a, p(np.ones(4)), p(np.zeros(4))), weight))
         return T.scale(T.reduce_sum(T.mul(a, a)), 1 / a.data.size)
 
     assert T.grad_check(loss, params, rng=np.random.default_rng(0)) < 1e-6
@@ -538,12 +544,12 @@ def test_grad_ready_hook_fires_each_leaf_once_with_its_final_gradient(tiny_confi
 
 
 def test_grad_ready_hook_waits_for_every_consumer_of_a_leaf():
-    # pos is read by an embedding and a span_sum, as pos_emb is
+    # pos is read by an embedding and a matmul
     pos, other = p(np.arange(12.0).reshape(4, 3)), p(np.ones(3))
     a = T.embedding(pos, np.array([[0, 1, 2]]))
-    b = T.span_sum(pos, np.array([[1, 3]]), np.array([[1.0, 0.5]]))
+    b = T.matmul(T.constant([[0.0, 1.0, 0.0, 0.5]]), pos)
     events = []
-    for name, node in (("embedding", a), ("span_sum", b)):
+    for name, node in (("embedding", a), ("matmul", b)):
         run = node._backward
         node._backward = lambda g, run=run, name=name: events.append(name) or run(g)
     loss = T.reduce_sum(T.mul(T.add(T.reduce_sum(a, axis=1), b), other))
@@ -554,7 +560,7 @@ def test_grad_ready_hook_waits_for_every_consumer_of_a_leaf():
         T.backward(loss)
     fired = [e for e in events if isinstance(e, tuple)]
     assert sorted(n for n, _ in fired) == ["other", "pos"]
-    assert events.index(("pos", want)) > max(events.index("embedding"), events.index("span_sum"))
+    assert events.index(("pos", want)) > max(events.index("embedding"), events.index("matmul"))
     assert pos.grad.tobytes() == want
 
 
@@ -767,31 +773,145 @@ def _span_chain(table, ids, weights):
     return T.reduce_sum(masked, axis=masked.ndim - 2)
 
 
-def test_span_sum_equals_embedding_mul_sum_chain_bit_for_bit():
+def _input_chain(tables, word_ids, types, entity_ids=None, positions=None, weights=None, mean=False):
+    """The input layer as the chain of single nodes `input_embedding` replaced."""
+    word_emb, pos_emb, type_emb = tables[:3]
+    M = word_ids.shape[-1]
+    words = (T.embedding(word_emb, word_ids)
+             + T.embedding(pos_emb, np.broadcast_to(np.arange(M), word_ids.shape))
+             + T.embedding(type_emb, np.full(word_ids.shape, types[0])))
+    if entity_ids is None:
+        return words
+    entity_emb, proj_w, proj_b, entity_type_emb = tables[3:]
+    proj = T.linear(T.embedding(entity_emb, entity_ids), proj_w, proj_b)
+    typ = T.embedding(entity_type_emb, np.full(entity_ids.shape, types[1]))
+    pos_term = _span_chain(pos_emb, positions, weights)
+    if mean:
+        pos_term = T.mul(pos_term, T.constant(1.0 / weights.sum(axis=-1, keepdims=True)))
+    return T.concat([words, proj + typ + pos_term], axis=1)
+
+
+def _input_tables(rng, V=7, P=9, E=3, H=4, types=3):
+    names = ("word_emb", "pos_emb", "type_emb", "entity_emb", "proj_w", "proj_b", "entity_type_emb")
+    shapes = ((V, H), (P, H), (types, H), (V, E), (E, H), (H,), (types, H))
+    return {n: p(rng.normal(size=s)) for n, s in zip(names, shapes)}
+
+
+# two sequences of five words; three entity slots each: a one-word mention, a
+# three-word mention with a repeated position, and a padded slot (as pack_batch
+# pads: one dummy position with weight 1); one weight of 0.5
+INPUT_WORDS = np.array([[1, 4, 4, 0, 6], [2, 2, 5, 3, 1]])
+INPUT_ENTITIES = np.array([[3, 0, 0], [6, 3, 0]])
+INPUT_POSITIONS = np.array([[[2, 0, 0], [0, 1, 1], [0, 0, 0]], [[4, 0, 0], [1, 2, 3], [0, 0, 0]]])
+INPUT_WEIGHTS = np.array([[[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]],
+                          [[1.0, 0.0, 0.0], [1.0, 0.5, 1.0], [1.0, 0.0, 0.0]]])
+
+
+@pytest.mark.parametrize("batch", ["words", "sum", "mean"])
+def test_input_embedding_equals_unfused_chain_bit_for_bit(batch):
     rng = np.random.default_rng(26)
-    table = p(rng.normal(size=(6, 4)))
-    # repeated ids within and across spans, and zero weights on padded slots
-    ids = np.array([[[2, 2, 0], [5, 1, 2]], [[3, 0, 0], [1, 4, 1]]])
-    weights = np.array([[[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]], [[1.0, 0.0, 0.0], [0.5, 0.0, 2.0]]])
-    g = rng.normal(size=(2, 2, 4))
-    fused = T.span_sum(table, ids, weights)
-    chain = _span_chain(table, ids, weights)
-    np.testing.assert_array_equal(fused.data, chain.data)
-    T.backward(T.reduce_sum(T.mul(fused, T.constant(g))))
-    fused_grad, table.grad = table.grad, None
-    T.backward(T.reduce_sum(T.mul(chain, T.constant(g))))
-    np.testing.assert_array_equal(fused_grad, table.grad)
-    assert fused._op == "span_sum" and fused._parents == (table,)
+    params = _input_tables(rng)
+    entity = () if batch == "words" else (INPUT_ENTITIES, INPUT_POSITIONS, INPUT_WEIGHTS)
+    if not entity:
+        params = dict(list(params.items())[:3])
+    tables, types = list(params.values()), (2, 0)
+    width = 5 + (3 if entity else 0)
+    weight = rng.normal(size=(2, width, 4))
+    mean = batch == "mean"
+    fused = _forward_and_grads(lambda: T.input_embedding(tables, INPUT_WORDS, types, *entity, mean=mean),
+                               params, weight)
+    chain = _forward_and_grads(lambda: _input_chain(tables, INPUT_WORDS, types, *entity, mean=mean),
+                               params, weight)
+    np.testing.assert_array_equal(fused[0], chain[0])
+    for name in params:
+        assert fused[1][name] is not None, name
+        np.testing.assert_array_equal(fused[1][name], chain[1][name], err_msg=name)
+    node = T.input_embedding(tables, INPUT_WORDS, types, *entity, mean=mean)
+    assert node._op == "input_embedding"
+    assert node._parents == tuple(tables) + ((params["pos_emb"],) if entity else ())
 
 
-def test_span_sum_rejects_bad_input():
-    table = p(np.ones((4, 3)))
+def test_input_embedding_two_calls_add_pos_emb_parts_in_chain_order():
+    # a loss over two encoder passes, as NER's chunks give: pos_emb collects
+    # four parts, and floating-point addition is not associative
+    rng = np.random.default_rng(36)
+    params = _input_tables(rng)
+    tables, entity = list(params.values()), (INPUT_ENTITIES, INPUT_POSITIONS, INPUT_WEIGHTS)
+    weights = [T.constant(rng.normal(size=(2, 8, 4))) for _ in range(2)]
+
+    def loss(build):
+        outs = [build(tables, INPUT_WORDS[:, ::step], (0, 1), *entity) for step in (1, -1)]
+        return T.add(*(T.reduce_sum(T.mul(out, w)) for out, w in zip(outs, weights)))
+
+    T.backward(loss(T.input_embedding))
+    fused, params["pos_emb"].grad = params["pos_emb"].grad, None
+    T.backward(loss(_input_chain))
+    np.testing.assert_array_equal(fused, params["pos_emb"].grad)
+
+
+def test_input_embedding_rejects_bad_input():
+    tables = list(_input_tables(np.random.default_rng(0)).values())
+    entity = (INPUT_ENTITIES, INPUT_POSITIONS, INPUT_WEIGHTS)
+    with pytest.raises(ShapeError, match="word id out of range"):
+        T.input_embedding(tables[:3], np.array([[0, 7]]), (0, 1))
+    with pytest.raises(ShapeError, match="position id out of range"):
+        T.input_embedding(tables[:3], np.zeros((1, 10), dtype=np.int64), (0, 1))
+    with pytest.raises(ShapeError, match="mention position id out of range"):
+        T.input_embedding(tables, INPUT_WORDS, (0, 1), INPUT_ENTITIES, INPUT_POSITIONS + 7, INPUT_WEIGHTS)
+    with pytest.raises(ShapeError, match="entity id out of range"):
+        T.input_embedding(tables, INPUT_WORDS, (0, 1), INPUT_ENTITIES + 5, INPUT_POSITIONS, INPUT_WEIGHTS)
     with pytest.raises(ShapeError):
-        T.span_sum(table, np.array([[0, 1]]), np.ones((1, 3)))
+        T.input_embedding(tables, INPUT_WORDS, (0, 1), INPUT_ENTITIES, INPUT_POSITIONS, INPUT_WEIGHTS[..., :2])
     with pytest.raises(ShapeError):
-        T.span_sum(table, np.array([[0, 4]]), np.ones((1, 2)))
+        T.input_embedding(tables[:3], INPUT_WORDS, (0, 1), *entity)  # no entity tables
     with pytest.raises(ShapeError):
-        T.span_sum(table, np.array(1), np.array(1.0))  # no axis to sum over
+        T.input_embedding(tables, INPUT_WORDS, (0, 1))  # entity tables, no entity ids
+    with pytest.raises(ShapeError):
+        T.input_embedding(tables[:3], INPUT_WORDS[0], (0, 1))  # no batch axis
+
+
+def test_input_embedding_gradient_overflow_raises():
+    # with a huge projection, the entity lookup's gradient (g @ proj_w.T, a sum
+    # over 40 columns) overflows inside the node while its forward stays finite
+    params = _input_tables(np.random.default_rng(1), E=2, H=40)
+    params["entity_emb"].data[:] = 0.5
+    params["proj_w"].data[:] = 1e307
+    tables = list(params.values())
+    out = T.input_embedding(tables, INPUT_WORDS, (0, 1), INPUT_ENTITIES, INPUT_POSITIONS, INPUT_WEIGHTS)
+    assert np.isfinite(out.data).all()
+    with np.errstate(over="ignore"), \
+            pytest.raises(ContractError, match=re.escape(f"at node {params['entity_emb']!r}")):
+        T.backward(T.reduce_sum(T.mul(out, T.constant(np.ones(out.shape)))))
+
+
+def test_residual_layer_norm_equals_layer_norm_of_add_bit_for_bit():
+    rng = np.random.default_rng(29)
+    params = {"x": p(rng.normal(size=(2, 3, 7)) * 3.0 + 1.0), "a": p(rng.normal(size=(2, 3, 7))),
+              "gain": p(rng.normal(size=7)), "bias": p(rng.normal(size=7))}
+    weight = rng.normal(size=(2, 3, 7))
+    args = list(params.values())
+    fused = _forward_and_grads(lambda: T.residual_layer_norm(*args), params, weight)
+    chain = _forward_and_grads(lambda: T.layer_norm(T.add(args[0], args[1]), *args[2:]), params, weight)
+    np.testing.assert_array_equal(fused[0], chain[0])
+    for name in params:
+        np.testing.assert_array_equal(fused[1][name], chain[1][name], err_msg=name)
+    with T.no_grad():
+        np.testing.assert_array_equal(T.residual_layer_norm(*args).data, chain[0])
+    with pytest.raises(ShapeError):
+        T.residual_layer_norm(args[0], p(np.ones((2, 1, 7))), *args[2:])
+
+
+def test_layer_norm_means_equal_np_mean_bit_for_bit():
+    # layer_norm takes its two means as an add-reduce divided in place by the
+    # width: np.mean's arithmetic without its Python wrapper
+    rng = np.random.default_rng(35)
+    for _ in range(300):
+        lead = tuple(rng.integers(1, 5, size=rng.integers(0, 3)))
+        x = rng.normal(size=lead + (int(rng.integers(1, 300)),)) * 10.0 ** rng.integers(-3, 4)
+        x = x + rng.normal() * 10.0 ** rng.integers(-3, 4)
+        gain, bias = rng.normal(size=x.shape[-1]), rng.normal(size=x.shape[-1])
+        want, _ = reference_layer_norm(x, gain, bias, np.zeros_like(x))
+        np.testing.assert_array_equal(T.layer_norm(p(x), p(gain), p(bias)).data, want)
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +1009,8 @@ def _op_cases(rng):
         return p(rng.normal(size=shape))
 
     ids = np.array([[0, 2, 2], [3, 1, 0]])
-    weights = np.array([[1.0, 1.0, 0.0], [1.0, 0.5, 1.0]])
+    positions = np.array([[[0, 2], [1, 1]], [[3, 0], [2, 0]]])
+    weights = np.array([[[1.0, 1.0], [1.0, 0.5]], [[1.0, 0.0], [1.0, 0.0]]])
     bias = _padded_bias(B=2, S=4, pad=1)
     labels = np.array([1, -100, 3])
     rows = np.array([2, 0, 2])
@@ -903,8 +1024,11 @@ def _op_cases(rng):
         ("attention", lambda q, k, v: T.attention(q, k, v, bias, 2, p=0.2, rng=np.random.default_rng(1)),
          [t(2, 4, 6), t(2, 4, 6), t(2, 4, 6)], [bias]),
         ("embedding", lambda a: T.embedding(a, ids), [t(4, 3)], [ids]),
-        ("span_sum", lambda a: T.span_sum(a, ids, weights), [t(4, 3)], [ids, weights]),
+        ("input_embedding",
+         lambda *tables: T.input_embedding(tables, ids, (0, 1), ids[:, :2], positions, weights, mean=True),
+         [t(4, 3), t(4, 3), t(2, 3), t(4, 2), t(2, 3), t(3), t(2, 3)], [ids, positions, weights]),
         ("layer_norm", T.layer_norm, [t(3, 4), t(4), t(4)], []),
+        ("residual_layer_norm", T.residual_layer_norm, [t(3, 4), t(3, 4), t(4), t(4)], []),
         ("gelu", T.gelu, [t(3, 4)], []),
         ("softmax", T.softmax, [t(3, 4)], []),
         ("dropout", lambda a: T.dropout(a, 0.3, np.random.default_rng(2)), [t(3, 4)], []),
@@ -917,7 +1041,7 @@ def _op_cases(rng):
     ]
 
 
-@pytest.mark.parametrize("case", range(19))
+@pytest.mark.parametrize("case", range(20))
 def test_kernel_never_writes_into_its_inputs(case):
     rng = np.random.default_rng(27)
     name, build, inputs, raw = _op_cases(rng)[case]
