@@ -236,7 +236,8 @@ def cmd_cloze_eval(args):
     files.write_json(args.out, report)
     write_manifest(args, [args.checkpoint, args.queries])
     print(f"accuracy[{args.mode}] = {report['accuracy']:.4f}  "
-          f"word fallbacks {report['word_fallbacks']}/{report['candidates_scored']} candidates")
+          f"word fallbacks {report['word_fallbacks']}/{report['candidates_scored']} candidates  "
+          f"subject fallbacks {report['subject_fallbacks']}/{len(queries)} queries")
     return EXIT_OK
 
 

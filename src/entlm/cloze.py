@@ -34,14 +34,32 @@ class TypedQuery:
     sub_entity: str | None = None
 
     def validate(self):
+        for name in ("language", "template", "sub_surface"):
+            if not isinstance(getattr(self, name), str):
+                raise ContractError(f"{name} {getattr(self, name)!r} is not a string")
+        if self.sub_entity is not None and not isinstance(self.sub_entity, str):
+            raise ContractError(f"sub_entity {self.sub_entity!r} is neither null nor a string")
         toks = self.template.split()
         if toks.count("[X]") != 1 or toks.count("[Y]") != 1:
             raise ContractError("template must contain exactly one [X] and one [Y]")
+        if not self.sub_surface.split():
+            raise ContractError("sub_surface tokenizes to zero tokens")
         if not self.candidates:
             raise ContractError("query needs at least one candidate")
+        for i, (surface, entity) in enumerate(self.candidates):
+            if not isinstance(surface, str) or not surface.split():
+                raise ContractError(f"candidate {i} surface {surface!r} is not a string of at least one token")
+            if entity is not None and not isinstance(entity, str):
+                raise ContractError(f"candidate {i} entity {entity!r} is neither null nor a string")
         if type(self.gold_index) is not int or not 0 <= self.gold_index < len(self.candidates):
             raise ContractError(f"gold_index {self.gold_index!r} is not an int in [0, {len(self.candidates)})")
         return self
+
+
+def _candidate(c):
+    if not isinstance(c, dict):
+        raise ContractError(f"candidate {c!r} is not an object")
+    return c["surface"], c.get("entity")
 
 
 def _query(d):
@@ -50,7 +68,7 @@ def _query(d):
         template=d["template"],
         sub_surface=d["sub_surface"],
         sub_entity=d.get("sub_entity"),
-        candidates=[(c["surface"], c.get("entity")) for c in d["candidates"]],
+        candidates=[_candidate(c) for c in d["candidates"]],
         gold_index=d["gold_index"],
     ).validate()
 
@@ -84,7 +102,6 @@ def resolve_candidate_entity(vocab, language, surface, explicit=None):
 
 def _build_cloze_input(model, query: TypedQuery, k, subject_entity_id=None, y_entity_id=None):
     """Sequence with [X] filled and k word masks at [Y]; optional entity tokens."""
-    query.validate()
     toks = query.template.split()
     xi = toks.index("[X]")
     yi = toks.index("[Y]")
@@ -129,30 +146,26 @@ def mep_logprobs(model, vectors):
     return log_softmax_np(logits, axis=-1)
 
 
-def _candidate_input(model, query, candidate, mode):
-    """(seq, y_positions, ent_index, target) for one candidate.
+def subject_entity(model, query):
+    """Entity id of the query's subject, or None: entity-xy mode then scores without a subject token."""
+    return resolve_candidate_entity(model.entity_vocab, query.language, query.sub_surface, query.sub_entity)
 
-    Word scoring (word mode, or an entity mode's out-of-vocabulary fallback)
-    has ent_index None and the candidate's word ids as target; entity
-    scoring has the candidate's entity id as target.
+
+def _candidate_key(model, query, candidate, mode):
+    """(input key, target) of one candidate.
+
+    The key fixes the encoder input: ("entity", k) for an entity-scored
+    candidate of k words, whose target is its entity id, and ("word", k) for a
+    word-scored one (word mode, or an entity mode's out-of-vocabulary
+    fallback), whose target is its k word ids.
     """
     surface, explicit = candidate
+    tokens = surface.split()
     if mode != "word":
         eid = resolve_candidate_entity(model.entity_vocab, query.language, surface, explicit)
         if eid is not None:
-            sub_eid = None
-            if mode == "entity-xy":
-                sub_eid = resolve_candidate_entity(
-                    model.entity_vocab, query.language, query.sub_surface, query.sub_entity)
-            k = max(1, len(surface.split()))
-            seq, y_pos, ent_index = _build_cloze_input(
-                model, query, k, subject_entity_id=sub_eid, y_entity_id=model.entity_vocab.mask_id)
-            return seq, y_pos, ent_index, eid
-    cand_tokens = surface.split()
-    if not cand_tokens:
-        raise ContractError("candidate tokenizes to zero tokens")
-    seq, y_pos, _ = _build_cloze_input(model, query, len(cand_tokens))
-    return seq, y_pos, None, model.word_vocab.encode(cand_tokens)
+            return ("entity", len(tokens)), eid
+    return ("word", len(tokens)), model.word_vocab.encode(tokens)
 
 
 @no_grad()
@@ -162,47 +175,67 @@ def score_query(model, query, mode):
     A word-scored candidate gets the mean MLM log-probability of its tokens
     at its [Y] masks; an entity-scored one the MEP log-probability of its
     entity at the entity-[MASK] token.
+
+    Candidates with the same input key share one batch row.  The batch still
+    holds the longest sequence, so its padding is unchanged, and numpy runs
+    one GEMM per batch row, so each row's vectors are bit-identical to those
+    of a batch with one row per candidate.  The heads still project one row
+    per word-scored token and per entity-scored candidate: a GEMM with fewer
+    rows can round differently.
     """
     if mode not in MODES:
         raise ContractError(f"unknown mode {mode!r}")
-    built = [_candidate_input(model, query, c, mode) for c in query.candidates]
-    seqs = [seq.validate(model.encoder_config) for seq, _, _, _ in built]
+    query.validate()
+    keyed = [_candidate_key(model, query, c, mode) for c in query.candidates]
+    rows = {}  # input key -> batch row, in first-seen order
+    for key, _ in keyed:
+        rows.setdefault(key, len(rows))
+    sub_eid = subject_entity(model, query) if mode == "entity-xy" else None
+    built = [_build_cloze_input(model, query, k, subject_entity_id=sub_eid, y_entity_id=model.entity_vocab.mask_id)
+             if kind == "entity" else _build_cloze_input(model, query, k)
+             for kind, k in rows]
+    seqs = [seq.validate(model.encoder_config) for seq, _, _ in built]
     out = encoder.encode_batch(model.params, model.encoder_config, encoder.pack_batch(seqs))
 
-    scores = [0.0] * len(built)
-    word = [(b, y_pos, ids) for b, (_, y_pos, ent_index, ids) in enumerate(built) if ent_index is None]
+    scores = [0.0] * len(keyed)
+    word = [(b, rows[key], ids) for b, (key, ids) in enumerate(keyed) if key[0] == "word"]
     if word:
-        rows = np.concatenate([np.full(len(y_pos), b) for b, y_pos, _ in word])
-        cols = np.concatenate([y_pos for _, y_pos, _ in word])
-        logprobs = _mlm_logprobs(model, out.word_vectors[rows, cols])
+        batch_rows = np.concatenate([np.full(len(ids), row) for _, row, ids in word])
+        cols = np.concatenate([built[row][1] for _, row, _ in word])
+        logprobs = _mlm_logprobs(model, out.word_vectors[batch_rows, cols])
         lo = 0
         for b, _, ids in word:
             scores[b] = float(np.mean(logprobs[np.arange(lo, lo + len(ids)), ids]))
             lo += len(ids)
-    ent = [(b, ent_index, eid) for b, (_, _, ent_index, eid) in enumerate(built) if ent_index is not None]
+    ent = [(b, rows[key], eid) for b, (key, eid) in enumerate(keyed) if key[0] == "entity"]
     if ent:
-        logprobs = mep_logprobs(model, out.entity_vectors[[b for b, _, _ in ent], [i for _, i, _ in ent]])
-        for row, (b, _, eid) in enumerate(ent):
-            scores[b] = float(logprobs[row, eid])
-    return scores, [ent_index is not None for _, _, ent_index, _ in built]
+        logprobs = mep_logprobs(model, out.entity_vectors[[row for _, row, _ in ent],
+                                                          [built[row][2] for _, row, _ in ent]])
+        for i, (b, _, eid) in enumerate(ent):
+            scores[b] = float(logprobs[i, eid])
+    return scores, [key[0] == "entity" for key, _ in keyed]
 
 
 def evaluate(model: ClozeModel, queries, mode="word"):
     """Top-1 accuracy per language and overall; records every prediction.
 
     Also counts the candidates scored and, in entity modes, those outside
-    the entity vocabulary that fell back to word scoring.
+    the entity vocabulary that fell back to word scoring; in entity-xy mode,
+    the queries whose subject resolves to no entity, scored without a
+    subject token.
     """
     if not queries:
         raise ContractError("empty cloze query set")
     per_lang = defaultdict(lambda: [0, 0])
     records = []
-    scored = fallbacks = 0
+    scored = fallbacks = subject_fallbacks = 0
     for qi, q in enumerate(queries):
         scores, used = score_query(model, q, mode)
         scored += len(used)
         if mode != "word":
             fallbacks += used.count(False)
+        if mode == "entity-xy" and subject_entity(model, q) is None:
+            subject_fallbacks += 1
         pred = int(np.argmax(scores))  # ties: lowest candidate index
         correct = pred == q.gold_index
         per_lang[q.language][0] += int(correct)
@@ -224,6 +257,7 @@ def evaluate(model: ClozeModel, queries, mode="word"):
         "per_language": {l: c / n for l, (c, n) in sorted(per_lang.items())},
         "candidates_scored": scored,
         "word_fallbacks": fallbacks,
+        "subject_fallbacks": subject_fallbacks,
         "records": records,
     }
 

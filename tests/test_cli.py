@@ -1276,6 +1276,21 @@ MALFORMED = [
     # a bool is an int to Python, so `true` would read as index 1
     ("cloze-eval/gold-index-bool", "queries", _record_edit(2, lambda r: r.update(gold_index=True)),
      _model_argv("cloze-eval", "--queries"), 2),
+    ("cloze-eval/candidate-surface-not-a-string", "queries",
+     _record_edit(2, lambda r: r["candidates"][1].update(surface=5)), _model_argv("cloze-eval", "--queries"), 2),
+    ("cloze-eval/candidate-surface-blank", "queries",
+     _record_edit(1, lambda r: r["candidates"][0].update(surface=" ")), _model_argv("cloze-eval", "--queries"), 1),
+    ("cloze-eval/candidate-entity-not-a-string", "queries",
+     _record_edit(2, lambda r: r["candidates"][0].update(entity=["ent0"])), _model_argv("cloze-eval", "--queries"), 2),
+    ("cloze-eval/candidate-not-an-object", "queries",
+     _record_edit(2, lambda r: r["candidates"].__setitem__(0, "ent0_en")), _model_argv("cloze-eval", "--queries"), 2),
+    ("cloze-eval/sub-surface-list", "queries", _record_edit(1, lambda r: r.update(sub_surface=["a"])),
+     _model_argv("cloze-eval", "--queries"), 1),
+    # entity-xy would score the query without its subject's entity token, and say nothing
+    ("cloze-eval/sub-surface-empty", "queries", _record_edit(2, lambda r: r.update(sub_surface="")),
+     _model_argv("cloze-eval", "--queries", "--mode", "entity-xy"), 2),
+    ("cloze-eval/sub-entity-not-a-string", "queries", _record_edit(2, lambda r: r.update(sub_entity=7)),
+     _model_argv("cloze-eval", "--queries", "--mode", "entity-xy"), 2),
     ("dump-features/span-out-of-bounds", "spans", _record_edit(2, lambda r: r.update(span=[1, 9])),
      _model_argv("dump-features", "--data", "--feature-spec", "span-mean"), 2),
     ("dump-features/span-entity-unknown", "spans", _record_edit(2, lambda r: r.update(entities=[["Ent0_de", 1, 2]])),

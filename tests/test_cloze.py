@@ -19,7 +19,7 @@ from entlm.cloze import (
     top1_fp_ratio,
 )
 from entlm.corpus import WordVocab
-from entlm.encoder import EncoderConfig, draw_params, encode, init_params
+from entlm.encoder import EncoderConfig, draw_params, encode, encode_batch, init_params, pack_batch
 from entlm.errors import CapacityError, ContractError
 from entlm.pretrain import head_specs
 from entlm.seeding import substream
@@ -27,14 +27,14 @@ from entlm.tensor import log_softmax_np
 from entlm.vocab import EntityEntry, EntityVocab, SPECIAL_ENTITIES
 
 
-@pytest.fixture(scope="module")
-def cloze_setup():
+def _cloze_model(extra_entities=0):
     words = ["the", "capital", "of", "japan", "is", "tokyo", "kyoto",
              "big", "city", "a", "b"]
     wv = WordVocab(words)
     entries = [EntityEntry(canonical_key=k) for k in SPECIAL_ENTITIES]
     entries.append(EntityEntry(canonical_key="tokyo", titles={("en", "tokyo")}))
     entries.append(EntityEntry(canonical_key="japan", titles={("en", "japan"), ("de", "japan_de")}))
+    entries.extend(EntityEntry(canonical_key=f"x{i}") for i in range(extra_entities))
     ev = EntityVocab(entries)
     cfg = EncoderConfig(word_vocab_size=len(wv), entity_vocab_size=len(ev),
                         hidden_size=16, entity_emb_size=8, layers=1, heads=2,
@@ -43,6 +43,11 @@ def cloze_setup():
     params = init_params(cfg, rng)
     params.update(draw_params(head_specs(cfg), rng))
     return ClozeModel(encoder_config=cfg, params=params, word_vocab=wv, entity_vocab=ev)
+
+
+@pytest.fixture(scope="module")
+def cloze_setup():
+    return _cloze_model()
 
 
 def q(template="[X] is the capital of [Y]", sub="tokyo", cands=None, gold=0, lang="en", sub_entity=None):
@@ -64,6 +69,16 @@ def test_template_must_have_one_x_and_one_y():
         q(template="[X] likes nothing")
     with pytest.raises(ContractError):
         q(gold=7)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(sub=""), dict(sub=" "), dict(sub=["tokyo"]), dict(lang=None), dict(sub_entity=3),
+    dict(cands=[("japan", None), ("", None)]), dict(cands=[(5, None)]), dict(cands=[("japan", ["tokyo"])]),
+], ids=["sub-empty", "sub-blank", "sub-list", "lang-null", "sub-entity-int", "candidate-empty",
+        "candidate-int", "candidate-entity-list"])
+def test_query_refuses_malformed_fields(fields):
+    with pytest.raises(ContractError):
+        q(**fields)
 
 
 def test_build_input_places_masks_and_subject(cloze_setup):
@@ -177,20 +192,104 @@ def test_score_query_equals_one_candidate_calls(cloze_setup, mode):
     assert used == expected_used
 
 
-def test_score_query_runs_one_encoder_pass(cloze_setup, monkeypatch):
+def _counting_encode_batch(monkeypatch):
+    """Patch `encoder.encode_batch` to record each call's packed batch; returns the record list."""
     import entlm.encoder as encoder_mod
 
     calls = []
     real = encoder_mod.encode_batch
 
     def counting(params, config, batch, **kwargs):
-        calls.append(batch["word_ids"].shape[0])
+        calls.append(batch)
         return real(params, config, batch, **kwargs)
 
     monkeypatch.setattr(encoder_mod, "encode_batch", counting)
+    return calls
+
+
+def test_score_query_runs_one_encoder_pass(cloze_setup, monkeypatch):
+    calls = _counting_encode_batch(monkeypatch)
     for mode in ("word", "entity-y", "entity-xy"):
         score_query(cloze_setup, q(cands=MIXED_CANDIDATES), mode)
-    assert calls == [4, 4, 4]
+    # word mode: k = 1 and k = 2; each entity mode: (entity, 1), (word, 2), (word, 1), (entity, 2)
+    assert [batch["word_ids"].shape[0] for batch in calls] == [2, 4, 4]
+
+
+# one- and two-word surfaces; "japan", "tokyo" and the explicit keys resolve to entities, the rest fall back
+THIRTY_CANDIDATES = (
+    [(s, None) for s in ("japan", "tokyo", "kyoto", "big", "city", "a", "b",
+                         "big city", "a b", "tokyo japan", "kyoto city")] * 2
+    + [("big city", "japan"), ("a b", "tokyo"), ("kyoto", "tokyo"), ("b", "japan"),
+       ("city", "nope"), ("city a", None), ("japan", "tokyo"), ("tokyo kyoto", "japan")]
+)
+
+
+def _reference_scores(m, query, mode):
+    """(scores, used) with one batch row per candidate: every candidate's own
+    sequence packed into one batch, each word-scored token and each
+    entity-scored candidate projected as one head row."""
+    sub_eid = (resolve_candidate_entity(m.entity_vocab, query.language, query.sub_surface, query.sub_entity)
+               if mode == "entity-xy" else None)
+    seqs, targets = [], []
+    for surface, explicit in query.candidates:
+        tokens = surface.split()
+        eid = resolve_candidate_entity(m.entity_vocab, query.language, surface, explicit) if mode != "word" else None
+        if eid is None:
+            seq, y_pos, _ = _build_cloze_input(m, query, len(tokens))
+            targets.append((y_pos, None, m.word_vocab.encode(tokens)))
+        else:
+            seq, y_pos, ent_index = _build_cloze_input(m, query, len(tokens), subject_entity_id=sub_eid,
+                                                       y_entity_id=m.entity_vocab.mask_id)
+            targets.append((y_pos, ent_index, eid))
+        seqs.append(seq)
+    out = encode_batch(m.params, m.encoder_config, pack_batch(seqs))
+    scores = [0.0] * len(seqs)
+    word = [(b, y_pos, ids) for b, (y_pos, ent_index, ids) in enumerate(targets) if ent_index is None]
+    if word:
+        rows = np.concatenate([np.full(len(y_pos), b) for b, y_pos, _ in word])
+        cols = np.concatenate([y_pos for _, y_pos, _ in word])
+        lp = log_softmax_np(out.word_vectors[rows, cols] @ m.params["mlm_head.w"].data
+                            + m.params["mlm_head.b"].data, axis=-1)
+        lo = 0
+        for b, _, ids in word:
+            scores[b] = float(np.mean(lp[np.arange(lo, lo + len(ids)), ids]))
+            lo += len(ids)
+    ent = [(b, ent_index, eid) for b, (_, ent_index, eid) in enumerate(targets) if ent_index is not None]
+    if ent:
+        vectors = out.entity_vectors[[b for b, _, _ in ent], [i for _, i, _ in ent]]
+        lp = log_softmax_np(vectors @ m.params["mep_head.w"].data + m.params["mep_head.b"].data, axis=-1)
+        for row, (b, _, eid) in enumerate(ent):
+            scores[b] = float(lp[row, eid])
+    return scores, [t[1] is not None for t in targets]
+
+
+SHARED_ROW_QUERIES = {
+    "mixed": dict(cands=MIXED_CANDIDATES),
+    "thirty": dict(cands=THIRTY_CANDIDATES, gold=5),
+    "thirty-unresolved-subject": dict(cands=THIRTY_CANDIDATES, sub="big city", sub_entity="nope"),
+    # in the entity modes all three share one row, but the MEP head still projects three
+    "one-key": dict(cands=[("japan", None), ("tokyo", None), ("kyoto", "japan")]),
+}
+
+
+@pytest.mark.parametrize("mode", ["word", "entity-y", "entity-xy"])
+@pytest.mark.parametrize("name", list(SHARED_ROW_QUERIES))
+# with 10 more entities, a head GEMM over one row per distinct input, not per candidate, rounds differently
+@pytest.mark.parametrize("extra_entities", [0, 10])
+def test_shared_rows_score_as_one_row_per_candidate(cloze_setup, monkeypatch, mode, name, extra_entities):
+    m = _cloze_model(extra_entities) if extra_entities else cloze_setup
+    query = q(**SHARED_ROW_QUERIES[name])
+    want_scores, want_used = _reference_scores(m, query, mode)
+    calls = _counting_encode_batch(monkeypatch)
+    scores, used = score_query(m, query, mode)
+    assert scores == want_scores  # identical floats, not approximately
+    assert used == want_used
+    # one row per distinct input key, no two rows alike
+    (batch,) = calls
+    keys = {(u, len(surface.split())) for (surface, _), u in zip(query.candidates, want_used)}
+    assert batch["word_ids"].shape[0] == len(keys)
+    rows = {(w.tobytes(), e.tobytes()) for w, e in zip(batch["word_ids"], batch["entity_ids"])}
+    assert len(rows) == len(keys)
 
 
 def test_score_query_validates_every_sequence(cloze_setup):
@@ -233,6 +332,13 @@ def test_evaluate_counts_word_fallbacks(cloze_setup):
         rep = evaluate(cloze_setup, queries, mode=mode)
         assert rep["candidates_scored"] == 8
         assert rep["word_fallbacks"] == fallbacks
+
+
+def test_evaluate_counts_entity_xy_subject_fallbacks(cloze_setup):
+    # "tokyo" resolves to an entity; "kyoto" does not, so entity-xy scores it without a subject token
+    queries = [q(sub="tokyo"), q(sub="kyoto"), q(sub="tokyo")]
+    for mode, subject_fallbacks in (("word", 0), ("entity-y", 0), ("entity-xy", 1)):
+        assert evaluate(cloze_setup, queries, mode=mode)["subject_fallbacks"] == subject_fallbacks
 
 
 def test_top1_fp_ratio_table_oracle():
