@@ -170,30 +170,51 @@ FEATURE_SPECS = ("span-mean", "re-word", "re-entity")
 FEATURE_DUMP_GROUP = 16
 
 
+def _bounds(value, n, what):
+    """(start, end) of a two-item list of ints (not bools) with 0 <= start < end <= n."""
+    if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
+        raise ContractError(f"{what} {value!r} is not a list of two integers")
+    s, e = value
+    if not 0 <= s < e <= n:
+        raise ContractError(f"{what} ({s}, {e}) out of bounds for {n} tokens")
+    return s, e
+
+
 def load_span_items(path, word_vocab, entity_vocab):
     """span-mean `feature_dump` items from JSON lines {id, lang, tokens, span}
     with optional `entities` [[key, start, end], ...]: each an entity token
-    over tokens [start, end), its key a canonical key or a title in `lang`."""
+    over tokens [start, end), its key a canonical key or a title in `lang`.
+    `id`, `lang` and each key are strings, `tokens` a list of strings, and
+    every bound an integer (a bool is refused)."""
 
     def item(d):
-        n = len(d["tokens"])
-        s, e = d["span"]
-        if not 0 <= s < e <= n:
-            raise ContractError(f"span ({s}, {e}) out of bounds for {n} tokens")
+        for field in ("id", "lang"):
+            if not isinstance(d[field], str):
+                raise ContractError(f"{field} {d[field]!r} is not a string")
+        tokens, lang = d["tokens"], d["lang"]
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise ContractError(f"tokens {tokens!r} is not a list of strings")
+        n = len(tokens)
+        s, e = _bounds(d["span"], n, "span")
+        entities = d.get("entities", [])
+        if not isinstance(entities, list):
+            raise ContractError(f"entities {entities!r} is not a list")
         entity_ids, entity_positions = [], []
-        for key, es, ee in d.get("entities", []):
+        for row in entities:
+            if not (isinstance(row, list) and len(row) == 3 and isinstance(row[0], str)):
+                raise ContractError(f"entity row {row!r} is not [key, start, end] with a string key")
+            key = row[0]
+            es, ee = _bounds(row[1:], n, "entity span")
             eid = entity_vocab.resolve_key(key)
             if eid is None:
-                eid = entity_vocab.resolve(d["lang"], key)
+                eid = entity_vocab.resolve(lang, key)
             if eid is None:
-                raise ContractError(f"entity {key!r} is neither a key nor a {d['lang']} title in the vocab")
-            if not 0 <= es < ee <= n:
-                raise ContractError(f"entity span ({es}, {ee}) out of bounds for {n} tokens")
+                raise ContractError(f"entity {key!r} is neither a key nor a {lang} title in the vocab")
             entity_ids.append(eid)
             entity_positions.append(list(range(es, ee)))
-        return str(d["id"]), d["lang"], {"word_ids": word_vocab.encode(d["tokens"]), "span": (s, e),
-                                         "entity_ids": entity_ids, "entity_positions": entity_positions,
-                                         "text": " ".join(d["tokens"][s:e])}
+        return d["id"], lang, {"word_ids": word_vocab.encode(tokens), "span": (s, e),
+                               "entity_ids": entity_ids, "entity_positions": entity_positions,
+                               "text": " ".join(tokens[s:e])}
 
     return read_json_lines(path, item)
 

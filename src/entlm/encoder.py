@@ -8,9 +8,12 @@ through ordinary full self-attention together.
 Small batches spend their time on per-node bookkeeping, so the graph is kept
 short: the whole input layer (word, position and type lookups, the entity
 lookup, projection, type row and mention-position term, and the join of
-the two token kinds) is one `T.input_embedding` node, each residual add
-lives inside the `T.residual_layer_norm` after it, and the attention score
-mask is built once per `encode_batch` and read by every layer.
+the two token kinds) is one `T.input_embedding` node, each layer's
+attention sublayer (q/k/v projections, attention, output projection and
+their dropouts) one `T.attention_block` and its feed-forward sublayer one
+`T.ffn_block`, each residual add lives inside the `T.residual_layer_norm`
+after it, and the attention score mask is built once per `encode_batch` and
+read by every layer.  So a layer is four nodes.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ ENTITY_TYPE_ID = 1
 TYPE_ROWS = 2  # rows of type_emb and entity_type_emb, one per token type
 
 NEG_INF = -1e30
+
+# a layer's parameters in the order `T.attention_block` and `T.ffn_block` take them
+_ATTENTION_PARAMS = tuple("attn." + name for name in ("wq", "qb", "wk", "kb", "wv", "vb", "wo", "ob"))
+_FFN_PARAMS = ("ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
 
 
 @dataclass
@@ -189,21 +196,6 @@ def embed_input(params, config, batch):
                              mean=config.entity_position_mode == "mean")
 
 
-def _attention(params, config, x, bias, layer, p, rng):
-    pre = f"layer{layer}.attn."
-    q = T.linear(x, params[pre + "wq"], params[pre + "qb"])
-    k = T.linear(x, params[pre + "wk"], params[pre + "kb"])
-    v = T.linear(x, params[pre + "wv"], params[pre + "vb"])
-    ctx = T.attention(q, k, v, bias, config.heads, p=p, rng=rng)
-    return T.linear(ctx, params[pre + "wo"], params[pre + "ob"])
-
-
-def _ffn(params, config, x, layer):
-    pre = f"layer{layer}.ffn."
-    h = T.gelu(T.linear(x, params[pre + "w1"], params[pre + "b1"]))
-    return T.linear(h, params[pre + "w2"], params[pre + "b2"])
-
-
 def encode_batch(params, config, batch, rng=None, train=False):
     """Run a padded batch through the encoder.
 
@@ -234,10 +226,12 @@ def encode_batch(params, config, batch, rng=None, train=False):
     x = T.dropout(x, p, rng)
 
     for l in range(config.layers):
-        a = T.dropout(_attention(params, config, x, bias, l, p, rng), p, rng)
-        x = T.residual_layer_norm(x, a, params[f"layer{l}.attn_ln.gain"], params[f"layer{l}.attn_ln.bias"])
-        f = T.dropout(_ffn(params, config, x, l), p, rng)
-        x = T.residual_layer_norm(x, f, params[f"layer{l}.ffn_ln.gain"], params[f"layer{l}.ffn_ln.bias"])
+        pre = f"layer{l}."
+        weights = [params[pre + name] for name in _ATTENTION_PARAMS]
+        a = T.attention_block(x, weights, bias, config.heads, p=p, rng=rng)
+        x = T.residual_layer_norm(x, a, params[pre + "attn_ln.gain"], params[pre + "attn_ln.bias"])
+        f = T.ffn_block(x, *(params[pre + name] for name in _FFN_PARAMS), p=p, rng=rng)
+        x = T.residual_layer_norm(x, f, params[pre + "ffn_ln.gain"], params[pre + "ffn_ln.bias"])
 
     wt = x[:, :M, :]
     et = x[:, M:, :] if n_ent else T.constant(np.zeros((B, 0, config.hidden_size)))

@@ -129,18 +129,11 @@ def init_model(config: EncoderConfig, seed=0):
 
 
 def _head_loss(vectors, labels, w, b):
-    """Mean cross-entropy over labeled positions; (loss tensor, live count).
-
-    Only the labeled rows are projected onto the vocabulary, as BERT's
-    `gather_indexes` does: ignored rows add nothing to the loss or its
-    gradient, so their (H, V) products are never formed.
-    """
+    """Mean cross-entropy over labeled positions, one `T.gathered_cross_entropy`
+    node that projects only the labeled rows; (loss tensor, live count)."""
     labels = np.asarray(labels).reshape(-1)
-    H = vectors.shape[-1]
-    flat = T.reshape(vectors, (-1, H))
-    rows = np.flatnonzero(labels != IGNORE_LABEL)
-    logits = T.linear(T.getitem(flat, rows), w, b)
-    return T.cross_entropy_logits(logits, labels[rows], ignore_index=IGNORE_LABEL), rows.size
+    loss = T.gathered_cross_entropy(vectors, labels, w, b, ignore_index=IGNORE_LABEL)
+    return loss, int(np.count_nonzero(labels != IGNORE_LABEL))
 
 
 def mep_loss(entity_vectors, entity_labels, params):

@@ -2,20 +2,30 @@
 
 Plain row-major numpy kernels, float64 by default.  A Tensor records the op
 that produced it and closures that push gradients to its parents; backward()
-walks the implicit graph once in reverse topological order.  Four fused ops
-cut the encoder's node count: `linear` (x @ w + b), `attention` (the scaled,
-masked softmax attention core over all heads), `input_embedding` (the
+walks the implicit graph once in reverse topological order.  Six fused ops
+cut the encoder's node count: `linear` (x @ w + b), `input_embedding` (the
 encoder's whole input layer: word, position and type lookups, then entity
 lookups with their projection, type row and mention-position sums, joined
-along the sequence axis) and `residual_layer_norm` (layer_norm(x + a)),
-each doing the same numpy arithmetic, in the same order, as the chain of
-single ops it replaces.
+along the sequence axis), `attention_block` (an attention sublayer: the q,
+k and v projections, the scaled, masked softmax attention core over all
+heads with its dropout, the output projection and its dropout),
+`ffn_block` (linear, GELU, linear, dropout), `residual_layer_norm`
+(layer_norm(x + a)) and `gathered_cross_entropy` (a pretraining head: the
+labelled rows gathered, projected onto the decoder and scored by
+cross-entropy).  Each does the same numpy arithmetic, in the same order,
+draws its dropout masks in the same order, and adds a parent's gradient
+parts in the same order as the chain of single ops it replaces, so results
+are bit-identical to that chain; the arithmetic it shares with a single op
+(`linear`'s, `gelu`'s, `cross_entropy_logits`') is written once, in private
+helpers.  A fused backward checks each gradient it computes for an inner
+step, as backward() checks the gradient into every node of a chain, and
+names the fused node when one is not finite.
 Kernels compute their intermediates in place in buffers they allocated
 themselves.  Inside `no_grad()` ops record no graph, for forward-only
 passes, and no backward closure will read a kernel's buffers: there
-`attention` writes its scores into one module-level workspace, grown to the
-largest score size seen but never past ATTENTION_WORKSPACE_CAP elements,
-and `gelu` and `layer_norm` write their output over their own
+`attention_block` writes its scores into one module-level workspace, grown
+to the largest score size seen but never past ATTENTION_WORKSPACE_CAP
+elements, and `gelu` and `layer_norm` write their output over their own
 intermediates.  So an eval forward pass does not fault in a fresh score
 buffer per call.  Recording calls (training) allocate every buffer as
 before and never touch the workspace.
@@ -46,8 +56,8 @@ class Tensor:
     Treat instances as immutable after construction.  A kernel never writes
     into its inputs; it may overwrite only arrays it allocated itself that no
     backward closure reads afterwards, so a forward pass builds no throwaway
-    full-size temporaries.  Under `no_grad()` `attention` may also write its
-    scores into the shared workspace; no output ever aliases it.
+    full-size temporaries.  Under `no_grad()` `attention_block` may also write
+    its scores into the shared workspace; no output ever aliases it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_op")
@@ -73,8 +83,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        tag = f" name={self.name}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, op={self._op!r}{tag})"
+        return _describe(self.data.shape, self._op, self.name)
 
     # operator sugar; all arithmetic routes through the module-level kernels
     def __add__(self, other):
@@ -99,6 +108,14 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
+
+
+def _describe(shape, op, name=None):
+    """A tensor's repr from its parts, so a backward closure can name its own
+    node without holding it (a node that its closure holds is a reference
+    cycle: its graph would outlive the step until the cyclic collector runs)."""
+    tag = f" name={name}" if name else ""
+    return f"Tensor(shape={shape}, op={op!r}{tag})"
 
 
 def _wrap(x):
@@ -268,25 +285,60 @@ def matmul(a, b):
     return _make(out_data, (a, b), backward, "matmul")
 
 
+def _affine(x, w, b):
+    """x @ w + b on arrays: `linear`'s forward arithmetic, shared by the fused blocks."""
+    out = np.matmul(x, w)
+    out += b
+    return out
+
+
+def _affine_grads(x, w, g):
+    """`linear`'s backward on arrays: the gradients of x @ w + b for g."""
+    gx = np.matmul(g, w.T)
+    # a shared weight: fold every leading axis of x into one 2-D GEMM
+    gw = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, w.shape[-1])
+    # the bias sums g over every leading axis: `_unbroadcast`'s g.sum without its wrappers
+    gb = np.add.reduce(g, axis=tuple(range(g.ndim - 1))) if g.ndim > 1 else g
+    return gx, gw, gb
+
+
+def _check_inner(g, shape, op, step):
+    """g, the gradient a fused node (an `op` output shaped `shape`) computed
+    for one of its inner steps; raise ContractError naming the node and the
+    step unless it is finite, as backward() checks the gradient into every
+    node of a chain."""
+    if not np.isfinite(g).all():
+        raise ContractError(f"backward: non-finite gradient at node {_describe(shape, op)}, into its {step}")
+    return g
+
+
+def _dropout_mask(shape, p, rng):
+    """An inverted-dropout mask: 0 with probability p, else 1 / (1 - p)."""
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
+def _check_rate(p, rng, op):
+    if not 0.0 <= p < 1.0:
+        raise ContractError(f"{op}: dropout rate {p} outside [0, 1)")
+    if p > 0.0 and rng is None:
+        raise ContractError(f"{op}: dropout needs an rng")
+
+
 def linear(x, w, b):
     """x @ w + b as one node; w is (in, out) and b is (out,)."""
     if x.ndim < 1 or w.ndim != 2 or b.shape != (w.shape[1],):
         raise ShapeError(f"linear: input {x.shape}, weight {w.shape} and bias {b.shape} do not fit")
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: input axis -1 has {x.shape[-1]}, weight axis 0 has {w.shape[0]}")
-    out_data = np.matmul(x.data, w.data)
-    out_data += b.data
 
     def backward(g):
-        gx = np.matmul(g, w.data.T)
-        # a shared weight: fold every leading axis of x into one 2-D GEMM
-        gw = x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, w.shape[-1])
-        return _unbroadcast(gx, x.shape), gw, _unbroadcast(g, b.shape)
+        gx, gw, gb = _affine_grads(x.data, w.data, g)
+        return _unbroadcast(gx, x.shape), gw, gb
 
-    return _make(out_data, (x, w, b), backward, "linear")
+    return _make(_affine(x.data, w.data, b.data), (x, w, b), backward, "linear")
 
 
-# Under no_grad, attention's (B, heads, S, S) scores go into one flat float64
+# Under no_grad, attention_block's (B, heads, S, S) scores go into one flat float64
 # workspace that grows to the largest such size seen, up to this many
 # elements (8 MiB); a larger call allocates its own buffer, as a recording
 # call always does.  A fresh score buffer of a QA item's size (0.5-0.74 MB)
@@ -309,72 +361,95 @@ def _score_buffer(shape):
     return _attention_workspace[:n].reshape(shape)
 
 
-def attention(q, k, v, bias, heads, p=0.0, rng=None):
-    """Multi-head scaled dot-product attention core as one node.
+def attention_block(x, weights, bias, heads, p=0.0, rng=None):
+    """An encoder layer's attention sublayer as one node.
 
-    q, k, v are (B, S, H) projections; `bias` is an additive score mask
-    broadcastable to (B, heads, S, S).  Splits the heads, applies
-    softmax(q k^T / sqrt(dh) + bias), inverted dropout at rate p on the
-    probabilities (drawn from `rng`), multiplies by v and merges the heads.
+    x is (B, S, H); `weights` is (wq, qb, wk, kb, wv, vb, wo, ob), each
+    w (H, H) and each b (H,); `bias` is an additive score mask broadcastable
+    to (B, heads, S, S).  Projects q, k and v with `linear`'s arithmetic,
+    splits the heads, applies softmax(q k^T / sqrt(dh) + bias), inverted
+    dropout at rate p on the probabilities, multiplies by v, merges the
+    heads, projects the result through wo and ob and applies dropout at rate
+    p again; both masks are drawn from `rng`, in that order.  The numpy
+    calls are those of the `linear`, attention-core and `dropout` chain this
+    node replaces, in order, so results are bit-identical to it.  x is a
+    parent three times, once per projection: `backward` adds the q, then
+    the k, then the v part into what x has collected, as the chain did.
     """
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"attention: q, k, v must share one (B, S, H) shape, "
-                         f"got {q.shape}, {k.shape} and {v.shape}")
-    B, S, H = q.shape
+    if len(weights) != 8:
+        raise ShapeError(f"attention_block: expected 8 weights (wq, qb, wk, kb, wv, vb, wo, ob), got {len(weights)}")
+    wq, qb, wk, kb, wv, vb, wo, ob = weights
+    if x.ndim != 3:
+        raise ShapeError(f"attention_block: input must be (B, S, H), got {x.shape}")
+    B, S, H = x.shape
+    if [t.shape for t in weights] != [(H, H), (H,)] * 4:
+        raise ShapeError(f"attention_block: weights {[w.shape for w in weights]} do not fit width {H}")
     if heads < 1:
-        raise ShapeError(f"attention: heads must be >= 1, got {heads}")
+        raise ShapeError(f"attention_block: heads must be >= 1, got {heads}")
     if H % heads:
-        raise ShapeError(f"attention: hidden size {H} not divisible by {heads} heads")
+        raise ShapeError(f"attention_block: hidden size {H} not divisible by {heads} heads")
     score_shape = (B, heads, S, S)
     try:
         fits = np.broadcast_shapes(np.shape(bias), score_shape) == score_shape
     except ValueError:
         fits = False
     if not fits:
-        raise ShapeError(f"attention: bias shape {np.shape(bias)} does not broadcast to scores {score_shape}")
-    if not 0.0 <= p < 1.0:
-        raise ContractError(f"attention: dropout rate {p} outside [0, 1)")
-    if p > 0.0 and rng is None:
-        raise ContractError("attention: dropout needs an rng")
+        raise ShapeError(f"attention_block: bias shape {np.shape(bias)} does not broadcast to scores {score_shape}")
+    _check_rate(p, rng, "attention_block")
     dh = H // heads
     c = float(1.0 / np.sqrt(dh))
 
+    # ndarray methods, not numpy's Python-level wrappers: the same views and
+    # reductions (max and sum are maximum.reduce and add.reduce) for less dispatch
     def split(t):
-        return np.transpose(t.reshape((B, S, heads, dh)), (0, 2, 1, 3))
+        return t.reshape((B, S, heads, dh)).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    kt = np.transpose(kh, (0, 1, 3, 2))
+    def merge(th):
+        return th.transpose(0, 2, 1, 3).reshape((B, S, H))
+
+    qh, kh, vh = (split(_affine(x.data, w.data, b.data)) for w, b in ((wq, qb), (wk, kb), (wv, vb)))
+    kt = kh.transpose(0, 1, 3, 2)
     # scores, their shifted exponentials and the probabilities share one buffer
     probs = np.matmul(qh, kt, out=None if _grad_enabled else _score_buffer(score_shape))
     probs *= c
     probs += bias
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     mask = None
     dropped = probs
     if p > 0.0:
-        mask = (rng.random(probs.shape) >= p) / (1.0 - p)
+        mask = _dropout_mask(probs.shape, p, rng)
         dropped = probs * mask
-    ctx = np.matmul(dropped, vh)
-    out_data = np.transpose(ctx, (0, 2, 1, 3)).reshape((B, S, H))
-
-    def merge(gh):
-        return np.transpose(gh, (0, 2, 1, 3)).reshape((B, S, H))
+    ctx = merge(np.matmul(dropped, vh))
+    out_data = _affine(ctx, wo.data, ob.data)
+    out_shape = out_data.shape
+    out_mask = None
+    if p > 0.0:
+        out_mask = _dropout_mask(out_data.shape, p, rng)
+        out_data *= out_mask
 
     def backward(g):
-        gctx = np.transpose(g.reshape((B, S, heads, dh)), (0, 2, 1, 3))
-        gprobs = np.matmul(gctx, np.swapaxes(vh, -1, -2))
-        gvh = np.matmul(np.swapaxes(dropped, -1, -2), gctx)
+        if out_mask is not None:
+            g = _check_inner(g * out_mask, out_shape, "attention_block", "output projection")
+        gctx, gwo, gob = _affine_grads(ctx, wo.data, g)
+        gctx = split(_check_inner(gctx, out_shape, "attention_block", "attention core"))
+        gprobs = np.matmul(gctx, vh.swapaxes(-1, -2))
+        gvh = np.matmul(dropped.swapaxes(-1, -2), gctx)
         if mask is not None:
             gprobs = gprobs * mask
-        dot = (gprobs * probs).sum(axis=-1, keepdims=True)
+        dot = np.add.reduce(gprobs * probs, axis=-1, keepdims=True)
         gs = probs * (gprobs - dot) * c
-        gqh = np.matmul(gs, np.swapaxes(kt, -1, -2))
-        gkt = np.matmul(np.swapaxes(qh, -1, -2), gs)
-        return merge(gqh), merge(np.transpose(gkt, (0, 1, 3, 2))), merge(gvh)
+        gqh = np.matmul(gs, kt.swapaxes(-1, -2))
+        gkt = np.matmul(qh.swapaxes(-1, -2), gs)
+        grads = []
+        for name, gh, w, b in (("q", gqh, wq, qb), ("k", gkt.transpose(0, 1, 3, 2), wk, kb),
+                               ("v", gvh, wv, vb)):
+            gh = _check_inner(merge(gh), out_shape, "attention_block", name + " projection")
+            grads += _affine_grads(x.data, w.data, gh)
+        return (*grads, gwo, gob)
 
-    return _make(out_data, (q, k, v), backward, "attention")
+    return _make(out_data, (x, wq, qb, x, wk, kb, x, wv, vb, wo, ob), backward, "attention_block")
 
 
 def _scatter_rows(table, ids, g):
@@ -538,19 +613,61 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def gelu(x):
-    cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))  # an array even for rank 0
+def _gelu(x):
+    """GELU of the array x, x * Phi(x), and the cdf Phi(x) its gradient reads.
+    Without a backward closure to read the cdf, the output overwrites it."""
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))  # an array even for rank 0
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    # without a backward closure to read cdf, the output overwrites it
-    out_data = np.multiply(x.data, cdf, out=None if _grad_enabled else cdf)
+    return np.multiply(x, cdf, out=None if _grad_enabled else cdf), cdf
+
+
+def _gelu_grad(x, cdf, g):
+    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+    return g * (cdf + x * pdf)
+
+
+def gelu(x):
+    """GELU as one node.  The encoder computes GELU inside `ffn_block`; this
+    op stays public for tests and for perfbench's patcher, which wraps it by
+    name."""
+    out_data, cdf = _gelu(x.data)
 
     def backward(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        return (g * (cdf + x.data * pdf),)
+        return (_gelu_grad(x.data, cdf, g),)
 
     return _make(out_data, (x,), backward, "gelu")
+
+
+def ffn_block(x, w1, b1, w2, b2, p=0.0, rng=None):
+    """An encoder layer's feed-forward sublayer, dropout(linear(gelu(linear(x,
+    w1, b1)), w2, b2), p), as one node; w1 is (H, F) and w2 (F, H2).  The
+    numpy calls are those of the `linear`, `gelu`, `linear`, `dropout` chain
+    it replaces, in order, so results are bit-identical to it."""
+    if x.ndim < 1 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0] \
+            or b1.shape != (w1.shape[1],) or w2.shape[0] != w1.shape[1] or b2.shape != (w2.shape[1],):
+        raise ShapeError(f"ffn_block: input {x.shape} and weights {w1.shape}, {b1.shape}, {w2.shape}, "
+                         f"{b2.shape} do not fit")
+    _check_rate(p, rng, "ffn_block")
+    pre = _affine(x.data, w1.data, b1.data)
+    h, cdf = _gelu(pre)
+    out_data = _affine(h, w2.data, b2.data)
+    mask = None
+    if p > 0.0:
+        mask = _dropout_mask(out_data.shape, p, rng)
+        out_data *= mask
+
+    def backward(g):
+        if mask is not None:
+            g = _check_inner(g * mask, g.shape, "ffn_block", "second linear")
+        gh, gw2, gb2 = _affine_grads(h, w2.data, g)
+        gh = _check_inner(gh, g.shape, "ffn_block", "gelu")
+        gpre = _check_inner(_gelu_grad(pre, cdf, gh), g.shape, "ffn_block", "first linear")
+        gx, gw1, gb1 = _affine_grads(x.data, w1.data, gpre)
+        return gx, gw1, gb1, gw2, gb2
+
+    return _make(out_data, (x, w1, b1, w2, b2), backward, "ffn_block")
 
 
 def softmax(x, axis=-1):
@@ -571,7 +688,7 @@ def dropout(x, p, rng):
         raise ContractError(f"dropout: rate {p} outside [0, 1)")
     if p == 0.0:
         return x
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    mask = _dropout_mask(x.shape, p, rng)
     out_data = x.data * mask
 
     def backward(g):
@@ -664,6 +781,28 @@ def getitem(x, idx):
     return _make(np.array(out_data, copy=True), (x,), backward, "getitem")
 
 
+def _log_sum_exp(logits):
+    """(N, 1) log-sum-exp of each row of the (N, V) array `logits`."""
+    m = logits.max(axis=1, keepdims=True)
+    z = logits - m
+    return np.log(np.exp(z).sum(axis=1, keepdims=True)) + m
+
+
+def _mean_nll(logits, lse, rows, targets):
+    """Mean negative log-likelihood of class targets[i] at row rows[i]."""
+    nll = lse[rows, 0] - logits[rows, targets]
+    return np.float64(nll.sum() / rows.size)
+
+
+def _mean_nll_grad(logits, lse, rows, targets, g):
+    """`_mean_nll`'s gradient with respect to logits, times g."""
+    p = np.exp(logits - lse)
+    gl = np.zeros_like(logits)
+    gl[rows] = p[rows]
+    gl[rows, targets] -= 1.0
+    return gl * (g / rows.size)
+
+
 def cross_entropy_logits(logits, labels, ignore_index=-100):
     """Mean cross-entropy over rows whose label != ignore_index.
 
@@ -683,9 +822,7 @@ def cross_entropy_logits(logits, labels, ignore_index=-100):
     if n_live and (labels[live].min() < 0 or labels[live].max() >= logits.shape[1]):
         raise ShapeError(f"cross_entropy: label out of range for {logits.shape[1]} classes")
 
-    m = logits.data.max(axis=1, keepdims=True)
-    z = logits.data - m
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True)) + m
+    lse = _log_sum_exp(logits.data)
     if n_live == 0:
         out_data = np.float64(0.0)
 
@@ -695,17 +832,57 @@ def cross_entropy_logits(logits, labels, ignore_index=-100):
         return _make(out_data, (logits,), backward, "cross_entropy")
 
     rows = np.nonzero(live)[0]
-    nll = lse[rows, 0] - logits.data[rows, labels[rows]]
-    out_data = np.float64(nll.sum() / n_live)
+    targets = labels[rows]
 
     def backward(g):
-        p = np.exp(logits.data - lse)
-        gl = np.zeros_like(logits.data)
-        gl[rows] = p[rows]
-        gl[rows, labels[rows]] -= 1.0
-        return (gl * (g / n_live),)
+        return (_mean_nll_grad(logits.data, lse, rows, targets, g),)
 
-    return _make(out_data, (logits,), backward, "cross_entropy")
+    return _make(_mean_nll(logits.data, lse, rows, targets), (logits,), backward, "cross_entropy")
+
+
+def gathered_cross_entropy(x, labels, w, b, ignore_index=-100):
+    """A pretraining head's loss as one node: the mean cross-entropy of
+    linear(row, w, b) over the rows of x, viewed as (-1, H), whose label
+    != ignore_index; `labels` holds one label per row.
+
+    Only the labelled rows are gathered and projected onto the (H, V)
+    decoder, as BERT's `gather_indexes` does: ignored rows add nothing to
+    the loss or its gradient, so their products are never formed.  With no
+    labelled row the loss is exactly 0 and every gradient is zero.  The
+    numpy calls are those of the `reshape`, `getitem`, `linear`,
+    `cross_entropy_logits` chain it replaces, in order, so results are
+    bit-identical to it.
+    """
+    labels = np.asarray(labels).reshape(-1)
+    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],) \
+            or labels.size * x.shape[-1] != x.data.size:
+        raise ShapeError(f"gathered_cross_entropy: input {x.shape}, labels {labels.shape}, weight {w.shape} "
+                         f"and bias {b.shape} do not fit")
+    flat = x.data.reshape((-1, x.shape[-1]))
+    rows = np.flatnonzero(labels != ignore_index)
+    n = rows.size
+    if n == 0:
+        def backward(g):
+            return np.zeros_like(x.data), np.zeros_like(w.data), np.zeros_like(b.data)
+
+        return _make(np.float64(0.0), (x, w, b), backward, "gathered_cross_entropy")
+    targets = labels[rows]
+    if targets.min() < 0 or targets.max() >= w.shape[1]:
+        raise ShapeError(f"gathered_cross_entropy: label out of range for {w.shape[1]} classes")
+    gathered = flat[rows]  # an integer array index copies
+    logits = _affine(gathered, w.data, b.data)
+    lse = _log_sum_exp(logits)
+    live = np.arange(n)  # the rows of logits, every one labelled
+
+    def backward(g):
+        gl = _check_inner(_mean_nll_grad(logits, lse, live, targets, g), (), "gathered_cross_entropy", "decoder")
+        grows, gw, gb = _affine_grads(gathered, w.data, gl)
+        # the scattered copy holds grows' values and zeros, so checking grows covers it
+        gflat = np.zeros_like(flat)
+        gflat[rows] = _check_inner(grows, (), "gathered_cross_entropy", "row gather")
+        return gflat.reshape(x.shape), gw, gb
+
+    return _make(_mean_nll(logits, lse, live, targets), (x, w, b), backward, "gathered_cross_entropy")
 
 
 def log_softmax_np(x, axis=-1):
@@ -743,9 +920,11 @@ def backward(loss):
 
     A non-finite gradient raises ContractError naming the node it reached:
     an inner node, or the requires-grad leaf whose summed gradient it is.
-    A fused node's inner steps are not nodes, so an overflow inside
-    `input_embedding` names the table parameter (entity_emb, say) whose
-    gradient overflowed, where the unfused chain named an inner lookup.
+    A fused node's inner steps are not nodes.  `attention_block`,
+    `ffn_block` and `gathered_cross_entropy` check the gradient of each
+    inner step themselves and name the fused node and the step; an overflow
+    inside `input_embedding` names the table parameter (entity_emb, say)
+    whose gradient overflowed, where the unfused chain named an inner lookup.
     """
     if loss.data.ndim != 0:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")

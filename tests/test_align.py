@@ -1,5 +1,7 @@
 """Cross-lingual alignment: CWR MRR, k-NN modularity, embedding files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from entlm.align import (
     feature_dump,
     knn_graph,
     load_embeddings,
+    load_span_items,
     modularity,
     modularity_of_partition,
     save_embeddings,
@@ -181,6 +184,47 @@ def test_embedding_file_of_unequal_vectors_is_refused(tmp_path):
         f.write('{"id": "a", "lang": "en", "text": "a", "vector": [[1.0, 2.0]]}\n')
     with pytest.raises(ContractError, match=r"emb.jsonl:1: embedding for a is not a flat list of finite numbers"):
         load_embeddings(path)
+
+
+SPAN_ITEM = {"id": "s0", "lang": "en", "tokens": ["a", "b", "c"], "span": [1, 3], "entities": [["[MASK]", 0, 2]]}
+
+
+def _write_span_items(tmp_path, *records):
+    path = tmp_path / "spans.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return str(path)
+
+
+def test_span_items_load(task_model, tmp_path):
+    model, _ = task_model
+    path = _write_span_items(tmp_path, SPAN_ITEM, {**SPAN_ITEM, "id": "s1", "entities": []})
+    (uid, lang, item), (uid1, _, item1) = load_span_items(path, model.word_vocab, model.entity_vocab)
+    assert (uid, lang, uid1) == ("s0", "en", "s1")
+    assert item["word_ids"] == model.word_vocab.encode(["a", "b", "c"]) and item["span"] == (1, 3)
+    assert item["text"] == "b c" and item["entity_positions"] == [[0, 1]] and item1["entity_ids"] == []
+
+
+@pytest.mark.parametrize("field,value,named", [
+    ("tokens", "abc", "tokens"),  # not five one-character tokens
+    ("tokens", ["a", 2, "c"], "tokens"),
+    ("id", 7, "id"),
+    ("lang", 7, "lang"),
+    ("span", [True, 2], "span"),
+    ("span", [0.5, 2], "span"),  # not a raw slice TypeError
+    ("span", [1, 2, 3], "span"),
+    ("entities", "[MASK]", "entities"),
+    ("entities", [["[MASK]", 0]], "entity row"),
+    ("entities", [["[MASK]", 0, 1, 2]], "entity row"),
+    ("entities", [[7, 0, 1]], "entity row"),
+    ("entities", [["[MASK]", False, 1]], "entity span"),
+    ("entities", [["[MASK]", 0, 1.0]], "entity span"),
+], ids=lambda v: repr(v) if not isinstance(v, str) else v)
+def test_span_item_of_a_wrong_type_is_refused_naming_line_and_field(task_model, tmp_path, field, value, named):
+    model, _ = task_model
+    path = _write_span_items(tmp_path, SPAN_ITEM, {**SPAN_ITEM, field: value})
+    with pytest.raises(ContractError) as e:
+        load_span_items(path, model.word_vocab, model.entity_vocab)
+    assert str(e.value).startswith(f"{path}:2: {named} ")
 
 
 def test_feature_dump_span_mean(task_model):

@@ -1297,6 +1297,11 @@ MALFORMED = [
      _model_argv("dump-features", "--data", "--feature-spec", "span-mean"), 2),
     ("dump-features/span-entity-out-of-bounds", "spans", _record_edit(3, lambda r: r.update(entities=[["ent2", 1, 3]])),
      _model_argv("dump-features", "--data", "--feature-spec", "span-mean"), 3),
+    # a string would be encoded as one token per character
+    ("dump-features/span-tokens-a-string", "spans", _record_edit(2, lambda r: r.update(tokens="hello")),
+     _model_argv("dump-features", "--data", "--feature-spec", "span-mean"), 2),
+    ("dump-features/span-bound-a-float", "spans", _record_edit(3, lambda r: r.update(span=[0.0, 1])),
+     _model_argv("dump-features", "--data", "--feature-spec", "span-mean"), 3),
     ("dump-features/spans-cut-off", "spans", _cut_in_line(3),
      _model_argv("dump-features", "--data", "--feature-spec", "span-mean"), 3),
     ("dump-features/re-span-overlap", "re", _line_edit(3, lambda line: line.replace("\t3 4", "\t1 2")),

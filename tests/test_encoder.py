@@ -239,10 +239,36 @@ def test_toy_step_graph_node_count(tiny_config):
         batches.append(MaskedBatch(sequence=seq, word_labels=word_labels,
                                    entity_labels=[seq.entity_ids[0], IGNORE_LABEL]))
     total, _, _ = pretrain_step_loss(params, tiny_config, batches)
-    # the input node and its layer norm, 10 per layer (4 attention linears,
-    # attention, 2 residual layer norms, 2 FFN linears, gelu), 2 output
-    # slices, 4 per head loss, the sum
-    assert _inner_nodes(total) <= 33, _inner_nodes(total)
+    # the input node and its layer norm, 4 per layer (the attention and FFN
+    # blocks, 2 residual layer norms), 2 output slices, 1 per head loss, the sum
+    assert _inner_nodes(total) == 15, _inner_nodes(total)
+
+
+@pytest.mark.parametrize("dropout,nodes", [(0.0, 15), (0.1, 16)])
+def test_step_makes_one_node_per_sublayer_and_head(tiny_config, monkeypatch, dropout, nodes):
+    # every node a step builds is counted, not only those the loss reaches;
+    # with dropout the embedding dropout adds one, the sublayers' is inside them
+    from entlm.corpus import IGNORE_LABEL, MaskedBatch
+    from entlm.pretrain import init_model, pretrain_step_loss
+
+    cfg = replace(tiny_config, dropout=dropout).validate()
+    params = init_model(cfg, seed=0)
+    rng = substream(7, "node-count")
+    batches = []
+    for _ in range(4):
+        seq = random_sequence(rng, cfg, n_words=8, n_entities=2)
+        word_labels = [IGNORE_LABEL] * 8
+        word_labels[1] = seq.word_ids[1]
+        batches.append(MaskedBatch(sequence=seq, word_labels=word_labels,
+                                   entity_labels=[seq.entity_ids[0], IGNORE_LABEL]))
+    made = []
+    real_make = T._make
+    monkeypatch.setattr(T, "_make", lambda *args: made.append(real_make(*args)) or made[-1])
+    pretrain_step_loss(params, cfg, batches, rng=substream(7, "dropout"))
+    ops = [out._op for out in made if out._parents]
+    assert len(ops) == nodes, ops
+    assert ops.count("attention_block") == ops.count("ffn_block") == cfg.layers
+    assert ops.count("gathered_cross_entropy") == 2
 
 
 def test_eval_entry_points_hold_no_graph(monkeypatch):

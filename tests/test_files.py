@@ -165,7 +165,7 @@ def _write_fixtures(d):
                                    tail_span=(3, 4), label="employer")] * 2, d / "re.tsv")
     (d / "ner.txt").write_text("a B-PER\nb I-PER\nc O\n\nd B-LOC\n")
     (d / "spans.jsonl").write_text("".join(json.dumps({
-        "id": i, "lang": "en", "tokens": ["t0a_en", "ent0_en", "t0b_en"], "span": [1, 2 + i],
+        "id": f"s{i}", "lang": "en", "tokens": ["t0a_en", "ent0_en", "t0b_en"], "span": [1, 2 + i],
         "entities": [["ent0", 1, 2], ["Ent0_en", 0, 3]]}) + "\n"
         for i in range(2)))
     (d / "manifest.json").write_text(json.dumps({"argv": [

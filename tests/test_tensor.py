@@ -1,5 +1,6 @@
 """Autodiff core: kernel oracles, backward-pass finite-difference checks."""
 
+import gc
 import math
 import re
 
@@ -258,14 +259,15 @@ def test_backward_rejects_nonfinite_gradient():
 
 
 # ---------------------------------------------------------------------------
-# fused ops: linear and the attention core, against the op chains they replace
+# fused ops: linear, the attention and FFN sublayers and the gathered head
+# loss, against the op chains they replace
 
 
 def _linear_chain(x, w, b):
     return T.matmul(x, w) + b
 
 
-def _attention_chain(q, k, v, bias, heads, p=0.0, rng=None):
+def _attention_core_chain(q, k, v, bias, heads, p=0.0, rng=None):
     B, S, H = q.shape
     dh = H // heads
 
@@ -281,6 +283,25 @@ def _attention_chain(q, k, v, bias, heads, p=0.0, rng=None):
     return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (B, S, H))
 
 
+def _attention_block_chain(x, weights, bias, heads, p=0.0, rng=None):
+    """The attention sublayer as the chain of single nodes `attention_block` replaced."""
+    wq, qb, wk, kb, wv, vb, wo, ob = weights
+    q, k, v = T.linear(x, wq, qb), T.linear(x, wk, kb), T.linear(x, wv, vb)
+    ctx = _attention_core_chain(q, k, v, bias, heads, p=p, rng=rng)
+    return T.dropout(T.linear(ctx, wo, ob), p, rng)
+
+
+def _ffn_block_chain(x, w1, b1, w2, b2, p=0.0, rng=None):
+    return T.dropout(T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2), p, rng)
+
+
+def _gathered_chain(x, labels, w, b, ignore_index=-100):
+    labels = np.asarray(labels).reshape(-1)
+    rows = np.flatnonzero(labels != ignore_index)
+    logits = T.linear(T.getitem(T.reshape(x, (-1, x.shape[-1])), rows), w, b)
+    return T.cross_entropy_logits(logits, labels[rows], ignore_index=ignore_index)
+
+
 def _padded_bias(B=2, S=5, pad=2):
     mask = np.ones((B, S))
     mask[1, S - pad:] = 0.0
@@ -292,6 +313,39 @@ def _forward_and_grads(fn, params, weight):
     out = fn()
     T.backward(T.reduce_sum(T.mul(out, T.constant(weight))))
     return out.data, {n: p.grad for n, p in params.items()}
+
+
+def _assert_fused_equals_chain(fused, chain, params, weight):
+    """Forward and every gradient equal bit for bit; a residual reads x too,
+    as in the encoder, so x's parts are summed with another node's."""
+    def with_residual(build):
+        def run():
+            x = T.scale(params["x"], 1.0)
+            return T.residual_layer_norm(x, build(x), params["gain"], params["bias"])
+        return run
+
+    got = _forward_and_grads(with_residual(fused), params, weight)
+    want = _forward_and_grads(with_residual(chain), params, weight)
+    np.testing.assert_array_equal(got[0], want[0])
+    for name in params:
+        assert got[1][name] is not None, name
+        np.testing.assert_array_equal(got[1][name], want[1][name], err_msg=name)
+    with T.no_grad():
+        np.testing.assert_array_equal(with_residual(fused)().data, want[0])
+
+
+ATTENTION_WEIGHTS = ("wq", "qb", "wk", "kb", "wv", "vb", "wo", "ob")
+
+
+def _block_params(rng, B=2, S=5, H=6):
+    params = {"x": p(rng.normal(size=(B, S, H))), "gain": p(rng.normal(size=H)), "bias": p(rng.normal(size=H))}
+    for name in ATTENTION_WEIGHTS:
+        params[name] = p(rng.normal(size=(H, H) if name[0] == "w" else H))
+    return params
+
+
+def _attention_weights(params):
+    return [params[name] for name in ATTENTION_WEIGHTS]
 
 
 @pytest.mark.parametrize("shape", [(4, 5), (3, 4, 5)])
@@ -329,61 +383,188 @@ def test_linear_rejects_bad_shapes():
 def test_attention_matches_op_chain_bit_for_bit(rate):
     # head size 3: the 1/sqrt(dh) scale is inexact, so a reordered product shows
     rng = np.random.default_rng(13)
-    params = {n: p(rng.normal(size=(2, 5, 6))) for n in "qkv"}
+    params = _block_params(rng)
     bias = _padded_bias()
     weight = rng.normal(size=(2, 5, 6))
 
-    def fused():
-        return T.attention(params["q"], params["k"], params["v"], bias, 2, p=rate,
-                           rng=np.random.default_rng(5))
+    def build(block):
+        return lambda x: block(x, _attention_weights(params), bias, 2, p=rate, rng=np.random.default_rng(5))
 
-    def chain():
-        return _attention_chain(params["q"], params["k"], params["v"], bias, 2, p=rate,
-                                rng=np.random.default_rng(5))
+    _assert_fused_equals_chain(build(T.attention_block), build(_attention_block_chain), params, weight)
+    node = T.attention_block(params["x"], _attention_weights(params), bias, 2)
+    assert node._op == "attention_block"
+    assert node._parents == (params["x"], params["wq"], params["qb"], params["x"], params["wk"], params["kb"],
+                             params["x"], params["wv"], params["vb"], params["wo"], params["ob"])
 
-    a, b = _forward_and_grads(fused, params, weight), _forward_and_grads(chain, params, weight)
-    assert np.array_equal(a[0], b[0])
-    for name in params:
-        assert np.array_equal(a[1][name], b[1][name]), name
+
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+def test_ffn_block_matches_op_chain_bit_for_bit(rate):
+    rng = np.random.default_rng(37)
+    params = {"x": p(rng.normal(size=(2, 5, 6))), "gain": p(rng.normal(size=6)), "bias": p(rng.normal(size=6)),
+              "w1": p(rng.normal(size=(6, 8))), "b1": p(rng.normal(size=8)),
+              "w2": p(rng.normal(size=(8, 6))), "b2": p(rng.normal(size=6))}
+    weight = rng.normal(size=(2, 5, 6))
+
+    def build(block):
+        return lambda x: block(x, *(params[n] for n in ("w1", "b1", "w2", "b2")), p=rate,
+                               rng=np.random.default_rng(6))
+
+    _assert_fused_equals_chain(build(T.ffn_block), build(_ffn_block_chain), params, weight)
+
+
+@pytest.mark.parametrize("live", [3, 0])
+def test_gathered_cross_entropy_matches_op_chain_bit_for_bit(live):
+    rng = np.random.default_rng(38)
+    labels = np.full((2, 4), -100)
+    labels.reshape(-1)[[1, 4, 6][:live]] = [2, 0, 6][:live]
+    params = {"x": p(rng.normal(size=(2, 4, 5))), "w": p(rng.normal(size=(5, 7))), "b": p(rng.normal(size=7))}
+    runs = []
+    for loss in (T.gathered_cross_entropy, _gathered_chain):
+        T.zero_grads(params)
+        out = loss(T.scale(params["x"], 1.0), labels, params["w"], params["b"])
+        T.backward(T.scale(out, 3.0))
+        with T.no_grad():
+            forward = loss(params["x"], labels, params["w"], params["b"]).data
+        np.testing.assert_array_equal(forward, out.data)
+        runs.append((out.data, *(params[n].grad for n in params)))
+    for got, want in zip(*runs):
+        assert got is not None
+        np.testing.assert_array_equal(got, want)
+    if not live:
+        assert runs[0][0] == 0.0 and not any(np.any(g) for g in runs[0][1:])
+
+
+def test_gathered_cross_entropy_rejects_bad_input():
+    x, w, b = p(np.ones((2, 3, 4))), p(np.ones((4, 5))), p(np.zeros(5))
+    with pytest.raises(ShapeError, match="label out of range for 5 classes"):
+        T.gathered_cross_entropy(x, np.array([[0, 5, -100]] * 2), w, b)
+    with pytest.raises(ShapeError):
+        T.gathered_cross_entropy(x, np.zeros(5, dtype=np.int64), w, b)  # one label per row
+    with pytest.raises(ShapeError):
+        T.gathered_cross_entropy(x, np.zeros(6, dtype=np.int64), p(np.ones((3, 5))), b)
+    with pytest.raises(ShapeError):
+        T.gathered_cross_entropy(x, np.zeros(6, dtype=np.int64), w, p(np.zeros(4)))
+
+
+def test_ffn_block_rejects_bad_input():
+    x, w1, b1, w2, b2 = p(np.ones((2, 3, 4))), p(np.ones((4, 6))), p(np.zeros(6)), p(np.ones((6, 4))), p(np.zeros(4))
+    with pytest.raises(ShapeError):
+        T.ffn_block(x, w2, b1, w2, b2)
+    with pytest.raises(ShapeError):
+        T.ffn_block(x, w1, b2, w2, b2)
+    with pytest.raises(ShapeError):
+        T.ffn_block(x, w1, b1, w1, b2)
+    with pytest.raises(ContractError):
+        T.ffn_block(x, w1, b1, w2, b2, p=1.0, rng=np.random.default_rng(0))
+    with pytest.raises(ContractError):
+        T.ffn_block(x, w1, b1, w2, b2, p=0.1)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3])
 def test_grad_check_attention_padded_keys(rate):
     rng = np.random.default_rng(14)
-    params = {n: p(rng.normal(size=(2, 5, 8))) for n in "qkv"}
+    params = _block_params(rng, H=8)
+    weights = _attention_weights(params)
+    # softmax ignores a shift shared by every key, so kb's true gradient is 0
+    # and a finite difference of it is all noise
+    checked = {n: t for n, t in params.items() if n not in ("gain", "bias", "kb")}
     bias = _padded_bias()
-    weight = T.constant(rng.normal(size=(2, 5, 8)))
+    weight = rng.normal(size=(2, 5, 8))
+    weight[1, 3:] = 0.0  # the padded rows' own outputs do not count
 
     def loss():
-        # a fresh stream per call draws the same dropout mask at every probe
-        out = T.attention(params["q"], params["k"], params["v"], bias, 2, p=rate,
-                          rng=np.random.default_rng(9))
+        # a fresh stream per call draws the same dropout masks at every probe
+        out = T.attention_block(params["x"], weights, bias, 2, p=rate, rng=np.random.default_rng(9))
+        return T.reduce_sum(T.mul(out, T.constant(weight)))
+
+    assert T.grad_check(loss, checked, rng=np.random.default_rng(0)) < 1e-6
+    # keys under the mask get no gradient through k and v
+    assert np.all(params["x"].grad[1, 3:] == 0.0)
+
+
+def test_grad_check_ffn_block():
+    rng = np.random.default_rng(39)
+    params = {"x": p(rng.normal(size=(2, 3, 4))), "w1": p(rng.normal(size=(4, 6))), "b1": p(rng.normal(size=6)),
+              "w2": p(rng.normal(size=(6, 4))), "b2": p(rng.normal(size=4))}
+    weight = T.constant(rng.normal(size=(2, 3, 4)))
+
+    def loss():
+        out = T.ffn_block(*params.values(), p=0.2, rng=np.random.default_rng(3))
         return T.reduce_sum(T.mul(out, weight))
 
     assert T.grad_check(loss, params, rng=np.random.default_rng(0)) < 1e-6
-    # keys under the mask get no gradient
-    assert np.all(params["k"].grad[1, 3:] == 0.0) and np.all(params["v"].grad[1, 3:] == 0.0)
 
 
 def test_attention_rejects_bad_input():
     x = p(np.ones((1, 3, 4)))
+    weights = [p(np.ones((4, 4)) if i % 2 == 0 else np.zeros(4)) for i in range(8)]
+    bad = list(weights)
+    bad[4] = p(np.ones((4, 2)))
     with pytest.raises(ShapeError):
-        T.attention(x, x, p(np.ones((1, 2, 4))), np.zeros((1, 1, 1, 3)), 2)
+        T.attention_block(x, bad, np.zeros((1, 1, 1, 3)), 2)
     with pytest.raises(ShapeError):
-        T.attention(x, x, x, np.zeros((1, 1, 1, 3)), 3)
+        T.attention_block(x, weights[:6], np.zeros((1, 1, 1, 3)), 2)
+    with pytest.raises(ShapeError):
+        T.attention_block(p(np.ones((3, 4))), weights, np.zeros((1, 1, 1, 3)), 2)
+    with pytest.raises(ShapeError):
+        T.attention_block(x, weights, np.zeros((1, 1, 1, 3)), 3)
     with pytest.raises(ContractError):
-        T.attention(x, x, x, np.zeros((1, 1, 1, 3)), 2, p=1.0, rng=np.random.default_rng(0))
+        T.attention_block(x, weights, np.zeros((1, 1, 1, 3)), 2, p=1.0, rng=np.random.default_rng(0))
     with pytest.raises(ContractError):
-        T.attention(x, x, x, np.zeros((1, 1, 1, 3)), 2, p=0.1)
+        T.attention_block(x, weights, np.zeros((1, 1, 1, 3)), 2, p=0.1)
     for heads in (0, -2):
         with pytest.raises(ShapeError, match="heads"):
-            T.attention(x, x, x, np.zeros((1, 1, 1, 3)), heads)
+            T.attention_block(x, weights, np.zeros((1, 1, 1, 3)), heads)
     # a bias must broadcast to exactly (B, heads, S, S): not wider, not clashing
     for shape in ((1, 1, 1, 4), (2, 1, 1, 3), (1, 2, 3, 3, 3)):
         with pytest.raises(ShapeError, match=re.escape(f"{shape} does not broadcast to scores (1, 2, 3, 3)")):
-            T.attention(x, x, x, np.zeros(shape), 2)
+            T.attention_block(x, weights, np.zeros(shape), 2)
         with T.no_grad(), pytest.raises(ShapeError):
-            T.attention(x, x, x, np.zeros(shape), 2)
+            T.attention_block(x, weights, np.zeros(shape), 2)
+
+
+def _overflow_raises_naming(out, step):
+    assert np.isfinite(out.data).all()
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ContractError, match=re.escape(f"at node {out!r}, into its {step}")):
+        T.backward(T.reduce_sum(T.mul(out, T.constant(np.ones(out.shape)))))
+
+
+def test_attention_block_gradient_overflow_raises():
+    # v is zero, so the huge output projection's forward stays finite, while
+    # its input gradient g @ wo.T (a sum over 40 columns) overflows
+    params = _block_params(np.random.default_rng(40), H=40)
+    for name in ("wv", "vb"):
+        params[name].data[:] = 0.0
+    params["wo"].data[:] = 1e307
+    _overflow_raises_naming(T.attention_block(params["x"], _attention_weights(params), _padded_bias(), 2),
+                            "attention core")
+    assert params["wo"].grad is None and params["x"].grad is None
+
+
+def test_ffn_block_gradient_overflow_raises():
+    # a zero first linear makes gelu's output zero, so the huge second
+    # linear's forward stays finite while g @ w2.T (a sum over 40 columns)
+    # overflows
+    rng = np.random.default_rng(41)
+    x, w1, b1 = p(rng.normal(size=(2, 3, 4))), p(np.zeros((4, 6))), p(np.zeros(6))
+    w2, b2 = p(np.full((6, 40), 1e307)), p(rng.normal(size=40))
+    _overflow_raises_naming(T.ffn_block(x, w1, b1, w2, b2), "gelu")
+    assert w2.grad is None and x.grad is None
+
+
+def test_gathered_cross_entropy_gradient_overflow_raises():
+    # zero rows keep the logits at the bias; scaled by 100, the logits'
+    # gradient against a decoder of +-1e308 overflows in the rows' gradient
+    x, b = p(np.zeros((1, 2, 3))), p(np.zeros(4))
+    w = p(np.full((3, 4), 1e308))
+    w.data[:, 1] = -1e308
+    out = T.gathered_cross_entropy(x, np.array([[1, -100]]), w, b)
+    assert np.isfinite(out.data)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ContractError, match=re.escape(f"at node {out!r}, into its row gather")):
+        T.backward(T.scale(out, 100.0))
+    assert w.grad is None and x.grad is None
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +825,17 @@ def test_node_records_parents_only_when_one_needs_a_gradient():
 
 def reference_linear(x, w, b, g):
     out = np.matmul(x, w) + b
+    if g is None:
+        return out, ()
     gx = np.matmul(g, w.T)
     gw = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, w.shape[-1])
     gb = g if g.ndim == 1 else g.sum(axis=tuple(range(g.ndim - 1)))
     return out, (gx, gw, gb)
 
 
-def reference_attention(q, k, v, bias, heads, g, p=0.0, rng=None):
-    B, S, H = q.shape
+def reference_attention_block(x, weights, bias, heads, g, p=0.0, rng=None):
+    wq, qb, wk, kb, wv, vb, wo, ob = weights
+    B, S, H = x.shape
     dh = H // heads
     c = float(1.0 / np.sqrt(dh))
 
@@ -661,7 +845,7 @@ def reference_attention(q, k, v, bias, heads, g, p=0.0, rng=None):
     def merge(gh):
         return np.transpose(gh, (0, 2, 1, 3)).reshape((B, S, H))
 
-    qh, kh, vh = split(q), split(k), split(v)
+    qh, kh, vh = (split(reference_linear(x, w, b, None)[0]) for w, b in ((wq, qb), (wk, kb), (wv, vb)))
     kt = np.transpose(kh, (0, 1, 3, 2))
     scores = np.matmul(qh, kt) * c + bias
     m = scores.max(axis=-1, keepdims=True)
@@ -672,8 +856,13 @@ def reference_attention(q, k, v, bias, heads, g, p=0.0, rng=None):
     if p > 0.0:
         mask = (rng.random(probs.shape) >= p) / (1.0 - p)
         dropped = probs * mask
-    out = merge(np.matmul(dropped, vh))
-    gctx = np.transpose(g.reshape((B, S, heads, dh)), (0, 2, 1, 3))
+    ctx = merge(np.matmul(dropped, vh))
+    out_mask = (rng.random((B, S, H)) >= p) / (1.0 - p) if p > 0.0 else None
+    go = g if out_mask is None else g * out_mask
+    out, (gctx, gwo, gob) = reference_linear(ctx, wo, ob, go)
+    if out_mask is not None:
+        out = out * out_mask
+    gctx = np.transpose(gctx.reshape((B, S, heads, dh)), (0, 2, 1, 3))
     gprobs = np.matmul(gctx, np.swapaxes(vh, -1, -2))
     gvh = np.matmul(np.swapaxes(dropped, -1, -2), gctx)
     if mask is not None:
@@ -682,7 +871,10 @@ def reference_attention(q, k, v, bias, heads, g, p=0.0, rng=None):
     gs = probs * (gprobs - dot) * c
     gqh = np.matmul(gs, np.swapaxes(kt, -1, -2))
     gkt = np.matmul(np.swapaxes(qh, -1, -2), gs)
-    return out, (merge(gqh), merge(np.transpose(gkt, (0, 1, 3, 2))), merge(gvh))
+    grads = []
+    for gh, w, b in ((gqh, wq, qb), (np.transpose(gkt, (0, 1, 3, 2)), wk, kb), (gvh, wv, vb)):
+        grads += reference_linear(x, w, b, merge(gh))[1]
+    return out, (*grads, gwo, gob)
 
 
 def reference_layer_norm(x, gain, bias, g, eps=T.LAYER_NORM_EPS):
@@ -730,11 +922,13 @@ def _assert_same(fused, reference):
 @pytest.mark.parametrize("rate", [0.0, 0.25])
 def test_attention_in_place_equals_reference_bit_for_bit(rate):
     rng = np.random.default_rng(21)
-    q, k, v = (p(rng.normal(size=(2, 5, 6))) for _ in range(3))
+    params = _block_params(rng)
+    weights = _attention_weights(params)
     bias = _padded_bias()
-    out = T.attention(q, k, v, bias, 2, p=rate, rng=np.random.default_rng(8))
+    out = T.attention_block(params["x"], weights, bias, 2, p=rate, rng=np.random.default_rng(8))
     data, grads, g = _node_and_grads(out, rng)
-    ref = reference_attention(q.data, k.data, v.data, bias, 2, g, p=rate, rng=np.random.default_rng(8))
+    ref = reference_attention_block(params["x"].data, [w.data for w in weights], bias, 2, g, p=rate,
+                                    rng=np.random.default_rng(8))
     _assert_same((data, grads), ref)
 
 
@@ -924,20 +1118,22 @@ def empty_workspace(monkeypatch):
 
 
 def _attention_inputs(rng, B, S, H=6):
+    """(x, weights, bias) of an attention block over B sequences of S tokens."""
     mask = np.ones((B, S))
     mask[-1, S // 2:] = 0.0
     bias = np.where(mask[:, None, None, :] > 0, 0.0, -1e30)
-    return [p(rng.normal(size=(B, S, H))) for _ in range(3)] + [bias]
+    weights = [p(rng.normal(size=(H, H) if i % 2 == 0 else H)) for i in range(8)]
+    return p(rng.normal(size=(B, S, H))), weights, bias
 
 
 def test_recording_attention_leaves_the_workspace_untouched(empty_workspace):
     rng = np.random.default_rng(30)
     with T.no_grad():
-        T.attention(*_attention_inputs(rng, 2, 4), 2)
+        T.attention_block(*_attention_inputs(rng, 2, 4), 2)
     workspace = T._attention_workspace
     before = workspace.copy()
     for B, S in ((2, 4), (3, 9)):  # one shape that fits the workspace, one larger
-        out = T.attention(*_attention_inputs(rng, B, S), 2)
+        out = T.attention_block(*_attention_inputs(rng, B, S), 2)
         assert out._backward is not None
         assert not np.shares_memory(out.data, workspace)
     assert T._attention_workspace is workspace
@@ -948,9 +1144,9 @@ def test_recording_attention_leaves_the_workspace_untouched(empty_workspace):
 def test_no_grad_attention_outputs_are_independent(empty_workspace, rate):
     rng = np.random.default_rng(31)
     with T.no_grad():
-        first = T.attention(*_attention_inputs(rng, 2, 5), 2, p=rate, rng=np.random.default_rng(1))
+        first = T.attention_block(*_attention_inputs(rng, 2, 5), 2, p=rate, rng=np.random.default_rng(1))
         kept = first.data.copy()
-        second = T.attention(*_attention_inputs(rng, 2, 5), 2, p=rate, rng=np.random.default_rng(1))
+        second = T.attention_block(*_attention_inputs(rng, 2, 5), 2, p=rate, rng=np.random.default_rng(1))
     np.testing.assert_array_equal(first.data, kept)
     assert not np.array_equal(first.data, second.data)
     for out in (first, second):
@@ -960,9 +1156,9 @@ def test_no_grad_attention_outputs_are_independent(empty_workspace, rate):
 def test_no_grad_attention_equals_recording_across_shapes(empty_workspace):
     rng = np.random.default_rng(32)
     calls = [_attention_inputs(rng, B, S) for B, S in ((2, 4), (3, 9), (2, 3))]  # small, large, small
-    want = [T.attention(*inputs, 2).data for inputs in calls]
+    want = [T.attention_block(*inputs, 2).data for inputs in calls]
     with T.no_grad():
-        got = [T.attention(*inputs, 2).data for inputs in calls]
+        got = [T.attention_block(*inputs, 2).data for inputs in calls]
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
     assert T._attention_workspace.size == 3 * 2 * 9 * 9  # the largest score size seen
@@ -971,14 +1167,14 @@ def test_no_grad_attention_equals_recording_across_shapes(empty_workspace):
 def test_no_grad_attention_above_the_cap_allocates_its_own_scores(empty_workspace):
     rng = np.random.default_rng(33)
     with T.no_grad():
-        T.attention(*_attention_inputs(rng, 2, 4), 2)
+        T.attention_block(*_attention_inputs(rng, 2, 4), 2)
     workspace = T._attention_workspace
     # one head over S keys: S * S scores, just above the cap
     S = math.isqrt(T.ATTENTION_WORKSPACE_CAP) + 1
     inputs = _attention_inputs(rng, 1, S, H=2)
-    want = T.attention(*inputs, 1).data
+    want = T.attention_block(*inputs, 1).data
     with T.no_grad():
-        got = T.attention(*inputs, 1).data
+        got = T.attention_block(*inputs, 1).data
     np.testing.assert_array_equal(got, want)
     assert T._attention_workspace is workspace and workspace.size == 2 * 2 * 4 * 4
     assert T.ATTENTION_WORKSPACE_CAP * workspace.itemsize <= 8 << 20
@@ -1021,8 +1217,11 @@ def _op_cases(rng):
         ("scale", lambda a: T.scale(a, 1.5), [t(3, 4)], []),
         ("matmul", T.matmul, [t(2, 3, 4), t(4, 5)], []),
         ("linear", T.linear, [t(2, 3, 4), t(4, 5), t(5)], []),
-        ("attention", lambda q, k, v: T.attention(q, k, v, bias, 2, p=0.2, rng=np.random.default_rng(1)),
-         [t(2, 4, 6), t(2, 4, 6), t(2, 4, 6)], [bias]),
+        ("attention_block",
+         lambda x, *weights: T.attention_block(x, weights, bias, 2, p=0.2, rng=np.random.default_rng(1)),
+         [t(2, 4, 6)] + [t(6, 6) if i % 2 == 0 else t(6) for i in range(8)], [bias]),
+        ("ffn_block", lambda *args: T.ffn_block(*args, p=0.2, rng=np.random.default_rng(3)),
+         [t(2, 3, 4), t(4, 5), t(5), t(5, 4), t(4)], []),
         ("embedding", lambda a: T.embedding(a, ids), [t(4, 3)], [ids]),
         ("input_embedding",
          lambda *tables: T.input_embedding(tables, ids, (0, 1), ids[:, :2], positions, weights, mean=True),
@@ -1038,10 +1237,12 @@ def _op_cases(rng):
         ("transpose", lambda a: T.transpose(a, (1, 0)), [t(3, 4)], []),
         ("getitem", lambda a: T.getitem(a, rows), [t(3, 4)], [rows]),
         ("cross_entropy_logits", lambda a: T.cross_entropy_logits(a, labels), [t(3, 5)], [labels]),
+        ("gathered_cross_entropy", lambda x, w, b: T.gathered_cross_entropy(x, labels, w, b),
+         [t(1, 3, 4), t(4, 5), t(5)], [labels]),
     ]
 
 
-@pytest.mark.parametrize("case", range(20))
+@pytest.mark.parametrize("case", range(22))
 def test_kernel_never_writes_into_its_inputs(case):
     rng = np.random.default_rng(27)
     name, build, inputs, raw = _op_cases(rng)[case]
@@ -1058,6 +1259,22 @@ def test_kernel_never_writes_into_its_inputs(case):
     for i, (b, a) in enumerate(zip(before, after)):
         np.testing.assert_array_equal(a, b, err_msg=f"{name} wrote into input {i}")
     assert all(a.grad is not None for a in inputs), name
+
+
+@pytest.mark.parametrize("case", range(22))
+def test_kernel_graph_is_freed_without_the_cycle_collector(case):
+    # a closure that held its own node would keep every step's graph alive
+    # until the cyclic collector ran
+    name, build, inputs, _ = _op_cases(np.random.default_rng(27))[case]
+    gc.collect()
+    gc.disable()
+    try:
+        out = build(*inputs)
+        T.backward(out if out.ndim == 0 else T.reduce_sum(out))
+        del out
+        assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_every_kernel_is_covered_by_the_no_write_test():
