@@ -194,7 +194,8 @@ def score_query(model, query, mode):
     built = [_build_cloze_input(model, query, k, subject_entity_id=sub_eid, y_entity_id=model.entity_vocab.mask_id)
              if kind == "entity" else _build_cloze_input(model, query, k)
              for kind, k in rows]
-    seqs = [seq.validate(model.encoder_config) for seq, _, _ in built]
+    # pack_batch validates each sequence's words and mentions; its length is checked here
+    seqs = [seq.check_capacity(model.encoder_config) for seq, _, _ in built]
     out = encoder.encode_batch(model.params, model.encoder_config, encoder.pack_batch(seqs))
 
     scores = [0.0] * len(keyed)
@@ -205,7 +206,8 @@ def score_query(model, query, mode):
         logprobs = _mlm_logprobs(model, out.word_vectors[batch_rows, cols])
         lo = 0
         for b, _, ids in word:
-            scores[b] = float(np.mean(logprobs[np.arange(lo, lo + len(ids)), ids]))
+            # np.mean's own arithmetic, an add-reduce divided by the count, without its wrapper
+            scores[b] = float(np.add.reduce(logprobs[np.arange(lo, lo + len(ids)), ids]) / len(ids))
             lo += len(ids)
     ent = [(b, rows[key], eid) for b, (key, eid) in enumerate(keyed) if key[0] == "entity"]
     if ent:

@@ -18,6 +18,7 @@ read by every layer.  So a layer is four nodes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,16 @@ TYPE_ROWS = 2  # rows of type_emb and entity_type_emb, one per token type
 
 NEG_INF = -1e30
 
-# a layer's parameters in the order `T.attention_block` and `T.ffn_block` take them
-_ATTENTION_PARAMS = tuple("attn." + name for name in ("wq", "qb", "wk", "kb", "wv", "vb", "wo", "ob"))
-_FFN_PARAMS = ("ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
+# a layer's parameters in the order `encode_batch` reads them: `T.attention_block`'s
+# eight weights, the attention LayerNorm, `T.ffn_block`'s four weights, the FFN LayerNorm
+_LAYER_PARAMS = (*("attn." + name for name in ("wq", "qb", "wk", "kb", "wv", "vb", "wo", "ob")),
+                 "attn_ln.gain", "attn_ln.bias", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ffn_ln.gain", "ffn_ln.bias")
+
+
+@functools.cache
+def _layer_names(l):
+    """Layer l's `_LAYER_PARAMS` names, built once rather than on every forward pass."""
+    return tuple(f"layer{l}." + name for name in _LAYER_PARAMS)
 
 
 @dataclass
@@ -82,6 +90,11 @@ class EncodedSequence:
     entity_positions: list = field(default_factory=list)  # per entity: ordered word positions
 
     def validate(self, config: EncoderConfig | None = None):
+        """ContractError unless entity_ids and entity_positions pair up, each
+        entity's mention positions are non-empty and inside the sequence's
+        words, and the sequence has a word; with `config`, then
+        `check_capacity`.  `pack_batch` runs the checks that need no config
+        on every sequence it packs."""
         m = len(self.word_ids)
         if len(self.entity_ids) != len(self.entity_positions):
             raise ContractError("entity_ids and entity_positions length mismatch")
@@ -90,7 +103,16 @@ class EncodedSequence:
                 raise ContractError("entity with empty mention position set")
             if min(pos) < 0 or max(pos) >= m:
                 raise ContractError(f"entity position out of range [0, {m})")
-        if config is not None and m > config.max_positions:
+        if not m:
+            raise ContractError("sequence with no words")
+        if config is not None:
+            self.check_capacity(config)
+        return self
+
+    def check_capacity(self, config: EncoderConfig):
+        """CapacityError if the sequence has more words than max_positions."""
+        m = len(self.word_ids)
+        if m > config.max_positions:
             raise CapacityError(f"sequence of {m} words exceeds max_positions {config.max_positions}")
         return self
 
@@ -177,23 +199,32 @@ def embed_input(params, config, batch):
     (B, n) has n > 0 columns, the padded index array entity_pos (B, n, P)
     and its entity_pos_mask (B, n, P).  `encode_batch` checks that m is at
     most max_positions.
+
+    Checked here, in order: VocabError for a word id outside [0,
+    word_vocab_size) or an entity id outside [0, entity_vocab_size), then
+    ContractError for an entity whose mask row sums to 0.  The node comes
+    from `T._input_embedding`, the builder behind `T.input_embedding`,
+    given the id ranges read here: its ShapeError checks run on them, so no
+    id array is reduced twice.
     """
     word_ids = np.asarray(batch["word_ids"])
-    if word_ids.size and (word_ids.min() < 0 or word_ids.max() >= config.word_vocab_size):
+    word_range = T._id_range(word_ids)
+    if word_range is not None and (word_range[0] < 0 or word_range[1] >= config.word_vocab_size):
         raise VocabError(f"word id out of range for vocab of {config.word_vocab_size}")
     tables = [params["word_emb"], params["pos_emb"], params["type_emb"]]
     types = (WORD_TYPE_ID, ENTITY_TYPE_ID)
-    entity_ids = np.asarray(batch.get("entity_ids", np.zeros((len(word_ids), 0), dtype=np.int64)))
-    if not entity_ids.shape[1]:
-        return T.input_embedding(tables, word_ids, types)
-    if entity_ids.min() < 0 or entity_ids.max() >= config.entity_vocab_size:
+    entity_ids = np.asarray(batch["entity_ids"]) if "entity_ids" in batch else None
+    if entity_ids is None or not entity_ids.shape[1]:
+        return T._input_embedding(tables, word_ids, word_range, types)
+    entity_range = T._id_range(entity_ids)
+    if entity_range is not None and (entity_range[0] < 0 or entity_range[1] >= config.entity_vocab_size):
         raise VocabError(f"entity id out of range for vocab of {config.entity_vocab_size}")
     position_mask = np.asarray(batch["entity_pos_mask"], dtype=np.float64)
-    if not np.all(position_mask.sum(axis=-1) > 0):
+    if not (np.add.reduce(position_mask, axis=-1) > 0).all():
         raise ContractError("entity with empty mention position set")
     tables += [params["entity_emb"], params["entity_proj_w"], params["entity_proj_b"], params["entity_type_emb"]]
-    return T.input_embedding(tables, word_ids, types, entity_ids, batch["entity_pos"], position_mask,
-                             mean=config.entity_position_mode == "mean")
+    return T._input_embedding(tables, word_ids, word_range, types, entity_ids, entity_range, batch["entity_pos"],
+                              position_mask, mean=config.entity_position_mode == "mean")
 
 
 def encode_batch(params, config, batch, rng=None, train=False):
@@ -201,8 +232,13 @@ def encode_batch(params, config, batch, rng=None, train=False):
 
     `batch` is a dict with word_ids (B, M), word_mask (B, M), entity_ids
     (B, N), entity_mask (B, N), entity_pos (B, N, P), entity_pos_mask
-    (B, N, P).  N may be 0.  Returns ContextualOutput with graph tensors
-    attached for training use.
+    (B, N, P).  N may be 0, and so may B.  Returns ContextualOutput with
+    graph tensors attached for training use.
+
+    Checked here: CapacityError when M exceeds max_positions, ContractError
+    when B >= 1 sequences hold no word (M == 0), and ContractError for a
+    training-mode call with dropout but no rng; `embed_input` checks the ids
+    and mention masks, and each fused kernel the shapes it is given.
     """
     p = config.dropout if train else 0.0
     if p > 0 and rng is None:
@@ -212,6 +248,8 @@ def encode_batch(params, config, batch, rng=None, train=False):
     B, M = word_ids.shape
     if M > config.max_positions:
         raise CapacityError(f"{M} words exceed max_positions {config.max_positions}")
+    if B and not M:
+        raise ContractError(f"batch of {B} sequences with no words")
 
     x = embed_input(params, config, batch)
     n_ent = x.shape[1] - M
@@ -226,12 +264,11 @@ def encode_batch(params, config, batch, rng=None, train=False):
     x = T.dropout(x, p, rng)
 
     for l in range(config.layers):
-        pre = f"layer{l}."
-        weights = [params[pre + name] for name in _ATTENTION_PARAMS]
-        a = T.attention_block(x, weights, bias, config.heads, p=p, rng=rng)
-        x = T.residual_layer_norm(x, a, params[pre + "attn_ln.gain"], params[pre + "attn_ln.bias"])
-        f = T.ffn_block(x, *(params[pre + name] for name in _FFN_PARAMS), p=p, rng=rng)
-        x = T.residual_layer_norm(x, f, params[pre + "ffn_ln.gain"], params[pre + "ffn_ln.bias"])
+        w = [params[name] for name in _layer_names(l)]
+        a = T.attention_block(x, w[:8], bias, config.heads, p=p, rng=rng)
+        x = T.residual_layer_norm(x, a, w[8], w[9])
+        f = T.ffn_block(x, *w[10:14], p=p, rng=rng)
+        x = T.residual_layer_norm(x, f, w[14], w[15])
 
     wt = x[:, :M, :]
     et = x[:, M:, :] if n_ent else T.constant(np.zeros((B, 0, config.hidden_size)))
@@ -241,7 +278,13 @@ def encode_batch(params, config, batch, rng=None, train=False):
 def pack_batch(seqs):
     """Pad a list of EncodedSequence into the array dict encode_batch expects.
 
+    Each sequence is checked first by `EncodedSequence.validate` without a
+    config: ContractError for a sequence with no words, or with an entity
+    whose mention positions are empty or outside that sequence's own words
+    (in a batch, such a position could name another row's padding).
     Padding slots hold id 0, the [PAD] word and the [PAD] entity."""
+    for s in seqs:
+        s.validate()
     B = len(seqs)
     M = max((s.num_words for s in seqs), default=1)
     N = max((s.num_entities for s in seqs), default=0)
@@ -252,18 +295,19 @@ def pack_batch(seqs):
     entity_mask = np.zeros((B, N))
     entity_pos = np.zeros((B, N, P), dtype=np.int64)
     entity_pos_mask = np.zeros((B, N, P))
-    # padded entities keep one dummy position so the position-set invariant holds
-    entity_pos_mask[:, :, 0] = 1.0
     for b, s in enumerate(seqs):
-        m = s.num_words
+        m, n = s.num_words, s.num_entities
         word_ids[b, :m] = s.word_ids
         word_mask[b, :m] = 1.0
-        for j, (eid, pos) in enumerate(zip(s.entity_ids, s.entity_positions)):
-            entity_ids[b, j] = eid
-            entity_mask[b, j] = 1.0
+        if n:
+            entity_ids[b, :n] = s.entity_ids
+            entity_mask[b, :n] = 1.0
+        for j, pos in enumerate(s.entity_positions):
             entity_pos[b, j, : len(pos)] = pos
-            entity_pos_mask[b, j, :] = 0.0
             entity_pos_mask[b, j, : len(pos)] = 1.0
+    # padded entities keep one dummy position so the position-set invariant
+    # holds; a real entity's first position is already marked
+    entity_pos_mask[:, :, 0] = 1.0
     return {
         "word_ids": word_ids,
         "word_mask": word_mask,
@@ -275,9 +319,12 @@ def pack_batch(seqs):
 
 
 def encode(params, config, seq: EncodedSequence, rng=None, train=False) -> ContextualOutput:
-    """Single-sequence convenience wrapper around encode_batch."""
-    seq.validate(config)
-    out = encode_batch(params, config, pack_batch([seq]), rng=rng, train=train)
+    """Single-sequence convenience wrapper around encode_batch.  Checks the
+    sequence as `seq.validate(config)` does, in its order: `pack_batch`
+    validates it, then its length is checked against max_positions."""
+    packed = pack_batch([seq])
+    seq.check_capacity(config)
+    out = encode_batch(params, config, packed, rng=rng, train=train)
     m, n = seq.num_words, seq.num_entities
     return ContextualOutput(
         word_vectors=out.word_vectors[0, :m],

@@ -40,6 +40,7 @@ keeps, a requires-grad leaf's included, is checked for finiteness.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from scipy.special import erf
@@ -375,6 +376,11 @@ def attention_block(x, weights, bias, heads, p=0.0, rng=None):
     node replaces, in order, so results are bit-identical to it.  x is a
     parent three times, once per projection: `backward` adds the q, then
     the k, then the v part into what x has collected, as the chain did.
+
+    Checked here, each by ShapeError: eight weights, x of rank 3, the
+    weights' shapes, heads >= 1 and dividing H, and a bias that numpy
+    broadcasts to exactly (B, heads, S, S); then ContractError for a
+    dropout rate outside [0, 1) or a positive rate without an rng.
     """
     if len(weights) != 8:
         raise ShapeError(f"attention_block: expected 8 weights (wq, qb, wk, kb, wv, vb, wo, ob), got {len(weights)}")
@@ -389,15 +395,15 @@ def attention_block(x, weights, bias, heads, p=0.0, rng=None):
     if H % heads:
         raise ShapeError(f"attention_block: hidden size {H} not divisible by {heads} heads")
     score_shape = (B, heads, S, S)
-    try:
-        fits = np.broadcast_shapes(np.shape(bias), score_shape) == score_shape
-    except ValueError:
-        fits = False
-    if not fits:
-        raise ShapeError(f"attention_block: bias shape {np.shape(bias)} does not broadcast to scores {score_shape}")
+    # numpy broadcasts the bias to exactly score_shape when it has at most
+    # four axes and each, aligned from the right, is 1 or the score's own
+    bias_shape = np.shape(bias)
+    k = len(bias_shape)
+    if k > 4 or any(d != 1 and d != n for d, n in zip(bias_shape, score_shape[4 - k:])):
+        raise ShapeError(f"attention_block: bias shape {bias_shape} does not broadcast to scores {score_shape}")
     _check_rate(p, rng, "attention_block")
     dh = H // heads
-    c = float(1.0 / np.sqrt(dh))
+    c = 1.0 / math.sqrt(dh)  # the correctly rounded double np.sqrt gives too
 
     # ndarray methods, not numpy's Python-level wrappers: the same views and
     # reductions (max and sum are maximum.reduce and add.reduce) for less dispatch
@@ -459,9 +465,20 @@ def _scatter_rows(table, ids, g):
     return gt
 
 
-def _check_ids(ids, table, what):
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+def _id_range(ids):
+    """(min, max) of the integer array ids, or None when it is empty: the
+    two reductions every range check of ids reads."""
+    return (np.minimum.reduce(ids, axis=None), np.maximum.reduce(ids, axis=None)) if ids.size else None
+
+
+def _check_range(id_range, table, what):
+    """ShapeError unless every id in `id_range` (see `_id_range`) is a row of table."""
+    if id_range is not None and (id_range[0] < 0 or id_range[1] >= table.shape[0]):
         raise ShapeError(f"{what} id out of range for table with {table.shape[0]} rows")
+
+
+def _check_ids(ids, table, what):
+    _check_range(_id_range(ids), table, what)
 
 
 def embedding(table, ids):
@@ -495,17 +512,41 @@ def input_embedding(tables, word_ids, types, entity_ids=None, positions=None, we
     pos_emb is a parent twice, last for its mention-position part: so
     `backward` adds the word part and then that part into what pos_emb has
     collected from other nodes, as it added the chain's two lookups.
+
+    Every check raises ShapeError, in this order: word ids not rank 2 or
+    the first three tables not rank 2 of one width; a word id, a position
+    (M > pos_emb rows) or a type row out of its table's range; entity
+    tables without entity ids or the reverse; entity inputs whose shapes
+    do not fit; an entity id, a mention position or a type row out of its
+    table's range.  This kernel reads the range of word_ids and entity_ids
+    and hands them to `_input_embedding`, which runs the checks and builds
+    the node; `encoder.embed_input` calls it with the ranges it has read
+    for its own VocabError checks.
     """
     word_ids = np.asarray(word_ids)
+    if entity_ids is None:
+        return _input_embedding(tables, word_ids, _id_range(word_ids), types)
+    entity_ids = np.asarray(entity_ids)
+    return _input_embedding(tables, word_ids, _id_range(word_ids), types, entity_ids, _id_range(entity_ids),
+                            positions, weights, mean)
+
+
+def _input_embedding(tables, word_ids, word_range, types, entity_ids=None, entity_range=None, positions=None,
+                     weights=None, mean=False):
+    """`input_embedding`'s checks and node, for id arrays whose `_id_range`
+    the caller has read: word_range of word_ids and, with entities,
+    entity_range of entity_ids (an ndarray here)."""
     word_emb, pos_emb, type_emb = tables[:3]
     H = word_emb.shape[-1]
     if word_ids.ndim != 2 or any(t.ndim != 2 or t.shape[1] != H for t in tables[:3]):
         raise ShapeError(f"input_embedding: word ids {word_ids.shape} need rank 2 and the word, position "
                          f"and type tables {[t.shape for t in tables[:3]]} rank 2 with one width")
     B, M = word_ids.shape
-    _check_ids(word_ids, word_emb, "input_embedding: word")
-    _check_ids(np.arange(M), pos_emb, "input_embedding: position")
-    _check_ids(np.asarray(types), type_emb, "input_embedding: type")
+    _check_range(word_range, word_emb, "input_embedding: word")
+    if M > pos_emb.shape[0]:  # positions 0..M-1
+        raise ShapeError(f"input_embedding: position id out of range for table with {pos_emb.shape[0]} rows")
+    type_range = (min(types), max(types)) if len(types) else None
+    _check_range(type_range, type_emb, "input_embedding: type")
     words = word_emb.data[word_ids]
     words += pos_emb.data[:M]
     words += type_emb.data[types[0]]
@@ -515,7 +556,7 @@ def input_embedding(tables, word_ids, types, entity_ids=None, positions=None, we
             raise ShapeError("input_embedding: entity tables given without entity ids")
         out_data = words
     else:
-        entity_ids, positions = np.asarray(entity_ids), np.asarray(positions)
+        positions = np.asarray(positions)
         weights = np.asarray(weights, dtype=DEFAULT_DTYPE)
         if len(tables) != 7:
             raise ShapeError("input_embedding: entity ids need the four entity tables")
@@ -528,9 +569,9 @@ def input_embedding(tables, word_ids, types, entity_ids=None, positions=None, we
             raise ShapeError(f"input_embedding: entity ids {entity_ids.shape}, positions {positions.shape}, "
                              f"weights {weights.shape} and entity tables {[t.shape for t in tables[3:]]} "
                              f"do not fit {B} sequences of width {H}")
-        _check_ids(entity_ids, entity_emb, "input_embedding: entity")
+        _check_range(entity_range, entity_emb, "input_embedding: entity")
         _check_ids(positions, pos_emb, "input_embedding: mention position")
-        _check_ids(np.asarray(types), entity_type_emb, "input_embedding: type")
+        _check_range(type_range, entity_type_emb, "input_embedding: type")
         tok = entity_emb.data[entity_ids]
         ents = np.matmul(tok, proj_w.data)
         ents += proj_b.data
@@ -708,9 +749,9 @@ def concat(tensors, axis=0):
             raise ShapeError(f"concat: shape {t.shape} incompatible with {tensors[0].shape} on axis {axis}")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
+        splits = np.cumsum(sizes)[:-1]
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
     return _make(out_data, tuple(tensors), backward, "concat")
@@ -768,11 +809,10 @@ def _index_is_unique(idx):
 
 def getitem(x, idx):
     out_data = x.data[idx]
-    unique = _index_is_unique(idx)
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        if unique:
+        if _index_is_unique(idx):
             gx[idx] = g
         else:
             np.add.at(gx, idx, g)

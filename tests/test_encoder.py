@@ -1,5 +1,6 @@
 """Encoder: embedding composition, equivariances, reference-forward oracle."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,79 @@ def test_sequence_validation(tiny_config):
         EncodedSequence(word_ids=[1, 2], entity_ids=[3], entity_positions=[[5]]).validate()
     with pytest.raises(CapacityError):
         EncodedSequence(word_ids=[0] * 100).validate(tiny_config)
+
+
+def test_sequence_with_no_words_is_refused(tiny_params, tiny_config):
+    with pytest.raises(ContractError, match="sequence with no words"):
+        EncodedSequence(word_ids=[]).validate()
+    with pytest.raises(ContractError, match="sequence with no words"):
+        encode_batch(tiny_params, tiny_config, pack_batch([EncodedSequence(word_ids=[])]))
+
+
+def test_batch_with_no_words_is_refused_but_an_empty_batch_encodes(tiny_params, tiny_config):
+    # a hand-built batch of one row and no word columns: numpy's attention max would fail on it
+    batch = {"word_ids": np.zeros((1, 0), dtype=np.int64), "word_mask": np.zeros((1, 0))}
+    with pytest.raises(ContractError, match="batch of 1 sequences with no words"):
+        encode_batch(tiny_params, tiny_config, batch)
+    out = encode_batch(tiny_params, tiny_config, pack_batch([]))
+    assert out.word_vectors.shape == (0, 1, tiny_config.hidden_size)
+    assert out.entity_vectors.shape == (0, 0, tiny_config.hidden_size)
+
+
+def test_pack_batch_checks_mentions_against_their_own_sequence(tiny_params, tiny_config):
+    # position 5 is inside max_positions but past the sequence's 3 words
+    bad = EncodedSequence(word_ids=[1, 2, 3], entity_ids=[1], entity_positions=[[5]])
+    longer = EncodedSequence(word_ids=[1, 2, 3, 4, 5, 6])
+    for seqs in ([bad], [longer, bad]):
+        with pytest.raises(ContractError, match=re.escape("entity position out of range [0, 3)")):
+            pack_batch(seqs)
+    with pytest.raises(ContractError, match="length mismatch"):
+        pack_batch([EncodedSequence(word_ids=[1, 2], entity_ids=[1, 2], entity_positions=[[0]])])
+    with pytest.raises(ContractError, match="empty mention position set"):
+        pack_batch([EncodedSequence(word_ids=[1, 2], entity_ids=[1], entity_positions=[[]])])
+
+
+def test_encode_checks_length_after_mentions(tiny_params, tiny_config):
+    # `encode` refuses as `validate(config)` does: mentions first, then length
+    too_long = [1] * (tiny_config.max_positions + 1)
+    with pytest.raises(ContractError, match="entity position out of range"):
+        encode(tiny_params, tiny_config, EncodedSequence(word_ids=too_long, entity_ids=[1], entity_positions=[[99]]))
+    with pytest.raises(CapacityError, match=f"sequence of {len(too_long)} words exceeds max_positions"):
+        encode(tiny_params, tiny_config, EncodedSequence(word_ids=too_long))
+
+
+@pytest.mark.parametrize("case", ["word-id", "entity-id", "empty-mention"])
+def test_encode_batch_and_input_embedding_refuse_the_same_bad_ids(tiny_params, tiny_config, case):
+    # through encode_batch each bad input meets embed_input's check; given to the
+    # kernel directly, the same ids meet its ShapeError range checks
+    V, E = tiny_config.word_vocab_size, tiny_config.entity_vocab_size
+    seq = EncodedSequence(word_ids=[1, V if case == "word-id" else 2, 3], entity_ids=[E if case == "entity-id" else 1],
+                          entity_positions=[[0, 1]])
+    batch = pack_batch([seq])
+    if case == "empty-mention":
+        batch["entity_pos_mask"][0, 0] = 0.0
+    error, message = {"word-id": (VocabError, f"word id out of range for vocab of {V}"),
+                      "entity-id": (VocabError, f"entity id out of range for vocab of {E}"),
+                      "empty-mention": (ContractError, "entity with empty mention position set")}[case]
+    with pytest.raises(error, match=f"^{message}$"):
+        encode_batch(tiny_params, tiny_config, batch)
+    if case == "empty-mention":
+        return  # the kernel takes any weights; an all-zero row is embed_input's to refuse
+    tables = [tiny_params[name] for name in ("word_emb", "pos_emb", "type_emb", "entity_emb", "entity_proj_w",
+                                             "entity_proj_b", "entity_type_emb")]
+    what = "word" if case == "word-id" else "entity"
+    rows = V if case == "word-id" else E
+    with pytest.raises(ShapeError, match=f"^input_embedding: {what} id out of range for table with {rows} rows$"):
+        T.input_embedding(tables, batch["word_ids"], (0, 1), batch["entity_ids"], batch["entity_pos"],
+                          batch["entity_pos_mask"])
+
+
+def test_input_embedding_table_check_holds_under_encode_batch(tiny_params, tiny_config):
+    # a word id inside the config's vocab but past a smaller word table: embed_input's
+    # VocabError check passes, and the kernel's ShapeError check still runs
+    params = dict(tiny_params, word_emb=T.parameter(tiny_params["word_emb"].data[:10], name="word_emb"))
+    with pytest.raises(ShapeError, match="input_embedding: word id out of range for table with 10 rows"):
+        encode_batch(params, tiny_config, pack_batch([EncodedSequence(word_ids=[1, 12])]))
 
 
 def embed_words(params, config, word_ids):

@@ -1,6 +1,7 @@
 """Autodiff core: kernel oracles, backward-pass finite-difference checks."""
 
 import gc
+import itertools
 import math
 import re
 
@@ -521,6 +522,28 @@ def test_attention_rejects_bad_input():
             T.attention_block(x, weights, np.zeros(shape), 2)
         with T.no_grad(), pytest.raises(ShapeError):
             T.attention_block(x, weights, np.zeros(shape), 2)
+
+
+@pytest.mark.parametrize("B,heads,S", [(1, 2, 3), (2, 1, 3), (0, 2, 1)])
+def test_attention_bias_check_accepts_what_numpy_broadcasts(B, heads, S):
+    # every bias of rank 0-5 with dims in {0, 1, 2, 3}: accepted exactly when
+    # numpy broadcasts it to the score shape without widening it
+    x = p(np.ones((B, S, 4)))
+    weights = [p(np.ones((4, 4)) if i % 2 == 0 else np.zeros(4)) for i in range(8)]
+    score_shape = (B, heads, S, S)
+    shapes = [shape for rank in range(6) for shape in itertools.product((0, 1, 2, 3), repeat=rank)]
+    with T.no_grad():
+        for shape in shapes:
+            try:
+                fits = np.broadcast_shapes(shape, score_shape) == score_shape
+            except ValueError:
+                fits = False
+            if fits:
+                assert T.attention_block(x, weights, np.zeros(shape), heads).shape == (B, S, 4)
+            else:
+                with pytest.raises(ShapeError, match=re.escape(
+                        f"attention_block: bias shape {shape} does not broadcast to scores {score_shape}")):
+                    T.attention_block(x, weights, np.zeros(shape), heads)
 
 
 def _overflow_raises_naming(out, step):
@@ -1062,6 +1085,21 @@ def test_input_embedding_rejects_bad_input():
         T.input_embedding(tables, INPUT_WORDS, (0, 1))  # entity tables, no entity ids
     with pytest.raises(ShapeError):
         T.input_embedding(tables[:3], INPUT_WORDS[0], (0, 1))  # no batch axis
+
+
+def test_input_embedding_refuses_out_of_range_type_rows():
+    # the word-type row is checked against type_emb; with entities, the
+    # entity-type row against entity_type_emb too
+    tables = list(_input_tables(np.random.default_rng(0), types=2).values())
+    msg = "^input_embedding: type id out of range for table with 2 rows$"
+    for types in ((2, 1), (0, 2), (-1, 1)):
+        with pytest.raises(ShapeError, match=msg):
+            T.input_embedding(tables[:3], INPUT_WORDS, types)
+    one_row = p(tables[6].data[:1])
+    with pytest.raises(ShapeError, match="^input_embedding: type id out of range for table with 1 rows$"):
+        T.input_embedding(tables[:6] + [one_row], INPUT_WORDS, (0, 1), INPUT_ENTITIES, INPUT_POSITIONS,
+                          INPUT_WEIGHTS)
+    T.input_embedding(tables[:3], INPUT_WORDS, (1, 0))  # both rows in range
 
 
 def test_input_embedding_gradient_overflow_raises():
