@@ -282,39 +282,53 @@ def pack_batch(seqs):
     config: ContractError for a sequence with no words, or with an entity
     whose mention positions are empty or outside that sequence's own words
     (in a batch, such a position could name another row's padding).
-    Padding slots hold id 0, the [PAD] word and the [PAD] entity."""
+    Padding slots hold id 0, the [PAD] word and the [PAD] entity.  The
+    padded rows go into two Python lists, ids and positions in one and the
+    masks in the other, and each list is converted by one `np.fromiter`
+    call; the six arrays are views of the two.  (A slice write per entity
+    costs ~1 us, and an NER entity-mask batch has 120 entities.)"""
     for s in seqs:
         s.validate()
     B = len(seqs)
     M = max((s.num_words for s in seqs), default=1)
     N = max((s.num_entities for s in seqs), default=0)
     P = max((max((len(p) for p in s.entity_positions), default=1) for s in seqs), default=1)
-    word_ids = np.zeros((B, M), dtype=np.int64)
-    word_mask = np.zeros((B, M))
-    entity_ids = np.zeros((B, N), dtype=np.int64)
-    entity_mask = np.zeros((B, N))
-    entity_pos = np.zeros((B, N, P), dtype=np.int64)
-    entity_pos_mask = np.zeros((B, N, P))
-    for b, s in enumerate(seqs):
-        m, n = s.num_words, s.num_entities
-        word_ids[b, :m] = s.word_ids
-        word_mask[b, :m] = 1.0
-        if n:
-            entity_ids[b, :n] = s.entity_ids
-            entity_mask[b, :n] = 1.0
-        for j, pos in enumerate(s.entity_positions):
-            entity_pos[b, j, : len(pos)] = pos
-            entity_pos_mask[b, j, : len(pos)] = 1.0
-    # padded entities keep one dummy position so the position-set invariant
-    # holds; a real entity's first position is already marked
-    entity_pos_mask[:, :, 0] = 1.0
+    width = max(M, N, P)
+    zeros, fzeros, ones = [0] * width, [0.0] * width, [1.0] * width
+    # the padding and the mask of a position row that holds k positions, by k
+    pos_pads = [zeros[:P - k] for k in range(P + 1)]
+    pos_masks = [ones[:k] + fzeros[:P - k] for k in range(P + 1)]
+    ids, masks = [], []  # word rows, then entity rows, then position rows
+    for s in seqs:
+        m = s.num_words
+        ids.extend(s.word_ids)  # not +=: an ndarray would take it as a broadcast add
+        ids += zeros[:M - m]
+        masks += ones[:m]
+        masks += fzeros[:M - m]
+    for s in seqs:
+        n = s.num_entities
+        ids.extend(s.entity_ids)
+        ids += zeros[:N - n]
+        masks += ones[:n]
+        masks += fzeros[:N - n]
+    for s in seqs:
+        for pos in s.entity_positions:
+            ids += pos
+            ids += pos_pads[len(pos)]
+            masks += pos_masks[len(pos)]
+        # padded entities keep one dummy position so the position-set invariant holds
+        ids += pos_pads[0] * (N - s.num_entities)
+        masks += pos_masks[1] * (N - s.num_entities)
+    ids = np.fromiter(ids, np.int64, len(ids))
+    masks = np.fromiter(masks, np.float64, len(masks))
+    a, b = B * M, B * (M + N)
     return {
-        "word_ids": word_ids,
-        "word_mask": word_mask,
-        "entity_ids": entity_ids,
-        "entity_mask": entity_mask,
-        "entity_pos": entity_pos,
-        "entity_pos_mask": entity_pos_mask,
+        "word_ids": ids[:a].reshape(B, M),
+        "word_mask": masks[:a].reshape(B, M),
+        "entity_ids": ids[a:b].reshape(B, N),
+        "entity_mask": masks[a:b].reshape(B, N),
+        "entity_pos": ids[b:].reshape(B, N, P),
+        "entity_pos_mask": masks[b:].reshape(B, N, P),
     }
 
 

@@ -34,7 +34,13 @@ At toy sizes a train step's time goes mostly to per-node bookkeeping, so it
 is kept lean: `_make` fills a node's slots directly instead of going through
 `Tensor.__init__`, and backward() keys its visited set and gradient map by
 the nodes themselves (they hash by identity).  Every gradient backward
-keeps, a requires-grad leaf's included, is checked for finiteness.
+keeps, a requires-grad leaf's summed gradient included, is checked for
+finiteness by `_finite`: one `np.vdot(g, g)`, with the elementwise
+`np.isfinite` only when that sum of squares is not finite.  A lookup
+table's gradient (`embedding`, `input_embedding`) is one `np.bincount`
+over flat element indices, bit-identical to `np.add.at` into zeros.
+Backward closures reduce with `np.add.reduce`, not `ndarray.sum`'s
+wrapper.
 """
 
 from __future__ import annotations
@@ -210,10 +216,10 @@ def _unbroadcast(grad, shape):
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = np.add.reduce(grad, axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = np.add.reduce(grad, axis=axes, keepdims=True)
     return grad
 
 
@@ -303,12 +309,21 @@ def _affine_grads(x, w, g):
     return gx, gw, gb
 
 
+def _finite(g):
+    """True when every element of the gradient g is finite.  One dot decides
+    most calls: a NaN or an infinity makes the sum of squares non-finite, so
+    a finite sum proves g finite.  A sum that is not finite (a NaN, an
+    infinity, or finite elements whose squares pass 1.8e308, |g| > ~1e154)
+    leaves the verdict to the exact elementwise test."""
+    return math.isfinite(np.vdot(g, g)) or bool(np.isfinite(g).all())
+
+
 def _check_inner(g, shape, op, step):
     """g, the gradient a fused node (an `op` output shaped `shape`) computed
     for one of its inner steps; raise ContractError naming the node and the
     step unless it is finite, as backward() checks the gradient into every
     node of a chain."""
-    if not np.isfinite(g).all():
+    if not _finite(g):
         raise ContractError(f"backward: non-finite gradient at node {_describe(shape, op)}, into its {step}")
     return g
 
@@ -459,10 +474,16 @@ def attention_block(x, weights, bias, heads, p=0.0, rng=None):
 
 
 def _scatter_rows(table, ids, g):
-    """A row gather's table gradient: g's rows added, in order, at `ids` into zeros."""
-    gt = np.zeros_like(table.data)
-    np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
-    return gt
+    """A row gather's table gradient: g's rows added, in order, at `ids` into
+    zeros.  One `np.bincount` over the flat element indices id * H + column,
+    weighted by g: bincount starts every element at 0.0 and adds its weights
+    in input order, as `np.add.at` into zeros adds the rows, so each element
+    sees the same additions and the sums are bit-identical to it."""
+    V, H = table.shape
+    if not ids.size:
+        return np.zeros_like(table.data)  # bincount of no weights gives integer zeros
+    flat = np.multiply(ids.reshape(-1, 1), H, dtype=np.intp) + np.arange(H)
+    return np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=V * H).reshape(V, H)
 
 
 def _id_range(ids):
@@ -640,11 +661,11 @@ def _layer_norm_node(x, a, gain, bias, eps, op):
 
     def backward(g):
         gy = g * gain.data
-        gxhat_sum = gy.sum(axis=-1, keepdims=True)
-        gxhat_dot = (gy * xhat).sum(axis=-1, keepdims=True)
+        gxhat_sum = np.add.reduce(gy, axis=-1, keepdims=True)
+        gxhat_dot = np.add.reduce(gy * xhat, axis=-1, keepdims=True)
         gx = inv * (gy - gxhat_sum / n - xhat * gxhat_dot / n)
-        ggain = (g * xhat).reshape(-1, n).sum(axis=0)
-        gbias = g.reshape(-1, n).sum(axis=0)
+        ggain = np.add.reduce((g * xhat).reshape(-1, n), axis=0)
+        gbias = np.add.reduce(g.reshape(-1, n), axis=0)
         return (gx, ggain, gbias) if a is None else (gx, gx, ggain, gbias)
 
     return _make(out_data, (x, gain, bias) if a is None else (x, a, gain, bias), backward, op)
@@ -717,7 +738,7 @@ def softmax(x, axis=-1):
     p = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        dot = (g * p).sum(axis=axis, keepdims=True)
+        dot = np.add.reduce(g * p, axis=axis, keepdims=True)
         return (p * (g - dot),)
 
     return _make(p, (x,), backward, "softmax")
@@ -935,12 +956,16 @@ def log_softmax_np(x, axis=-1):
 
 
 def _finish_leaf(leaf, g, hook):
-    """Check and store a leaf's final gradient `g` (None: it got none); call `hook`."""
+    """Store a leaf's final gradient `g` (None: it got none), added to any
+    gradient it already holds, and call `hook`.  The sum is what is checked,
+    so a finite part that pushes a held gradient past the float64 range
+    raises too, and leaves `leaf.grad` as it was."""
     if g is None:
         return
-    if not np.isfinite(g).all():
+    total = g if leaf.grad is None else leaf.grad + g
+    if not _finite(total):
         raise ContractError(f"backward: non-finite gradient at node {leaf!r}")
-    leaf.grad = g if leaf.grad is None else leaf.grad + g
+    leaf.grad = total
     if hook is not None:
         hook(leaf)
 
@@ -959,7 +984,8 @@ def backward(loss):
     to another thread while the walk goes on.  Constants' gradients are dropped.
 
     A non-finite gradient raises ContractError naming the node it reached:
-    an inner node, or the requires-grad leaf whose summed gradient it is.
+    an inner node, or the requires-grad leaf whose summed gradient it is
+    (summed with any gradient the leaf already held); `_finite` checks each.
     A fused node's inner steps are not nodes.  `attention_block`,
     `ffn_block` and `gathered_cross_entropy` check the gradient of each
     inner step themselves and name the fused node and the step; an overflow
@@ -999,7 +1025,7 @@ def backward(loss):
         g = grads.pop(node, None)
         if g is None:
             parent_grads = (None,) * len(node._parents)
-        elif not np.isfinite(g).all():
+        elif not _finite(g):
             raise ContractError(f"backward: non-finite gradient at node {node!r}")
         else:
             parent_grads = node._backward(g)

@@ -82,6 +82,52 @@ def test_pack_batch_checks_mentions_against_their_own_sequence(tiny_params, tiny
         pack_batch([EncodedSequence(word_ids=[1, 2], entity_ids=[1], entity_positions=[[]])])
 
 
+def _pack_by_slices(seqs):
+    """pack_batch as a slice write per sequence and per entity: the reference its rows must equal."""
+    B = len(seqs)
+    M = max((s.num_words for s in seqs), default=1)
+    N = max((s.num_entities for s in seqs), default=0)
+    P = max((max((len(p) for p in s.entity_positions), default=1) for s in seqs), default=1)
+    out = {"word_ids": np.zeros((B, M), dtype=np.int64), "word_mask": np.zeros((B, M)),
+           "entity_ids": np.zeros((B, N), dtype=np.int64), "entity_mask": np.zeros((B, N)),
+           "entity_pos": np.zeros((B, N, P), dtype=np.int64), "entity_pos_mask": np.zeros((B, N, P))}
+    for b, s in enumerate(seqs):
+        m, n = s.num_words, s.num_entities
+        out["word_ids"][b, :m] = s.word_ids
+        out["word_mask"][b, :m] = 1.0
+        if n:
+            out["entity_ids"][b, :n] = s.entity_ids
+            out["entity_mask"][b, :n] = 1.0
+        for j, pos in enumerate(s.entity_positions):
+            out["entity_pos"][b, j, : len(pos)] = pos
+            out["entity_pos_mask"][b, j, : len(pos)] = 1.0
+    out["entity_pos_mask"][:, :, 0] = 1.0
+    return out
+
+
+PACK_CASES = {
+    "empty batch": [],
+    "no entities": [EncodedSequence(word_ids=[4, 5, 6]), EncodedSequence(word_ids=[7])],
+    "one word": [EncodedSequence(word_ids=[3])],
+    "ragged": [EncodedSequence(word_ids=[1, 2, 3, 4, 5], entity_ids=[7, 8, 9],
+                               entity_positions=[[0], [1, 2, 3], [4, 3]]),
+               EncodedSequence(word_ids=[6, 2], entity_ids=[5], entity_positions=[[1, 0]]),
+               EncodedSequence(word_ids=[9, 9, 9])],
+    "array ids": [EncodedSequence(word_ids=np.array([2, 3, 4]), entity_ids=np.array([1, 6]),
+                                  entity_positions=[[np.int64(0), 1], [2]])],
+}
+
+
+@pytest.mark.parametrize("case", list(PACK_CASES))
+def test_pack_batch_equals_slice_writes_byte_for_byte(case):
+    seqs = PACK_CASES[case]
+    packed, ref = pack_batch(seqs), _pack_by_slices(seqs)
+    assert list(packed) == list(ref)
+    for key in ref:
+        assert packed[key].dtype == ref[key].dtype and packed[key].shape == ref[key].shape, key
+        assert packed[key].tobytes() == ref[key].tobytes(), key
+
+
 def test_encode_checks_length_after_mentions(tiny_params, tiny_config):
     # `encode` refuses as `validate(config)` does: mentions first, then length
     too_long = [1] * (tiny_config.max_positions + 1)

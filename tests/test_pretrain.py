@@ -1,5 +1,6 @@
 """Pretraining: schedule oracles, optimizer behavior, checkpoints, loop."""
 
+import hashlib
 import inspect
 import json
 import math
@@ -676,6 +677,42 @@ def test_training_split_over_two_threads_is_bit_identical(monkeypatch, toy_data,
         assert runs[key].log == inline.log, key
         for name in inline.params:
             assert runs[key].params[name].data.tobytes() == inline.params[name].data.tobytes(), (key, name)
+
+
+# sha256 over float.hex of a fixed-seed run's final parameters and of its loss
+# log, as `_pinned_run_digests` writes them.  Both change when any bit of
+# the run moves: a backward, optimizer or sampling change must leave them
+# alone or say why they moved.
+PINNED_TRAIN_PARAMS_DIGEST = "ac5cd73ee34b53cc7493bc264c550bd0909ba219e3d2e1a1dd03ec1c14f36b8e"
+PINNED_TRAIN_LOG_DIGEST = "306d45e130e31a06c33875baa04624428c72091dbf401a116d341d021f37cc44"
+
+
+def _pinned_run_digests(toy_data):
+    # an FFN of 4096 makes each FFN weight ADAMW_BLOCK elements, so with two
+    # usable CPUs `AdamW.overlap` queues it during backward from stage 2 on
+    by_lang, wv, ev = toy_data
+    enc = EncoderConfig(word_vocab_size=len(wv), entity_vocab_size=len(ev), hidden_size=16,
+                        entity_emb_size=8, layers=1, heads=2, ffn_size=4096, max_positions=16,
+                        dropout=0.1).validate()
+    assert 16 * 4096 >= ADAMW_BLOCK
+    cfg = TrainConfig(total_steps=12, stage1_steps=2, batch_size=4, warmup_steps=3, seed=23, log_interval=1)
+    result = train(enc, cfg, by_lang, wv, ev)
+    assert len(result.log) == 12
+    h = hashlib.sha256()
+    for name in sorted(result.params):
+        h.update(name.encode())
+        h.update(" ".join(x.hex() for x in result.params[name].data.ravel().tolist()).encode())
+    log = " ".join(float(x).hex() for row in result.log for x in row)
+    return h.hexdigest(), hashlib.sha256(log.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("one_cpu", [True, False])
+def test_short_training_run_is_pinned_bit_for_bit(monkeypatch, toy_data, one_cpu):
+    # one CPU: the caller updates every block after backward; unpatched, on
+    # two or more CPUs, the worker shares the blocks and starts during backward
+    if one_cpu:
+        monkeypatch.setattr(pretrain, "_usable_cpus", lambda: 1)
+    assert _pinned_run_digests(toy_data) == (PINNED_TRAIN_PARAMS_DIGEST, PINNED_TRAIN_LOG_DIGEST)
 
 
 class SlowWorker:

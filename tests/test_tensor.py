@@ -257,6 +257,12 @@ def test_backward_rejects_nonfinite_gradient():
                     pytest.raises(ContractError, match=re.escape(f"at node {x!r}")):
                 T.backward(loss)
             assert w.grad is None
+        # and an inner step of a fused node, named with the node
+        params, out, loss = _attention_loss(bad)
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(ContractError, match=re.escape(f"at node {out!r}, into its attention core")):
+            T.backward(loss)
+        assert all(params[n].grad is None for n in ("x",) + ATTENTION_WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +594,100 @@ def test_gathered_cross_entropy_gradient_overflow_raises():
             pytest.raises(ContractError, match=re.escape(f"at node {out!r}, into its row gather")):
         T.backward(T.scale(out, 100.0))
     assert w.grad is None and x.grad is None
+
+
+def test_finite_helper_decides_by_the_exact_test_when_the_dot_overflows():
+    assert T._finite(np.zeros((0, 3))) and T._finite(np.ones(())) and T._finite(np.float64(-2.0))
+    huge = np.array([[1e200, -1e200], [0.0, 3.0]])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.vdot(huge, huge))
+    assert T._finite(huge) and T._finite(np.array([1.7e308, -1.7e308]))
+    for bad in (np.nan, np.inf, -np.inf):
+        assert not T._finite(np.array([[1.0, 2.0], [bad, 0.0]]))
+        assert not T._finite(np.array([1e200, bad]))
+
+
+def _attention_loss(wo_fill):
+    # wo holds `wo_fill`, so the attention core's gradient g @ wo.T holds it
+    # too while the node's own incoming gradient is all ones
+    params = _block_params(np.random.default_rng(42), H=4)
+    params["wo"].data[:] = 0.0
+    params["wo"].data[0, :] = wo_fill
+    out = T.attention_block(params["x"], _attention_weights(params), _padded_bias(), 2)
+    return params, out, T.reduce_sum(T.mul(out, T.constant(np.ones(out.shape))))
+
+
+def test_huge_finite_gradient_passes_each_check_site():
+    # squares of 1e200 overflow the one-dot test; the exact test lets them pass
+    params, out, loss = _attention_loss(1e200)
+    T.backward(loss)
+    assert np.abs(params["x"].grad).max() > 1e154
+    assert all(np.isfinite(params[n].grad).all() for n in ("x",) + ATTENTION_WEIGHTS)
+    for at_leaf in (False, True):
+        w = T.parameter(np.array([1.0, 2.0]), name="w")
+        x = w if at_leaf else T.scale(w, 3.0)
+        T.backward(T.reduce_sum(T.mul(x, T.constant([1e200, -1.0]))))
+        assert w.grad.tolist() == ([1e200, -1.0] if at_leaf else [3e200, -3.0])
+
+
+def test_leaf_whose_summed_gradient_overflows_raises_and_keeps_its_gradient():
+    # the new part 1e308 is finite, but added to the held 1.7e308 it is not
+    W = T.parameter(np.zeros((1, 2)), name="W")
+    W.grad = np.array([[1.7e308, 0.0]])
+    with np.errstate(over="ignore"), \
+            pytest.raises(ContractError, match=re.escape(f"backward: non-finite gradient at node {W!r}")):
+        T.backward(T.scale(T.getitem(W, (0, 0)), 1e308))
+    assert W.grad.tolist() == [[1.7e308, 0.0]]
+
+
+def _scatter_by_add_at(table, ids, g):
+    gt = np.zeros_like(table.data)
+    np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+    return gt
+
+
+def _assert_same_bits(a, b):
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+    assert a.dtype == b.dtype and a.shape == b.shape
+
+
+def test_scatter_rows_equals_add_at_into_zeros():
+    rng = np.random.default_rng(43)
+    table = p(np.ones((5, 3)))
+    cases = {
+        "duplicate ids": np.array([[1, 3, 1], [1, 0, 4]]),
+        "empty ids": np.zeros((2, 0), dtype=np.int64),
+        "one row": np.array([2]),
+    }
+    for ids in cases.values():
+        g = rng.normal(size=ids.shape + (3,))
+        _assert_same_bits(T._scatter_rows(table, ids, g), _scatter_by_add_at(table, ids, g))
+    # -0.0 parts: row 0 gets only -0.0 (0.0 + -0.0 is 0.0), row 1 gets -0.0 then
+    # a value, row 2 a value then -0.0, and row 3 a value and its negation
+    ids = np.array([0, 0, 1, 1, 2, 2, 3, 3])
+    g = np.array([[-0.0] * 3, [-0.0] * 3, [-0.0] * 3, [-1.5] * 3, [2.5] * 3, [-0.0] * 3,
+                  [1e-300] * 3, [-1e-300] * 3])
+    _assert_same_bits(T._scatter_rows(table, ids, g), _scatter_by_add_at(table, ids, g))
+    # random tables with many duplicates, some parts -0.0: each element sees the same additions
+    for _ in range(200):
+        V, H = rng.integers(1, 6), rng.integers(1, 5)
+        table = p(np.zeros((V, H)))
+        ids = rng.integers(0, V, size=tuple(rng.integers(0, 4, size=rng.integers(1, 4))))
+        g = rng.normal(size=ids.shape + (H,)) * 10.0 ** rng.integers(-300, 300, size=ids.shape + (H,))
+        g[rng.random(g.shape) < 0.3] = -0.0
+        _assert_same_bits(T._scatter_rows(table, ids, g), _scatter_by_add_at(table, ids, g))
+
+
+def test_scatter_rows_of_mention_positions_with_zero_weight_padding():
+    # input_embedding's mention-position part: (B, N, P) positions whose padding
+    # slots sit at position 0 with weight 0, so negative gradients give them -0.0 parts
+    table = p(np.zeros((9, 4)))
+    g = np.random.default_rng(44).normal(size=(2, 3, 4))
+    grows = np.expand_dims(g, -2) * INPUT_WEIGHTS[..., None]
+    assert np.signbit(grows[INPUT_WEIGHTS == 0.0]).any()
+    _assert_same_bits(T._scatter_rows(table, INPUT_POSITIONS, grows),
+                      _scatter_by_add_at(table, INPUT_POSITIONS, grows))
 
 
 # ---------------------------------------------------------------------------
