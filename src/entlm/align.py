@@ -244,10 +244,8 @@ def feature_dump(model, dataset, feature_spec, out_path=None):
     for lo in range(0, len(dataset), FEATURE_DUMP_GROUP):
         group = dataset[lo : lo + FEATURE_DUMP_GROUP]
         if feature_spec == "span-mean":
-            seqs = [EncodedSequence(word_ids=item["word_ids"],
-                                    entity_ids=item.get("entity_ids", []),
-                                    entity_positions=item.get("entity_positions", [])
-                                    ).validate(model.encoder_config)
+            seqs = [EncodedSequence(word_ids=item["word_ids"], entity_ids=item.get("entity_ids", []),
+                                    entity_positions=item.get("entity_positions", []))
                     for _uid, _lang, item in group]
             out = encode_batch(model.params, model.encoder_config, pack_batch(seqs))
             for b, ((uid, lang, item), seq) in enumerate(zip(group, seqs)):

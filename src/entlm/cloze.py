@@ -194,9 +194,9 @@ def score_query(model, query, mode):
     built = [_build_cloze_input(model, query, k, subject_entity_id=sub_eid, y_entity_id=model.entity_vocab.mask_id)
              if kind == "entity" else _build_cloze_input(model, query, k)
              for kind, k in rows]
-    # pack_batch validates each sequence's words and mentions; its length is checked here
-    seqs = [seq.check_capacity(model.encoder_config) for seq, _, _ in built]
-    out = encoder.encode_batch(model.params, model.encoder_config, encoder.pack_batch(seqs))
+    # pack_batch validates each sequence's words and mentions, encode_batch their length
+    batch = encoder.pack_batch([seq for seq, _, _ in built])
+    out = encoder.encode_batch(model.params, model.encoder_config, batch)
 
     scores = [0.0] * len(keyed)
     word = [(b, rows[key], ids) for b, (key, ids) in enumerate(keyed) if key[0] == "word"]

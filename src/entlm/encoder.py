@@ -89,31 +89,21 @@ class EncodedSequence:
     entity_ids: list = field(default_factory=list)
     entity_positions: list = field(default_factory=list)  # per entity: ordered word positions
 
-    def validate(self, config: EncoderConfig | None = None):
+    def validate(self):
         """ContractError unless entity_ids and entity_positions pair up, each
         entity's mention positions are non-empty and inside the sequence's
-        words, and the sequence has a word; with `config`, then
-        `check_capacity`.  `pack_batch` runs the checks that need no config
-        on every sequence it packs."""
+        words, and the sequence has a word.  `pack_batch` runs it on every
+        sequence it packs; the length is `encode_batch`'s to check."""
         m = len(self.word_ids)
         if len(self.entity_ids) != len(self.entity_positions):
             raise ContractError("entity_ids and entity_positions length mismatch")
         for pos in self.entity_positions:
-            if not pos:
+            if len(pos) == 0:  # not `not pos`: an ndarray of positions has no single truth value
                 raise ContractError("entity with empty mention position set")
             if min(pos) < 0 or max(pos) >= m:
                 raise ContractError(f"entity position out of range [0, {m})")
         if not m:
             raise ContractError("sequence with no words")
-        if config is not None:
-            self.check_capacity(config)
-        return self
-
-    def check_capacity(self, config: EncoderConfig):
-        """CapacityError if the sequence has more words than max_positions."""
-        m = len(self.word_ids)
-        if m > config.max_positions:
-            raise CapacityError(f"sequence of {m} words exceeds max_positions {config.max_positions}")
         return self
 
     @property
@@ -235,7 +225,8 @@ def encode_batch(params, config, batch, rng=None, train=False):
     (B, N, P).  N may be 0, and so may B.  Returns ContextualOutput with
     graph tensors attached for training use.
 
-    Checked here: CapacityError when M exceeds max_positions, ContractError
+    Checked here: CapacityError when M, the longest sequence's word count,
+    exceeds max_positions (no other function checks a length), ContractError
     when B >= 1 sequences hold no word (M == 0), and ContractError for a
     training-mode call with dropout but no rng; `embed_input` checks the ids
     and mention masks, and each fused kernel the shapes it is given.
@@ -247,7 +238,7 @@ def encode_batch(params, config, batch, rng=None, train=False):
     word_mask = np.asarray(batch["word_mask"], dtype=np.float64)
     B, M = word_ids.shape
     if M > config.max_positions:
-        raise CapacityError(f"{M} words exceed max_positions {config.max_positions}")
+        raise CapacityError(f"sequence of {M} words exceeds max_positions {config.max_positions}")
     if B and not M:
         raise ContractError(f"batch of {B} sequences with no words")
 
@@ -278,8 +269,8 @@ def encode_batch(params, config, batch, rng=None, train=False):
 def pack_batch(seqs):
     """Pad a list of EncodedSequence into the array dict encode_batch expects.
 
-    Each sequence is checked first by `EncodedSequence.validate` without a
-    config: ContractError for a sequence with no words, or with an entity
+    Each sequence is checked first by `EncodedSequence.validate`:
+    ContractError for a sequence with no words, or with an entity
     whose mention positions are empty or outside that sequence's own words
     (in a batch, such a position could name another row's padding).
     Padding slots hold id 0, the [PAD] word and the [PAD] entity.  The
@@ -313,7 +304,7 @@ def pack_batch(seqs):
         masks += fzeros[:N - n]
     for s in seqs:
         for pos in s.entity_positions:
-            ids += pos
+            ids.extend(pos)  # not += either: an ndarray of positions would broadcast
             ids += pos_pads[len(pos)]
             masks += pos_masks[len(pos)]
         # padded entities keep one dummy position so the position-set invariant holds
@@ -333,11 +324,10 @@ def pack_batch(seqs):
 
 
 def encode(params, config, seq: EncodedSequence, rng=None, train=False) -> ContextualOutput:
-    """Single-sequence convenience wrapper around encode_batch.  Checks the
-    sequence as `seq.validate(config)` does, in its order: `pack_batch`
-    validates it, then its length is checked against max_positions."""
+    """Single-sequence convenience wrapper around encode_batch, so its
+    checks are theirs, in their order: `pack_batch` validates the sequence,
+    then `encode_batch` checks its length against max_positions."""
     packed = pack_batch([seq])
-    seq.check_capacity(config)
     out = encode_batch(params, config, packed, rng=rng, train=train)
     m, n = seq.num_words, seq.num_entities
     return ContextualOutput(

@@ -137,10 +137,23 @@ def _qa_records(payload):
             for article in payload["data"] for para in article["paragraphs"] for qa in para["qas"]]
 
 
+def _entity_rows(record, field):
+    """A question's `field` rows as (start, end, entity id) tuples; ContractError,
+    naming the field, unless it is a list of lists of three ints (bools refused)."""
+    rows = record.get(field, [])
+    if not isinstance(rows, list):
+        raise ContractError(f"{field} {rows!r} is not a list")
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == 3 and all(type(v) is int for v in row)):
+            raise ContractError(f"{field} row {row!r} is not [start, end, entity id] of three integers")
+    return [tuple(row) for row in rows]
+
+
 def load_qa_data(path):
     """Read QA instances from SQuAD-shaped JSON (one object whose `data` lists
     articles of paragraphs of questions) or else from JSON lines.  A question
-    without an `id` takes its index; no two questions may share an id."""
+    without an `id` takes its index; no two questions may share an id, and
+    each entity row is three integers."""
     insts = []
     qids = set()
 
@@ -160,8 +173,8 @@ def load_qa_data(path):
                     context_tokens=ctx_tokens,
                     answers=[a["text"] for a in answers],
                     gold_spans=[span for span in spans if span],
-                    question_entities=[tuple(a) for a in r.get("question_entities", [])],
-                    context_entities=[tuple(a) for a in r.get("context_entities", [])],
+                    question_entities=_entity_rows(r, "question_entities"),
+                    context_entities=_entity_rows(r, "context_entities"),
                     q_lang=r.get("q_lang", r.get("lang", "en")),
                     c_lang=r.get("c_lang", r.get("lang", "en")),
                 ).validate()

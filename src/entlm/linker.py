@@ -26,9 +26,6 @@ class MentionMap:
     def __len__(self):
         return len(self.entries)
 
-    def __contains__(self, surface):
-        return tuple(surface) in self.entries
-
     def get(self, surface):
         return self.entries.get(tuple(surface))
 

@@ -125,7 +125,8 @@ def head_specs(config: EncoderConfig) -> list:
 
 def init_model(config: EncoderConfig, seed=0):
     """The encoder's parameters and then the MLM and MEP heads, drawn from one stream."""
-    return draw_params(param_specs(config.validate()) + head_specs(config), substream(seed, "init"))
+    config.validate()
+    return draw_params(param_specs(config) + head_specs(config), substream(seed, "init"))
 
 
 def _head_loss(vectors, labels, w, b):

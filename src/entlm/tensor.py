@@ -96,23 +96,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ShapeError("div: tensor/tensor division is not a provided kernel")
-        return scale(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 

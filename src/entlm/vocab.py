@@ -59,9 +59,6 @@ class InterLanguageLinks:
         """A new set of the (language, title) pairs mapped to `key`."""
         return set(self._titles.get(key, ()))
 
-    def __len__(self):
-        return len(self._map)
-
     def save(self, path):
         """Write the table: sorted JSON lines of [language, title, canonical_key]."""
         write_json_lines(path, [[lang, title, key] for (lang, title), key in sorted(self._map.items())])
@@ -152,10 +149,6 @@ class EntityVocab:
 
     def __len__(self):
         return len(self.entries)
-
-    @property
-    def pad_id(self):
-        return PAD_ENTITY_ID
 
     @property
     def mask_id(self):

@@ -44,7 +44,7 @@ def random_sequence(rng, config, n_words=None, n_entities=None):
         e = min(m, s + int(rng.integers(1, 4)))
         entity_positions.append(list(range(s, e)))
     return EncodedSequence(word_ids=word_ids, entity_ids=entity_ids,
-                           entity_positions=entity_positions).validate(config)
+                           entity_positions=entity_positions).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from entlm.align import (
     save_embeddings,
     span_embed,
 )
-from entlm.errors import ContractError
+from entlm.errors import CapacityError, ContractError
 from entlm.seeding import substream
 
 
@@ -249,6 +249,19 @@ def test_feature_dump_re_variants(task_model, tmp_path):
         assert len(load_embeddings(path)) == 1
     with pytest.raises(ContractError):
         feature_dump(model, [], "nope")
+
+
+def test_feature_dump_checks_a_group_before_its_length(task_model):
+    # pack_batch validates every item of a group, then encode_batch checks the length:
+    # a later item's bad mention is reported before an earlier item's excess length
+    model, _ = task_model
+    n = model.encoder_config.max_positions + 1
+    too_long = ("a", "en", {"word_ids": [1] * n, "span": (0, 1)})
+    bad_mention = ("b", "en", {"word_ids": [1, 2], "span": (0, 1), "entity_ids": [1], "entity_positions": [[5]]})
+    with pytest.raises(ContractError, match=r"^entity position out of range \[0, 2\)$"):
+        feature_dump(model, [too_long, bad_mention], "span-mean")
+    with pytest.raises(CapacityError, match=f"^sequence of {n} words exceeds max_positions {n - 1}$"):
+        feature_dump(model, [too_long, bad_mention[:2] + ({"word_ids": [1, 2], "span": (0, 1)},)], "span-mean")
 
 
 def test_re_word_dump_leaves_the_model_vocab_alone(task_model):

@@ -1218,6 +1218,19 @@ def test_dump_features_encodes_span_item_entities(workspace, pretrained):
     assert not np.array_equal(got[0].vector, got[2].vector)  # the entity token reaches the encoder
 
 
+def test_dump_features_refuses_a_span_item_longer_than_max_positions(workspace, pretrained, capsys):
+    # pack_batch accepts the item, and encode_batch refuses its length before anything is written
+    data = workspace["ws"] / "spans-long.jsonl"
+    data.write_text(json.dumps({"id": "s0", "lang": "en", "tokens": ["t0a_en"] * 20, "span": [0, 2]}) + "\n")
+    emb = workspace["ws"] / "emb-long.jsonl"
+    rc = main(["dump-features", "--checkpoint", os.path.join(pretrained, "checkpoint-final.bin"),
+               "--data", str(data), "--feature-spec", "span-mean", "--out", str(emb)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAILURE
+    assert err == "error: sequence of 20 words exceeds max_positions 16\n"
+    assert not emb.exists() and not Path(str(emb) + ".manifest.json").exists()
+
+
 def _model_argv(command, data_flag, *extra):
     return lambda p, bad: [command, "--checkpoint", p["ckpt"], data_flag, bad, "--out", p["out"], *extra]
 
@@ -1267,6 +1280,15 @@ MALFORMED = [
     ("finetune/qa-jsonl-repeated-id", "qa_jsonl",
      lambda raw: _record_edit(3, lambda r: r.update(id="1"))(_record_edit(2, _drop("id"))(raw)),
      _finetune_argv("qa"), 3),
+    # each of these used to train silently or die with a raw traceback
+    ("finetune/qa-entity-id-a-string", "qa_jsonl",
+     _record_edit(2, lambda r: r["context_entities"][0].__setitem__(2, "ent1")), _finetune_argv("qa"), 2),
+    ("finetune/qa-entity-id-a-float", "qa_jsonl",
+     _record_edit(2, lambda r: r["context_entities"][0].__setitem__(2, 5.5)), _finetune_argv("qa"), 2),
+    ("finetune/qa-entity-id-a-bool", "qa_jsonl",
+     _record_edit(3, lambda r: r["context_entities"][0].__setitem__(2, True)), _finetune_argv("qa"), 3),
+    ("finetune/qa-entity-bound-a-float", "qa_jsonl",
+     _record_edit(2, lambda r: r["context_entities"][0].__setitem__(0, 1.0)), _finetune_argv("qa"), 2),
     ("finetune/qa-squad-missing-paragraphs", "qa_squad", _document_edit(lambda d: d["data"][0].pop("paragraphs")),
      _finetune_argv("qa"), 1),
     ("eval/re-three-columns", "re", _line_edit(1, lambda line: line.rsplit("\t", 1)[0]),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import entlm.cloze as cloze_mod
+from entlm.align import feature_dump
 from entlm.cloze import (
     ClozeModel,
     TypedQuery,
@@ -19,7 +20,7 @@ from entlm.cloze import (
     top1_fp_ratio,
 )
 from entlm.corpus import WordVocab
-from entlm.encoder import EncoderConfig, draw_params, encode, encode_batch, init_params, pack_batch
+from entlm.encoder import EncodedSequence, EncoderConfig, draw_params, encode, encode_batch, init_params, pack_batch
 from entlm.errors import CapacityError, ContractError
 from entlm.pretrain import head_specs
 from entlm.seeding import substream
@@ -297,6 +298,27 @@ def test_score_query_validates_every_sequence(cloze_setup):
     long = " ".join(["big"] * 30)
     with pytest.raises(CapacityError):
         score_query(cloze_setup, q(cands=[("japan", None), (long, None)]), "entity-y")
+
+
+@pytest.mark.parametrize("entry", ["encode", "encode_batch", "score_query-word", "score_query-entity-y",
+                                   "score_query-entity-xy", "feature_dump"])
+def test_every_entry_point_raises_the_same_length_error(cloze_setup, entry):
+    # encode_batch is the one place a length is checked, so each path reports it alike
+    m, cfg = cloze_setup, cloze_setup.encoder_config
+    n = 35  # "tokyo is the capital of" and the 30 masks of a 30-word candidate
+    long_seq = EncodedSequence(word_ids=[1] * n, entity_ids=[1], entity_positions=[[0, 1]])
+    short = EncodedSequence(word_ids=[1, 2])
+    run = {
+        "encode": lambda: encode(m.params, cfg, long_seq),
+        "encode_batch": lambda: encode_batch(m.params, cfg, pack_batch([short, long_seq])),
+        "feature_dump": lambda: feature_dump(m, [("s", "en", {"word_ids": [1, 2], "span": (0, 1)}),
+                                                 ("l", "en", {"word_ids": [1] * n, "span": (0, 1)})], "span-mean"),
+    }
+    if entry.startswith("score_query"):
+        query = q(cands=[("japan", None), (" ".join(["big"] * 30), None)])
+        run[entry] = lambda: score_query(m, query, entry.split("-", 1)[1])
+    with pytest.raises(CapacityError, match=f"^sequence of {n} words exceeds max_positions {cfg.max_positions}$"):
+        run[entry]()
 
 
 def test_resolve_candidate_entity_explicit_and_fallback(cloze_setup):

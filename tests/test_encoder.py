@@ -43,13 +43,14 @@ def test_config_round_trip(tiny_config):
     assert EncoderConfig.from_dict(tiny_config.to_dict()) == tiny_config
 
 
-def test_sequence_validation(tiny_config):
+def test_sequence_validation():
     with pytest.raises(ContractError):
         EncodedSequence(word_ids=[1, 2], entity_ids=[3], entity_positions=[[]]).validate()
     with pytest.raises(ContractError):
         EncodedSequence(word_ids=[1, 2], entity_ids=[3], entity_positions=[[5]]).validate()
-    with pytest.raises(CapacityError):
-        EncodedSequence(word_ids=[0] * 100).validate(tiny_config)
+    # the length is encode_batch's to check, not the sequence's
+    long_seq = EncodedSequence(word_ids=[0] * 100)
+    assert long_seq.validate() is long_seq
 
 
 def test_sequence_with_no_words_is_refused(tiny_params, tiny_config):
@@ -128,8 +129,24 @@ def test_pack_batch_equals_slice_writes_byte_for_byte(case):
         assert packed[key].tobytes() == ref[key].tobytes(), key
 
 
+def test_pack_batch_takes_numpy_mention_positions():
+    # a mention's positions may be an ndarray: whether it is empty is its length, not its truth value
+    as_lists = EncodedSequence(word_ids=[1, 2, 3], entity_ids=[1, 2], entity_positions=[[0], [1, 2]])
+    as_arrays = EncodedSequence(word_ids=[1, 2, 3], entity_ids=[1, 2],
+                                entity_positions=[np.array([0]), np.array([1, 2])])
+    packed, ref = pack_batch([as_arrays]), pack_batch([as_lists])
+    for key in ref:
+        assert packed[key].dtype == ref[key].dtype and packed[key].shape == ref[key].shape, key
+        assert packed[key].tobytes() == ref[key].tobytes(), key
+    with pytest.raises(ContractError, match="^entity with empty mention position set$"):
+        pack_batch([EncodedSequence(word_ids=[1, 2], entity_ids=[1], entity_positions=[np.array([], dtype=np.int64)])])
+    for bad in ([1, 2], [-1, 0]):
+        with pytest.raises(ContractError, match=r"^entity position out of range \[0, 2\)$"):
+            pack_batch([EncodedSequence(word_ids=[1, 2], entity_ids=[1], entity_positions=[np.array(bad)])])
+
+
 def test_encode_checks_length_after_mentions(tiny_params, tiny_config):
-    # `encode` refuses as `validate(config)` does: mentions first, then length
+    # `encode` refuses as `pack_batch` then `encode_batch` do: mentions first, then length
     too_long = [1] * (tiny_config.max_positions + 1)
     with pytest.raises(ContractError, match="entity position out of range"):
         encode(tiny_params, tiny_config, EncodedSequence(word_ids=too_long, entity_ids=[1], entity_positions=[[99]]))

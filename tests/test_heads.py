@@ -121,6 +121,26 @@ def test_load_qa_refuses_a_repeated_question_id(tmp_path):
     assert [i.qid for i in load_qa_data(str(path))] == ["0", "q", "2"]
 
 
+@pytest.mark.parametrize("field,value,named", [
+    ("context_entities", [[0, 2, "ent1"]], "context_entities row [0, 2, 'ent1'] is not"),
+    ("context_entities", [[0, 2, 5.5]], "context_entities row [0, 2, 5.5] is not"),  # would train as entity 5
+    ("context_entities", [[0, 2, True]], "context_entities row [0, 2, True] is not"),  # would be entity 1, [MASK]
+    ("question_entities", [[1.0, 2, 4]], "question_entities row [1.0, 2, 4] is not"),
+    ("question_entities", [[0, 1]], "question_entities row [0, 1] is not"),
+    ("context_entities", "0 2 4", "context_entities '0 2 4' is not a list"),
+])
+def test_load_qa_refuses_an_entity_row_that_is_not_three_ints(tmp_path, field, value, named):
+    import json
+    rec = {"question": "where ?", "context": "the Tokyo Tower stands",
+           "answers": [{"text": "Tokyo Tower", "answer_start": 4}], "context_entities": [[1, 3, 4]]}
+    path = tmp_path / "qa.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in (rec, {**rec, field: value}, rec)))
+    with pytest.raises(ContractError, match="^" + re.escape(f"{path}:2: {named}")):
+        load_qa_data(str(path))
+    path.write_text(json.dumps(rec) + "\n")
+    assert load_qa_data(str(path))[0].context_entities == [(1, 3, 4)]
+
+
 @pytest.mark.parametrize("context", ["", "  \t "])
 def test_load_qa_refuses_an_empty_context_naming_its_line(tmp_path, context):
     import json
