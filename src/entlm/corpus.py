@@ -102,7 +102,8 @@ class WordVocab:
         return 2
 
     def encode(self, tokens):
-        return [self.token_to_id.get(t, self.unk_id) for t in tokens]
+        get, unk = self.token_to_id.get, self.unk_id  # read once per call, not once per token
+        return [get(t, unk) for t in tokens]
 
     def add(self, token):
         """Add a token (e.g. a finetune-time marker); returns its id."""

@@ -14,11 +14,20 @@ their dropouts) one `T.attention_block` and its feed-forward sublayer one
 `T.ffn_block`, each residual add lives inside the `T.residual_layer_norm`
 after it, and the attention score mask is built once per `encode_batch` and
 read by every layer.  So a layer is four nodes.
+
+A forward-only batch (under `no_grad`, without dropout) of two or more rows
+at least PARALLEL_MIN_POSITIONS tokens wide runs its layer stack on two CPUs
+when the process may use two: the calling thread takes the front half of the
+rows and `T._worker` the back half.  Every kernel treats the rows of a batch
+apart (numpy runs one GEMM per row, and each reduction runs along a row), so
+the result is bit-identical to one thread's.  Training never splits.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +40,15 @@ ENTITY_TYPE_ID = 1
 TYPE_ROWS = 2  # rows of type_emb and entity_type_emb, one per token type
 
 NEG_INF = -1e30
+
+# the narrowest padded row (words + entities) a forward-only batch splits at.
+# Each half of a split makes ~300 small numpy calls that trade the interpreter
+# lock, so narrow rows lose.  Probe-eval's encoder (H=64, 2 layers, 2 heads,
+# FFN 128) on 2-row batches of words, median ms per call unsplit -> split over
+# 1000 calls each in alternating blocks of 25, on a 2-vCPU Xeon with one BLAS
+# thread: 64 positions 1.60 -> 2.29, 80 1.93 -> 2.41, 96 2.43 -> 2.64,
+# 112 2.86 -> 2.78, 128 3.96 -> 3.01, 144 4.60 -> 3.35, 160 5.15 -> 3.47.
+PARALLEL_MIN_POSITIONS = 112
 
 # a layer's parameters in the order `encode_batch` reads them: `T.attention_block`'s
 # eight weights, the attention LayerNorm, `T.ffn_block`'s four weights, the FFN LayerNorm
@@ -92,8 +110,9 @@ class EncodedSequence:
     def validate(self):
         """ContractError unless entity_ids and entity_positions pair up, each
         entity's mention positions are non-empty and inside the sequence's
-        words, and the sequence has a word.  `pack_batch` runs it on every
-        sequence it packs; the length is `encode_batch`'s to check."""
+        words, and the sequence has a word.  `pack_batch` holds every sequence
+        it packs to these checks, and runs this method to raise the first
+        failure; the length is `encode_batch`'s to check."""
         m = len(self.word_ids)
         if len(self.entity_ids) != len(self.entity_positions):
             raise ContractError("entity_ids and entity_positions length mismatch")
@@ -230,6 +249,12 @@ def encode_batch(params, config, batch, rng=None, train=False):
     when B >= 1 sequences hold no word (M == 0), and ContractError for a
     training-mode call with dropout but no rng; `embed_input` checks the ids
     and mention masks, and each fused kernel the shapes it is given.
+
+    Under `no_grad` and without dropout, a batch of B >= 2 rows of at least
+    PARALLEL_MIN_POSITIONS tokens (M + N) runs its layers on two threads
+    when the process may use two CPUs (`_split_layer_stack`); the input
+    layer and the score mask are built once, before the split.  The output
+    is bit-identical to the one-thread pass.
     """
     p = config.dropout if train else 0.0
     if p > 0 and rng is None:
@@ -253,41 +278,77 @@ def encode_batch(params, config, batch, rng=None, train=False):
 
     x = T.layer_norm(x, params["emb_ln_gain"], params["emb_ln_bias"])
     x = T.dropout(x, p, rng)
-
-    for l in range(config.layers):
-        w = [params[name] for name in _layer_names(l)]
-        a = T.attention_block(x, w[:8], bias, config.heads, p=p, rng=rng)
-        x = T.residual_layer_norm(x, a, w[8], w[9])
-        f = T.ffn_block(x, *w[10:14], p=p, rng=rng)
-        x = T.residual_layer_norm(x, f, w[14], w[15])
+    if (B >= 2 and p == 0 and not T._grad_enabled and x.shape[1] >= PARALLEL_MIN_POSITIONS
+            and T._usable_cpus() >= 2):
+        x = _split_layer_stack(params, config, x, bias)
+    else:
+        x = _layer_stack(params, config, x, bias, p, rng)
 
     wt = x[:, :M, :]
     et = x[:, M:, :] if n_ent else T.constant(np.zeros((B, 0, config.hidden_size)))
     return ContextualOutput(word_vectors=wt.data, entity_vectors=et.data, word_tensor=wt, entity_tensor=et)
 
 
+def _layer_stack(params, config, x, bias, p, rng):
+    """x through every encoder layer, each reading the additive score mask `bias`."""
+    for l in range(config.layers):
+        w = [params[name] for name in _layer_names(l)]
+        a = T.attention_block(x, w[:8], bias, config.heads, p=p, rng=rng)
+        x = T.residual_layer_norm(x, a, w[8], w[9])
+        f = T.ffn_block(x, *w[10:14], p=p, rng=rng)
+        x = T.residual_layer_norm(x, f, w[14], w[15])
+    return x
+
+
+def _split_layer_stack(params, config, x, bias):
+    """`_layer_stack` of a forward-only x without dropout: the calling thread
+    runs the front half of the rows (the larger, for an odd count) and
+    `T._worker` the back half, in the caller's context so that its
+    np.errstate holds there too; the halves are joined along the rows.  An
+    error in either half propagates, and only once the worker's half has
+    ended."""
+    h = (x.shape[0] + 1) // 2
+    back = T._worker().submit(contextvars.copy_context().run, _layer_stack, params, config,
+                              T.constant(x.data[h:]), bias[h:], 0.0, None)
+    try:
+        front = _layer_stack(params, config, T.constant(x.data[:h]), bias[:h], 0.0, None)
+    finally:
+        futures.wait((back,))
+    return T.constant(np.concatenate((front.data, back.result().data)))
+
+
 def pack_batch(seqs):
     """Pad a list of EncodedSequence into the array dict encode_batch expects.
 
-    Each sequence is checked first by `EncodedSequence.validate`:
-    ContractError for a sequence with no words, or with an entity
-    whose mention positions are empty or outside that sequence's own words
-    (in a batch, such a position could name another row's padding).
+    Every sequence must pass `EncodedSequence.validate`, and the first that
+    does not raises its ContractError: a sequence with no words, or with an
+    entity whose mention positions are empty or outside that sequence's own
+    words (in a batch, such a position could name another row's padding).
+    Only the entity and position-set counts are compared before packing.
+    Then every packed mention position is compared with its row's word
+    count in one numpy call (an empty mention set is packed as position
+    -1, which fails it), and `validate` runs on every sequence, to raise,
+    only when that check or the word counts fail.  (Its Python min and max
+    cost ~0.5 us a mention, and an NER entity-mask batch has 120.)
+
     Padding slots hold id 0, the [PAD] word and the [PAD] entity.  The
     padded rows go into two Python lists, ids and positions in one and the
     masks in the other, and each list is converted by one `np.fromiter`
     call; the six arrays are views of the two.  (A slice write per entity
-    costs ~1 us, and an NER entity-mask batch has 120 entities.)"""
-    for s in seqs:
-        s.validate()
+    costs ~1 us.)"""
+    if any(len(s.entity_ids) != len(s.entity_positions) for s in seqs):
+        _validate(seqs)  # the packed layout needs these counts to agree
     B = len(seqs)
-    M = max((s.num_words for s in seqs), default=1)
+    counts = [s.num_words for s in seqs]
+    M = max(counts, default=1)
     N = max((s.num_entities for s in seqs), default=0)
-    P = max((max((len(p) for p in s.entity_positions), default=1) for s in seqs), default=1)
+    # 1 also when every mention set is empty, which the checks after packing refuse
+    P = max(1, max((len(p) for s in seqs for p in s.entity_positions), default=1))
     width = max(M, N, P)
     zeros, fzeros, ones = [0] * width, [0.0] * width, [1.0] * width
-    # the padding and the mask of a position row that holds k positions, by k
-    pos_pads = [zeros[:P - k] for k in range(P + 1)]
+    # the padding and the mask of a position row that holds k positions, by k;
+    # an empty row's padding starts with -1, which the check after packing refuses
+    pos_pads = [[-1] + zeros[:P - 1]] + [zeros[:P - k] for k in range(1, P + 1)]
     pos_masks = [ones[:k] + fzeros[:P - k] for k in range(P + 1)]
     ids, masks = [], []  # word rows, then entity rows, then position rows
     for s in seqs:
@@ -308,19 +369,32 @@ def pack_batch(seqs):
             ids += pos_pads[len(pos)]
             masks += pos_masks[len(pos)]
         # padded entities keep one dummy position so the position-set invariant holds
-        ids += pos_pads[0] * (N - s.num_entities)
+        ids += zeros[:P] * (N - s.num_entities)
         masks += pos_masks[1] * (N - s.num_entities)
     ids = np.fromiter(ids, np.int64, len(ids))
     masks = np.fromiter(masks, np.float64, len(masks))
     a, b = B * M, B * (M + N)
+    pos = ids[b:].reshape(B, N, P)
+    # a padding slot's position 0 is in range once every row has a word, and
+    # as unsigned a negative position compares above any word count
+    bounds = np.array(counts, np.uint64)[:, None, None]
+    if not all(counts) or np.count_nonzero(pos.view(np.uint64) >= bounds):
+        _validate(seqs)
     return {
         "word_ids": ids[:a].reshape(B, M),
         "word_mask": masks[:a].reshape(B, M),
         "entity_ids": ids[a:b].reshape(B, N),
         "entity_mask": masks[a:b].reshape(B, N),
-        "entity_pos": ids[b:].reshape(B, N, P),
+        "entity_pos": pos,
         "entity_pos_mask": masks[b:].reshape(B, N, P),
     }
+
+
+def _validate(seqs):
+    """`EncodedSequence.validate` each sequence in order, so that the first
+    invalid one raises its own ContractError."""
+    for s in seqs:
+        s.validate()
 
 
 def encode(params, config, seq: EncodedSequence, rng=None, train=False) -> ContextualOutput:

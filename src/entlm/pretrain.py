@@ -47,8 +47,9 @@ STAGE1_TRAINABLE = ("entity_emb", "entity_proj", "entity_type_emb", "mep_head")
 # blocks pay more per-call overhead; on a 2 MiB-L2 Xeon, 16Ki-64Ki elements
 # measured alike and 4Ki was 30% slower.  A block is what either thread takes
 # from AdamW's queue at a time, and ADAMW_BLOCK is also the smallest
-# parameter `AdamW.overlap` queues during backward.  The worker's numpy calls
-# then trade the interpreter lock with backward's Python: on the wide
+# parameter `AdamW.overlap` queues during backward.  The worker thread
+# (`T._worker`, which forward-only `encoder.encode_batch` calls also use)
+# then trades the interpreter lock with backward's Python: on the wide
 # benchmark (2-vCPU Xeon) backward took ~1.4 ms a step longer and
 # `AdamW.step` ~2 ms less, and a step ~1.3 ms less end to end.
 ADAMW_BLOCK = 65536
@@ -58,33 +59,6 @@ ADAMW_BETA1 = 0.9
 ADAMW_BETA2 = 0.999
 ADAMW_EPS = 1e-6
 ADAMW_WEIGHT_DECAY = 0.01
-
-_adamw_pool = None  # the one worker thread every AdamW shares; made on first use
-
-
-def _adamw_worker():
-    global _adamw_pool
-    if _adamw_pool is None:
-        _adamw_pool = futures.ThreadPoolExecutor(1, thread_name_prefix="entlm-adamw")
-    return _adamw_pool
-
-
-def _forget_adamw_worker():
-    # a forked child inherits the pool but not its thread, so work handed to
-    # it would never run; the child makes its own worker on first use
-    global _adamw_pool
-    _adamw_pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_adamw_worker)
-
-
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
 
 @dataclass
 class TrainConfig:
@@ -196,11 +170,11 @@ class AdamW:
     parameter's first step.  Each run of adjacent parameters with equal
     step counts is cut into blocks of ADAMW_BLOCK elements, which go into
     one queue that `step` drains on the calling thread.  When a step queues
-    at least two blocks' worth and the process may use two CPUs, one worker
-    thread, shared by every AdamW, drains the queue too, and `step` returns
-    once the worker's last block is done.  Each block runs the same
-    element-wise operations on either thread, so no bit of the result
-    depends on which thread took it.  `overlap` queues the large parameters
+    at least two blocks' worth and the process may use two CPUs, the
+    process's one worker thread (`T._worker`) drains the queue too, and
+    `step` returns once the worker's last block is done.  Each block runs
+    the same element-wise operations on either thread, so no bit of the
+    result depends on which thread took it.  `overlap` queues the large parameters
     during backward.
     """
 
@@ -271,7 +245,7 @@ class AdamW:
         """
         ready = {p: name for name, p in self.params.items()
                  if p.data.size >= ADAMW_BLOCK and p.requires_grad and (trainable is None or name in trainable)}
-        if not ready or _usable_cpus() < 2:
+        if not ready or T._usable_cpus() < 2:
             yield
             return
 
@@ -313,7 +287,7 @@ class AdamW:
             self._queue.extend((block, lr) for block in blocks)
             # without hand-offs the queue held nothing before these blocks
             if self._handed or (sum(bhi - blo for blo, bhi, _, _ in blocks) >= 2 * ADAMW_BLOCK
-                                and _usable_cpus() >= 2):
+                                and T._usable_cpus() >= 2):
                 self._wake_worker()
         finally:
             self._finish()
@@ -340,8 +314,8 @@ class AdamW:
         """Start the worker on the queue unless it is draining it already."""
         if not self._tasks or self._tasks[-1].done():
             # the worker runs in the caller's context, so np.errstate applies there too
-            self._tasks.append(_adamw_worker().submit(contextvars.copy_context().run, self._drain,
-                                                      self._scratch[1]))
+            self._tasks.append(T._worker().submit(contextvars.copy_context().run, self._drain,
+                                                  self._scratch[1]))
 
     def _drain(self, scratch):
         """Pop and update blocks until the queue is empty."""
@@ -371,8 +345,8 @@ class AdamW:
         across several gathers their pieces into `scratch`.  Every operation
         runs in the order of that formula, so the result is bit-identical to
         evaluating it per parameter with full-size temporaries.  Nothing
-        but numpy runs here, so the worker thread enters no other entlm
-        function.
+        but numpy runs here, so AdamW's drain on the worker thread enters
+        no other entlm function.
         """
         b1, b2 = ADAMW_BETA1, ADAMW_BETA2
         blo, bhi, pieces, t = block

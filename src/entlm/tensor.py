@@ -23,12 +23,19 @@ names the fused node when one is not finite.
 Kernels compute their intermediates in place in buffers they allocated
 themselves.  Inside `no_grad()` ops record no graph, for forward-only
 passes, and no backward closure will read a kernel's buffers: there
-`attention_block` writes its scores into one module-level workspace, grown
-to the largest score size seen but never past ATTENTION_WORKSPACE_CAP
-elements, and `gelu` and `layer_norm` write their output over their own
-intermediates.  So an eval forward pass does not fault in a fresh score
-buffer per call.  Recording calls (training) allocate every buffer as
-before and never touch the workspace.
+`attention_block` writes its scores into a workspace of the calling
+thread's own, grown to the largest score size seen but never past
+ATTENTION_WORKSPACE_CAP elements, and `gelu` and `layer_norm` write their
+output over their own intermediates.  So an eval forward pass does not
+fault in a fresh score buffer per call, and two threads running kernels at
+once (`encoder.encode_batch`'s two halves) never share one.  Recording
+calls (training) allocate every buffer as before and never touch the
+workspace.
+
+The module also owns the process's one worker thread (`_worker`), which
+`pretrain.AdamW` and `encoder.encode_batch` share, and `_usable_cpus`,
+which both read before handing it work.  Either caller waits for what it
+handed off before it returns.
 
 At toy sizes a train step's time goes mostly to per-node bookkeeping, so it
 is kept lean: `_make` fills a node's slots directly instead of going through
@@ -47,6 +54,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
+from concurrent import futures
 
 import numpy as np
 from scipy.special import erf
@@ -64,7 +74,7 @@ class Tensor:
     into its inputs; it may overwrite only arrays it allocated itself that no
     backward closure reads afterwards, so a forward pass builds no throwaway
     full-size temporaries.  Under `no_grad()` `attention_block` may also write
-    its scores into the shared workspace; no output ever aliases it.
+    its scores into its thread's workspace; no output ever aliases it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_op")
@@ -120,12 +130,44 @@ def constant(data):
     return Tensor(data)
 
 
+_pool = None  # the process's one worker thread; made on first use
+
+
+def _worker():
+    """The one-thread executor `pretrain.AdamW` and `encoder.encode_batch`
+    share.  Each submits only when `_usable_cpus()` is at least 2, and waits
+    for what it submitted before it returns."""
+    global _pool
+    if _pool is None:
+        _pool = futures.ThreadPoolExecutor(1, thread_name_prefix="entlm-worker")
+    return _pool
+
+
+def _forget_worker():
+    # a forked child inherits the pool but not its thread, so work handed to
+    # it would never run; the child makes its own worker on first use
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 _grad_enabled = True
 
 
 class no_grad:
     """Context manager, or decorator as `@no_grad()`: ops inside record no
-    parents and no backward closure.  Restores the previous state on exit."""
+    parents and no backward closure.  Restores the previous state on exit.
+    The state is shared by every thread: the worker's half of a split
+    `encoder.encode_batch` runs under its caller's `no_grad`."""
 
     def __enter__(self):
         global _grad_enabled
@@ -337,27 +379,36 @@ def linear(x, w, b):
     return _make(_affine(x.data, w.data, b.data), (x, w, b), backward, "linear")
 
 
-# Under no_grad, attention_block's (B, heads, S, S) scores go into one flat float64
+# Under no_grad, attention_block's (B, heads, S, S) scores go into a flat float64
 # workspace that grows to the largest such size seen, up to this many
 # elements (8 MiB); a larger call allocates its own buffer, as a recording
 # call always does.  A fresh score buffer of a QA item's size (0.5-0.74 MB)
 # goes back to the system when freed, so each call faults its pages in
-# again; the workspace is faulted in once.  Like `_grad_enabled` it is shared
-# by the whole process, so forward passes must not run in parallel threads.
+# again; the workspace is faulted in once.  Each thread has its own
+# (`scores`, an attribute of a thread-local object), so the two halves of a
+# split `encoder.encode_batch` never write one buffer; a thread that has
+# run no forward pass holds none.
 ATTENTION_WORKSPACE_CAP = 1 << 20
 
-_attention_workspace = np.empty(0, dtype=DEFAULT_DTYPE)
+
+class _Workspace(threading.local):
+    scores = np.empty(0, dtype=DEFAULT_DTYPE)  # every thread's starting value; grown per thread
+
+
+_attention_workspace = _Workspace()
 
 
 def _score_buffer(shape):
-    """A view of the workspace shaped `shape`, grown to fit; None above the cap."""
-    global _attention_workspace
+    """A view of the calling thread's workspace shaped `shape`, grown to fit;
+    None above the cap."""
     n = shape[0] * shape[1] * shape[2] * shape[3]
     if n > ATTENTION_WORKSPACE_CAP:
         return None
-    if _attention_workspace.size < n:
-        _attention_workspace = np.empty(n, dtype=DEFAULT_DTYPE)
-    return _attention_workspace[:n].reshape(shape)
+    ws = _attention_workspace
+    scores = ws.scores
+    if scores.size < n:
+        scores = ws.scores = np.empty(n, dtype=DEFAULT_DTYPE)
+    return scores[:n].reshape(shape)
 
 
 def attention_block(x, weights, bias, heads, p=0.0, rng=None):

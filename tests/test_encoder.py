@@ -1,11 +1,16 @@
 """Encoder: embedding composition, equivariances, reference-forward oracle."""
 
+import contextlib
+import hashlib
 import re
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import entlm.encoder as E
 import entlm.tensor as T
 from conftest import random_sequence, reference_word_forward
 from entlm.encoder import (
@@ -143,6 +148,27 @@ def test_pack_batch_takes_numpy_mention_positions():
     for bad in ([1, 2], [-1, 0]):
         with pytest.raises(ContractError, match=r"^entity position out of range \[0, 2\)$"):
             pack_batch([EncodedSequence(word_ids=[1, 2], entity_ids=[1], entity_positions=[np.array(bad)])])
+
+
+def test_pack_batch_raises_the_first_invalid_sequence_and_validates_only_then(monkeypatch):
+    # the packed arrays are checked first; `validate` runs, in sequence order, only when a check fails
+    out_of_range = EncodedSequence(word_ids=[1, 2], entity_ids=[1, 2], entity_positions=[[2], []])
+    no_words = EncodedSequence(word_ids=[])
+    empty = EncodedSequence(word_ids=[1, 2], entity_ids=[1], entity_positions=[[]])
+    for seqs, message in (([out_of_range, no_words], r"entity position out of range \[0, 2\)"),
+                          ([no_words, out_of_range], "sequence with no words"),
+                          ([empty, out_of_range], "entity with empty mention position set")):
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            pack_batch(seqs)
+    validated = []
+    real = EncodedSequence.validate
+    monkeypatch.setattr(EncodedSequence, "validate", lambda self: validated.append(self) or real(self))
+    for seqs in PACK_CASES.values():
+        pack_batch(seqs)
+    assert validated == []
+    with pytest.raises(ContractError, match="sequence with no words"):
+        pack_batch([PACK_CASES["one word"][0], no_words])
+    assert validated == [PACK_CASES["one word"][0], no_words]
 
 
 def test_encode_checks_length_after_mentions(tiny_params, tiny_config):
@@ -449,3 +475,142 @@ def test_eval_entry_points_hold_no_graph(monkeypatch):
         made.clear()
         call()
         assert made and not any(out._parents for out in made)
+
+
+# -- forward-only batches split over two threads
+
+
+class RecordingWorker:
+    """The shared worker, keeping every future it hands out; each task waits
+    `delay` seconds first, so that it is still running when the caller's
+    half ends."""
+
+    def __init__(self, delay=0.0):
+        self.pool, self.futures, self.delay = T._worker(), [], delay
+
+    def submit(self, fn, *args):
+        def task():
+            time.sleep(self.delay)
+            return fn(*args)
+
+        self.futures.append(self.pool.submit(task))
+        return self.futures[-1]
+
+
+class RaisingWorker:
+    def submit(self, *args):
+        raise RuntimeError("the worker was handed a half")
+
+
+def _split_cases(config):
+    """Batches whose rows differ in width: two QA-like windows of 24 words
+    with 3 and 1 entities, two NER entity-mask rows holding 8 and 7 of the
+    15 spans of a 6-word sentence, and 3 rows of 20, 13 and 7 words."""
+    rng = np.random.default_rng(50)
+    spans = [(s, e) for s in range(6) for e in range(s + 1, min(s + 3, 6) + 1)]
+    sentence = rng.integers(0, config.word_vocab_size, 6).tolist()
+    ner = [EncodedSequence(word_ids=sentence, entity_ids=[1] * len(row),
+                           entity_positions=[list(range(s, e)) for s, e in row]) for row in (spans[:8], spans[8:])]
+    return {
+        "qa windows": [random_sequence(rng, config, n_words=24, n_entities=n) for n in (3, 1)],
+        "ner rows": ner,
+        "three rows": [random_sequence(rng, config, n_words=m) for m in (20, 13, 7)],
+    }
+
+
+@pytest.fixture
+def split_everything(monkeypatch):
+    """Two usable CPUs, and a batch of two or more rows splits at any width."""
+    monkeypatch.setattr(E, "PARALLEL_MIN_POSITIONS", 1)
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize("case", ["qa windows", "ner rows", "three rows"])
+def test_split_forward_equals_the_one_thread_pass_bit_for_bit(monkeypatch, split_everything, tiny_params,
+                                                               tiny_config, case):
+    batch = pack_batch(_split_cases(tiny_config)[case])
+    worker = RecordingWorker()
+    monkeypatch.setattr(T, "_worker", lambda: worker)
+    buffers = {}  # thread id -> the score buffers its half wrote
+    real_buffer = T._score_buffer
+
+    def score_buffer(shape):
+        buffers.setdefault(threading.get_ident(), []).append(real_buffer(shape))
+        return buffers[threading.get_ident()][-1]
+
+    monkeypatch.setattr(T, "_score_buffer", score_buffer)
+    outs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+        with T.no_grad():
+            outs[cpus] = encode_batch(tiny_params, tiny_config, batch)
+        assert len(worker.futures) == cpus - 1  # one split, on two CPUs only
+    for key in ("word_vectors", "entity_vectors"):
+        one, two = getattr(outs[1], key), getattr(outs[2], key)
+        assert one.shape == two.shape and one.tobytes() == two.tobytes(), key
+    (caller, *_), (other,) = buffers[threading.get_ident()], buffers.keys() - {threading.get_ident()}
+    assert not any(np.shares_memory(caller, b) for b in buffers[other])
+
+
+def test_nothing_splits_on_one_cpu_with_grad_with_dropout_or_below_the_width(monkeypatch, split_everything,
+                                                                             tiny_params, tiny_config):
+    monkeypatch.setattr(T, "_worker", RaisingWorker)
+    seqs = _split_cases(tiny_config)["three rows"]
+    batch, dropout = pack_batch(seqs), replace(tiny_config, dropout=0.1)
+    width = batch["word_ids"].shape[1] + batch["entity_ids"].shape[1]
+    for cpus, no_grad, config, rows, min_positions in ((1, True, tiny_config, seqs, 1),
+                                                       (2, False, tiny_config, seqs, 1),
+                                                       (2, True, dropout, seqs, 1),
+                                                       (2, True, tiny_config, seqs[:1], 1),
+                                                       (2, True, tiny_config, seqs, width + 1)):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(E, "PARALLEL_MIN_POSITIONS", min_positions)
+        with T.no_grad() if no_grad else contextlib.nullcontext():
+            encode_batch(tiny_params, config, pack_batch(rows), rng=np.random.default_rng(0),
+                         train=config is dropout)
+    monkeypatch.setattr(E, "PARALLEL_MIN_POSITIONS", width)  # now it splits
+    with T.no_grad(), pytest.raises(RuntimeError, match="worker was handed"):
+        encode_batch(tiny_params, tiny_config, batch)
+
+
+@pytest.mark.parametrize("half", ["caller", "worker"])
+def test_an_error_in_either_half_propagates_once_the_worker_is_done(monkeypatch, split_everything, tiny_params,
+                                                                    tiny_config, half):
+    worker = RecordingWorker(delay=0.05)
+    monkeypatch.setattr(T, "_worker", lambda: worker)
+    caller, real_ffn = threading.get_ident(), T.ffn_block
+
+    def ffn_block(*args, **kwargs):
+        if (threading.get_ident() == caller) == (half == "caller"):
+            raise RuntimeError(f"the {half}'s half failed")
+        return real_ffn(*args, **kwargs)
+
+    monkeypatch.setattr(T, "ffn_block", ffn_block)
+    batch = pack_batch(_split_cases(tiny_config)["qa windows"])
+    with T.no_grad(), pytest.raises(RuntimeError, match=f"the {half}'s half failed"):
+        encode_batch(tiny_params, tiny_config, batch)
+    assert len(worker.futures) == 1 and worker.futures[0].done()
+
+
+def test_the_worker_half_runs_under_the_callers_errstate(monkeypatch, split_everything, tiny_params, tiny_config):
+    over = {}  # thread id -> np.geterr()["over"] inside its half
+    real_ffn = T.ffn_block
+
+    def ffn_block(*args, **kwargs):
+        over[threading.get_ident()] = np.geterr()["over"]
+        return real_ffn(*args, **kwargs)
+
+    monkeypatch.setattr(T, "ffn_block", ffn_block)
+    batch = pack_batch(_split_cases(tiny_config)["ner rows"])
+    with T.no_grad(), np.errstate(over="raise"):
+        encode_batch(tiny_params, tiny_config, batch)
+    assert len(over) == 2 and set(over.values()) == {"raise"}
+
+
+def test_eval_forward_pin_holds_when_every_batch_of_two_rows_may_split(monkeypatch):
+    # on two CPUs each forward-only batch of two or more rows splits; on one, none does
+    from test_forward_pin import PINNED_FORWARD_DIGEST, _outputs
+
+    monkeypatch.setattr(E, "PARALLEL_MIN_POSITIONS", 1)
+    floats = _outputs()
+    assert hashlib.sha256(" ".join(float(x).hex() for x in floats).encode()).hexdigest() == PINNED_FORWARD_DIGEST

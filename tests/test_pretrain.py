@@ -341,8 +341,8 @@ class RaisingWorker:
 
 
 def test_adamw_keeps_a_store_under_two_blocks_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(pretrain, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(pretrain, "_adamw_worker", RaisingWorker)
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(T, "_worker", RaisingWorker)
     rng = np.random.default_rng(9)
     for sizes, reaches_worker in (((ADAMW_BLOCK, ADAMW_BLOCK - 1), False), ((ADAMW_BLOCK, ADAMW_BLOCK), True)):
         params = {f"p{i}": T.parameter(rng.normal(size=n)) for i, n in enumerate(sizes)}
@@ -357,7 +357,7 @@ def test_adamw_keeps_a_store_under_two_blocks_on_the_calling_thread(monkeypatch)
 
 
 def test_adamw_worker_half_raises_under_the_callers_errstate(monkeypatch):
-    monkeypatch.setattr(pretrain, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(pretrain, "ADAMW_EPS", 0.0)
     monkeypatch.setattr(pretrain, "ADAMW_WEIGHT_DECAY", 0.0)
     p = T.parameter(np.zeros(2 * ADAMW_BLOCK))
@@ -370,7 +370,7 @@ def test_adamw_worker_half_raises_under_the_callers_errstate(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_adamw_steps_in_a_child_forked_after_a_split_step(monkeypatch):
-    monkeypatch.setattr(pretrain, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
 
     def split_step():
         p = T.parameter(np.ones(2 * ADAMW_BLOCK))
@@ -620,7 +620,7 @@ def test_training_split_over_two_threads_is_bit_identical(monkeypatch, toy_data,
                       seed=17, log_interval=1)
     store = sum(p.data.size for p in init_model(toy_encoder_config, seed=cfg.seed).values())
     cpus = 2
-    monkeypatch.setattr(pretrain, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
     elements = {}  # thread id -> elements it updated
     early = []  # (step index, elements) the worker updated before that step's `step` was entered
     steps = [0]  # `step` calls so far
@@ -711,7 +711,7 @@ def test_short_training_run_is_pinned_bit_for_bit(monkeypatch, toy_data, one_cpu
     # one CPU: the caller updates every block after backward; unpatched, on
     # two or more CPUs, the worker shares the blocks and starts during backward
     if one_cpu:
-        monkeypatch.setattr(pretrain, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
     assert _pinned_run_digests(toy_data) == (PINNED_TRAIN_PARAMS_DIGEST, PINNED_TRAIN_LOG_DIGEST)
 
 
@@ -734,10 +734,10 @@ class SlowWorker:
 
 
 def test_overlapped_step_whose_backward_raises_drains_the_worker(monkeypatch):
-    monkeypatch.setattr(pretrain, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(pretrain, "ADAMW_BLOCK", 8)
-    worker = SlowWorker(pretrain._adamw_worker())
-    monkeypatch.setattr(pretrain, "_adamw_worker", lambda: worker)
+    worker = SlowWorker(T._worker())
+    monkeypatch.setattr(T, "_worker", lambda: worker)
     rng = np.random.default_rng(4)
     init = {"w": rng.normal(size=(4, 8)), "u": rng.normal(size=16)}
     g1, g2 = {n: rng.normal(size=a.shape) for n, a in init.items()}, {n: rng.normal(size=a.shape)
@@ -780,8 +780,8 @@ def test_step_takes_blocks_of_a_parameter_the_worker_has_started(monkeypatch):
     # begun but is still asleep when `step` starts, so the caller does not
     # wait on the whole parameter: it takes w's blocks from the queue itself
     monkeypatch.setattr(pretrain, "ADAMW_BLOCK", 8)
-    worker = SlowWorker(pretrain._adamw_worker())
-    monkeypatch.setattr(pretrain, "_adamw_worker", lambda: worker)
+    worker = SlowWorker(T._worker())
+    monkeypatch.setattr(T, "_worker", lambda: worker)
     rng = np.random.default_rng(6)
     init = {"w": rng.normal(size=(4, 8)), "u": rng.normal(size=5)}
     gw, gu = rng.normal(size=(4, 8)), rng.normal(size=5)
@@ -797,7 +797,7 @@ def test_step_takes_blocks_of_a_parameter_the_worker_has_started(monkeypatch):
     monkeypatch.setattr(AdamW, "_update", update)
 
     def run(cpus):
-        monkeypatch.setattr(pretrain, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
         params = {n: T.parameter(a) for n, a in init.items()}
         w, u = params["w"], params["u"]
         opt = AdamW(params)
@@ -819,9 +819,9 @@ def test_step_takes_blocks_of_a_parameter_the_worker_has_started(monkeypatch):
 
 def test_overlap_arms_nothing_on_one_cpu_or_without_a_block_sized_parameter(monkeypatch):
     # the RaisingWorker would raise out of backward if a parameter were handed to it
-    monkeypatch.setattr(pretrain, "_adamw_worker", RaisingWorker)
+    monkeypatch.setattr(T, "_worker", RaisingWorker)
     for cpus, size in ((1, 2 * ADAMW_BLOCK), (2, ADAMW_BLOCK - 1)):
-        monkeypatch.setattr(pretrain, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
         w = T.parameter(np.ones(size))
         opt = AdamW({"w": w})
         with opt.overlap(1e-3):

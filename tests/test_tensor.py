@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import re
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -1252,7 +1253,7 @@ def test_layer_norm_means_equal_np_mean_bit_for_bit():
 
 @pytest.fixture
 def empty_workspace(monkeypatch):
-    monkeypatch.setattr(T, "_attention_workspace", np.empty(0))
+    monkeypatch.setattr(T._attention_workspace, "scores", np.empty(0))
 
 
 def _attention_inputs(rng, B, S, H=6):
@@ -1268,13 +1269,13 @@ def test_recording_attention_leaves_the_workspace_untouched(empty_workspace):
     rng = np.random.default_rng(30)
     with T.no_grad():
         T.attention_block(*_attention_inputs(rng, 2, 4), 2)
-    workspace = T._attention_workspace
+    workspace = T._attention_workspace.scores
     before = workspace.copy()
     for B, S in ((2, 4), (3, 9)):  # one shape that fits the workspace, one larger
         out = T.attention_block(*_attention_inputs(rng, B, S), 2)
         assert out._backward is not None
         assert not np.shares_memory(out.data, workspace)
-    assert T._attention_workspace is workspace
+    assert T._attention_workspace.scores is workspace
     np.testing.assert_array_equal(workspace, before)
 
 
@@ -1288,7 +1289,7 @@ def test_no_grad_attention_outputs_are_independent(empty_workspace, rate):
     np.testing.assert_array_equal(first.data, kept)
     assert not np.array_equal(first.data, second.data)
     for out in (first, second):
-        assert not np.shares_memory(out.data, T._attention_workspace)
+        assert not np.shares_memory(out.data, T._attention_workspace.scores)
 
 
 def test_no_grad_attention_equals_recording_across_shapes(empty_workspace):
@@ -1299,14 +1300,24 @@ def test_no_grad_attention_equals_recording_across_shapes(empty_workspace):
         got = [T.attention_block(*inputs, 2).data for inputs in calls]
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
-    assert T._attention_workspace.size == 3 * 2 * 9 * 9  # the largest score size seen
+    assert T._attention_workspace.scores.size == 3 * 2 * 9 * 9  # the largest score size seen
+
+
+def test_threads_never_share_a_score_buffer(empty_workspace):
+    shape = (2, 2, 4, 4)
+    here = T._score_buffer(shape)
+    with futures.ThreadPoolExecutor(1) as pool:
+        there, again = pool.submit(lambda: (T._score_buffer(shape), T._score_buffer(shape))).result()
+    assert not np.shares_memory(here, there)
+    # each thread keeps its own workspace from one call to the next
+    assert np.shares_memory(there, again) and np.shares_memory(here, T._score_buffer(shape))
 
 
 def test_no_grad_attention_above_the_cap_allocates_its_own_scores(empty_workspace):
     rng = np.random.default_rng(33)
     with T.no_grad():
         T.attention_block(*_attention_inputs(rng, 2, 4), 2)
-    workspace = T._attention_workspace
+    workspace = T._attention_workspace.scores
     # one head over S keys: S * S scores, just above the cap
     S = math.isqrt(T.ATTENTION_WORKSPACE_CAP) + 1
     inputs = _attention_inputs(rng, 1, S, H=2)
@@ -1314,7 +1325,7 @@ def test_no_grad_attention_above_the_cap_allocates_its_own_scores(empty_workspac
     with T.no_grad():
         got = T.attention_block(*inputs, 1).data
     np.testing.assert_array_equal(got, want)
-    assert T._attention_workspace is workspace and workspace.size == 2 * 2 * 4 * 4
+    assert T._attention_workspace.scores is workspace and workspace.size == 2 * 2 * 4 * 4
     assert T.ATTENTION_WORKSPACE_CAP * workspace.itemsize <= 8 << 20
 
 
