@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .files import read_json, read_json_lines, write_json_lines
+from .files import read_json, read_json_lines, require_strings, write_json_lines
 from .tensor import no_grad
 
 
@@ -133,11 +133,13 @@ def save_embeddings(embeddings, path):
 
 
 def load_embeddings(path, dim=None):
-    """The SpanEmbeddings of a JSON-lines file.  Every vector has `dim`
-    elements when it is given, else as many as the first."""
+    """The SpanEmbeddings of a JSON-lines file: a string `id`, `lang` and
+    `text` each.  Every vector has `dim` elements when it is given, else as
+    many as the first."""
 
     def parse(d):
         nonlocal dim
+        require_strings(d, ("id", "lang", "text"))
         e = SpanEmbedding(uid=d["id"], language=d["lang"], text=d["text"],
                           vector=np.array(d["vector"], dtype=np.float64)).validate()
         dim = e.vector.size if dim is None else dim
@@ -188,9 +190,7 @@ def load_span_items(path, word_vocab, entity_vocab):
     every bound an integer (a bool is refused)."""
 
     def item(d):
-        for field in ("id", "lang"):
-            if not isinstance(d[field], str):
-                raise ContractError(f"{field} {d[field]!r} is not a string")
+        require_strings(d, ("id", "lang"))
         tokens, lang = d["tokens"], d["lang"]
         if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
             raise ContractError(f"tokens {tokens!r} is not a list of strings")

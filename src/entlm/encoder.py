@@ -143,7 +143,7 @@ class ContextualOutput:
 
 
 def param_specs(config: EncoderConfig) -> list:
-    """(name, shape, init) of every encoder parameter, in `init_params`' draw order."""
+    """(name, shape, init) of every encoder parameter, in draw order."""
     H, E, F = config.hidden_size, config.entity_emb_size, config.ffn_size
     specs = [
         ("word_emb", (config.word_vocab_size, H), "normal"),
@@ -192,11 +192,6 @@ def check_params(params, rows, where):
                                 f"but {list(shape)} is expected")
 
 
-def init_params(config: EncoderConfig, rng) -> dict:
-    """Fresh encoder parameter dict keyed by stable names."""
-    return draw_params(param_specs(config.validate()), rng)
-
-
 def embed_input(params, config, batch):
     """The input layer, as one `T.input_embedding` node: per word, the sum of
     its token, position (0..m-1) and word-type embeddings; per entity, its
@@ -212,9 +207,8 @@ def embed_input(params, config, batch):
     Checked here, in order: VocabError for a word id outside [0,
     word_vocab_size) or an entity id outside [0, entity_vocab_size), then
     ContractError for an entity whose mask row sums to 0.  The node comes
-    from `T._input_embedding`, the builder behind `T.input_embedding`,
-    given the id ranges read here: its ShapeError checks run on them, so no
-    id array is reduced twice.
+    from `T.input_embedding`, given the id ranges read here: its ShapeError
+    checks run on them, so no id array is reduced twice.
     """
     word_ids = np.asarray(batch["word_ids"])
     word_range = T._id_range(word_ids)
@@ -224,7 +218,7 @@ def embed_input(params, config, batch):
     types = (WORD_TYPE_ID, ENTITY_TYPE_ID)
     entity_ids = np.asarray(batch["entity_ids"]) if "entity_ids" in batch else None
     if entity_ids is None or not entity_ids.shape[1]:
-        return T._input_embedding(tables, word_ids, word_range, types)
+        return T.input_embedding(tables, word_ids, word_range, types)
     entity_range = T._id_range(entity_ids)
     if entity_range is not None and (entity_range[0] < 0 or entity_range[1] >= config.entity_vocab_size):
         raise VocabError(f"entity id out of range for vocab of {config.entity_vocab_size}")
@@ -232,8 +226,8 @@ def embed_input(params, config, batch):
     if not (np.add.reduce(position_mask, axis=-1) > 0).all():
         raise ContractError("entity with empty mention position set")
     tables += [params["entity_emb"], params["entity_proj_w"], params["entity_proj_b"], params["entity_type_emb"]]
-    return T._input_embedding(tables, word_ids, word_range, types, entity_ids, entity_range, batch["entity_pos"],
-                              position_mask, mean=config.entity_position_mode == "mean")
+    return T.input_embedding(tables, word_ids, word_range, types, entity_ids, entity_range, batch["entity_pos"],
+                             position_mask, mean=config.entity_position_mode == "mean")
 
 
 def encode_batch(params, config, batch, rng=None, train=False):

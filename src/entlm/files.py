@@ -29,6 +29,13 @@ def loads(text):
     return value
 
 
+def require_strings(record, fields):
+    """ContractError, naming the field, unless each of `fields` in record is a string."""
+    for field in fields:
+        if not isinstance(record[field], str):
+            raise ContractError(f"{field} {record[field]!r} is not a string")
+
+
 def _located(path, lineno, e):
     detail = e if isinstance(e, EntlmError) else f"{type(e).__name__}: {e}"
     if isinstance(e, json.JSONDecodeError):  # its own line number counts within the text parsed

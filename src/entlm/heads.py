@@ -21,7 +21,7 @@ from . import tensor as T
 from .encoder import (NEG_INF, EncodedSequence, EncoderConfig, check_params, draw_params, encode_batch, pack_batch,
                       param_specs)
 from .errors import ConfigError, ContractError
-from .files import read_json, read_lines
+from .files import read_json, read_lines, require_strings
 from .pretrain import AdamW, warmup_linear_decay
 from .seeding import substream
 
@@ -153,7 +153,9 @@ def load_qa_data(path):
     """Read QA instances from SQuAD-shaped JSON (one object whose `data` lists
     articles of paragraphs of questions) or else from JSON lines.  A question
     without an `id` takes its index; no two questions may share an id, and
-    each entity row is three integers."""
+    each entity row is three integers.  `lang`, `q_lang`, `c_lang` and each
+    answer's `text` are strings and each `answer_start` an integer (a bool
+    is refused): ContractError names the field otherwise."""
     insts = []
     qids = set()
 
@@ -163,8 +165,15 @@ def load_qa_data(path):
             if qid in qids:
                 raise ContractError(f"question id {qid!r} is used by an earlier question")
             qids.add(qid)
+            lang = r.get("lang", "en")
+            langs = {"lang": lang, "q_lang": r.get("q_lang", lang), "c_lang": r.get("c_lang", lang)}
+            require_strings(langs, langs)
             ctx_tokens, starts = _tokenize_with_offsets(r["context"])
             answers = r.get("answers", [])
+            for a in answers:
+                require_strings(a, ("text",))
+                if type(a["answer_start"]) is not int:
+                    raise ContractError(f"answer_start {a['answer_start']!r} is not an integer")
             spans = [_char_span_to_tokens(starts, ctx_tokens, a["answer_start"], a["text"]) for a in answers]
             insts.append(
                 QAInstance(
@@ -175,8 +184,8 @@ def load_qa_data(path):
                     gold_spans=[span for span in spans if span],
                     question_entities=_entity_rows(r, "question_entities"),
                     context_entities=_entity_rows(r, "context_entities"),
-                    q_lang=r.get("q_lang", r.get("lang", "en")),
-                    c_lang=r.get("c_lang", r.get("lang", "en")),
+                    q_lang=langs["q_lang"],
+                    c_lang=langs["c_lang"],
                 ).validate()
             )
 

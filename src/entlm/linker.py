@@ -23,14 +23,8 @@ class MentionMap:
         self.entries = dict(entries or {})  # tuple(tokens) -> entity id
         self._max_len = max((len(s) for s in self.entries), default=0)
 
-    def __len__(self):
-        return len(self.entries)
-
     def get(self, surface):
         return self.entries.get(tuple(surface))
-
-    def items(self):
-        return self.entries.items()
 
     @property
     def max_surface_len(self):
@@ -109,7 +103,7 @@ def translate_mention_map(source_map: MentionMap, vocab: EntityVocab,
     entity_ids = set(source_map.entries.values())
     target_titles = {}
     for eid in entity_ids:
-        titles = set(vocab.titles_in_language(eid, target_language))
+        titles = {t for lang, t in vocab.entries[eid].titles if lang == target_language}
         key = vocab.entries[eid].canonical_key
         titles |= {t for lang, t in links.titles_for_key(key) if lang == target_language}
         if titles:

@@ -96,9 +96,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         return _describe(self.data.shape, self._op, self.name)
 
@@ -550,7 +547,8 @@ def embedding(table, ids):
     return _make(out_data, (table,), backward, "embedding")
 
 
-def input_embedding(tables, word_ids, types, entity_ids=None, positions=None, weights=None, mean=False):
+def input_embedding(tables, word_ids, word_range, types, entity_ids=None, entity_range=None, positions=None,
+                    weights=None, mean=False):
     """The encoder's input layer as one node.
 
     `tables` is (word_emb, pos_emb, type_emb), followed by (entity_emb,
@@ -568,29 +566,16 @@ def input_embedding(tables, word_ids, types, entity_ids=None, positions=None, we
     `backward` adds the word part and then that part into what pos_emb has
     collected from other nodes, as it added the chain's two lookups.
 
-    Every check raises ShapeError, in this order: word ids not rank 2 or
-    the first three tables not rank 2 of one width; a word id, a position
-    (M > pos_emb rows) or a type row out of its table's range; entity
-    tables without entity ids or the reverse; entity inputs whose shapes
-    do not fit; an entity id, a mention position or a type row out of its
-    table's range.  This kernel reads the range of word_ids and entity_ids
-    and hands them to `_input_embedding`, which runs the checks and builds
-    the node; `encoder.embed_input` calls it with the ranges it has read
-    for its own VocabError checks.
+    word_ids and entity_ids are ndarrays whose `_id_range` the caller has
+    read: word_range and entity_range (`encoder.embed_input` reads them for
+    its own VocabError checks, so no id array is reduced twice).  Every
+    check raises ShapeError, in this order: word ids not rank 2 or the
+    first three tables not rank 2 of one width; a word id, a position (M >
+    pos_emb rows) or a type row out of its table's range; entity tables
+    without entity ids or the reverse; entity inputs whose shapes do not
+    fit; an entity id, a mention position or a type row out of its table's
+    range.
     """
-    word_ids = np.asarray(word_ids)
-    if entity_ids is None:
-        return _input_embedding(tables, word_ids, _id_range(word_ids), types)
-    entity_ids = np.asarray(entity_ids)
-    return _input_embedding(tables, word_ids, _id_range(word_ids), types, entity_ids, _id_range(entity_ids),
-                            positions, weights, mean)
-
-
-def _input_embedding(tables, word_ids, word_range, types, entity_ids=None, entity_range=None, positions=None,
-                     weights=None, mean=False):
-    """`input_embedding`'s checks and node, for id arrays whose `_id_range`
-    the caller has read: word_range of word_ids and, with entities,
-    entity_range of entity_ids (an ndarray here)."""
     word_emb, pos_emb, type_emb = tables[:3]
     H = word_emb.shape[-1]
     if word_ids.ndim != 2 or any(t.ndim != 2 or t.shape[1] != H for t in tables[:3]):
@@ -1078,53 +1063,3 @@ def backward(loss):
 def zero_grads(params):
     for p in params.values() if isinstance(params, dict) else params:
         p.grad = None
-
-
-def grad_check(build_loss, params, eps=1e-5, rng=None, samples_per_param=8):
-    """Max relative error between analytic gradients and central differences.
-
-    `build_loss()` must rebuild the graph from the live values in `params`
-    (a dict name -> Tensor) and return the scalar loss.  For each parameter
-    up to `samples_per_param` coordinates are probed, preferring the
-    largest-magnitude analytic gradients: central differences cannot
-    resolve coordinates whose true gradient sits near the float64 noise
-    floor, and a wrong gradient formula shows up in the dominant
-    coordinates anyway.  A parameter whose analytic gradient is all zero
-    gets random probes instead, which catches missing-gradient bugs.
-    """
-    if eps <= 0:
-        raise ContractError(f"grad_check: eps must be positive, got {eps}")
-    rng = rng or np.random.default_rng(0)
-    zero_grads(params)
-    loss = build_loss()
-    if not np.isfinite(loss.data):
-        raise ContractError("grad_check: non-finite loss at base point")
-    backward(loss)
-
-    worst = 0.0
-    for name, p in params.items():
-        if not p.requires_grad:
-            continue
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        n = flat.size
-        if n <= samples_per_param:
-            coords = range(n)
-        elif np.any(analytic != 0):
-            coords = np.argsort(-np.abs(analytic).reshape(-1))[:samples_per_param]
-        else:
-            coords = rng.choice(n, size=samples_per_param, replace=False)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + eps
-            up = build_loss().item()
-            flat[c] = orig - eps
-            dn = build_loss().item()
-            flat[c] = orig
-            if not (np.isfinite(up) and np.isfinite(dn)):
-                raise ContractError(f"grad_check: non-finite loss probing {name}[{c}]")
-            numeric = (up - dn) / (2.0 * eps)
-            a = analytic.reshape(-1)[c]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
-            worst = max(worst, err)
-    return worst

@@ -169,9 +169,6 @@ class EntityVocab:
     def resolve_key(self, canonical_key):
         return self.key_to_id.get(canonical_key)
 
-    def titles_in_language(self, entity_id, language):
-        return sorted(t for lang, t in self.entries[entity_id].titles if lang == language)
-
     def save(self, path):
         """Write the vocab file: JSON lines of `rows()`, one entity per line in
         id order.  A vocabulary without all four specials raises ContractError

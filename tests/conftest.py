@@ -1,6 +1,8 @@
 """Shared fixtures: a tiny encoder, random sequences, an independent
 plain-numpy reference forward used as an oracle for the word-only path, a
-writer of RE data files and a digest of parameter tensors."""
+finite-difference gradient checker, `T.input_embedding` for callers that
+have not read their id ranges, a writer of RE data files and a digest of
+parameter tensors."""
 
 import hashlib
 import math
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 
 import entlm.tensor as T
-from entlm.encoder import EncoderConfig, EncodedSequence, init_params
+from entlm.encoder import EncoderConfig, EncodedSequence, draw_params, param_specs
+from entlm.errors import ContractError
 from entlm.seeding import substream
 
 
@@ -30,7 +33,7 @@ def tiny_config():
 
 @pytest.fixture
 def tiny_params(tiny_config):
-    return init_params(tiny_config, substream(0, "test-params"))
+    return draw_params(param_specs(tiny_config), substream(0, "test-params"))
 
 
 def random_sequence(rng, config, n_words=None, n_entities=None):
@@ -89,6 +92,66 @@ def reference_word_forward(params, config, word_ids):
         f = _ref_gelu(x @ P[pre + "ffn.w1"] + P[pre + "ffn.b1"]) @ P[pre + "ffn.w2"] + P[pre + "ffn.b2"]
         x = _ref_ln(x + f, P[pre + "ffn_ln.gain"], P[pre + "ffn_ln.bias"], T.LAYER_NORM_EPS)
     return x
+
+
+def grad_check(build_loss, params, eps=1e-5, rng=None, samples_per_param=8):
+    """Max relative error between analytic gradients and central differences.
+
+    `build_loss()` must rebuild the graph from the live values in `params`
+    (a dict name -> Tensor) and return the scalar loss.  For each parameter
+    up to `samples_per_param` coordinates are probed, preferring the
+    largest-magnitude analytic gradients: central differences cannot
+    resolve coordinates whose true gradient sits near the float64 noise
+    floor, and a wrong gradient formula shows up in the dominant
+    coordinates anyway.  A parameter whose analytic gradient is all zero
+    gets random probes instead, which catches missing-gradient bugs.
+    """
+    if eps <= 0:
+        raise ContractError(f"grad_check: eps must be positive, got {eps}")
+    rng = rng or np.random.default_rng(0)
+    T.zero_grads(params)
+    loss = build_loss()
+    if not np.isfinite(loss.data):
+        raise ContractError("grad_check: non-finite loss at base point")
+    T.backward(loss)
+
+    worst = 0.0
+    for name, p in params.items():
+        if not p.requires_grad:
+            continue
+        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+        flat = p.data.reshape(-1)
+        n = flat.size
+        if n <= samples_per_param:
+            coords = range(n)
+        elif np.any(analytic != 0):
+            coords = np.argsort(-np.abs(analytic).reshape(-1))[:samples_per_param]
+        else:
+            coords = rng.choice(n, size=samples_per_param, replace=False)
+        for c in coords:
+            orig = flat[c]
+            flat[c] = orig + eps
+            up = float(build_loss().data)
+            flat[c] = orig - eps
+            dn = float(build_loss().data)
+            flat[c] = orig
+            if not (np.isfinite(up) and np.isfinite(dn)):
+                raise ContractError(f"grad_check: non-finite loss probing {name}[{c}]")
+            numeric = (up - dn) / (2.0 * eps)
+            a = analytic.reshape(-1)[c]
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
+            worst = max(worst, err)
+    return worst
+
+
+def input_embedding(tables, word_ids, types, entity_ids=None, positions=None, weights=None, mean=False):
+    """`T.input_embedding` with the id ranges read here by `T._id_range`."""
+    word_ids = np.asarray(word_ids)
+    if entity_ids is None:
+        return T.input_embedding(tables, word_ids, T._id_range(word_ids), types)
+    entity_ids = np.asarray(entity_ids)
+    return T.input_embedding(tables, word_ids, T._id_range(word_ids), types, entity_ids, T._id_range(entity_ids),
+                             positions, weights, mean)
 
 
 def save_re_data(insts, path):

@@ -14,7 +14,7 @@ import pytest
 
 import entlm.cloze as cloze_mod
 import entlm.tensor as T
-from conftest import random_sequence, reference_word_forward, save_re_data
+from conftest import grad_check, random_sequence, reference_word_forward, save_re_data
 from entlm.align import knn_graph, modularity_of_partition
 from entlm.cli import EXIT_OK, main
 from entlm.cloze import ClozeModel, TypedQuery, score_query, top1_fp_ratio
@@ -28,7 +28,7 @@ from entlm.corpus import (
     mask_batch,
     save_corpus,
 )
-from entlm.encoder import EncodedSequence, EncoderConfig, draw_params, encode_batch, init_params, pack_batch
+from entlm.encoder import EncodedSequence, EncoderConfig, draw_params, encode_batch, pack_batch, param_specs
 from entlm.heads import (
     FinetuneConfig,
     NERInstance,
@@ -101,7 +101,7 @@ def test_criterion_02_full_encoder_gradients(tiny_config, tiny_params):
         l2 = T.cross_entropy_logits(T.matmul(e, params["mep_head.w"]) + params["mep_head.b"], entity_labels)
         return l1 + l2
 
-    err = T.grad_check(loss, params, eps=1e-5, rng=np.random.default_rng(0))
+    err = grad_check(loss, params, eps=1e-5, rng=np.random.default_rng(0))
     assert err < 1e-4, f"max relative error {err}"
     ok(2, f"finite differences on 2-layer/32-hidden/2-head encoder with both "
           f"prediction heads: max relative error {err:.2e} < 1e-4")
@@ -127,7 +127,7 @@ def test_criterion_03_equivariance_and_word_only():
             dropout=0.0,
             entity_position_mode="sum" if trial % 2 else "mean",
         ).validate()
-        params = init_params(cfg, substream(trial, "acceptance-eq-params"))
+        params = draw_params(param_specs(cfg), substream(trial, "acceptance-eq-params"))
         n = int(rng.integers(2, 5))
         seq = random_sequence(rng, cfg, n_entities=n)
         perm = rng.permutation(n)
@@ -254,7 +254,7 @@ def test_criterion_07_ner_enumeration_and_decode():
     cfg = EncoderConfig(word_vocab_size=len(wv), entity_vocab_size=len(ev),
                         hidden_size=16, entity_emb_size=8, layers=1, heads=2,
                         ffn_size=32, max_positions=16, dropout=0.0).validate()
-    params = init_params(cfg, substream(8, "acceptance-ner"))
+    params = draw_params(param_specs(cfg), substream(8, "acceptance-ner"))
     rng = substream(9, "acceptance-ner-fixtures")
     words = list(wv.token_to_id)
     model = make_ner_model(cfg, params, wv, ev, ["PER", "LOC"], max_span_len=4)
@@ -281,7 +281,7 @@ def test_criterion_08_re_entity_variant():
     cfg = EncoderConfig(word_vocab_size=len(wv), entity_vocab_size=len(ev),
                         hidden_size=16, entity_emb_size=8, layers=1, heads=2,
                         ffn_size=32, max_positions=16, dropout=0.0).validate()
-    params = init_params(cfg, substream(10, "acceptance-re"))
+    params = draw_params(param_specs(cfg), substream(10, "acceptance-re"))
     model = make_re_model(cfg, params, wv, ev, labels=["birthplace", "employer"],
                           variant="entity-mask")
     emb = model.params["entity_emb"].data
@@ -315,8 +315,7 @@ def test_criterion_09_cloze_scoring(monkeypatch):
                         hidden_size=16, entity_emb_size=8, layers=1, heads=2,
                         ffn_size=32, max_positions=24, dropout=0.0).validate()
     rng = substream(11, "acceptance-cloze")
-    params = init_params(cfg, rng)
-    params.update(draw_params(head_specs(cfg), rng))
+    params = draw_params(param_specs(cfg) + head_specs(cfg), rng)
     model = ClozeModel(encoder_config=cfg, params=params, word_vocab=wv, entity_vocab=ev)
     query = TypedQuery(language="en", template="[X] is the capital of [Y]",
                        sub_surface="tokyo", candidates=[("big city", None)],

@@ -1,6 +1,7 @@
 """Cross-lingual alignment: CWR MRR, k-NN modularity, embedding files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,16 @@ def test_embedding_file_of_unequal_vectors_is_refused(tmp_path):
         load_embeddings(path)
 
 
+@pytest.mark.parametrize("field,value", [("id", ["a"]), ("lang", ["en"]), ("text", 7)])
+def test_embedding_file_refuses_a_field_that_is_not_a_string(tmp_path, field, value):
+    path = tmp_path / "emb.jsonl"
+    rows = [{"id": uid, "lang": "en", "text": uid, "vector": [1.0, 2.0]} for uid in ("a", "b")]
+    rows[1][field] = value
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ContractError, match="^" + re.escape(f"{path}:2: {field} {value!r} is not a string") + "$"):
+        load_embeddings(str(path))
+
+
 SPAN_ITEM = {"id": "s0", "lang": "en", "tokens": ["a", "b", "c"], "span": [1, 3], "entities": [["[MASK]", 0, 2]]}
 
 
@@ -324,7 +335,7 @@ def test_feature_dump_groups_equal_one_item_calls(task_model, spec, monkeypatch)
 def task_model():
     from entlm.cloze import ClozeModel
     from entlm.corpus import WordVocab
-    from entlm.encoder import EncoderConfig, init_params
+    from entlm.encoder import EncoderConfig, draw_params, param_specs
     from entlm.vocab import EntityEntry, EntityVocab, SPECIAL_ENTITIES
 
     wv = WordVocab(["a", "b", "c", "d", "e"])
@@ -332,7 +343,7 @@ def task_model():
     cfg = EncoderConfig(word_vocab_size=len(wv), entity_vocab_size=len(ev),
                         hidden_size=16, entity_emb_size=8, layers=1, heads=2,
                         ffn_size=32, max_positions=16, dropout=0.0).validate()
-    params = init_params(cfg, substream(3, "dump-params"))
+    params = draw_params(param_specs(cfg), substream(3, "dump-params"))
     model = ClozeModel(encoder_config=cfg, params=params, word_vocab=wv, entity_vocab=ev)
     item = {"word_ids": wv.encode(["a", "b", "c", "d"]), "span": (1, 3), "text": "b c"}
     return model, item

@@ -1289,6 +1289,15 @@ MALFORMED = [
      _record_edit(3, lambda r: r["context_entities"][0].__setitem__(2, True)), _finetune_argv("qa"), 3),
     ("finetune/qa-entity-bound-a-float", "qa_jsonl",
      _record_edit(2, lambda r: r["context_entities"][0].__setitem__(0, 1.0)), _finetune_argv("qa"), 2),
+    # a list lang loads and then breaks the per-language-pair F1 of eval and finetune --dev
+    ("finetune/qa-lang-a-list", "qa_jsonl", _record_edit(2, lambda r: r.update(lang=["en"])), _finetune_argv("qa"), 2),
+    ("finetune/qa-answer-text-a-list", "qa_jsonl", _record_edit(3, lambda r: r["answers"][0].update(text=["y"])),
+     _finetune_argv("qa"), 3),
+    # a bool is an int to Python, so `true` would read as character offset 1
+    ("finetune/qa-answer-start-a-bool", "qa_jsonl",
+     _record_edit(2, lambda r: r["answers"][0].update(answer_start=True)), _finetune_argv("qa"), 2),
+    ("finetune/qa-answer-start-a-float", "qa_jsonl",
+     _record_edit(1, lambda r: r["answers"][0].update(answer_start=5.5)), _finetune_argv("qa"), 1),
     ("finetune/qa-squad-missing-paragraphs", "qa_squad", _document_edit(lambda d: d["data"][0].pop("paragraphs")),
      _finetune_argv("qa"), 1),
     ("eval/re-three-columns", "re", _line_edit(1, lambda line: line.rsplit("\t", 1)[0]),
@@ -1334,6 +1343,12 @@ MALFORMED = [
      lambda p, bad: ["analyze", "modularity", "--embeddings", bad, "--out", p["out"]], 1),
     ("analyze/embeddings-ragged", "emb", _record_edit(3, lambda r: r["vector"].append(1.0)),
      lambda p, bad: ["analyze", "modularity", "--embeddings", bad, "--out", p["out"]], 3),
+    # each of these two used to die with a raw TypeError: unhashable type: 'list'
+    ("analyze/embeddings-lang-a-list", "emb", _record_edit(2, lambda r: r.update(lang=["en"])),
+     lambda p, bad: ["analyze", "modularity", "--embeddings", bad, "--out", p["out"]], 2),
+    ("analyze/cwr-pool-id-a-list", "emb", _record_edit(1, lambda r: r.update(id=["s0"])),
+     lambda p, bad: ["analyze", "cwr", "--queries", p["emb"], "--pool", bad, "--gold", p["gold"],
+                     "--out", p["out"]], 1),
     # the queries have 3 dimensions
     ("analyze/cwr-pool-dimension", "emb", _record_edit(1, lambda r: r["vector"].append(1.0)),
      lambda p, bad: ["analyze", "cwr", "--queries", p["emb"], "--pool", bad, "--gold", p["gold"],

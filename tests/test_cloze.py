@@ -20,7 +20,7 @@ from entlm.cloze import (
     top1_fp_ratio,
 )
 from entlm.corpus import WordVocab
-from entlm.encoder import EncodedSequence, EncoderConfig, draw_params, encode, encode_batch, init_params, pack_batch
+from entlm.encoder import EncodedSequence, EncoderConfig, draw_params, encode, encode_batch, pack_batch, param_specs
 from entlm.errors import CapacityError, ContractError
 from entlm.pretrain import head_specs
 from entlm.seeding import substream
@@ -41,8 +41,7 @@ def _cloze_model(extra_entities=0):
                         hidden_size=16, entity_emb_size=8, layers=1, heads=2,
                         ffn_size=32, max_positions=24, dropout=0.0).validate()
     rng = substream(0, "cloze-params")
-    params = init_params(cfg, rng)
-    params.update(draw_params(head_specs(cfg), rng))
+    params = draw_params(param_specs(cfg) + head_specs(cfg), rng)
     return ClozeModel(encoder_config=cfg, params=params, word_vocab=wv, entity_vocab=ev)
 
 

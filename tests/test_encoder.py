@@ -12,7 +12,7 @@ import pytest
 
 import entlm.encoder as E
 import entlm.tensor as T
-from conftest import random_sequence, reference_word_forward
+from conftest import grad_check, input_embedding, random_sequence, reference_word_forward
 from entlm.encoder import (
     EncodedSequence,
     EncoderConfig,
@@ -20,8 +20,8 @@ from entlm.encoder import (
     embed_input,
     encode,
     encode_batch,
-    init_params,
     pack_batch,
+    param_specs,
 )
 from entlm.errors import CapacityError, ConfigError, ContractError, ShapeError, VocabError
 from entlm.seeding import substream
@@ -202,8 +202,8 @@ def test_encode_batch_and_input_embedding_refuse_the_same_bad_ids(tiny_params, t
     what = "word" if case == "word-id" else "entity"
     rows = V if case == "word-id" else E
     with pytest.raises(ShapeError, match=f"^input_embedding: {what} id out of range for table with {rows} rows$"):
-        T.input_embedding(tables, batch["word_ids"], (0, 1), batch["entity_ids"], batch["entity_pos"],
-                          batch["entity_pos_mask"])
+        input_embedding(tables, batch["word_ids"], (0, 1), batch["entity_ids"], batch["entity_pos"],
+                        batch["entity_pos_mask"])
 
 
 def test_input_embedding_table_check_holds_under_encode_batch(tiny_params, tiny_config):
@@ -329,7 +329,7 @@ def test_padding_does_not_change_live_outputs(tiny_params, tiny_config):
 def test_train_mode_needs_rng_for_dropout(tiny_config):
     from dataclasses import replace
     cfg = replace(tiny_config, dropout=0.1)
-    params = init_params(cfg, substream(0, "dropcfg"))
+    params = draw_params(param_specs(cfg), substream(0, "dropcfg"))
     seq = EncodedSequence(word_ids=[1, 2, 3])
     with pytest.raises(ContractError):
         encode_batch(params, cfg, pack_batch([seq]), train=True)
@@ -338,7 +338,7 @@ def test_train_mode_needs_rng_for_dropout(tiny_config):
 def test_dropout_is_deterministic_given_stream(tiny_config):
     from dataclasses import replace
     cfg = replace(tiny_config, dropout=0.1)
-    params = init_params(cfg, substream(0, "dropcfg"))
+    params = draw_params(param_specs(cfg), substream(0, "dropcfg"))
     seq = EncodedSequence(word_ids=[1, 2, 3, 4])
     a = encode_batch(params, cfg, pack_batch([seq]), rng=substream(5, "d"), train=True)
     b = encode_batch(params, cfg, pack_batch([seq]), rng=substream(5, "d"), train=True)
@@ -356,7 +356,7 @@ def _encoder_grad_check_error(params, config, seq):
         ent = T.reduce_sum(T.mul(out.entity_tensor, out.entity_tensor))
         return T.cross_entropy_logits(logits, labels) + T.scale(ent, 0.01)
 
-    return T.grad_check(loss, params, eps=1e-5, rng=np.random.default_rng(0), samples_per_param=2)
+    return grad_check(loss, params, eps=1e-5, rng=np.random.default_rng(0), samples_per_param=2)
 
 
 def test_full_encoder_grad_check(tiny_params, tiny_config):
@@ -368,7 +368,7 @@ def test_full_encoder_grad_check_mean_positions(tiny_config):
     from dataclasses import replace
 
     cfg = replace(tiny_config, entity_position_mode="mean").validate()
-    params = init_params(cfg, substream(0, "test-params"))
+    params = draw_params(param_specs(cfg), substream(0, "test-params"))
     # mentions of one, two and three words, so the mean divides by each count
     seq = EncodedSequence(word_ids=[3, 7, 1, 9, 4, 2], entity_ids=[1, 5, 2],
                           entity_positions=[[0], [2, 3], [3, 4, 5]])
@@ -448,8 +448,7 @@ def test_eval_entry_points_hold_no_graph(monkeypatch):
                         entity_emb_size=8, layers=1, heads=2, ffn_size=32, max_positions=32,
                         dropout=0.0).validate()
     rng = substream(0, "no-graph")
-    params = init_params(cfg, rng)
-    params.update(draw_params(head_specs(cfg), rng))
+    params = draw_params(param_specs(cfg) + head_specs(cfg), rng)
     toks = "tokyo is the capital of japan".split()
     re_inst = heads.REInstance(tokens=toks, head_span=(0, 1), tail_span=(5, 6), label="r")
     ner_inst = heads.NERInstance(tokens=toks)

@@ -14,7 +14,7 @@ import entlm.tensor as T
 from entlm import heads
 from entlm.cloze import MODES, ClozeModel, TypedQuery, score_query
 from entlm.corpus import WordVocab
-from entlm.encoder import EncoderConfig, draw_params, init_params
+from entlm.encoder import EncoderConfig, draw_params, param_specs
 from entlm.pretrain import head_specs
 from entlm.seeding import substream
 from entlm.vocab import SPECIAL_ENTITIES, EntityEntry, EntityVocab
@@ -33,8 +33,7 @@ def _model():
     cfg = EncoderConfig(word_vocab_size=len(wv), entity_vocab_size=len(ev), hidden_size=32, entity_emb_size=16,
                         layers=2, heads=2, ffn_size=64, max_positions=24, dropout=0.0).validate()
     rng = substream(41, "forward-pin")
-    params = init_params(cfg, rng)
-    params.update(draw_params(head_specs(cfg), rng))
+    params = draw_params(param_specs(cfg) + head_specs(cfg), rng)
     return cfg, params, wv, ev
 
 

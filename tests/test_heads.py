@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import save_re_data
 from entlm.corpus import WordVocab
-from entlm.encoder import EncodedSequence, EncoderConfig, encode_batch, init_params, pack_batch
+from entlm.encoder import EncodedSequence, EncoderConfig, draw_params, encode_batch, pack_batch, param_specs
 from entlm.errors import ContractError
 import entlm.heads as heads_mod
 from entlm.heads import (
@@ -61,7 +61,7 @@ def task_setup():
     cfg = EncoderConfig(word_vocab_size=len(wv), entity_vocab_size=len(ev),
                         hidden_size=16, entity_emb_size=8, layers=1, heads=2,
                         ffn_size=32, max_positions=32, dropout=0.0).validate()
-    params = init_params(cfg, substream(0, "task-params"))
+    params = draw_params(param_specs(cfg), substream(0, "task-params"))
     return cfg, params, wv, ev
 
 
@@ -139,6 +139,26 @@ def test_load_qa_refuses_an_entity_row_that_is_not_three_ints(tmp_path, field, v
         load_qa_data(str(path))
     path.write_text(json.dumps(rec) + "\n")
     assert load_qa_data(str(path))[0].context_entities == [(1, 3, 4)]
+
+
+@pytest.mark.parametrize("edit,named", [
+    ({"lang": ["en"]}, "lang ['en'] is not a string"),
+    ({"q_lang": 1}, "q_lang 1 is not a string"),
+    ({"lang": "de", "c_lang": None}, "c_lang None is not a string"),
+    ({"answers": [{"text": ["Tokyo"], "answer_start": 4}]}, "text ['Tokyo'] is not a string"),
+    ({"answers": [{"text": "Tokyo", "answer_start": True}]}, "answer_start True is not an integer"),
+    ({"answers": [{"text": "Tokyo", "answer_start": 4.0}]}, "answer_start 4.0 is not an integer"),
+    ({"answers": [{"text": "Tokyo", "answer_start": "4"}]}, "answer_start '4' is not an integer"),
+], ids=["lang-a-list", "q_lang-an-int", "c_lang-null", "text-a-list", "answer_start-a-bool", "answer_start-a-float",
+        "answer_start-a-string"])
+def test_load_qa_refuses_a_field_of_the_wrong_type(tmp_path, edit, named):
+    import json
+    rec = {"question": "where ?", "context": "the Tokyo Tower stands", "lang": "en",
+           "answers": [{"text": "Tokyo Tower", "answer_start": 4}]}
+    path = tmp_path / "qa.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in (rec, {**rec, **edit}, rec)))
+    with pytest.raises(ContractError, match="^" + re.escape(f"{path}:2: {named}") + "$"):
+        load_qa_data(str(path))
 
 
 @pytest.mark.parametrize("context", ["", "  \t "])
@@ -333,7 +353,7 @@ def test_qa_predict_is_unchanged_by_interleaved_calls_of_another_shape(task_setu
     other_cfg = EncoderConfig(word_vocab_size=len(wv), entity_vocab_size=len(ev), hidden_size=24,
                               entity_emb_size=8, layers=2, heads=3, ffn_size=32, max_positions=64,
                               dropout=0.0).validate()
-    other = make_qa_model(other_cfg, init_params(other_cfg, substream(1, "task-params")), wv, ev)
+    other = make_qa_model(other_cfg, draw_params(param_specs(other_cfg), substream(1, "task-params")), wv, ev)
     for _ in range(2):
         qa_predict(other, inst)
         again = qa_predict(model, inst)

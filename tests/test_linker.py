@@ -119,16 +119,16 @@ def test_translate_omits_entities_without_target_article():
     en_docs = [doc("en", ["OnlyEnglish"], [(0, 1, "OnlyEnglish")])]
     ev = build_entity_vocab(en_docs, links, min_languages=1)
     mm_en = build_mention_map(en_docs, ev)
-    assert len(mm_en) == 1
+    assert len(mm_en.entries) == 1
     mm_ja = translate_mention_map(mm_en, ev, links, "ja", [])
-    assert len(mm_ja) == 0
+    assert len(mm_ja.entries) == 0
 
 
 def _translate_by_scan(source_map, vocab, links, target_language, target_docs):
     """Every target-language annotation tested against every entity's titles."""
     target_titles = {}
     for eid in set(source_map.entries.values()):
-        titles = set(vocab.titles_in_language(eid, target_language))
+        titles = {t for lang, t in vocab.entries[eid].titles if lang == target_language}
         key = vocab.entries[eid].canonical_key
         titles |= {t for lang, t in links.titles_for_key(key) if lang == target_language}
         if titles:
@@ -147,14 +147,14 @@ def _translate_by_scan(source_map, vocab, links, target_language, target_docs):
 def _assert_translation_matches_scan(mm, ev, links, lang, docs):
     got = translate_mention_map(mm, ev, links, lang, docs)
     want = _translate_by_scan(mm, ev, links, lang, docs)
-    assert list(got.items()) == list(want.items())
+    assert list(got.entries.items()) == list(want.entries.items())
     return got
 
 
 def test_translate_matches_the_scan_on_the_ja_fixture(bilingual):
     links, ev, en_docs, ja_docs = bilingual
     got = _assert_translation_matches_scan(build_mention_map(en_docs, ev), ev, links, "ja", ja_docs + en_docs)
-    assert len(got) == 2
+    assert len(got.entries) == 2
 
 
 def test_translate_matches_the_scan_on_a_synthetic_corpus():

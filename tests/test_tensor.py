@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import re
+import zlib
 from concurrent import futures
 
 import numpy as np
@@ -13,7 +14,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import entlm.tensor as T
+from conftest import grad_check, input_embedding
 from entlm.errors import ContractError, ShapeError
+
+
+ATTENTION_WEIGHTS = ("wq", "qb", "wk", "kb", "wv", "vb", "wo", "ob")
 
 
 def p(arr):
@@ -172,7 +177,7 @@ def test_matmul_rank3_weight_gradient_matches_batched():
 
     weight = T.constant(g)
     params = {"a": a, "b": b}
-    assert T.grad_check(lambda: T.reduce_sum(T.mul(T.gelu(T.matmul(a, b)), weight)), params,
+    assert grad_check(lambda: T.reduce_sum(T.mul(T.gelu(T.matmul(a, b)), weight)), params,
                         rng=np.random.default_rng(6)) < 1e-6
 
 
@@ -183,56 +188,92 @@ def test_grad_check_dot_product():
     def loss():
         return T.reduce_sum(T.mul(params["a"], params["b"]))
 
-    assert T.grad_check(loss, params, rng=np.random.default_rng(1)) < 1e-10
+    assert grad_check(loss, params, rng=np.random.default_rng(1)) < 1e-10
 
 
-def test_grad_check_softmax_cross_entropy():
-    rng = np.random.default_rng(2)
-    params = {"logits": p(rng.normal(size=(4, 5)))}
-    labels = np.array([0, 3, -100, 2])
+def _grad_cases(rng):
+    """Public op name -> (build_loss, params): a small loss through that op
+    for `grad_check`, which rebuilds it at every probe.  A case with dropout
+    seeds a fresh stream per call, so every probe draws the same mask."""
+    def t(*shape):
+        return p(rng.normal(size=shape))
 
-    def loss():
-        return T.cross_entropy_logits(params["logits"], labels)
-
-    assert T.grad_check(loss, params, rng=np.random.default_rng(3)) < 1e-6
-
-
-@pytest.mark.parametrize("kernel", ["layer_norm", "gelu", "softmax", "matmul", "concat", "transpose",
-                                    "embedding", "mean", "input_embedding", "residual_layer_norm"])
-def test_grad_check_per_kernel(kernel):
-    rng = np.random.default_rng(hash(kernel) % 2**32)
-    a = p(rng.normal(size=(3, 4)))
-    b = p(rng.normal(size=(4, 3)))
-    params = {"a": a, "b": b}
+    a, b, c, d = t(3, 4), t(4, 3), t(4), t(3)
     weight = T.constant(rng.normal(size=(3, 4)))
 
-    def loss():
-        if kernel == "layer_norm":
-            return T.reduce_sum(T.mul(T.layer_norm(a, p(np.ones(4)), p(np.zeros(4))), weight))
-        if kernel == "gelu":
-            return T.reduce_sum(T.gelu(a))
-        if kernel == "softmax":
-            return T.reduce_sum(T.mul(T.softmax(a), T.constant(np.arange(12.0).reshape(3, 4))))
-        if kernel == "matmul":
-            return T.reduce_sum(T.matmul(a, b))
-        if kernel == "concat":
-            return T.reduce_sum(T.concat([a, T.transpose(b, (1, 0))], axis=0))
-        if kernel == "transpose":
-            return T.reduce_sum(T.mul(T.transpose(a, (1, 0)), b))
-        if kernel == "embedding":
-            return T.reduce_sum(T.embedding(a, np.array([0, 2, 2])))
-        if kernel == "input_embedding":
-            # b is the entity table, a every other table; two words, one entity over positions 0, 2, 2
-            out = T.input_embedding((a, a, a, b, a, p(np.ones(4)), a), np.array([[1, 0]]), (2, 1),
-                                    np.array([[3]]), np.array([[[0, 2, 2]]]), np.array([[[1.0, 0.5, 1.0]]]),
-                                    mean=True)
-            return T.reduce_sum(T.mul(out, T.constant(weight.data)))
-        if kernel == "residual_layer_norm":
-            x = T.transpose(b, (1, 0))
-            return T.reduce_sum(T.mul(T.residual_layer_norm(x, a, p(np.ones(4)), p(np.zeros(4))), weight))
-        return T.scale(T.reduce_sum(T.mul(a, a)), 1 / a.data.size)
+    def weighted(out):
+        return T.reduce_sum(T.mul(out, weight))
 
-    assert T.grad_check(loss, params, rng=np.random.default_rng(0)) < 1e-6
+    def input_embedding_case():
+        # b is the entity table, a every other table; two words, one entity over positions 0, 2, 2
+        out = input_embedding((a, a, a, b, a, p(np.ones(4)), a), np.array([[1, 0]]), (2, 1), np.array([[3]]),
+                              np.array([[[0, 2, 2]]]), np.array([[[1.0, 0.5, 1.0]]]), mean=True)
+        return weighted(out)
+
+    attn = {"x": t(1, 3, 4), **{n: t(4, 4) if n[0] == "w" else t(4) for n in ATTENTION_WEIGHTS}}
+    attn_weight = T.constant(rng.normal(size=(1, 3, 4)))
+
+    def attention_block():
+        # one head and no padded key (test_grad_check_attention_padded_keys masks keys); softmax
+        # ignores a shift shared by every key, so kb's true gradient is 0 and it is not probed
+        out = T.attention_block(attn["x"], [attn[n] for n in ATTENTION_WEIGHTS], np.zeros((1, 1, 1, 3)), 1)
+        return T.reduce_sum(T.mul(out, attn_weight))
+
+    ffn = {"x": t(2, 3, 4), "w1": t(4, 6), "b1": t(6), "w2": t(6, 4), "b2": t(4)}
+    ffn_weight = T.constant(rng.normal(size=(2, 3, 4)))
+
+    def ffn_block():
+        return T.reduce_sum(T.mul(T.ffn_block(*ffn.values(), p=0.2, rng=np.random.default_rng(3)), ffn_weight))
+
+    logits = t(4, 5)
+    ab, ac = {"a": a, "b": b}, {"a": a, "c": c}
+    return {
+        "add": (lambda: weighted(T.add(a, c)), ac),
+        "sub": (lambda: weighted(T.sub(c, a)), ac),
+        "mul": (lambda: weighted(T.mul(a, c)), ac),
+        "scale": (lambda: T.scale(T.reduce_sum(T.mul(a, a)), 1 / a.data.size), {"a": a}),
+        "matmul": (lambda: T.reduce_sum(T.matmul(a, b)), ab),
+        "linear": (lambda: T.reduce_sum(T.gelu(T.linear(c, b, d))), {"b": b, "c": c, "d": d}),
+        "attention_block": (attention_block, {n: v for n, v in attn.items() if n != "kb"}),
+        "ffn_block": (ffn_block, ffn),
+        "embedding": (lambda: T.reduce_sum(T.embedding(a, np.array([0, 2, 2]))), ab),
+        "input_embedding": (input_embedding_case, ab),
+        "layer_norm": (lambda: weighted(T.layer_norm(a, p(np.ones(4)), p(np.zeros(4)))), ab),
+        "residual_layer_norm": (lambda: weighted(T.residual_layer_norm(T.transpose(b, (1, 0)), a, p(np.ones(4)),
+                                                                       p(np.zeros(4)))), ab),
+        "gelu": (lambda: T.reduce_sum(T.gelu(a)), ab),
+        "softmax": (lambda: T.reduce_sum(T.mul(T.softmax(a), T.constant(np.arange(12.0).reshape(3, 4)))), ab),
+        "dropout": (lambda: weighted(T.dropout(a, 0.3, np.random.default_rng(5))), {"a": a}),
+        "concat": (lambda: T.reduce_sum(T.concat([a, T.transpose(b, (1, 0))], axis=0)), ab),
+        "reduce_sum": (lambda: T.reduce_sum(T.mul(T.reduce_sum(a, axis=0), c)), ac),
+        "reshape": (lambda: T.reduce_sum(T.mul(T.reshape(a, (4, 3)), b)), ab),
+        "transpose": (lambda: T.reduce_sum(T.mul(T.transpose(a, (1, 0)), b)), ab),
+        "getitem": (lambda: weighted(T.getitem(a, np.array([2, 0, 2]))), {"a": a}),
+        "cross_entropy_logits": (lambda: T.cross_entropy_logits(logits, np.array([0, 3, -100, 2])),
+                                 {"logits": logits}),
+        "gathered_cross_entropy": (lambda: T.gathered_cross_entropy(T.reshape(a, (1, 3, 4)), np.array([1, -100, 2]),
+                                                                    b, d), {"a": a, "b": b, "d": d}),
+    }
+
+
+@pytest.mark.parametrize("kernel", list(_grad_cases(np.random.default_rng(0))))
+def test_grad_check_per_kernel(kernel):
+    loss, params = _grad_cases(np.random.default_rng(zlib.crc32(kernel.encode())))[kernel]
+    assert grad_check(loss, params, rng=np.random.default_rng(0)) < 1e-6
+
+
+def test_grad_check_refuses_a_non_positive_eps_and_a_non_finite_loss():
+    a = p([1.0, 2.0])
+    for eps in (0.0, -1e-5):
+        with pytest.raises(ContractError, match="^grad_check: eps must be positive"):
+            grad_check(lambda: T.reduce_sum(a), {"a": a}, eps=eps)
+    with np.errstate(over="ignore"), pytest.raises(ContractError, match="^grad_check: non-finite loss at base point$"):
+        grad_check(lambda: T.reduce_sum(T.scale(a, 1e308)), {"a": a})
+    # finite at the base point, not at a + eps: a[0] probes at the edge of the float range
+    edge = p([np.finfo(np.float64).max, 1.0])
+    with np.errstate(over="ignore"), \
+            pytest.raises(ContractError, match=r"^grad_check: non-finite loss probing a\[0\]$"):
+        grad_check(lambda: T.reduce_sum(edge), {"a": edge}, eps=1e300)
 
 
 def test_zero_grads_clears():
@@ -342,9 +383,6 @@ def _assert_fused_equals_chain(fused, chain, params, weight):
         np.testing.assert_array_equal(with_residual(fused)().data, want[0])
 
 
-ATTENTION_WEIGHTS = ("wq", "qb", "wk", "kb", "wv", "vb", "wo", "ob")
-
-
 def _block_params(rng, B=2, S=5, H=6):
     params = {"x": p(rng.normal(size=(B, S, H))), "gain": p(rng.normal(size=H)), "bias": p(rng.normal(size=H))}
     for name in ATTENTION_WEIGHTS:
@@ -377,7 +415,7 @@ def test_grad_check_linear(shape):
     def loss():
         return T.reduce_sum(T.mul(T.gelu(T.linear(params["x"], params["w"], params["b"])), weight))
 
-    assert T.grad_check(loss, params, rng=np.random.default_rng(0)) < 1e-6
+    assert grad_check(loss, params, rng=np.random.default_rng(0)) < 1e-6
 
 
 def test_linear_rejects_bad_shapes():
@@ -485,22 +523,9 @@ def test_grad_check_attention_padded_keys(rate):
         out = T.attention_block(params["x"], weights, bias, 2, p=rate, rng=np.random.default_rng(9))
         return T.reduce_sum(T.mul(out, T.constant(weight)))
 
-    assert T.grad_check(loss, checked, rng=np.random.default_rng(0)) < 1e-6
+    assert grad_check(loss, checked, rng=np.random.default_rng(0)) < 1e-6
     # keys under the mask get no gradient through k and v
     assert np.all(params["x"].grad[1, 3:] == 0.0)
-
-
-def test_grad_check_ffn_block():
-    rng = np.random.default_rng(39)
-    params = {"x": p(rng.normal(size=(2, 3, 4))), "w1": p(rng.normal(size=(4, 6))), "b1": p(rng.normal(size=6)),
-              "w2": p(rng.normal(size=(6, 4))), "b2": p(rng.normal(size=4))}
-    weight = T.constant(rng.normal(size=(2, 3, 4)))
-
-    def loss():
-        out = T.ffn_block(*params.values(), p=0.2, rng=np.random.default_rng(3))
-        return T.reduce_sum(T.mul(out, weight))
-
-    assert T.grad_check(loss, params, rng=np.random.default_rng(0)) < 1e-6
 
 
 def test_attention_rejects_bad_input():
@@ -1136,7 +1161,7 @@ def test_input_embedding_equals_unfused_chain_bit_for_bit(batch):
     width = 5 + (3 if entity else 0)
     weight = rng.normal(size=(2, width, 4))
     mean = batch == "mean"
-    fused = _forward_and_grads(lambda: T.input_embedding(tables, INPUT_WORDS, types, *entity, mean=mean),
+    fused = _forward_and_grads(lambda: input_embedding(tables, INPUT_WORDS, types, *entity, mean=mean),
                                params, weight)
     chain = _forward_and_grads(lambda: _input_chain(tables, INPUT_WORDS, types, *entity, mean=mean),
                                params, weight)
@@ -1144,7 +1169,7 @@ def test_input_embedding_equals_unfused_chain_bit_for_bit(batch):
     for name in params:
         assert fused[1][name] is not None, name
         np.testing.assert_array_equal(fused[1][name], chain[1][name], err_msg=name)
-    node = T.input_embedding(tables, INPUT_WORDS, types, *entity, mean=mean)
+    node = input_embedding(tables, INPUT_WORDS, types, *entity, mean=mean)
     assert node._op == "input_embedding"
     assert node._parents == tuple(tables) + ((params["pos_emb"],) if entity else ())
 
@@ -1161,7 +1186,7 @@ def test_input_embedding_two_calls_add_pos_emb_parts_in_chain_order():
         outs = [build(tables, INPUT_WORDS[:, ::step], (0, 1), *entity) for step in (1, -1)]
         return T.add(*(T.reduce_sum(T.mul(out, w)) for out, w in zip(outs, weights)))
 
-    T.backward(loss(T.input_embedding))
+    T.backward(loss(input_embedding))
     fused, params["pos_emb"].grad = params["pos_emb"].grad, None
     T.backward(loss(_input_chain))
     np.testing.assert_array_equal(fused, params["pos_emb"].grad)
@@ -1171,21 +1196,21 @@ def test_input_embedding_rejects_bad_input():
     tables = list(_input_tables(np.random.default_rng(0)).values())
     entity = (INPUT_ENTITIES, INPUT_POSITIONS, INPUT_WEIGHTS)
     with pytest.raises(ShapeError, match="word id out of range"):
-        T.input_embedding(tables[:3], np.array([[0, 7]]), (0, 1))
+        input_embedding(tables[:3], np.array([[0, 7]]), (0, 1))
     with pytest.raises(ShapeError, match="position id out of range"):
-        T.input_embedding(tables[:3], np.zeros((1, 10), dtype=np.int64), (0, 1))
+        input_embedding(tables[:3], np.zeros((1, 10), dtype=np.int64), (0, 1))
     with pytest.raises(ShapeError, match="mention position id out of range"):
-        T.input_embedding(tables, INPUT_WORDS, (0, 1), INPUT_ENTITIES, INPUT_POSITIONS + 7, INPUT_WEIGHTS)
+        input_embedding(tables, INPUT_WORDS, (0, 1), INPUT_ENTITIES, INPUT_POSITIONS + 7, INPUT_WEIGHTS)
     with pytest.raises(ShapeError, match="entity id out of range"):
-        T.input_embedding(tables, INPUT_WORDS, (0, 1), INPUT_ENTITIES + 5, INPUT_POSITIONS, INPUT_WEIGHTS)
+        input_embedding(tables, INPUT_WORDS, (0, 1), INPUT_ENTITIES + 5, INPUT_POSITIONS, INPUT_WEIGHTS)
     with pytest.raises(ShapeError):
-        T.input_embedding(tables, INPUT_WORDS, (0, 1), INPUT_ENTITIES, INPUT_POSITIONS, INPUT_WEIGHTS[..., :2])
+        input_embedding(tables, INPUT_WORDS, (0, 1), INPUT_ENTITIES, INPUT_POSITIONS, INPUT_WEIGHTS[..., :2])
     with pytest.raises(ShapeError):
-        T.input_embedding(tables[:3], INPUT_WORDS, (0, 1), *entity)  # no entity tables
+        input_embedding(tables[:3], INPUT_WORDS, (0, 1), *entity)  # no entity tables
     with pytest.raises(ShapeError):
-        T.input_embedding(tables, INPUT_WORDS, (0, 1))  # entity tables, no entity ids
+        input_embedding(tables, INPUT_WORDS, (0, 1))  # entity tables, no entity ids
     with pytest.raises(ShapeError):
-        T.input_embedding(tables[:3], INPUT_WORDS[0], (0, 1))  # no batch axis
+        input_embedding(tables[:3], INPUT_WORDS[0], (0, 1))  # no batch axis
 
 
 def test_input_embedding_refuses_out_of_range_type_rows():
@@ -1195,12 +1220,12 @@ def test_input_embedding_refuses_out_of_range_type_rows():
     msg = "^input_embedding: type id out of range for table with 2 rows$"
     for types in ((2, 1), (0, 2), (-1, 1)):
         with pytest.raises(ShapeError, match=msg):
-            T.input_embedding(tables[:3], INPUT_WORDS, types)
+            input_embedding(tables[:3], INPUT_WORDS, types)
     one_row = p(tables[6].data[:1])
     with pytest.raises(ShapeError, match="^input_embedding: type id out of range for table with 1 rows$"):
-        T.input_embedding(tables[:6] + [one_row], INPUT_WORDS, (0, 1), INPUT_ENTITIES, INPUT_POSITIONS,
-                          INPUT_WEIGHTS)
-    T.input_embedding(tables[:3], INPUT_WORDS, (1, 0))  # both rows in range
+        input_embedding(tables[:6] + [one_row], INPUT_WORDS, (0, 1), INPUT_ENTITIES, INPUT_POSITIONS,
+                        INPUT_WEIGHTS)
+    input_embedding(tables[:3], INPUT_WORDS, (1, 0))  # both rows in range
 
 
 def test_input_embedding_gradient_overflow_raises():
@@ -1210,7 +1235,7 @@ def test_input_embedding_gradient_overflow_raises():
     params["entity_emb"].data[:] = 0.5
     params["proj_w"].data[:] = 1e307
     tables = list(params.values())
-    out = T.input_embedding(tables, INPUT_WORDS, (0, 1), INPUT_ENTITIES, INPUT_POSITIONS, INPUT_WEIGHTS)
+    out = input_embedding(tables, INPUT_WORDS, (0, 1), INPUT_ENTITIES, INPUT_POSITIONS, INPUT_WEIGHTS)
     assert np.isfinite(out.data).all()
     with np.errstate(over="ignore"), \
             pytest.raises(ContractError, match=re.escape(f"at node {params['entity_emb']!r}")):
@@ -1373,7 +1398,7 @@ def _op_cases(rng):
          [t(2, 3, 4), t(4, 5), t(5), t(5, 4), t(4)], []),
         ("embedding", lambda a: T.embedding(a, ids), [t(4, 3)], [ids]),
         ("input_embedding",
-         lambda *tables: T.input_embedding(tables, ids, (0, 1), ids[:, :2], positions, weights, mean=True),
+         lambda *tables: input_embedding(tables, ids, (0, 1), ids[:, :2], positions, weights, mean=True),
          [t(4, 3), t(4, 3), t(2, 3), t(4, 2), t(2, 3), t(3), t(2, 3)], [ids, positions, weights]),
         ("layer_norm", T.layer_norm, [t(3, 4), t(4), t(4)], []),
         ("residual_layer_norm", T.residual_layer_norm, [t(3, 4), t(3, 4), t(4), t(4)], []),
@@ -1426,12 +1451,19 @@ def test_kernel_graph_is_freed_without_the_cycle_collector(case):
         gc.enable()
 
 
+def _public_ops():
+    """Every public function of entlm.tensor that builds a graph node."""
+    ops = {n for n, f in vars(T).items() if callable(f) and getattr(f, "__module__", None) == T.__name__
+           and not n.startswith("_") and not isinstance(f, type)}
+    return ops - {"parameter", "constant", "backward", "zero_grads", "log_softmax_np"}
+
+
 def test_every_kernel_is_covered_by_the_no_write_test():
-    names = {name for name, *_ in _op_cases(np.random.default_rng(0))}
-    kernels = {n for n, f in vars(T).items() if callable(f) and getattr(f, "__module__", None) == T.__name__
-               and not n.startswith("_") and not isinstance(f, type)}
-    kernels -= {"parameter", "constant", "backward", "zero_grads", "grad_check", "log_softmax_np"}
-    assert kernels == names
+    assert {name for name, *_ in _op_cases(np.random.default_rng(0))} == _public_ops()
+
+
+def test_every_kernel_is_covered_by_the_gradient_check():
+    assert set(_grad_cases(np.random.default_rng(0))) == _public_ops()
 
 
 def test_log_softmax_np_never_writes_into_its_input():
