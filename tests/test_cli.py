@@ -1386,8 +1386,13 @@ def input_files(workspace, pretrained, finetuned, task_files):
                      for i in range(4)], str(emb))
     gold = ws / "gold-2.json"
     gold.write_text(json.dumps({"s0": "s2", "s1": "s3"}))
+    # a copy of the corpus, and the embeddings gold maps, so that a manifest shows which flag each path came from
+    text, emb_queries = ws / "text.jsonl", ws / "emb-queries-2.jsonl"
+    text.write_bytes(Path(workspace["corpus"]).read_bytes())
+    emb_queries.write_text("".join(emb.read_text().splitlines(keepends=True)[:2]))
     return {
         "corpus": workspace["corpus"], "links": workspace["links"], "vocab": workspace["vocab"],
+        "config": workspace["config"], "text": str(text), "emb_queries": str(emb_queries),
         "ckpt": os.path.join(pretrained, "checkpoint-final.bin"),
         "manifest": os.path.join(pretrained, "manifest.json"),
         "ft_ckpt": os.path.join(finetuned["out"], "checkpoint-finetuned.bin"),
@@ -1418,6 +1423,42 @@ def test_installed_entry_point_reports_malformed_input(input_files, tmp_path):
     assert proc.returncode == EXIT_FAILURE
     assert f"{bad}:2: KeyError: 'lang'" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# (case, argv(paths) without --out, the input_files keys of the paths its manifest records)
+RECORDED_INPUTS = [
+    ("build-vocab", lambda p: ["build-vocab", "--corpus", p["corpus"], "--links", p["links"], "--min-languages", "2"],
+     ("corpus", "links")),
+    ("link-entities", lambda p: ["link-entities", "--pages", p["corpus"], "--text", p["text"], "--vocab", p["vocab"]],
+     ("corpus", "text", "vocab")),
+    # the corpus and entity vocab are named by the config, not by a flag
+    ("pretrain", lambda p: ["pretrain", "--config", p["config"]], ("config", "corpus", "vocab")),
+    ("finetune-with-dev", lambda p: ["finetune", "qa", "--checkpoint", p["ckpt"], "--train", p["qa_jsonl"],
+                                     "--dev", p["qa_squad"], "--epochs", "1"], ("ckpt", "qa_jsonl", "qa_squad")),
+    ("finetune-without-dev", lambda p: ["finetune", "re", "--checkpoint", p["ckpt"], "--train", p["re"],
+                                        "--epochs", "1"], ("ckpt", "re")),
+    ("eval", lambda p: ["eval", "re", "--checkpoint", p["ft_ckpt"], "--data", p["re"]], ("ft_ckpt", "re")),
+    ("cloze-eval", lambda p: ["cloze-eval", "--checkpoint", p["ckpt"], "--queries", p["queries"]],
+     ("ckpt", "queries")),
+    ("dump-features", lambda p: ["dump-features", "--checkpoint", p["ckpt"], "--data", p["spans"],
+                                 "--feature-spec", "span-mean"], ("ckpt", "spans")),
+    ("analyze-cwr", lambda p: ["analyze", "cwr", "--queries", p["emb_queries"], "--pool", p["emb"],
+                               "--gold", p["gold"]], ("emb_queries", "emb", "gold")),
+    ("analyze-modularity", lambda p: ["analyze", "modularity", "--embeddings", p["emb"]], ("emb",)),
+    # a flag of the other metric is parsed but not read, so not recorded
+    ("analyze-modularity-given-queries",
+     lambda p: ["analyze", "modularity", "--embeddings", p["emb"], "--queries", p["emb_queries"]], ("emb",)),
+]
+
+
+@pytest.mark.parametrize("argv,recorded", [c[1:] for c in RECORDED_INPUTS], ids=[c[0] for c in RECORDED_INPUTS])
+def test_manifest_records_the_inputs_the_command_reads(input_files, tmp_path, argv, recorded):
+    out = tmp_path / "out"
+    assert main([*argv(input_files), "--out", str(out)]) == EXIT_OK
+    manifest = out / "manifest.json" if out.is_dir() else Path(f"{out}.manifest.json")
+    digests = json.loads(manifest.read_text())["input_digests"]
+    assert sorted(digests) == sorted(input_files[k] for k in recorded)
+    assert all(digests[path] == hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in digests)
 
 
 def test_finetune_reports_gold_spans_longer_than_max_span_len(workspace, pretrained, finetuned, capsys):
