@@ -39,15 +39,17 @@ def _digest(path):
     return h.hexdigest()
 
 
-def write_manifest(args, input_paths, seed=None, **counts):
-    """The manifest of the run `args` describes, next to its output: <out>/manifest.json
-    for a directory, else <out>.manifest.json.  counts (e.g. dropped_annotations)
-    are stored as top-level fields."""
+def write_manifest(args, *named, seed=None, **counts):
+    """The manifest of the run `args` describes, next to its output: <out>/manifest.json for a
+    directory, else <out>.manifest.json.  It digests each given input flag build_parser declares
+    (`inputs`; analyze's by metric) and the paths `named`; counts are top-level fields."""
+    flags = args.inputs[args.metric] if isinstance(args.inputs, dict) else args.inputs
+    paths = [getattr(args, flag) for flag in flags] + list(named)
     manifest = {
         "argv": args.argv,
         "seed": seed,
         "versions": {"entlm": __version__, "python": sys.version.split()[0], "numpy": np.__version__},
-        "input_digests": {p: _digest(p) for p in input_paths if p and os.path.exists(p)},
+        "input_digests": {p: _digest(p) for p in paths if p},
         **counts,
     }
     is_dir = os.path.isdir(args.out)
@@ -75,7 +77,7 @@ def cmd_build_vocab(args):
     links = vocab_mod.InterLanguageLinks.load(args.links)
     ev = vocab_mod.build_entity_vocab(docs, links, min_languages=args.min_languages, top_k=args.top_k)
     ev.save(args.out)
-    write_manifest(args, [args.corpus, args.links])
+    write_manifest(args)
     print(f"wrote {len(ev)} entities ({len(vocab_mod.SPECIAL_ENTITIES)} specials) to {args.out}")
     return EXIT_OK
 
@@ -98,7 +100,7 @@ def cmd_link_entities(args):
                                       language=doc.language, min_link_prob=args.min_link_prob)
         rows.append({"lang": doc.language, "title": doc.title, "annotations": [list(a) for a in anns]})
     files.write_json_lines(args.out, rows)
-    write_manifest(args, [args.pages, args.vocab, args.text])
+    write_manifest(args)
     return EXIT_OK
 
 
@@ -152,8 +154,7 @@ def cmd_pretrain(args):
         encoder_config, train_config, sequences_by_language, word_vocab, entity_vocab,
         out_dir=args.out, log_file=os.path.join(args.out, "train_log.tsv"),
     )
-    write_manifest(args, [args.config, data["corpus"], data["entity_vocab"]], seed=train_config.seed,
-                   dropped_annotations=dropped)
+    write_manifest(args, data["corpus"], data["entity_vocab"], seed=train_config.seed, dropped_annotations=dropped)
     print(f"pretrained {result.step} steps, dropped {dropped} annotations "
           f"(across a sequence cut, unresolved title or past entity_cap) -> {result.final_checkpoint}")
     return EXIT_OK
@@ -172,11 +173,9 @@ def _model_checkpoint(path):
 
 
 def cmd_finetune(args):
-    if args.task not in heads.TASK_LOADERS:
-        raise ConfigError(f"unknown task {args.task!r}")
     with _flag_errors("finetune"):
         cfg = heads.FinetuneConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch_size,
-                                   seed=args.seed or 0).validate()
+                                   seed=args.seed).validate()
         heads.check_max_span_len(args.max_span_len)
     ckpt = _model_checkpoint(args.checkpoint)
     load = heads.TASK_LOADERS[args.task]
@@ -198,7 +197,7 @@ def cmd_finetune(args):
     # the word vocab with the RE markers, if the variant added them
     pretrain.save_checkpoint(out_ckpt, model.encoder_config, model.params, step=0, meta=heads.checkpoint_meta(model),
                              word_vocab=model.word_vocab, entity_vocab=model.entity_vocab)
-    write_manifest(args, [args.checkpoint, args.train, args.dev], seed=cfg.seed)
+    write_manifest(args, seed=cfg.seed)
     print(f"finetuned {args.task} ({model.variant}) on {len(train_insts) - model.skipped_examples} examples, "
           f"skipped {model.skipped_examples} unusable and {model.skipped_gold_spans} gold spans longer than "
           f"max_span_len -> {out_ckpt}")
@@ -211,7 +210,7 @@ def cmd_eval(args):
         raise ConfigError(f"checkpoint holds a {model.task} head, not {args.task}")
     report = heads.evaluate(model, heads.TASK_LOADERS[model.task](args.data))
     files.write_json(args.out, report)
-    write_manifest(args, [args.checkpoint, args.data])
+    write_manifest(args)
     print(json.dumps(report, sort_keys=True)[:2000])
     return EXIT_OK
 
@@ -234,7 +233,7 @@ def cmd_cloze_eval(args):
     report = cloze.evaluate(model, queries, mode=args.mode)
     report["fp_analysis"] = cloze.fp_analysis(report["records"])
     files.write_json(args.out, report)
-    write_manifest(args, [args.checkpoint, args.queries])
+    write_manifest(args)
     print(f"accuracy[{args.mode}] = {report['accuracy']:.4f}  "
           f"word fallbacks {report['word_fallbacks']}/{report['candidates_scored']} candidates  "
           f"subject fallbacks {report['subject_fallbacks']}/{len(queries)} queries")
@@ -253,7 +252,7 @@ def cmd_dump_features(args):
     else:
         dataset = align.load_span_items(args.data, model.word_vocab, model.entity_vocab)
     align.feature_dump(model, dataset, args.feature_spec, out_path=args.out)
-    write_manifest(args, [args.checkpoint, args.data])
+    write_manifest(args)
     return EXIT_OK
 
 
@@ -278,7 +277,7 @@ def cmd_analyze(args):
         emb = align.load_embeddings(args.embeddings)
         report = {"modularity": align.modularity(emb, k=args.k), "k": args.k, "n": len(emb)}
     files.write_json(args.out, report)
-    write_manifest(args, [getattr(args, n) for n in names])
+    write_manifest(args)
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 
@@ -354,7 +353,7 @@ def build_parser():
     bv.add_argument("--out", required=True)
     bv.add_argument("--min-languages", type=int, default=3)
     bv.add_argument("--top-k", type=int, default=1_200_000)
-    bv.set_defaults(func=cmd_build_vocab)
+    bv.set_defaults(func=cmd_build_vocab, inputs=("corpus", "links"))
 
     le = sub.add_parser("link-entities", help="heuristic entity detection over documents")
     le.add_argument("--pages", required=True, help="annotated source pages (mention map + stats)")
@@ -362,42 +361,42 @@ def build_parser():
     le.add_argument("--vocab", required=True)
     le.add_argument("--out", required=True)
     le.add_argument("--min-link-prob", type=float, default=linker.DEFAULT_MIN_LINK_PROB)
-    le.set_defaults(func=cmd_link_entities)
+    le.set_defaults(func=cmd_link_entities, inputs=("pages", "text", "vocab"))
 
     pt = sub.add_parser("pretrain", help="two-stage MLM+MEP pretraining")
     pt.add_argument("--config", required=True)
     pt.add_argument("--set", action="append", default=[], help="override: key=value")
     pt.add_argument("--out", required=True)
     pt.add_argument("--seed", type=int, default=None)
-    pt.set_defaults(func=cmd_pretrain)
+    pt.set_defaults(func=cmd_pretrain, inputs=("config",))  # and the corpus and entity vocab it names
 
     ft = sub.add_parser("finetune", help="finetune a task head")
-    ft.add_argument("task", choices=["qa", "re", "ner"])
+    ft.add_argument("task", choices=list(heads.TASK_LOADERS))
     ft.add_argument("--checkpoint", required=True)
     ft.add_argument("--train", required=True)
     ft.add_argument("--dev", default=None)
     ft.add_argument("--out", required=True)
     ft.add_argument("--variant", choices=["word", "entity"], default="word")
-    ft.add_argument("--epochs", type=int, default=None)
-    ft.add_argument("--batch-size", type=int, default=8)
-    ft.add_argument("--lr", type=float, default=2e-5)
+    ft.add_argument("--epochs", type=int, default=heads.FinetuneConfig.epochs)
+    ft.add_argument("--batch-size", type=int, default=heads.FinetuneConfig.batch_size)
+    ft.add_argument("--lr", type=float, default=heads.FinetuneConfig.lr)
     ft.add_argument("--max-span-len", type=int, default=heads.NER_MAX_SPAN_LEN)
-    ft.add_argument("--seed", type=int, default=0)
-    ft.set_defaults(func=cmd_finetune)
+    ft.add_argument("--seed", type=int, default=heads.FinetuneConfig.seed)
+    ft.set_defaults(func=cmd_finetune, inputs=("checkpoint", "train", "dev"))
 
     ev = sub.add_parser("eval", help="evaluate a finetuned checkpoint")
-    ev.add_argument("task", choices=["qa", "re", "ner"], nargs="?", default=None)
+    ev.add_argument("task", choices=list(heads.TASK_LOADERS), nargs="?", default=None)
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--out", required=True)
-    ev.set_defaults(func=cmd_eval)
+    ev.set_defaults(func=cmd_eval, inputs=("checkpoint", "data"))
 
     cz = sub.add_parser("cloze-eval", help="typed cloze-prompt evaluation")
     cz.add_argument("--checkpoint", required=True)
     cz.add_argument("--queries", required=True)
     cz.add_argument("--mode", choices=list(cloze.MODES), default="word")
     cz.add_argument("--out", required=True)
-    cz.set_defaults(func=cmd_cloze_eval)
+    cz.set_defaults(func=cmd_cloze_eval, inputs=("checkpoint", "queries"))
 
     df = sub.add_parser("dump-features", help="write span/RE feature embeddings")
     df.add_argument("--checkpoint", required=True)
@@ -405,17 +404,17 @@ def build_parser():
     df.add_argument("--feature-spec", choices=list(align.FEATURE_SPECS), required=True)
     df.add_argument("--lang", default="en")
     df.add_argument("--out", required=True)
-    df.set_defaults(func=cmd_dump_features)
+    df.set_defaults(func=cmd_dump_features, inputs=("checkpoint", "data"))
 
     an = sub.add_parser("analyze", help="alignment diagnostics on embedding files")
-    an.add_argument("metric", choices=["cwr", "modularity"])
+    an.add_argument("metric", choices=list(_ANALYZE_INPUTS))
     an.add_argument("--queries")
     an.add_argument("--pool")
     an.add_argument("--gold")
     an.add_argument("--embeddings")
     an.add_argument("--k", type=int, default=3)
     an.add_argument("--out", required=True)
-    an.set_defaults(func=cmd_analyze)
+    an.set_defaults(func=cmd_analyze, inputs=_ANALYZE_INPUTS)
 
     ic = sub.add_parser("inspect-checkpoint", help="summarize a checkpoint file")
     ic.add_argument("--checkpoint", required=True)

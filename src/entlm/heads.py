@@ -155,7 +155,8 @@ def load_qa_data(path):
     without an `id` takes its index; no two questions may share an id, and
     each entity row is three integers.  `lang`, `q_lang`, `c_lang` and each
     answer's `text` are strings and each `answer_start` an integer (a bool
-    is refused): ContractError names the field otherwise."""
+    is refused) at which the context holds the `text`: ContractError names
+    the field otherwise."""
     insts = []
     qids = set()
 
@@ -172,8 +173,11 @@ def load_qa_data(path):
             answers = r.get("answers", [])
             for a in answers:
                 require_strings(a, ("text",))
-                if type(a["answer_start"]) is not int:
-                    raise ContractError(f"answer_start {a['answer_start']!r} is not an integer")
+                start, text = a["answer_start"], a["text"]
+                if type(start) is not int:
+                    raise ContractError(f"answer_start {start!r} is not an integer")
+                if start < 0 or r["context"][start:start + len(text)] != text:
+                    raise ContractError(f"answer_start {start} is not where the context holds the answer text {text!r}")
             spans = [_char_span_to_tokens(starts, ctx_tokens, a["answer_start"], a["text"]) for a in answers]
             insts.append(
                 QAInstance(

@@ -1298,6 +1298,11 @@ MALFORMED = [
      _record_edit(2, lambda r: r["answers"][0].update(answer_start=True)), _finetune_argv("qa"), 2),
     ("finetune/qa-answer-start-a-float", "qa_jsonl",
      _record_edit(1, lambda r: r["answers"][0].update(answer_start=5.5)), _finetune_argv("qa"), 1),
+    # each of these two used to train on whatever tokens overlapped the offset, or on no gold span
+    ("finetune/qa-answer-start-misses-its-text", "qa_jsonl",
+     _record_edit(2, lambda r: r["answers"][0].update(answer_start=0)), _finetune_argv("qa"), 2),
+    ("finetune/qa-answer-start-past-the-end", "qa_jsonl",
+     _record_edit(3, lambda r: r["answers"][0].update(answer_start=999)), _finetune_argv("qa"), 3),
     ("finetune/qa-squad-missing-paragraphs", "qa_squad", _document_edit(lambda d: d["data"][0].pop("paragraphs")),
      _finetune_argv("qa"), 1),
     ("eval/re-three-columns", "re", _line_edit(1, lambda line: line.rsplit("\t", 1)[0]),

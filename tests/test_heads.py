@@ -149,8 +149,15 @@ def test_load_qa_refuses_an_entity_row_that_is_not_three_ints(tmp_path, field, v
     ({"answers": [{"text": "Tokyo", "answer_start": True}]}, "answer_start True is not an integer"),
     ({"answers": [{"text": "Tokyo", "answer_start": 4.0}]}, "answer_start 4.0 is not an integer"),
     ({"answers": [{"text": "Tokyo", "answer_start": "4"}]}, "answer_start '4' is not an integer"),
+    # each of these three used to load: the gold span "the Tokyo Tower", no gold span, and "the Tokyo"
+    ({"answers": [{"text": "Tokyo Tower", "answer_start": 0}]},
+     "answer_start 0 is not where the context holds the answer text 'Tokyo Tower'"),
+    ({"answers": [{"text": "Tokyo Tower", "answer_start": 99}]},
+     "answer_start 99 is not where the context holds the answer text 'Tokyo Tower'"),
+    ({"answers": [{"text": "Tokyo Tower", "answer_start": -6}]},
+     "answer_start -6 is not where the context holds the answer text 'Tokyo Tower'"),
 ], ids=["lang-a-list", "q_lang-an-int", "c_lang-null", "text-a-list", "answer_start-a-bool", "answer_start-a-float",
-        "answer_start-a-string"])
+        "answer_start-a-string", "answer_start-misses-its-text", "answer_start-past-the-end", "answer_start-negative"])
 def test_load_qa_refuses_a_field_of_the_wrong_type(tmp_path, edit, named):
     import json
     rec = {"question": "where ?", "context": "the Tokyo Tower stands", "lang": "en",
