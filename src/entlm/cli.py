@@ -1,9 +1,11 @@
 """Command-line surface tying the modules into reproducible runs.
 
-Every command writes a manifest (its command line, seed, versions, input
-digests) next to its output; `entlm rerun <manifest>` checks that every
-recorded input is unchanged, then replays the command line, which in
-deterministic mode reproduces outputs bit-exactly.
+Every command that writes an output also writes a manifest (its command
+line, seed, versions, input digests) next to it; `inspect-checkpoint`,
+which only prints, writes none.  `entlm rerun <manifest>` checks that every
+recorded input is unchanged, then replays the command line, which writes
+the replayed command's output and manifest and in deterministic mode
+reproduces outputs bit-exactly.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ def cmd_finetune(args):
     ckpt = _model_checkpoint(args.checkpoint)
     load = heads.TASK_LOADERS[args.task]
     train_insts = load(args.train)
-    dev = load(args.dev) if args.dev else None
+    dev = load(args.dev) if args.dev is not None else None  # an empty path is a path, and fails to open
     parts = (ckpt.encoder_config, ckpt.params, ckpt.word_vocab, ckpt.entity_vocab)
     variant = heads.VARIANTS[args.task][args.variant == "entity"]
     if args.task == "qa":

@@ -15,25 +15,32 @@ their dropouts) one `T.attention_block` and its feed-forward sublayer one
 after it, and the attention score mask is built once per `encode_batch` and
 read by every layer.  So a layer is four nodes.
 
-A forward-only batch (under `no_grad`, without dropout) of two or more rows
-at least PARALLEL_MIN_POSITIONS tokens wide runs its layer stack on two CPUs
-when the process may use two: the calling thread takes the front half of the
-rows and `T._worker` the back half.  Every kernel treats the rows of a batch
-apart (numpy runs one GEMM per row, and each reduction runs along a row), so
-the result is bit-identical to one thread's.  Training never splits.
+A forward-only batch (under `no_grad`, without dropout: every eval path)
+builds no node past the input layer.  Its embedding LayerNorm and layers run
+on plain arrays through `T._layer_norm`, `T._attention` and `T._ffn`, the
+functions whose arithmetic the nodes above run, so its output is
+bit-identical to a recording pass without dropout; the layer parameters'
+shapes are checked once per call instead of by each op.  Such a batch of two
+or more rows at least PARALLEL_MIN_POSITIONS tokens wide runs its layer
+stack on two CPUs when the process may use two: the calling thread takes the
+front half of the rows and `T._worker` the back half.  Every kernel treats
+the rows of a batch apart (numpy runs one GEMM per row, and each reduction
+runs along a row), so the result is bit-identical to one thread's.
+Training never splits.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
+import operator
 from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .errors import CapacityError, ConfigError, ContractError, VocabError
+from .errors import CapacityError, ConfigError, ContractError, ShapeError, VocabError
 
 WORD_TYPE_ID = 0
 ENTITY_TYPE_ID = 1
@@ -42,11 +49,13 @@ TYPE_ROWS = 2  # rows of type_emb and entity_type_emb, one per token type
 NEG_INF = -1e30
 
 # the narrowest padded row (words + entities) a forward-only batch splits at.
-# Each half of a split makes ~300 small numpy calls that trade the interpreter
-# lock, so narrow rows lose.  Probe-eval's encoder (H=64, 2 layers, 2 heads,
-# FFN 128) on 2-row batches of words, median ms per call unsplit -> split over
+# Each half of a split makes small calls that trade the interpreter lock, so
+# narrow rows lose: at probe-eval's encoder size (H=64, 2 layers, 2 heads,
+# FFN 128) a half makes 128 numpy calls and 25 Python calls.  Probe-eval's
+# encoder on 2-row batches of words, median ms per call unsplit -> split over
 # 1000 calls each in alternating blocks of 25, on a 2-vCPU Xeon with one BLAS
-# thread: 64 positions 1.60 -> 2.29, 80 1.93 -> 2.41, 96 2.43 -> 2.64,
+# thread, when each half also built a node per sublayer (~140 Python calls
+# more): 64 positions 1.60 -> 2.29, 80 1.93 -> 2.41, 96 2.43 -> 2.64,
 # 112 2.86 -> 2.78, 128 3.96 -> 3.01, 144 4.60 -> 3.35, 160 5.15 -> 3.47.
 PARALLEL_MIN_POSITIONS = 112
 
@@ -230,6 +239,43 @@ def embed_input(params, config, batch):
                              position_mask, mean=config.entity_position_mode == "mean")
 
 
+_forward_layouts = {}  # (hidden_size, ffn_size, layers) -> `_forward_layout`'s value
+
+
+def _forward_layout(config):
+    """The names `_layer_arrays` reads (the embedding LayerNorm's, then each
+    layer's in `_LAYER_PARAMS` order), their `param_specs` shapes, and one
+    itemgetter that reads them all; built once per size."""
+    key = (config.hidden_size, config.ffn_size, config.layers)
+    if key not in _forward_layouts:
+        shapes = {name: shape for name, shape, _ in param_specs(config)}
+        names = ("emb_ln_gain", "emb_ln_bias", *(name for l in range(config.layers) for name in _layer_names(l)))
+        _forward_layouts[key] = names, tuple(shapes[name] for name in names), operator.itemgetter(*names)
+    return _forward_layouts[key]
+
+
+def _layer_arrays(params, config):
+    """The embedding LayerNorm's gain and bias arrays and a tuple per layer of
+    its attention weight list and its eight other parameter arrays, in
+    `_LAYER_PARAMS` order, once their shapes are checked against config's
+    `param_specs`: a ShapeError names the first of them, or word_emb, whose
+    shape does not fit, or a head count that does not divide hidden_size.
+    The array functions `_forward_stack` calls check nothing themselves."""
+    H, heads = config.hidden_size, config.heads
+    if heads < 1 or H % heads:
+        raise ShapeError(f"encode_batch: hidden size {H} not divisible by {heads} heads")
+    if params["word_emb"].data.shape[1:] != (H,):
+        raise ShapeError(f"encode_batch: parameter word_emb has shape {list(params['word_emb'].data.shape)}, "
+                         f"but width {H} is expected")
+    names, want, get = _forward_layout(config)
+    arrays = [t.data for t in get(params)]
+    got = tuple([a.shape for a in arrays])
+    if got != want:
+        name, shape, expected = next(row for row in zip(names, got, want) if row[1] != row[2])
+        raise ShapeError(f"encode_batch: parameter {name} has shape {list(shape)}, but {list(expected)} is expected")
+    return arrays[0], arrays[1], [(arrays[i:i + 8], *arrays[i + 8:i + 16]) for i in range(2, len(arrays), 16)]
+
+
 def encode_batch(params, config, batch, rng=None, train=False):
     """Run a padded batch through the encoder.
 
@@ -242,13 +288,19 @@ def encode_batch(params, config, batch, rng=None, train=False):
     exceeds max_positions (no other function checks a length), ContractError
     when B >= 1 sequences hold no word (M == 0), and ContractError for a
     training-mode call with dropout but no rng; `embed_input` checks the ids
-    and mention masks, and each fused kernel the shapes it is given.
+    and mention masks.  A recording pass builds a node per sublayer, and
+    each fused kernel checks the shapes it is given.
 
-    Under `no_grad` and without dropout, a batch of B >= 2 rows of at least
-    PARALLEL_MIN_POSITIONS tokens (M + N) runs its layers on two threads
-    when the process may use two CPUs (`_split_layer_stack`); the input
-    layer and the score mask are built once, before the split.  The output
-    is bit-identical to the one-thread pass.
+    Under `no_grad` and without dropout (every eval path) the pass is
+    forward-only: `_layer_arrays` checks the layer parameters' shapes once,
+    before any arithmetic, the embedding LayerNorm and the layers run on
+    arrays (`_forward_stack`), and word_tensor and entity_tensor are
+    constants; the output is bit-identical to a recording pass.  There a
+    batch of B >= 2 rows of at least PARALLEL_MIN_POSITIONS tokens (M + N)
+    runs its layers on two threads when the process may use two CPUs
+    (`_split_layer_stack`); the input layer and the score mask are built
+    once, before the split.  The output is bit-identical to the one-thread
+    pass.
     """
     p = config.dropout if train else 0.0
     if p > 0 and rng is None:
@@ -260,9 +312,12 @@ def encode_batch(params, config, batch, rng=None, train=False):
         raise CapacityError(f"sequence of {M} words exceeds max_positions {config.max_positions}")
     if B and not M:
         raise ContractError(f"batch of {B} sequences with no words")
+    forward_only = p == 0 and not T._grad_enabled
+    if forward_only:
+        gain, shift, layers = _layer_arrays(params, config)
 
     x = embed_input(params, config, batch)
-    n_ent = x.shape[1] - M
+    n_ent = x.data.shape[1] - M
     if n_ent:
         attn_mask = np.concatenate([word_mask, np.asarray(batch["entity_mask"], dtype=np.float64)], axis=1)
     else:
@@ -270,21 +325,26 @@ def encode_batch(params, config, batch, rng=None, train=False):
     # one additive score mask, read by every layer
     bias = np.where(attn_mask[:, None, None, :] > 0, 0.0, NEG_INF)
 
-    x = T.layer_norm(x, params["emb_ln_gain"], params["emb_ln_bias"])
-    x = T.dropout(x, p, rng)
-    if (B >= 2 and p == 0 and not T._grad_enabled and x.shape[1] >= PARALLEL_MIN_POSITIONS
-            and T._usable_cpus() >= 2):
-        x = _split_layer_stack(params, config, x, bias)
+    if forward_only:
+        x, _, _ = T._layer_norm(x.data, None, gain, shift)
+        if B >= 2 and x.shape[1] >= PARALLEL_MIN_POSITIONS and T._usable_cpus() >= 2:
+            x = _split_layer_stack(layers, config.heads, x, bias)
+        else:
+            x = _forward_stack(layers, config.heads, x, bias)
+        # copies, as a recording pass's slice nodes are; a word-only x is the words
+        wt = T.constant(np.array(x[:, :M]) if n_ent else x)
+        et = T.constant(np.array(x[:, M:]) if n_ent else np.zeros((B, 0, config.hidden_size)))
     else:
+        x = T.layer_norm(x, params["emb_ln_gain"], params["emb_ln_bias"])
+        x = T.dropout(x, p, rng)
         x = _layer_stack(params, config, x, bias, p, rng)
-
-    wt = x[:, :M, :]
-    et = x[:, M:, :] if n_ent else T.constant(np.zeros((B, 0, config.hidden_size)))
+        wt = x[:, :M, :]
+        et = x[:, M:, :] if n_ent else T.constant(np.zeros((B, 0, config.hidden_size)))
     return ContextualOutput(word_vectors=wt.data, entity_vectors=et.data, word_tensor=wt, entity_tensor=et)
 
 
 def _layer_stack(params, config, x, bias, p, rng):
-    """x through every encoder layer, each reading the additive score mask `bias`."""
+    """x through every encoder layer as nodes, each reading the additive score mask `bias`."""
     for l in range(config.layers):
         w = [params[name] for name in _layer_names(l)]
         a = T.attention_block(x, w[:8], bias, config.heads, p=p, rng=rng)
@@ -294,21 +354,31 @@ def _layer_stack(params, config, x, bias, p, rng):
     return x
 
 
-def _split_layer_stack(params, config, x, bias):
-    """`_layer_stack` of a forward-only x without dropout: the calling thread
-    runs the front half of the rows (the larger, for an odd count) and
-    `T._worker` the back half, in the caller's context so that its
-    np.errstate holds there too; the halves are joined along the rows.  An
-    error in either half propagates, and only once the worker's half has
-    ended."""
+def _forward_stack(layers, heads, x, bias):
+    """The array x through every layer in `layers` (`_layer_arrays`' list),
+    forward only and without dropout, each layer reading the additive score
+    mask `bias`: `_layer_stack`'s arithmetic with no node and no check."""
+    for attn, g1, c1, w1, b1, w2, b2, g2, c2 in layers:
+        a, _ = T._attention(x, attn, bias, heads)
+        x, _, _ = T._layer_norm(x, a, g1, c1)
+        f, _ = T._ffn(x, w1, b1, w2, b2)
+        x, _, _ = T._layer_norm(x, f, g2, c2)
+    return x
+
+
+def _split_layer_stack(layers, heads, x, bias):
+    """`_forward_stack` on two threads: the calling thread runs the front
+    half of the rows (the larger, for an odd count) and `T._worker` the back
+    half, in the caller's context so that its np.errstate holds there too;
+    the halves are joined along the rows.  An error in either half
+    propagates, and only once the worker's half has ended."""
     h = (x.shape[0] + 1) // 2
-    back = T._worker().submit(contextvars.copy_context().run, _layer_stack, params, config,
-                              T.constant(x.data[h:]), bias[h:], 0.0, None)
+    back = T._worker().submit(contextvars.copy_context().run, _forward_stack, layers, heads, x[h:], bias[h:])
     try:
-        front = _layer_stack(params, config, T.constant(x.data[:h]), bias[:h], 0.0, None)
+        front = _forward_stack(layers, heads, x[:h], bias[:h])
     finally:
         futures.wait((back,))
-    return T.constant(np.concatenate((front.data, back.result().data)))
+    return np.concatenate((front, back.result()))
 
 
 def pack_batch(seqs):

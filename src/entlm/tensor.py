@@ -21,16 +21,21 @@ helpers.  A fused backward checks each gradient it computes for an inner
 step, as backward() checks the gradient into every node of a chain, and
 names the fused node when one is not finite.
 Kernels compute their intermediates in place in buffers they allocated
-themselves.  Inside `no_grad()` ops record no graph, for forward-only
-passes, and no backward closure will read a kernel's buffers: there
-`attention_block` writes its scores into a workspace of the calling
-thread's own, grown to the largest score size seen but never past
-ATTENTION_WORKSPACE_CAP elements, and `gelu` and `layer_norm` write their
-output over their own intermediates.  So an eval forward pass does not
-fault in a fresh score buffer per call, and two threads running kernels at
-once (`encoder.encode_batch`'s two halves) never share one.  Recording
-calls (training) allocate every buffer as before and never touch the
-workspace.
+themselves.  Each encoder sublayer's forward arithmetic is written once,
+as an unchecked function on plain arrays: `_attention`, `_ffn` and
+`_layer_norm` (with or without a residual).  `attention_block`, `ffn_block`,
+`layer_norm` and `residual_layer_norm` check their inputs, call it with
+`keep=True`, and add the node and its backward closure; a forward-only
+pass (`encoder.encode_batch` under `no_grad()` without dropout) calls it
+directly, with no node and no per-op check.  Only such a call, with `keep`
+false, reuses buffers, since no backward closure will read them: the scores
+go into a workspace of the calling thread's own, grown to the largest score
+size seen but never past ATTENTION_WORKSPACE_CAP elements, and GELU and
+LayerNorm write their output over their own intermediates.  So an eval
+forward pass does not fault in a fresh score buffer per call, and two
+threads running it at once (`encoder.encode_batch`'s two halves) never
+share one.  The ops, recording or inside `no_grad()`, allocate every
+buffer and never touch the workspace.
 
 The module also owns the process's one worker thread (`_worker`), which
 `pretrain.AdamW` and `encoder.encode_batch` share, and `_usable_cpus`,
@@ -73,8 +78,8 @@ class Tensor:
     Treat instances as immutable after construction.  A kernel never writes
     into its inputs; it may overwrite only arrays it allocated itself that no
     backward closure reads afterwards, so a forward pass builds no throwaway
-    full-size temporaries.  Under `no_grad()` `attention_block` may also write
-    its scores into its thread's workspace; no output ever aliases it.
+    full-size temporaries.  No op writes the attention workspace, and no
+    output ever aliases it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_op")
@@ -376,8 +381,8 @@ def linear(x, w, b):
     return _make(_affine(x.data, w.data, b.data), (x, w, b), backward, "linear")
 
 
-# Under no_grad, attention_block's (B, heads, S, S) scores go into a flat float64
-# workspace that grows to the largest such size seen, up to this many
+# A forward-only `_attention` writes its (B, heads, S, S) scores into a flat
+# float64 workspace that grows to the largest such size seen, up to this many
 # elements (8 MiB); a larger call allocates its own buffer, as a recording
 # call always does.  A fresh score buffer of a QA item's size (0.5-0.74 MB)
 # goes back to the system when freed, so each call faults its pages in
@@ -408,6 +413,44 @@ def _score_buffer(shape):
     return scores[:n].reshape(shape)
 
 
+def _attention(x, weights, bias, heads, p=0.0, rng=None, keep=False):
+    """An attention sublayer's forward arithmetic on arrays, unchecked (see
+    `attention_block`): x is (B, S, H) and `weights` the eight weight arrays.
+    Returns the (B, S, H) output and what the backward reads: (qh, kt, vh,
+    probs, mask, dropped, ctx, out_mask).  Unless `keep`, the scores and
+    probabilities go into the calling thread's workspace (`_score_buffer`),
+    which the next forward-only call overwrites."""
+    wq, qb, wk, kb, wv, vb, wo, ob = weights
+    B, S, H = x.shape
+    dh = H // heads
+    heads_shape = (B, S, heads, dh)
+    # ndarray methods, not numpy's Python-level wrappers: the same views and
+    # reductions (max and sum are maximum.reduce and add.reduce) for less dispatch
+    qh = _affine(x, wq, qb).reshape(heads_shape).transpose(0, 2, 1, 3)
+    kh = _affine(x, wk, kb).reshape(heads_shape).transpose(0, 2, 1, 3)
+    vh = _affine(x, wv, vb).reshape(heads_shape).transpose(0, 2, 1, 3)
+    kt = kh.transpose(0, 1, 3, 2)
+    # scores, their shifted exponentials and the probabilities share one buffer
+    probs = np.matmul(qh, kt, out=None if keep else _score_buffer((B, heads, S, S)))
+    probs *= 1.0 / math.sqrt(dh)  # the correctly rounded double np.sqrt gives too
+    probs += bias
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+    mask = None
+    dropped = probs
+    if p > 0.0:
+        mask = _dropout_mask(probs.shape, p, rng)
+        dropped = probs * mask
+    ctx = np.matmul(dropped, vh).transpose(0, 2, 1, 3).reshape((B, S, H))
+    out = _affine(ctx, wo, ob)
+    out_mask = None
+    if p > 0.0:
+        out_mask = _dropout_mask(out.shape, p, rng)
+        out *= out_mask
+    return out, (qh, kt, vh, probs, mask, dropped, ctx, out_mask)
+
+
 def attention_block(x, weights, bias, heads, p=0.0, rng=None):
     """An encoder layer's attention sublayer as one node.
 
@@ -418,10 +461,11 @@ def attention_block(x, weights, bias, heads, p=0.0, rng=None):
     dropout at rate p on the probabilities, multiplies by v, merges the
     heads, projects the result through wo and ob and applies dropout at rate
     p again; both masks are drawn from `rng`, in that order.  The numpy
-    calls are those of the `linear`, attention-core and `dropout` chain this
-    node replaces, in order, so results are bit-identical to it.  x is a
-    parent three times, once per projection: `backward` adds the q, then
-    the k, then the v part into what x has collected, as the chain did.
+    calls (`_attention`'s) are those of the `linear`, attention-core and
+    `dropout` chain this node replaces, in order, so results are
+    bit-identical to it.  x is a parent three times, once per projection:
+    `backward` adds the q, then the k, then the v part into what x has
+    collected, as the chain did.
 
     Checked here, each by ShapeError: eight weights, x of rank 3, the
     weights' shapes, heads >= 1 and dividing H, and a bias that numpy
@@ -448,38 +492,17 @@ def attention_block(x, weights, bias, heads, p=0.0, rng=None):
     if k > 4 or any(d != 1 and d != n for d, n in zip(bias_shape, score_shape[4 - k:])):
         raise ShapeError(f"attention_block: bias shape {bias_shape} does not broadcast to scores {score_shape}")
     _check_rate(p, rng, "attention_block")
+    out_data, (qh, kt, vh, probs, mask, dropped, ctx, out_mask) = _attention(
+        x.data, [t.data for t in weights], bias, heads, p, rng, keep=True)
+    out_shape = out_data.shape
     dh = H // heads
-    c = 1.0 / math.sqrt(dh)  # the correctly rounded double np.sqrt gives too
+    c = 1.0 / math.sqrt(dh)
 
-    # ndarray methods, not numpy's Python-level wrappers: the same views and
-    # reductions (max and sum are maximum.reduce and add.reduce) for less dispatch
     def split(t):
         return t.reshape((B, S, heads, dh)).transpose(0, 2, 1, 3)
 
     def merge(th):
         return th.transpose(0, 2, 1, 3).reshape((B, S, H))
-
-    qh, kh, vh = (split(_affine(x.data, w.data, b.data)) for w, b in ((wq, qb), (wk, kb), (wv, vb)))
-    kt = kh.transpose(0, 1, 3, 2)
-    # scores, their shifted exponentials and the probabilities share one buffer
-    probs = np.matmul(qh, kt, out=None if _grad_enabled else _score_buffer(score_shape))
-    probs *= c
-    probs += bias
-    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
-    mask = None
-    dropped = probs
-    if p > 0.0:
-        mask = _dropout_mask(probs.shape, p, rng)
-        dropped = probs * mask
-    ctx = merge(np.matmul(dropped, vh))
-    out_data = _affine(ctx, wo.data, ob.data)
-    out_shape = out_data.shape
-    out_mask = None
-    if p > 0.0:
-        out_mask = _dropout_mask(out_data.shape, p, rng)
-        out_data *= out_mask
 
     def backward(g):
         if out_mask is not None:
@@ -658,25 +681,33 @@ def residual_layer_norm(x, a, gain, bias, eps=LAYER_NORM_EPS):
     return _layer_norm_node(x, a, gain, bias, eps, "residual_layer_norm")
 
 
-def _layer_norm_node(x, a, gain, bias, eps, op):
-    """layer_norm of x, or of x + a when a residual `a` is given.  The means
-    are np.mean's own arithmetic (an add-reduce, divided in place by the
-    width) without its Python wrapper."""
+def _layer_norm(x, a, gain, bias, eps=LAYER_NORM_EPS, keep=False):
+    """layer_norm of the array x, or of x + a when a residual `a` is given,
+    on arrays, unchecked.  Returns the output and what the backward reads,
+    xhat and inv; x and a are never written.  The means are np.mean's own
+    arithmetic (an add-reduce, divided in place by the width) without its
+    Python wrapper.  Unless `keep`, the output overwrites xhat."""
     n = x.shape[-1]
-    if gain.shape != (n,) or bias.shape != (n,):
-        raise ShapeError(f"{op}: gain/bias must match last axis {n}, got {gain.shape} and {bias.shape}")
-    s = x.data if a is None else x.data + a.data
+    s = x if a is None else x + a
     mu = np.add.reduce(s, axis=-1, keepdims=True)
     mu /= n
-    # scaled in place below, once the variance is read; a residual sum is the node's own
+    # scaled in place below, once the variance is read; a residual sum is this call's own
     xhat = np.subtract(s, mu, out=None if a is None else s)
     var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
     var /= n
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    # without a backward closure to read xhat, the output overwrites it
-    out_data = np.multiply(xhat, gain.data, out=None if _grad_enabled else xhat)
-    out_data += bias.data
+    out = np.multiply(xhat, gain, out=None if keep else xhat)
+    out += bias
+    return out, xhat, inv
+
+
+def _layer_norm_node(x, a, gain, bias, eps, op):
+    """The node of `_layer_norm` of x, or of x + a when a residual `a` is given."""
+    n = x.shape[-1]
+    if gain.shape != (n,) or bias.shape != (n,):
+        raise ShapeError(f"{op}: gain/bias must match last axis {n}, got {gain.shape} and {bias.shape}")
+    out_data, xhat, inv = _layer_norm(x.data, None if a is None else a.data, gain.data, bias.data, eps, keep=True)
 
     def backward(g):
         gy = g * gain.data
@@ -694,14 +725,14 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _gelu(x):
+def _gelu(x, keep=False):
     """GELU of the array x, x * Phi(x), and the cdf Phi(x) its gradient reads.
-    Without a backward closure to read the cdf, the output overwrites it."""
+    Unless `keep`, the output overwrites the cdf."""
     cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))  # an array even for rank 0
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    return np.multiply(x, cdf, out=None if _grad_enabled else cdf), cdf
+    return np.multiply(x, cdf, out=None if keep else cdf), cdf
 
 
 def _gelu_grad(x, cdf, g):
@@ -713,7 +744,7 @@ def gelu(x):
     """GELU as one node.  The encoder computes GELU inside `ffn_block`; this
     op stays public for tests and for perfbench's patcher, which wraps it by
     name."""
-    out_data, cdf = _gelu(x.data)
+    out_data, cdf = _gelu(x.data, keep=True)
 
     def backward(g):
         return (_gelu_grad(x.data, cdf, g),)
@@ -721,23 +752,32 @@ def gelu(x):
     return _make(out_data, (x,), backward, "gelu")
 
 
+def _ffn(x, w1, b1, w2, b2, p=0.0, rng=None, keep=False):
+    """A feed-forward sublayer's forward arithmetic on arrays, unchecked (see
+    `ffn_block`).  Returns the output and what the backward reads: (pre, h,
+    cdf, mask).  Unless `keep`, GELU's output overwrites its cdf."""
+    pre = _affine(x, w1, b1)
+    h, cdf = _gelu(pre, keep)
+    out = _affine(h, w2, b2)
+    mask = None
+    if p > 0.0:
+        mask = _dropout_mask(out.shape, p, rng)
+        out *= mask
+    return out, (pre, h, cdf, mask)
+
+
 def ffn_block(x, w1, b1, w2, b2, p=0.0, rng=None):
     """An encoder layer's feed-forward sublayer, dropout(linear(gelu(linear(x,
     w1, b1)), w2, b2), p), as one node; w1 is (H, F) and w2 (F, H2).  The
-    numpy calls are those of the `linear`, `gelu`, `linear`, `dropout` chain
-    it replaces, in order, so results are bit-identical to it."""
+    numpy calls (`_ffn`'s) are those of the `linear`, `gelu`, `linear`,
+    `dropout` chain it replaces, in order, so results are bit-identical to
+    it."""
     if x.ndim < 1 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0] \
             or b1.shape != (w1.shape[1],) or w2.shape[0] != w1.shape[1] or b2.shape != (w2.shape[1],):
         raise ShapeError(f"ffn_block: input {x.shape} and weights {w1.shape}, {b1.shape}, {w2.shape}, "
                          f"{b2.shape} do not fit")
     _check_rate(p, rng, "ffn_block")
-    pre = _affine(x.data, w1.data, b1.data)
-    h, cdf = _gelu(pre)
-    out_data = _affine(h, w2.data, b2.data)
-    mask = None
-    if p > 0.0:
-        mask = _dropout_mask(out_data.shape, p, rng)
-        out_data *= mask
+    out_data, (pre, h, cdf, mask) = _ffn(x.data, w1.data, b1.data, w2.data, b2.data, p, rng, keep=True)
 
     def backward(g):
         if mask is not None:

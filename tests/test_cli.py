@@ -1305,6 +1305,11 @@ MALFORMED = [
      _record_edit(3, lambda r: r["answers"][0].update(answer_start=999)), _finetune_argv("qa"), 3),
     ("finetune/qa-squad-missing-paragraphs", "qa_squad", _document_edit(lambda d: d["data"][0].pop("paragraphs")),
      _finetune_argv("qa"), 1),
+    # an empty --dev (an unset shell variable, say) used to fine-tune with no dev set and exit 0; the
+    # training file is intact, so the error names the empty path, which no file holds, and no line
+    ("finetune/dev-empty-path", "re", lambda raw: raw,
+     lambda p, bad: _finetune_argv("re", "--dev")(p, "") + ["--train", bad, "--epochs", "1"],
+     "No such file or directory: ''"),
     ("eval/re-three-columns", "re", _line_edit(1, lambda line: line.rsplit("\t", 1)[0]),
      lambda p, bad: ["eval", "re", "--checkpoint", p["ft_ckpt"], "--data", bad, "--out", p["out"]], 1),
     ("cloze-eval/gold-index-out-of-range", "queries", _record_edit(2, lambda r: r.update(gold_index=2)),
@@ -1408,15 +1413,19 @@ def input_files(workspace, pretrained, finetuned, task_files):
 
 
 @pytest.mark.parametrize("case,source,damage,argv,line", MALFORMED, ids=[c[0] for c in MALFORMED])
-def test_malformed_input_exits_1_naming_path_and_line(input_files, capsys, case, source, damage, argv, line):
+def test_malformed_input_exits_1_naming_path_and_line(input_files, capsys, tmp_path, case, source, damage, argv,
+                                                      line):
+    # `line` is the line the error names in the damaged file, or, for a path no file holds, what names it
     src = Path(input_files[source])
     bad = src.with_name("malformed-" + case.replace("/", "-") + src.suffix)
     bad.write_bytes(damage(src.read_bytes()))
-    rc = main(argv(input_files, str(bad)))
+    out = str(tmp_path / "out")
+    rc = main(argv({**input_files, "out": out}, str(bad)))
     err = capsys.readouterr().err
     assert rc == EXIT_FAILURE, err
-    assert f"{bad}:{line}: " in err
+    assert (f"{bad}:{line}: " if isinstance(line, int) else line) in err
     assert "Traceback" not in err
+    assert not os.path.exists(out) and not os.path.exists(out + ".manifest.json")
 
 
 def test_installed_entry_point_reports_malformed_input(input_files, tmp_path):

@@ -504,7 +504,8 @@ class RaisingWorker:
 def _split_cases(config):
     """Batches whose rows differ in width: two QA-like windows of 24 words
     with 3 and 1 entities, two NER entity-mask rows holding 8 and 7 of the
-    15 spans of a 6-word sentence, and 3 rows of 20, 13 and 7 words."""
+    15 spans of a 6-word sentence, 3 rows of 20, 13 and 7 words, and two
+    word-only rows of 9 and 5 words."""
     rng = np.random.default_rng(50)
     spans = [(s, e) for s in range(6) for e in range(s + 1, min(s + 3, 6) + 1)]
     sentence = rng.integers(0, config.word_vocab_size, 6).tolist()
@@ -514,6 +515,7 @@ def _split_cases(config):
         "qa windows": [random_sequence(rng, config, n_words=24, n_entities=n) for n in (3, 1)],
         "ner rows": ner,
         "three rows": [random_sequence(rng, config, n_words=m) for m in (20, 13, 7)],
+        "word rows": [random_sequence(rng, config, n_words=m, n_entities=0) for m in (9, 5)],
     }
 
 
@@ -524,9 +526,10 @@ def split_everything(monkeypatch):
     monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
 
 
-@pytest.mark.parametrize("case", ["qa windows", "ner rows", "three rows"])
+@pytest.mark.parametrize("case", ["qa windows", "ner rows", "three rows", "word rows"])
 def test_split_forward_equals_the_one_thread_pass_bit_for_bit(monkeypatch, split_everything, tiny_params,
                                                                tiny_config, case):
+    # and both forward-only passes, which run on arrays, equal the recording pass, which builds nodes
     batch = pack_batch(_split_cases(tiny_config)[case])
     worker = RecordingWorker()
     monkeypatch.setattr(T, "_worker", lambda: worker)
@@ -549,6 +552,38 @@ def test_split_forward_equals_the_one_thread_pass_bit_for_bit(monkeypatch, split
         assert one.shape == two.shape and one.tobytes() == two.tobytes(), key
     (caller, *_), (other,) = buffers[threading.get_ident()], buffers.keys() - {threading.get_ident()}
     assert not any(np.shares_memory(caller, b) for b in buffers[other])
+    recorded = encode_batch(tiny_params, tiny_config, batch)
+    assert recorded.word_tensor._parents and len(worker.futures) == 1
+    for key in ("word_vectors", "entity_vectors"):
+        one, rec = getattr(outs[1], key), getattr(recorded, key)
+        assert one.shape == rec.shape and one.tobytes() == rec.tobytes(), key
+        assert one.flags.c_contiguous and rec.flags.c_contiguous, key
+
+
+@pytest.mark.parametrize("name", ["word_emb", "emb_ln_bias", "layer0.attn.wk", "layer0.attn.ob", "layer1.attn_ln.gain",
+                                  "layer1.ffn.w1", "layer1.ffn.b2", "layer1.ffn_ln.bias"])
+def test_a_forward_only_pass_refuses_a_misshaped_parameter_by_name_before_any_arithmetic(monkeypatch, tiny_params,
+                                                                                        tiny_config, name):
+    params = dict(tiny_params)
+    shape = params[name].shape
+    params[name] = T.parameter(np.zeros(shape[:-1] + (shape[-1] + 1,)))
+    batch = pack_batch(_split_cases(tiny_config)["qa windows"])
+    with pytest.raises(ShapeError):  # a recording pass refuses it too, in the op that reads it
+        encode_batch(params, tiny_config, batch)
+
+    def arithmetic(*args, **kwargs):
+        raise AssertionError("arithmetic ran before the shape check")
+
+    for fn in ("input_embedding", "_layer_norm", "_attention", "_ffn"):
+        monkeypatch.setattr(T, fn, arithmetic)
+    with T.no_grad(), pytest.raises(ShapeError, match=f"parameter {re.escape(name)} has shape"):
+        encode_batch(params, tiny_config, batch)
+
+
+def test_a_forward_only_pass_refuses_heads_that_do_not_divide_the_width(tiny_params, tiny_config):
+    batch = pack_batch(_split_cases(tiny_config)["word rows"])
+    with T.no_grad(), pytest.raises(ShapeError, match="not divisible by 3 heads"):
+        encode_batch(tiny_params, replace(tiny_config, heads=3), batch)
 
 
 def test_nothing_splits_on_one_cpu_with_grad_with_dropout_or_below_the_width(monkeypatch, split_everything,
@@ -577,14 +612,14 @@ def test_an_error_in_either_half_propagates_once_the_worker_is_done(monkeypatch,
                                                                     tiny_config, half):
     worker = RecordingWorker(delay=0.05)
     monkeypatch.setattr(T, "_worker", lambda: worker)
-    caller, real_ffn = threading.get_ident(), T.ffn_block
+    caller, real_ffn = threading.get_ident(), T._ffn
 
-    def ffn_block(*args, **kwargs):
+    def ffn(*args, **kwargs):
         if (threading.get_ident() == caller) == (half == "caller"):
             raise RuntimeError(f"the {half}'s half failed")
         return real_ffn(*args, **kwargs)
 
-    monkeypatch.setattr(T, "ffn_block", ffn_block)
+    monkeypatch.setattr(T, "_ffn", ffn)
     batch = pack_batch(_split_cases(tiny_config)["qa windows"])
     with T.no_grad(), pytest.raises(RuntimeError, match=f"the {half}'s half failed"):
         encode_batch(tiny_params, tiny_config, batch)
@@ -593,13 +628,13 @@ def test_an_error_in_either_half_propagates_once_the_worker_is_done(monkeypatch,
 
 def test_the_worker_half_runs_under_the_callers_errstate(monkeypatch, split_everything, tiny_params, tiny_config):
     over = {}  # thread id -> np.geterr()["over"] inside its half
-    real_ffn = T.ffn_block
+    real_ffn = T._ffn
 
-    def ffn_block(*args, **kwargs):
+    def ffn(*args, **kwargs):
         over[threading.get_ident()] = np.geterr()["over"]
         return real_ffn(*args, **kwargs)
 
-    monkeypatch.setattr(T, "ffn_block", ffn_block)
+    monkeypatch.setattr(T, "_ffn", ffn)
     batch = pack_batch(_split_cases(tiny_config)["ner rows"])
     with T.no_grad(), np.errstate(over="raise"):
         encode_batch(tiny_params, tiny_config, batch)

@@ -1273,7 +1273,7 @@ def test_layer_norm_means_equal_np_mean_bit_for_bit():
 
 
 # ---------------------------------------------------------------------------
-# no-grad calls: attention's score workspace, gelu and layer_norm in place
+# forward-only array functions: attention's score workspace, gelu and layer_norm in place
 
 
 @pytest.fixture
@@ -1290,15 +1290,23 @@ def _attention_inputs(rng, B, S, H=6):
     return p(rng.normal(size=(B, S, H))), weights, bias
 
 
+def _forward_attention(x, weights, bias, heads, **kwargs):
+    """`T._attention`'s forward-only output for `attention_block`'s Tensor arguments."""
+    return T._attention(x.data, [w.data for w in weights], bias, heads, **kwargs)[0]
+
+
 def test_recording_attention_leaves_the_workspace_untouched(empty_workspace):
     rng = np.random.default_rng(30)
-    with T.no_grad():
-        T.attention_block(*_attention_inputs(rng, 2, 4), 2)
+    _forward_attention(*_attention_inputs(rng, 2, 4), 2)
     workspace = T._attention_workspace.scores
+    assert workspace.size == 2 * 2 * 4 * 4
     before = workspace.copy()
     for B, S in ((2, 4), (3, 9)):  # one shape that fits the workspace, one larger
         out = T.attention_block(*_attention_inputs(rng, B, S), 2)
         assert out._backward is not None
+        assert not np.shares_memory(out.data, workspace)
+        with T.no_grad():  # the op allocates its scores also when it records nothing
+            out = T.attention_block(*_attention_inputs(rng, B, S), 2)
         assert not np.shares_memory(out.data, workspace)
     assert T._attention_workspace.scores is workspace
     np.testing.assert_array_equal(workspace, before)
@@ -1307,22 +1315,20 @@ def test_recording_attention_leaves_the_workspace_untouched(empty_workspace):
 @pytest.mark.parametrize("rate", [0.0, 0.25])
 def test_no_grad_attention_outputs_are_independent(empty_workspace, rate):
     rng = np.random.default_rng(31)
-    with T.no_grad():
-        first = T.attention_block(*_attention_inputs(rng, 2, 5), 2, p=rate, rng=np.random.default_rng(1))
-        kept = first.data.copy()
-        second = T.attention_block(*_attention_inputs(rng, 2, 5), 2, p=rate, rng=np.random.default_rng(1))
-    np.testing.assert_array_equal(first.data, kept)
-    assert not np.array_equal(first.data, second.data)
+    first = _forward_attention(*_attention_inputs(rng, 2, 5), 2, p=rate, rng=np.random.default_rng(1))
+    kept = first.copy()
+    second = _forward_attention(*_attention_inputs(rng, 2, 5), 2, p=rate, rng=np.random.default_rng(1))
+    np.testing.assert_array_equal(first, kept)
+    assert not np.array_equal(first, second)
     for out in (first, second):
-        assert not np.shares_memory(out.data, T._attention_workspace.scores)
+        assert not np.shares_memory(out, T._attention_workspace.scores)
 
 
 def test_no_grad_attention_equals_recording_across_shapes(empty_workspace):
     rng = np.random.default_rng(32)
     calls = [_attention_inputs(rng, B, S) for B, S in ((2, 4), (3, 9), (2, 3))]  # small, large, small
     want = [T.attention_block(*inputs, 2).data for inputs in calls]
-    with T.no_grad():
-        got = [T.attention_block(*inputs, 2).data for inputs in calls]
+    got = [_forward_attention(*inputs, 2) for inputs in calls]
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
     assert T._attention_workspace.scores.size == 3 * 2 * 9 * 9  # the largest score size seen
@@ -1340,15 +1346,13 @@ def test_threads_never_share_a_score_buffer(empty_workspace):
 
 def test_no_grad_attention_above_the_cap_allocates_its_own_scores(empty_workspace):
     rng = np.random.default_rng(33)
-    with T.no_grad():
-        T.attention_block(*_attention_inputs(rng, 2, 4), 2)
+    _forward_attention(*_attention_inputs(rng, 2, 4), 2)
     workspace = T._attention_workspace.scores
     # one head over S keys: S * S scores, just above the cap
     S = math.isqrt(T.ATTENTION_WORKSPACE_CAP) + 1
     inputs = _attention_inputs(rng, 1, S, H=2)
     want = T.attention_block(*inputs, 1).data
-    with T.no_grad():
-        got = T.attention_block(*inputs, 1).data
+    got = _forward_attention(*inputs, 1)
     np.testing.assert_array_equal(got, want)
     assert T._attention_workspace.scores is workspace and workspace.size == 2 * 2 * 4 * 4
     assert T.ATTENTION_WORKSPACE_CAP * workspace.itemsize <= 8 << 20
@@ -1359,14 +1363,17 @@ def test_no_grad_gelu_and_layer_norm_equal_recording_and_leave_inputs_alone(shap
     rng = np.random.default_rng(34)
     x = p(rng.normal(size=shape) * 3.0 + 1.0)
     gain, bias = p(rng.normal(size=shape[-1:])), p(rng.normal(size=shape[-1:]))
-    before = x.data.copy()
-    recorded = [T.gelu(x).data] + ([T.layer_norm(x, gain, bias).data] if shape else [])
-    with T.no_grad():
-        outs = [T.gelu(x).data] + ([T.layer_norm(x, gain, bias).data] if shape else [])
+    a = p(rng.normal(size=shape))
+    before = [x.data.copy(), a.data.copy()]
+    recorded = [T.gelu(x).data] + ([T.layer_norm(x, gain, bias).data, T.residual_layer_norm(x, a, gain, bias).data]
+                                   if shape else [])
+    outs = [T._gelu(x.data)[0]] + ([T._layer_norm(x.data, None, gain.data, bias.data)[0],
+                                    T._layer_norm(x.data, a.data, gain.data, bias.data)[0]] if shape else [])
     for got, want in zip(outs, recorded):
         np.testing.assert_array_equal(got, want)
-        assert not np.shares_memory(got, x.data)
-    np.testing.assert_array_equal(x.data, before)
+        assert not np.shares_memory(got, x.data) and not np.shares_memory(got, a.data)
+    np.testing.assert_array_equal(x.data, before[0])
+    np.testing.assert_array_equal(a.data, before[1])
 
 
 # ---------------------------------------------------------------------------
